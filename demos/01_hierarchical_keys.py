@@ -7,7 +7,7 @@ parts, and what a refresh does to older keys.
 
 from crossrealm.keys import (
     DigitalSignature,
-    compose_key,
+    HierarchicalKey,
     derive_root_key,
     derive_signature,
     derive_subdomain_key,
@@ -35,7 +35,7 @@ print('sub   CloudB/"hr":', hr_b.hex()[:32], "... (same label, different parent)
 signature: DigitalSignature = derive_signature(
     "alice", {"spouse": "bob", "pet": "rex", "first_school": "hilltop"})
 private = issue_private_key(signature, hr_a)
-credential = compose_key(root_a, hr_a, private)
+credential = HierarchicalKey(root_a, hr_a, private)
 print("tenant credential decomposes back to its parts:",
       credential.decompose() == (root_a, hr_a, private))
 

@@ -25,8 +25,6 @@ from .keys import (
     KeyPart,
     KeyRole,
     SessionKeySet,
-    compose_key,
-    decompose_key,
     derive_root_key,
     derive_signature,
     derive_subdomain_key,
@@ -60,7 +58,6 @@ from .simnet import (
     build_default_topology,
     inject_stall,
     run,
-    transmit,
 )
 from .harness import (
     MetricsReport,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
@@ -143,8 +144,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Full explicit form, including the per-phase byte assignment."""
-    table = protocol_table(scenario.timeout_mode, scenario.phase_request_bytes,
-                           scenario.phase_response_bytes)
+    table = protocol_table(scenario.phase_request_bytes, scenario.phase_response_bytes)
     doc = {
         "principals": scenario.principals,
         "sessions_per_principal": scenario.sessions_per_principal,
@@ -454,6 +454,15 @@ def _resolve(tree: dict, dotted: str) -> object:
     return node
 
 
+# expectation op -> (symbol shown in the verdict detail, comparison)
+_COMPARISONS = {
+    "gte": (">=", operator.ge),
+    "lte": ("<=", operator.le),
+    "lt": ("<", operator.lt),
+    "gt": (">", operator.gt),
+}
+
+
 def check_acceptance(report: MetricsReport | dict, expectations: list[dict]) -> list[Verdict]:
     """Evaluate each expectation against the report; one verdict per entry."""
     tree = report.metric_tree() if isinstance(report, MetricsReport) else report
@@ -463,22 +472,11 @@ def check_acceptance(report: MetricsReport | dict, expectations: list[dict]) -> 
         op = exp["op"]
         measured = _resolve(tree, metric)
         value = float("nan") if measured is None else float(measured)
-        if op == "gte":
+        if op in _COMPARISONS:
+            symbol, compare = _COMPARISONS[op]
             target = float(exp["target"])
-            passed = value >= target
-            detail = f"{value:g} >= {target:g}"
-        elif op == "lte":
-            target = float(exp["target"])
-            passed = value <= target
-            detail = f"{value:g} <= {target:g}"
-        elif op == "lt":
-            target = float(exp["target"])
-            passed = value < target
-            detail = f"{value:g} < {target:g}"
-        elif op == "gt":
-            target = float(exp["target"])
-            passed = value > target
-            detail = f"{value:g} > {target:g}"
+            passed = compare(value, target)
+            detail = f"{value:g} {symbol} {target:g}"
         elif op == "within-pct":
             target = float(exp["target"])
             tol = float(exp["tolerance_pct"]) / 100.0 * abs(target)

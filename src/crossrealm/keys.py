@@ -196,15 +196,6 @@ def derive_signature(tenant_id: str, extension_metadata: Mapping[str, str]) -> D
     return DigitalSignature(digest)
 
 
-def compose_key(root: KeyPart, subdomain: KeyPart, leaf: KeyPart) -> HierarchicalKey:
-    """Assemble a hierarchical key; decompose() returns the same parts."""
-    return HierarchicalKey(root, subdomain, leaf)
-
-
-def decompose_key(key: HierarchicalKey) -> tuple[KeyPart, KeyPart, KeyPart]:
-    return key.decompose()
-
-
 def _session_leaf(subdomain: KeyPart, session_id: bytes, generation: int, identity: str) -> KeyPart:
     gen = generation.to_bytes(GENERATION_LEN, "big")
     tag = _prf(subdomain.bytes, _LABEL_SESSION + session_id + gen + b"|" + identity.encode())

@@ -48,11 +48,6 @@ class MessageKind(Enum):
     RESPONSE = "response"
 
 
-class StartCondition(Enum):
-    APPLICATION_START = "application-start"
-    PREVIOUS_PHASE_ENDS = "previous-phase-ends"
-
-
 @dataclass(frozen=True)
 class TimeoutMode:
     """Timeout policy for a run: none, per-phase, or the localized watchdog at F."""
@@ -99,66 +94,54 @@ class PhaseSpec:
     name: str
     source: Role
     destination: Role
-    start_condition: StartCondition
-    end_condition: str
-    timeout_used: bool
-    timeout_s: float | None
     request_bytes: int
     response_bytes: int
+    carries: tuple[str, ...]  # SessionSlot fields the request copies to the responder
 
 
-# Phase table: (index, name, source, destination, request bytes).
-# A requesting exchange carries 1024 bytes; an exchange that delivers
-# credentials, a session key, or an access grant carries 4096. Every
-# phase-closing final response is a bare 1024-byte acknowledgment.
+# Phase table: (index, name, source, destination, request bytes, carried
+# slot fields). A requesting exchange carries 1024 bytes; an exchange that
+# delivers credentials, a session key, or an access grant carries 4096.
+# Every phase-closing final response is a bare 1024-byte acknowledgment.
 _R = Role
 _TABLE = (
-    (1, "Secure (Request, R1, R2)", _R.A, _R.F, 1024),
-    (2, "Secure (Request, IDr, IDs)", _R.F, _R.A, 1024),
-    (3, "Secure (Response, IDr, IDs)", _R.A, _R.F, 4096),
-    (4, "Fetch (R1, R2): IF Valid (IDr, IDs)", _R.F, _R.SAC, 1024),
-    (5, "Verify (IDr, IDs)", _R.SAC, _R.SAC_DB, 1024),
-    (6, "Valid (IDr, IDs)", _R.SAC_DB, _R.SAC, 4096),
-    (7, "Invoke (Key, IDsess): Fetch (R1, R2)", _R.SAC, _R.SAC_SH, 4096),
-    (8, "Secure (Access, R1)", _R.SAC_SH, _R.CLOUD_A, 1024),
-    (9, "Secure (Access, R1)", _R.CLOUD_A, _R.SAC_SH, 4096),
-    (10, "Secure (Request, R2): IF Key (IDsess)", _R.SAC_SH, _R.CLOUD_B, 1024),
-    (11, "Secure (Access, R2)", _R.CLOUD_B, _R.SAC_SH, 4096),
-    (12, "Secure (Access, R1, R2): Key (IDsess)", _R.SAC_SH, _R.F, 4096),
-    (13, "Secure (Access, R1, R2): Key (IDsess)", _R.F, _R.A, 4096),
+    (1, "Secure (Request, R1, R2)", _R.A, _R.F, 1024, ("requester", "principal", "resources")),
+    (2, "Secure (Request, IDr, IDs)", _R.F, _R.A, 1024, ()),
+    (3, "Secure (Response, IDr, IDs)", _R.A, _R.F, 4096, ("idr", "ids")),
+    (4, "Fetch (R1, R2): IF Valid (IDr, IDs)", _R.F, _R.SAC, 1024,
+     ("requester", "resources", "idr", "ids")),
+    (5, "Verify (IDr, IDs)", _R.SAC, _R.SAC_DB, 1024, ("idr", "ids")),
+    (6, "Valid (IDr, IDs)", _R.SAC_DB, _R.SAC, 4096, ("verdict", "realm")),
+    (7, "Invoke (Key, IDsess): Fetch (R1, R2)", _R.SAC, _R.SAC_SH, 4096,
+     ("keyset", "requester_key", "resources")),
+    (8, "Secure (Access, R1)", _R.SAC_SH, _R.CLOUD_A, 1024, ("keyset", "requester_key")),
+    (9, "Secure (Access, R1)", _R.CLOUD_A, _R.SAC_SH, 4096, ()),
+    (10, "Secure (Request, R2): IF Key (IDsess)", _R.SAC_SH, _R.CLOUD_B, 1024,
+     ("keyset", "requester_key")),
+    (11, "Secure (Access, R2)", _R.CLOUD_B, _R.SAC_SH, 4096, ()),
+    (12, "Secure (Access, R1, R2): Key (IDsess)", _R.SAC_SH, _R.F, 4096,
+     ("grants", "requester_key", "keyset")),
+    (13, "Secure (Access, R1, R2): Key (IDsess)", _R.F, _R.A, 4096, ("grants", "requester_key")),
 )
 
 PHASE_COUNT = len(_TABLE)
 ACK_BYTES = 1024
 
 
-def protocol_table(timeout_mode: TimeoutMode | None = None,
-                   request_bytes: Mapping[int, int] | None = None,
+def protocol_table(request_bytes: Mapping[int, int] | None = None,
                    response_bytes: Mapping[int, int] | None = None,
                    ) -> tuple[PhaseSpec, ...]:
-    """The ordered 13-phase table under a timeout policy.
+    """The ordered 13-phase table.
 
     Per-phase byte counts may be overridden (scenario files list the
     defaults explicitly so the assignment stays auditable).
     """
-    mode = timeout_mode or TimeoutMode.none()
-    per_phase = mode.kind == "per-phase"
-    specs = []
-    for index, name, source, destination, req_bytes in _TABLE:
-        specs.append(PhaseSpec(
-            index=index,
-            name=name,
-            source=source,
-            destination=destination,
-            start_condition=(StartCondition.APPLICATION_START if index == 1
-                             else StartCondition.PREVIOUS_PHASE_ENDS),
-            end_condition="final-response",
-            timeout_used=per_phase,
-            timeout_s=mode.seconds if per_phase else None,
-            request_bytes=(request_bytes or {}).get(index, req_bytes),
-            response_bytes=(response_bytes or {}).get(index, ACK_BYTES),
-        ))
-    return tuple(specs)
+    return tuple(
+        PhaseSpec(index=index, name=name, source=source, destination=destination,
+                  request_bytes=(request_bytes or {}).get(index, req_bytes),
+                  response_bytes=(response_bytes or {}).get(index, ACK_BYTES),
+                  carries=carries)
+        for index, name, source, destination, req_bytes, carries in _TABLE)
 
 
 _DEFAULT_TABLE = protocol_table()
@@ -246,13 +229,11 @@ _TIMER_SLACK_S = 1e-9
 
 
 def on_timeout(session: SessionState, phase_index: int, elapsed: float,
-               spec: PhaseSpec) -> SessionState:
-    """Drop a session whose phase has outlived the per-phase limit."""
+               limit_s: float | None) -> SessionState:
+    """Drop a session whose phase has outlived the per-phase limit (None: no limit)."""
     if session.status is not SessionStatus.IN_PROGRESS:
         return session
-    if not spec.timeout_used or spec.timeout_s is None:
-        return session
-    if elapsed < spec.timeout_s - _TIMER_SLACK_S:
+    if limit_s is None or elapsed < limit_s - _TIMER_SLACK_S:
         return session
     return replace(session, status=SessionStatus.DROPPED,
                    drop_reason=DropReason("phase-timeout", phase_index))
@@ -292,7 +273,6 @@ class SessionSlot:
     requester_key: HierarchicalKey | None = None
     grants: tuple[str, ...] = ()
     granted: bool | None = None
-    got_final_grant: bool = False
 
 
 @dataclass(frozen=True)
@@ -320,23 +300,22 @@ def _with_slot(state: RoleState, session_id: bytes, slot: SessionSlot) -> RoleSt
     return replace(state, sessions=sessions)
 
 
-def _violation(state: RoleState) -> RoleState:
-    return replace(state, violations=state.violations + 1)
+def _next_request(role: Role, after: int) -> int | None:
+    """The phase whose request this role receives next, after phase ``after``.
 
-
-def _next_expectation(role: Role, completed: int) -> tuple[int, MessageKind] | None:
-    """What this role should see next after completing a phase as its source.
-
-    The next time the role appears in the table it is always as a
-    destination (the table never gives one role two consecutive turns as
-    source), so the expectation is the request of that later phase.
+    None when the role's next row names it as source: begin_phase arms the
+    role then. The table never gives one role two consecutive turns as
+    source, so after such a turn the role next appears as a destination.
     """
-    for spec in _DEFAULT_TABLE[completed:]:
-        if spec.destination is role:
-            return (spec.index, MessageKind.REQUEST)
-        if spec.source is role:
-            return None  # will be re-armed by begin_phase
+    for spec in _DEFAULT_TABLE[after:]:
+        if role in (spec.source, spec.destination):
+            return spec.index if spec.destination is role else None
     return None
+
+
+# Phase at which each role first hears of a session (as a destination); A,
+# the source of phase 1, opens the session itself.
+_FIRST_CONTACT = {role: _next_request(role, 0) for role in Role}
 
 
 @dataclass(frozen=True)
@@ -380,44 +359,21 @@ def grant_access(cloud_state: RoleState, presenter: Role, idsess_key: Hierarchic
     return keylib.verify_session_key(idsess_key, slot.keyset)
 
 
-# Phase at which each role first hears of a session (as a destination).
-_FIRST_CONTACT = {
-    Role.F: 1,
-    Role.SAC: 4,
-    Role.SAC_DB: 5,
-    Role.SAC_SH: 7,
-    Role.CLOUD_A: 8,
-    Role.CLOUD_B: 10,
-}
-
-
 def _discard(state: RoleState, why: str) -> HandleResult:
-    return HandleResult(_violation(state), (), f"discarded:{why}")
+    return HandleResult(replace(state, violations=state.violations + 1), (), f"discarded:{why}")
 
 
-def _respond(spec: PhaseSpec, msg: ProtocolMessage, fields: dict | None = None,
-             ) -> ProtocolMessage:
-    return ProtocolMessage(
-        session_id=msg.session_id,
-        phase_index=spec.index,
-        kind=MessageKind.RESPONSE,
-        source=spec.destination,
-        destination=spec.source,
-        payload_fields=fields or {"ack": True},
-        payload_bytes=spec.response_bytes,
-    )
-
-
-def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> HandleResult:
+def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault,
+                   table: tuple[PhaseSpec, ...] = _DEFAULT_TABLE) -> HandleResult:
     """Process one message at one role; pure transition.
 
-    Requests are answered with the phase's final response; responses
-    arm the role's expectation for its next appearance in the phase
-    sequence. Anything out of order is discarded and counted.
+    Requests are answered with the phase's final response, sized by the
+    run's table; responses arm the role's expectation for its next
+    appearance in the phase sequence. Anything out of order is discarded and counted.
     """
     if msg.destination is not state.role:
         return _discard(state, "misaddressed")
-    spec = phase_spec(msg.phase_index)
+    spec = table[msg.phase_index - 1]
     if msg.kind is MessageKind.REQUEST:
         return _handle_request(state, spec, msg, vault)
     return _handle_response(state, spec, msg)
@@ -429,7 +385,8 @@ def _handle_response(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage) ->
         return _discard(state, "unknown-session")
     if slot.expect != (spec.index, MessageKind.RESPONSE):
         return _discard(state, "out-of-order")
-    slot = replace(slot, expect=_next_expectation(state.role, spec.index))
+    following = _next_request(state.role, spec.index)
+    slot = replace(slot, expect=None if following is None else (following, MessageKind.REQUEST))
     return HandleResult(_with_slot(state, msg.session_id, slot), (), "phase-complete")
 
 
@@ -443,64 +400,49 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         return _discard(state, "wrong-source")
 
     slot = state.sessions.get(msg.session_id)
-    first_contact = _FIRST_CONTACT.get(state.role) == spec.index
+    first_contact = _FIRST_CONTACT[state.role] == spec.index
     if slot is None:
         if not first_contact:
             return _discard(state, "unknown-session")
         slot = SessionSlot()
-    else:
-        if first_contact:
-            return _discard(state, "duplicate-session")
-        if slot.expect != (spec.index, MessageKind.REQUEST):
-            return _discard(state, "out-of-order")
+    elif first_contact:
+        return _discard(state, "duplicate-session")
+    elif slot.expect != (spec.index, MessageKind.REQUEST):
+        return _discard(state, "out-of-order")
 
     fields = msg.payload_fields
+    # store what the phase carries; the responder then waits for its next begin_phase
+    slot = replace(slot, expect=None, **{name: fields[name] for name in spec.carries})
     outcome = "ok"
-    resp_fields = None
+    reply_fields = {"ack": True}
 
-    if spec.index == 1:  # front-end learns the session exists
-        slot = SessionSlot(requester=fields["requester"], principal=fields["principal"],
-                           resources=tuple(fields["resources"]))
-    elif spec.index == 2:  # principal asked for the requester's credentials
-        pass
-    elif spec.index == 3:  # front-end stores the submitted credentials
-        slot = replace(slot, idr=fields["idr"], ids=fields["ids"])
-    elif spec.index == 4:  # authority accepts the forwarded approval request
-        slot = SessionSlot(requester=fields["requester"],
-                           resources=tuple(fields["resources"]),
-                           idr=fields["idr"], ids=fields["ids"])
-    elif spec.index == 5:  # credential db verifies the pair
-        idr, ids = fields["idr"], fields["ids"]
-        valid = vault.verify_membership(idr, ids)
-        member = vault.find_member(idr, ids) if valid else None
+    if spec.index == 5:  # credential db verifies the pair
+        valid = vault.verify_membership(slot.idr, slot.ids)
+        member = vault.find_member(slot.idr, slot.ids) if valid else None
         realm = (member.tenant_id, member.cloud_id, member.subdomain_id) if member else None
         slot = replace(slot, verdict=valid, realm=realm)
-        outcome = "valid" if valid else "invalid"
-    elif spec.index == 6:  # authority records the verdict
-        slot = replace(slot, verdict=fields["verdict"], realm=fields.get("realm"))
-        outcome = "valid" if fields["verdict"] else "invalid"
-    elif spec.index == 7:  # session handler receives the minted key set
-        slot = replace(slot, keyset=fields["keyset"],
-                       requester_key=fields["key"], resources=tuple(fields["resources"]))
     elif spec.index in (8, 10):  # a cloud decides on access
-        slot = replace(slot, keyset=fields["keyset"])
         granted = grant_access(_with_slot(state, msg.session_id, slot),
-                               msg.source, fields["key"], fields["resource"])
+                               msg.source, slot.requester_key, fields["resource"])
         slot = replace(slot, granted=granted,
                        grants=slot.grants + ((fields["resource"],) if granted else ()))
         outcome = "granted" if granted else "refused"
-        resp_fields = {"ack": True, "granted": granted}
+        reply_fields = {"ack": True, "granted": granted}
     elif spec.index in (9, 11):  # session handler collects a grant
         slot = replace(slot, grants=slot.grants + (fields["resource"],))
-    elif spec.index == 12:  # front-end receives grants and the session key
-        slot = replace(slot, grants=tuple(fields["grants"]), requester_key=fields["key"],
-                       keyset=fields["keyset"], got_final_grant=True)
-    elif spec.index == 13:  # principal holds the approved key and access
-        slot = replace(slot, grants=tuple(fields["grants"]), requester_key=fields["key"])
+    if spec.index in (5, 6):  # both ends of the verification report its verdict
+        outcome = "valid" if slot.verdict else "invalid"
 
-    slot = replace(slot, expect=None)  # responder waits for its next begin_phase
-    new_state = _with_slot(state, msg.session_id, slot)
-    return HandleResult(new_state, (_respond(spec, msg, resp_fields),), outcome)
+    reply = ProtocolMessage(
+        session_id=msg.session_id,
+        phase_index=spec.index,
+        kind=MessageKind.RESPONSE,
+        source=spec.destination,
+        destination=spec.source,
+        payload_fields=reply_fields,
+        payload_bytes=spec.response_bytes,
+    )
+    return HandleResult(_with_slot(state, msg.session_id, slot), (reply,), outcome)
 
 
 def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
@@ -508,57 +450,31 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
     """Start a phase at its initiating role, emitting the phase request.
 
     Called by the driving loop once the previous phase has ended (or at
-    application start for phase 1). The authority aborts here with an
+    application start for phase 1). The request copies the slot fields
+    the phase carries. The authority aborts here with an
     invalid-credentials drop instead of invoking the session handler
     when the verdict was negative.
     """
     sid = session.session_id
     slot = state.sessions.get(sid)
     minted = None
+    extra = {}
 
-    if spec.index == 1:
+    if spec.index == 1:  # A opens the session for its requester
         slot = SessionSlot(requester=session.requester.tenant_id, principal=session.principal,
                            resources=session.resources,
                            idr=session.requester.idr, ids=session.requester.ids)
-        fields = {"requester": session.requester.tenant_id, "principal": session.principal,
-                  "resources": session.resources}
-    elif spec.index == 2:
-        fields = {"need": ("IDr", "IDs")}
-    elif spec.index == 3:
-        fields = {"idr": slot.idr, "ids": slot.ids}
-    elif spec.index == 4:
-        fields = {"requester": slot.requester, "resources": slot.resources,
-                  "idr": slot.idr, "ids": slot.ids}
-    elif spec.index == 5:
-        fields = {"idr": slot.idr, "ids": slot.ids}
-    elif spec.index == 6:
-        fields = {"verdict": slot.verdict, "realm": slot.realm,
-                  "idr": slot.idr, "ids": slot.ids}
-    elif spec.index == 7:
+    elif spec.index == 7:  # the authority mints the key set, or drops the session
         if not slot.verdict or slot.realm is None:
             return BeginResult(state, (), drop_reason=DropReason("invalid-credentials"))
-        tenant_id, cloud_id, subdomain_id = slot.realm
-        minted = keylib.mint_session_keys(sid, [(tenant_id, cloud_id, subdomain_id)], vault)
-        slot = replace(slot, keyset=minted, requester_key=minted.keys[tenant_id])
-        fields = {"keyset": minted, "key": minted.keys[tenant_id],
-                  "resources": slot.resources}
-    elif spec.index == 8:
-        fields = {"resource": slot.resources[0], "key": slot.requester_key,
-                  "keyset": slot.keyset}
-    elif spec.index in (9, 11):
+        minted = keylib.mint_session_keys(sid, [slot.realm], vault)
+        slot = replace(slot, keyset=minted, requester_key=minted.keys[slot.realm[0]])
+    elif spec.index in (8, 10):  # the handler asks each cloud for the resource it hosts
+        extra = {"resource": slot.resources[0 if spec.destination is Role.CLOUD_A else 1]}
+    elif spec.index in (9, 11):  # a cloud reports the one resource it hosts
         if not slot.granted:
             return BeginResult(state, ())  # no grant to deliver; session stalls
-        # a cloud reports the one resource it hosts
-        fields = {"resource": next(iter(state.hosted_resources)), "grant": True}
-    elif spec.index == 10:
-        fields = {"resource": slot.resources[1], "key": slot.requester_key,
-                  "keyset": slot.keyset}
-    elif spec.index == 12:
-        fields = {"grants": slot.grants, "key": slot.requester_key, "keyset": slot.keyset}
-    elif spec.index == 13:
-        fields = {"grants": slot.grants, "key": slot.requester_key}
-    else:
-        raise InvalidInput(f"no phase {spec.index}")
+        extra = {"resource": next(iter(state.hosted_resources))}
 
     request = ProtocolMessage(
         session_id=sid,
@@ -566,7 +482,7 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
         kind=MessageKind.REQUEST,
         source=spec.source,
         destination=spec.destination,
-        payload_fields=fields,
+        payload_fields={**{name: getattr(slot, name) for name in spec.carries}, **extra},
         payload_bytes=spec.request_bytes,
     )
     slot = replace(slot, expect=(spec.index, MessageKind.RESPONSE))

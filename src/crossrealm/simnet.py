@@ -178,13 +178,6 @@ def transmit_components(msg: ProtocolMessage, source: str, destination: str,
     return network, network + service
 
 
-def transmit(msg: ProtocolMessage, source: str, destination: str,
-             model: ConnectionModel, topo: Topology,
-             service_s: float | None = None) -> float:
-    """Delivery time offset for one message over the allowed-pair graph."""
-    return transmit_components(msg, source, destination, model, topo, service_s)[1]
-
-
 # -- stalls ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -283,8 +276,6 @@ class SimEvent:
 
     kind: str  # "app-start" | "session-start" | "deliver" | "phase-timer" | "f-watchdog"
     target: str
-    time: float = 0.0
-    sequence: int = -1
     msg: ProtocolMessage | None = None
     session_id: bytes | None = None
     phase_index: int | None = None
@@ -310,9 +301,6 @@ class SimRun:
     def dropped(self) -> list[SessionState]:
         return [s for s in self.sessions.values() if s.status is SessionStatus.DROPPED]
 
-    def in_flight(self) -> list[SessionState]:
-        return [s for s in self.sessions.values() if s.status is SessionStatus.IN_PROGRESS]
-
 
 class _Engine:
     def __init__(self, scenario: "Scenario", seed: int):
@@ -320,7 +308,7 @@ class _Engine:
         self.seed = seed
         self.rng = random.Random(seed)
         self.mode = scenario.timeout_mode
-        self.table = proto.protocol_table(self.mode, scenario.phase_request_bytes,
+        self.table = proto.protocol_table(scenario.phase_request_bytes,
                                           scenario.phase_response_bytes)
         self.topology = build_default_topology(scenario.propagation_delay_s,
                                                scenario.link_counts)
@@ -343,8 +331,6 @@ class _Engine:
     # -- scheduling ------------------------------------------------------
 
     def schedule(self, time: float, event: SimEvent) -> None:
-        event.time = time
-        event.sequence = self.event_seq
         heapq.heappush(self.heap, (time, self.event_seq, event))
         self.event_seq += 1
 
@@ -412,7 +398,7 @@ class _Engine:
                      outcome="discarded:session-not-in-progress")
             return
         role = msg.destination
-        result = proto.handle_message(self.roles[role], msg, self.vault)
+        result = proto.handle_message(self.roles[role], msg, self.vault, self.table)
         self.roles[role] = result.state
         self.log("deliver", msg.source.value, msg.destination.value,
                  msg.session_id, msg.phase_index, msg.payload_bytes,
@@ -427,37 +413,29 @@ class _Engine:
     def _on_phase_timer(self, event: SimEvent) -> None:
         session = self.sessions[event.session_id]
         k = event.phase_index
-        if session.status is not SessionStatus.IN_PROGRESS or session.current_phase >= k:
-            self.log("timer-fire", source=event.target, session_id=event.session_id,
-                     phase_index=k, outcome="ignored")
-            return
-        elapsed = self.now - self.phase_started[event.session_id]
-        updated = proto.on_timeout(session, k, elapsed, self.table[k - 1])
-        if updated.status is SessionStatus.DROPPED:
-            self.log("timer-fire", source=event.target, session_id=event.session_id,
-                     phase_index=k, outcome="expired")
-            self._drop(updated)
-        else:
-            self.log("timer-fire", source=event.target, session_id=event.session_id,
-                     phase_index=k, outcome="ignored")
+        updated = None
+        if session.status is SessionStatus.IN_PROGRESS and session.current_phase < k:
+            elapsed = self.now - self.phase_started[event.session_id]
+            updated = proto.on_timeout(session, k, elapsed, self.mode.seconds)
+        self._timer_fired(event, updated)
 
     def _on_f_watchdog(self, event: SimEvent) -> None:
         session = self.sessions[event.session_id]
-        slot = self.roles[Role.F].sessions.get(event.session_id)
-        if session.status is not SessionStatus.IN_PROGRESS or (slot and slot.got_final_grant):
-            self.log("timer-fire", source="F", session_id=event.session_id,
-                     outcome="ignored")
-            return
-        updated = proto.localized_timeout_at_f(
-            session, self.forwarded_at[event.session_id], self.now,
-            self.mode.seconds)
-        if updated.status is SessionStatus.DROPPED:
-            self.log("timer-fire", source="F", session_id=event.session_id,
-                     outcome="expired")
+        # F's slot holds a key set only once phase 12 delivered the grant
+        granted = self.roles[Role.F].sessions[event.session_id].keyset is not None
+        updated = None
+        if session.status is SessionStatus.IN_PROGRESS and not granted:
+            updated = proto.localized_timeout_at_f(
+                session, self.forwarded_at[event.session_id], self.now, self.mode.seconds)
+        self._timer_fired(event, updated)
+
+    def _timer_fired(self, event: SimEvent, updated: SessionState | None) -> None:
+        """Log a timer; it expired if it dropped the session it checked, else it is ignored."""
+        expired = updated is not None and updated.status is SessionStatus.DROPPED
+        self.log("timer-fire", source=event.target, session_id=event.session_id,
+                 phase_index=event.phase_index, outcome="expired" if expired else "ignored")
+        if expired:
             self._drop(updated)
-        else:
-            self.log("timer-fire", source="F", session_id=event.session_id,
-                     outcome="ignored")
 
     # -- helpers -----------------------------------------------------------
 
@@ -477,8 +455,8 @@ class _Engine:
         self.phase_started[session.session_id] = self.now
         for msg in result.outgoing:
             self._send(msg)
-        if spec.timeout_used:
-            self.schedule(self.now + spec.timeout_s,
+        if self.mode.kind == "per-phase":
+            self.schedule(self.now + self.mode.seconds,
                           SimEvent(kind="phase-timer", target=spec.source.value,
                                  session_id=session.session_id, phase_index=index))
 

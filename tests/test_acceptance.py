@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -33,6 +34,9 @@ from crossrealm.simnet import records_to_csv
 from crossrealm.vault import Vault
 
 SCENARIOS_DIR = Path(__file__).parent.parent / "scenarios"
+
+# sha256 of the default run's events.csv; a change to it must be explained
+DEFAULT_EVENTS_SHA256 = "de5ec44d4e69e2748e93dbe674261a5853d512ca4ce13561e50e71beb63dab06"
 
 TINY = Scenario(principals=1, sessions_per_principal=1, session_spread_s=1.0,
                 horizon_s=400.0, seed=3)
@@ -193,12 +197,12 @@ def test_criterion_09_key_scheme_properties():
     ok = True
 
     # compose/decompose round-trip on 1000 random part triples
-    from crossrealm.keys import KeyPart, KeyRole, compose_key
+    from crossrealm.keys import HierarchicalKey, KeyPart, KeyRole
     for _ in range(1000):
         parts = (KeyPart(rng.randbytes(32), KeyRole.ROOT),
                  KeyPart(rng.randbytes(32), KeyRole.SUBDOMAIN),
                  KeyPart(rng.randbytes(32), rng.choice((KeyRole.PRIVATE, KeyRole.SESSION))))
-        if compose_key(*parts).decompose() != parts:
+        if HierarchicalKey(*parts).decompose() != parts:
             ok = False
 
     # common session field across 100 random participant sets
@@ -240,16 +244,18 @@ def test_criterion_10_determinism(default_run, tmp_path):
     second_report = aggregate(second_run, scenario)
     wall = time.monotonic() - started
 
-    logs_identical = (records_to_csv(first_run.records)
-                      == records_to_csv(second_run.records))
+    events = records_to_csv(first_run.records)
+    logs_identical = events == records_to_csv(second_run.records)
+    pinned = hashlib.sha256(events.encode()).hexdigest() == DEFAULT_EVENTS_SHA256
     emit_report(first_report, "csv", tmp_path / "one")
     emit_report(second_report, "csv", tmp_path / "two")
     files_identical = all(
         (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
         for name in ("summary.csv", "per_phase.csv", "timeseries.csv"))
-    verdict(10, "determinism", logs_identical and files_identical and wall < 240.0,
+    verdict(10, "determinism",
+            logs_identical and files_identical and pinned and wall < 240.0,
             f"logs identical={logs_identical}, reports identical={files_identical}, "
-            f"wall {wall:.1f}s")
+            f"events.csv sha256 pinned={pinned}, wall {wall:.1f}s")
 
 
 def test_criterion_11_timeout_anomaly_not_reproduced():

@@ -19,7 +19,6 @@ from crossrealm.keys import (
     HierarchicalKey,
     KeyPart,
     KeyRole,
-    compose_key,
     derive_root_key,
     derive_signature,
     derive_subdomain_key,
@@ -134,18 +133,18 @@ def triple():
 
 def test_compose_decompose_round_trip():
     root, sub, leaf = triple()
-    key = compose_key(root, sub, leaf)
+    key = HierarchicalKey(root, sub, leaf)
     assert key.decompose() == (root, sub, leaf)
 
 
 def test_compose_rejects_misplaced_roles():
     root, sub, leaf = triple()
     with pytest.raises(RoleMismatch):
-        compose_key(root, sub, root)
+        HierarchicalKey(root, sub, root)
     with pytest.raises(RoleMismatch):
-        compose_key(leaf, sub, leaf)
+        HierarchicalKey(leaf, sub, leaf)
     with pytest.raises(RoleMismatch):
-        compose_key(root, root, leaf)
+        HierarchicalKey(root, root, leaf)
 
 
 @settings(max_examples=50, deadline=None)
@@ -155,7 +154,7 @@ def test_round_trip_on_arbitrary_parts(rb, sb, lb):
     root = KeyPart(rb, KeyRole.ROOT)
     sub = KeyPart(sb, KeyRole.SUBDOMAIN)
     leaf = KeyPart(lb, KeyRole.SESSION)
-    assert compose_key(root, sub, leaf).decompose() == (root, sub, leaf)
+    assert HierarchicalKey(root, sub, leaf).decompose() == (root, sub, leaf)
 
 
 def test_key_part_length_enforced():
@@ -246,7 +245,7 @@ def test_verify_only_latest_generation_across_refreshes():
 
 def test_private_leaf_has_no_session_field():
     root, sub, leaf = triple()
-    key = compose_key(root, sub, leaf)
+    key = HierarchicalKey(root, sub, leaf)
     with pytest.raises(RoleMismatch):
         key.session_field()
     assert not verify_session_key(

@@ -1,9 +1,13 @@
 """Tests for the 13-phase approval protocol state machines."""
 
+from dataclasses import replace
+
 import pytest
 
 from crossrealm import keys as keylib
 from crossrealm import protocol as proto
+from crossrealm import simnet
+from crossrealm.harness import Scenario
 from crossrealm.protocol import (
     MessageKind,
     ProtocolMessage,
@@ -11,7 +15,6 @@ from crossrealm.protocol import (
     Role,
     SessionState,
     SessionStatus,
-    StartCondition,
     TimeoutMode,
     advance_phase,
     begin_phase,
@@ -58,10 +61,8 @@ class Driver:
         result = begin_phase(self.roles[spec.source], spec, self.session, self.vault)
         self.roles[spec.source] = result.state
         if result.minted is not None:
-            from dataclasses import replace
             self.session = replace(self.session, idsess=result.minted)
         if result.drop_reason is not None:
-            from dataclasses import replace
             self.session = replace(self.session, status=SessionStatus.DROPPED,
                                    drop_reason=result.drop_reason)
             return
@@ -90,9 +91,6 @@ def test_table_has_thirteen_sequential_phases():
     table = protocol_table()
     assert len(table) == 13
     assert [s.index for s in table] == list(range(1, 14))
-    assert table[0].start_condition is StartCondition.APPLICATION_START
-    assert all(s.start_condition is StartCondition.PREVIOUS_PHASE_ENDS for s in table[1:])
-    assert all(s.end_condition == "final-response" for s in table)
 
 
 def test_table_first_row():
@@ -109,12 +107,18 @@ def test_table_last_row():
 
 
 def test_table_timeout_modes():
-    for spec in protocol_table():
-        assert not spec.timeout_used
-    for spec in protocol_table(TimeoutMode.per_phase(60)):
-        assert spec.timeout_used and spec.timeout_s == 60.0
-    for spec in protocol_table(TimeoutMode.localized_f(200)):
-        assert not spec.timeout_used  # the watchdog lives at F, not in the phases
+    # one table serves every policy: the engine arms a timer per phase only
+    # in per-phase mode, and the localized watchdog lives at F
+    one = Scenario(principals=1, sessions_per_principal=1, session_spread_s=1.0,
+                   horizon_s=400.0, seed=3)
+
+    def timer_phases(mode):
+        run = simnet.run(replace(one, timeout_mode=mode))
+        return [r.phase_index for r in run.records if r.kind == "timer-fire"]
+
+    assert timer_phases(TimeoutMode.none()) == []
+    assert timer_phases(TimeoutMode.per_phase(60)) == list(range(1, 14))
+    assert timer_phases(TimeoutMode.localized_f(200)) == [None]
 
 
 def test_table_byte_assignment():
@@ -159,23 +163,6 @@ def test_full_run_completes_with_granted_key():
     assert ("R2",) == driver.roles[Role.CLOUD_B].sessions[driver.session.session_id].grants
 
 
-def test_authority_ignores_requests_not_via_front_end():
-    vault, requester = registry()
-    spec = phase_spec(4)
-    msg = ProtocolMessage(session_id=b"\x11" * 16, phase_index=4, kind=MessageKind.REQUEST,
-                          source=Role.A, destination=Role.SAC,
-                          payload_fields={"requester": "u1", "resources": ("R1", "R2"),
-                                          "idr": requester.idr, "ids": requester.ids},
-                          payload_bytes=spec.request_bytes)
-    state = initial_role_states()[Role.SAC]
-    result = handle_message(state, msg, vault)
-    assert result.outcome == "discarded:not-via-front-end"
-    assert not result.outgoing
-    # the authority never records a session that bypassed the front-end
-    assert msg.session_id not in result.state.sessions
-    assert result.state.violations == 1
-
-
 def test_invalid_credentials_drop_session():
     vault, requester = registry()
     from crossrealm.keys import KeyPart, KeyRole
@@ -189,35 +176,42 @@ def test_invalid_credentials_drop_session():
     assert ("invalid" in [o for _, _, o in driver.trace])
 
 
-def test_out_of_order_request_discarded():
+# case -> (receiving role, phase, kind, source if not the phase's own,
+# whether the session is the one phase 1 opened or an unknown one)
+DISCARDS = {
+    "misaddressed": (Role.SAC, 1, MessageKind.REQUEST, None, True),
+    "wrong-source": (Role.F, 1, MessageKind.REQUEST, Role.SAC_SH, False),
+    "not-via-front-end": (Role.SAC, 4, MessageKind.REQUEST, Role.A, False),
+    "duplicate-session": (Role.F, 1, MessageKind.REQUEST, None, True),
+    "unknown-session-request": (Role.SAC, 6, MessageKind.REQUEST, None, False),
+    "unknown-session-response": (Role.SAC, 5, MessageKind.RESPONSE, None, False),
+    "out-of-order-request": (Role.F, 3, MessageKind.REQUEST, None, True),
+    "out-of-order-response": (Role.A, 1, MessageKind.RESPONSE, None, True),
+}
+
+
+@pytest.mark.parametrize("case", DISCARDS)
+def test_handle_message_discards(case):
+    role, index, kind, source, known = DISCARDS[case]
     vault, requester = registry()
     driver = Driver(vault, requester)
     driver.run_phase(1)
-    # replay phase 1's request at F: duplicate for an existing session
-    spec = phase_spec(1)
-    msg = ProtocolMessage(session_id=driver.session.session_id, phase_index=1,
-                          kind=MessageKind.REQUEST, source=Role.A, destination=Role.F,
-                          payload_fields={"requester": "u1", "principal": "p1",
-                                          "resources": ("R1", "R2")},
-                          payload_bytes=spec.request_bytes)
-    result = handle_message(driver.roles[Role.F], msg, vault)
-    assert result.outcome == "discarded:duplicate-session"
-    # a phase-3 request before phase 2 ran is out of order
-    msg3 = ProtocolMessage(session_id=driver.session.session_id, phase_index=3,
-                           kind=MessageKind.REQUEST, source=Role.A, destination=Role.F,
-                           payload_fields={"idr": requester.idr, "ids": requester.ids},
-                           payload_bytes=4096)
-    result = handle_message(driver.roles[Role.F], msg3, vault)
-    assert result.outcome == "discarded:out-of-order"
-
-
-def test_unknown_session_response_discarded():
-    vault, _ = registry()
-    msg = ProtocolMessage(session_id=b"\x77" * 16, phase_index=5, kind=MessageKind.RESPONSE,
-                          source=Role.SAC_DB, destination=Role.SAC,
-                          payload_fields={}, payload_bytes=1024)
-    result = handle_message(initial_role_states()[Role.SAC], msg, vault)
-    assert result.outcome == "discarded:unknown-session"
+    spec = phase_spec(index)
+    request = kind is MessageKind.REQUEST
+    msg = ProtocolMessage(
+        session_id=driver.session.session_id if known else b"\x77" * 16,
+        phase_index=index, kind=kind,
+        source=source or (spec.source if request else spec.destination),
+        destination=spec.destination if request else spec.source,
+        payload_fields={},
+        payload_bytes=spec.request_bytes if request else spec.response_bytes)
+    state = driver.roles[role]
+    result = handle_message(state, msg, vault)
+    assert result.outcome == "discarded:" + case.removesuffix("-request").removesuffix("-response")
+    assert not result.outgoing
+    assert result.state.violations == 1
+    # a discarded message never records or changes a session
+    assert result.state.sessions == state.sessions
 
 
 def test_handle_message_is_pure():
@@ -276,7 +270,7 @@ def test_no_transition_after_drop():
     _, requester = registry()
     session = fresh_session(requester)
     session = advance_phase(session, ack(1))
-    dropped = on_timeout(session, 2, 90.0, protocol_table(TimeoutMode.per_phase(60))[1])
+    dropped = on_timeout(session, 2, 90.0, TimeoutMode.per_phase(60).seconds)
     assert dropped.status is SessionStatus.DROPPED
     after = advance_phase(dropped, ack(2))
     assert after == dropped
@@ -287,8 +281,7 @@ def test_no_transition_after_drop():
 def test_on_timeout_drops_past_limit():
     _, requester = registry()
     session = fresh_session(requester)
-    spec = protocol_table(TimeoutMode.per_phase(60))[4]
-    dropped = on_timeout(session, 5, 90.0, spec)
+    dropped = on_timeout(session, 5, 90.0, TimeoutMode.per_phase(60).seconds)
     assert dropped.status is SessionStatus.DROPPED
     assert str(dropped.drop_reason) == "phase-timeout(5)"
 
@@ -296,15 +289,13 @@ def test_on_timeout_drops_past_limit():
 def test_on_timeout_under_limit_unchanged():
     _, requester = registry()
     session = fresh_session(requester)
-    spec = protocol_table(TimeoutMode.per_phase(60))[4]
-    assert on_timeout(session, 5, 30.0, spec) == session
+    assert on_timeout(session, 5, 30.0, TimeoutMode.per_phase(60).seconds) == session
 
 
 def test_on_timeout_disabled_waits_indefinitely():
     _, requester = registry()
     session = fresh_session(requester)
-    spec = protocol_table()[4]
-    assert on_timeout(session, 5, 10_000.0, spec) == session
+    assert on_timeout(session, 5, 10_000.0, TimeoutMode.none().seconds) == session
 
 
 def test_localized_timeout_boundaries():
@@ -338,7 +329,6 @@ def test_grant_access_stale_generation_refused():
     cloud = driver.roles[Role.CLOUD_A]
     refreshed = keylib.refresh_session(
         driver.session.idsess, [("u1", "CloudC", "analysts")], vault)
-    from dataclasses import replace
     slot = cloud.sessions[driver.session.session_id]
     cloud = proto._with_slot(cloud, driver.session.session_id,
                              replace(slot, keyset=refreshed))

@@ -14,7 +14,7 @@ from crossrealm.simnet import (
     build_default_topology,
     inject_stall,
     records_to_csv,
-    transmit,
+    transmit_components,
 )
 
 SMALL = Scenario(principals=1, sessions_per_principal=1, session_spread_s=1.0,
@@ -78,7 +78,7 @@ def bare_wire():
 def test_transmit_serialization_oracle():
     # 4096 bytes over 1 Gbps = 32.768 microseconds (arithmetic oracle)
     topo, model = bare_wire()
-    offset = transmit(dummy_msg(4096), "A", "F", model, topo)
+    offset = transmit_components(dummy_msg(4096), "A", "F", model, topo)[1]
     assert offset == pytest.approx(3.2768e-05, rel=1e-12)
 
 
@@ -87,21 +87,21 @@ def test_transmit_zero_payload_pure_propagation():
         propagation_delay_s=1e-5,
         link_counts={("A", "SW1"): 1, ("SW1", "SW2"): 1, ("SW2", "F"): 1})
     model = ConnectionModel(handshake_rtts=0.0, per_phase_service_s=0.0, rtt_base_s=0.0)
-    offset = transmit(dummy_msg(0), "A", "F", model, topo)
+    offset = transmit_components(dummy_msg(0), "A", "F", model, topo)[1]
     assert offset == pytest.approx(3e-05, rel=1e-12)  # three hops of propagation
 
 
 def test_transmit_default_calibration_near_five_seconds():
     topo = build_default_topology()
     model = ConnectionModel()
-    offset = transmit(dummy_msg(1024), "A", "F", model, topo)
+    offset = transmit_components(dummy_msg(1024), "A", "F", model, topo)[1]
     assert 4.25 <= offset <= 5.75  # per-phase delivery consistent with ~5 s per phase
 
 
 def test_transmit_disallowed_pair():
     topo = build_default_topology()
     with pytest.raises(DisallowedPair):
-        transmit(dummy_msg(1024), "A", "SAC", ConnectionModel(), topo)
+        transmit_components(dummy_msg(1024), "A", "SAC", ConnectionModel(), topo)
 
 
 def test_connection_model_rejects_negative():
@@ -163,6 +163,16 @@ def test_byte_conservation():
     assert sent == delivered  # suppressed response was never sent
     session = next(iter(run.sessions.values()))
     assert session.status is SessionStatus.IN_PROGRESS  # waits indefinitely
+
+
+def test_phase_byte_overrides_reach_the_wire():
+    run = simnet.run(replace(SMALL, phase_request_bytes={2: 512},
+                             phase_response_bytes={1: 2048}))
+    sent = {(r.phase_index, r.source): r.payload_bytes for r in run.records if r.kind == "send"}
+    assert sent[(1, "A")] == 1024  # the phase-1 request keeps its default
+    assert sent[(1, "F")] == 2048  # the phase-1 response is overridden
+    assert sent[(2, "F")] == 512
+    assert sent[(2, "A")] == 1024
 
 
 def test_pair_enforcement_in_log():
