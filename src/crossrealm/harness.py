@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import simnet
 from .errors import (
+    InvalidInput,
     ScenarioParseError,
     ScenarioValidationError,
     UnknownMetric,
@@ -57,9 +58,6 @@ class Scenario:
     phase_response_bytes: Mapping[int, int] | None = None
 
 
-_SCENARIO_FIELDS = {f.name for f in fields(Scenario)} | {"topology"}
-
-
 def _validate(scenario: Scenario) -> Scenario:
     if scenario.principals < 1:
         raise ScenarioValidationError("principals", "must be a positive count")
@@ -84,6 +82,14 @@ def _validate(scenario: Scenario) -> Scenario:
             raise ScenarioValidationError("stalls", f"phase_index must be 1..{PHASE_COUNT}")
         if stall.extra_delay_s < 0:
             raise ScenarioValidationError("stalls", "extra_delay_s must be non-negative")
+    if scenario.link_counts and min(scenario.link_counts.values()) < 1:
+        raise ScenarioValidationError("topology", "link counts must be at least 1")
+    for name in ("phase_request_bytes", "phase_response_bytes"):
+        for index, size in (getattr(scenario, name) or {}).items():
+            if not 1 <= index <= PHASE_COUNT:
+                raise ScenarioValidationError(name, f"phase index must be 1..{PHASE_COUNT}")
+            if size < 0:
+                raise ScenarioValidationError(name, "byte sizes must be non-negative")
     return scenario
 
 
@@ -99,46 +105,107 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(doc)
 
 
+# -- JSON value decoders: each raises ValueError, TypeError or KeyError on a
+# value of the wrong shape, which scenario_from_dict reports under the field.
+
+def _whole(value: object) -> int:
+    """A count: a JSON number with no fractional part (3 or 3.0)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not a whole number")
+    return value
+
+
+def _number(value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _string(value: object) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
+def _object(value: object) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{value!r} is not an object")
+    return value
+
+
+def _pair(value: object, decode) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{value!r} is not a list of two")
+    return (decode(value[0]), decode(value[1]))
+
+
+def _resources(value: object) -> tuple[str, str]:
+    pair = _pair(value, _string)
+    if pair[0] == pair[1]:
+        raise ValueError("the two resources need distinct names")
+    return pair
+
+
+def _stall(doc: dict) -> Stall:
+    return Stall(role=Role(doc["role"]), phase_index=_whole(doc["phase_index"]),
+                 extra_delay_s=_number(doc["extra_delay_s"]))
+
+
+def _topology(value: object) -> dict:
+    """The topology object decodes to two Scenario fields."""
+    topo = _object(value)
+    kwargs: dict = {}
+    if "propagation_delay_s" in topo:
+        kwargs["propagation_delay_s"] = _number(topo["propagation_delay_s"])
+    if "link_counts" in topo:
+        kwargs["link_counts"] = {(_string(a), _string(b)): _whole(n)
+                                 for a, b, n in topo["link_counts"]}
+    return kwargs
+
+
+def _phase_bytes(value: object) -> dict[int, int]:
+    return {int(k): _whole(v) for k, v in _object(value).items()}
+
+
+# scenario document field -> decoder of its JSON value
+_DECODERS = {
+    "principals": _whole,
+    "sessions_per_principal": lambda v: v if v == "mean2" else _whole(v),
+    "timeout_mode": lambda v: TimeoutMode.parse(_string(v)),
+    "connection": lambda v: ConnectionModel(**{k: _number(x) for k, x in _object(v).items()}),
+    "resources": _resources,
+    "network_start_offset_s": _number,
+    "app_start_offset_s": lambda v: _pair(v, _number),
+    "session_spread_s": _number,
+    "horizon_s": _number,
+    "sampling_interval_s": _number,
+    "seed": _whole,
+    "stalls": lambda v: tuple(_stall(s) for s in v),
+    "topology": _topology,
+    "phase_request_bytes": _phase_bytes,
+    "phase_response_bytes": _phase_bytes,
+}
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
-    unknown = set(doc) - _SCENARIO_FIELDS
+    unknown = set(doc) - set(_DECODERS)
     if unknown:
         raise ScenarioValidationError(sorted(unknown)[0], "unknown field")
     kwargs: dict = {}
-    for key in ("principals", "seed"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
-    if "sessions_per_principal" in doc:
-        v = doc["sessions_per_principal"]
-        kwargs["sessions_per_principal"] = v if v == "mean2" else int(v)
-    if "timeout_mode" in doc:
-        kwargs["timeout_mode"] = TimeoutMode.parse(doc["timeout_mode"])
-    if "connection" in doc:
-        kwargs["connection"] = ConnectionModel(**doc["connection"])
-    if "resources" in doc:
-        kwargs["resources"] = tuple(doc["resources"])
-    for key in ("network_start_offset_s", "session_spread_s", "horizon_s",
-                "sampling_interval_s"):
-        if key in doc:
-            kwargs[key] = float(doc[key])
-    if "app_start_offset_s" in doc:
-        lo, hi = doc["app_start_offset_s"]
-        kwargs["app_start_offset_s"] = (float(lo), float(hi))
-    if "stalls" in doc:
-        kwargs["stalls"] = tuple(
-            Stall(role=Role(s["role"]), phase_index=int(s["phase_index"]),
-                  extra_delay_s=float(s["extra_delay_s"]))
-            for s in doc["stalls"])
-    if "topology" in doc:
-        topo = doc["topology"]
-        if "propagation_delay_s" in topo:
-            kwargs["propagation_delay_s"] = float(topo["propagation_delay_s"])
-        if "link_counts" in topo:
-            kwargs["link_counts"] = {(a, b): int(n) for a, b, n in topo["link_counts"]}
-    for key in ("phase_request_bytes", "phase_response_bytes"):
-        if key in doc:
-            kwargs[key] = {int(k): int(v) for k, v in doc[key].items()}
+    for name, value in doc.items():
+        try:
+            decoded = _DECODERS[name](value)
+        except (ValueError, TypeError, KeyError, InvalidInput) as exc:
+            detail = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ScenarioValidationError(name, detail) from exc
+        if name == "topology":
+            kwargs.update(decoded)
+        else:
+            kwargs[name] = decoded
     return _validate(Scenario(**kwargs))
 
 

@@ -241,7 +241,12 @@ def refresh_session(key_set: SessionKeySet, new_participants: list[Participant],
 
 
 def verify_session_key(key: HierarchicalKey, key_set: SessionKeySet) -> bool:
-    """True iff ``key`` is a member of the set's current generation."""
+    """True iff ``key`` is a member of the set's current generation.
+
+    Each member's key bytes are compared in constant time.
+    """
     if key.leaf.role is not KeyRole.SESSION:
         return False
-    return any(key == member for member in key_set.keys.values())
+    presented = b"".join(part.bytes for part in key.decompose())
+    return any(hmac.compare_digest(presented, b"".join(part.bytes for part in member.decompose()))
+               for member in key_set.keys.values())

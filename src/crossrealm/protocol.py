@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Mapping
 
 from . import keys as keylib
-from .errors import InvalidInput
+from .errors import InvalidInput, RoleMismatch
 from .keys import HierarchicalKey, KeyPart, SessionKeySet
 from .vault import Vault
 
@@ -206,50 +206,40 @@ class SessionState:
     ended_at: float | None = None
 
 
-def advance_phase(session: SessionState, final_response: ProtocolMessage) -> SessionState:
-    """Complete one phase on arrival of its final response.
+def advance_phase(session: SessionState) -> SessionState:
+    """Complete phase current_phase + 1 on arrival of its final response.
 
-    A response for any phase other than current_phase + 1 is a phase
-    skip: the session is returned unchanged and the caller records the
-    violation.
+    Phase order needs no check here: the engine begins phase k only once
+    phase k - 1 is complete, and a role accepts only the response to the
+    phase it began, so every completion is for the next phase.
     """
     if session.status is not SessionStatus.IN_PROGRESS:
         return session
-    if final_response.phase_index != session.current_phase + 1:
-        return session
-    done = final_response.phase_index
+    done = session.current_phase + 1
     if done == PHASE_COUNT:
         return replace(session, current_phase=done, status=SessionStatus.COMPLETED)
     return replace(session, current_phase=done)
 
 
-# Timers fire at start + limit; subtraction can round a hair under the
-# limit, so expiry checks allow a nanosecond of slack.
-_TIMER_SLACK_S = 1e-9
+def on_timeout(session: SessionState, phase_index: int) -> SessionState:
+    """Drop a session whose per-phase timer fired with its phase still open.
 
-
-def on_timeout(session: SessionState, phase_index: int, elapsed: float,
-               limit_s: float | None) -> SessionState:
-    """Drop a session whose phase has outlived the per-phase limit (None: no limit)."""
+    The timer is armed at phase start + limit, so its firing is the expiry.
+    """
     if session.status is not SessionStatus.IN_PROGRESS:
-        return session
-    if limit_s is None or elapsed < limit_s - _TIMER_SLACK_S:
         return session
     return replace(session, status=SessionStatus.DROPPED,
                    drop_reason=DropReason("phase-timeout", phase_index))
 
 
-def localized_timeout_at_f(session: SessionState, waiting_since: float, now: float,
-                           limit_s: float = 200.0) -> SessionState:
-    """The front-end watchdog: drop if the cloud-side answer is overdue.
+def localized_timeout_at_f(session: SessionState) -> SessionState:
+    """The front-end watchdog: drop a session whose cloud-side answer is overdue.
 
-    Applies while the front-end has forwarded the approval request
-    (phase 4 complete) and is still waiting for the grant delivery of
-    phase 12.
+    The engine arms it when F forwards the approval request (phase 4
+    complete), to fire limit seconds later, and calls this if F still
+    lacks the grant delivery of phase 12 then.
     """
     if session.status is not SessionStatus.IN_PROGRESS:
-        return session
-    if now - waiting_since < limit_s - _TIMER_SLACK_S:
         return session
     return replace(session, status=SessionStatus.DROPPED,
                    drop_reason=DropReason("localized-timeout"))
@@ -351,7 +341,7 @@ def grant_access(cloud_state: RoleState, presenter: Role, idsess_key: Hierarchic
         return False
     try:
         session_id = idsess_key.session_field()
-    except Exception:
+    except RoleMismatch:
         return False
     slot = cloud_state.sessions.get(session_id)
     if slot is None or slot.keyset is None:

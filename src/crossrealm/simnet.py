@@ -113,18 +113,10 @@ _DEFAULT_WIRING = (
     ("SW2", "CloudB", 4),
 )
 
-# Destination preferences: who may exchange protocol traffic with whom.
+# Destination preferences: who may exchange protocol traffic with whom,
+# which is exactly the two ends of each phase of the protocol.
 _ALLOWED_PAIRS = frozenset(
-    frozenset(pair) for pair in (
-        ("A", "F"),
-        ("F", "SAC"),
-        ("SAC", "SAC-DB"),
-        ("SAC", "SAC-SH"),
-        ("SAC-SH", "CloudA"),
-        ("SAC-SH", "CloudB"),
-        ("SAC-SH", "F"),
-    )
-)
+    frozenset((spec.source.value, spec.destination.value)) for spec in proto.protocol_table())
 
 GIGABIT = 1e9
 
@@ -318,8 +310,6 @@ class _Engine:
             {scenario.resources[0]: Role.CLOUD_A, scenario.resources[1]: Role.CLOUD_B})
         self.stalls = {(s.role, s.phase_index): s.extra_delay_s for s in scenario.stalls}
         self.sessions: dict[bytes, SessionState] = {}
-        self.phase_started: dict[bytes, float] = {}
-        self.forwarded_at: dict[bytes, float] = {}
         self.heap: list = []
         self.records: list[Record] = []
         self.now = 0.0
@@ -407,35 +397,30 @@ class _Engine:
             return
         for out in result.outgoing:
             self._send(out)
-        if msg.kind is MessageKind.RESPONSE and result.outcome == "phase-complete":
+        if result.outcome == "phase-complete":
             self._complete_phase(session, msg)
 
     def _on_phase_timer(self, event: SimEvent) -> None:
+        # armed at phase start + limit: a phase still open now has expired
         session = self.sessions[event.session_id]
-        k = event.phase_index
-        updated = None
-        if session.status is SessionStatus.IN_PROGRESS and session.current_phase < k:
-            elapsed = self.now - self.phase_started[event.session_id]
-            updated = proto.on_timeout(session, k, elapsed, self.mode.seconds)
-        self._timer_fired(event, updated)
+        still_open = session.current_phase < event.phase_index
+        self._timer_fired(event, session,
+                          proto.on_timeout(session, event.phase_index) if still_open else session)
 
     def _on_f_watchdog(self, event: SimEvent) -> None:
         session = self.sessions[event.session_id]
         # F's slot holds a key set only once phase 12 delivered the grant
         granted = self.roles[Role.F].sessions[event.session_id].keyset is not None
-        updated = None
-        if session.status is SessionStatus.IN_PROGRESS and not granted:
-            updated = proto.localized_timeout_at_f(
-                session, self.forwarded_at[event.session_id], self.now, self.mode.seconds)
-        self._timer_fired(event, updated)
+        self._timer_fired(event, session,
+                          session if granted else proto.localized_timeout_at_f(session))
 
-    def _timer_fired(self, event: SimEvent, updated: SessionState | None) -> None:
-        """Log a timer; it expired if it dropped the session it checked, else it is ignored."""
-        expired = updated is not None and updated.status is SessionStatus.DROPPED
+    def _timer_fired(self, event: SimEvent, before: SessionState, after: SessionState) -> None:
+        """Log a timer; it expired if its transition returned a new session, else it is ignored."""
+        expired = after is not before
         self.log("timer-fire", source=event.target, session_id=event.session_id,
                  phase_index=event.phase_index, outcome="expired" if expired else "ignored")
         if expired:
-            self._drop(updated)
+            self._drop(after)
 
     # -- helpers -----------------------------------------------------------
 
@@ -452,7 +437,6 @@ class _Engine:
             return
         if not result.outgoing:
             return
-        self.phase_started[session.session_id] = self.now
         for msg in result.outgoing:
             self._send(msg)
         if self.mode.kind == "per-phase":
@@ -480,13 +464,7 @@ class _Engine:
                       SimEvent(kind="deliver", target=msg.destination.value, msg=msg))
 
     def _complete_phase(self, session: SessionState, final_response: ProtocolMessage) -> None:
-        advanced = proto.advance_phase(session, final_response)
-        if advanced.current_phase == session.current_phase:
-            self.log("deliver", final_response.source.value, final_response.destination.value,
-                     session.session_id, final_response.phase_index, None,
-                     outcome="discarded:phase-skip")
-            return
-        session = advanced
+        session = proto.advance_phase(session)
         self.sessions[session.session_id] = session
         if session.status is SessionStatus.COMPLETED:
             session = replace(session, ended_at=self.now)
@@ -497,7 +475,6 @@ class _Engine:
             return
         done = session.current_phase
         if done == 4 and self.mode.kind == "localized-f":
-            self.forwarded_at[session.session_id] = self.now
             self.schedule(self.now + self.mode.seconds,
                           SimEvent(kind="f-watchdog", target="F",
                                  session_id=session.session_id))

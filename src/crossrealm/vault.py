@@ -15,6 +15,7 @@ lowercase.
 
 from __future__ import annotations
 
+import hmac
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -125,10 +126,10 @@ class Vault:
     def find_member(self, idr: KeyPart, ids: KeyPart) -> TenantRecord | None:
         """The first tenant record matching the pair, or None."""
         for cloud in self.clouds.values():
-            if cloud.root_key.bytes != idr.bytes:
+            if not hmac.compare_digest(cloud.root_key.bytes, idr.bytes):
                 continue
             for folder in cloud.subdomains.values():
-                if folder.subdomain_key.bytes != ids.bytes:
+                if not hmac.compare_digest(folder.subdomain_key.bytes, ids.bytes):
                     continue
                 for record in folder.tenants.values():
                     return record

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from crossrealm import simnet
+from crossrealm import cli, simnet
 from crossrealm.errors import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -64,6 +64,39 @@ def test_bad_json_reports_line(tmp_path):
     with pytest.raises(ScenarioParseError) as err:
         load_scenario(path)
     assert "line 2" in str(err.value)
+
+
+# malformed document -> the field its error must name
+MALFORMED = [
+    ({"principals": "abc"}, "principals"),
+    ({"principals": 2.5}, "principals"),
+    ({"sessions_per_principal": 2.5}, "sessions_per_principal"),
+    ({"app_start_offset_s": [5]}, "app_start_offset_s"),
+    ({"stalls": [{"role": "Nobody", "phase_index": 5, "extra_delay_s": 1.0}]}, "stalls"),
+    ({"stalls": [{"role": "SAC-DB", "extra_delay_s": 1.0}]}, "stalls"),
+    ({"connection": {"bogus": 1}}, "connection"),
+    ({"timeout_mode": 5}, "timeout_mode"),
+    ({"resources": ["R1"]}, "resources"),
+    ({"resources": ["R1", "R1"]}, "resources"),
+    ({"topology": {"link_counts": [["A", "SW1", 0]]}}, "topology"),
+    ({"phase_request_bytes": {"1": -5}}, "phase_request_bytes"),
+    ({"phase_response_bytes": {"14": 1024}}, "phase_response_bytes"),
+    ({"propagation_delay_s": 0.001}, "propagation_delay_s"),  # belongs under topology
+]
+
+
+@pytest.mark.parametrize("doc, field", MALFORMED, ids=[f for _, f in MALFORMED])
+def test_malformed_field_named(doc, field):
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_from_dict(doc)
+    assert err.value.field == field
+
+
+def test_cli_names_malformed_field(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"principals": 2.5}))
+    assert cli.main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: principals:")
 
 
 def test_horizon_must_exceed_network_offset():

@@ -76,7 +76,7 @@ class Driver:
             assert not res.discarded, (msg.phase_index, res.outcome)
             queue.extend(res.outgoing)
             if msg.kind is MessageKind.RESPONSE and res.outcome == "phase-complete":
-                self.session = advance_phase(self.session, msg)
+                self.session = advance_phase(self.session)
 
     def run_all(self):
         k = 1
@@ -231,37 +231,20 @@ def test_handle_message_is_pure():
 
 # -- phase advancement ------------------------------------------------------------
 
-def ack(phase_index):
-    spec = phase_spec(phase_index)
-    return ProtocolMessage(session_id=b"\x10" * 16, phase_index=phase_index,
-                           kind=MessageKind.RESPONSE, source=spec.destination,
-                           destination=spec.source, payload_fields={},
-                           payload_bytes=spec.response_bytes)
-
-
 def test_advance_phase_in_order():
     _, requester = registry()
     session = fresh_session(requester)
-    for k in (1, 2, 3):
-        session = advance_phase(session, ack(k))
+    for _ in (1, 2, 3):
+        session = advance_phase(session)
     assert session.current_phase == 3
     assert session.status is SessionStatus.IN_PROGRESS
-
-
-def test_advance_phase_skip_leaves_session_unchanged():
-    _, requester = registry()
-    session = fresh_session(requester)
-    session = advance_phase(session, ack(1))
-    session = advance_phase(session, ack(2))
-    skipped = advance_phase(session, ack(5))
-    assert skipped == session
 
 
 def test_advance_phase_thirteen_completes():
     _, requester = registry()
     session = fresh_session(requester)
-    for k in range(1, 14):
-        session = advance_phase(session, ack(k))
+    for _ in range(1, 14):
+        session = advance_phase(session)
     assert session.status is SessionStatus.COMPLETED
     assert session.current_phase == 13
 
@@ -269,11 +252,13 @@ def test_advance_phase_thirteen_completes():
 def test_no_transition_after_drop():
     _, requester = registry()
     session = fresh_session(requester)
-    session = advance_phase(session, ack(1))
-    dropped = on_timeout(session, 2, 90.0, TimeoutMode.per_phase(60).seconds)
+    session = advance_phase(session)
+    dropped = on_timeout(session, 2)
     assert dropped.status is SessionStatus.DROPPED
-    after = advance_phase(dropped, ack(2))
-    assert after == dropped
+    # every transition leaves a finished session as it is
+    assert advance_phase(dropped) is dropped
+    assert on_timeout(dropped, 2) is dropped
+    assert localized_timeout_at_f(dropped) is dropped
 
 
 # -- timeouts ----------------------------------------------------------------------
@@ -281,28 +266,19 @@ def test_no_transition_after_drop():
 def test_on_timeout_drops_past_limit():
     _, requester = registry()
     session = fresh_session(requester)
-    dropped = on_timeout(session, 5, 90.0, TimeoutMode.per_phase(60).seconds)
+    dropped = on_timeout(session, 5)
     assert dropped.status is SessionStatus.DROPPED
     assert str(dropped.drop_reason) == "phase-timeout(5)"
 
 
-def test_on_timeout_under_limit_unchanged():
-    _, requester = registry()
-    session = fresh_session(requester)
-    assert on_timeout(session, 5, 30.0, TimeoutMode.per_phase(60).seconds) == session
-
-
-def test_on_timeout_disabled_waits_indefinitely():
-    _, requester = registry()
-    session = fresh_session(requester)
-    assert on_timeout(session, 5, 10_000.0, TimeoutMode.none().seconds) == session
-
-
 def test_localized_timeout_boundaries():
+    # the watchdog fires 200 s after F forwards; criterion 8 checks that
+    # the drop lands on that boundary
     _, requester = registry()
     session = fresh_session(requester)
-    assert localized_timeout_at_f(session, 100.0, 301.1).status is SessionStatus.DROPPED
-    assert localized_timeout_at_f(session, 100.0, 299.0) == session
+    dropped = localized_timeout_at_f(session)
+    assert dropped.status is SessionStatus.DROPPED
+    assert str(dropped.drop_reason) == "localized-timeout"
 
 
 # -- gatekeeping at the clouds ------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the discrete-event simulator: topology, timing, determinism."""
 
+import hashlib
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -8,7 +10,14 @@ import pytest
 from crossrealm import simnet
 from crossrealm.errors import DisallowedPair, InvalidInput
 from crossrealm.harness import Scenario
-from crossrealm.protocol import MessageKind, ProtocolMessage, Role, SessionStatus, phase_spec
+from crossrealm.protocol import (
+    MessageKind,
+    ProtocolMessage,
+    Role,
+    SessionStatus,
+    TimeoutMode,
+    phase_spec,
+)
 from crossrealm.simnet import (
     ConnectionModel,
     build_default_topology,
@@ -202,7 +211,6 @@ def test_inject_stall_validates_phase():
 
 
 def test_stall_below_timeout_inflates_end_to_end():
-    from crossrealm.protocol import TimeoutMode
     sc = replace(SMALL, timeout_mode=TimeoutMode.per_phase(60))
     sc = inject_stall(sc, Role.SAC_DB, 5, 30.0)
     run = simnet.run(sc)
@@ -219,7 +227,6 @@ def test_localized_mode_is_the_only_drop_rule():
     # enumerate a large stall at every phase: with per-phase timers off,
     # sessions either complete late or fall to the watchdog, never to a
     # phase timer
-    from crossrealm.protocol import TimeoutMode
     base = replace(SMALL, timeout_mode=TimeoutMode.localized_f(200), horizon_s=900.0)
     for k in range(1, 14):
         run = simnet.run(inject_stall(base, phase_spec(k).destination, k, 250.0))
@@ -247,3 +254,50 @@ def test_csv_header_and_shape():
     assert lines[0] == "time_s,sequence,kind,source,destination,session_id,phase_index,payload_bytes,outcome"
     assert len(lines) == len(run.records) + 1
     assert all(line.count(",") == 8 for line in lines)
+
+
+# -- timer paths ---------------------------------------------------------------------
+
+TIMED = Scenario(principals=20, session_spread_s=60.0, horizon_s=900.0, seed=11)
+
+# case -> (timeout mode, stalled role, phase, extra delay, sha256 of the event
+# log, counts of timer and session-end outcomes)
+TIMER_CASES = {
+    "phase-timeout": (
+        TimeoutMode.per_phase(60), Role.SAC_DB, 5, 90.0,
+        "7944375df05bf63a0e43e80cf076f6d58184798508b2ac30d1a9b10aeb3a06c5",
+        {"ignored": 152, "expired": 38, "dropped:phase-timeout(5)": 38}),
+    "watchdog-expires": (
+        TimeoutMode.localized_f(200), Role.CLOUD_B, 10, math.inf,
+        "e02c7d75e47357186ff99885a1e6af13ba8f9d5e28f396d4b20ac00168d78f37",
+        {"expired": 38, "dropped:localized-timeout": 38}),
+    "watchdog-after-grant": (
+        TimeoutMode.localized_f(200), Role.F, 12, 250.0,
+        "16dd6963b7df9402a7607abe1b040556594fc21cfdb41ab0e961e986b2964045",
+        {"ignored": 38, "completed": 38}),
+}
+
+
+@pytest.mark.parametrize("case", TIMER_CASES)
+def test_timer_path_logs_pinned(case):
+    mode, role, index, delay, digest, outcomes = TIMER_CASES[case]
+    run = simnet.run(inject_stall(replace(TIMED, timeout_mode=mode), role, index, delay))
+    ends = Counter(r.outcome for r in run.records
+                   if r.kind in ("timer-fire", "session-drop", "session-complete"))
+    assert ends == outcomes
+    assert hashlib.sha256(records_to_csv(run.records).encode()).hexdigest() == digest
+
+
+def test_late_response_after_drop_is_absorbed():
+    # the watchdog drops the session 200 s after F forwards; CloudB's
+    # phase-10 answer arrives 250 s late and must not reach any role
+    sc = replace(SMALL, timeout_mode=TimeoutMode.localized_f(200), horizon_s=600.0)
+    run = simnet.run(inject_stall(sc, Role.CLOUD_B, 10, 250.0))
+    session = next(iter(run.sessions.values()))
+    assert session.status is SessionStatus.DROPPED
+    assert str(session.drop_reason) == "localized-timeout"
+    late = [r for r in run.records
+            if r.kind == "deliver" and r.phase_index == 10 and r.source == "CloudB"]
+    assert [r.outcome for r in late] == ["discarded:session-not-in-progress"]
+    assert late[0].time_s > session.ended_at
+    assert all(state.violations == 0 for state in run.role_states.values())
