@@ -82,8 +82,6 @@ def _validate(scenario: Scenario) -> Scenario:
             raise ScenarioValidationError("stalls", f"phase_index must be 1..{PHASE_COUNT}")
         if stall.extra_delay_s < 0:
             raise ScenarioValidationError("stalls", "extra_delay_s must be non-negative")
-    if scenario.link_counts and min(scenario.link_counts.values()) < 1:
-        raise ScenarioValidationError("topology", "link counts must be at least 1")
     for name in ("phase_request_bytes", "phase_response_bytes"):
         for index, size in (getattr(scenario, name) or {}).items():
             if not 1 <= index <= PHASE_COUNT:
@@ -156,12 +154,16 @@ def _stall(doc: dict) -> Stall:
 def _topology(value: object) -> dict:
     """The topology object decodes to two Scenario fields."""
     topo = _object(value)
+    unknown = set(topo) - {"propagation_delay_s", "link_counts"}
+    if unknown:
+        raise ValueError(f"unknown key {sorted(unknown)[0]!r}")
     kwargs: dict = {}
     if "propagation_delay_s" in topo:
         kwargs["propagation_delay_s"] = _number(topo["propagation_delay_s"])
     if "link_counts" in topo:
         kwargs["link_counts"] = {(_string(a), _string(b)): _whole(n)
                                  for a, b, n in topo["link_counts"]}
+        simnet.check_link_counts(kwargs["link_counts"])
     return kwargs
 
 
@@ -275,6 +277,8 @@ class MetricsReport:
     horizon_exceeded: bool
     sampling_interval_s: float
     seed: int
+    discards: dict[str, dict[str, int]]  # receiving role -> discard reason -> deliveries
+    violations: dict[str, int]  # role -> discards it counted itself
 
     def metric_tree(self) -> dict:
         """Nested scalar view used by summaries and acceptance checks."""
@@ -304,6 +308,9 @@ class MetricsReport:
                 "mean_sent": self.mean_traffic_sent_bps,
             },
             "max_network_delay_s": self.max_network_delay_s,
+            "discards": {role: dict(sorted(reasons.items()))
+                         for role, reasons in sorted(self.discards.items())},
+            "violations": dict(sorted(self.violations.items())),
             "horizon_exceeded": self.horizon_exceeded,
             "sampling_interval_s": self.sampling_interval_s,
             "seed": self.seed,
@@ -319,6 +326,7 @@ def aggregate(run: SimRun, scenario: Scenario) -> MetricsReport:
     started = 0
     phase_req_sent: dict[tuple[str, int], float] = {}
     phase_durations: dict[int, list[float]] = {k: [] for k in range(1, PHASE_COUNT + 1)}
+    discards: dict[str, dict[str, int]] = {}
 
     for rec in run.records:
         b = min(int(rec.time_s / interval), buckets - 1)
@@ -336,6 +344,10 @@ def aggregate(run: SimRun, scenario: Scenario) -> MetricsReport:
                 t0 = phase_req_sent.get((rec.session_id, rec.phase_index))
                 if t0 is not None:
                     phase_durations[rec.phase_index].append(rec.time_s - t0)
+            elif rec.outcome.startswith("discarded:"):
+                counts = discards.setdefault(rec.destination, {})
+                why = rec.outcome[len("discarded:"):]
+                counts[why] = counts.get(why, 0) + 1
         elif rec.kind == "session-start":
             started += 1
 
@@ -385,6 +397,8 @@ def aggregate(run: SimRun, scenario: Scenario) -> MetricsReport:
         horizon_exceeded=run.horizon_exceeded,
         sampling_interval_s=interval,
         seed=run.seed,
+        discards=discards,
+        violations={role.value: state.violations for role, state in run.role_states.items()},
     )
 
 

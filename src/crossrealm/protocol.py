@@ -10,8 +10,11 @@ responsible for observing phase completion and invoking begin_phase on
 the next initiator, which is what keeps a suppressed response from ever
 leaking activity into later phases.
 
-State machines are pure: handle_message and begin_phase take a role
-state and return a new one together with any outgoing messages, so a
+State machines are pure: handle_message and begin_phase read a role
+state and return the one new slot of the session they touched, together
+with any outgoing messages. Each role's slot table (RoleState.sessions)
+is owned by the driving loop, which stores the returned slot in place,
+so a transition costs the same however many sessions a role holds. A
 single session must be driven by one logical event stream while distinct
 sessions can proceed concurrently against a shared read-only vault.
 
@@ -110,7 +113,7 @@ _TABLE = (
     (3, "Secure (Response, IDr, IDs)", _R.A, _R.F, 4096, ("idr", "ids")),
     (4, "Fetch (R1, R2): IF Valid (IDr, IDs)", _R.F, _R.SAC, 1024,
      ("requester", "resources", "idr", "ids")),
-    (5, "Verify (IDr, IDs)", _R.SAC, _R.SAC_DB, 1024, ("idr", "ids")),
+    (5, "Verify (IDr, IDs)", _R.SAC, _R.SAC_DB, 1024, ("requester", "idr", "ids")),
     (6, "Valid (IDr, IDs)", _R.SAC_DB, _R.SAC, 4096, ("verdict", "realm")),
     (7, "Invoke (Key, IDsess): Fetch (R1, R2)", _R.SAC, _R.SAC_SH, 4096,
      ("keyset", "requester_key", "resources")),
@@ -265,11 +268,17 @@ class SessionSlot:
     granted: bool | None = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class RoleState:
+    """One role's hosted resources, slot table and discard count.
+
+    The driving loop owns it: transitions only read it, and the caller
+    stores each returned slot in ``sessions`` and counts each discard.
+    """
+
     role: Role
     hosted_resources: frozenset[str] = frozenset()
-    sessions: Mapping[bytes, SessionSlot] = field(default_factory=dict)
+    sessions: dict[bytes, SessionSlot] = field(default_factory=dict)
     violations: int = 0
 
 
@@ -282,12 +291,6 @@ def initial_role_states(resource_hosting: Mapping[str, Role] | None = None,
         hosted = frozenset(r for r, owner in hosting.items() if owner is role)
         states[role] = RoleState(role=role, hosted_resources=hosted)
     return states
-
-
-def _with_slot(state: RoleState, session_id: bytes, slot: SessionSlot) -> RoleState:
-    sessions = dict(state.sessions)
-    sessions[session_id] = slot
-    return replace(state, sessions=sessions)
 
 
 def _next_request(role: Role, after: int) -> int | None:
@@ -310,7 +313,7 @@ _FIRST_CONTACT = {role: _next_request(role, 0) for role in Role}
 
 @dataclass(frozen=True)
 class HandleResult:
-    state: RoleState
+    slot: SessionSlot | None  # the session's new slot at the role; None on a discard
     outgoing: tuple[ProtocolMessage, ...]
     outcome: str  # "ok", "phase-complete", "granted", ... or "discarded:<why>"
 
@@ -321,7 +324,7 @@ class HandleResult:
 
 @dataclass(frozen=True)
 class BeginResult:
-    state: RoleState
+    slot: SessionSlot | None  # the initiator's new slot; None when nothing is sent
     outgoing: tuple[ProtocolMessage, ...]
     drop_reason: DropReason | None = None
     minted: SessionKeySet | None = None
@@ -349,8 +352,8 @@ def grant_access(cloud_state: RoleState, presenter: Role, idsess_key: Hierarchic
     return keylib.verify_session_key(idsess_key, slot.keyset)
 
 
-def _discard(state: RoleState, why: str) -> HandleResult:
-    return HandleResult(replace(state, violations=state.violations + 1), (), f"discarded:{why}")
+def _discard(why: str) -> HandleResult:
+    return HandleResult(None, (), f"discarded:{why}")
 
 
 def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault,
@@ -359,10 +362,12 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault,
 
     Requests are answered with the phase's final response, sized by the
     run's table; responses arm the role's expectation for its next
-    appearance in the phase sequence. Anything out of order is discarded and counted.
+    appearance in the phase sequence. The result carries the session's
+    new slot, which the caller stores in the role's table. Anything out
+    of order is discarded (no slot) and the caller counts it.
     """
     if msg.destination is not state.role:
-        return _discard(state, "misaddressed")
+        return _discard("misaddressed")
     spec = table[msg.phase_index - 1]
     if msg.kind is MessageKind.REQUEST:
         return _handle_request(state, spec, msg, vault)
@@ -372,12 +377,12 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault,
 def _handle_response(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage) -> HandleResult:
     slot = state.sessions.get(msg.session_id)
     if slot is None:
-        return _discard(state, "unknown-session")
+        return _discard("unknown-session")
     if slot.expect != (spec.index, MessageKind.RESPONSE):
-        return _discard(state, "out-of-order")
+        return _discard("out-of-order")
     following = _next_request(state.role, spec.index)
     slot = replace(slot, expect=None if following is None else (following, MessageKind.REQUEST))
-    return HandleResult(_with_slot(state, msg.session_id, slot), (), "phase-complete")
+    return HandleResult(slot, (), "phase-complete")
 
 
 def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
@@ -386,19 +391,19 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         # The authority only entertains approval traffic forwarded by the
         # front-end; elsewhere a wrong source is a plain routing violation.
         if state.role is Role.SAC:
-            return _discard(state, "not-via-front-end")
-        return _discard(state, "wrong-source")
+            return _discard("not-via-front-end")
+        return _discard("wrong-source")
 
     slot = state.sessions.get(msg.session_id)
     first_contact = _FIRST_CONTACT[state.role] == spec.index
     if slot is None:
         if not first_contact:
-            return _discard(state, "unknown-session")
+            return _discard("unknown-session")
         slot = SessionSlot()
     elif first_contact:
-        return _discard(state, "duplicate-session")
+        return _discard("duplicate-session")
     elif slot.expect != (spec.index, MessageKind.REQUEST):
-        return _discard(state, "out-of-order")
+        return _discard("out-of-order")
 
     fields = msg.payload_fields
     # store what the phase carries; the responder then waits for its next begin_phase
@@ -406,14 +411,15 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
     outcome = "ok"
     reply_fields = {"ack": True}
 
-    if spec.index == 5:  # credential db verifies the pair
+    if spec.index == 5:  # credential db verifies the pair and the requester's place in it
         valid = vault.verify_membership(slot.idr, slot.ids)
-        member = vault.find_member(slot.idr, slot.ids) if valid else None
+        member = vault.find_member(slot.requester, slot.idr, slot.ids) if valid else None
         realm = (member.tenant_id, member.cloud_id, member.subdomain_id) if member else None
-        slot = replace(slot, verdict=valid, realm=realm)
+        slot = replace(slot, verdict=member is not None, realm=realm)
     elif spec.index in (8, 10):  # a cloud decides on access
-        granted = grant_access(_with_slot(state, msg.session_id, slot),
-                               msg.source, slot.requester_key, fields["resource"])
+        # decided on a one-entry view holding the slot about to be returned
+        view = replace(state, sessions={msg.session_id: slot})
+        granted = grant_access(view, msg.source, slot.requester_key, fields["resource"])
         slot = replace(slot, granted=granted,
                        grants=slot.grants + ((fields["resource"],) if granted else ()))
         outcome = "granted" if granted else "refused"
@@ -432,7 +438,7 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         payload_fields=reply_fields,
         payload_bytes=spec.response_bytes,
     )
-    return HandleResult(_with_slot(state, msg.session_id, slot), (reply,), outcome)
+    return HandleResult(slot, (reply,), outcome)
 
 
 def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
@@ -441,7 +447,8 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
 
     Called by the driving loop once the previous phase has ended (or at
     application start for phase 1). The request copies the slot fields
-    the phase carries. The authority aborts here with an
+    the phase carries; the result's slot, which the caller stores, now
+    awaits the phase's response. The authority aborts here with an
     invalid-credentials drop instead of invoking the session handler
     when the verdict was negative.
     """
@@ -455,15 +462,15 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
                            resources=session.resources,
                            idr=session.requester.idr, ids=session.requester.ids)
     elif spec.index == 7:  # the authority mints the key set, or drops the session
-        if not slot.verdict or slot.realm is None:
-            return BeginResult(state, (), drop_reason=DropReason("invalid-credentials"))
+        if not slot.verdict:
+            return BeginResult(None, (), drop_reason=DropReason("invalid-credentials"))
         minted = keylib.mint_session_keys(sid, [slot.realm], vault)
         slot = replace(slot, keyset=minted, requester_key=minted.keys[slot.realm[0]])
     elif spec.index in (8, 10):  # the handler asks each cloud for the resource it hosts
         extra = {"resource": slot.resources[0 if spec.destination is Role.CLOUD_A else 1]}
     elif spec.index in (9, 11):  # a cloud reports the one resource it hosts
         if not slot.granted:
-            return BeginResult(state, ())  # no grant to deliver; session stalls
+            return BeginResult(None, ())  # no grant to deliver; session stalls
         extra = {"resource": next(iter(state.hosted_resources))}
 
     request = ProtocolMessage(
@@ -476,4 +483,4 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
         payload_bytes=spec.request_bytes,
     )
     slot = replace(slot, expect=(spec.index, MessageKind.RESPONSE))
-    return BeginResult(_with_slot(state, sid, slot), (request,), minted=minted)
+    return BeginResult(slot, (request,), minted=minted)

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from . import protocol as proto
 from .errors import DisallowedPair, InvalidInput
@@ -121,10 +122,21 @@ _ALLOWED_PAIRS = frozenset(
 GIGABIT = 1e9
 
 
+def check_link_counts(link_counts: Mapping[tuple[str, str], int] | None) -> None:
+    """Each link count override names a link of the default wiring and is at least 1."""
+    linked = {frozenset((a, b)) for a, b, _ in _DEFAULT_WIRING}
+    for (a, b), count in (link_counts or {}).items():
+        if frozenset((a, b)) not in linked:
+            raise InvalidInput(f"no link between {a} and {b}")
+        if count < 1:
+            raise InvalidInput("link counts must be at least 1")
+
+
 def build_default_topology(propagation_delay_s: float = 0.0005,
                            link_counts: Mapping[tuple[str, str], int] | None = None,
                            ) -> Topology:
     """The default nine-node topology with aggregated gigabit links."""
+    check_link_counts(link_counts)
     overrides = {frozenset(k): v for k, v in (link_counts or {}).items()}
     links = tuple(
         Link(a, b, GIGABIT, overrides.get(frozenset((a, b)), count), propagation_delay_s)
@@ -196,8 +208,7 @@ LOG_HEADER = ("time_s", "sequence", "kind", "source", "destination",
               "session_id", "phase_index", "payload_bytes", "outcome")
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """One event-log line."""
 
     time_s: float
@@ -308,7 +319,14 @@ class _Engine:
         self.vault, self.requesters = build_default_vault(scenario.principals)
         self.roles = proto.initial_role_states(
             {scenario.resources[0]: Role.CLOUD_A, scenario.resources[1]: Role.CLOUD_B})
-        self.stalls = {(s.role, s.phase_index): s.extra_delay_s for s in scenario.stalls}
+        stalls = {(s.role, s.phase_index): s.extra_delay_s for s in scenario.stalls}
+        # Every message of one (phase, kind) takes the same path with the
+        # same size, so its timing is computed once, as (network, delivery
+        # offset, stall); a response stall of inf suppresses the response.
+        self.request_legs = [self._leg(spec, MessageKind.REQUEST, 0.0) for spec in self.table]
+        self.response_legs = [
+            self._leg(spec, MessageKind.RESPONSE, stalls.get((spec.destination, spec.index), 0.0))
+            for spec in self.table]
         self.sessions: dict[bytes, SessionState] = {}
         self.heap: list = []
         self.records: list[Record] = []
@@ -328,10 +346,8 @@ class _Engine:
             session_id: bytes | None = None, phase_index: int | None = None,
             payload_bytes: int | None = None, outcome: str = "ok") -> None:
         self.records.append(Record(
-            time_s=self.now, sequence=self.record_seq, kind=kind, source=source,
-            destination=destination,
-            session_id=session_id.hex() if session_id else "",
-            phase_index=phase_index, payload_bytes=payload_bytes, outcome=outcome))
+            self.now, self.record_seq, kind, source, destination,
+            session_id.hex() if session_id else "", phase_index, payload_bytes, outcome))
         self.record_seq += 1
 
     def setup(self) -> None:
@@ -387,14 +403,15 @@ class _Engine:
                      msg.session_id, msg.phase_index, msg.payload_bytes,
                      outcome="discarded:session-not-in-progress")
             return
-        role = msg.destination
-        result = proto.handle_message(self.roles[role], msg, self.vault, self.table)
-        self.roles[role] = result.state
+        state = self.roles[msg.destination]
+        result = proto.handle_message(state, msg, self.vault, self.table)
         self.log("deliver", msg.source.value, msg.destination.value,
                  msg.session_id, msg.phase_index, msg.payload_bytes,
                  outcome=result.outcome)
         if result.discarded:
+            state.violations += 1
             return
+        state.sessions[msg.session_id] = result.slot
         for out in result.outgoing:
             self._send(out)
         if result.outcome == "phase-complete":
@@ -426,8 +443,10 @@ class _Engine:
 
     def _begin_phase(self, index: int, session: SessionState) -> None:
         spec = self.table[index - 1]
-        result = proto.begin_phase(self.roles[spec.source], spec, session, self.vault)
-        self.roles[spec.source] = result.state
+        state = self.roles[spec.source]
+        result = proto.begin_phase(state, spec, session, self.vault)
+        if result.slot is not None:
+            state.sessions[session.session_id] = result.slot
         if result.minted is not None:
             session = replace(session, idsess=result.minted)
             self.sessions[session.session_id] = session
@@ -444,23 +463,32 @@ class _Engine:
                           SimEvent(kind="phase-timer", target=spec.source.value,
                                  session_id=session.session_id, phase_index=index))
 
-    def _send(self, msg: ProtocolMessage) -> None:
-        extra = 0.0
-        if msg.kind is MessageKind.RESPONSE:
-            stall = self.stalls.get((msg.source, msg.phase_index))
-            if stall is not None:
-                if stall == float("inf"):
-                    return  # response suppressed outright
-                extra = stall
-        service = None if msg.kind is MessageKind.REQUEST else 0.0
+    def _leg(self, spec: proto.PhaseSpec, kind: MessageKind,
+             stall: float) -> tuple[float, float, float]:
+        """(network, delivery offset, stall) of every message of one phase and kind."""
+        request = kind is MessageKind.REQUEST
+        source, destination = ((spec.source, spec.destination) if request
+                               else (spec.destination, spec.source))
+        msg = ProtocolMessage(
+            session_id=b"", phase_index=spec.index, kind=kind, source=source,
+            destination=destination, payload_fields={},
+            payload_bytes=spec.request_bytes if request else spec.response_bytes)
+        # the service time rides on the request leg; the response is network-only
         network, offset = transmit_components(
-            msg, msg.source.value, msg.destination.value, self.model,
-            self.topology, service_s=service)
+            msg, source.value, destination.value, self.model, self.topology,
+            service_s=None if request else 0.0)
+        return network, offset, stall
+
+    def _send(self, msg: ProtocolMessage) -> None:
+        legs = self.request_legs if msg.kind is MessageKind.REQUEST else self.response_legs
+        network, offset, stall = legs[msg.phase_index - 1]
+        if stall == math.inf:
+            return  # response suppressed outright
         if network > self.max_network_delay:
             self.max_network_delay = network
         self.log("send", msg.source.value, msg.destination.value,
                  msg.session_id, msg.phase_index, msg.payload_bytes)
-        self.schedule(self.now + offset + extra,
+        self.schedule(self.now + offset + stall,
                       SimEvent(kind="deliver", target=msg.destination.value, msg=msg))
 
     def _complete_phase(self, session: SessionState, final_response: ProtocolMessage) -> None:

@@ -121,19 +121,13 @@ class Vault:
 
     def verify_membership(self, idr: KeyPart, ids: KeyPart) -> bool:
         """True iff some tenant record holds exactly this (IDr, IDs) pair."""
-        return self.find_member(idr, ids) is not None
+        folder = self._realm(idr, ids)
+        return folder is not None and bool(folder.tenants)
 
-    def find_member(self, idr: KeyPart, ids: KeyPart) -> TenantRecord | None:
-        """The first tenant record matching the pair, or None."""
-        for cloud in self.clouds.values():
-            if not hmac.compare_digest(cloud.root_key.bytes, idr.bytes):
-                continue
-            for folder in cloud.subdomains.values():
-                if not hmac.compare_digest(folder.subdomain_key.bytes, ids.bytes):
-                    continue
-                for record in folder.tenants.values():
-                    return record
-        return None
+    def find_member(self, tenant_id: str, idr: KeyPart, ids: KeyPart) -> TenantRecord | None:
+        """The tenant's record if it is registered in the realm the pair names, else None."""
+        folder = self._realm(idr, ids)
+        return None if folder is None else folder.tenants.get(tenant_id)
 
     def match_personal_secrets(self, tenant_id: str, answers: Mapping[str, str]) -> bool:
         """True iff every stored metadata class is answered with the stored value."""
@@ -211,6 +205,16 @@ class Vault:
         return cls.from_snapshot(json.loads(Path(path).read_text()))
 
     # -- internals -------------------------------------------------------------
+
+    def _realm(self, idr: KeyPart, ids: KeyPart) -> _SubdomainFolder | None:
+        """The sub-domain folder whose (root, sub-domain) keys are the pair."""
+        for cloud in self.clouds.values():
+            if not hmac.compare_digest(cloud.root_key.bytes, idr.bytes):
+                continue
+            for folder in cloud.subdomains.values():
+                if hmac.compare_digest(folder.subdomain_key.bytes, ids.bytes):
+                    return folder
+        return None
 
     def _subdomain(self, cloud_id: str, subdomain_id: str) -> _SubdomainFolder:
         cloud = self.clouds.get(cloud_id)

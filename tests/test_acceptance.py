@@ -129,6 +129,14 @@ def test_criterion_04_session_count(default_run):
             f"started {report.sessions_started}, wall {wall:.1f}s")
 
 
+def test_default_run_reports_no_discards(default_run):
+    # the expectations still pass on this run: test_criterion_04_to_07_expectations_file
+    _, _, report, _ = default_run
+    tree = report.metric_tree()
+    assert tree["discards"] == {}
+    assert tree["violations"] == {role.value: 0 for role in Role}
+
+
 def test_criterion_05_response_times(default_run):
     _, _, report, _ = default_run
     e2e_ok = abs(report.end_to_end_mean_s - 60.0) <= 6.0

@@ -23,7 +23,7 @@ from crossrealm.harness import (
     save_scenario,
     scenario_from_dict,
 )
-from crossrealm.protocol import Role, TimeoutMode
+from crossrealm.protocol import MessageKind, Role, SessionStatus, TimeoutMode
 from crossrealm.simnet import Stall
 
 SMALL = Scenario(principals=2, sessions_per_principal=2, session_spread_s=5.0,
@@ -82,14 +82,55 @@ MALFORMED = [
     ({"phase_request_bytes": {"1": -5}}, "phase_request_bytes"),
     ({"phase_response_bytes": {"14": 1024}}, "phase_response_bytes"),
     ({"propagation_delay_s": 0.001}, "propagation_delay_s"),  # belongs under topology
+    # a field that repeats carries its own test id (the last item of a param)
+    pytest.param({"topology": {"bogus": 1}}, "topology", id="topology-unknown-key"),
+    pytest.param({"topology": {"link_counts": [["A", "F", 2]]}}, "topology",
+                 id="topology-unlinked-pair"),
 ]
 
 
-@pytest.mark.parametrize("doc, field", MALFORMED, ids=[f for _, f in MALFORMED])
+@pytest.mark.parametrize("doc, field", MALFORMED, ids=[case[-1] for case in MALFORMED])
 def test_malformed_field_named(doc, field):
     with pytest.raises(ScenarioValidationError) as err:
         scenario_from_dict(doc)
     assert err.value.field == field
+
+
+def test_discards_and_violations_reported(tmp_path):
+    # every session falls to the F watchdog, and CloudB's late phase-10
+    # answer is then discarded at the session handler
+    sc = replace(SMALL, timeout_mode=TimeoutMode.localized_f(200), horizon_s=1000.0,
+                 stalls=(Stall(Role.CLOUD_B, 10, 250.0),))
+    report = aggregate(simnet.run(sc), sc)
+    assert report.sessions_dropped == report.sessions_started == 4
+    tree = report.metric_tree()
+    assert tree["discards"] == {"SAC-SH": {"session-not-in-progress": 4}}
+    assert tree["violations"] == {role.value: 0 for role in Role}
+    emit_report(report, "csv", tmp_path)
+    assert load_report(tmp_path)["discards"] == tree["discards"]
+
+
+def test_engine_counts_a_role_discard():
+    # the network delivers each phase-1 request twice; F discards the copy
+    # and counts it, and the session goes on
+    engine = simnet._Engine(SMALL, SMALL.seed)
+    send = engine._send
+
+    def send_phase1_twice(msg):
+        send(msg)
+        if msg.phase_index == 1 and msg.kind is MessageKind.REQUEST:
+            send(msg)
+
+    engine._send = send_phase1_twice
+    engine.setup()
+    engine.loop()
+    run = engine.result()
+    assert all(s.status is SessionStatus.COMPLETED for s in run.sessions.values())
+    report = aggregate(run, SMALL)
+    tree = report.metric_tree()
+    assert tree["discards"] == {"F": {"duplicate-session": report.sessions_started}}
+    assert tree["violations"] == {role.value: report.sessions_started if role is Role.F else 0
+                                  for role in Role}
 
 
 def test_cli_names_malformed_field(tmp_path, capsys):

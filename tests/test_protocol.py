@@ -13,6 +13,7 @@ from crossrealm.protocol import (
     ProtocolMessage,
     Requester,
     Role,
+    SessionSlot,
     SessionState,
     SessionStatus,
     TimeoutMode,
@@ -59,7 +60,8 @@ class Driver:
     def run_phase(self, index):
         spec = phase_spec(index)
         result = begin_phase(self.roles[spec.source], spec, self.session, self.vault)
-        self.roles[spec.source] = result.state
+        if result.slot is not None:
+            self.roles[spec.source].sessions[self.session.session_id] = result.slot
         if result.minted is not None:
             self.session = replace(self.session, idsess=result.minted)
         if result.drop_reason is not None:
@@ -70,13 +72,23 @@ class Driver:
         queue = list(result.outgoing)
         while queue:
             msg = queue.pop(0)
-            res = handle_message(self.roles[msg.destination], msg, self.vault)
-            self.roles[msg.destination] = res.state
+            res = self.deliver(msg.destination, msg)
             self.trace.append((msg.phase_index, msg.kind, res.outcome))
             assert not res.discarded, (msg.phase_index, res.outcome)
             queue.extend(res.outgoing)
             if msg.kind is MessageKind.RESPONSE and res.outcome == "phase-complete":
                 self.session = advance_phase(self.session)
+
+    def deliver(self, role, msg):
+        """handle_message at one role, then the caller's part: store the
+        returned slot in the role's table, or count the discard."""
+        state = self.roles[role]
+        res = handle_message(state, msg, self.vault)
+        if res.discarded:
+            state.violations += 1
+        else:
+            state.sessions[msg.session_id] = res.slot
+        return res
 
     def run_all(self):
         k = 1
@@ -206,12 +218,14 @@ def test_handle_message_discards(case):
         payload_fields={},
         payload_bytes=spec.request_bytes if request else spec.response_bytes)
     state = driver.roles[role]
-    result = handle_message(state, msg, vault)
+    before = dict(state.sessions)
+    result = driver.deliver(role, msg)
     assert result.outcome == "discarded:" + case.removesuffix("-request").removesuffix("-response")
     assert not result.outgoing
-    assert result.state.violations == 1
+    assert result.slot is None
+    assert state.violations == 1
     # a discarded message never records or changes a session
-    assert result.state.sessions == state.sessions
+    assert state.sessions == before
 
 
 def test_handle_message_is_pure():
@@ -219,14 +233,42 @@ def test_handle_message_is_pure():
     driver = Driver(vault, requester)
     driver.run_phase(1)
     state = driver.roles[Role.F]
-    snapshot = repr(state)
+    slot = state.sessions[driver.session.session_id]
+    snapshot = (repr(state), repr(slot))
     # craft the phase-2 request F would send; feed it to A twice
     result = begin_phase(state, phase_spec(2), driver.session, vault)
     req = result.outgoing[0]
-    r1 = handle_message(driver.roles[Role.A], req, vault)
-    r2 = handle_message(driver.roles[Role.A], req, vault)
+    receiver = driver.roles[Role.A]
+    received = repr(receiver)
+    r1 = handle_message(receiver, req, vault)
+    r2 = handle_message(receiver, req, vault)
     assert r1 == r2
-    assert repr(state) == snapshot  # input state untouched
+    assert (repr(state), repr(slot)) == snapshot  # input state and slot untouched
+    assert repr(receiver) == received  # the returned slot is not stored by the transition
+
+
+def test_transition_touches_only_its_own_slot():
+    # the role's table is written in place by the caller, one slot at a
+    # time: a transition at a role holding many sessions copies nothing
+    vault, requester = registry()
+    driver = Driver(vault, requester)
+    front = driver.roles[Role.F]
+    table = front.sessions
+    others = {n.to_bytes(16, "big"): SessionSlot(requester=f"t{n}") for n in range(2000)}
+    table.update(others)
+    driver.run_phase(1)
+    driver.run_phase(2)
+    request = begin_phase(driver.roles[Role.A], phase_spec(3), driver.session, vault)
+    with_other_slots = dict(table)
+    result = handle_message(front, request.outgoing[0], vault)
+    assert result.outcome == "ok"
+    assert front.sessions is table and table == with_other_slots  # nothing written
+    for index in range(3, proto.PHASE_COUNT + 1):
+        driver.run_phase(index)
+    assert driver.session.status is SessionStatus.COMPLETED
+    assert driver.roles[Role.F] is front and front.sessions is table
+    assert len(table) == len(others) + 1
+    assert all(table[sid] is slot for sid, slot in others.items())
 
 
 # -- phase advancement ------------------------------------------------------------
@@ -305,9 +347,8 @@ def test_grant_access_stale_generation_refused():
     cloud = driver.roles[Role.CLOUD_A]
     refreshed = keylib.refresh_session(
         driver.session.idsess, [("u1", "CloudC", "analysts")], vault)
-    slot = cloud.sessions[driver.session.session_id]
-    cloud = proto._with_slot(cloud, driver.session.session_id,
-                             replace(slot, keyset=refreshed))
+    sid = driver.session.session_id
+    cloud = replace(cloud, sessions={sid: replace(cloud.sessions[sid], keyset=refreshed)})
     assert not grant_access(cloud, Role.SAC_SH, key, "R1")  # generation 0 vs 1
     fresh = refreshed.keys["u1"]
     assert grant_access(cloud, Role.SAC_SH, fresh, "R1")

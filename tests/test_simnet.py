@@ -184,6 +184,49 @@ def test_phase_byte_overrides_reach_the_wire():
     assert sent[(2, "A")] == 1024
 
 
+def test_deliveries_match_per_message_timing():
+    # the engine times each (phase, kind) once; every delivery must still
+    # land where a fresh per-message computation puts it, stall included
+    sc = replace(SMALL, principals=3, sessions_per_principal=2, seed=13,
+                 phase_request_bytes={3: 65536, 7: 0}, phase_response_bytes={6: 200000},
+                 link_counts={("SW2", "SAC"): 1, ("A", "SW1"): 2})
+    sc = inject_stall(sc, Role.CLOUD_A, 8, 2.5)
+    run = simnet.run(sc)
+    topo = build_default_topology(sc.propagation_delay_s, sc.link_counts)
+    sends = {}
+    networks = []
+    checked = 0
+    for r in run.records:
+        if r.kind not in ("send", "deliver"):
+            continue
+        request = r.source == phase_spec(r.phase_index).source.value
+        network, offset = transmit_components(
+            dummy_msg(r.payload_bytes, r.phase_index), r.source, r.destination,
+            sc.connection, topo, service_s=None if request else 0.0)
+        key = (r.session_id, r.phase_index, r.source, r.destination)
+        if r.kind == "send":
+            sends[key] = r.time_s
+            networks.append(network)
+        else:
+            stall = 2.5 if (r.source, r.phase_index) == ("CloudA", 8) else 0.0
+            assert r.time_s - sends.pop(key) == pytest.approx(offset + stall, abs=1e-9), key
+            checked += 1
+    assert checked == len(networks) == 6 * 26 and not sends
+    assert run.max_network_delay_s == max(networks)
+
+
+def test_each_session_is_minted_for_its_requester():
+    run = simnet.run(replace(SMALL, principals=5, sessions_per_principal=2, seed=12))
+    completed = run.completed()
+    assert len(completed) == 10
+    assert len({s.requester.tenant_id for s in completed}) == 5
+    for session in completed:
+        tenant = session.requester.tenant_id
+        assert set(session.idsess.keys) == {tenant}
+        held = run.role_states[Role.A].sessions[session.session_id].requester_key
+        assert held == session.idsess.keys[tenant]
+
+
 def test_pair_enforcement_in_log():
     topo = build_default_topology()
     run = simnet.run(replace(SMALL, principals=2, sessions_per_principal=1, seed=6))

@@ -148,6 +148,22 @@ def test_cross_pairings_brute_force():
         assert vault.verify_membership(idr, ids) == expected, (c1, s1, c2, s2)
 
 
+def test_find_member_names_the_tenant_in_its_realm():
+    # a tenant is found only under the (IDr, IDs) of the realm it registered in
+    vault = small_registry()
+    realms = [(cid, sid) for cid in ("CloudA", "CloudB") for sid in ("s1", "s2")]
+    for (c1, s1), (c2, s2) in itertools.product(realms, realms):
+        cloud = vault.clouds[c2]
+        found = vault.find_member(f"{c1}-{s1}-user", cloud.root_key,
+                                  cloud.subdomains[s2].subdomain_key)
+        if (c1, s1) == (c2, s2):
+            assert found.tenant_id == f"{c1}-{s1}-user"
+        else:
+            assert found is None, (c1, s1, c2, s2)
+    cloud = vault.clouds["CloudA"]
+    assert vault.find_member("nobody", cloud.root_key, cloud.subdomains["s1"].subdomain_key) is None
+
+
 def test_random_bytes_invalid():
     from crossrealm.keys import KeyPart, KeyRole
     vault = small_registry()
