@@ -51,7 +51,6 @@ from .protocol import (
 from .vault import TenantRecord, Vault
 from .simnet import (
     ConnectionModel,
-    SimEvent,
     SimRun,
     Stall,
     Topology,

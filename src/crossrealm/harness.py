@@ -65,6 +65,8 @@ def _validate(scenario: Scenario) -> Scenario:
     if not (spp == "mean2" or (isinstance(spp, int) and spp >= 1)):
         raise ScenarioValidationError("sessions_per_principal",
                                       "must be a positive count or 'mean2'")
+    if scenario.network_start_offset_s < 0:
+        raise ScenarioValidationError("network_start_offset_s", "must be non-negative")
     if scenario.horizon_s <= scenario.network_start_offset_s:
         raise ScenarioValidationError("horizon_s",
                                       "must exceed the network start offset")
@@ -163,7 +165,7 @@ def _topology(value: object) -> dict:
     if "link_counts" in topo:
         kwargs["link_counts"] = {(_string(a), _string(b)): _whole(n)
                                  for a, b, n in topo["link_counts"]}
-        simnet.check_link_counts(kwargs["link_counts"])
+    simnet.check_topology(**kwargs)
     return kwargs
 
 
@@ -544,36 +546,48 @@ _COMPARISONS = {
 }
 
 
+def _verdict(tree: dict, exp: dict) -> Verdict:
+    metric = exp["metric"]
+    op = exp["op"]
+    measured = _resolve(tree, metric)
+    value = float("nan") if measured is None else float(measured)
+    if op in _COMPARISONS:
+        symbol, compare = _COMPARISONS[op]
+        target = float(exp["target"])
+        passed = compare(value, target)
+        detail = f"{value:g} {symbol} {target:g}"
+    elif op == "within-pct":
+        target = float(exp["target"])
+        tol = float(exp["tolerance_pct"]) / 100.0 * abs(target)
+        passed = abs(value - target) <= tol
+        detail = f"{value:g} within {target:g} +/- {tol:g}"
+    elif op == "range":
+        lo, hi = float(exp["lo"]), float(exp["hi"])
+        passed = lo <= value <= hi
+        detail = f"{value:g} in [{lo:g}, {hi:g}]"
+    else:
+        raise ValueError(f"unknown expectation op {op!r}")
+    if value != value:  # NaN: metric absent from this run
+        passed = False
+        detail = "no measurement"
+    return Verdict(name=exp.get("name", metric), metric=metric,
+                   passed=passed, measured=measured, detail=detail)
+
+
 def check_acceptance(report: MetricsReport | dict, expectations: list[dict]) -> list[Verdict]:
-    """Evaluate each expectation against the report; one verdict per entry."""
+    """Evaluate each expectation against the report; one verdict per entry.
+
+    A malformed entry raises ScenarioParseError naming its index and metric.
+    """
     tree = report.metric_tree() if isinstance(report, MetricsReport) else report
     verdicts = []
-    for exp in expectations:
-        metric = exp["metric"]
-        op = exp["op"]
-        measured = _resolve(tree, metric)
-        value = float("nan") if measured is None else float(measured)
-        if op in _COMPARISONS:
-            symbol, compare = _COMPARISONS[op]
-            target = float(exp["target"])
-            passed = compare(value, target)
-            detail = f"{value:g} {symbol} {target:g}"
-        elif op == "within-pct":
-            target = float(exp["target"])
-            tol = float(exp["tolerance_pct"]) / 100.0 * abs(target)
-            passed = abs(value - target) <= tol
-            detail = f"{value:g} within {target:g} +/- {tol:g}"
-        elif op == "range":
-            lo, hi = float(exp["lo"]), float(exp["hi"])
-            passed = lo <= value <= hi
-            detail = f"{value:g} in [{lo:g}, {hi:g}]"
-        else:
-            raise ScenarioParseError(f"unknown expectation op {op!r}")
-        if value != value:  # NaN: metric absent from this run
-            passed = False
-            detail = "no measurement"
-        verdicts.append(Verdict(name=exp.get("name", metric), metric=metric,
-                                passed=passed, measured=measured, detail=detail))
+    for index, exp in enumerate(expectations):
+        try:
+            verdicts.append(_verdict(tree, exp))
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+            metric = exp.get("metric", "?") if isinstance(exp, dict) else "?"
+            detail = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ScenarioParseError(f"expectation {index} ({metric}): {detail}") from exc
     return verdicts
 
 
@@ -582,6 +596,6 @@ def load_expectations(path: str | Path) -> list[dict]:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict) or "expectations" not in doc:
-        raise ScenarioParseError(f"{path}: expected an object with 'expectations'")
+    if not isinstance(doc, dict) or not isinstance(doc.get("expectations"), list):
+        raise ScenarioParseError(f"{path}: expected an object with an 'expectations' list")
     return doc["expectations"]

@@ -122,8 +122,12 @@ _ALLOWED_PAIRS = frozenset(
 GIGABIT = 1e9
 
 
-def check_link_counts(link_counts: Mapping[tuple[str, str], int] | None) -> None:
-    """Each link count override names a link of the default wiring and is at least 1."""
+def check_topology(propagation_delay_s: float = 0.0,
+                   link_counts: Mapping[tuple[str, str], int] | None = None) -> None:
+    """The propagation delay is non-negative, and each link count override
+    names a link of the default wiring and is at least 1."""
+    if propagation_delay_s < 0:
+        raise InvalidInput("propagation_delay_s must be non-negative")
     linked = {frozenset((a, b)) for a, b, _ in _DEFAULT_WIRING}
     for (a, b), count in (link_counts or {}).items():
         if frozenset((a, b)) not in linked:
@@ -136,7 +140,7 @@ def build_default_topology(propagation_delay_s: float = 0.0005,
                            link_counts: Mapping[tuple[str, str], int] | None = None,
                            ) -> Topology:
     """The default nine-node topology with aggregated gigabit links."""
-    check_link_counts(link_counts)
+    check_topology(propagation_delay_s, link_counts)
     overrides = {frozenset(k): v for k, v in (link_counts or {}).items()}
     links = tuple(
         Link(a, b, GIGABIT, overrides.get(frozenset((a, b)), count), propagation_delay_s)
@@ -163,7 +167,7 @@ class ConnectionModel:
                 raise InvalidInput(f"{name} must be non-negative")
 
 
-def transmit_components(msg: ProtocolMessage, source: str, destination: str,
+def transmit_components(payload_bytes: int, source: str, destination: str,
                         model: ConnectionModel, topo: Topology,
                         service_s: float | None = None) -> tuple[float, float]:
     """(network seconds, total delivery offset seconds) for one message.
@@ -176,7 +180,7 @@ def transmit_components(msg: ProtocolMessage, source: str, destination: str,
         raise DisallowedPair(f"{source} may not talk to {destination}")
     propagation = topo.path_propagation_s(source, destination)
     rtt = model.rtt_base_s + 2.0 * propagation
-    serialization = msg.payload_bytes * 8.0 / topo.path_bandwidth_bps(source, destination)
+    serialization = payload_bytes * 8.0 / topo.path_bandwidth_bps(source, destination)
     network = model.handshake_rtts * rtt + serialization + propagation
     service = model.per_phase_service_s if service_s is None else service_s
     return network, network + service
@@ -274,18 +278,6 @@ def build_default_vault(principals: int) -> tuple[Vault, dict[str, Requester]]:
 # -- the engine ----------------------------------------------------------------------
 
 @dataclass
-class SimEvent:
-    """One scheduled occurrence; processed in (time, sequence) order."""
-
-    kind: str  # "app-start" | "session-start" | "deliver" | "phase-timer" | "f-watchdog"
-    target: str
-    msg: ProtocolMessage | None = None
-    session_id: bytes | None = None
-    phase_index: int | None = None
-    principal: int | None = None
-
-
-@dataclass
 class SimRun:
     """Everything a run produced: the log, final states, and flags."""
 
@@ -323,39 +315,43 @@ class _Engine:
         # Every message of one (phase, kind) takes the same path with the
         # same size, so its timing is computed once, as (network, delivery
         # offset, stall); a response stall of inf suppresses the response.
-        self.request_legs = [self._leg(spec, MessageKind.REQUEST, 0.0) for spec in self.table]
-        self.response_legs = [
-            self._leg(spec, MessageKind.RESPONSE, stalls.get((spec.destination, spec.index), 0.0))
-            for spec in self.table]
+        # The service time rides on the request leg; the response is network-only.
+        self.legs: dict[tuple[int, MessageKind], tuple[float, float, float]] = {}
+        for spec in self.table:
+            src, dst = spec.source.value, spec.destination.value
+            self.legs[spec.index, MessageKind.REQUEST] = (*transmit_components(
+                spec.request_bytes, src, dst, self.model, self.topology), 0.0)
+            self.legs[spec.index, MessageKind.RESPONSE] = (*transmit_components(
+                spec.response_bytes, dst, src, self.model, self.topology, service_s=0.0),
+                stalls.get((spec.destination, spec.index), 0.0))
         self.sessions: dict[bytes, SessionState] = {}
         self.heap: list = []
         self.records: list[Record] = []
         self.now = 0.0
         self.event_seq = 0
-        self.record_seq = 0
         self.max_network_delay = 0.0
         self.horizon_exceeded = False
 
     # -- scheduling ------------------------------------------------------
 
-    def schedule(self, time: float, event: SimEvent) -> None:
-        heapq.heappush(self.heap, (time, self.event_seq, event))
+    def schedule(self, time: float, handler, *args) -> None:
+        """Call handler(*args) at time; ties run in scheduling order."""
+        heapq.heappush(self.heap, (time, self.event_seq, handler, args))
         self.event_seq += 1
 
     def log(self, kind: str, source: str = "", destination: str = "",
             session_id: bytes | None = None, phase_index: int | None = None,
             payload_bytes: int | None = None, outcome: str = "ok") -> None:
         self.records.append(Record(
-            self.now, self.record_seq, kind, source, destination,
+            self.now, len(self.records), kind, source, destination,
             session_id.hex() if session_id else "", phase_index, payload_bytes, outcome))
-        self.record_seq += 1
 
     def setup(self) -> None:
         sc = self.scenario
         lo, hi = sc.app_start_offset_s
         for p in range(sc.principals):
             profile_start = sc.network_start_offset_s + self.rng.uniform(lo, hi)
-            self.schedule(profile_start, SimEvent(kind="app-start", target="A", principal=p))
+            self.schedule(profile_start, self.log, "app-start", "A")
             if sc.sessions_per_principal == "mean2":
                 count = self.rng.choice((1, 2, 3))
             else:
@@ -363,39 +359,33 @@ class _Engine:
             for _ in range(count):
                 start = profile_start + self.rng.uniform(0.0, sc.session_spread_s)
                 sid = self.rng.getrandbits(128).to_bytes(16, "big")
-                self.schedule(start, SimEvent(kind="session-start", target="A",
-                                            session_id=sid, principal=p))
+                self.schedule(start, self._on_session_start, sid, p)
 
     def loop(self) -> None:
         horizon = self.scenario.horizon_s
         while self.heap:
-            time, _, event = heapq.heappop(self.heap)
+            time, _, handler, args = heapq.heappop(self.heap)
             if time > horizon:
                 self.horizon_exceeded = True
                 break
             self.now = time
-            getattr(self, "_on_" + event.kind.replace("-", "_"))(event)
+            handler(*args)
 
     # -- event handlers -----------------------------------------------------
 
-    def _on_app_start(self, event: SimEvent) -> None:
-        self.log("app-start", source=event.target)
-
-    def _on_session_start(self, event: SimEvent) -> None:
-        tenant_id = f"user-{event.principal:04d}"
+    def _on_session_start(self, session_id: bytes, principal: int) -> None:
         session = SessionState(
-            session_id=event.session_id,
-            requester=self.requesters[tenant_id],
-            principal=f"principal-{event.principal:04d}",
+            session_id=session_id,
+            requester=self.requesters[f"user-{principal:04d}"],
+            principal=f"principal-{principal:04d}",
             resources=self.scenario.resources,
             started_at=self.now,
         )
-        self.sessions[event.session_id] = session
-        self.log("session-start", source="A", session_id=event.session_id)
+        self.sessions[session_id] = session
+        self.log("session-start", source="A", session_id=session_id)
         self._begin_phase(1, session)
 
-    def _on_deliver(self, event: SimEvent) -> None:
-        msg = event.msg
+    def _on_deliver(self, msg: ProtocolMessage) -> None:
         session = self.sessions.get(msg.session_id)
         if session is not None and session.status is not SessionStatus.IN_PROGRESS:
             # Drop absorption: nothing may alter a finished session.
@@ -417,25 +407,26 @@ class _Engine:
         if result.outcome == "phase-complete":
             self._complete_phase(session, msg)
 
-    def _on_phase_timer(self, event: SimEvent) -> None:
+    def _on_phase_timer(self, session_id: bytes, phase_index: int) -> None:
         # armed at phase start + limit: a phase still open now has expired
-        session = self.sessions[event.session_id]
-        still_open = session.current_phase < event.phase_index
-        self._timer_fired(event, session,
-                          proto.on_timeout(session, event.phase_index) if still_open else session)
+        session = self.sessions[session_id]
+        still_open = session.current_phase < phase_index
+        self._timer_fired(self.table[phase_index - 1].source, phase_index, session,
+                          proto.on_timeout(session, phase_index) if still_open else session)
 
-    def _on_f_watchdog(self, event: SimEvent) -> None:
-        session = self.sessions[event.session_id]
+    def _on_f_watchdog(self, session_id: bytes) -> None:
+        session = self.sessions[session_id]
         # F's slot holds a key set only once phase 12 delivered the grant
-        granted = self.roles[Role.F].sessions[event.session_id].keyset is not None
-        self._timer_fired(event, session,
+        granted = self.roles[Role.F].sessions[session_id].keyset is not None
+        self._timer_fired(Role.F, None, session,
                           session if granted else proto.localized_timeout_at_f(session))
 
-    def _timer_fired(self, event: SimEvent, before: SessionState, after: SessionState) -> None:
+    def _timer_fired(self, role: Role, phase_index: int | None,
+                     before: SessionState, after: SessionState) -> None:
         """Log a timer; it expired if its transition returned a new session, else it is ignored."""
         expired = after is not before
-        self.log("timer-fire", source=event.target, session_id=event.session_id,
-                 phase_index=event.phase_index, outcome="expired" if expired else "ignored")
+        self.log("timer-fire", source=role.value, session_id=before.session_id,
+                 phase_index=phase_index, outcome="expired" if expired else "ignored")
         if expired:
             self._drop(after)
 
@@ -459,37 +450,18 @@ class _Engine:
         for msg in result.outgoing:
             self._send(msg)
         if self.mode.kind == "per-phase":
-            self.schedule(self.now + self.mode.seconds,
-                          SimEvent(kind="phase-timer", target=spec.source.value,
-                                 session_id=session.session_id, phase_index=index))
-
-    def _leg(self, spec: proto.PhaseSpec, kind: MessageKind,
-             stall: float) -> tuple[float, float, float]:
-        """(network, delivery offset, stall) of every message of one phase and kind."""
-        request = kind is MessageKind.REQUEST
-        source, destination = ((spec.source, spec.destination) if request
-                               else (spec.destination, spec.source))
-        msg = ProtocolMessage(
-            session_id=b"", phase_index=spec.index, kind=kind, source=source,
-            destination=destination, payload_fields={},
-            payload_bytes=spec.request_bytes if request else spec.response_bytes)
-        # the service time rides on the request leg; the response is network-only
-        network, offset = transmit_components(
-            msg, source.value, destination.value, self.model, self.topology,
-            service_s=None if request else 0.0)
-        return network, offset, stall
+            self.schedule(self.now + self.mode.seconds, self._on_phase_timer,
+                          session.session_id, index)
 
     def _send(self, msg: ProtocolMessage) -> None:
-        legs = self.request_legs if msg.kind is MessageKind.REQUEST else self.response_legs
-        network, offset, stall = legs[msg.phase_index - 1]
+        network, offset, stall = self.legs[msg.phase_index, msg.kind]
         if stall == math.inf:
             return  # response suppressed outright
         if network > self.max_network_delay:
             self.max_network_delay = network
         self.log("send", msg.source.value, msg.destination.value,
                  msg.session_id, msg.phase_index, msg.payload_bytes)
-        self.schedule(self.now + offset + stall,
-                      SimEvent(kind="deliver", target=msg.destination.value, msg=msg))
+        self.schedule(self.now + offset + stall, self._on_deliver, msg)
 
     def _complete_phase(self, session: SessionState, final_response: ProtocolMessage) -> None:
         session = proto.advance_phase(session)
@@ -503,9 +475,8 @@ class _Engine:
             return
         done = session.current_phase
         if done == 4 and self.mode.kind == "localized-f":
-            self.schedule(self.now + self.mode.seconds,
-                          SimEvent(kind="f-watchdog", target="F",
-                                 session_id=session.session_id))
+            self.schedule(self.now + self.mode.seconds, self._on_f_watchdog,
+                          session.session_id)
         self._begin_phase(done + 1, session)
 
     def _drop(self, session: SessionState) -> None:

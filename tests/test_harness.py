@@ -82,10 +82,14 @@ MALFORMED = [
     ({"phase_request_bytes": {"1": -5}}, "phase_request_bytes"),
     ({"phase_response_bytes": {"14": 1024}}, "phase_response_bytes"),
     ({"propagation_delay_s": 0.001}, "propagation_delay_s"),  # belongs under topology
+    ({"principals": 3, "network_start_offset_s": -50, "session_spread_s": 5, "horizon_s": 200},
+     "network_start_offset_s"),
     # a field that repeats carries its own test id (the last item of a param)
     pytest.param({"topology": {"bogus": 1}}, "topology", id="topology-unknown-key"),
     pytest.param({"topology": {"link_counts": [["A", "F", 2]]}}, "topology",
                  id="topology-unlinked-pair"),
+    pytest.param({"topology": {"propagation_delay_s": -1.0}}, "topology",
+                 id="topology-negative-delay"),
 ]
 
 
@@ -316,6 +320,37 @@ def test_check_unknown_metric():
     with pytest.raises(UnknownMetric):
         check_acceptance(tree_for_checks(), [
             {"metric": "sessions.imagined", "op": "gte", "target": 1}])
+
+
+# malformed expectation entry -> the text its error must carry
+MALFORMED_EXPECTATIONS = {
+    "missing-target": ({"metric": "sessions.started", "op": "gte"},
+                       "expectation 1 (sessions.started): missing 'target'"),
+    "non-numeric-target": ({"metric": "sessions.started", "op": "gte", "target": "many"},
+                           "expectation 1 (sessions.started): could not convert"),
+    "entry-not-object": (["sessions.started", "gte", 1], "expectation 1 (?):"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_EXPECTATIONS)
+def test_malformed_expectation_named(case):
+    entry, message = MALFORMED_EXPECTATIONS[case]
+    good = {"metric": "max_network_delay_s", "op": "lt", "target": 0.06}
+    with pytest.raises(ScenarioParseError) as err:
+        check_acceptance(tree_for_checks(), [good, entry])
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("doc", [
+    {"expectations": [{"metric": "sessions.started", "op": "gte", "target": "many"}]},
+    {"expectations": 5},
+], ids=["bad-entry", "not-a-list"])
+def test_cli_check_reports_malformed_expectations(tmp_path, capsys, doc):
+    emit_report(small_report(), "csv", tmp_path)
+    path = tmp_path / "expect.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "--report", str(tmp_path), "--expect", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_check_accepts_full_report_object():

@@ -11,8 +11,6 @@ from crossrealm import simnet
 from crossrealm.errors import DisallowedPair, InvalidInput
 from crossrealm.harness import Scenario
 from crossrealm.protocol import (
-    MessageKind,
-    ProtocolMessage,
     Role,
     SessionStatus,
     TimeoutMode,
@@ -28,14 +26,6 @@ from crossrealm.simnet import (
 
 SMALL = Scenario(principals=1, sessions_per_principal=1, session_spread_s=1.0,
                  horizon_s=400.0, seed=3)
-
-
-def dummy_msg(payload_bytes, phase_index=1):
-    spec = phase_spec(phase_index)
-    return ProtocolMessage(session_id=b"\x01" * 16, phase_index=phase_index,
-                           kind=MessageKind.REQUEST, source=spec.source,
-                           destination=spec.destination, payload_fields={},
-                           payload_bytes=payload_bytes)
 
 
 # -- topology -----------------------------------------------------------------
@@ -73,6 +63,14 @@ def test_link_count_overrides():
     assert topo.path_bandwidth_bps("A", "F") == 2e9
 
 
+def test_negative_propagation_delay_rejected():
+    # a negative delay would deliver messages before they are sent
+    with pytest.raises(InvalidInput):
+        build_default_topology(propagation_delay_s=-1.0)
+    with pytest.raises(InvalidInput):
+        simnet.run(replace(SMALL, propagation_delay_s=-1.0))
+
+
 # -- transmit ------------------------------------------------------------------
 
 def bare_wire():
@@ -87,7 +85,7 @@ def bare_wire():
 def test_transmit_serialization_oracle():
     # 4096 bytes over 1 Gbps = 32.768 microseconds (arithmetic oracle)
     topo, model = bare_wire()
-    offset = transmit_components(dummy_msg(4096), "A", "F", model, topo)[1]
+    offset = transmit_components(4096, "A", "F", model, topo)[1]
     assert offset == pytest.approx(3.2768e-05, rel=1e-12)
 
 
@@ -96,21 +94,21 @@ def test_transmit_zero_payload_pure_propagation():
         propagation_delay_s=1e-5,
         link_counts={("A", "SW1"): 1, ("SW1", "SW2"): 1, ("SW2", "F"): 1})
     model = ConnectionModel(handshake_rtts=0.0, per_phase_service_s=0.0, rtt_base_s=0.0)
-    offset = transmit_components(dummy_msg(0), "A", "F", model, topo)[1]
+    offset = transmit_components(0, "A", "F", model, topo)[1]
     assert offset == pytest.approx(3e-05, rel=1e-12)  # three hops of propagation
 
 
 def test_transmit_default_calibration_near_five_seconds():
     topo = build_default_topology()
     model = ConnectionModel()
-    offset = transmit_components(dummy_msg(1024), "A", "F", model, topo)[1]
+    offset = transmit_components(1024, "A", "F", model, topo)[1]
     assert 4.25 <= offset <= 5.75  # per-phase delivery consistent with ~5 s per phase
 
 
 def test_transmit_disallowed_pair():
     topo = build_default_topology()
     with pytest.raises(DisallowedPair):
-        transmit_components(dummy_msg(1024), "A", "SAC", ConnectionModel(), topo)
+        transmit_components(1024, "A", "SAC", ConnectionModel(), topo)
 
 
 def test_connection_model_rejects_negative():
@@ -201,7 +199,7 @@ def test_deliveries_match_per_message_timing():
             continue
         request = r.source == phase_spec(r.phase_index).source.value
         network, offset = transmit_components(
-            dummy_msg(r.payload_bytes, r.phase_index), r.source, r.destination,
+            r.payload_bytes, r.source, r.destination,
             sc.connection, topo, service_s=None if request else 0.0)
         key = (r.session_id, r.phase_index, r.source, r.destination)
         if r.kind == "send":
