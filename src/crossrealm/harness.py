@@ -70,6 +70,8 @@ def _validate(scenario: Scenario) -> Scenario:
     if scenario.horizon_s <= scenario.network_start_offset_s:
         raise ScenarioValidationError("horizon_s",
                                       "must exceed the network start offset")
+    if not math.isfinite(scenario.horizon_s):
+        raise ScenarioValidationError("horizon_s", "must be finite")
     lo, hi = scenario.app_start_offset_s
     if lo < 0 or hi < lo:
         raise ScenarioValidationError("app_start_offset_s", "needs 0 <= low <= high")

@@ -21,6 +21,7 @@ byte-identical event logs.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
 import math
@@ -439,11 +440,11 @@ class _Engine:
         if result.slot is not None:
             state.sessions[session.session_id] = result.slot
         if result.minted is not None:
-            session = replace(session, idsess=result.minted)
+            session = proto._copy_with(session, idsess=result.minted)
             self.sessions[session.session_id] = session
         if result.drop_reason is not None:
-            self._drop(replace(session, status=SessionStatus.DROPPED,
-                               drop_reason=result.drop_reason))
+            self._drop(proto._copy_with(session, status=SessionStatus.DROPPED,
+                                        drop_reason=result.drop_reason))
             return
         if not result.outgoing:
             return
@@ -467,7 +468,7 @@ class _Engine:
         session = proto.advance_phase(session)
         self.sessions[session.session_id] = session
         if session.status is SessionStatus.COMPLETED:
-            session = replace(session, ended_at=self.now)
+            session = proto._copy_with(session, ended_at=self.now)
             self.sessions[session.session_id] = session
             self.log("session-complete", source=final_response.destination.value,
                      session_id=session.session_id, phase_index=session.current_phase,
@@ -480,7 +481,7 @@ class _Engine:
         self._begin_phase(done + 1, session)
 
     def _drop(self, session: SessionState) -> None:
-        session = replace(session, ended_at=self.now)
+        session = proto._copy_with(session, ended_at=self.now)
         self.sessions[session.session_id] = session
         self.log("session-drop", session_id=session.session_id,
                  phase_index=session.current_phase,
@@ -500,8 +501,20 @@ class _Engine:
 
 
 def run(scenario: "Scenario", seed: int | None = None) -> SimRun:
-    """Run one scenario to completion or horizon; pure in (scenario, seed)."""
+    """Run one scenario to completion or horizon; pure in (scenario, seed).
+
+    Cyclic garbage collection is paused while the event loop runs: the
+    loop makes no reference cycles, and every full collection would walk
+    the whole event log for nothing. The caller's setting is restored on
+    the way out, also when a handler raises.
+    """
     engine = _Engine(scenario, scenario.seed if seed is None else seed)
     engine.setup()
-    engine.loop()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        engine.loop()
+    finally:
+        if collecting:
+            gc.enable()
     return engine.result()

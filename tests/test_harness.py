@@ -1,6 +1,7 @@
 """Tests for scenario files, metrics aggregation, reports, and checks."""
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -90,6 +91,7 @@ MALFORMED = [
                  id="topology-unlinked-pair"),
     pytest.param({"topology": {"propagation_delay_s": -1.0}}, "topology",
                  id="topology-negative-delay"),
+    ({"principals": 2, "horizon_s": math.inf}, "horizon_s"),  # json reads Infinity
 ]
 
 
@@ -142,6 +144,20 @@ def test_cli_names_malformed_field(tmp_path, capsys):
     path.write_text(json.dumps({"principals": 2.5}))
     assert cli.main(["validate", "--scenario", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: principals:")
+
+
+def test_cli_rejects_an_infinite_horizon(tmp_path, capsys):
+    path = tmp_path / "endless.json"
+    path.write_text('{"principals": 2, "horizon_s": Infinity}')
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: horizon_s:")
+
+
+def test_suppressing_stall_loads():
+    # an infinite stall is how a scenario suppresses a response outright
+    doc = {"stalls": [{"role": "CloudB", "phase_index": 10, "extra_delay_s": math.inf}]}
+    scenario = scenario_from_dict(doc)
+    assert scenario.stalls == (Stall(Role.CLOUD_B, 10, math.inf),)
 
 
 def test_horizon_must_exceed_network_offset():

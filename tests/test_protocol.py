@@ -1,6 +1,6 @@
 """Tests for the 13-phase approval protocol state machines."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -358,3 +358,38 @@ def test_grant_access_unknown_session_refused():
     _, driver, key = granted_setup()
     cloud = initial_role_states()[Role.CLOUD_A]  # never saw the handler's forward
     assert not grant_access(cloud, Role.SAC_SH, key, "R1")
+
+
+# -- slot and session copies --------------------------------------------------------
+
+def test_copy_with_rejects_an_unknown_field():
+    slot = SessionSlot(requester="t0", grants=("R1",))
+    before = repr(slot)
+    with pytest.raises(TypeError, match="bogus"):
+        proto._copy_with(slot, expect=None, bogus=1)
+    assert repr(slot) == before
+
+
+def test_copy_with_matches_dataclasses_replace():
+    _, requester = registry()
+    session = fresh_session(requester)
+    slot = SessionSlot(requester="t0", resources=("R1", "R2"))
+    cases = [
+        (slot, {"expect": (3, MessageKind.REQUEST), "idr": requester.idr}),
+        (slot, {"granted": True, "grants": ("R1",)}),
+        (session, {"current_phase": 13, "status": SessionStatus.COMPLETED}),
+        (session, {"status": SessionStatus.DROPPED, "ended_at": 12.5}),
+    ]
+    for before, changes in cases:
+        copied = proto._copy_with(before, **changes)
+        assert type(copied) is type(before)
+        assert copied == replace(before, **changes)
+        assert repr(copied) == repr(replace(before, **changes))
+    with pytest.raises(TypeError):
+        proto._copy_with(session, verdict=True)  # a slot field, not a session one
+
+
+def test_carried_names_are_slot_fields():
+    slot_fields = {f.name for f in fields(SessionSlot)}
+    for *_, carries in proto._TABLE:
+        assert set(carries) <= slot_fields

@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulator: topology, timing, determinism."""
 
+import gc
 import hashlib
 import math
 from collections import Counter
@@ -7,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from crossrealm import protocol as proto
 from crossrealm import simnet
 from crossrealm.errors import DisallowedPair, InvalidInput
 from crossrealm.harness import Scenario
@@ -342,3 +344,33 @@ def test_late_response_after_drop_is_absorbed():
     assert [r.outcome for r in late] == ["discarded:session-not-in-progress"]
     assert late[0].time_s > session.ended_at
     assert all(state.violations == 0 for state in run.role_states.values())
+
+
+# -- garbage collection ---------------------------------------------------------------
+
+def test_run_leaves_no_cyclic_garbage():
+    gc.collect()
+    simnet.run(SMALL)
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_callers_gc_setting(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        simnet.run(SMALL)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_gc_reenabled_when_a_handler_raises(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setattr(proto, "handle_message", broken)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="handler failed"):
+        simnet.run(SMALL)
+    assert gc.isenabled()
