@@ -31,7 +31,7 @@ from .errors import (
     UnknownMetric,
 )
 from .protocol import PHASE_COUNT, Role, TimeoutMode, protocol_table
-from .simnet import ConnectionModel, SimRun, Stall, records_to_csv
+from .simnet import ConnectionModel, SimRun, Stall, csv_lines
 
 DEFAULT_SEED = 7
 
@@ -70,8 +70,6 @@ def _validate(scenario: Scenario) -> Scenario:
     if scenario.horizon_s <= scenario.network_start_offset_s:
         raise ScenarioValidationError("horizon_s",
                                       "must exceed the network start offset")
-    if not math.isfinite(scenario.horizon_s):
-        raise ScenarioValidationError("horizon_s", "must be finite")
     lo, hi = scenario.app_start_offset_s
     if lo < 0 or hi < lo:
         raise ScenarioValidationError("app_start_offset_s", "needs 0 <= low <= high")
@@ -79,8 +77,6 @@ def _validate(scenario: Scenario) -> Scenario:
         raise ScenarioValidationError("session_spread_s", "must be non-negative")
     if scenario.sampling_interval_s <= 0:
         raise ScenarioValidationError("sampling_interval_s", "must be positive")
-    if scenario.timeout_mode.kind != "none" and not scenario.timeout_mode.seconds > 0:
-        raise ScenarioValidationError("timeout_mode", "timeout seconds must be positive")
     for stall in scenario.stalls:
         if not 1 <= stall.phase_index <= PHASE_COUNT:
             raise ScenarioValidationError("stalls", f"phase_index must be 1..{PHASE_COUNT}")
@@ -120,9 +116,15 @@ def _whole(value: object) -> int:
 
 
 def _number(value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
-        raise ValueError(f"{value!r} is not a number")
+    """A finite number: JSON's NaN and Infinity are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
     return float(value)
+
+
+def _delay(value: object) -> float:
+    """A stall's extra delay: a finite number, or Infinity to suppress the response."""
+    return math.inf if value == math.inf else _number(value)
 
 
 def _string(value: object) -> str:
@@ -152,7 +154,7 @@ def _resources(value: object) -> tuple[str, str]:
 
 def _stall(doc: dict) -> Stall:
     return Stall(role=Role(doc["role"]), phase_index=_whole(doc["phase_index"]),
-                 extra_delay_s=_number(doc["extra_delay_s"]))
+                 extra_delay_s=_delay(doc["extra_delay_s"]))
 
 
 def _topology(value: object) -> dict:
@@ -322,38 +324,47 @@ class MetricsReport:
 
 
 def aggregate(run: SimRun, scenario: Scenario) -> MetricsReport:
-    """Fold an event log and final session states into a MetricsReport."""
+    """Fold an event log and final session states into a MetricsReport.
+
+    The fold is one pass that builds no container per record, so it sets
+    off no garbage collection over the finished run's objects: a phase's
+    opening send is kept in that phase's dict under the record's own
+    session id string, and discards are counted under the record's outcome.
+    """
     interval = scenario.sampling_interval_s
     buckets = int(math.floor(run.horizon_s / interval)) + 1
-    sent = np.zeros(buckets)
-    received = np.zeros(buckets)
+    last = buckets - 1
+    sent = [0.0] * buckets
+    received = [0.0] * buckets
     started = 0
-    phase_req_sent: dict[tuple[str, int], float] = {}
+    # phase index -> session id -> time of the phase's first send
+    opened: dict[int, dict[str, float]] = {k: {} for k in range(1, PHASE_COUNT + 1)}
     phase_durations: dict[int, list[float]] = {k: [] for k in range(1, PHASE_COUNT + 1)}
-    discards: dict[str, dict[str, int]] = {}
+    discarded: dict[str, dict[str, int]] = {}  # receiving role -> outcome -> deliveries
 
-    for rec in run.records:
-        b = min(int(rec.time_s / interval), buckets - 1)
-        if rec.kind == "send":
-            sent[b] += rec.payload_bytes * 8.0
-            if rec.phase_index is not None:
-                key = (rec.session_id, rec.phase_index)
-                # request legs open a phase; remember the earliest send
-                if key not in phase_req_sent:
-                    phase_req_sent[key] = rec.time_s
-        elif rec.kind == "deliver":
-            if rec.payload_bytes is not None:
-                received[b] += rec.payload_bytes * 8.0
-            if rec.outcome == "phase-complete":
-                t0 = phase_req_sent.get((rec.session_id, rec.phase_index))
+    for time_s, _, kind, _, destination, session_id, phase, size, outcome in run.records:
+        b = int(time_s / interval)
+        if b > last:
+            b = last
+        if kind == "send":
+            sent[b] += size * 8.0
+            # request legs open a phase; remember the earliest send
+            opened[phase].setdefault(session_id, time_s)
+        elif kind == "deliver":
+            received[b] += size * 8.0
+            if outcome == "phase-complete":
+                t0 = opened[phase].get(session_id)
                 if t0 is not None:
-                    phase_durations[rec.phase_index].append(rec.time_s - t0)
-            elif rec.outcome.startswith("discarded:"):
-                counts = discards.setdefault(rec.destination, {})
-                why = rec.outcome[len("discarded:"):]
-                counts[why] = counts.get(why, 0) + 1
-        elif rec.kind == "session-start":
+                    phase_durations[phase].append(time_s - t0)
+            elif outcome.startswith("discarded:"):
+                counts = discarded.get(destination)
+                if counts is None:
+                    counts = discarded[destination] = {}
+                counts[outcome] = counts.get(outcome, 0) + 1
+        elif kind == "session-start":
             started += 1
+    discards = {role: {outcome[len("discarded:"):]: n for outcome, n in counts.items()}
+                for role, counts in discarded.items()}
 
     completed = run.completed()
     dropped = run.dropped()
@@ -376,8 +387,8 @@ def aggregate(run: SimRun, scenario: Scenario) -> MetricsReport:
         b = min(int(end / interval), buckets - 1)
         active[a:b + 1] += 1
 
-    sent_bps = sent / interval
-    received_bps = received / interval
+    sent_bps = np.array(sent) / interval
+    received_bps = np.array(received) / interval
     return MetricsReport(
         sessions_started=started,
         sessions_completed=len(completed),
@@ -482,7 +493,8 @@ def emit_report(report: MetricsReport, format: str, out_dir: str | Path) -> list
 def emit_event_log(run: SimRun, out_dir: str | Path) -> Path:
     path = Path(out_dir) / "events.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(records_to_csv(run.records))
+    with path.open("w") as out:
+        out.writelines(csv_lines(run.records))
     return path
 
 

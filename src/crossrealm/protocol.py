@@ -26,6 +26,7 @@ did not arrive through the front-end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -72,15 +73,19 @@ class TimeoutMode:
 
     @classmethod
     def parse(cls, text: str) -> "TimeoutMode":
-        """Parse the CLI/scenario syntax: none | per-phase:<s> | localized-f:<s>."""
+        """Parse the CLI/scenario syntax: none | per-phase:<s> | localized-f:<s>,
+        where <s> is a positive, finite number of seconds."""
         if text == "none":
             return cls.none()
         for prefix, ctor in (("per-phase:", cls.per_phase), ("localized-f:", cls.localized_f)):
             if text.startswith(prefix):
                 try:
-                    return ctor(float(text[len(prefix):]))
+                    seconds = float(text[len(prefix):])
                 except ValueError:
                     break
+                if not 0 < seconds < math.inf:
+                    raise InvalidInput("timeout seconds must be positive and finite")
+                return ctor(seconds)
         raise InvalidInput(f"bad timeout mode {text!r}")
 
     def encode(self) -> str:

@@ -27,7 +27,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from . import protocol as proto
 from .errors import DisallowedPair, InvalidInput
@@ -226,24 +226,18 @@ class Record(NamedTuple):
     payload_bytes: int | None
     outcome: str
 
-    def to_row(self) -> tuple[str, ...]:
-        return (
-            f"{self.time_s:.9f}",
-            str(self.sequence),
-            self.kind,
-            self.source,
-            self.destination,
-            self.session_id,
-            "" if self.phase_index is None else str(self.phase_index),
-            "" if self.payload_bytes is None else str(self.payload_bytes),
-            self.outcome,
-        )
+
+def csv_lines(records: Iterable[Record]) -> Iterator[str]:
+    """The event log as CSV lines, header first, each ending in a newline;
+    an absent phase index or byte count is an empty field."""
+    yield ",".join(LOG_HEADER) + "\n"
+    for time_s, sequence, kind, source, destination, session_id, phase, size, outcome in records:
+        yield (f"{time_s:.9f},{sequence},{kind},{source},{destination},{session_id},"
+               f"{'' if phase is None else phase},{'' if size is None else size},{outcome}\n")
 
 
 def records_to_csv(records: Iterable[Record]) -> str:
-    lines = [",".join(LOG_HEADER)]
-    lines.extend(",".join(r.to_row()) for r in records)
-    return "\n".join(lines) + "\n"
+    return "".join(csv_lines(records))
 
 
 # -- default registry --------------------------------------------------------------
@@ -315,16 +309,18 @@ class _Engine:
         stalls = {(s.role, s.phase_index): s.extra_delay_s for s in scenario.stalls}
         # Every message of one (phase, kind) takes the same path with the
         # same size, so its timing is computed once, as (network, delivery
-        # offset, stall); a response stall of inf suppresses the response.
-        # The service time rides on the request leg; the response is network-only.
-        self.legs: dict[tuple[int, MessageKind], tuple[float, float, float]] = {}
+        # offset, stall, source name, destination name); a response stall of
+        # inf suppresses the response. The service time rides on the request
+        # leg; the response is network-only. The log lines take the role
+        # names from here.
+        self.legs: dict[tuple[int, MessageKind], tuple[float, float, float, str, str]] = {}
         for spec in self.table:
             src, dst = spec.source.value, spec.destination.value
             self.legs[spec.index, MessageKind.REQUEST] = (*transmit_components(
-                spec.request_bytes, src, dst, self.model, self.topology), 0.0)
+                spec.request_bytes, src, dst, self.model, self.topology), 0.0, src, dst)
             self.legs[spec.index, MessageKind.RESPONSE] = (*transmit_components(
                 spec.response_bytes, dst, src, self.model, self.topology, service_s=0.0),
-                stalls.get((spec.destination, spec.index), 0.0))
+                stalls.get((spec.destination, spec.index), 0.0), dst, src)
         self.sessions: dict[bytes, SessionState] = {}
         self.heap: list = []
         self.records: list[Record] = []
@@ -386,17 +382,17 @@ class _Engine:
         self.log("session-start", source="A", session_id=session_id)
         self._begin_phase(1, session)
 
-    def _on_deliver(self, msg: ProtocolMessage) -> None:
+    def _on_deliver(self, msg: ProtocolMessage, source: str, destination: str) -> None:
         session = self.sessions.get(msg.session_id)
         if session is not None and session.status is not SessionStatus.IN_PROGRESS:
             # Drop absorption: nothing may alter a finished session.
-            self.log("deliver", msg.source.value, msg.destination.value,
+            self.log("deliver", source, destination,
                      msg.session_id, msg.phase_index, msg.payload_bytes,
                      outcome="discarded:session-not-in-progress")
             return
         state = self.roles[msg.destination]
         result = proto.handle_message(state, msg, self.vault, self.table)
-        self.log("deliver", msg.source.value, msg.destination.value,
+        self.log("deliver", source, destination,
                  msg.session_id, msg.phase_index, msg.payload_bytes,
                  outcome=result.outcome)
         if result.discarded:
@@ -455,14 +451,14 @@ class _Engine:
                           session.session_id, index)
 
     def _send(self, msg: ProtocolMessage) -> None:
-        network, offset, stall = self.legs[msg.phase_index, msg.kind]
+        network, offset, stall, source, destination = self.legs[msg.phase_index, msg.kind]
         if stall == math.inf:
             return  # response suppressed outright
         if network > self.max_network_delay:
             self.max_network_delay = network
-        self.log("send", msg.source.value, msg.destination.value,
+        self.log("send", source, destination,
                  msg.session_id, msg.phase_index, msg.payload_bytes)
-        self.schedule(self.now + offset + stall, self._on_deliver, msg)
+        self.schedule(self.now + offset + stall, self._on_deliver, msg, source, destination)
 
     def _complete_phase(self, session: SessionState, final_response: ProtocolMessage) -> None:
         session = proto.advance_phase(session)

@@ -1,9 +1,11 @@
 """Tests for scenario files, metrics aggregation, reports, and checks."""
 
+import gc
 import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from crossrealm import cli, simnet
@@ -17,6 +19,7 @@ from crossrealm.harness import (
     Scenario,
     aggregate,
     check_acceptance,
+    emit_event_log,
     emit_report,
     load_report,
     load_scenario,
@@ -24,11 +27,15 @@ from crossrealm.harness import (
     save_scenario,
     scenario_from_dict,
 )
-from crossrealm.protocol import MessageKind, Role, SessionStatus, TimeoutMode
-from crossrealm.simnet import Stall
+from crossrealm.protocol import PHASE_COUNT, MessageKind, Role, SessionStatus, TimeoutMode
+from crossrealm.simnet import Stall, records_to_csv
 
 SMALL = Scenario(principals=2, sessions_per_principal=2, session_spread_s=5.0,
                  horizon_s=400.0, seed=5)
+# every session falls to the F watchdog, and CloudB's late phase-10 answer
+# is then discarded at the session handler
+STALLED_AT_F = replace(SMALL, timeout_mode=TimeoutMode.localized_f(200), horizon_s=1000.0,
+                       stalls=(Stall(Role.CLOUD_B, 10, 250.0),))
 
 
 def small_report():
@@ -92,6 +99,17 @@ MALFORMED = [
     pytest.param({"topology": {"propagation_delay_s": -1.0}}, "topology",
                  id="topology-negative-delay"),
     ({"principals": 2, "horizon_s": math.inf}, "horizon_s"),  # json reads Infinity
+    pytest.param({"session_spread_s": math.inf}, "session_spread_s",
+                 id="session_spread_s-infinite"),
+    pytest.param({"app_start_offset_s": [5, math.inf]}, "app_start_offset_s",
+                 id="app_start_offset_s-infinite"),
+    pytest.param({"sampling_interval_s": math.inf}, "sampling_interval_s",
+                 id="sampling_interval_s-infinite"),
+    pytest.param({"connection": {"per_phase_service_s": math.inf}}, "connection",
+                 id="connection-infinite"),
+    pytest.param({"topology": {"propagation_delay_s": math.inf}}, "topology",
+                 id="topology-infinite-delay"),
+    pytest.param({"timeout_mode": "per-phase:inf"}, "timeout_mode", id="timeout_mode-infinite"),
 ]
 
 
@@ -103,11 +121,7 @@ def test_malformed_field_named(doc, field):
 
 
 def test_discards_and_violations_reported(tmp_path):
-    # every session falls to the F watchdog, and CloudB's late phase-10
-    # answer is then discarded at the session handler
-    sc = replace(SMALL, timeout_mode=TimeoutMode.localized_f(200), horizon_s=1000.0,
-                 stalls=(Stall(Role.CLOUD_B, 10, 250.0),))
-    report = aggregate(simnet.run(sc), sc)
+    report = aggregate(simnet.run(STALLED_AT_F), STALLED_AT_F)
     assert report.sessions_dropped == report.sessions_started == 4
     tree = report.metric_tree()
     assert tree["discards"] == {"SAC-SH": {"session-not-in-progress": 4}}
@@ -151,6 +165,12 @@ def test_cli_rejects_an_infinite_horizon(tmp_path, capsys):
     path.write_text('{"principals": 2, "horizon_s": Infinity}')
     assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: horizon_s:")
+
+
+def test_cli_rejects_a_bad_timeout_override(tmp_path, capsys):
+    # the --timeout-mode override is held to the rule a scenario's field is
+    assert cli.main(["run", "--timeout-mode", "per-phase:-5", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: timeout seconds must be positive")
 
 
 def test_suppressing_stall_loads():
@@ -230,6 +250,85 @@ def test_active_sessions_timeseries_peaks():
     assert report.active_sessions[0] == 0  # nothing active before the network starts
 
 
+def reference_fold(run, scenario):
+    """The per-record fold aggregate used before it was made allocation-free."""
+    interval = scenario.sampling_interval_s
+    buckets = int(math.floor(run.horizon_s / interval)) + 1
+    sent = np.zeros(buckets)
+    received = np.zeros(buckets)
+    started = 0
+    phase_req_sent = {}
+    phase_durations = {k: [] for k in range(1, PHASE_COUNT + 1)}
+    discards = {}
+    for rec in run.records:
+        b = min(int(rec.time_s / interval), buckets - 1)
+        if rec.kind == "send":
+            sent[b] += rec.payload_bytes * 8.0
+            if rec.phase_index is not None:
+                key = (rec.session_id, rec.phase_index)
+                if key not in phase_req_sent:
+                    phase_req_sent[key] = rec.time_s
+        elif rec.kind == "deliver":
+            if rec.payload_bytes is not None:
+                received[b] += rec.payload_bytes * 8.0
+            if rec.outcome == "phase-complete":
+                t0 = phase_req_sent.get((rec.session_id, rec.phase_index))
+                if t0 is not None:
+                    phase_durations[rec.phase_index].append(rec.time_s - t0)
+            elif rec.outcome.startswith("discarded:"):
+                counts = discards.setdefault(rec.destination, {})
+                why = rec.outcome[len("discarded:"):]
+                counts[why] = counts.get(why, 0) + 1
+        elif rec.kind == "session-start":
+            started += 1
+    return {
+        "traffic_sent_bps": [float(x) for x in sent / interval],
+        "traffic_received_bps": [float(x) for x in received / interval],
+        "per_phase_mean_s": {k: float(np.mean(v)) for k, v in phase_durations.items() if v},
+        "per_phase_count": {k: len(v) for k, v in phase_durations.items()},
+        "discards": discards,
+        "sessions_started": started,
+    }
+
+
+# a per-phase run whose horizon cuts it off with sessions still open
+CUT_OFF = replace(SMALL, principals=6, session_spread_s=100.0, horizon_s=220.0,
+                  timeout_mode=TimeoutMode.per_phase(60), stalls=(Stall(Role.SAC_DB, 5, 90.0),))
+
+
+@pytest.mark.parametrize("scenario", [SMALL, STALLED_AT_F, CUT_OFF],
+                         ids=["small", "stalled-at-f", "cut-off"])
+def test_aggregate_matches_reference_fold(scenario):
+    run = simnet.run(scenario)
+    report = aggregate(run, scenario)
+    expected = reference_fold(run, scenario)
+    assert {name: getattr(report, name) for name in expected} == expected
+    if scenario is CUT_OFF:
+        assert report.horizon_exceeded and report.in_flight_at_horizon > 0
+        assert report.sessions_dropped > 0
+
+
+def test_aggregate_sets_off_no_older_collection():
+    # the fold builds no container per record, so no collection that walks
+    # the finished run's objects can start while it runs
+    scenario = replace(Scenario(), principals=500)
+    run = simnet.run(scenario)
+    started = []
+
+    def note(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(note)
+    try:
+        aggregate(run, scenario)
+    finally:
+        gc.callbacks.remove(note)
+    assert started.count(1) == started.count(2) == 0
+
+
 def test_run_experiment_matches_manual_pipeline():
     direct = run_experiment(SMALL)
     manual = aggregate(simnet.run(SMALL), SMALL)
@@ -278,6 +377,14 @@ def test_re_emitting_is_byte_identical(tmp_path):
     emit_report(report, "csv", tmp_path / "two")
     for name in ("summary.csv", "per_phase.csv", "timeseries.csv"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def test_event_log_file_matches_records_to_csv(tmp_path):
+    run = simnet.run(STALLED_AT_F)
+    blank = {r.kind for r in run.records if r.phase_index is None or r.payload_bytes is None}
+    assert {"app-start", "timer-fire", "session-drop"} <= blank
+    path = emit_event_log(run, tmp_path)
+    assert path.read_bytes() == records_to_csv(run.records).encode()
 
 
 def test_empty_run_emits_headers_only(tmp_path):
