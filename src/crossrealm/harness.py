@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+import sys
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -58,73 +60,54 @@ class Scenario:
     phase_response_bytes: Mapping[int, int] | None = None
 
 
-def _validate(scenario: Scenario) -> Scenario:
-    if scenario.principals < 1:
-        raise ScenarioValidationError("principals", "must be a positive count")
-    spp = scenario.sessions_per_principal
-    if not (spp == "mean2" or (isinstance(spp, int) and spp >= 1)):
-        raise ScenarioValidationError("sessions_per_principal",
-                                      "must be a positive count or 'mean2'")
-    if scenario.network_start_offset_s < 0:
-        raise ScenarioValidationError("network_start_offset_s", "must be non-negative")
-    if scenario.horizon_s <= scenario.network_start_offset_s:
-        raise ScenarioValidationError("horizon_s",
-                                      "must exceed the network start offset")
-    lo, hi = scenario.app_start_offset_s
-    if lo < 0 or hi < lo:
-        raise ScenarioValidationError("app_start_offset_s", "needs 0 <= low <= high")
-    if scenario.session_spread_s < 0:
-        raise ScenarioValidationError("session_spread_s", "must be non-negative")
-    if scenario.sampling_interval_s <= 0:
-        raise ScenarioValidationError("sampling_interval_s", "must be positive")
-    for stall in scenario.stalls:
-        if not 1 <= stall.phase_index <= PHASE_COUNT:
-            raise ScenarioValidationError("stalls", f"phase_index must be 1..{PHASE_COUNT}")
-        if stall.extra_delay_s < 0:
-            raise ScenarioValidationError("stalls", "extra_delay_s must be non-negative")
-    for name in ("phase_request_bytes", "phase_response_bytes"):
-        for index, size in (getattr(scenario, name) or {}).items():
-            if not 1 <= index <= PHASE_COUNT:
-                raise ScenarioValidationError(name, f"phase index must be 1..{PHASE_COUNT}")
-            if size < 0:
-                raise ScenarioValidationError(name, "byte sizes must be non-negative")
-    return scenario
+def _read_json(path: str | Path) -> object:
+    """The JSON document in a file; a blank file reads as an empty object."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text) if text.strip() else {}
+    except ValueError as exc:  # bad syntax, or an integer literal too long to convert
+        where = f"line {exc.lineno}: {exc.msg}" if isinstance(exc, json.JSONDecodeError) else exc
+        raise ScenarioParseError(f"{path}: {where}") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file; an empty document is the default."""
-    text = Path(path).read_text()
-    if not text.strip():
-        return _validate(Scenario())
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(_read_json(path))
 
 
-# -- JSON value decoders: each raises ValueError, TypeError or KeyError on a
-# value of the wrong shape, which scenario_from_dict reports under the field.
+# -- JSON value decoders: each checks its value's shape and range and raises
+# ValueError, TypeError, KeyError or InvalidInput on a bad one, which
+# scenario_from_dict reports under the field.
 
-def _whole(value: object) -> int:
-    """A count: a JSON number with no fractional part (3 or 3.0)."""
+def _at_least(value, low):
+    if low is not None and value < low:
+        raise ValueError(f"must be at least {low}")
+    return value
+
+
+def _whole(value: object, low: int | None = None) -> int:
+    """A count: a JSON number with no fractional part (3 or 3.0), at least low."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{value!r} is not a whole number")
-    return value
+    return _at_least(value, low)
 
 
-def _number(value: object) -> float:
-    """A finite number: JSON's NaN and Infinity are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+def _number(value: object, low: float | None = None) -> float:
+    """A finite number, at least low: JSON's NaN and Infinity are refused, and
+    so is an integer too large for a float."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
         raise ValueError(f"{value!r} is not a finite number")
-    return float(value)
+    return _at_least(float(value), low)
 
 
-def _delay(value: object) -> float:
-    """A stall's extra delay: a finite number, or Infinity to suppress the response."""
-    return math.inf if value == math.inf else _number(value)
+def _positive(value: object) -> float:
+    number = _number(value)
+    if number <= 0:
+        raise ValueError("must be positive")
+    return number
 
 
 def _string(value: object) -> str:
@@ -152,102 +135,99 @@ def _resources(value: object) -> tuple[str, str]:
     return pair
 
 
+def _window(value: object) -> tuple[float, float]:
+    low, high = _pair(value, lambda v: _number(v, 0))
+    if high < low:
+        raise ValueError("needs low <= high")
+    return low, high
+
+
 def _stall(doc: dict) -> Stall:
-    return Stall(role=Role(doc["role"]), phase_index=_whole(doc["phase_index"]),
-                 extra_delay_s=_delay(doc["extra_delay_s"]))
+    """The stall checks its own range; an infinite delay suppresses the response."""
+    role, phase_index, delay = Role(doc["role"]), _whole(doc["phase_index"]), doc["extra_delay_s"]
+    return Stall(role, phase_index, delay if delay == math.inf else _number(delay))
 
 
 def _topology(value: object) -> dict:
     """The topology object decodes to two Scenario fields."""
+    decoders = {"propagation_delay_s": _number,
+                "link_counts": lambda v: {(_string(a), _string(b)): _whole(n) for a, b, n in v}}
     topo = _object(value)
-    unknown = set(topo) - {"propagation_delay_s", "link_counts"}
+    unknown = set(topo) - set(decoders)
     if unknown:
         raise ValueError(f"unknown key {sorted(unknown)[0]!r}")
-    kwargs: dict = {}
-    if "propagation_delay_s" in topo:
-        kwargs["propagation_delay_s"] = _number(topo["propagation_delay_s"])
-    if "link_counts" in topo:
-        kwargs["link_counts"] = {(_string(a), _string(b)): _whole(n)
-                                 for a, b, n in topo["link_counts"]}
+    kwargs = {key: decoders[key](v) for key, v in topo.items()}
     simnet.check_topology(**kwargs)
     return kwargs
 
 
 def _phase_bytes(value: object) -> dict[int, int]:
-    return {int(k): _whole(v) for k, v in _object(value).items()}
+    """Byte sizes keyed by phase index 1..13; a size is timed as a float, so it must fit one."""
+    sizes = {int(k): _whole(v, 0) for k, v in _object(value).items()}
+    for index, size in sizes.items():
+        if not 1 <= index <= PHASE_COUNT:
+            raise ValueError(f"phase index must be 1..{PHASE_COUNT}")
+        _number(size)
+    return sizes
 
 
-# scenario document field -> decoder of its JSON value
-_DECODERS = {
-    "principals": _whole,
-    "sessions_per_principal": lambda v: v if v == "mean2" else _whole(v),
-    "timeout_mode": lambda v: TimeoutMode.parse(_string(v)),
-    "connection": lambda v: ConnectionModel(**{k: _number(x) for k, x in _object(v).items()}),
-    "resources": _resources,
-    "network_start_offset_s": _number,
-    "app_start_offset_s": lambda v: _pair(v, _number),
-    "session_spread_s": _number,
-    "horizon_s": _number,
-    "sampling_interval_s": _number,
-    "seed": _whole,
-    "stalls": lambda v: tuple(_stall(s) for s in v),
-    "topology": _topology,
-    "phase_request_bytes": _phase_bytes,
-    "phase_response_bytes": _phase_bytes,
+def _same(value):
+    return value
+
+
+# scenario document field -> (decoder of its JSON value, encoder of the
+# Scenario field), in the order scenario_to_dict writes them. "topology"
+# decodes to two Scenario fields, so scenario_to_dict encodes it itself.
+_FIELDS = {
+    "principals": (lambda v: _whole(v, 1), _same),
+    "sessions_per_principal": (lambda v: v if v == "mean2" else _whole(v, 1), _same),
+    "timeout_mode": (lambda v: TimeoutMode.parse(_string(v)), TimeoutMode.encode),
+    "connection": (lambda v: ConnectionModel(**{k: _number(x) for k, x in _object(v).items()}),
+                   asdict),
+    "resources": (_resources, list),
+    "network_start_offset_s": (lambda v: _number(v, 0), _same),
+    "app_start_offset_s": (_window, list),
+    "session_spread_s": (lambda v: _number(v, 0), _same),
+    "horizon_s": (_number, _same),
+    "sampling_interval_s": (_positive, _same),
+    "seed": (_whole, _same),
+    "stalls": (lambda v: tuple(_stall(s) for s in v),
+               lambda stalls: [{**asdict(s), "role": s.role.value} for s in stalls]),
+    "phase_request_bytes": (_phase_bytes, lambda sizes: {
+        str(s.index): s.request_bytes for s in protocol_table(sizes)}),
+    "phase_response_bytes": (_phase_bytes, lambda sizes: {
+        str(s.index): s.response_bytes for s in protocol_table(None, sizes)}),
+    "topology": (_topology, None),
 }
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
-    unknown = set(doc) - set(_DECODERS)
+    unknown = set(doc) - set(_FIELDS)
     if unknown:
         raise ScenarioValidationError(sorted(unknown)[0], "unknown field")
     kwargs: dict = {}
     for name, value in doc.items():
         try:
-            decoded = _DECODERS[name](value)
+            decoded = _FIELDS[name][0](value)
         except (ValueError, TypeError, KeyError, InvalidInput) as exc:
             detail = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
             raise ScenarioValidationError(name, detail) from exc
-        if name == "topology":
-            kwargs.update(decoded)
-        else:
-            kwargs[name] = decoded
-    return _validate(Scenario(**kwargs))
+        kwargs.update(decoded if name == "topology" else {name: decoded})
+    scenario = Scenario(**kwargs)
+    if scenario.horizon_s <= scenario.network_start_offset_s:
+        raise ScenarioValidationError("horizon_s", "must exceed the network start offset")
+    return scenario
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Full explicit form, including the per-phase byte assignment."""
-    table = protocol_table(scenario.phase_request_bytes, scenario.phase_response_bytes)
-    doc = {
-        "principals": scenario.principals,
-        "sessions_per_principal": scenario.sessions_per_principal,
-        "timeout_mode": scenario.timeout_mode.encode(),
-        "connection": {
-            "handshake_rtts": scenario.connection.handshake_rtts,
-            "per_phase_service_s": scenario.connection.per_phase_service_s,
-            "rtt_base_s": scenario.connection.rtt_base_s,
-        },
-        "resources": list(scenario.resources),
-        "network_start_offset_s": scenario.network_start_offset_s,
-        "app_start_offset_s": list(scenario.app_start_offset_s),
-        "session_spread_s": scenario.session_spread_s,
-        "horizon_s": scenario.horizon_s,
-        "sampling_interval_s": scenario.sampling_interval_s,
-        "seed": scenario.seed,
-        "stalls": [
-            {"role": s.role.value, "phase_index": s.phase_index,
-             "extra_delay_s": s.extra_delay_s}
-            for s in scenario.stalls
-        ],
-        "phase_request_bytes": {str(s.index): s.request_bytes for s in table},
-        "phase_response_bytes": {str(s.index): s.response_bytes for s in table},
-    }
-    topo: dict = {"propagation_delay_s": scenario.propagation_delay_s}
+    doc = {name: encode(getattr(scenario, name))
+           for name, (_, encode) in _FIELDS.items() if encode is not None}
+    doc["topology"] = {"propagation_delay_s": scenario.propagation_delay_s}
     if scenario.link_counts:
-        topo["link_counts"] = [[a, b, n] for (a, b), n in scenario.link_counts.items()]
-    doc["topology"] = topo
+        doc["topology"]["link_counts"] = [[a, b, n] for (a, b), n in scenario.link_counts.items()]
     return doc
 
 
@@ -368,10 +348,7 @@ def aggregate(run: SimRun, scenario: Scenario) -> MetricsReport:
 
     completed = run.completed()
     dropped = run.dropped()
-    reasons: dict[str, int] = {}
-    for s in dropped:
-        key = str(s.drop_reason)
-        reasons[key] = reasons.get(key, 0) + 1
+    reasons = dict(Counter(str(s.drop_reason) for s in dropped))
 
     durations = np.array([s.ended_at - s.started_at for s in completed])
     if durations.size:
@@ -606,10 +583,7 @@ def check_acceptance(report: MetricsReport | dict, expectations: list[dict]) -> 
 
 
 def load_expectations(path: str | Path) -> list[dict]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("expectations"), list):
         raise ScenarioParseError(f"{path}: expected an object with an 'expectations' list")
     return doc["expectations"]

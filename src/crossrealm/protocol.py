@@ -46,10 +46,15 @@ class Role(Enum):
     CLOUD_A = "CloudA"
     CLOUD_B = "CloudB"
 
+    # members are singletons; the engine's per-message dict lookups skip Enum's hash
+    __hash__ = object.__hash__
+
 
 class MessageKind(Enum):
     REQUEST = "request"
     RESPONSE = "response"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -435,7 +440,6 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
     changes = {name: fields[name] for name in spec.carries}
     changes["expect"] = None
     outcome = "ok"
-    reply_fields = {"ack": True}
 
     if spec.index == 5:  # credential db verifies the pair and the requester's place in it
         idr, ids = fields["idr"], fields["ids"]
@@ -451,7 +455,6 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         granted = grant_access(view, msg.source, fields["requester_key"], resource)
         changes.update(granted=granted, grants=slot.grants + ((resource,) if granted else ()))
         outcome = "granted" if granted else "refused"
-        reply_fields = {"ack": True, "granted": granted}
     elif spec.index in (9, 11):  # session handler collects a grant
         changes["grants"] = slot.grants + (fields["resource"],)
     slot = _copy_with(slot, **changes)
@@ -464,7 +467,7 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         kind=MessageKind.RESPONSE,
         source=spec.destination,
         destination=spec.source,
-        payload_fields=reply_fields,
+        payload_fields={},
         payload_bytes=spec.response_bytes,
     )
     return HandleResult(slot, (reply,), outcome)

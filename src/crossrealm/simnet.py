@@ -197,12 +197,16 @@ class Stall:
     phase_index: int
     extra_delay_s: float
 
+    def __post_init__(self):
+        if not 1 <= self.phase_index <= proto.PHASE_COUNT:
+            raise InvalidInput(f"phase_index must be 1..{proto.PHASE_COUNT}")
+        if not self.extra_delay_s >= 0:  # NaN fails too
+            raise InvalidInput("extra_delay_s must be non-negative")
+
 
 def inject_stall(scenario: "Scenario", role: Role, phase_index: int,
                  extra_delay_s: float) -> "Scenario":
     """A copy of the scenario with one more injected response stall."""
-    if not 1 <= phase_index <= proto.PHASE_COUNT:
-        raise InvalidInput(f"phase_index must be 1..{proto.PHASE_COUNT}")
     stall = Stall(role=role, phase_index=phase_index, extra_delay_s=extra_delay_s)
     return replace(scenario, stalls=scenario.stalls + (stall,))
 

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossrealm import cli, simnet
 from crossrealm.errors import (
@@ -26,6 +28,7 @@ from crossrealm.harness import (
     run_experiment,
     save_scenario,
     scenario_from_dict,
+    scenario_to_dict,
 )
 from crossrealm.protocol import PHASE_COUNT, MessageKind, Role, SessionStatus, TimeoutMode
 from crossrealm.simnet import Stall, records_to_csv
@@ -110,6 +113,18 @@ MALFORMED = [
     pytest.param({"topology": {"propagation_delay_s": math.inf}}, "topology",
                  id="topology-infinite-delay"),
     pytest.param({"timeout_mode": "per-phase:inf"}, "timeout_mode", id="timeout_mode-infinite"),
+    # an integer beyond a float's range: JSON reads 1 followed by 400 zeros as 10**400
+    pytest.param({"principals": 2, "horizon_s": 10**400}, "horizon_s", id="horizon_s-huge"),
+    pytest.param({"session_spread_s": 10**400}, "session_spread_s", id="session_spread_s-huge"),
+    pytest.param({"app_start_offset_s": [5, 10**400]}, "app_start_offset_s",
+                 id="app_start_offset_s-huge"),
+    pytest.param({"connection": {"rtt_base_s": 10**400}}, "connection", id="connection-huge"),
+    pytest.param({"topology": {"propagation_delay_s": 10**400}}, "topology",
+                 id="topology-huge-delay"),
+    pytest.param({"stalls": [{"role": "CloudB", "phase_index": 10, "extra_delay_s": 10**400}]},
+                 "stalls", id="stalls-huge-delay"),
+    pytest.param({"phase_request_bytes": {"1": 10**400}}, "phase_request_bytes",
+                 id="phase_request_bytes-huge"),
 ]
 
 
@@ -167,6 +182,23 @@ def test_cli_rejects_an_infinite_horizon(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: horizon_s:")
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_a_huge_integer(tmp_path, capsys, command):
+    path = tmp_path / "huge.json"
+    path.write_text('{"principals": 2, "horizon_s": 1' + "0" * 400 + "}")
+    out = ["--out", str(tmp_path)] if command == "run" else []
+    assert cli.main([command, "--scenario", str(path), *out]) == 1
+    assert capsys.readouterr().err.startswith("error: horizon_s:")
+
+
+def test_cli_rejects_an_integer_too_long_to_read(tmp_path, capsys):
+    # json refuses to convert an integer literal of more than 4300 digits
+    path = tmp_path / "long.json"
+    path.write_text('{"seed": ' + "7" * 5000 + "}")
+    assert cli.main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_cli_rejects_a_bad_timeout_override(tmp_path, capsys):
     # the --timeout-mode override is held to the rule a scenario's field is
     assert cli.main(["run", "--timeout-mode", "per-phase:-5", "--out", str(tmp_path)]) == 1
@@ -200,6 +232,52 @@ def test_timeout_mode_round_trips_through_save_load(tmp_path):
     path2 = tmp_path / "again.json"
     save_scenario(loaded, path2)
     assert path.read_text().replace(str(path), "") == path2.read_text().replace(str(path2), "")
+
+
+def test_default_scenario_saves_as_the_shipped_file(tmp_path):
+    from pathlib import Path
+    shipped = Path(__file__).parent.parent / "scenarios" / "default.json"
+    save_scenario(Scenario(), tmp_path / "default.json")
+    assert (tmp_path / "default.json").read_text() == shipped.read_text()
+    doc = scenario_to_dict(load_scenario(shipped))
+    assert json.dumps(doc) == json.dumps(scenario_to_dict(Scenario()))
+    assert scenario_to_dict(scenario_from_dict(doc)) == doc
+
+
+# fuzzed documents: keys from the document fields and a few unknown names, values
+# arbitrary JSON whose objects use the keys of the nested objects too
+FIELDS = list(scenario_to_dict(Scenario()))
+KEYS = FIELDS + ["role", "phase_index", "extra_delay_s", "handshake_rtts", "rtt_base_s",
+                 "per_phase_service_s", "propagation_delay_s", "link_counts", "1", "13", "14"]
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.just(10**400)
+    | st.sampled_from(["mean2", "none", "per-phase:60", "localized-f:nan", "CloudB", "A", "SW1"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(KEYS), inner,
+                                                                max_size=3),
+    max_leaves=8)
+# in-range numbers and pairs of them, so that many documents load
+NUMBERS = st.integers(0, 10**6) | st.floats(0, 1e6)
+
+
+@st.composite
+def documents(draw):
+    # start from nothing or from the full default document, then overwrite a few keys
+    doc = dict(draw(st.sampled_from([{}, scenario_to_dict(Scenario())])))
+    for name in draw(st.lists(st.sampled_from(FIELDS + ["participants", "bogus"]), max_size=2)):
+        doc[name] = draw(JSON | NUMBERS | st.lists(NUMBERS, min_size=2, max_size=2))
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(documents())
+def test_fuzzed_document_fails_cleanly_or_encodes_stably(doc):
+    try:
+        scenario = scenario_from_dict(doc)
+    except (ScenarioValidationError, ScenarioParseError):
+        return
+    encoded = scenario_to_dict(scenario)
+    assert scenario_to_dict(scenario_from_dict(encoded)) == encoded
 
 
 def test_shipped_default_scenario_matches_defaults():

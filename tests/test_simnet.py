@@ -20,6 +20,7 @@ from crossrealm.protocol import (
 )
 from crossrealm.simnet import (
     ConnectionModel,
+    Stall,
     build_default_topology,
     inject_stall,
     records_to_csv,
@@ -251,6 +252,13 @@ def test_app_start_draw_window():
 def test_inject_stall_validates_phase():
     with pytest.raises(InvalidInput):
         inject_stall(SMALL, Role.SAC_DB, 14, 1.0)
+
+
+@pytest.mark.parametrize("phase_index, extra_delay_s", [(0, 1.0), (14, 1.0), (5, -1.0),
+                                                        (5, math.nan)])
+def test_stall_checks_its_own_range(phase_index, extra_delay_s):
+    with pytest.raises(InvalidInput):
+        Stall(Role.SAC_DB, phase_index, extra_delay_s)
 
 
 def test_stall_below_timeout_inflates_end_to_end():
