@@ -201,6 +201,10 @@ _FIELDS = {
 }
 
 
+# aggregate keeps horizon_s / sampling_interval_s traffic buckets per series
+MAX_BUCKETS = 10**6
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
@@ -218,6 +222,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     scenario = Scenario(**kwargs)
     if scenario.horizon_s <= scenario.network_start_offset_s:
         raise ScenarioValidationError("horizon_s", "must exceed the network start offset")
+    if scenario.horizon_s / scenario.sampling_interval_s > MAX_BUCKETS:
+        raise ScenarioValidationError(
+            "sampling_interval_s", f"must split the horizon into at most {MAX_BUCKETS} buckets")
     return scenario
 
 

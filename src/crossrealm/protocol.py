@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import keys as keylib
 from .errors import InvalidInput, RoleMismatch
@@ -164,8 +165,7 @@ def phase_spec(index: int) -> PhaseSpec:
     return _DEFAULT_TABLE[index - 1]
 
 
-@dataclass(frozen=True)
-class ProtocolMessage:
+class ProtocolMessage(NamedTuple):
     session_id: bytes
     phase_index: int
     kind: MessageKind
@@ -173,6 +173,10 @@ class ProtocolMessage:
     destination: Role
     payload_fields: Mapping[str, object]
     payload_bytes: int
+
+
+# the payload of every response: a bare acknowledgment carries no fields
+_NO_PAYLOAD: Mapping[str, object] = MappingProxyType({})
 
 
 # -- session bookkeeping ------------------------------------------------------
@@ -339,9 +343,15 @@ def _next_request(role: Role, after: int) -> int | None:
 # the source of phase 1, opens the session itself.
 _FIRST_CONTACT = {role: _next_request(role, 0) for role in Role}
 
+# (role, phase) -> what the role expects once that phase's response reached
+# it: the request of its next turn as destination, or None (begin_phase arms it)
+_NEXT_EXPECT = {
+    (role, spec.index): None if following is None else (following, MessageKind.REQUEST)
+    for role in Role for spec in _DEFAULT_TABLE
+    for following in (_next_request(role, spec.index),)}
 
-@dataclass(frozen=True)
-class HandleResult:
+
+class HandleResult(NamedTuple):
     slot: SessionSlot | None  # the session's new slot at the role; None on a discard
     outgoing: tuple[ProtocolMessage, ...]
     outcome: str  # "ok", "phase-complete", "granted", ... or "discarded:<why>"
@@ -351,8 +361,7 @@ class HandleResult:
         return self.outcome.startswith("discarded:")
 
 
-@dataclass(frozen=True)
-class BeginResult:
+class BeginResult(NamedTuple):
     slot: SessionSlot | None  # the initiator's new slot; None when nothing is sent
     outgoing: tuple[ProtocolMessage, ...]
     drop_reason: DropReason | None = None
@@ -409,9 +418,7 @@ def _handle_response(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage) ->
         return _discard("unknown-session")
     if slot.expect != (spec.index, MessageKind.RESPONSE):
         return _discard("out-of-order")
-    following = _next_request(state.role, spec.index)
-    slot = _copy_with(slot,
-                      expect=None if following is None else (following, MessageKind.REQUEST))
+    slot = _copy_with(slot, expect=_NEXT_EXPECT[state.role, spec.index])
     return HandleResult(slot, (), "phase-complete")
 
 
@@ -461,15 +468,8 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
     if spec.index in (5, 6):  # both ends of the verification report its verdict
         outcome = "valid" if slot.verdict else "invalid"
 
-    reply = ProtocolMessage(
-        session_id=msg.session_id,
-        phase_index=spec.index,
-        kind=MessageKind.RESPONSE,
-        source=spec.destination,
-        destination=spec.source,
-        payload_fields={},
-        payload_bytes=spec.response_bytes,
-    )
+    reply = ProtocolMessage(msg.session_id, spec.index, MessageKind.RESPONSE, spec.destination,
+                            spec.source, _NO_PAYLOAD, spec.response_bytes)
     return HandleResult(slot, (reply,), outcome)
 
 
@@ -496,7 +496,7 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
                            idr=session.requester.idr, ids=session.requester.ids)
     elif spec.index == 7:  # the authority mints the key set, or drops the session
         if not slot.verdict:
-            return BeginResult(None, (), drop_reason=DropReason("invalid-credentials"))
+            return BeginResult(None, (), DropReason("invalid-credentials"))
         minted = keylib.mint_session_keys(sid, [slot.realm], vault)
         changes.update(keyset=minted, requester_key=minted.keys[slot.realm[0]])
     elif spec.index in (8, 10):  # the handler asks each cloud for the resource it hosts
@@ -508,12 +508,6 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
 
     slot = _copy_with(slot, **changes)
     request = ProtocolMessage(
-        session_id=sid,
-        phase_index=spec.index,
-        kind=MessageKind.REQUEST,
-        source=spec.source,
-        destination=spec.destination,
-        payload_fields={**{name: getattr(slot, name) for name in spec.carries}, **extra},
-        payload_bytes=spec.request_bytes,
-    )
-    return BeginResult(slot, (request,), minted=minted)
+        sid, spec.index, MessageKind.REQUEST, spec.source, spec.destination,
+        {**{name: getattr(slot, name) for name in spec.carries}, **extra}, spec.request_bytes)
+    return BeginResult(slot, (request,), None, minted)

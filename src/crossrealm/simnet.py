@@ -326,6 +326,9 @@ class _Engine:
                 spec.response_bytes, dst, src, self.model, self.topology, service_s=0.0),
                 stalls.get((spec.destination, spec.index), 0.0), dst, src)
         self.sessions: dict[bytes, SessionState] = {}
+        # each session id's hex string, made once when it is drawn: all the
+        # log records of a session share the one string object
+        self.id_text: dict[bytes, str] = {}
         self.heap: list = []
         self.records: list[Record] = []
         self.now = 0.0
@@ -345,7 +348,7 @@ class _Engine:
             payload_bytes: int | None = None, outcome: str = "ok") -> None:
         self.records.append(Record(
             self.now, len(self.records), kind, source, destination,
-            session_id.hex() if session_id else "", phase_index, payload_bytes, outcome))
+            self.id_text[session_id] if session_id else "", phase_index, payload_bytes, outcome))
 
     def setup(self) -> None:
         sc = self.scenario
@@ -360,6 +363,7 @@ class _Engine:
             for _ in range(count):
                 start = profile_start + self.rng.uniform(0.0, sc.session_spread_s)
                 sid = self.rng.getrandbits(128).to_bytes(16, "big")
+                self.id_text[sid] = sid.hex()
                 self.schedule(start, self._on_session_start, sid, p)
 
     def loop(self) -> None:

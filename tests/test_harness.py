@@ -17,6 +17,7 @@ from crossrealm.errors import (
     UnknownMetric,
 )
 from crossrealm.harness import (
+    MAX_BUCKETS,
     MetricsReport,
     Scenario,
     aggregate,
@@ -125,6 +126,11 @@ MALFORMED = [
                  "stalls", id="stalls-huge-delay"),
     pytest.param({"phase_request_bytes": {"1": 10**400}}, "phase_request_bytes",
                  id="phase_request_bytes-huge"),
+    # aggregate would allocate horizon_s / sampling_interval_s buckets per series
+    pytest.param({"principals": 1, "sampling_interval_s": 1e-300}, "sampling_interval_s",
+                 id="sampling_interval_s-tiny"),
+    pytest.param({"principals": 1, "sampling_interval_s": 1e-4}, "sampling_interval_s",
+                 id="sampling_interval_s-millions-of-buckets"),
 ]
 
 
@@ -133,6 +139,11 @@ def test_malformed_field_named(doc, field):
     with pytest.raises(ScenarioValidationError) as err:
         scenario_from_dict(doc)
     assert err.value.field == field
+
+
+def test_bucket_limit_admits_its_own_count():
+    scenario = scenario_from_dict({"horizon_s": 1000.0, "sampling_interval_s": 1e-3})
+    assert scenario.horizon_s / scenario.sampling_interval_s == MAX_BUCKETS
 
 
 def test_discards_and_violations_reported(tmp_path):

@@ -9,6 +9,8 @@ from crossrealm import protocol as proto
 from crossrealm import simnet
 from crossrealm.harness import Scenario
 from crossrealm.protocol import (
+    BeginResult,
+    HandleResult,
     MessageKind,
     ProtocolMessage,
     Requester,
@@ -393,3 +395,42 @@ def test_carried_names_are_slot_fields():
     slot_fields = {f.name for f in fields(SessionSlot)}
     for *_, carries in proto._TABLE:
         assert set(carries) <= slot_fields
+
+
+# -- value types ------------------------------------------------------------------
+
+def _values():
+    msg = ProtocolMessage(b"\x01" * 16, 3, MessageKind.REQUEST, Role.A, Role.F, {}, 4096)
+    return [msg, HandleResult(None, (msg,), "ok"), BeginResult(None, (msg,))]
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_value_types_refuse_assignment(value):
+    for name in type(value).__annotations__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_keyword_construction_equals_positional():
+    sid = b"\x02" * 16
+    assert ProtocolMessage(
+        session_id=sid, phase_index=5, kind=MessageKind.RESPONSE, source=Role.SAC_DB,
+        destination=Role.SAC, payload_fields={}, payload_bytes=1024,
+    ) == ProtocolMessage(sid, 5, MessageKind.RESPONSE, Role.SAC_DB, Role.SAC, {}, 1024)
+    assert HandleResult(slot=None, outgoing=(), outcome="ok") == HandleResult(None, (), "ok")
+    reason = proto.DropReason("invalid-credentials")
+    assert BeginResult(slot=None, outgoing=(), drop_reason=reason) == BeginResult(None, (), reason)
+    assert BeginResult(None, ()) == BeginResult(None, (), None, None)
+
+
+def test_discarded_property():
+    assert HandleResult(None, (), "discarded:out-of-order").discarded
+    assert not HandleResult(SessionSlot(), (), "phase-complete").discarded
+
+
+def test_next_expectation_table_matches_the_walk():
+    for role in Role:
+        for phase in range(1, proto.PHASE_COUNT + 1):
+            following = proto._next_request(role, phase)
+            expect = None if following is None else (following, MessageKind.REQUEST)
+            assert proto._NEXT_EXPECT[role, phase] == expect

@@ -382,3 +382,18 @@ def test_gc_reenabled_when_a_handler_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="handler failed"):
         simnet.run(SMALL)
     assert gc.isenabled()
+
+
+# -- event log memory ----------------------------------------------------------------
+
+def test_records_of_a_session_share_one_id_string():
+    sc = replace(SMALL, principals=3, sessions_per_principal=2)
+    run = simnet.run(sc)
+    by_session: dict[str, set[int]] = {}
+    for record in run.records:
+        if record.session_id:
+            by_session.setdefault(record.session_id, set()).add(id(record.session_id))
+    assert set(by_session) == {sid.hex() for sid in run.sessions}
+    assert all(len(ids) == 1 for ids in by_session.values())
+    # the one extra string is the empty id of the app-start records
+    assert len({id(record.session_id) for record in run.records}) <= len(run.sessions) + 1
