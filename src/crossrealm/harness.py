@@ -36,11 +36,16 @@ from .protocol import PHASE_COUNT, Role, TimeoutMode, protocol_table
 from .simnet import ConnectionModel, SimRun, Stall, csv_lines
 
 DEFAULT_SEED = 7
+# aggregate keeps horizon_s / sampling_interval_s traffic buckets per series
+MAX_BUCKETS = 10**6
+# the most sessions a scenario may draw; each costs about 20 KB of peak memory
+MAX_SESSIONS = 10**5
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One experiment configuration; defaults are the full-scale setup."""
+    """One experiment configuration; defaults are the full-scale setup. The rules
+    that span fields are checked on construction, however a scenario is built."""
 
     principals: int = 1000
     sessions_per_principal: int | str = "mean2"  # "mean2" = seeded draw from {1,2,3}
@@ -59,15 +64,29 @@ class Scenario:
     phase_request_bytes: Mapping[int, int] | None = None
     phase_response_bytes: Mapping[int, int] | None = None
 
+    def __post_init__(self):
+        if self.horizon_s <= self.network_start_offset_s:
+            raise ScenarioValidationError("horizon_s", "must exceed the network start offset")
+        # multiplied, not divided, so that an interval of 0 fails here too
+        if not self.horizon_s <= self.sampling_interval_s * MAX_BUCKETS:
+            raise ScenarioValidationError(
+                "sampling_interval_s", f"must split the horizon into at most {MAX_BUCKETS} buckets")
+        most = 3 if self.sessions_per_principal == "mean2" else self.sessions_per_principal
+        if self.principals * most > MAX_SESSIONS:
+            raise ScenarioValidationError("principals", f"may draw {MAX_SESSIONS} sessions at most")
 
-def _read_json(path: str | Path) -> object:
-    """The JSON document in a file; a blank file reads as an empty object."""
+
+def _read_json(path: str | Path) -> dict:
+    """The JSON object in a file; a blank file reads as an empty object."""
     text = Path(path).read_text()
     try:
-        return json.loads(text) if text.strip() else {}
+        doc = json.loads(text) if text.strip() else {}
     except ValueError as exc:  # bad syntax, or an integer literal too long to convert
         where = f"line {exc.lineno}: {exc.msg}" if isinstance(exc, json.JSONDecodeError) else exc
         raise ScenarioParseError(f"{path}: {where}") from exc
+    if not isinstance(doc, dict):
+        raise ScenarioParseError(f"{path}: expected a JSON object")
+    return doc
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -201,10 +220,6 @@ _FIELDS = {
 }
 
 
-# aggregate keeps horizon_s / sampling_interval_s traffic buckets per series
-MAX_BUCKETS = 10**6
-
-
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
@@ -219,13 +234,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             detail = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
             raise ScenarioValidationError(name, detail) from exc
         kwargs.update(decoded if name == "topology" else {name: decoded})
-    scenario = Scenario(**kwargs)
-    if scenario.horizon_s <= scenario.network_start_offset_s:
-        raise ScenarioValidationError("horizon_s", "must exceed the network start offset")
-    if scenario.horizon_s / scenario.sampling_interval_s > MAX_BUCKETS:
-        raise ScenarioValidationError(
-            "sampling_interval_s", f"must split the horizon into at most {MAX_BUCKETS} buckets")
-    return scenario
+    return Scenario(**kwargs)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -329,7 +338,7 @@ def aggregate(run: SimRun, scenario: Scenario) -> MetricsReport:
     phase_durations: dict[int, list[float]] = {k: [] for k in range(1, PHASE_COUNT + 1)}
     discarded: dict[str, dict[str, int]] = {}  # receiving role -> outcome -> deliveries
 
-    for time_s, _, kind, _, destination, session_id, phase, size, outcome in run.records:
+    for time_s, kind, _, destination, session_id, phase, size, outcome in run.records:
         b = int(time_s / interval)
         if b > last:
             b = last
@@ -482,34 +491,47 @@ def emit_event_log(run: SimRun, out_dir: str | Path) -> Path:
     return path
 
 
+def _read_table(path: Path, *columns) -> list[tuple]:
+    """The data rows of a CSV table, each field read by its column's function;
+    a row that does not fit raises ScenarioParseError naming the file and line."""
+    rows = []
+    for lineno, line in enumerate(path.read_text().splitlines()[1:], start=2):
+        fields = line.split(",")
+        try:
+            if len(fields) != len(columns):
+                raise ValueError(f"expected {len(columns)} fields, found {len(fields)}")
+            rows.append(tuple(read(field) for read, field in zip(columns, fields)))
+        except ValueError as exc:
+            raise ScenarioParseError(f"{path}: line {lineno}: {exc}") from exc
+    return rows
+
+
+def _summary_value(raw: str) -> object:
+    if raw == "":
+        return None
+    if raw in ("true", "false"):
+        return raw == "true"
+    return float(raw) if ("." in raw or "e" in raw or "inf" in raw) else int(raw)
+
+
 def load_report(report_dir: str | Path) -> dict:
     """Reload an emitted report (either format) as a metric tree."""
     d = Path(report_dir)
     if (d / "summary.json").exists():
-        tree = json.loads((d / "summary.json").read_text())
-        tree["per_phase_s"] = json.loads((d / "per_phase.json").read_text())
+        tree = _read_json(d / "summary.json")
+        tree["per_phase_s"] = _read_json(d / "per_phase.json")
         return tree
     if not (d / "summary.csv").exists():
         raise ScenarioParseError(f"no summary.json or summary.csv under {d}")
     tree: dict = {}
-    for line in (d / "summary.csv").read_text().splitlines()[1:]:
-        name, _, raw = line.partition(",")
+    for name, value in _read_table(d / "summary.csv", str, _summary_value):
         node = tree
         parts = name.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
-        if raw == "":
-            value: object = None
-        elif raw in ("true", "false"):
-            value = raw == "true"
-        else:
-            value = float(raw) if ("." in raw or "e" in raw or "inf" in raw) else int(raw)
         node[parts[-1]] = value
-    per_phase: dict = {}
-    for line in (d / "per_phase.csv").read_text().splitlines()[1:]:
-        k, mean, count = line.split(",")
-        per_phase[k] = {"mean": float(mean) if mean else None, "count": int(count)}
-    tree["per_phase_s"] = per_phase
+    phases = _read_table(d / "per_phase.csv", str, lambda v: float(v) if v else None, int)
+    tree["per_phase_s"] = {k: {"mean": mean, "count": count} for k, mean, count in phases}
     return tree
 
 
@@ -591,6 +613,6 @@ def check_acceptance(report: MetricsReport | dict, expectations: list[dict]) -> 
 
 def load_expectations(path: str | Path) -> list[dict]:
     doc = _read_json(path)
-    if not isinstance(doc, dict) or not isinstance(doc.get("expectations"), list):
+    if not isinstance(doc.get("expectations"), list):
         raise ScenarioParseError(f"{path}: expected an object with an 'expectations' list")
     return doc["expectations"]

@@ -12,11 +12,12 @@ leaking activity into later phases.
 
 State machines are pure: handle_message and begin_phase read a role
 state and return the one new slot of the session they touched, together
-with any outgoing messages. Each role's slot table (RoleState.sessions)
-is owned by the driving loop, which stores the returned slot in place,
-so a transition costs the same however many sessions a role holds. A
-single session must be driven by one logical event stream while distinct
-sessions can proceed concurrently against a shared read-only vault.
+with the one message the role sends, if any. Each role's slot table
+(RoleState.sessions) is owned by the driving loop, which stores the
+returned slot in place, so a transition costs the same however many
+sessions a role holds. A single session must be driven by one logical
+event stream while distinct sessions can proceed concurrently against a
+shared read-only vault.
 
 Messages that do not fit the expected (phase, kind) for their session
 are discarded and counted, never buffered. The session authority
@@ -207,8 +208,7 @@ class Requester:
     ids: KeyPart
 
 
-@dataclass(frozen=True)
-class SessionState:
+class SessionState(NamedTuple):
     """Progress of one session through the phase sequence."""
 
     session_id: bytes
@@ -223,25 +223,6 @@ class SessionState:
     ended_at: float | None = None
 
 
-def _copy_with(obj, **changes):
-    """A copy of a SessionSlot or SessionState with the given fields changed.
-
-    The same result as dataclasses.replace at a fraction of its cost: the
-    new instance takes the old one's attributes and the changes, and no
-    __init__ runs, which is safe because neither class has __post_init__
-    or an init=False field. A name that is not a field raises TypeError.
-    """
-    cls = type(obj)
-    new = object.__new__(cls)
-    attrs = new.__dict__
-    attrs.update(obj.__dict__)
-    attrs.update(changes)
-    if len(attrs) != len(cls.__dataclass_fields__):
-        unknown = sorted(changes.keys() - cls.__dataclass_fields__.keys())
-        raise TypeError(f"{cls.__name__} has no field {unknown[0]!r}")
-    return new
-
-
 def advance_phase(session: SessionState) -> SessionState:
     """Complete phase current_phase + 1 on arrival of its final response.
 
@@ -253,8 +234,8 @@ def advance_phase(session: SessionState) -> SessionState:
         return session
     done = session.current_phase + 1
     if done == PHASE_COUNT:
-        return _copy_with(session, current_phase=done, status=SessionStatus.COMPLETED)
-    return _copy_with(session, current_phase=done)
+        return session._replace(current_phase=done, status=SessionStatus.COMPLETED)
+    return session._replace(current_phase=done)
 
 
 def on_timeout(session: SessionState, phase_index: int) -> SessionState:
@@ -264,8 +245,8 @@ def on_timeout(session: SessionState, phase_index: int) -> SessionState:
     """
     if session.status is not SessionStatus.IN_PROGRESS:
         return session
-    return _copy_with(session, status=SessionStatus.DROPPED,
-                      drop_reason=DropReason("phase-timeout", phase_index))
+    return session._replace(status=SessionStatus.DROPPED,
+                            drop_reason=DropReason("phase-timeout", phase_index))
 
 
 def localized_timeout_at_f(session: SessionState) -> SessionState:
@@ -277,14 +258,13 @@ def localized_timeout_at_f(session: SessionState) -> SessionState:
     """
     if session.status is not SessionStatus.IN_PROGRESS:
         return session
-    return _copy_with(session, status=SessionStatus.DROPPED,
-                      drop_reason=DropReason("localized-timeout"))
+    return session._replace(status=SessionStatus.DROPPED,
+                            drop_reason=DropReason("localized-timeout"))
 
 
 # -- role state ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SessionSlot:
+class SessionSlot(NamedTuple):
     """What one role remembers about one session."""
 
     expect: tuple[int, MessageKind] | None = None
@@ -297,8 +277,7 @@ class SessionSlot:
     realm: tuple[str, str, str] | None = None  # (tenant, cloud, subdomain)
     keyset: SessionKeySet | None = None
     requester_key: HierarchicalKey | None = None
-    grants: tuple[str, ...] = ()
-    granted: bool | None = None
+    grants: tuple[str, ...] = ()  # a cloud's own grant; the grants the handler collected
 
 
 @dataclass
@@ -353,7 +332,7 @@ _NEXT_EXPECT = {
 
 class HandleResult(NamedTuple):
     slot: SessionSlot | None  # the session's new slot at the role; None on a discard
-    outgoing: tuple[ProtocolMessage, ...]
+    outgoing: ProtocolMessage | None  # the phase's final response to a request
     outcome: str  # "ok", "phase-complete", "granted", ... or "discarded:<why>"
 
     @property
@@ -363,7 +342,7 @@ class HandleResult(NamedTuple):
 
 class BeginResult(NamedTuple):
     slot: SessionSlot | None  # the initiator's new slot; None when nothing is sent
-    outgoing: tuple[ProtocolMessage, ...]
+    outgoing: ProtocolMessage | None  # the phase request; None when nothing is sent
     drop_reason: DropReason | None = None
     minted: SessionKeySet | None = None
 
@@ -391,7 +370,7 @@ def grant_access(cloud_state: RoleState, presenter: Role, idsess_key: Hierarchic
 
 
 def _discard(why: str) -> HandleResult:
-    return HandleResult(None, (), f"discarded:{why}")
+    return HandleResult(None, None, f"discarded:{why}")
 
 
 def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault,
@@ -418,8 +397,8 @@ def _handle_response(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage) ->
         return _discard("unknown-session")
     if slot.expect != (spec.index, MessageKind.RESPONSE):
         return _discard("out-of-order")
-    slot = _copy_with(slot, expect=_NEXT_EXPECT[state.role, spec.index])
-    return HandleResult(slot, (), "phase-complete")
+    slot = slot._replace(expect=_NEXT_EXPECT[state.role, spec.index])
+    return HandleResult(slot, None, "phase-complete")
 
 
 def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
@@ -457,20 +436,20 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
     elif spec.index in (8, 10):  # a cloud decides on access
         # decided on a one-entry view holding the slot with what the request carries
         view = RoleState(state.role, state.hosted_resources,
-                         {msg.session_id: _copy_with(slot, **changes)})
+                         {msg.session_id: slot._replace(**changes)})
         resource = fields["resource"]
         granted = grant_access(view, msg.source, fields["requester_key"], resource)
-        changes.update(granted=granted, grants=slot.grants + ((resource,) if granted else ()))
+        changes["grants"] = slot.grants + ((resource,) if granted else ())
         outcome = "granted" if granted else "refused"
     elif spec.index in (9, 11):  # session handler collects a grant
         changes["grants"] = slot.grants + (fields["resource"],)
-    slot = _copy_with(slot, **changes)
+    slot = slot._replace(**changes)
     if spec.index in (5, 6):  # both ends of the verification report its verdict
         outcome = "valid" if slot.verdict else "invalid"
 
     reply = ProtocolMessage(msg.session_id, spec.index, MessageKind.RESPONSE, spec.destination,
                             spec.source, _NO_PAYLOAD, spec.response_bytes)
-    return HandleResult(slot, (reply,), outcome)
+    return HandleResult(slot, reply, outcome)
 
 
 def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
@@ -496,18 +475,18 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
                            idr=session.requester.idr, ids=session.requester.ids)
     elif spec.index == 7:  # the authority mints the key set, or drops the session
         if not slot.verdict:
-            return BeginResult(None, (), DropReason("invalid-credentials"))
+            return BeginResult(None, None, DropReason("invalid-credentials"))
         minted = keylib.mint_session_keys(sid, [slot.realm], vault)
         changes.update(keyset=minted, requester_key=minted.keys[slot.realm[0]])
     elif spec.index in (8, 10):  # the handler asks each cloud for the resource it hosts
         extra = {"resource": slot.resources[0 if spec.destination is Role.CLOUD_A else 1]}
     elif spec.index in (9, 11):  # a cloud reports the one resource it hosts
-        if not slot.granted:
-            return BeginResult(None, ())  # no grant to deliver; session stalls
+        if not slot.grants:
+            return BeginResult(None, None)  # no grant to deliver; session stalls
         extra = {"resource": next(iter(state.hosted_resources))}
 
-    slot = _copy_with(slot, **changes)
+    slot = slot._replace(**changes)
     request = ProtocolMessage(
         sid, spec.index, MessageKind.REQUEST, spec.source, spec.destination,
         {**{name: getattr(slot, name) for name in spec.carries}, **extra}, spec.request_bytes)
-    return BeginResult(slot, (request,), None, minted)
+    return BeginResult(slot, request, None, minted)

@@ -221,7 +221,6 @@ class Record(NamedTuple):
     """One event-log line."""
 
     time_s: float
-    sequence: int
     kind: str
     source: str
     destination: str
@@ -232,10 +231,11 @@ class Record(NamedTuple):
 
 
 def csv_lines(records: Iterable[Record]) -> Iterator[str]:
-    """The event log as CSV lines, header first, each ending in a newline;
-    an absent phase index or byte count is an empty field."""
+    """The event log as CSV lines, header first, each ending in a newline; a
+    record's sequence is its log index, and an absent phase or size is empty."""
     yield ",".join(LOG_HEADER) + "\n"
-    for time_s, sequence, kind, source, destination, session_id, phase, size, outcome in records:
+    for sequence, record in enumerate(records):
+        time_s, kind, source, destination, session_id, phase, size, outcome = record
         yield (f"{time_s:.9f},{sequence},{kind},{source},{destination},{session_id},"
                f"{'' if phase is None else phase},{'' if size is None else size},{outcome}\n")
 
@@ -347,7 +347,7 @@ class _Engine:
             session_id: bytes | None = None, phase_index: int | None = None,
             payload_bytes: int | None = None, outcome: str = "ok") -> None:
         self.records.append(Record(
-            self.now, len(self.records), kind, source, destination,
+            self.now, kind, source, destination,
             self.id_text[session_id] if session_id else "", phase_index, payload_bytes, outcome))
 
     def setup(self) -> None:
@@ -407,8 +407,8 @@ class _Engine:
             state.violations += 1
             return
         state.sessions[msg.session_id] = result.slot
-        for out in result.outgoing:
-            self._send(out)
+        if result.outgoing is not None:
+            self._send(result.outgoing)
         if result.outcome == "phase-complete":
             self._complete_phase(session, msg)
 
@@ -444,19 +444,17 @@ class _Engine:
         if result.slot is not None:
             state.sessions[session.session_id] = result.slot
         if result.minted is not None:
-            session = proto._copy_with(session, idsess=result.minted)
+            session = session._replace(idsess=result.minted)
             self.sessions[session.session_id] = session
         if result.drop_reason is not None:
-            self._drop(proto._copy_with(session, status=SessionStatus.DROPPED,
+            self._drop(session._replace(status=SessionStatus.DROPPED,
                                         drop_reason=result.drop_reason))
             return
-        if not result.outgoing:
-            return
-        for msg in result.outgoing:
-            self._send(msg)
-        if self.mode.kind == "per-phase":
-            self.schedule(self.now + self.mode.seconds, self._on_phase_timer,
-                          session.session_id, index)
+        if result.outgoing is not None:
+            self._send(result.outgoing)
+            if self.mode.kind == "per-phase":
+                self.schedule(self.now + self.mode.seconds, self._on_phase_timer,
+                              session.session_id, index)
 
     def _send(self, msg: ProtocolMessage) -> None:
         network, offset, stall, source, destination = self.legs[msg.phase_index, msg.kind]
@@ -472,7 +470,7 @@ class _Engine:
         session = proto.advance_phase(session)
         self.sessions[session.session_id] = session
         if session.status is SessionStatus.COMPLETED:
-            session = proto._copy_with(session, ended_at=self.now)
+            session = session._replace(ended_at=self.now)
             self.sessions[session.session_id] = session
             self.log("session-complete", source=final_response.destination.value,
                      session_id=session.session_id, phase_index=session.current_phase,
@@ -485,7 +483,7 @@ class _Engine:
         self._begin_phase(done + 1, session)
 
     def _drop(self, session: SessionState) -> None:
-        session = proto._copy_with(session, ended_at=self.now)
+        session = session._replace(ended_at=self.now)
         self.sessions[session.session_id] = session
         self.log("session-drop", session_id=session.session_id,
                  phase_index=session.current_phase,

@@ -18,6 +18,7 @@ from crossrealm.errors import (
 )
 from crossrealm.harness import (
     MAX_BUCKETS,
+    MAX_SESSIONS,
     MetricsReport,
     Scenario,
     aggregate,
@@ -131,6 +132,12 @@ MALFORMED = [
                  id="sampling_interval_s-tiny"),
     pytest.param({"principals": 1, "sampling_interval_s": 1e-4}, "sampling_interval_s",
                  id="sampling_interval_s-millions-of-buckets"),
+    # a run draws every session before its first event
+    pytest.param({"principals": 1e12}, "principals", id="principals-too-many"),
+    pytest.param({"principals": 10**400}, "principals", id="principals-huge"),
+    pytest.param({"principals": 33334}, "principals", id="principals-mean2-over-limit"),
+    pytest.param({"sessions_per_principal": 1e12}, "principals",
+                 id="sessions_per_principal-too-many"),
 ]
 
 
@@ -144,6 +151,37 @@ def test_malformed_field_named(doc, field):
 def test_bucket_limit_admits_its_own_count():
     scenario = scenario_from_dict({"horizon_s": 1000.0, "sampling_interval_s": 1e-3})
     assert scenario.horizon_s / scenario.sampling_interval_s == MAX_BUCKETS
+
+
+def test_session_limit_admits_its_own_count():
+    # built only: a run at this size is not started
+    assert scenario_from_dict({"principals": MAX_SESSIONS, "sessions_per_principal": 1})
+    assert scenario_from_dict({"principals": MAX_SESSIONS // 3})  # "mean2" draws up to 3 each
+
+
+# a scenario built in Python -> the field its error must name; the rules
+# that span fields hold however a scenario is made
+PYTHON_BUILT = {
+    "horizon-before-network-start": (lambda: Scenario(principals=1, horizon_s=50.0), "horizon_s"),
+    "tiny-interval": (lambda: Scenario(principals=1, sampling_interval_s=1e-300),
+                      "sampling_interval_s"),
+    "zero-interval": (lambda: Scenario(principals=1, sampling_interval_s=0.0),
+                      "sampling_interval_s"),
+    "replaced-horizon": (lambda: replace(SMALL, horizon_s=50.0), "horizon_s"),
+    "too-many-principals": (lambda: Scenario(principals=10**12), "principals"),
+    "too-many-sessions-each": (lambda: replace(SMALL, sessions_per_principal=10**6),
+                               "principals"),
+    "stall-on-a-bad-scenario": (lambda: simnet.inject_stall(
+        Scenario(horizon_s=100.0), Role.SAC_DB, 5, 1.0), "horizon_s"),
+}
+
+
+@pytest.mark.parametrize("case", PYTHON_BUILT)
+def test_python_built_scenario_checked(case):
+    build, field = PYTHON_BUILT[case]
+    with pytest.raises(ScenarioValidationError) as err:
+        build()
+    assert err.value.field == field
 
 
 def test_discards_and_violations_reported(tmp_path):
@@ -208,6 +246,13 @@ def test_cli_rejects_an_integer_too_long_to_read(tmp_path, capsys):
     path.write_text('{"seed": ' + "7" * 5000 + "}")
     assert cli.main(["validate", "--scenario", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_cli_rejects_too_many_sessions(tmp_path, capsys):
+    path = tmp_path / "crowd.json"
+    path.write_text('{"principals": 1e12}')
+    assert cli.main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: principals:")
 
 
 def test_cli_rejects_a_bad_timeout_override(tmp_path, capsys):
@@ -563,6 +608,29 @@ def test_cli_check_reports_malformed_expectations(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert cli.main(["check", "--report", str(tmp_path), "--expect", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# malformed report -> (report format, the file broken, how it is broken)
+MALFORMED_REPORTS = {
+    "summary-csv-value": ("csv", "summary.csv", lambda text: text.replace("\nseed,5", "\nseed,x")),
+    "summary-json-truncated": ("json-like", "summary.json", lambda text: text[:len(text) // 2]),
+    "per-phase-csv-short-row": ("csv", "per_phase.csv", lambda text: text + "14,1.0\n"),
+    "summary-json-list": ("json-like", "summary.json", lambda text: "[1, 2]\n"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_REPORTS)
+def test_cli_check_reports_a_malformed_report(tmp_path, capsys, case):
+    format, name, breaks = MALFORMED_REPORTS[case]
+    emit_report(small_report(), format, tmp_path)
+    path = tmp_path / name
+    path.write_text(breaks(path.read_text()))
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps({"expectations": []}))
+    assert cli.main(["check", "--report", str(tmp_path), "--expect", str(expect)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "line" in err or case == "summary-json-list"
 
 
 def test_check_accepts_full_report_object():

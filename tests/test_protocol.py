@@ -1,6 +1,6 @@
 """Tests for the 13-phase approval protocol state machines."""
 
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 
@@ -65,21 +65,20 @@ class Driver:
         if result.slot is not None:
             self.roles[spec.source].sessions[self.session.session_id] = result.slot
         if result.minted is not None:
-            self.session = replace(self.session, idsess=result.minted)
+            self.session = self.session._replace(idsess=result.minted)
         if result.drop_reason is not None:
-            self.session = replace(self.session, status=SessionStatus.DROPPED,
-                                   drop_reason=result.drop_reason)
+            self.session = self.session._replace(status=SessionStatus.DROPPED,
+                                                 drop_reason=result.drop_reason)
             return
-        assert result.outgoing, f"phase {index} produced no request"
-        queue = list(result.outgoing)
-        while queue:
-            msg = queue.pop(0)
+        msg = result.outgoing
+        assert msg is not None, f"phase {index} produced no request"
+        while msg is not None:
             res = self.deliver(msg.destination, msg)
             self.trace.append((msg.phase_index, msg.kind, res.outcome))
             assert not res.discarded, (msg.phase_index, res.outcome)
-            queue.extend(res.outgoing)
             if msg.kind is MessageKind.RESPONSE and res.outcome == "phase-complete":
                 self.session = advance_phase(self.session)
+            msg = res.outgoing
 
     def deliver(self, role, msg):
         """handle_message at one role, then the caller's part: store the
@@ -223,7 +222,7 @@ def test_handle_message_discards(case):
     before = dict(state.sessions)
     result = driver.deliver(role, msg)
     assert result.outcome == "discarded:" + case.removesuffix("-request").removesuffix("-response")
-    assert not result.outgoing
+    assert result.outgoing is None
     assert result.slot is None
     assert state.violations == 1
     # a discarded message never records or changes a session
@@ -239,7 +238,7 @@ def test_handle_message_is_pure():
     snapshot = (repr(state), repr(slot))
     # craft the phase-2 request F would send; feed it to A twice
     result = begin_phase(state, phase_spec(2), driver.session, vault)
-    req = result.outgoing[0]
+    req = result.outgoing
     receiver = driver.roles[Role.A]
     received = repr(receiver)
     r1 = handle_message(receiver, req, vault)
@@ -262,7 +261,7 @@ def test_transition_touches_only_its_own_slot():
     driver.run_phase(2)
     request = begin_phase(driver.roles[Role.A], phase_spec(3), driver.session, vault)
     with_other_slots = dict(table)
-    result = handle_message(front, request.outgoing[0], vault)
+    result = handle_message(front, request.outgoing, vault)
     assert result.outcome == "ok"
     assert front.sessions is table and table == with_other_slots  # nothing written
     for index in range(3, proto.PHASE_COUNT + 1):
@@ -350,7 +349,7 @@ def test_grant_access_stale_generation_refused():
     refreshed = keylib.refresh_session(
         driver.session.idsess, [("u1", "CloudC", "analysts")], vault)
     sid = driver.session.session_id
-    cloud = replace(cloud, sessions={sid: replace(cloud.sessions[sid], keyset=refreshed)})
+    cloud = replace(cloud, sessions={sid: cloud.sessions[sid]._replace(keyset=refreshed)})
     assert not grant_access(cloud, Role.SAC_SH, key, "R1")  # generation 0 vs 1
     fresh = refreshed.keys["u1"]
     assert grant_access(cloud, Role.SAC_SH, fresh, "R1")
@@ -362,37 +361,32 @@ def test_grant_access_unknown_session_refused():
     assert not grant_access(cloud, Role.SAC_SH, key, "R1")
 
 
+def test_refused_grant_stalls_the_session():
+    # a cloud that refuses records no grant, so it has nothing to deliver
+    vault, requester = registry()
+    driver = Driver(vault, requester)
+    cloud = driver.roles[Role.CLOUD_A]
+    cloud.hosted_resources = frozenset()  # R1 is hosted nowhere
+    for index in range(1, 9):
+        driver.run_phase(index)
+    assert (8, MessageKind.REQUEST, "refused") in driver.trace
+    assert cloud.sessions[driver.session.session_id].grants == ()
+    assert begin_phase(cloud, phase_spec(9), driver.session, vault) == BeginResult(None, None)
+
+
 # -- slot and session copies --------------------------------------------------------
 
-def test_copy_with_rejects_an_unknown_field():
-    slot = SessionSlot(requester="t0", grants=("R1",))
-    before = repr(slot)
-    with pytest.raises(TypeError, match="bogus"):
-        proto._copy_with(slot, expect=None, bogus=1)
-    assert repr(slot) == before
-
-
-def test_copy_with_matches_dataclasses_replace():
+def test_replace_rejects_an_unknown_field():
     _, requester = registry()
-    session = fresh_session(requester)
-    slot = SessionSlot(requester="t0", resources=("R1", "R2"))
-    cases = [
-        (slot, {"expect": (3, MessageKind.REQUEST), "idr": requester.idr}),
-        (slot, {"granted": True, "grants": ("R1",)}),
-        (session, {"current_phase": 13, "status": SessionStatus.COMPLETED}),
-        (session, {"status": SessionStatus.DROPPED, "ended_at": 12.5}),
-    ]
-    for before, changes in cases:
-        copied = proto._copy_with(before, **changes)
-        assert type(copied) is type(before)
-        assert copied == replace(before, **changes)
-        assert repr(copied) == repr(replace(before, **changes))
-    with pytest.raises(TypeError):
-        proto._copy_with(session, verdict=True)  # a slot field, not a session one
+    for value in (SessionSlot(requester="t0", grants=("R1",)), fresh_session(requester)):
+        before = repr(value)
+        with pytest.raises(ValueError, match="bogus"):
+            value._replace(expect=None, bogus=1)
+        assert repr(value) == before
 
 
 def test_carried_names_are_slot_fields():
-    slot_fields = {f.name for f in fields(SessionSlot)}
+    slot_fields = set(SessionSlot._fields)
     for *_, carries in proto._TABLE:
         assert set(carries) <= slot_fields
 
@@ -401,7 +395,8 @@ def test_carried_names_are_slot_fields():
 
 def _values():
     msg = ProtocolMessage(b"\x01" * 16, 3, MessageKind.REQUEST, Role.A, Role.F, {}, 4096)
-    return [msg, HandleResult(None, (msg,), "ok"), BeginResult(None, (msg,))]
+    return [msg, HandleResult(None, msg, "ok"), BeginResult(None, msg),
+            SessionSlot(), fresh_session(registry()[1])]
 
 
 @pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
@@ -417,15 +412,16 @@ def test_keyword_construction_equals_positional():
         session_id=sid, phase_index=5, kind=MessageKind.RESPONSE, source=Role.SAC_DB,
         destination=Role.SAC, payload_fields={}, payload_bytes=1024,
     ) == ProtocolMessage(sid, 5, MessageKind.RESPONSE, Role.SAC_DB, Role.SAC, {}, 1024)
-    assert HandleResult(slot=None, outgoing=(), outcome="ok") == HandleResult(None, (), "ok")
+    assert HandleResult(slot=None, outgoing=None, outcome="ok") == HandleResult(None, None, "ok")
     reason = proto.DropReason("invalid-credentials")
-    assert BeginResult(slot=None, outgoing=(), drop_reason=reason) == BeginResult(None, (), reason)
-    assert BeginResult(None, ()) == BeginResult(None, (), None, None)
+    assert (BeginResult(slot=None, outgoing=None, drop_reason=reason)
+            == BeginResult(None, None, reason))
+    assert BeginResult(None, None) == BeginResult(None, None, None, None)
 
 
 def test_discarded_property():
-    assert HandleResult(None, (), "discarded:out-of-order").discarded
-    assert not HandleResult(SessionSlot(), (), "phase-complete").discarded
+    assert HandleResult(None, None, "discarded:out-of-order").discarded
+    assert not HandleResult(SessionSlot(), None, "phase-complete").discarded
 
 
 def test_next_expectation_table_matches_the_walk():
