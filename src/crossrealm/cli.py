@@ -95,9 +95,6 @@ def main(argv: list[str] | None = None) -> int:
     except CrossRealmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

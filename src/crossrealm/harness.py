@@ -20,10 +20,9 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping
-
-import numpy as np
 
 from . import simnet
 from .errors import (
@@ -76,9 +75,18 @@ class Scenario:
             raise ScenarioValidationError("principals", f"may draw {MAX_SESSIONS} sessions at most")
 
 
+def _read_text(path: str | Path) -> str:
+    """A file's text; a file that cannot be read, or holds no text, is a ScenarioParseError."""
+    try:
+        return Path(path).read_text()
+    except (UnicodeDecodeError, OSError) as exc:
+        detail = exc.strerror if isinstance(exc, OSError) else exc
+        raise ScenarioParseError(f"{path}: cannot read: {detail}") from exc
+
+
 def _read_json(path: str | Path) -> dict:
     """The JSON object in a file; a blank file reads as an empty object."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     try:
         doc = json.loads(text) if text.strip() else {}
     except ValueError as exc:  # bad syntax, or an integer literal too long to convert
@@ -319,6 +327,25 @@ class MetricsReport:
         }
 
 
+def _mean(values: list[float]) -> float:
+    """The correctly rounded mean of a non-empty list."""
+    return math.fsum(values) / len(values)
+
+
+def percentile(ordered: list[float], q: float) -> float:
+    """The q-th percentile (0..100) of a sorted non-empty list, interpolated
+    linearly between its closest ranks (Hyndman and Fan's definition 7) in
+    the steps, and so with the rounding, of the common array libraries."""
+    position = (len(ordered) - 1) * (q / 100)
+    if position >= len(ordered) - 1:
+        return ordered[-1]
+    low = math.floor(position)
+    a, b = ordered[low], ordered[low + 1]
+    t = position - low
+    # from the nearer end: exact at both ends and monotone in t
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def aggregate(run: SimRun, scenario: Scenario) -> MetricsReport:
     """Fold an event log and final session states into a MetricsReport.
 
@@ -366,22 +393,24 @@ def aggregate(run: SimRun, scenario: Scenario) -> MetricsReport:
     dropped = run.dropped()
     reasons = dict(Counter(str(s.drop_reason) for s in dropped))
 
-    durations = np.array([s.ended_at - s.started_at for s in completed])
-    if durations.size:
-        e2e = [float(durations.mean())] + [
-            float(np.percentile(durations, q)) for q in (50, 90, 99)]
+    durations = sorted(s.ended_at - s.started_at for s in completed)
+    if durations:
+        e2e = [_mean(durations)] + [percentile(durations, q) for q in (50, 90, 99)]
     else:
         e2e = [None, None, None, None]
 
-    active = np.zeros(buckets, dtype=int)
+    # a session is active from its start bucket to its end bucket: it steps
+    # the count up at the first and down after the last, and the running sum
+    # of the steps is the count (every session starts within the horizon)
+    steps = [0] * (buckets + 1)
     for s in run.sessions.values():
-        a = int(s.started_at / interval)
         end = s.ended_at if s.ended_at is not None else run.horizon_s
-        b = min(int(end / interval), buckets - 1)
-        active[a:b + 1] += 1
+        steps[int(s.started_at / interval)] += 1
+        steps[min(int(end / interval), last) + 1] -= 1
+    active = list(accumulate(steps[:buckets]))
 
-    sent_bps = np.array(sent) / interval
-    received_bps = np.array(received) / interval
+    sent_bps = [bits / interval for bits in sent]
+    received_bps = [bits / interval for bits in received]
     return MetricsReport(
         sessions_started=started,
         sessions_completed=len(completed),
@@ -392,15 +421,15 @@ def aggregate(run: SimRun, scenario: Scenario) -> MetricsReport:
         end_to_end_p50_s=e2e[1],
         end_to_end_p90_s=e2e[2],
         end_to_end_p99_s=e2e[3],
-        end_to_end_count=int(durations.size),
-        per_phase_mean_s={k: float(np.mean(v)) for k, v in phase_durations.items() if v},
+        end_to_end_count=len(durations),
+        per_phase_mean_s={k: _mean(v) for k, v in phase_durations.items() if v},
         per_phase_count={k: len(v) for k, v in phase_durations.items()},
-        active_sessions=[int(x) for x in active],
-        traffic_sent_bps=[float(x) for x in sent_bps],
-        traffic_received_bps=[float(x) for x in received_bps],
-        peak_traffic_sent_bps=float(sent_bps.max()) if buckets else 0.0,
-        peak_traffic_received_bps=float(received_bps.max()) if buckets else 0.0,
-        mean_traffic_sent_bps=float(sent_bps.mean()) if buckets else 0.0,
+        active_sessions=active,
+        traffic_sent_bps=sent_bps,
+        traffic_received_bps=received_bps,
+        peak_traffic_sent_bps=max(sent_bps),
+        peak_traffic_received_bps=max(received_bps),
+        mean_traffic_sent_bps=_mean(sent_bps),
         max_network_delay_s=run.max_network_delay_s,
         horizon_exceeded=run.horizon_exceeded,
         sampling_interval_s=interval,
@@ -495,7 +524,7 @@ def _read_table(path: Path, *columns) -> list[tuple]:
     """The data rows of a CSV table, each field read by its column's function;
     a row that does not fit raises ScenarioParseError naming the file and line."""
     rows = []
-    for lineno, line in enumerate(path.read_text().splitlines()[1:], start=2):
+    for lineno, line in enumerate(_read_text(path).splitlines()[1:], start=2):
         fields = line.split(",")
         try:
             if len(fields) != len(columns):
@@ -524,12 +553,19 @@ def load_report(report_dir: str | Path) -> dict:
     if not (d / "summary.csv").exists():
         raise ScenarioParseError(f"no summary.json or summary.csv under {d}")
     tree: dict = {}
-    for name, value in _read_table(d / "summary.csv", str, _summary_value):
+    summary = d / "summary.csv"
+    for lineno, (name, value) in enumerate(_read_table(summary, str, _summary_value), start=2):
+        *parents, leaf = name.split(".")
         node = tree
-        parts = name.split(".")
-        for part in parts[:-1]:
+        for part in parents:
             node = node.setdefault(part, {})
-        node[parts[-1]] = value
+            if not isinstance(node, dict):
+                break
+        # a name already given, or one nested under another row's value or
+        # holding other rows' values, cannot be placed in the tree
+        if not isinstance(node, dict) or leaf in node:
+            raise ScenarioParseError(f"{summary}: line {lineno}: {name} clashes with an earlier row")
+        node[leaf] = value
     phases = _read_table(d / "per_phase.csv", str, lambda v: float(v) if v else None, int)
     tree["per_phase_s"] = {k: {"mean": mean, "count": count} for k, mean, count in phases}
     return tree

@@ -137,6 +137,13 @@ def test_default_run_reports_no_discards(default_run):
     assert tree["violations"] == {role.value: 0 for role in Role}
 
 
+def test_default_run_percentiles_pinned(default_run):
+    # the values the report held when they were computed with an array library
+    _, _, report, _ = default_run
+    assert (report.end_to_end_p50_s, report.end_to_end_p90_s, report.end_to_end_p99_s) == (
+        59.30908192000001, 59.30908192000061, 59.309081920000665)
+
+
 def test_criterion_05_response_times(default_run):
     _, _, report, _ = default_run
     e2e_ok = abs(report.end_to_end_mean_s - 60.0) <= 6.0

@@ -3,9 +3,12 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +30,7 @@ from crossrealm.harness import (
     emit_report,
     load_report,
     load_scenario,
+    percentile,
     run_experiment,
     save_scenario,
     scenario_from_dict,
@@ -384,12 +388,41 @@ def test_active_sessions_timeseries_peaks():
     assert report.active_sessions[0] == 0  # nothing active before the network starts
 
 
+@pytest.mark.parametrize("q", [0, 50, 90, 100])
+def test_percentile_of_one_value_is_that_value(q):
+    assert percentile([2.5], q) == 2.5
+
+
+@pytest.mark.parametrize("q, expected", [(0, 1.0), (25, 1.5), (50, 2.0), (100, 3.0)])
+def test_percentile_interpolates_between_two_values(q, expected):
+    assert percentile([1.0, 3.0], q) == expected
+
+
+def test_percentile_ends_are_the_extremes():
+    ordered = [-4.0, 0.1, 0.2, 7.5, 9.0]
+    assert percentile(ordered, 0) == -4.0
+    assert percentile(ordered, 50) == 0.2
+    assert percentile(ordered, 100) == 9.0
+
+
+def test_percentile_at_half_a_rank_interpolates_from_the_upper_neighbour():
+    # 0.1 + (0.7 - 0.1) * 0.5 rounds to 0.4; 0.7 - (0.7 - 0.1) * 0.5 does not
+    assert percentile([0.1, 0.7], 50) == 0.39999999999999997
+    assert percentile([0.0, 0.1, 0.7, 1.0], 50) == 0.39999999999999997
+
+
+def test_percentile_of_ties_is_the_tied_value():
+    ordered = [1.0, 2.0, 2.0, 2.0, 2.0, 3.0]
+    assert {percentile(ordered, q) for q in (25, 40, 50, 60, 75)} == {2.0}
+    assert percentile([5.0] * 7, 99) == 5.0
+
+
 def reference_fold(run, scenario):
     """The per-record fold aggregate used before it was made allocation-free."""
     interval = scenario.sampling_interval_s
     buckets = int(math.floor(run.horizon_s / interval)) + 1
-    sent = np.zeros(buckets)
-    received = np.zeros(buckets)
+    sent = [0.0] * buckets
+    received = [0.0] * buckets
     started = 0
     phase_req_sent = {}
     phase_durations = {k: [] for k in range(1, PHASE_COUNT + 1)}
@@ -416,9 +449,9 @@ def reference_fold(run, scenario):
         elif rec.kind == "session-start":
             started += 1
     return {
-        "traffic_sent_bps": [float(x) for x in sent / interval],
-        "traffic_received_bps": [float(x) for x in received / interval],
-        "per_phase_mean_s": {k: float(np.mean(v)) for k, v in phase_durations.items() if v},
+        "traffic_sent_bps": [x / interval for x in sent],
+        "traffic_received_bps": [x / interval for x in received],
+        "per_phase_mean_s": {k: math.fsum(v) / len(v) for k, v in phase_durations.items() if v},
         "per_phase_count": {k: len(v) for k, v in phase_durations.items()},
         "discards": discards,
         "sessions_started": started,
@@ -631,6 +664,82 @@ def test_cli_check_reports_a_malformed_report(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ")
     assert "line" in err or case == "summary-json-list"
+
+
+# an input file that cannot be read as text -> how to make it from its path
+UNREADABLE = {
+    "not-text": lambda path: path.write_bytes(b"\xff\xfe\x00{}"),
+    "a-directory": lambda path: path.mkdir(),
+}
+
+
+def _cli_input(tmp_path, which):
+    """CLI arguments that read the given input, and the path they read it from."""
+    report, expect = tmp_path / "report", tmp_path / "expect.json"
+    emit_report(small_report(), "csv", report)
+    expect.write_text(json.dumps({"expectations": []}))
+    check = ["check", "--report", str(report), "--expect", str(expect)]
+    if which == "scenario":
+        return ["validate", "--scenario", str(tmp_path / "scenario.json")], tmp_path / "scenario.json"
+    path = expect if which == "expectations" else report / "summary.csv"
+    path.unlink()
+    return check, path
+
+
+@pytest.mark.parametrize("how", UNREADABLE)
+@pytest.mark.parametrize("which", ["scenario", "expectations", "report"])
+def test_cli_reports_an_unreadable_input(tmp_path, capsys, which, how):
+    argv, path = _cli_input(tmp_path, which)
+    UNREADABLE[how](path)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: cannot read: ")
+
+
+@pytest.mark.parametrize("rows", [["sessions,1", "sessions.started,2"],
+                                  ["sessions.started,2", "sessions,1"],
+                                  ["seed,5", "seed,6"]],
+                         ids=["value-then-nested", "nested-then-value", "repeated"])
+def test_load_report_refuses_clashing_names(tmp_path, rows):
+    emit_report(small_report(), "csv", tmp_path)
+    path = tmp_path / "summary.csv"
+    path.write_text("metric,value\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ScenarioParseError) as err:
+        load_report(tmp_path)
+    assert str(err.value).startswith(f"{path}: line 3: {rows[1].split(',')[0]} clashes")
+
+
+# refuses every import from outside the standard library but the package's own
+STDLIB_ONLY = """
+import json
+import sys
+
+class StdlibOnly:
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if top != "crossrealm" and top not in sys.stdlib_module_names:
+            raise ImportError(f"{name} is outside the standard library")
+
+before = {name.partition(".")[0] for name in sys.modules}
+import crossrealm.cli
+loaded = {name.partition(".")[0] for name in sys.modules} - before
+assert loaded - set(sys.stdlib_module_names) == {"crossrealm"}, loaded
+sys.meta_path.insert(0, StdlibOnly())
+for argv in json.loads(sys.argv[1]):
+    assert crossrealm.cli.main(argv) == 0, argv
+"""
+
+
+def test_package_runs_on_the_standard_library_alone(tmp_path):
+    root = Path(__file__).parent.parent
+    scenario = tmp_path / "small.json"
+    save_scenario(SMALL, scenario)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    commands = [["validate", "--scenario", str(root / "scenarios" / "default.json")],
+                ["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]]
+    done = subprocess.run([sys.executable, "-c", STDLIB_ONLY, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "events.csv").exists()
 
 
 def test_check_accepts_full_report_object():
