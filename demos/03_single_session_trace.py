@@ -24,7 +24,8 @@ session = next(iter(run.sessions.values()))
 print()
 print("status:", session.status.value, "after phase", session.current_phase)
 print("end-to-end:", round(session.ended_at - session.started_at, 3), "s")
-print("session key generation:", session.idsess.generation)
+keyset = run.role_states[Role.SAC].sessions[session.session_id].keyset
+print("session key generation:", keyset.generation)
 
 held = run.role_states[Role.A].sessions[session.session_id].requester_key
 print("principal holds a session key:", held is not None)

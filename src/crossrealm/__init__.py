@@ -54,7 +54,6 @@ from .simnet import (
     SimRun,
     Stall,
     Topology,
-    build_default_topology,
     inject_stall,
     run,
 )

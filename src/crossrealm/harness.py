@@ -32,7 +32,7 @@ from .errors import (
     UnknownMetric,
 )
 from .protocol import PHASE_COUNT, Role, TimeoutMode, protocol_table
-from .simnet import ConnectionModel, SimRun, Stall, csv_lines
+from .simnet import ConnectionModel, SimRun, Stall, Topology, csv_lines
 
 DEFAULT_SEED = 7
 # aggregate keeps horizon_s / sampling_interval_s traffic buckets per series
@@ -58,8 +58,7 @@ class Scenario:
     sampling_interval_s: float = 1.0
     seed: int = DEFAULT_SEED
     stalls: tuple[Stall, ...] = ()
-    propagation_delay_s: float = 0.0005
-    link_counts: Mapping[tuple[str, str], int] | None = None
+    topology: Topology = Topology()
     phase_request_bytes: Mapping[int, int] | None = None
     phase_response_bytes: Mapping[int, int] | None = None
 
@@ -73,6 +72,9 @@ class Scenario:
         most = 3 if self.sessions_per_principal == "mean2" else self.sessions_per_principal
         if self.principals * most > MAX_SESSIONS:
             raise ScenarioValidationError("principals", f"may draw {MAX_SESSIONS} sessions at most")
+        stalled = [(s.role, s.phase_index) for s in self.stalls]
+        if len(set(stalled)) < len(stalled):
+            raise ScenarioValidationError("stalls", "a role's response to one phase is stalled twice")
 
 
 def _read_text(path: str | Path) -> str:
@@ -175,22 +177,38 @@ def _stall(doc: dict) -> Stall:
     return Stall(role, phase_index, delay if delay == math.inf else _number(delay))
 
 
-def _topology(value: object) -> dict:
-    """The topology object decodes to two Scenario fields."""
+def _unique(items) -> dict:
+    """A dict of (key, value) pairs in which no key is given twice."""
+    decoded = {}
+    for key, value in items:
+        if key in decoded:
+            raise ValueError(f"{key!r} is given twice")
+        decoded[key] = value
+    return decoded
+
+
+def _topology(value: object) -> Topology:
+    """The topology checks its own ranges and links."""
     decoders = {"propagation_delay_s": _number,
-                "link_counts": lambda v: {(_string(a), _string(b)): _whole(n) for a, b, n in v}}
+                "link_counts": lambda v: _unique(((_string(a), _string(b)), _whole(n))
+                                                 for a, b, n in v)}
     topo = _object(value)
     unknown = set(topo) - set(decoders)
     if unknown:
         raise ValueError(f"unknown key {sorted(unknown)[0]!r}")
-    kwargs = {key: decoders[key](v) for key, v in topo.items()}
-    simnet.check_topology(**kwargs)
-    return kwargs
+    return Topology(**{key: decoders[key](v) for key, v in topo.items()})
+
+
+def _encode_topology(topology: Topology) -> dict:
+    doc = {"propagation_delay_s": topology.propagation_delay_s}
+    if topology.link_counts:
+        doc["link_counts"] = [[a, b, n] for (a, b), n in topology.link_counts.items()]
+    return doc
 
 
 def _phase_bytes(value: object) -> dict[int, int]:
     """Byte sizes keyed by phase index 1..13; a size is timed as a float, so it must fit one."""
-    sizes = {int(k): _whole(v, 0) for k, v in _object(value).items()}
+    sizes = _unique((int(k), _whole(v, 0)) for k, v in _object(value).items())
     for index, size in sizes.items():
         if not 1 <= index <= PHASE_COUNT:
             raise ValueError(f"phase index must be 1..{PHASE_COUNT}")
@@ -203,8 +221,7 @@ def _same(value):
 
 
 # scenario document field -> (decoder of its JSON value, encoder of the
-# Scenario field), in the order scenario_to_dict writes them. "topology"
-# decodes to two Scenario fields, so scenario_to_dict encodes it itself.
+# Scenario field), in the order scenario_to_dict writes them
 _FIELDS = {
     "principals": (lambda v: _whole(v, 1), _same),
     "sessions_per_principal": (lambda v: v if v == "mean2" else _whole(v, 1), _same),
@@ -224,7 +241,7 @@ _FIELDS = {
         str(s.index): s.request_bytes for s in protocol_table(sizes)}),
     "phase_response_bytes": (_phase_bytes, lambda sizes: {
         str(s.index): s.response_bytes for s in protocol_table(None, sizes)}),
-    "topology": (_topology, None),
+    "topology": (_topology, _encode_topology),
 }
 
 
@@ -237,22 +254,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
     kwargs: dict = {}
     for name, value in doc.items():
         try:
-            decoded = _FIELDS[name][0](value)
+            kwargs[name] = _FIELDS[name][0](value)
         except (ValueError, TypeError, KeyError, InvalidInput) as exc:
             detail = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
             raise ScenarioValidationError(name, detail) from exc
-        kwargs.update(decoded if name == "topology" else {name: decoded})
     return Scenario(**kwargs)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Full explicit form, including the per-phase byte assignment."""
-    doc = {name: encode(getattr(scenario, name))
-           for name, (_, encode) in _FIELDS.items() if encode is not None}
-    doc["topology"] = {"propagation_delay_s": scenario.propagation_delay_s}
-    if scenario.link_counts:
-        doc["topology"]["link_counts"] = [[a, b, n] for (a, b), n in scenario.link_counts.items()]
-    return doc
+    return {name: encode(getattr(scenario, name)) for name, (_, encode) in _FIELDS.items()}
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

@@ -218,7 +218,6 @@ class SessionState(NamedTuple):
     current_phase: int = 0
     status: SessionStatus = SessionStatus.IN_PROGRESS
     drop_reason: DropReason | None = None
-    idsess: SessionKeySet | None = None
     started_at: float | None = None
     ended_at: float | None = None
 
@@ -344,7 +343,6 @@ class BeginResult(NamedTuple):
     slot: SessionSlot | None  # the initiator's new slot; None when nothing is sent
     outgoing: ProtocolMessage | None  # the phase request; None when nothing is sent
     drop_reason: DropReason | None = None
-    minted: SessionKeySet | None = None
 
 
 def grant_access(cloud_state: RoleState, presenter: Role, idsess_key: HierarchicalKey,
@@ -465,7 +463,6 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
     """
     sid = session.session_id
     slot = state.sessions.get(sid)
-    minted = None
     extra = {}
     changes = {"expect": (spec.index, MessageKind.RESPONSE)}  # the initiator awaits the response
 
@@ -489,4 +486,4 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
     request = ProtocolMessage(
         sid, spec.index, MessageKind.REQUEST, spec.source, spec.destination,
         {**{name: getattr(slot, name) for name in spec.carries}, **extra}, spec.request_bytes)
-    return BeginResult(slot, request, None, minted)
+    return BeginResult(slot, request)

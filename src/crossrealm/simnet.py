@@ -5,8 +5,8 @@ principal population A reaches the inter-cloud core through SW1, and SW2
 fans out to the front-end, the session authority with its credential
 database and session handler, and the two resource clouds. Links are
 aggregated (n parallel gigabit links become one link of n-fold
-bandwidth) and routing is static shortest-path; nodes may only exchange
-traffic along the allowed destination-preference pairs.
+bandwidth) and routing follows the tree's uplinks; nodes may only
+exchange traffic along the allowed destination-preference pairs.
 
 Message timing decomposes into a TCP-like handshake (1.5 round trips by
 default), serialization at the bottleneck bandwidth, path propagation,
@@ -26,8 +26,8 @@ import hashlib
 import heapq
 import math
 import random
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Mapping, NamedTuple
 
 from . import protocol as proto
 from .errors import DisallowedPair, InvalidInput
@@ -47,73 +47,18 @@ if TYPE_CHECKING:  # the scenario type lives with the harness
 
 # -- topology -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Link:
-    a: str
-    b: str
-    bandwidth_bps: float
-    count: int
-    propagation_s: float
-
-
-@dataclass(frozen=True)
-class Topology:
-    """Nodes, aggregated links, static routes, and allowed traffic pairs."""
-
-    nodes: frozenset[str]
-    links: tuple[Link, ...]
-    allowed_pairs: frozenset[frozenset[str]]
-    _paths: Mapping[tuple[str, str], tuple[Link, ...]] = field(repr=False, default=None)
-
-    def allowed(self, a: str, b: str) -> bool:
-        return a == b or frozenset((a, b)) in self.allowed_pairs
-
-    def path(self, a: str, b: str) -> tuple[Link, ...]:
-        return self._paths[(a, b)]
-
-    def path_propagation_s(self, a: str, b: str) -> float:
-        return sum(link.propagation_s for link in self.path(a, b))
-
-    def path_bandwidth_bps(self, a: str, b: str) -> float:
-        """Bottleneck bandwidth: aggregated links count as one fat link."""
-        return min(link.bandwidth_bps * link.count for link in self.path(a, b))
-
-
-def _all_pairs_paths(nodes: Iterable[str], links: tuple[Link, ...]):
-    adjacency: dict[str, list[tuple[str, Link]]] = {n: [] for n in nodes}
-    for link in links:
-        adjacency[link.a].append((link.b, link))
-        adjacency[link.b].append((link.a, link))
-    for neighbours in adjacency.values():
-        neighbours.sort(key=lambda item: item[0])
-    paths = {}
-    for start in sorted(adjacency):
-        frontier = [start]
-        seen = {start: ()}
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for other, link in adjacency[node]:
-                    if other not in seen:
-                        seen[other] = seen[node] + (link,)
-                        nxt.append(other)
-            frontier = nxt
-        for end, path in seen.items():
-            paths[(start, end)] = path
-    return paths
-
-
-# (a, b, link count) for the default wiring; every link is 1 Gbps.
-_DEFAULT_WIRING = (
-    ("A", "SW1", 8),
-    ("SW1", "SW2", 8),
-    ("SW2", "F", 8),
-    ("SW2", "SAC", 4),
-    ("SW2", "SAC-DB", 4),
-    ("SW2", "SAC-SH", 4),
-    ("SW2", "CloudA", 4),
-    ("SW2", "CloudB", 4),
-)
+# The wiring is a tree with SW2 at its core: each other node's uplink is
+# (its next hop toward SW2, the gigabit links aggregated in it).
+_UPLINKS = {
+    "A": ("SW1", 8),
+    "SW1": ("SW2", 8),
+    "F": ("SW2", 8),
+    "SAC": ("SW2", 4),
+    "SAC-DB": ("SW2", 4),
+    "SAC-SH": ("SW2", 4),
+    "CloudA": ("SW2", 4),
+    "CloudB": ("SW2", 4),
+}
 
 # Destination preferences: who may exchange protocol traffic with whom,
 # which is exactly the two ends of each phase of the protocol.
@@ -123,33 +68,67 @@ _ALLOWED_PAIRS = frozenset(
 GIGABIT = 1e9
 
 
-def check_topology(propagation_delay_s: float = 0.0,
-                   link_counts: Mapping[tuple[str, str], int] | None = None) -> None:
-    """The propagation delay is non-negative, and each link count override
-    names a link of the default wiring and is at least 1."""
-    if propagation_delay_s < 0:
-        raise InvalidInput("propagation_delay_s must be non-negative")
-    linked = {frozenset((a, b)) for a, b, _ in _DEFAULT_WIRING}
-    for (a, b), count in (link_counts or {}).items():
-        if frozenset((a, b)) not in linked:
-            raise InvalidInput(f"no link between {a} and {b}")
-        if count < 1:
-            raise InvalidInput("link counts must be at least 1")
+def _toward_core(node: str) -> list[str]:
+    """The node, then each next hop up to SW2."""
+    hops = [node]
+    while hops[-1] != "SW2":
+        hops.append(_UPLINKS[hops[-1]][0])
+    return hops
 
 
-def build_default_topology(propagation_delay_s: float = 0.0005,
-                           link_counts: Mapping[tuple[str, str], int] | None = None,
-                           ) -> Topology:
-    """The default nine-node topology with aggregated gigabit links."""
-    check_topology(propagation_delay_s, link_counts)
-    overrides = {frozenset(k): v for k, v in (link_counts or {}).items()}
-    links = tuple(
-        Link(a, b, GIGABIT, overrides.get(frozenset((a, b)), count), propagation_delay_s)
-        for a, b, count in _DEFAULT_WIRING
-    )
-    nodes = frozenset(n for link in links for n in (link.a, link.b))
-    paths = _all_pairs_paths(nodes, links)
-    return Topology(nodes=nodes, links=links, allowed_pairs=_ALLOWED_PAIRS, _paths=paths)
+def _lower_end(a: str, b: str) -> str | None:
+    """The end of the link between a and b that is further from SW2; None if
+    a and b share no link."""
+    for lower, upper in ((a, b), (b, a)):
+        if _UPLINKS.get(lower, ("",))[0] == upper:
+            return lower
+    return None
+
+
+@dataclass(frozen=True)
+class Topology:
+    """The two-switch tree with one propagation delay on every link and the
+    gigabit link count of any link that differs from the default wiring.
+    Routes are static: a path is the uplinks from both of its ends up to
+    where they meet, and each link is named by its end further from SW2."""
+
+    propagation_delay_s: float = 0.0005
+    link_counts: Mapping[tuple[str, str], int] | None = None
+
+    nodes: ClassVar[frozenset[str]] = frozenset(_UPLINKS) | {"SW2"}
+
+    def __post_init__(self):
+        if not 0 <= self.propagation_delay_s < math.inf:  # NaN fails too
+            raise InvalidInput("propagation_delay_s must be finite and non-negative")
+        named = set()
+        for (a, b), count in (self.link_counts or {}).items():
+            lower = _lower_end(a, b)
+            if lower is None:
+                raise InvalidInput(f"no link between {a} and {b}")
+            if lower in named:
+                raise InvalidInput(f"the link between {a} and {b} is given twice")
+            named.add(lower)
+            if count < 1:
+                raise InvalidInput("link counts must be at least 1")
+
+    def allowed(self, a: str, b: str) -> bool:
+        return a == b or frozenset((a, b)) in _ALLOWED_PAIRS
+
+    def path(self, a: str, b: str) -> tuple[str, ...]:
+        up_a, up_b = _toward_core(a), _toward_core(b)
+        while up_a and up_b and up_a[-1] == up_b[-1]:
+            up_a.pop()
+            up_b.pop()
+        return tuple(up_a + up_b[::-1])
+
+    def path_propagation_s(self, a: str, b: str) -> float:
+        return sum(self.propagation_delay_s for _ in self.path(a, b))
+
+    def path_bandwidth_bps(self, a: str, b: str) -> float:
+        """Bottleneck bandwidth: aggregated links count as one fat link."""
+        overrides = {_lower_end(*pair): n for pair, n in (self.link_counts or {}).items()}
+        return min(GIGABIT * overrides.get(lower, _UPLINKS[lower][1])
+                   for lower in self.path(a, b))
 
 
 # -- connection model ----------------------------------------------------------
@@ -164,8 +143,8 @@ class ConnectionModel:
 
     def __post_init__(self):
         for name in ("handshake_rtts", "per_phase_service_s", "rtt_base_s"):
-            if getattr(self, name) < 0:
-                raise InvalidInput(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise InvalidInput(f"{name} must be finite and non-negative")
 
 
 def transmit_components(payload_bytes: int, source: str, destination: str,
@@ -191,7 +170,7 @@ def transmit_components(payload_bytes: int, source: str, destination: str,
 
 @dataclass(frozen=True)
 class Stall:
-    """A role sits on its response at one phase; inf suppresses it entirely."""
+    """The role that answers a phase sits on its response; inf suppresses it entirely."""
 
     role: Role
     phase_index: int
@@ -200,6 +179,9 @@ class Stall:
     def __post_init__(self):
         if not 1 <= self.phase_index <= proto.PHASE_COUNT:
             raise InvalidInput(f"phase_index must be 1..{proto.PHASE_COUNT}")
+        responder = proto.phase_spec(self.phase_index).destination
+        if self.role is not responder:
+            raise InvalidInput(f"phase {self.phase_index} is answered by {responder.value}")
         if not self.extra_delay_s >= 0:  # NaN fails too
             raise InvalidInput("extra_delay_s must be non-negative")
 
@@ -304,8 +286,7 @@ class _Engine:
         self.mode = scenario.timeout_mode
         self.table = proto.protocol_table(scenario.phase_request_bytes,
                                           scenario.phase_response_bytes)
-        self.topology = build_default_topology(scenario.propagation_delay_s,
-                                               scenario.link_counts)
+        self.topology = scenario.topology
         self.model = scenario.connection
         self.vault, self.requesters = build_default_vault(scenario.principals)
         self.roles = proto.initial_role_states(
@@ -443,9 +424,6 @@ class _Engine:
         result = proto.begin_phase(state, spec, session, self.vault)
         if result.slot is not None:
             state.sessions[session.session_id] = result.slot
-        if result.minted is not None:
-            session = session._replace(idsess=result.minted)
-            self.sessions[session.session_id] = session
         if result.drop_reason is not None:
             self._drop(session._replace(status=SessionStatus.DROPPED,
                                         drop_reason=result.drop_reason))

@@ -37,7 +37,7 @@ from crossrealm.harness import (
     scenario_to_dict,
 )
 from crossrealm.protocol import PHASE_COUNT, MessageKind, Role, SessionStatus, TimeoutMode
-from crossrealm.simnet import Stall, records_to_csv
+from crossrealm.simnet import Stall, Topology, records_to_csv
 
 SMALL = Scenario(principals=2, sessions_per_principal=2, session_spread_s=5.0,
                  horizon_s=400.0, seed=5)
@@ -129,6 +129,21 @@ MALFORMED = [
                  id="topology-huge-delay"),
     pytest.param({"stalls": [{"role": "CloudB", "phase_index": 10, "extra_delay_s": 10**400}]},
                  "stalls", id="stalls-huge-delay"),
+    # a stall on a role that does not answer the phase would be ignored
+    pytest.param({"stalls": [{"role": "A", "phase_index": 5, "extra_delay_s": 1.0}]},
+                 "stalls", id="stalls-non-responder"),
+    pytest.param({"stalls": [{"role": "SAC", "phase_index": 5, "extra_delay_s": 1.0}]},
+                 "stalls", id="stalls-initiator"),
+    # one thing named twice would keep only its last value
+    pytest.param({"stalls": [{"role": "SAC-DB", "phase_index": 5, "extra_delay_s": 100.0},
+                             {"role": "SAC-DB", "phase_index": 5, "extra_delay_s": 0.0}]},
+                 "stalls", id="stalls-twice"),
+    pytest.param({"topology": {"link_counts": [["A", "SW1", 2], ["A", "SW1", 3]]}}, "topology",
+                 id="topology-link-twice"),
+    pytest.param({"topology": {"link_counts": [["A", "SW1", 2], ["SW1", "A", 3]]}}, "topology",
+                 id="topology-link-twice-reversed"),
+    pytest.param({"phase_request_bytes": {"1": 10, "01": 20}}, "phase_request_bytes",
+                 id="phase_request_bytes-twice"),
     pytest.param({"phase_request_bytes": {"1": 10**400}}, "phase_request_bytes",
                  id="phase_request_bytes-huge"),
     # aggregate would allocate horizon_s / sampling_interval_s buckets per series
@@ -177,6 +192,10 @@ PYTHON_BUILT = {
                                "principals"),
     "stall-on-a-bad-scenario": (lambda: simnet.inject_stall(
         Scenario(horizon_s=100.0), Role.SAC_DB, 5, 1.0), "horizon_s"),
+    "stalls-twice": (lambda: replace(SMALL, stalls=(Stall(Role.SAC_DB, 5, 100.0),
+                                                    Stall(Role.SAC_DB, 5, 0.0))), "stalls"),
+    "stall-injected-twice": (lambda: simnet.inject_stall(simnet.inject_stall(
+        SMALL, Role.SAC_DB, 5, 100.0), Role.SAC_DB, 5, 0.0), "stalls"),
 }
 
 
@@ -281,13 +300,13 @@ def test_horizon_must_exceed_network_offset():
 def test_timeout_mode_round_trips_through_save_load(tmp_path):
     scenario = Scenario(timeout_mode=TimeoutMode.per_phase(60),
                         stalls=(Stall(Role.SAC_DB, 5, 90.0),),
-                        link_counts={("A", "SW1"): 4})
+                        topology=Topology(link_counts={("A", "SW1"): 4}))
     path = tmp_path / "scenario.json"
     save_scenario(scenario, path)
     loaded = load_scenario(path)
     assert loaded.timeout_mode == TimeoutMode.per_phase(60)
     assert loaded.stalls == scenario.stalls
-    assert loaded.link_counts == {("A", "SW1"): 4}
+    assert loaded.topology == scenario.topology
     # a second save/load cycle is byte-stable
     path2 = tmp_path / "again.json"
     save_scenario(loaded, path2)

@@ -64,8 +64,6 @@ class Driver:
         result = begin_phase(self.roles[spec.source], spec, self.session, self.vault)
         if result.slot is not None:
             self.roles[spec.source].sessions[self.session.session_id] = result.slot
-        if result.minted is not None:
-            self.session = self.session._replace(idsess=result.minted)
         if result.drop_reason is not None:
             self.session = self.session._replace(status=SessionStatus.DROPPED,
                                                  drop_reason=result.drop_reason)
@@ -158,7 +156,8 @@ def test_full_run_completes_with_granted_key():
 
     assert driver.session.status is SessionStatus.COMPLETED
     assert driver.session.current_phase == 13
-    assert driver.session.idsess is not None
+    keyset = driver.roles[Role.SAC].sessions[driver.session.session_id].keyset
+    assert keyset is not None
 
     # phases complete in strictly increasing order, 1..13 exactly once
     completions = [p for p, kind, outcome in driver.trace
@@ -168,7 +167,7 @@ def test_full_run_completes_with_granted_key():
     # principal ends up holding the session key the clouds accept via SAC-SH
     held = driver.roles[Role.A].sessions[driver.session.session_id].requester_key
     assert held is not None
-    assert keylib.verify_session_key(held, driver.session.idsess)
+    assert keylib.verify_session_key(held, keyset)
     assert grant_access(driver.roles[Role.CLOUD_A], Role.SAC_SH, held, "R1")
     assert grant_access(driver.roles[Role.CLOUD_B], Role.SAC_SH, held, "R2")
     # both clouds granted during the run
@@ -346,9 +345,9 @@ def test_grant_access_only_for_session_handler():
 def test_grant_access_stale_generation_refused():
     vault, driver, key = granted_setup()
     cloud = driver.roles[Role.CLOUD_A]
-    refreshed = keylib.refresh_session(
-        driver.session.idsess, [("u1", "CloudC", "analysts")], vault)
     sid = driver.session.session_id
+    refreshed = keylib.refresh_session(
+        driver.roles[Role.SAC].sessions[sid].keyset, [("u1", "CloudC", "analysts")], vault)
     cloud = replace(cloud, sessions={sid: cloud.sessions[sid]._replace(keyset=refreshed)})
     assert not grant_access(cloud, Role.SAC_SH, key, "R1")  # generation 0 vs 1
     fresh = refreshed.keys["u1"]
@@ -416,7 +415,7 @@ def test_keyword_construction_equals_positional():
     reason = proto.DropReason("invalid-credentials")
     assert (BeginResult(slot=None, outgoing=None, drop_reason=reason)
             == BeginResult(None, None, reason))
-    assert BeginResult(None, None) == BeginResult(None, None, None, None)
+    assert BeginResult(None, None) == BeginResult(None, None, None)
 
 
 def test_discarded_property():

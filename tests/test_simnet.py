@@ -21,7 +21,7 @@ from crossrealm.protocol import (
 from crossrealm.simnet import (
     ConnectionModel,
     Stall,
-    build_default_topology,
+    Topology,
     inject_stall,
     records_to_csv,
     transmit_components,
@@ -34,7 +34,7 @@ SMALL = Scenario(principals=1, sessions_per_principal=1, session_spread_s=1.0,
 # -- topology -----------------------------------------------------------------
 
 def test_default_topology_nodes_and_af_aggregate():
-    topo = build_default_topology()
+    topo = Topology()
     assert topo.nodes == {"A", "SW1", "SW2", "F", "SAC", "SAC-DB", "SAC-SH",
                           "CloudA", "CloudB"}
     # the principal-to-front-end connection aggregates eight gigabit links
@@ -43,7 +43,7 @@ def test_default_topology_nodes_and_af_aggregate():
 
 
 def test_destination_preferences():
-    topo = build_default_topology()
+    topo = Topology()
     assert topo.allowed("A", "F")
     assert not topo.allowed("A", "SAC")
     assert not topo.allowed("A", "CloudA")
@@ -53,7 +53,7 @@ def test_destination_preferences():
 
 
 def test_every_node_reachable():
-    topo = build_default_topology()
+    topo = Topology()
     for a in topo.nodes:
         for b in topo.nodes:
             assert topo.path(a, b) is not None
@@ -62,23 +62,41 @@ def test_every_node_reachable():
 
 
 def test_link_count_overrides():
-    topo = build_default_topology(link_counts={("A", "SW1"): 2})
+    topo = Topology(link_counts={("A", "SW1"): 2})
     assert topo.path_bandwidth_bps("A", "F") == 2e9
+    for link_counts in ({("A", "F"): 2}, {("A", "SW1"): 0}, {("A", "SW1"): 2, ("SW1", "A"): 3}):
+        with pytest.raises(InvalidInput):  # no such link, too few, one link named twice
+            Topology(link_counts=link_counts)
+
+
+# each protocol pair -> its hop count and default bottleneck bandwidth
+ROUTES = [("A", "F", 3, 8e9), ("F", "SAC", 2, 4e9), ("SAC", "SAC-DB", 2, 4e9),
+          ("SAC", "SAC-SH", 2, 4e9), ("SAC-SH", "CloudA", 2, 4e9),
+          ("SAC-SH", "CloudB", 2, 4e9), ("SAC-SH", "F", 2, 4e9)]
+
+
+@pytest.mark.parametrize("source, destination, hops, default_bps", ROUTES)
+def test_each_pair_routes_over_both_uplinks(source, destination, hops, default_bps):
+    # one gigabit link on the destination's uplink is the new bottleneck both ways
+    narrowed = Topology(link_counts={("SW2", destination): 1})
+    for a, b in ((source, destination), (destination, source)):
+        assert len(Topology().path(a, b)) == hops
+        assert Topology().path_bandwidth_bps(a, b) == default_bps
+        assert narrowed.path_bandwidth_bps(a, b) == 1e9
 
 
 def test_negative_propagation_delay_rejected():
     # a negative delay would deliver messages before they are sent
-    with pytest.raises(InvalidInput):
-        build_default_topology(propagation_delay_s=-1.0)
-    with pytest.raises(InvalidInput):
-        simnet.run(replace(SMALL, propagation_delay_s=-1.0))
+    for delay in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidInput):
+            Topology(propagation_delay_s=delay)
 
 
 # -- transmit ------------------------------------------------------------------
 
 def bare_wire():
     """Single-link-width path with no propagation: pure serialization."""
-    topo = build_default_topology(
+    topo = Topology(
         propagation_delay_s=0.0,
         link_counts={("A", "SW1"): 1, ("SW1", "SW2"): 1, ("SW2", "F"): 1})
     model = ConnectionModel(handshake_rtts=0.0, per_phase_service_s=0.0, rtt_base_s=0.0)
@@ -93,7 +111,7 @@ def test_transmit_serialization_oracle():
 
 
 def test_transmit_zero_payload_pure_propagation():
-    topo = build_default_topology(
+    topo = Topology(
         propagation_delay_s=1e-5,
         link_counts={("A", "SW1"): 1, ("SW1", "SW2"): 1, ("SW2", "F"): 1})
     model = ConnectionModel(handshake_rtts=0.0, per_phase_service_s=0.0, rtt_base_s=0.0)
@@ -102,14 +120,14 @@ def test_transmit_zero_payload_pure_propagation():
 
 
 def test_transmit_default_calibration_near_five_seconds():
-    topo = build_default_topology()
+    topo = Topology()
     model = ConnectionModel()
     offset = transmit_components(1024, "A", "F", model, topo)[1]
     assert 4.25 <= offset <= 5.75  # per-phase delivery consistent with ~5 s per phase
 
 
 def test_transmit_disallowed_pair():
-    topo = build_default_topology()
+    topo = Topology()
     with pytest.raises(DisallowedPair):
         transmit_components(1024, "A", "SAC", ConnectionModel(), topo)
 
@@ -117,6 +135,9 @@ def test_transmit_disallowed_pair():
 def test_connection_model_rejects_negative():
     with pytest.raises(InvalidInput):
         ConnectionModel(handshake_rtts=-1.0)
+    for value in (math.nan, math.inf):  # NaN would end a run in aggregate
+        with pytest.raises(InvalidInput):
+            ConnectionModel(per_phase_service_s=value)
 
 
 # -- the event loop ---------------------------------------------------------------
@@ -190,10 +211,10 @@ def test_deliveries_match_per_message_timing():
     # land where a fresh per-message computation puts it, stall included
     sc = replace(SMALL, principals=3, sessions_per_principal=2, seed=13,
                  phase_request_bytes={3: 65536, 7: 0}, phase_response_bytes={6: 200000},
-                 link_counts={("SW2", "SAC"): 1, ("A", "SW1"): 2})
+                 topology=Topology(link_counts={("SW2", "SAC"): 1, ("A", "SW1"): 2}))
     sc = inject_stall(sc, Role.CLOUD_A, 8, 2.5)
     run = simnet.run(sc)
-    topo = build_default_topology(sc.propagation_delay_s, sc.link_counts)
+    topo = sc.topology
     sends = {}
     networks = []
     checked = 0
@@ -223,13 +244,14 @@ def test_each_session_is_minted_for_its_requester():
     assert len({s.requester.tenant_id for s in completed}) == 5
     for session in completed:
         tenant = session.requester.tenant_id
-        assert set(session.idsess.keys) == {tenant}
+        keyset = run.role_states[Role.SAC].sessions[session.session_id].keyset
+        assert set(keyset.keys) == {tenant}
         held = run.role_states[Role.A].sessions[session.session_id].requester_key
-        assert held == session.idsess.keys[tenant]
+        assert held == keyset.keys[tenant]
 
 
 def test_pair_enforcement_in_log():
-    topo = build_default_topology()
+    topo = Topology()
     run = simnet.run(replace(SMALL, principals=2, sessions_per_principal=1, seed=6))
     for r in run.records:
         if r.kind in ("send", "deliver"):
@@ -254,11 +276,18 @@ def test_inject_stall_validates_phase():
         inject_stall(SMALL, Role.SAC_DB, 14, 1.0)
 
 
-@pytest.mark.parametrize("phase_index, extra_delay_s", [(0, 1.0), (14, 1.0), (5, -1.0),
-                                                        (5, math.nan)])
-def test_stall_checks_its_own_range(phase_index, extra_delay_s):
+@pytest.mark.parametrize("role, phase_index, extra_delay_s", [
+    pytest.param(Role.SAC_DB, 0, 1.0, id="0-1.0"),
+    pytest.param(Role.SAC_DB, 14, 1.0, id="14-1.0"),
+    pytest.param(Role.SAC_DB, 5, -1.0, id="5--1.0"),
+    pytest.param(Role.SAC_DB, 5, math.nan, id="5-nan"),
+    # only the role that answers a phase can sit on its response
+    pytest.param(Role.A, 5, 1.0, id="non-responder"),
+    pytest.param(Role.SAC, 5, 1.0, id="initiator"),
+])
+def test_stall_checks_its_own_range(role, phase_index, extra_delay_s):
     with pytest.raises(InvalidInput):
-        Stall(Role.SAC_DB, phase_index, extra_delay_s)
+        Stall(role, phase_index, extra_delay_s)
 
 
 def test_stall_below_timeout_inflates_end_to_end():
