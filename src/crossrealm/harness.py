@@ -41,10 +41,32 @@ MAX_BUCKETS = 10**6
 MAX_SESSIONS = 10**5
 
 
+# Scenario field -> (test of its value, the rule it states), in field order;
+# each test is made of comparisons that NaN fails
+_FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and non-negative")
+_PHASE_SIZES = (lambda sizes: sizes is None or all(
+    1 <= k <= PHASE_COUNT and 0 <= n <= sys.float_info.max for k, n in sizes.items()),
+    f"must key phases 1..{PHASE_COUNT} to sizes from 0 to the largest float")
+_RANGES = {
+    "principals": (lambda v: v >= 1, "must be at least 1"),
+    "sessions_per_principal": (lambda v: v == "mean2" or v >= 1, 'must be "mean2" or at least 1'),
+    "resources": (lambda v: len(v) == 2 and v[0] != v[1], "must be two distinct names"),
+    "network_start_offset_s": _FINITE_NON_NEGATIVE,
+    "app_start_offset_s": (lambda v: 0 <= v[0] <= v[1] < math.inf,
+                           "must be finite, with 0 <= low <= high"),
+    "session_spread_s": _FINITE_NON_NEGATIVE,
+    "horizon_s": (lambda v: -math.inf < v < math.inf, "must be finite"),
+    "sampling_interval_s": (lambda v: 0 < v < math.inf, "must be positive and finite"),
+    "phase_request_bytes": _PHASE_SIZES,
+    "phase_response_bytes": _PHASE_SIZES,
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """One experiment configuration; defaults are the full-scale setup. The rules
-    that span fields are checked on construction, however a scenario is built."""
+    """One experiment configuration; defaults are the full-scale setup. Each
+    field's range and the rules that span fields are checked on construction,
+    however a scenario is built."""
 
     principals: int = 1000
     sessions_per_principal: int | str = "mean2"  # "mean2" = seeded draw from {1,2,3}
@@ -63,10 +85,12 @@ class Scenario:
     phase_response_bytes: Mapping[int, int] | None = None
 
     def __post_init__(self):
+        for name, (test, rule) in _RANGES.items():
+            if not test(getattr(self, name)):
+                raise ScenarioValidationError(name, rule)
         if self.horizon_s <= self.network_start_offset_s:
             raise ScenarioValidationError("horizon_s", "must exceed the network start offset")
-        # multiplied, not divided, so that an interval of 0 fails here too
-        if not self.horizon_s <= self.sampling_interval_s * MAX_BUCKETS:
+        if self.horizon_s / self.sampling_interval_s > MAX_BUCKETS:
             raise ScenarioValidationError(
                 "sampling_interval_s", f"must split the horizon into at most {MAX_BUCKETS} buckets")
         most = 3 if self.sessions_per_principal == "mean2" else self.sessions_per_principal
@@ -104,39 +128,25 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(_read_json(path))
 
 
-# -- JSON value decoders: each checks its value's shape and range and raises
-# ValueError, TypeError, KeyError or InvalidInput on a bad one, which
-# scenario_from_dict reports under the field.
+# -- JSON value decoders: each checks its value's JSON type and shape and
+# raises ValueError, TypeError, KeyError, OverflowError or InvalidInput on a
+# bad one, which scenario_from_dict reports under the field. Ranges are
+# checked by the values built: the Scenario, TimeoutMode, Stall, Topology.
 
-def _at_least(value, low):
-    if low is not None and value < low:
-        raise ValueError(f"must be at least {low}")
-    return value
-
-
-def _whole(value: object, low: int | None = None) -> int:
-    """A count: a JSON number with no fractional part (3 or 3.0), at least low."""
+def _whole(value: object) -> int:
+    """A count: a JSON number with no fractional part (3 or 3.0)."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{value!r} is not a whole number")
-    return _at_least(value, low)
+    return value
 
 
-def _number(value: object, low: float | None = None) -> float:
-    """A finite number, at least low: JSON's NaN and Infinity are refused, and
-    so is an integer too large for a float."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ValueError(f"{value!r} is not a finite number")
-    return _at_least(float(value), low)
-
-
-def _positive(value: object) -> float:
-    number = _number(value)
-    if number <= 0:
-        raise ValueError("must be positive")
-    return number
+def _number(value: object) -> float:
+    """A JSON number as a float; an integer too large for one raises OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _string(value: object) -> str:
@@ -157,24 +167,8 @@ def _pair(value: object, decode) -> tuple:
     return (decode(value[0]), decode(value[1]))
 
 
-def _resources(value: object) -> tuple[str, str]:
-    pair = _pair(value, _string)
-    if pair[0] == pair[1]:
-        raise ValueError("the two resources need distinct names")
-    return pair
-
-
-def _window(value: object) -> tuple[float, float]:
-    low, high = _pair(value, lambda v: _number(v, 0))
-    if high < low:
-        raise ValueError("needs low <= high")
-    return low, high
-
-
 def _stall(doc: dict) -> Stall:
-    """The stall checks its own range; an infinite delay suppresses the response."""
-    role, phase_index, delay = Role(doc["role"]), _whole(doc["phase_index"]), doc["extra_delay_s"]
-    return Stall(role, phase_index, delay if delay == math.inf else _number(delay))
+    return Stall(Role(doc["role"]), _whole(doc["phase_index"]), _number(doc["extra_delay_s"]))
 
 
 def _unique(items) -> dict:
@@ -207,13 +201,8 @@ def _encode_topology(topology: Topology) -> dict:
 
 
 def _phase_bytes(value: object) -> dict[int, int]:
-    """Byte sizes keyed by phase index 1..13; a size is timed as a float, so it must fit one."""
-    sizes = _unique((int(k), _whole(v, 0)) for k, v in _object(value).items())
-    for index, size in sizes.items():
-        if not 1 <= index <= PHASE_COUNT:
-            raise ValueError(f"phase index must be 1..{PHASE_COUNT}")
-        _number(size)
-    return sizes
+    """Byte sizes keyed by phase index."""
+    return _unique((int(k), _whole(v)) for k, v in _object(value).items())
 
 
 def _same(value):
@@ -223,17 +212,17 @@ def _same(value):
 # scenario document field -> (decoder of its JSON value, encoder of the
 # Scenario field), in the order scenario_to_dict writes them
 _FIELDS = {
-    "principals": (lambda v: _whole(v, 1), _same),
-    "sessions_per_principal": (lambda v: v if v == "mean2" else _whole(v, 1), _same),
+    "principals": (_whole, _same),
+    "sessions_per_principal": (lambda v: v if v == "mean2" else _whole(v), _same),
     "timeout_mode": (lambda v: TimeoutMode.parse(_string(v)), TimeoutMode.encode),
     "connection": (lambda v: ConnectionModel(**{k: _number(x) for k, x in _object(v).items()}),
                    asdict),
-    "resources": (_resources, list),
-    "network_start_offset_s": (lambda v: _number(v, 0), _same),
-    "app_start_offset_s": (_window, list),
-    "session_spread_s": (lambda v: _number(v, 0), _same),
+    "resources": (lambda v: _pair(v, _string), list),
+    "network_start_offset_s": (_number, _same),
+    "app_start_offset_s": (lambda v: _pair(v, _number), list),
+    "session_spread_s": (_number, _same),
     "horizon_s": (_number, _same),
-    "sampling_interval_s": (_positive, _same),
+    "sampling_interval_s": (_number, _same),
     "seed": (_whole, _same),
     "stalls": (lambda v: tuple(_stall(s) for s in v),
                lambda stalls: [{**asdict(s), "role": s.role.value} for s in stalls]),
@@ -255,7 +244,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for name, value in doc.items():
         try:
             kwargs[name] = _FIELDS[name][0](value)
-        except (ValueError, TypeError, KeyError, InvalidInput) as exc:
+        except (ValueError, TypeError, KeyError, OverflowError, InvalidInput) as exc:
             detail = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
             raise ScenarioValidationError(name, detail) from exc
     return Scenario(**kwargs)

@@ -61,10 +61,20 @@ class MessageKind(Enum):
 
 @dataclass(frozen=True)
 class TimeoutMode:
-    """Timeout policy for a run: none, per-phase, or the localized watchdog at F."""
+    """Timeout policy for a run: none, per-phase, or the localized watchdog at F.
+    A timeout's seconds must be positive and finite; "none" takes none."""
 
     kind: str  # "none" | "per-phase" | "localized-f"
     seconds: float | None = None
+
+    def __post_init__(self):
+        if self.kind == "none":
+            if self.seconds is not None:
+                raise InvalidInput("timeout mode none takes no seconds")
+        elif self.kind not in ("per-phase", "localized-f"):
+            raise InvalidInput(f"bad timeout mode {self.kind!r}")
+        elif self.seconds is None or not 0 < self.seconds < math.inf:  # NaN fails too
+            raise InvalidInput("timeout seconds must be positive and finite")
 
     @classmethod
     def none(cls) -> "TimeoutMode":
@@ -80,20 +90,14 @@ class TimeoutMode:
 
     @classmethod
     def parse(cls, text: str) -> "TimeoutMode":
-        """Parse the CLI/scenario syntax: none | per-phase:<s> | localized-f:<s>,
-        where <s> is a positive, finite number of seconds."""
+        """Parse the CLI/scenario syntax: none | per-phase:<s> | localized-f:<s>."""
         if text == "none":
             return cls.none()
-        for prefix, ctor in (("per-phase:", cls.per_phase), ("localized-f:", cls.localized_f)):
-            if text.startswith(prefix):
-                try:
-                    seconds = float(text[len(prefix):])
-                except ValueError:
-                    break
-                if not 0 < seconds < math.inf:
-                    raise InvalidInput("timeout seconds must be positive and finite")
-                return ctor(seconds)
-        raise InvalidInput(f"bad timeout mode {text!r}")
+        kind, _, seconds = text.partition(":")
+        try:
+            return cls(kind, float(seconds))
+        except ValueError:  # seconds that do not read as a number
+            raise InvalidInput(f"bad timeout mode {text!r}") from None
 
     def encode(self) -> str:
         if self.kind == "none":

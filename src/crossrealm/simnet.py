@@ -125,10 +125,11 @@ class Topology:
         return sum(self.propagation_delay_s for _ in self.path(a, b))
 
     def path_bandwidth_bps(self, a: str, b: str) -> float:
-        """Bottleneck bandwidth: aggregated links count as one fat link."""
+        """Bottleneck bandwidth: aggregated links count as one fat link. A path
+        from a node to itself crosses no link, so nothing narrows it."""
         overrides = {_lower_end(*pair): n for pair, n in (self.link_counts or {}).items()}
-        return min(GIGABIT * overrides.get(lower, _UPLINKS[lower][1])
-                   for lower in self.path(a, b))
+        return min((GIGABIT * overrides.get(lower, _UPLINKS[lower][1])
+                    for lower in self.path(a, b)), default=math.inf)
 
 
 # -- connection model ----------------------------------------------------------

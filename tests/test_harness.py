@@ -129,6 +129,9 @@ MALFORMED = [
                  id="topology-huge-delay"),
     pytest.param({"stalls": [{"role": "CloudB", "phase_index": 10, "extra_delay_s": 10**400}]},
                  "stalls", id="stalls-huge-delay"),
+    # the Stall refuses it: only +Infinity suppresses a response
+    pytest.param({"stalls": [{"role": "CloudB", "phase_index": 10, "extra_delay_s": -math.inf}]},
+                 "stalls", id="stalls-minus-infinite-delay"),
     # a stall on a role that does not answer the phase would be ignored
     pytest.param({"stalls": [{"role": "A", "phase_index": 5, "extra_delay_s": 1.0}]},
                  "stalls", id="stalls-non-responder"),
@@ -196,6 +199,24 @@ PYTHON_BUILT = {
                                                     Stall(Role.SAC_DB, 5, 0.0))), "stalls"),
     "stall-injected-twice": (lambda: simnet.inject_stall(simnet.inject_stall(
         SMALL, Role.SAC_DB, 5, 100.0), Role.SAC_DB, 5, 0.0), "stalls"),
+    # each field's range is the Scenario's to check, as a document's is
+    "nan-request-bytes": (lambda: Scenario(principals=1, sessions_per_principal=1,
+                                           phase_request_bytes={1: math.nan}),
+                          "phase_request_bytes"),
+    "negative-request-bytes": (lambda: Scenario(principals=1, sessions_per_principal=1,
+                                                phase_request_bytes={1: -5_000_000_000}),
+                               "phase_request_bytes"),
+    "response-bytes-phase-14": (lambda: replace(SMALL, phase_response_bytes={14: 1024}),
+                                "phase_response_bytes"),
+    "same-resources": (lambda: Scenario(resources=("R1", "R1")), "resources"),
+    "inverted-app-window": (lambda: Scenario(app_start_offset_s=(10.0, 5.0)),
+                            "app_start_offset_s"),
+    "negative-spread": (lambda: Scenario(session_spread_s=-5.0), "session_spread_s"),
+    "negative-network-start": (lambda: Scenario(network_start_offset_s=-200.0),
+                               "network_start_offset_s"),
+    "no-principals": (lambda: Scenario(principals=0), "principals"),
+    "no-sessions-each": (lambda: Scenario(sessions_per_principal=0), "sessions_per_principal"),
+    "nan-horizon": (lambda: Scenario(principals=3, horizon_s=math.nan), "horizon_s"),
 }
 
 
@@ -354,6 +375,38 @@ def test_fuzzed_document_fails_cleanly_or_encodes_stably(doc):
     try:
         scenario = scenario_from_dict(doc)
     except (ScenarioValidationError, ScenarioParseError):
+        return
+    encoded = scenario_to_dict(scenario)
+    assert scenario_to_dict(scenario_from_dict(encoded)) == encoded
+
+
+# a small scenario's numeric and pair fields replaced by arbitrary values:
+# the floats include NaN, the infinities and negatives
+FLOATS = st.floats()
+RESOURCES = st.sampled_from(["R1", "R2"])
+REPLACEMENTS = {
+    "principals": st.integers(-2, 10**6),
+    "sessions_per_principal": st.integers(-2, 10**6),
+    "resources": st.tuples(RESOURCES, RESOURCES),
+    "network_start_offset_s": FLOATS,
+    "app_start_offset_s": st.tuples(FLOATS, FLOATS),
+    "session_spread_s": FLOATS,
+    "horizon_s": FLOATS,
+    "sampling_interval_s": FLOATS,
+    "phase_request_bytes": st.dictionaries(st.integers(-1, 15), st.integers(-2, 10**400),
+                                           max_size=2),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(list(REPLACEMENTS)), min_size=1, max_size=2, unique=True)
+       .flatmap(lambda names: st.fixed_dictionaries({n: REPLACEMENTS[n] for n in names})))
+def test_python_built_and_document_scenarios_agree(changes):
+    # a scenario built in Python obeys the rules a document does: its own
+    # document loads, and encodes as it does
+    try:
+        scenario = replace(SMALL, **changes)
+    except ScenarioValidationError:
         return
     encoded = scenario_to_dict(scenario)
     assert scenario_to_dict(scenario_from_dict(encoded)) == encoded

@@ -1,5 +1,6 @@
 """Tests for the 13-phase approval protocol state machines."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from crossrealm import keys as keylib
 from crossrealm import protocol as proto
 from crossrealm import simnet
+from crossrealm.errors import InvalidInput
 from crossrealm.harness import Scenario
 from crossrealm.protocol import (
     BeginResult,
@@ -145,6 +147,11 @@ def test_timeout_mode_parse_round_trip():
         assert TimeoutMode.parse(text).encode() == text
     with pytest.raises(Exception):
         TimeoutMode.parse("sometimes")
+    # a mode checks its own kind and seconds, however it is built
+    for build in (lambda: TimeoutMode.per_phase(math.nan), lambda: TimeoutMode.per_phase(0),
+                  lambda: TimeoutMode("bogus", 5.0), lambda: TimeoutMode("per-phase")):
+        with pytest.raises(InvalidInput):
+            build()
 
 
 # -- full scripted run ----------------------------------------------------------

@@ -85,6 +85,15 @@ def test_each_pair_routes_over_both_uplinks(source, destination, hops, default_b
         assert narrowed.path_bandwidth_bps(a, b) == 1e9
 
 
+def test_a_path_to_itself_costs_only_the_handshake():
+    # the pair is allowed (self-preference) and crosses no link: no
+    # serialization, no propagation, only the handshake's round trips
+    model = ConnectionModel()
+    assert Topology().path_bandwidth_bps("A", "A") == math.inf
+    assert transmit_components(1024, "A", "A", model, Topology()) == (
+        1.5 * model.rtt_base_s, 1.5 * model.rtt_base_s + model.per_phase_service_s)
+
+
 def test_negative_propagation_delay_rejected():
     # a negative delay would deliver messages before they are sent
     for delay in (-1.0, math.nan, math.inf):
