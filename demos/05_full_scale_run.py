@@ -13,21 +13,20 @@ print(f"principals={scenario.principals}, sessions per principal drawn from "
       f"seed {scenario.seed}")
 
 run = simnet.run(scenario)
-report = aggregate(run, scenario)
+report = aggregate(run)
 
 print()
-print(f"sessions started:   {report.sessions_started}")
-print(f"sessions completed: {report.sessions_completed}")
-print(f"sessions dropped:   {report.sessions_dropped}")
-print(f"end-to-end mean:    {report.end_to_end_mean_s:.2f} s "
-      f"(p50 {report.end_to_end_p50_s:.2f}, p99 {report.end_to_end_p99_s:.2f})")
+print(f"sessions started:   {report['sessions.started']}")
+print(f"sessions completed: {report['sessions.completed']}")
+print(f"sessions dropped:   {report['sessions.dropped']}")
+print(f"end-to-end mean:    {report['end_to_end_s.mean']:.2f} s "
+      f"(p50 {report['end_to_end_s.p50']:.2f}, p99 {report['end_to_end_s.p99']:.2f})")
 print("per-phase means (s):",
-      " ".join(f"{report.per_phase_mean_s[k]:.2f}" for k in range(1, 14)))
-print(f"peak traffic sent:  {report.peak_traffic_sent_bps / 1e6:.2f} Mbps")
-print(f"mean traffic sent:  {report.mean_traffic_sent_bps / 1e6:.2f} Mbps")
-print(f"max network delay:  {report.max_network_delay_s * 1e3:.2f} ms "
+      " ".join(f"{report[f'per_phase_s.{k}.mean']:.2f}" for k in range(1, 14)))
+print(f"peak traffic sent:  {report['traffic_bps.peak_sent'] / 1e6:.2f} Mbps")
+print(f"mean traffic sent:  {report['traffic_bps.mean_sent'] / 1e6:.2f} Mbps")
+print(f"max network delay:  {report['max_network_delay_s'] * 1e3:.2f} ms "
       "(handshake + serialization + propagation)")
-
 
 def sketch(series, title, unit_scale=1.0, width=60, buckets=24):
     step = max(1, len(series) // buckets)

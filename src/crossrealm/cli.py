@@ -48,17 +48,17 @@ def _cmd_run(args) -> int:
     if args.timeout_mode is not None:
         scenario = replace(scenario, timeout_mode=TimeoutMode.parse(args.timeout_mode))
     result = simnet.run(scenario)
-    report = harness.aggregate(result, scenario)
+    report = harness.aggregate(result)
     paths = harness.emit_report(report, args.format, args.out)
     paths.append(harness.emit_event_log(result, args.out))
-    print(f"sessions: started={report.sessions_started} "
-          f"completed={report.sessions_completed} dropped={report.sessions_dropped} "
-          f"in-flight={report.in_flight_at_horizon}")
-    if report.end_to_end_mean_s is not None:
-        print(f"end-to-end mean: {report.end_to_end_mean_s:.3f} s")
-    print(f"peak traffic sent: {report.peak_traffic_sent_bps / 1e6:.3f} Mbps")
-    print(f"max network delay: {report.max_network_delay_s * 1e3:.3f} ms")
-    if report.horizon_exceeded:
+    print(f"sessions: started={report['sessions.started']} "
+          f"completed={report['sessions.completed']} dropped={report['sessions.dropped']} "
+          f"in-flight={report['sessions.in_flight_at_horizon']}")
+    if report["end_to_end_s.mean"] is not None:
+        print(f"end-to-end mean: {report['end_to_end_s.mean']:.3f} s")
+    print(f"peak traffic sent: {report['traffic_bps.peak_sent'] / 1e6:.3f} Mbps")
+    print(f"max network delay: {report['max_network_delay_s'] * 1e3:.3f} ms")
+    if report["horizon_exceeded"]:
         print("warning: horizon exceeded; report is partial")
     for path in paths:
         print(f"wrote {path}")

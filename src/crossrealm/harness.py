@@ -41,15 +41,20 @@ MAX_BUCKETS = 10**6
 MAX_SESSIONS = 10**5
 
 
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 1  # a bool is not a count
+
+
 # Scenario field -> (test of its value, the rule it states), in field order;
-# each test is made of comparisons that NaN fails
+# each test fails NaN, and fails or raises TypeError on a value of another type
 _FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and non-negative")
 _PHASE_SIZES = (lambda sizes: sizes is None or all(
     1 <= k <= PHASE_COUNT and 0 <= n <= sys.float_info.max for k, n in sizes.items()),
     f"must key phases 1..{PHASE_COUNT} to sizes from 0 to the largest float")
 _RANGES = {
-    "principals": (lambda v: v >= 1, "must be at least 1"),
-    "sessions_per_principal": (lambda v: v == "mean2" or v >= 1, 'must be "mean2" or at least 1'),
+    "principals": (_is_count, "must be a whole number of at least 1"),
+    "sessions_per_principal": (lambda v: v == "mean2" or _is_count(v),
+                               'must be "mean2" or a whole number of at least 1'),
     "resources": (lambda v: len(v) == 2 and v[0] != v[1], "must be two distinct names"),
     "network_start_offset_s": _FINITE_NON_NEGATIVE,
     "app_start_offset_s": (lambda v: 0 <= v[0] <= v[1] < math.inf,
@@ -65,8 +70,8 @@ _RANGES = {
 @dataclass(frozen=True)
 class Scenario:
     """One experiment configuration; defaults are the full-scale setup. Each
-    field's range and the rules that span fields are checked on construction,
-    however a scenario is built."""
+    field's type and range and the rules that span fields are checked on
+    construction, however a scenario is built."""
 
     principals: int = 1000
     sessions_per_principal: int | str = "mean2"  # "mean2" = seeded draw from {1,2,3}
@@ -86,7 +91,11 @@ class Scenario:
 
     def __post_init__(self):
         for name, (test, rule) in _RANGES.items():
-            if not test(getattr(self, name)):
+            try:
+                valid = test(getattr(self, name))
+            except TypeError:  # compared with a value of another type
+                valid = False
+            if not valid:
                 raise ScenarioValidationError(name, rule)
         if self.horizon_s <= self.network_start_offset_s:
             raise ScenarioValidationError("horizon_s", "must exceed the network start offset")
@@ -263,68 +272,17 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 @dataclass
 class MetricsReport:
-    """Aggregate measurements of one run."""
+    """Aggregate measurements of one run: the metric tree, each scalar read
+    by its dotted name (``report["end_to_end_s.mean"]``), and the series of
+    the run's traffic buckets."""
 
-    sessions_started: int
-    sessions_completed: int
-    sessions_dropped: int
-    dropped_by_reason: dict[str, int]
-    in_flight_at_horizon: int
-    end_to_end_mean_s: float | None
-    end_to_end_p50_s: float | None
-    end_to_end_p90_s: float | None
-    end_to_end_p99_s: float | None
-    end_to_end_count: int
-    per_phase_mean_s: dict[int, float]
-    per_phase_count: dict[int, int]
+    tree: dict
     active_sessions: list[int]
     traffic_sent_bps: list[float]
     traffic_received_bps: list[float]
-    peak_traffic_sent_bps: float
-    peak_traffic_received_bps: float
-    mean_traffic_sent_bps: float
-    max_network_delay_s: float
-    horizon_exceeded: bool
-    sampling_interval_s: float
-    seed: int
-    discards: dict[str, dict[str, int]]  # receiving role -> discard reason -> deliveries
-    violations: dict[str, int]  # role -> discards it counted itself
 
-    def metric_tree(self) -> dict:
-        """Nested scalar view used by summaries and acceptance checks."""
-        return {
-            "sessions": {
-                "started": self.sessions_started,
-                "completed": self.sessions_completed,
-                "dropped": self.sessions_dropped,
-                "in_flight_at_horizon": self.in_flight_at_horizon,
-                "dropped_by_reason": dict(sorted(self.dropped_by_reason.items())),
-            },
-            "end_to_end_s": {
-                "mean": self.end_to_end_mean_s,
-                "p50": self.end_to_end_p50_s,
-                "p90": self.end_to_end_p90_s,
-                "p99": self.end_to_end_p99_s,
-                "count": self.end_to_end_count,
-            },
-            "per_phase_s": {
-                str(k): {"mean": self.per_phase_mean_s.get(k),
-                         "count": self.per_phase_count.get(k, 0)}
-                for k in range(1, PHASE_COUNT + 1)
-            },
-            "traffic_bps": {
-                "peak_sent": self.peak_traffic_sent_bps,
-                "peak_received": self.peak_traffic_received_bps,
-                "mean_sent": self.mean_traffic_sent_bps,
-            },
-            "max_network_delay_s": self.max_network_delay_s,
-            "discards": {role: dict(sorted(reasons.items()))
-                         for role, reasons in sorted(self.discards.items())},
-            "violations": dict(sorted(self.violations.items())),
-            "horizon_exceeded": self.horizon_exceeded,
-            "sampling_interval_s": self.sampling_interval_s,
-            "seed": self.seed,
-        }
+    def __getitem__(self, metric: str) -> object:
+        return _resolve(self.tree, metric)
 
 
 def _mean(values: list[float]) -> float:
@@ -346,7 +304,7 @@ def percentile(ordered: list[float], q: float) -> float:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def aggregate(run: SimRun, scenario: Scenario) -> MetricsReport:
+def aggregate(run: SimRun) -> MetricsReport:
     """Fold an event log and final session states into a MetricsReport.
 
     The fold is one pass that builds no container per record, so it sets
@@ -354,8 +312,8 @@ def aggregate(run: SimRun, scenario: Scenario) -> MetricsReport:
     opening send is kept in that phase's dict under the record's own
     session id string, and discards are counted under the record's outcome.
     """
-    interval = scenario.sampling_interval_s
-    buckets = int(math.floor(run.horizon_s / interval)) + 1
+    interval = run.scenario.sampling_interval_s
+    buckets = int(math.floor(run.scenario.horizon_s / interval)) + 1
     last = buckets - 1
     sent = [0.0] * buckets
     received = [0.0] * buckets
@@ -386,62 +344,56 @@ def aggregate(run: SimRun, scenario: Scenario) -> MetricsReport:
                 counts[outcome] = counts.get(outcome, 0) + 1
         elif kind == "session-start":
             started += 1
-    discards = {role: {outcome[len("discarded:"):]: n for outcome, n in counts.items()}
-                for role, counts in discarded.items()}
 
     completed = run.completed()
     dropped = run.dropped()
-    reasons = dict(Counter(str(s.drop_reason) for s in dropped))
-
     durations = sorted(s.ended_at - s.started_at for s in completed)
+    mean = p50 = p90 = p99 = None
     if durations:
-        e2e = [_mean(durations)] + [percentile(durations, q) for q in (50, 90, 99)]
-    else:
-        e2e = [None, None, None, None]
+        mean, p50, p90, p99 = (_mean(durations), percentile(durations, 50),
+                               percentile(durations, 90), percentile(durations, 99))
 
     # a session is active from its start bucket to its end bucket: it steps
     # the count up at the first and down after the last, and the running sum
     # of the steps is the count (every session starts within the horizon)
     steps = [0] * (buckets + 1)
     for s in run.sessions.values():
-        end = s.ended_at if s.ended_at is not None else run.horizon_s
+        end = s.ended_at if s.ended_at is not None else run.scenario.horizon_s
         steps[int(s.started_at / interval)] += 1
         steps[min(int(end / interval), last) + 1] -= 1
-    active = list(accumulate(steps[:buckets]))
 
     sent_bps = [bits / interval for bits in sent]
     received_bps = [bits / interval for bits in received]
-    return MetricsReport(
-        sessions_started=started,
-        sessions_completed=len(completed),
-        sessions_dropped=len(dropped),
-        dropped_by_reason=reasons,
-        in_flight_at_horizon=started - len(completed) - len(dropped),
-        end_to_end_mean_s=e2e[0],
-        end_to_end_p50_s=e2e[1],
-        end_to_end_p90_s=e2e[2],
-        end_to_end_p99_s=e2e[3],
-        end_to_end_count=len(durations),
-        per_phase_mean_s={k: _mean(v) for k, v in phase_durations.items() if v},
-        per_phase_count={k: len(v) for k, v in phase_durations.items()},
-        active_sessions=active,
-        traffic_sent_bps=sent_bps,
-        traffic_received_bps=received_bps,
-        peak_traffic_sent_bps=max(sent_bps),
-        peak_traffic_received_bps=max(received_bps),
-        mean_traffic_sent_bps=_mean(sent_bps),
-        max_network_delay_s=run.max_network_delay_s,
-        horizon_exceeded=run.horizon_exceeded,
-        sampling_interval_s=interval,
-        seed=run.seed,
-        discards=discards,
-        violations={role.value: state.violations for role, state in run.role_states.items()},
-    )
+    tree = {
+        "sessions": {
+            "started": started,
+            "completed": len(completed),
+            "dropped": len(dropped),
+            "in_flight_at_horizon": started - len(completed) - len(dropped),
+            "dropped_by_reason": dict(Counter(str(s.drop_reason) for s in dropped)),
+        },
+        "end_to_end_s": {"mean": mean, "p50": p50, "p90": p90, "p99": p99,
+                         "count": len(durations)},
+        "per_phase_s": {str(k): {"mean": _mean(v) if v else None, "count": len(v)}
+                        for k, v in phase_durations.items()},
+        "traffic_bps": {"peak_sent": max(sent_bps), "peak_received": max(received_bps),
+                        "mean_sent": _mean(sent_bps)},
+        "max_network_delay_s": run.max_network_delay_s,
+        # receiving role -> discard reason -> deliveries
+        "discards": {role: {outcome[len("discarded:"):]: n for outcome, n in counts.items()}
+                     for role, counts in discarded.items()},
+        # role -> discards it counted itself
+        "violations": {role.value: state.violations for role, state in run.role_states.items()},
+        "horizon_exceeded": run.horizon_exceeded,
+        "sampling_interval_s": interval,
+        "seed": run.scenario.seed,
+    }
+    return MetricsReport(tree, list(accumulate(steps[:buckets])), sent_bps, received_bps)
 
 
 def run_experiment(scenario: Scenario) -> MetricsReport:
     """Drive the simulator once and aggregate its event log."""
-    return aggregate(simnet.run(scenario), scenario)
+    return aggregate(simnet.run(scenario))
 
 
 # -- report files ----------------------------------------------------------------
@@ -469,17 +421,17 @@ def emit_report(report: MetricsReport, format: str, out_dir: str | Path) -> list
     """Write summary, per_phase, and timeseries tables; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tree = report.metric_tree()
-    per_phase = tree.pop("per_phase_s")
-    interval = report.sampling_interval_s
+    summary = {key: value for key, value in report.tree.items() if key != "per_phase_s"}
+    per_phase = report.tree["per_phase_s"]
+    interval = report["sampling_interval_s"]
     # a run with no sessions produces tables with headers and no data rows
-    empty = report.sessions_started == 0
+    empty = report["sessions.started"] == 0
     n = 0 if empty else len(report.active_sessions)
     phase_rows = () if empty else tuple(range(1, PHASE_COUNT + 1))
 
     if format == "json-like":
         paths = [out / "summary.json", out / "per_phase.json", out / "timeseries.json"]
-        paths[0].write_text(json.dumps(tree, indent=2, sort_keys=True) + "\n")
+        paths[0].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         paths[1].write_text(json.dumps(
             {str(k): per_phase[str(k)] for k in phase_rows},
             indent=2, sort_keys=True) + "\n")
@@ -496,7 +448,7 @@ def emit_report(report: MetricsReport, format: str, out_dir: str | Path) -> list
         raise ScenarioValidationError("format", f"unknown report format {format!r}")
     paths = [out / "summary.csv", out / "per_phase.csv", out / "timeseries.csv"]
     lines = ["metric,value"]
-    lines += [f"{k},{_fmt(v)}" for k, v in sorted(_flatten(tree))]
+    lines += [f"{k},{_fmt(v)}" for k, v in sorted(_flatten(summary))]
     paths[0].write_text("\n".join(lines) + "\n")
     lines = ["phase_index,mean_response_s,count"]
     for k in phase_rows:
@@ -635,7 +587,7 @@ def check_acceptance(report: MetricsReport | dict, expectations: list[dict]) -> 
 
     A malformed entry raises ScenarioParseError naming its index and metric.
     """
-    tree = report.metric_tree() if isinstance(report, MetricsReport) else report
+    tree = report.tree if isinstance(report, MetricsReport) else report
     verdicts = []
     for index, exp in enumerate(expectations):
         try:

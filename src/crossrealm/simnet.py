@@ -261,14 +261,14 @@ def build_default_vault(principals: int) -> tuple[Vault, dict[str, Requester]]:
 
 @dataclass
 class SimRun:
-    """Everything a run produced: the log, final states, and flags."""
+    """The scenario a run was made from and everything it produced: the log,
+    final states, and flags."""
 
     records: list[Record]
     sessions: dict[bytes, SessionState]
     role_states: dict[Role, proto.RoleState]
     vault: Vault
-    seed: int
-    horizon_s: float
+    scenario: "Scenario"
     max_network_delay_s: float
     horizon_exceeded: bool
 
@@ -280,10 +280,9 @@ class SimRun:
 
 
 class _Engine:
-    def __init__(self, scenario: "Scenario", seed: int):
+    def __init__(self, scenario: "Scenario"):
         self.scenario = scenario
-        self.seed = seed
-        self.rng = random.Random(seed)
+        self.rng = random.Random(scenario.seed)
         self.mode = scenario.timeout_mode
         self.table = proto.protocol_table(scenario.phase_request_bytes,
                                           scenario.phase_response_bytes)
@@ -338,10 +337,9 @@ class _Engine:
         for p in range(sc.principals):
             profile_start = sc.network_start_offset_s + self.rng.uniform(lo, hi)
             self.schedule(profile_start, self.log, "app-start", "A")
-            if sc.sessions_per_principal == "mean2":
+            count = sc.sessions_per_principal
+            if count == "mean2":
                 count = self.rng.choice((1, 2, 3))
-            else:
-                count = int(sc.sessions_per_principal)
             for _ in range(count):
                 start = profile_start + self.rng.uniform(0.0, sc.session_spread_s)
                 sid = self.rng.getrandbits(128).to_bytes(16, "big")
@@ -474,22 +472,21 @@ class _Engine:
             sessions=self.sessions,
             role_states=self.roles,
             vault=self.vault,
-            seed=self.seed,
-            horizon_s=self.scenario.horizon_s,
+            scenario=self.scenario,
             max_network_delay_s=self.max_network_delay,
             horizon_exceeded=self.horizon_exceeded,
         )
 
 
-def run(scenario: "Scenario", seed: int | None = None) -> SimRun:
-    """Run one scenario to completion or horizon; pure in (scenario, seed).
+def run(scenario: "Scenario") -> SimRun:
+    """Run one scenario to completion or horizon; pure in the scenario.
 
     Cyclic garbage collection is paused while the event loop runs: the
     loop makes no reference cycles, and every full collection would walk
     the whole event log for nothing. The caller's setting is restored on
     the way out, also when a handler raises.
     """
-    engine = _Engine(scenario, scenario.seed if seed is None else seed)
+    engine = _Engine(scenario)
     engine.setup()
     collecting = gc.isenabled()
     gc.disable()

@@ -37,6 +37,15 @@ SCENARIOS_DIR = Path(__file__).parent.parent / "scenarios"
 
 # sha256 of the default run's events.csv; a change to it must be explained
 DEFAULT_EVENTS_SHA256 = "de5ec44d4e69e2748e93dbe674261a5853d512ca4ce13561e50e71beb63dab06"
+# sha256 of each report file of the default run, in both formats
+DEFAULT_REPORT_SHA256 = {
+    "summary.csv": "2a47b0cd5233bfea5d20f5e31c62e6ce5cf6d747f7d44f2372190be3414e1c63",
+    "per_phase.csv": "607fe283c19a9b6b5d61163629d36f66e0c3b565d996e8acdac1b234bd44fd67",
+    "timeseries.csv": "08899bb700a44cccb6a5c55a4c2cb92d91b99fce1aeb7159af7c92d4a52a04f5",
+    "summary.json": "abe69db31789b8bb9297489fa3904d0784ecdecf7c07250afcd0c764951dde87",
+    "per_phase.json": "3e7e744ddb0cadb126a96ac4e586c439dc671090ecbd657e10155b685331ea16",
+    "timeseries.json": "56e96a339362ea0c162157fb026050148f4f79b3588a64109a2cc37cadf85245",
+}
 
 TINY = Scenario(principals=1, sessions_per_principal=1, session_spread_s=1.0,
                 horizon_s=400.0, seed=3)
@@ -56,7 +65,7 @@ def default_run():
     started = time.monotonic()
     run = simnet.run(scenario)
     wall = time.monotonic() - started
-    report = aggregate(run, scenario)
+    report = aggregate(run)
     return scenario, run, report, wall
 
 
@@ -124,48 +133,53 @@ def test_criterion_03_gatekeeping_across_seeds():
 
 def test_criterion_04_session_count(default_run):
     _, _, report, wall = default_run
-    ok = report.sessions_started >= 2000 and wall < 120.0
+    ok = report["sessions.started"] >= 2000 and wall < 120.0
     verdict(4, "session count >= 2000", ok,
-            f"started {report.sessions_started}, wall {wall:.1f}s")
+            f"started {report['sessions.started']}, wall {wall:.1f}s")
 
 
 def test_default_run_reports_no_discards(default_run):
     # the expectations still pass on this run: test_criterion_04_to_07_expectations_file
     _, _, report, _ = default_run
-    tree = report.metric_tree()
-    assert tree["discards"] == {}
-    assert tree["violations"] == {role.value: 0 for role in Role}
+    assert report.tree["discards"] == {}
+    assert report.tree["violations"] == {role.value: 0 for role in Role}
 
 
 def test_default_run_percentiles_pinned(default_run):
     # the values the report held when they were computed with an array library
     _, _, report, _ = default_run
-    assert (report.end_to_end_p50_s, report.end_to_end_p90_s, report.end_to_end_p99_s) == (
+    assert tuple(report[f"end_to_end_s.{q}"] for q in ("p50", "p90", "p99")) == (
         59.30908192000001, 59.30908192000061, 59.309081920000665)
+
+
+def test_default_report_files_pinned(default_run, tmp_path):
+    _, _, report, _ = default_run
+    paths = [*emit_report(report, "csv", tmp_path), *emit_report(report, "json-like", tmp_path)]
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in paths} == DEFAULT_REPORT_SHA256
 
 
 def test_criterion_05_response_times(default_run):
     _, _, report, _ = default_run
-    e2e_ok = abs(report.end_to_end_mean_s - 60.0) <= 6.0
-    phase_ok = all(abs(report.per_phase_mean_s[k] - 5.0) <= 0.75 for k in range(1, 14))
+    phases = [report[f"per_phase_s.{k}.mean"] for k in range(1, 14)]
+    e2e_ok = abs(report["end_to_end_s.mean"] - 60.0) <= 6.0
+    phase_ok = all(abs(mean - 5.0) <= 0.75 for mean in phases)
     verdict(5, "end-to-end ~60s and per-phase ~5s", e2e_ok and phase_ok,
-            f"e2e {report.end_to_end_mean_s:.2f}s, "
-            f"phases {min(report.per_phase_mean_s.values()):.3f}"
-            f"..{max(report.per_phase_mean_s.values()):.3f}s")
+            f"e2e {report['end_to_end_s.mean']:.2f}s, "
+            f"phases {min(phases):.3f}..{max(phases):.3f}s")
 
 
 def test_criterion_06_traffic_band(default_run):
     _, _, report, _ = default_run
-    peak = report.peak_traffic_sent_bps
+    peak = report["traffic_bps.peak_sent"]
     ok = 0.75e6 <= peak <= 3.0e6
     verdict(6, "peak traffic in [0.75, 3.0] Mbps", ok, f"peak {peak / 1e6:.3f} Mbps")
 
 
 def test_criterion_07_network_delay(default_run):
     _, _, report, _ = default_run
-    ok = report.max_network_delay_s < 0.06
-    verdict(7, "max network delay < 0.06 s", ok,
-            f"max {report.max_network_delay_s * 1e3:.3f} ms")
+    delay = report["max_network_delay_s"]
+    verdict(7, "max network delay < 0.06 s", delay < 0.06, f"max {delay * 1e3:.3f} ms")
 
 
 def test_criterion_04_to_07_expectations_file(default_run):
@@ -256,7 +270,7 @@ def test_criterion_10_determinism(default_run, tmp_path):
     scenario, first_run, first_report, _ = default_run
     started = time.monotonic()
     second_run = simnet.run(scenario)
-    second_report = aggregate(second_run, scenario)
+    second_report = aggregate(second_run)
     wall = time.monotonic() - started
 
     events = records_to_csv(first_run.records)
@@ -280,9 +294,8 @@ def test_criterion_11_timeout_anomaly_not_reproduced():
     scenario = Scenario(principals=50, timeout_mode=TimeoutMode.per_phase(60),
                         session_spread_s=60.0, horizon_s=400.0, seed=2)
     run = simnet.run(scenario)
-    report = aggregate(run, scenario)
-    ok = (report.sessions_dropped == 0
-          and report.sessions_completed == report.sessions_started > 0)
+    sessions = aggregate(run).tree["sessions"]
+    ok = sessions["dropped"] == 0 and sessions["completed"] == sessions["started"] > 0
     verdict(11, "60s-timeout mass drop not reproduced (by design)", ok,
-            f"{report.sessions_completed}/{report.sessions_started} completed, "
+            f"{sessions['completed']}/{sessions['started']} completed, "
             f"0 drops expected")

@@ -1,6 +1,7 @@
 """Tests for scenario files, metrics aggregation, reports, and checks."""
 
 import gc
+import hashlib
 import json
 import math
 import os
@@ -48,7 +49,7 @@ STALLED_AT_F = replace(SMALL, timeout_mode=TimeoutMode.localized_f(200), horizon
 
 
 def small_report():
-    return aggregate(simnet.run(SMALL), SMALL)
+    return aggregate(simnet.run(SMALL))
 
 
 # -- scenario loading -----------------------------------------------------------
@@ -217,6 +218,14 @@ PYTHON_BUILT = {
     "no-principals": (lambda: Scenario(principals=0), "principals"),
     "no-sessions-each": (lambda: Scenario(sessions_per_principal=0), "sessions_per_principal"),
     "nan-horizon": (lambda: Scenario(principals=3, horizon_s=math.nan), "horizon_s"),
+    # and each field's type: a count is an int, a time a number
+    "fractional-principals": (lambda: Scenario(principals=2.5, sessions_per_principal=1),
+                              "principals"),
+    "text-principals": (lambda: Scenario(principals="3"), "principals"),
+    "bool-principals": (lambda: Scenario(principals=True), "principals"),
+    "fractional-sessions-each": (lambda: replace(SMALL, sessions_per_principal=1.5),
+                                 "sessions_per_principal"),
+    "text-horizon": (lambda: Scenario(horizon_s="800"), "horizon_s"),
 }
 
 
@@ -229,19 +238,18 @@ def test_python_built_scenario_checked(case):
 
 
 def test_discards_and_violations_reported(tmp_path):
-    report = aggregate(simnet.run(STALLED_AT_F), STALLED_AT_F)
-    assert report.sessions_dropped == report.sessions_started == 4
-    tree = report.metric_tree()
-    assert tree["discards"] == {"SAC-SH": {"session-not-in-progress": 4}}
-    assert tree["violations"] == {role.value: 0 for role in Role}
+    report = aggregate(simnet.run(STALLED_AT_F))
+    assert report["sessions.dropped"] == report["sessions.started"] == 4
+    assert report.tree["discards"] == {"SAC-SH": {"session-not-in-progress": 4}}
+    assert report.tree["violations"] == {role.value: 0 for role in Role}
     emit_report(report, "csv", tmp_path)
-    assert load_report(tmp_path)["discards"] == tree["discards"]
+    assert load_report(tmp_path)["discards"] == report.tree["discards"]
 
 
 def test_engine_counts_a_role_discard():
     # the network delivers each phase-1 request twice; F discards the copy
     # and counts it, and the session goes on
-    engine = simnet._Engine(SMALL, SMALL.seed)
+    engine = simnet._Engine(SMALL)
     send = engine._send
 
     def send_phase1_twice(msg):
@@ -254,11 +262,11 @@ def test_engine_counts_a_role_discard():
     engine.loop()
     run = engine.result()
     assert all(s.status is SessionStatus.COMPLETED for s in run.sessions.values())
-    report = aggregate(run, SMALL)
-    tree = report.metric_tree()
-    assert tree["discards"] == {"F": {"duplicate-session": report.sessions_started}}
-    assert tree["violations"] == {role.value: report.sessions_started if role is Role.F else 0
-                                  for role in Role}
+    report = aggregate(run)
+    started = report["sessions.started"]
+    assert report.tree["discards"] == {"F": {"duplicate-session": started}}
+    assert report.tree["violations"] == {role.value: started if role is Role.F else 0
+                                         for role in Role}
 
 
 def test_cli_names_malformed_field(tmp_path, capsys):
@@ -429,28 +437,28 @@ def test_shipped_default_scenario_matches_defaults():
 
 def test_accounting_identity():
     report = small_report()
-    assert report.sessions_started == (report.sessions_completed
-                                       + report.sessions_dropped
-                                       + report.in_flight_at_horizon)
-    assert report.sessions_started == 4
-    assert report.sessions_dropped == 0
+    sessions = report.tree["sessions"]
+    assert sessions["started"] == (sessions["completed"] + sessions["dropped"]
+                                   + sessions["in_flight_at_horizon"])
+    assert sessions["started"] == 4
+    assert sessions["dropped"] == 0
 
 
 def test_per_phase_means_sum_to_end_to_end():
     report = small_report()
-    total = sum(report.per_phase_mean_s[k] for k in range(1, 14))
-    assert total == pytest.approx(report.end_to_end_mean_s, rel=1e-6)
+    total = sum(report[f"per_phase_s.{k}.mean"] for k in range(1, 14))
+    assert total == pytest.approx(report["end_to_end_s.mean"], rel=1e-6)
 
 
 def test_traffic_integrates_to_total_payload():
     run = simnet.run(SMALL)
-    report = aggregate(run, SMALL)
+    report = aggregate(run)
     sent_bits = sum(r.payload_bytes * 8 for r in run.records if r.kind == "send")
-    integrated = sum(report.traffic_sent_bps) * report.sampling_interval_s
+    integrated = sum(report.traffic_sent_bps) * report["sampling_interval_s"]
     assert integrated == pytest.approx(sent_bits, rel=1e-9)
     received_bits = sum(r.payload_bytes * 8 for r in run.records
                         if r.kind == "deliver" and r.payload_bytes is not None)
-    integrated_rx = sum(report.traffic_received_bps) * report.sampling_interval_s
+    integrated_rx = sum(report.traffic_received_bps) * report["sampling_interval_s"]
     assert integrated_rx == pytest.approx(received_bits, rel=1e-9)
 
 
@@ -489,10 +497,12 @@ def test_percentile_of_ties_is_the_tied_value():
     assert percentile([5.0] * 7, 99) == 5.0
 
 
-def reference_fold(run, scenario):
-    """The per-record fold aggregate used before it was made allocation-free."""
-    interval = scenario.sampling_interval_s
-    buckets = int(math.floor(run.horizon_s / interval)) + 1
+def reference_fold(run):
+    """The per-record fold aggregate used before it was made allocation-free:
+    the two traffic series, the per-phase and discard entries of the metric
+    tree, and the count of sessions started."""
+    interval = run.scenario.sampling_interval_s
+    buckets = int(math.floor(run.scenario.horizon_s / interval)) + 1
     sent = [0.0] * buckets
     received = [0.0] * buckets
     started = 0
@@ -520,14 +530,10 @@ def reference_fold(run, scenario):
                 counts[why] = counts.get(why, 0) + 1
         elif rec.kind == "session-start":
             started += 1
-    return {
-        "traffic_sent_bps": [x / interval for x in sent],
-        "traffic_received_bps": [x / interval for x in received],
-        "per_phase_mean_s": {k: math.fsum(v) / len(v) for k, v in phase_durations.items() if v},
-        "per_phase_count": {k: len(v) for k, v in phase_durations.items()},
-        "discards": discards,
-        "sessions_started": started,
-    }
+    per_phase = {str(k): {"mean": math.fsum(v) / len(v) if v else None, "count": len(v)}
+                 for k, v in phase_durations.items()}
+    return ([x / interval for x in sent], [x / interval for x in received], per_phase,
+            discards, started)
 
 
 # a per-phase run whose horizon cuts it off with sessions still open
@@ -539,12 +545,38 @@ CUT_OFF = replace(SMALL, principals=6, session_spread_s=100.0, horizon_s=220.0,
                          ids=["small", "stalled-at-f", "cut-off"])
 def test_aggregate_matches_reference_fold(scenario):
     run = simnet.run(scenario)
-    report = aggregate(run, scenario)
-    expected = reference_fold(run, scenario)
-    assert {name: getattr(report, name) for name in expected} == expected
+    report = aggregate(run)
+    assert (report.traffic_sent_bps, report.traffic_received_bps, report.tree["per_phase_s"],
+            report.tree["discards"], report["sessions.started"]) == reference_fold(run)
     if scenario is CUT_OFF:
-        assert report.horizon_exceeded and report.in_flight_at_horizon > 0
-        assert report.sessions_dropped > 0
+        assert report["horizon_exceeded"] and report["sessions.in_flight_at_horizon"] > 0
+        assert report["sessions.dropped"] > 0
+
+
+# what `crossrealm run` prints besides the paths it wrote
+CLI_PRINTOUT = {
+    "small": (SMALL, ["sessions: started=4 completed=4 dropped=0 in-flight=0",
+                      "end-to-end mean: 59.309 s",
+                      "peak traffic sent: 0.139 Mbps",
+                      "max network delay: 7.504 ms"]),
+    "stalled-at-f": (STALLED_AT_F, ["sessions: started=4 completed=0 dropped=4 in-flight=0",
+                                    "peak traffic sent: 0.139 Mbps",
+                                    "max network delay: 7.504 ms"]),
+    "cut-off": (CUT_OFF, ["sessions: started=12 completed=0 dropped=6 in-flight=6",
+                          "peak traffic sent: 0.090 Mbps",
+                          "max network delay: 7.504 ms",
+                          "warning: horizon exceeded; report is partial"]),
+}
+
+
+@pytest.mark.parametrize("case", CLI_PRINTOUT)
+def test_cli_run_printout(tmp_path, capsys, case):
+    scenario, expected = CLI_PRINTOUT[case]
+    save_scenario(scenario, tmp_path / "scenario.json")
+    assert cli.main(["run", "--scenario", str(tmp_path / "scenario.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("wrote ")] == expected
 
 
 def test_aggregate_sets_off_no_older_collection():
@@ -562,7 +594,7 @@ def test_aggregate_sets_off_no_older_collection():
     gc.collect()
     gc.callbacks.append(note)
     try:
-        aggregate(run, scenario)
+        aggregate(run)
     finally:
         gc.callbacks.remove(note)
     assert started.count(1) == started.count(2) == 0
@@ -570,7 +602,7 @@ def test_aggregate_sets_off_no_older_collection():
 
 def test_run_experiment_matches_manual_pipeline():
     direct = run_experiment(SMALL)
-    manual = aggregate(simnet.run(SMALL), SMALL)
+    manual = aggregate(simnet.run(SMALL))
     assert direct == manual
 
 
@@ -618,6 +650,24 @@ def test_re_emitting_is_byte_identical(tmp_path):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
+# sha256 of each report file of the STALLED_AT_F run, in both formats
+STALLED_REPORT_SHA256 = {
+    "summary.csv": "ae8ab05a2096ad346511582a41d3af4a7b54b606dffa11732ee089e2cb6d063f",
+    "per_phase.csv": "5ddfda01492a9a2451fafc4e7da7898de0d35796bbfb1b872317ada976adb7e5",
+    "timeseries.csv": "1ce7e70be37f5b9c6e1293ccd54f345f499d0d72a84b5cec1c729b31cfec043c",
+    "summary.json": "a3ba24cb5adcd646f0bfbbc933f13133eb407edd0fefb4e736c09abe4a8fa214",
+    "per_phase.json": "83c25d9c0fa1ff46473db5ff45d0c033617c81d5776430c960ef22aa6abb69bc",
+    "timeseries.json": "abf11e68c4560e80ab26a8f5f9e3075ec17363651d53a0119744853e9c02c9d5",
+}
+
+
+def test_stalled_report_files_pinned(tmp_path):
+    report = run_experiment(STALLED_AT_F)
+    paths = [*emit_report(report, "csv", tmp_path), *emit_report(report, "json-like", tmp_path)]
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in paths} == STALLED_REPORT_SHA256
+
+
 def test_event_log_file_matches_records_to_csv(tmp_path):
     run = simnet.run(STALLED_AT_F)
     blank = {r.kind for r in run.records if r.phase_index is None or r.payload_bytes is None}
@@ -630,7 +680,7 @@ def test_empty_run_emits_headers_only(tmp_path):
     # horizon ends before the first application start: zero sessions
     scenario = Scenario(principals=1, sessions_per_principal=1, horizon_s=106.0)
     report = run_experiment(scenario)
-    assert report.sessions_started == 0
+    assert report["sessions.started"] == 0
     emit_report(report, "csv", tmp_path)
     per_phase = (tmp_path / "per_phase.csv").read_text().splitlines()
     series = (tmp_path / "timeseries.csv").read_text().splitlines()
