@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by all crossrealm modules."""
+"""Exception hierarchy shared by all crossrealm modules, and their number test."""
+
+import sys
+
+
+def is_number(value: object) -> bool:
+    """An int or a float; neither a bool nor an int too large for a float is one."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
 
 
 class CrossRealmError(Exception):

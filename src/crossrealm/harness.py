@@ -30,6 +30,7 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
     UnknownMetric,
+    is_number,
 )
 from .protocol import PHASE_COUNT, Role, TimeoutMode, protocol_table
 from .simnet import ConnectionModel, SimRun, Stall, Topology, csv_lines
@@ -47,21 +48,27 @@ def _is_count(v) -> bool:
 
 # Scenario field -> (test of its value, the rule it states), in field order;
 # each test fails NaN, and fails or raises TypeError on a value of another type
-_FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and non-negative")
+_FINITE_NON_NEGATIVE = (lambda v: is_number(v) and 0 <= v < math.inf,
+                        "must be a finite, non-negative number")
 _PHASE_SIZES = (lambda sizes: sizes is None or all(
-    1 <= k <= PHASE_COUNT and 0 <= n <= sys.float_info.max for k, n in sizes.items()),
-    f"must key phases 1..{PHASE_COUNT} to sizes from 0 to the largest float")
+    type(k) is int and 1 <= k <= PHASE_COUNT and type(n) is int and 0 <= n <= sys.float_info.max
+    for k, n in sizes.items()),
+    f"must key phases 1..{PHASE_COUNT} to whole numbers from 0 to the largest float")
 _RANGES = {
     "principals": (_is_count, "must be a whole number of at least 1"),
     "sessions_per_principal": (lambda v: v == "mean2" or _is_count(v),
                                'must be "mean2" or a whole number of at least 1'),
-    "resources": (lambda v: len(v) == 2 and v[0] != v[1], "must be two distinct names"),
+    "resources": (lambda v: len(v) == 2 and all(type(r) is str for r in v) and v[0] != v[1],
+                  "must be two distinct strings"),
     "network_start_offset_s": _FINITE_NON_NEGATIVE,
-    "app_start_offset_s": (lambda v: 0 <= v[0] <= v[1] < math.inf,
-                           "must be finite, with 0 <= low <= high"),
+    "app_start_offset_s": (lambda v: len(v) == 2 and all(map(is_number, v))
+                           and 0 <= v[0] <= v[1] < math.inf,
+                           "must be two finite numbers, with 0 <= low <= high"),
     "session_spread_s": _FINITE_NON_NEGATIVE,
-    "horizon_s": (lambda v: -math.inf < v < math.inf, "must be finite"),
-    "sampling_interval_s": (lambda v: 0 < v < math.inf, "must be positive and finite"),
+    "horizon_s": (lambda v: is_number(v) and -math.inf < v < math.inf, "must be a finite number"),
+    "sampling_interval_s": (lambda v: is_number(v) and 0 < v < math.inf,
+                            "must be a positive, finite number"),
+    "seed": (lambda v: type(v) is int, "must be a whole number"),
     "phase_request_bytes": _PHASE_SIZES,
     "phase_response_bytes": _PHASE_SIZES,
 }
@@ -139,8 +146,9 @@ def load_scenario(path: str | Path) -> Scenario:
 
 # -- JSON value decoders: each checks its value's JSON type and shape and
 # raises ValueError, TypeError, KeyError, OverflowError or InvalidInput on a
-# bad one, which scenario_from_dict reports under the field. Ranges are
-# checked by the values built: the Scenario, TimeoutMode, Stall, Topology.
+# bad one, which scenario_from_dict reports under the field. Ranges, and the
+# types a decoder need not convert, are checked by the values built: the
+# Scenario, TimeoutMode, Stall, ConnectionModel, Topology.
 
 def _whole(value: object) -> int:
     """A count: a JSON number with no fractional part (3 or 3.0)."""
@@ -193,8 +201,7 @@ def _unique(items) -> dict:
 def _topology(value: object) -> Topology:
     """The topology checks its own ranges and links."""
     decoders = {"propagation_delay_s": _number,
-                "link_counts": lambda v: _unique(((_string(a), _string(b)), _whole(n))
-                                                 for a, b, n in v)}
+                "link_counts": lambda v: _unique(((a, b), _whole(n)) for a, b, n in v)}
     topo = _object(value)
     unknown = set(topo) - set(decoders)
     if unknown:
@@ -226,7 +233,7 @@ _FIELDS = {
     "timeout_mode": (lambda v: TimeoutMode.parse(_string(v)), TimeoutMode.encode),
     "connection": (lambda v: ConnectionModel(**{k: _number(x) for k, x in _object(v).items()}),
                    asdict),
-    "resources": (lambda v: _pair(v, _string), list),
+    "resources": (lambda v: _pair(v, _same), list),
     "network_start_offset_s": (_number, _same),
     "app_start_offset_s": (lambda v: _pair(v, _number), list),
     "session_spread_s": (_number, _same),
@@ -236,9 +243,9 @@ _FIELDS = {
     "stalls": (lambda v: tuple(_stall(s) for s in v),
                lambda stalls: [{**asdict(s), "role": s.role.value} for s in stalls]),
     "phase_request_bytes": (_phase_bytes, lambda sizes: {
-        str(s.index): s.request_bytes for s in protocol_table(sizes)}),
+        str(s.index): (sizes or {}).get(s.index, s.request_bytes) for s in protocol_table()}),
     "phase_response_bytes": (_phase_bytes, lambda sizes: {
-        str(s.index): s.response_bytes for s in protocol_table(None, sizes)}),
+        str(s.index): (sizes or {}).get(s.index, s.response_bytes) for s in protocol_table()}),
     "topology": (_topology, _encode_topology),
 }
 
@@ -370,7 +377,7 @@ def aggregate(run: SimRun) -> MetricsReport:
             "completed": len(completed),
             "dropped": len(dropped),
             "in_flight_at_horizon": started - len(completed) - len(dropped),
-            "dropped_by_reason": dict(Counter(str(s.drop_reason) for s in dropped)),
+            "dropped_by_reason": dict(Counter(s.drop_reason for s in dropped)),
         },
         "end_to_end_s": {"mean": mean, "p50": p50, "p90": p90, "p99": p99,
                          "count": len(durations)},

@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from . import keys as keylib
-from .errors import InvalidInput, RoleMismatch
+from .errors import InvalidInput, RoleMismatch, is_number
 from .keys import HierarchicalKey, KeyPart, SessionKeySet
 from .vault import Vault
 
@@ -73,7 +73,7 @@ class TimeoutMode:
                 raise InvalidInput("timeout mode none takes no seconds")
         elif self.kind not in ("per-phase", "localized-f"):
             raise InvalidInput(f"bad timeout mode {self.kind!r}")
-        elif self.seconds is None or not 0 < self.seconds < math.inf:  # NaN fails too
+        elif not (is_number(self.seconds) and 0 < self.seconds < math.inf):  # NaN fails too
             raise InvalidInput("timeout seconds must be positive and finite")
 
     @classmethod
@@ -107,7 +107,7 @@ class TimeoutMode:
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """One row of the protocol task table."""
+    """One row of the protocol task table, sized by the paper's defaults."""
 
     index: int
     name: str
@@ -146,28 +146,19 @@ _TABLE = (
 PHASE_COUNT = len(_TABLE)
 ACK_BYTES = 1024
 
-
-def protocol_table(request_bytes: Mapping[int, int] | None = None,
-                   response_bytes: Mapping[int, int] | None = None,
-                   ) -> tuple[PhaseSpec, ...]:
-    """The ordered 13-phase table.
-
-    Per-phase byte counts may be overridden (scenario files list the
-    defaults explicitly so the assignment stays auditable).
-    """
-    return tuple(
-        PhaseSpec(index=index, name=name, source=source, destination=destination,
-                  request_bytes=(request_bytes or {}).get(index, req_bytes),
-                  response_bytes=(response_bytes or {}).get(index, ACK_BYTES),
-                  carries=carries)
-        for index, name, source, destination, req_bytes, carries in _TABLE)
+_PHASES = tuple(
+    PhaseSpec(index, name, source, destination, req_bytes, ACK_BYTES, carries)
+    for index, name, source, destination, req_bytes, carries in _TABLE)
 
 
-_DEFAULT_TABLE = protocol_table()
+def protocol_table() -> tuple[PhaseSpec, ...]:
+    """The ordered 13-phase table. A run's byte-size overrides are the
+    network's business: the simulator applies them to its own legs."""
+    return _PHASES
 
 
 def phase_spec(index: int) -> PhaseSpec:
-    return _DEFAULT_TABLE[index - 1]
+    return _PHASES[index - 1]
 
 
 class ProtocolMessage(NamedTuple):
@@ -177,7 +168,6 @@ class ProtocolMessage(NamedTuple):
     source: Role
     destination: Role
     payload_fields: Mapping[str, object]
-    payload_bytes: int
 
 
 # the payload of every response: a bare acknowledgment carries no fields
@@ -190,17 +180,6 @@ class SessionStatus(Enum):
     IN_PROGRESS = "in-progress"
     COMPLETED = "completed"
     DROPPED = "dropped"
-
-
-@dataclass(frozen=True)
-class DropReason:
-    code: str  # "phase-timeout" | "localized-timeout" | "invalid-credentials"
-    phase_index: int | None = None
-
-    def __str__(self) -> str:
-        if self.phase_index is None:
-            return self.code
-        return f"{self.code}({self.phase_index})"
 
 
 @dataclass(frozen=True)
@@ -221,7 +200,8 @@ class SessionState(NamedTuple):
     resources: tuple[str, str]
     current_phase: int = 0
     status: SessionStatus = SessionStatus.IN_PROGRESS
-    drop_reason: DropReason | None = None
+    # "phase-timeout(<k>)", "localized-timeout" or "invalid-credentials"
+    drop_reason: str | None = None
     started_at: float | None = None
     ended_at: float | None = None
 
@@ -249,7 +229,7 @@ def on_timeout(session: SessionState, phase_index: int) -> SessionState:
     if session.status is not SessionStatus.IN_PROGRESS:
         return session
     return session._replace(status=SessionStatus.DROPPED,
-                            drop_reason=DropReason("phase-timeout", phase_index))
+                            drop_reason=f"phase-timeout({phase_index})")
 
 
 def localized_timeout_at_f(session: SessionState) -> SessionState:
@@ -262,7 +242,7 @@ def localized_timeout_at_f(session: SessionState) -> SessionState:
     if session.status is not SessionStatus.IN_PROGRESS:
         return session
     return session._replace(status=SessionStatus.DROPPED,
-                            drop_reason=DropReason("localized-timeout"))
+                            drop_reason="localized-timeout")
 
 
 # -- role state ---------------------------------------------------------------
@@ -315,7 +295,7 @@ def _next_request(role: Role, after: int) -> int | None:
     role then. The table never gives one role two consecutive turns as
     source, so after such a turn the role next appears as a destination.
     """
-    for spec in _DEFAULT_TABLE[after:]:
+    for spec in _PHASES[after:]:
         if role in (spec.source, spec.destination):
             return spec.index if spec.destination is role else None
     return None
@@ -329,7 +309,7 @@ _FIRST_CONTACT = {role: _next_request(role, 0) for role in Role}
 # it: the request of its next turn as destination, or None (begin_phase arms it)
 _NEXT_EXPECT = {
     (role, spec.index): None if following is None else (following, MessageKind.REQUEST)
-    for role in Role for spec in _DEFAULT_TABLE
+    for role in Role for spec in _PHASES
     for following in (_next_request(role, spec.index),)}
 
 
@@ -346,7 +326,7 @@ class HandleResult(NamedTuple):
 class BeginResult(NamedTuple):
     slot: SessionSlot | None  # the initiator's new slot; None when nothing is sent
     outgoing: ProtocolMessage | None  # the phase request; None when nothing is sent
-    drop_reason: DropReason | None = None
+    drop_reason: str | None = None
 
 
 def grant_access(cloud_state: RoleState, presenter: Role, idsess_key: HierarchicalKey,
@@ -375,19 +355,18 @@ def _discard(why: str) -> HandleResult:
     return HandleResult(None, None, f"discarded:{why}")
 
 
-def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault,
-                   table: tuple[PhaseSpec, ...] = _DEFAULT_TABLE) -> HandleResult:
+def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> HandleResult:
     """Process one message at one role; pure transition.
 
-    Requests are answered with the phase's final response, sized by the
-    run's table; responses arm the role's expectation for its next
-    appearance in the phase sequence. The result carries the session's
-    new slot, which the caller stores in the role's table. Anything out
-    of order is discarded (no slot) and the caller counts it.
+    Requests are answered with the phase's final response; responses arm
+    the role's expectation for its next appearance in the phase sequence.
+    The result carries the session's new slot, which the caller stores in
+    the role's table. Anything out of order is discarded (no slot) and the
+    caller counts it.
     """
     if msg.destination is not state.role:
         return _discard("misaddressed")
-    spec = table[msg.phase_index - 1]
+    spec = _PHASES[msg.phase_index - 1]
     if msg.kind is MessageKind.REQUEST:
         return _handle_request(state, spec, msg, vault)
     return _handle_response(state, spec, msg)
@@ -450,7 +429,7 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         outcome = "valid" if slot.verdict else "invalid"
 
     reply = ProtocolMessage(msg.session_id, spec.index, MessageKind.RESPONSE, spec.destination,
-                            spec.source, _NO_PAYLOAD, spec.response_bytes)
+                            spec.source, _NO_PAYLOAD)
     return HandleResult(slot, reply, outcome)
 
 
@@ -476,7 +455,7 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
                            idr=session.requester.idr, ids=session.requester.ids)
     elif spec.index == 7:  # the authority mints the key set, or drops the session
         if not slot.verdict:
-            return BeginResult(None, None, DropReason("invalid-credentials"))
+            return BeginResult(None, None, "invalid-credentials")
         minted = keylib.mint_session_keys(sid, [slot.realm], vault)
         changes.update(keyset=minted, requester_key=minted.keys[slot.realm[0]])
     elif spec.index in (8, 10):  # the handler asks each cloud for the resource it hosts
@@ -489,5 +468,5 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
     slot = slot._replace(**changes)
     request = ProtocolMessage(
         sid, spec.index, MessageKind.REQUEST, spec.source, spec.destination,
-        {**{name: getattr(slot, name) for name in spec.carries}, **extra}, spec.request_bytes)
+        {**{name: getattr(slot, name) for name in spec.carries}, **extra})
     return BeginResult(slot, request)

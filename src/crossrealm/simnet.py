@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Mapping, NamedTuple
 
 from . import protocol as proto
-from .errors import DisallowedPair, InvalidInput
+from .errors import DisallowedPair, InvalidInput, is_number
 from .protocol import (
     MessageKind,
     ProtocolMessage,
@@ -98,8 +98,8 @@ class Topology:
     nodes: ClassVar[frozenset[str]] = frozenset(_UPLINKS) | {"SW2"}
 
     def __post_init__(self):
-        if not 0 <= self.propagation_delay_s < math.inf:  # NaN fails too
-            raise InvalidInput("propagation_delay_s must be finite and non-negative")
+        if not (is_number(self.propagation_delay_s) and 0 <= self.propagation_delay_s < math.inf):
+            raise InvalidInput("propagation_delay_s must be a finite, non-negative number")
         named = set()
         for (a, b), count in (self.link_counts or {}).items():
             lower = _lower_end(a, b)
@@ -108,8 +108,8 @@ class Topology:
             if lower in named:
                 raise InvalidInput(f"the link between {a} and {b} is given twice")
             named.add(lower)
-            if count < 1:
-                raise InvalidInput("link counts must be at least 1")
+            if type(count) is not int or count < 1:  # a bool is not a count
+                raise InvalidInput("link counts must be whole numbers of at least 1")
 
     def allowed(self, a: str, b: str) -> bool:
         return a == b or frozenset((a, b)) in _ALLOWED_PAIRS
@@ -144,8 +144,9 @@ class ConnectionModel:
 
     def __post_init__(self):
         for name in ("handshake_rtts", "per_phase_service_s", "rtt_base_s"):
-            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
-                raise InvalidInput(f"{name} must be finite and non-negative")
+            value = getattr(self, name)
+            if not (is_number(value) and 0 <= value < math.inf):  # NaN fails too
+                raise InvalidInput(f"{name} must be a finite, non-negative number")
 
 
 def transmit_components(payload_bytes: int, source: str, destination: str,
@@ -178,13 +179,15 @@ class Stall:
     extra_delay_s: float
 
     def __post_init__(self):
-        if not 1 <= self.phase_index <= proto.PHASE_COUNT:
-            raise InvalidInput(f"phase_index must be 1..{proto.PHASE_COUNT}")
+        if not isinstance(self.role, Role):
+            raise InvalidInput(f"role must be a Role, not {self.role!r}")
+        if type(self.phase_index) is not int or not 1 <= self.phase_index <= proto.PHASE_COUNT:
+            raise InvalidInput(f"phase_index must be a whole number 1..{proto.PHASE_COUNT}")
         responder = proto.phase_spec(self.phase_index).destination
         if self.role is not responder:
             raise InvalidInput(f"phase {self.phase_index} is answered by {responder.value}")
-        if not self.extra_delay_s >= 0:  # NaN fails too
-            raise InvalidInput("extra_delay_s must be non-negative")
+        if not (is_number(self.extra_delay_s) and self.extra_delay_s >= 0):  # NaN fails too
+            raise InvalidInput("extra_delay_s must be a non-negative number")
 
 
 def inject_stall(scenario: "Scenario", role: Role, phase_index: int,
@@ -267,7 +270,6 @@ class SimRun:
     records: list[Record]
     sessions: dict[bytes, SessionState]
     role_states: dict[Role, proto.RoleState]
-    vault: Vault
     scenario: "Scenario"
     max_network_delay_s: float
     horizon_exceeded: bool
@@ -284,28 +286,31 @@ class _Engine:
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.mode = scenario.timeout_mode
-        self.table = proto.protocol_table(scenario.phase_request_bytes,
-                                          scenario.phase_response_bytes)
         self.topology = scenario.topology
         self.model = scenario.connection
         self.vault, self.requesters = build_default_vault(scenario.principals)
         self.roles = proto.initial_role_states(
             {scenario.resources[0]: Role.CLOUD_A, scenario.resources[1]: Role.CLOUD_B})
         stalls = {(s.role, s.phase_index): s.extra_delay_s for s in scenario.stalls}
+        request_bytes = scenario.phase_request_bytes or {}
+        response_bytes = scenario.phase_response_bytes or {}
         # Every message of one (phase, kind) takes the same path with the
-        # same size, so its timing is computed once, as (network, delivery
-        # offset, stall, source name, destination name); a response stall of
-        # inf suppresses the response. The service time rides on the request
-        # leg; the response is network-only. The log lines take the role
-        # names from here.
-        self.legs: dict[tuple[int, MessageKind], tuple[float, float, float, str, str]] = {}
-        for spec in self.table:
+        # same size, the scenario's or else the protocol table's, so its
+        # timing is computed once, as (network, delivery offset, stall, source
+        # name, destination name, size); a response stall of inf suppresses
+        # the response. The service time rides on the request leg; the
+        # response is network-only. The log lines take the role names and the
+        # size from here.
+        self.legs: dict[tuple[int, MessageKind], tuple[float, float, float, str, str, int]] = {}
+        for spec in proto.protocol_table():
             src, dst = spec.source.value, spec.destination.value
+            size = request_bytes.get(spec.index, spec.request_bytes)
             self.legs[spec.index, MessageKind.REQUEST] = (*transmit_components(
-                spec.request_bytes, src, dst, self.model, self.topology), 0.0, src, dst)
+                size, src, dst, self.model, self.topology), 0.0, src, dst, size)
+            size = response_bytes.get(spec.index, spec.response_bytes)
             self.legs[spec.index, MessageKind.RESPONSE] = (*transmit_components(
-                spec.response_bytes, dst, src, self.model, self.topology, service_s=0.0),
-                stalls.get((spec.destination, spec.index), 0.0), dst, src)
+                size, dst, src, self.model, self.topology, service_s=0.0),
+                stalls.get((spec.destination, spec.index), 0.0), dst, src, size)
         self.sessions: dict[bytes, SessionState] = {}
         # each session id's hex string, made once when it is drawn: all the
         # log records of a session share the one string object
@@ -370,18 +375,16 @@ class _Engine:
         self.log("session-start", source="A", session_id=session_id)
         self._begin_phase(1, session)
 
-    def _on_deliver(self, msg: ProtocolMessage, source: str, destination: str) -> None:
+    def _on_deliver(self, msg: ProtocolMessage, source: str, destination: str, size: int) -> None:
         session = self.sessions.get(msg.session_id)
         if session is not None and session.status is not SessionStatus.IN_PROGRESS:
             # Drop absorption: nothing may alter a finished session.
-            self.log("deliver", source, destination,
-                     msg.session_id, msg.phase_index, msg.payload_bytes,
+            self.log("deliver", source, destination, msg.session_id, msg.phase_index, size,
                      outcome="discarded:session-not-in-progress")
             return
         state = self.roles[msg.destination]
-        result = proto.handle_message(state, msg, self.vault, self.table)
-        self.log("deliver", source, destination,
-                 msg.session_id, msg.phase_index, msg.payload_bytes,
+        result = proto.handle_message(state, msg, self.vault)
+        self.log("deliver", source, destination, msg.session_id, msg.phase_index, size,
                  outcome=result.outcome)
         if result.discarded:
             state.violations += 1
@@ -396,7 +399,7 @@ class _Engine:
         # armed at phase start + limit: a phase still open now has expired
         session = self.sessions[session_id]
         still_open = session.current_phase < phase_index
-        self._timer_fired(self.table[phase_index - 1].source, phase_index, session,
+        self._timer_fired(proto.phase_spec(phase_index).source, phase_index, session,
                           proto.on_timeout(session, phase_index) if still_open else session)
 
     def _on_f_watchdog(self, session_id: bytes) -> None:
@@ -418,7 +421,7 @@ class _Engine:
     # -- helpers -----------------------------------------------------------
 
     def _begin_phase(self, index: int, session: SessionState) -> None:
-        spec = self.table[index - 1]
+        spec = proto.phase_spec(index)
         state = self.roles[spec.source]
         result = proto.begin_phase(state, spec, session, self.vault)
         if result.slot is not None:
@@ -434,14 +437,13 @@ class _Engine:
                               session.session_id, index)
 
     def _send(self, msg: ProtocolMessage) -> None:
-        network, offset, stall, source, destination = self.legs[msg.phase_index, msg.kind]
+        network, offset, stall, source, destination, size = self.legs[msg.phase_index, msg.kind]
         if stall == math.inf:
             return  # response suppressed outright
         if network > self.max_network_delay:
             self.max_network_delay = network
-        self.log("send", source, destination,
-                 msg.session_id, msg.phase_index, msg.payload_bytes)
-        self.schedule(self.now + offset + stall, self._on_deliver, msg, source, destination)
+        self.log("send", source, destination, msg.session_id, msg.phase_index, size)
+        self.schedule(self.now + offset + stall, self._on_deliver, msg, source, destination, size)
 
     def _complete_phase(self, session: SessionState, final_response: ProtocolMessage) -> None:
         session = proto.advance_phase(session)
@@ -471,7 +473,6 @@ class _Engine:
             records=self.records,
             sessions=self.sessions,
             role_states=self.roles,
-            vault=self.vault,
             scenario=self.scenario,
             max_network_delay_s=self.max_network_delay,
             horizon_exceeded=self.horizon_exceeded,

@@ -226,6 +226,16 @@ PYTHON_BUILT = {
     "fractional-sessions-each": (lambda: replace(SMALL, sessions_per_principal=1.5),
                                  "sessions_per_principal"),
     "text-horizon": (lambda: Scenario(horizon_s="800"), "horizon_s"),
+    "fractional-request-bytes": (lambda: Scenario(principals=1, sessions_per_principal=1,
+                                                  phase_request_bytes={1: 2.5}),
+                                 "phase_request_bytes"),
+    "bool-response-bytes": (lambda: replace(SMALL, phase_response_bytes={1: True}),
+                            "phase_response_bytes"),
+    "fractional-seed": (lambda: Scenario(principals=1, seed=2.5), "seed"),
+    "number-resources": (lambda: Scenario(principals=1, sessions_per_principal=1,
+                                          resources=(1, 2)), "resources"),
+    "bool-spread": (lambda: Scenario(session_spread_s=True), "session_spread_s"),
+    "huge-int-spread": (lambda: Scenario(session_spread_s=10**400), "session_spread_s"),
 }
 
 

@@ -149,7 +149,8 @@ def test_timeout_mode_parse_round_trip():
         TimeoutMode.parse("sometimes")
     # a mode checks its own kind and seconds, however it is built
     for build in (lambda: TimeoutMode.per_phase(math.nan), lambda: TimeoutMode.per_phase(0),
-                  lambda: TimeoutMode("bogus", 5.0), lambda: TimeoutMode("per-phase")):
+                  lambda: TimeoutMode("bogus", 5.0), lambda: TimeoutMode("per-phase"),
+                  lambda: TimeoutMode("per-phase", "5")):
         with pytest.raises(InvalidInput):
             build()
 
@@ -190,7 +191,7 @@ def test_invalid_credentials_drop_session():
     driver = Driver(vault, bogus)
     driver.run_all()
     assert driver.session.status is SessionStatus.DROPPED
-    assert driver.session.drop_reason.code == "invalid-credentials"
+    assert driver.session.drop_reason == "invalid-credentials"
     assert driver.session.current_phase == 6  # verdict reported, then dropped
     assert ("invalid" in [o for _, _, o in driver.trace])
 
@@ -222,8 +223,7 @@ def test_handle_message_discards(case):
         phase_index=index, kind=kind,
         source=source or (spec.source if request else spec.destination),
         destination=spec.destination if request else spec.source,
-        payload_fields={},
-        payload_bytes=spec.request_bytes if request else spec.response_bytes)
+        payload_fields={})
     state = driver.roles[role]
     before = dict(state.sessions)
     result = driver.deliver(role, msg)
@@ -400,7 +400,7 @@ def test_carried_names_are_slot_fields():
 # -- value types ------------------------------------------------------------------
 
 def _values():
-    msg = ProtocolMessage(b"\x01" * 16, 3, MessageKind.REQUEST, Role.A, Role.F, {}, 4096)
+    msg = ProtocolMessage(b"\x01" * 16, 3, MessageKind.REQUEST, Role.A, Role.F, {})
     return [msg, HandleResult(None, msg, "ok"), BeginResult(None, msg),
             SessionSlot(), fresh_session(registry()[1])]
 
@@ -416,10 +416,10 @@ def test_keyword_construction_equals_positional():
     sid = b"\x02" * 16
     assert ProtocolMessage(
         session_id=sid, phase_index=5, kind=MessageKind.RESPONSE, source=Role.SAC_DB,
-        destination=Role.SAC, payload_fields={}, payload_bytes=1024,
-    ) == ProtocolMessage(sid, 5, MessageKind.RESPONSE, Role.SAC_DB, Role.SAC, {}, 1024)
+        destination=Role.SAC, payload_fields={},
+    ) == ProtocolMessage(sid, 5, MessageKind.RESPONSE, Role.SAC_DB, Role.SAC, {})
     assert HandleResult(slot=None, outgoing=None, outcome="ok") == HandleResult(None, None, "ok")
-    reason = proto.DropReason("invalid-credentials")
+    reason = "invalid-credentials"
     assert (BeginResult(slot=None, outgoing=None, drop_reason=reason)
             == BeginResult(None, None, reason))
     assert BeginResult(None, None) == BeginResult(None, None, None)

@@ -64,8 +64,10 @@ def test_every_node_reachable():
 def test_link_count_overrides():
     topo = Topology(link_counts={("A", "SW1"): 2})
     assert topo.path_bandwidth_bps("A", "F") == 2e9
-    for link_counts in ({("A", "F"): 2}, {("A", "SW1"): 0}, {("A", "SW1"): 2, ("SW1", "A"): 3}):
-        with pytest.raises(InvalidInput):  # no such link, too few, one link named twice
+    for link_counts in ({("A", "F"): 2}, {("A", "SW1"): 0}, {("A", "SW1"): 2, ("SW1", "A"): 3},
+                        {("A", "SW1"): "3"}, {("A", "SW1"): 2.5}, {("A", "SW1"): True}):
+        # no such link, too few, one link named twice, a count that is no whole number
+        with pytest.raises(InvalidInput):
             Topology(link_counts=link_counts)
 
 
@@ -96,7 +98,7 @@ def test_a_path_to_itself_costs_only_the_handshake():
 
 def test_negative_propagation_delay_rejected():
     # a negative delay would deliver messages before they are sent
-    for delay in (-1.0, math.nan, math.inf):
+    for delay in (-1.0, math.nan, math.inf, True):
         with pytest.raises(InvalidInput):
             Topology(propagation_delay_s=delay)
 
@@ -142,8 +144,9 @@ def test_transmit_disallowed_pair():
 
 
 def test_connection_model_rejects_negative():
-    with pytest.raises(InvalidInput):
-        ConnectionModel(handshake_rtts=-1.0)
+    for value in (-1.0, "1"):  # a number of the wrong sign, or no number
+        with pytest.raises(InvalidInput):
+            ConnectionModel(handshake_rtts=value)
     for value in (math.nan, math.inf):  # NaN would end a run in aggregate
         with pytest.raises(InvalidInput):
             ConnectionModel(per_phase_service_s=value)
@@ -208,11 +211,12 @@ def test_byte_conservation():
 def test_phase_byte_overrides_reach_the_wire():
     run = simnet.run(replace(SMALL, phase_request_bytes={2: 512},
                              phase_response_bytes={1: 2048}))
-    sent = {(r.phase_index, r.source): r.payload_bytes for r in run.records if r.kind == "send"}
-    assert sent[(1, "A")] == 1024  # the phase-1 request keeps its default
-    assert sent[(1, "F")] == 2048  # the phase-1 response is overridden
-    assert sent[(2, "F")] == 512
-    assert sent[(2, "A")] == 1024
+    for kind in ("send", "deliver"):
+        sizes = {(r.phase_index, r.source): r.payload_bytes for r in run.records if r.kind == kind}
+        assert sizes[(1, "A")] == 1024, kind  # the phase-1 request keeps its default
+        assert sizes[(1, "F")] == 2048, kind  # the phase-1 response is overridden
+        assert sizes[(2, "F")] == 512, kind
+        assert sizes[(2, "A")] == 1024, kind
 
 
 def test_deliveries_match_per_message_timing():
@@ -285,17 +289,22 @@ def test_inject_stall_validates_phase():
         inject_stall(SMALL, Role.SAC_DB, 14, 1.0)
 
 
-@pytest.mark.parametrize("role, phase_index, extra_delay_s", [
-    pytest.param(Role.SAC_DB, 0, 1.0, id="0-1.0"),
-    pytest.param(Role.SAC_DB, 14, 1.0, id="14-1.0"),
-    pytest.param(Role.SAC_DB, 5, -1.0, id="5--1.0"),
-    pytest.param(Role.SAC_DB, 5, math.nan, id="5-nan"),
+# each bad stall, and the words its error must hold
+@pytest.mark.parametrize("role, phase_index, extra_delay_s, names", [
+    pytest.param(Role.SAC_DB, 0, 1.0, "phase_index", id="0-1.0"),
+    pytest.param(Role.SAC_DB, 14, 1.0, "phase_index", id="14-1.0"),
+    pytest.param(Role.SAC_DB, 5, -1.0, "extra_delay_s", id="5--1.0"),
+    pytest.param(Role.SAC_DB, 5, math.nan, "extra_delay_s", id="5-nan"),
     # only the role that answers a phase can sit on its response
-    pytest.param(Role.A, 5, 1.0, id="non-responder"),
-    pytest.param(Role.SAC, 5, 1.0, id="initiator"),
+    pytest.param(Role.A, 5, 1.0, "answered by", id="non-responder"),
+    pytest.param(Role.SAC, 5, 1.0, "answered by", id="initiator"),
+    # and each field must be of its type
+    pytest.param(Role.SAC_DB, 5, "1", "extra_delay_s", id="text-delay"),
+    pytest.param(Role.F, True, 1.0, "phase_index", id="bool-phase"),
+    pytest.param("SAC-DB", 5, 1.0, "role must be a Role", id="role-name"),
 ])
-def test_stall_checks_its_own_range(role, phase_index, extra_delay_s):
-    with pytest.raises(InvalidInput):
+def test_stall_checks_its_own_range(role, phase_index, extra_delay_s, names):
+    with pytest.raises(InvalidInput, match=names):
         Stall(role, phase_index, extra_delay_s)
 
 
