@@ -38,7 +38,7 @@ from .simnet import ConnectionModel, SimRun, Stall, Topology, csv_lines
 DEFAULT_SEED = 7
 # aggregate keeps horizon_s / sampling_interval_s traffic buckets per series
 MAX_BUCKETS = 10**6
-# the most sessions a scenario may draw; each costs about 20 KB of peak memory
+# the most sessions a scenario may draw; each costs about 6 KB of peak memory
 MAX_SESSIONS = 10**5
 
 
@@ -166,12 +166,6 @@ def _number(value: object) -> float:
     return float(value)
 
 
-def _string(value: object) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{value!r} is not a string")
-    return value
-
-
 def _object(value: object) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{value!r} is not an object")
@@ -230,7 +224,7 @@ def _same(value):
 _FIELDS = {
     "principals": (_whole, _same),
     "sessions_per_principal": (lambda v: v if v == "mean2" else _whole(v), _same),
-    "timeout_mode": (lambda v: TimeoutMode.parse(_string(v)), TimeoutMode.encode),
+    "timeout_mode": (TimeoutMode.parse, TimeoutMode.encode),
     "connection": (lambda v: ConnectionModel(**{k: _number(x) for k, x in _object(v).items()}),
                    asdict),
     "resources": (lambda v: _pair(v, _same), list),
@@ -314,10 +308,11 @@ def percentile(ordered: list[float], q: float) -> float:
 def aggregate(run: SimRun) -> MetricsReport:
     """Fold an event log and final session states into a MetricsReport.
 
-    The fold is one pass that builds no container per record, so it sets
-    off no garbage collection over the finished run's objects: a phase's
-    opening send is kept in that phase's dict under the record's own
-    session id string, and discards are counted under the record's outcome.
+    The fold is one pass over the log's columns that builds no container
+    per record, so it sets off no garbage collection over the finished run's
+    objects: each record's facts are looked up by its shape code, a phase's
+    opening send is kept in that phase's dict under the record's session
+    index, and discards are counted under the record's outcome.
     """
     interval = run.scenario.sampling_interval_s
     buckets = int(math.floor(run.scenario.horizon_s / interval)) + 1
@@ -325,23 +320,26 @@ def aggregate(run: SimRun) -> MetricsReport:
     sent = [0.0] * buckets
     received = [0.0] * buckets
     started = 0
-    # phase index -> session id -> time of the phase's first send
-    opened: dict[int, dict[str, float]] = {k: {} for k in range(1, PHASE_COUNT + 1)}
+    # phase index -> session index -> time of the phase's first send
+    opened: dict[int, dict[int, float]] = {k: {} for k in range(1, PHASE_COUNT + 1)}
     phase_durations: dict[int, list[float]] = {k: [] for k in range(1, PHASE_COUNT + 1)}
     discarded: dict[str, dict[str, int]] = {}  # receiving role -> outcome -> deliveries
 
-    for time_s, kind, _, destination, session_id, phase, size, outcome in run.records:
+    log = run.records
+    shapes = log.shapes
+    for time_s, session, code in zip(log.times, log.sessions, log.codes):
+        kind, _, destination, phase, size, outcome = shapes[code]
         b = int(time_s / interval)
         if b > last:
             b = last
         if kind == "send":
             sent[b] += size * 8.0
             # request legs open a phase; remember the earliest send
-            opened[phase].setdefault(session_id, time_s)
+            opened[phase].setdefault(session, time_s)
         elif kind == "deliver":
             received[b] += size * 8.0
             if outcome == "phase-complete":
-                t0 = opened[phase].get(session_id)
+                t0 = opened[phase].get(session)
                 if t0 is not None:
                     phase_durations[phase].append(time_s - t0)
             elif outcome.startswith("discarded:"):

@@ -82,15 +82,17 @@ class TimeoutMode:
 
     @classmethod
     def per_phase(cls, seconds: float) -> "TimeoutMode":
-        return cls("per-phase", float(seconds))
+        return cls("per-phase", seconds)
 
     @classmethod
     def localized_f(cls, seconds: float = 200.0) -> "TimeoutMode":
-        return cls("localized-f", float(seconds))
+        return cls("localized-f", seconds)
 
     @classmethod
     def parse(cls, text: str) -> "TimeoutMode":
         """Parse the CLI/scenario syntax: none | per-phase:<s> | localized-f:<s>."""
+        if not isinstance(text, str):
+            raise InvalidInput(f"a timeout mode is text, not {text!r}")
         if text == "none":
             return cls.none()
         kind, _, seconds = text.partition(":")

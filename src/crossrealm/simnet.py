@@ -26,8 +26,9 @@ import hashlib
 import heapq
 import math
 import random
+from array import array
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping, NamedTuple
 
 from . import protocol as proto
 from .errors import DisallowedPair, InvalidInput, is_number
@@ -100,8 +101,13 @@ class Topology:
     def __post_init__(self):
         if not (is_number(self.propagation_delay_s) and 0 <= self.propagation_delay_s < math.inf):
             raise InvalidInput("propagation_delay_s must be a finite, non-negative number")
+        if self.link_counts is not None and not isinstance(self.link_counts, Mapping):
+            raise InvalidInput("link_counts must map node pairs to link counts")
         named = set()
-        for (a, b), count in (self.link_counts or {}).items():
+        for pair, count in (self.link_counts or {}).items():
+            if type(pair) is not tuple or len(pair) != 2:
+                raise InvalidInput(f"a link is named by a pair of nodes, not {pair!r}")
+            a, b = pair
             lower = _lower_end(a, b)
             if lower is None:
                 raise InvalidInput(f"no link between {a} and {b}")
@@ -216,18 +222,71 @@ class Record(NamedTuple):
     outcome: str
 
 
-def csv_lines(records: Iterable[Record]) -> Iterator[str]:
+class EventLog:
+    """The event log as three columns with one entry per record: its time,
+    its session (an index into ``session_ids``, where 0 is the empty id of a
+    record with no session) and its shape (a code into ``shapes``, the
+    distinct (kind, source, destination, phase, size, outcome) rows). All
+    the records of a run share a few dozen shapes, so the log keeps no
+    Python object per record. A record's sequence is its index. Read by
+    index or by iteration, the log yields ``Record``s."""
+
+    def __init__(self) -> None:
+        self.times = array("d")
+        self.sessions = array("I")  # harness.MAX_SESSIONS keeps the index small
+        self.codes = array("H")
+        self.session_ids: list[str] = [""]
+        self.shapes: list[tuple] = []
+        self._code_of: dict[tuple, int] = {}
+
+    def add_session(self, session_id: str) -> int:
+        """The index under which records name this session's id."""
+        self.session_ids.append(session_id)
+        return len(self.session_ids) - 1
+
+    def shape(self, *row) -> int:
+        """The code of a (kind, source, destination, phase, size, outcome) row."""
+        code = self._code_of.get(row)
+        if code is None:
+            code = self._code_of[row] = len(self.shapes)
+            self.shapes.append(row)
+        return code
+
+    def append(self, time_s: float, session: int, code: int) -> None:
+        self.times.append(time_s)
+        self.sessions.append(session)
+        self.codes.append(code)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index: int) -> Record:
+        kind, source, destination, phase, size, outcome = self.shapes[self.codes[index]]
+        return Record(self.times[index], kind, source, destination,
+                      self.session_ids[self.sessions[index]], phase, size, outcome)
+
+    def __iter__(self) -> Iterator[Record]:
+        ids, shapes = self.session_ids, self.shapes
+        for time_s, session, code in zip(self.times, self.sessions, self.codes):
+            kind, source, destination, phase, size, outcome = shapes[code]
+            yield Record(time_s, kind, source, destination, ids[session], phase, size, outcome)
+
+
+def csv_lines(log: EventLog) -> Iterator[str]:
     """The event log as CSV lines, header first, each ending in a newline; a
-    record's sequence is its log index, and an absent phase or size is empty."""
+    record's sequence is its log index, and an absent phase or size is empty.
+    The fields around the session id are formatted once per shape."""
     yield ",".join(LOG_HEADER) + "\n"
-    for sequence, record in enumerate(records):
-        time_s, kind, source, destination, session_id, phase, size, outcome = record
-        yield (f"{time_s:.9f},{sequence},{kind},{source},{destination},{session_id},"
-               f"{'' if phase is None else phase},{'' if size is None else size},{outcome}\n")
+    heads = [f"{kind},{source},{destination}," for kind, source, destination, *_ in log.shapes]
+    tails = [f",{'' if phase is None else phase},{'' if size is None else size},{outcome}\n"
+             for *_, phase, size, outcome in log.shapes]
+    ids = log.session_ids
+    for sequence, (time_s, session, code) in enumerate(zip(log.times, log.sessions, log.codes)):
+        yield f"{time_s:.9f},{sequence},{heads[code]}{ids[session]}{tails[code]}"
 
 
-def records_to_csv(records: Iterable[Record]) -> str:
-    return "".join(csv_lines(records))
+def records_to_csv(log: EventLog) -> str:
+    return "".join(csv_lines(log))
 
 
 # -- default registry --------------------------------------------------------------
@@ -267,7 +326,7 @@ class SimRun:
     """The scenario a run was made from and everything it produced: the log,
     final states, and flags."""
 
-    records: list[Record]
+    records: EventLog
     sessions: dict[bytes, SessionState]
     role_states: dict[Role, proto.RoleState]
     scenario: "Scenario"
@@ -294,29 +353,31 @@ class _Engine:
         stalls = {(s.role, s.phase_index): s.extra_delay_s for s in scenario.stalls}
         request_bytes = scenario.phase_request_bytes or {}
         response_bytes = scenario.phase_response_bytes or {}
+        self.events = EventLog()
         # Every message of one (phase, kind) takes the same path with the
         # same size, the scenario's or else the protocol table's, so its
-        # timing is computed once, as (network, delivery offset, stall, source
-        # name, destination name, size); a response stall of inf suppresses
-        # the response. The service time rides on the request leg; the
-        # response is network-only. The log lines take the role names and the
-        # size from here.
-        self.legs: dict[tuple[int, MessageKind], tuple[float, float, float, str, str, int]] = {}
+        # timing is computed once, as (network, delivery offset, stall, send
+        # record's shape code, (source name, destination name, phase, size));
+        # a response stall of inf suppresses the response. The service time
+        # rides on the request leg; the response is network-only. The deliver
+        # records take their facts from here too.
+        self.legs: dict[tuple[int, MessageKind], tuple[float, float, float, int, tuple]] = {}
         for spec in proto.protocol_table():
-            src, dst = spec.source.value, spec.destination.value
-            size = request_bytes.get(spec.index, spec.request_bytes)
-            self.legs[spec.index, MessageKind.REQUEST] = (*transmit_components(
-                size, src, dst, self.model, self.topology), 0.0, src, dst, size)
-            size = response_bytes.get(spec.index, spec.response_bytes)
-            self.legs[spec.index, MessageKind.RESPONSE] = (*transmit_components(
+            src, dst, i = spec.source.value, spec.destination.value, spec.index
+            size = request_bytes.get(i, spec.request_bytes)
+            self.legs[i, MessageKind.REQUEST] = (*transmit_components(
+                size, src, dst, self.model, self.topology), 0.0,
+                self.events.shape("send", src, dst, i, size, "ok"), (src, dst, i, size))
+            size = response_bytes.get(i, spec.response_bytes)
+            self.legs[i, MessageKind.RESPONSE] = (*transmit_components(
                 size, dst, src, self.model, self.topology, service_s=0.0),
-                stalls.get((spec.destination, spec.index), 0.0), dst, src, size)
+                stalls.get((spec.destination, i), 0.0),
+                self.events.shape("send", dst, src, i, size, "ok"), (dst, src, i, size))
         self.sessions: dict[bytes, SessionState] = {}
-        # each session id's hex string, made once when it is drawn: all the
-        # log records of a session share the one string object
-        self.id_text: dict[bytes, str] = {}
+        # each session id -> the index of its hex string in the log, which
+        # is made once when the id is drawn
+        self.session_index: dict[bytes, int] = {}
         self.heap: list = []
-        self.records: list[Record] = []
         self.now = 0.0
         self.event_seq = 0
         self.max_network_delay = 0.0
@@ -329,26 +390,30 @@ class _Engine:
         heapq.heappush(self.heap, (time, self.event_seq, handler, args))
         self.event_seq += 1
 
-    def log(self, kind: str, source: str = "", destination: str = "",
-            session_id: bytes | None = None, phase_index: int | None = None,
-            payload_bytes: int | None = None, outcome: str = "ok") -> None:
-        self.records.append(Record(
-            self.now, kind, source, destination,
-            self.id_text[session_id] if session_id else "", phase_index, payload_bytes, outcome))
+    def log(self, code: int, session_id: bytes | None = None) -> None:
+        """Log a record of the shape with this code, now."""
+        self.events.append(self.now, self.session_index[session_id] if session_id else 0, code)
+
+    def log_row(self, kind: str, source: str = "", destination: str = "",
+                session_id: bytes | None = None, phase_index: int | None = None,
+                payload_bytes: int | None = None, outcome: str = "ok") -> None:
+        """Log a record given by its facts, now."""
+        self.log(self.events.shape(kind, source, destination, phase_index, payload_bytes,
+                                   outcome), session_id)
 
     def setup(self) -> None:
         sc = self.scenario
         lo, hi = sc.app_start_offset_s
         for p in range(sc.principals):
             profile_start = sc.network_start_offset_s + self.rng.uniform(lo, hi)
-            self.schedule(profile_start, self.log, "app-start", "A")
+            self.schedule(profile_start, self.log_row, "app-start", "A")
             count = sc.sessions_per_principal
             if count == "mean2":
                 count = self.rng.choice((1, 2, 3))
             for _ in range(count):
                 start = profile_start + self.rng.uniform(0.0, sc.session_spread_s)
                 sid = self.rng.getrandbits(128).to_bytes(16, "big")
-                self.id_text[sid] = sid.hex()
+                self.session_index[sid] = self.events.add_session(sid.hex())
                 self.schedule(start, self._on_session_start, sid, p)
 
     def loop(self) -> None:
@@ -372,20 +437,19 @@ class _Engine:
             started_at=self.now,
         )
         self.sessions[session_id] = session
-        self.log("session-start", source="A", session_id=session_id)
+        self.log_row("session-start", source="A", session_id=session_id)
         self._begin_phase(1, session)
 
-    def _on_deliver(self, msg: ProtocolMessage, source: str, destination: str, size: int) -> None:
+    def _on_deliver(self, msg: ProtocolMessage, facts: tuple) -> None:
         session = self.sessions.get(msg.session_id)
         if session is not None and session.status is not SessionStatus.IN_PROGRESS:
             # Drop absorption: nothing may alter a finished session.
-            self.log("deliver", source, destination, msg.session_id, msg.phase_index, size,
-                     outcome="discarded:session-not-in-progress")
+            self.log(self.events.shape("deliver", *facts, "discarded:session-not-in-progress"),
+                     msg.session_id)
             return
         state = self.roles[msg.destination]
         result = proto.handle_message(state, msg, self.vault)
-        self.log("deliver", source, destination, msg.session_id, msg.phase_index, size,
-                 outcome=result.outcome)
+        self.log(self.events.shape("deliver", *facts, result.outcome), msg.session_id)
         if result.discarded:
             state.violations += 1
             return
@@ -413,8 +477,8 @@ class _Engine:
                      before: SessionState, after: SessionState) -> None:
         """Log a timer; it expired if its transition returned a new session, else it is ignored."""
         expired = after is not before
-        self.log("timer-fire", source=role.value, session_id=before.session_id,
-                 phase_index=phase_index, outcome="expired" if expired else "ignored")
+        self.log_row("timer-fire", source=role.value, session_id=before.session_id,
+                     phase_index=phase_index, outcome="expired" if expired else "ignored")
         if expired:
             self._drop(after)
 
@@ -437,13 +501,13 @@ class _Engine:
                               session.session_id, index)
 
     def _send(self, msg: ProtocolMessage) -> None:
-        network, offset, stall, source, destination, size = self.legs[msg.phase_index, msg.kind]
+        network, offset, stall, send, facts = self.legs[msg.phase_index, msg.kind]
         if stall == math.inf:
             return  # response suppressed outright
         if network > self.max_network_delay:
             self.max_network_delay = network
-        self.log("send", source, destination, msg.session_id, msg.phase_index, size)
-        self.schedule(self.now + offset + stall, self._on_deliver, msg, source, destination, size)
+        self.log(send, msg.session_id)
+        self.schedule(self.now + offset + stall, self._on_deliver, msg, facts)
 
     def _complete_phase(self, session: SessionState, final_response: ProtocolMessage) -> None:
         session = proto.advance_phase(session)
@@ -451,9 +515,9 @@ class _Engine:
         if session.status is SessionStatus.COMPLETED:
             session = session._replace(ended_at=self.now)
             self.sessions[session.session_id] = session
-            self.log("session-complete", source=final_response.destination.value,
-                     session_id=session.session_id, phase_index=session.current_phase,
-                     outcome="completed")
+            self.log_row("session-complete", source=final_response.destination.value,
+                         session_id=session.session_id, phase_index=session.current_phase,
+                         outcome="completed")
             return
         done = session.current_phase
         if done == 4 and self.mode.kind == "localized-f":
@@ -464,13 +528,13 @@ class _Engine:
     def _drop(self, session: SessionState) -> None:
         session = session._replace(ended_at=self.now)
         self.sessions[session.session_id] = session
-        self.log("session-drop", session_id=session.session_id,
-                 phase_index=session.current_phase,
-                 outcome=f"dropped:{session.drop_reason}")
+        self.log_row("session-drop", session_id=session.session_id,
+                     phase_index=session.current_phase,
+                     outcome=f"dropped:{session.drop_reason}")
 
     def result(self) -> SimRun:
         return SimRun(
-            records=self.records,
+            records=self.events,
             sessions=self.sessions,
             role_states=self.roles,
             scenario=self.scenario,

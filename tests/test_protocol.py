@@ -155,6 +155,20 @@ def test_timeout_mode_parse_round_trip():
             build()
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: TimeoutMode.per_phase(10**400), id="per-phase-huge"),
+    pytest.param(lambda: TimeoutMode.localized_f(10**400), id="localized-f-huge"),
+    pytest.param(lambda: TimeoutMode.per_phase(True), id="per-phase-bool"),
+    pytest.param(lambda: TimeoutMode.localized_f("200"), id="localized-f-text"),
+    pytest.param(lambda: TimeoutMode.parse(5), id="parse-number"),
+    pytest.param(lambda: TimeoutMode.parse(None), id="parse-none"),
+])
+def test_timeout_mode_constructors_raise_invalid_input(build):
+    # never a raw OverflowError from float() or AttributeError from str methods
+    with pytest.raises(InvalidInput):
+        build()
+
+
 # -- full scripted run ----------------------------------------------------------
 
 def test_full_run_completes_with_granted_key():

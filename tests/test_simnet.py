@@ -3,10 +3,13 @@
 import gc
 import hashlib
 import math
+from array import array
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crossrealm import protocol as proto
 from crossrealm import simnet
@@ -19,7 +22,9 @@ from crossrealm.protocol import (
     phase_spec,
 )
 from crossrealm.simnet import (
+    LOG_HEADER,
     ConnectionModel,
+    Record,
     Stall,
     Topology,
     inject_stall,
@@ -94,6 +99,14 @@ def test_a_path_to_itself_costs_only_the_handshake():
     assert Topology().path_bandwidth_bps("A", "A") == math.inf
     assert transmit_components(1024, "A", "A", model, Topology()) == (
         1.5 * model.rtt_base_s, 1.5 * model.rtt_base_s + model.per_phase_service_s)
+
+
+@pytest.mark.parametrize("link_counts", [{"ABC": 2}, {("A",): 2}, [1], [], "A-SW1"],
+                         ids=["three-letter-key", "one-node-key", "list", "empty-list", "text"])
+def test_link_counts_of_the_wrong_shape_rejected(link_counts):
+    # a mapping keyed by node pairs, or nothing; never a raw ValueError or AttributeError
+    with pytest.raises(InvalidInput):
+        Topology(link_counts=link_counts)
 
 
 def test_negative_propagation_delay_rejected():
@@ -444,3 +457,61 @@ def test_records_of_a_session_share_one_id_string():
     assert all(len(ids) == 1 for ids in by_session.values())
     # the one extra string is the empty id of the app-start records
     assert len({id(record.session_id) for record in run.records}) <= len(run.sessions) + 1
+
+
+# -- the log's read view ---------------------------------------------------------------
+
+def test_event_log_reads_as_records():
+    run = simnet.run(replace(SMALL, principals=3, sessions_per_principal=2))
+    log = run.records
+    records = list(log)
+    assert len(log) == len(records) > 0
+    assert all(type(record) is Record for record in records)
+    assert log[0] == records[0] and log[-1] == records[-1]
+    assert [log[i] for i in range(-len(log), 0)] == records
+    with pytest.raises(IndexError):
+        log[len(log)]
+    # three typed columns and no Python object per record
+    columns = (log.times, log.sessions, log.codes)
+    assert all(type(column) is array and len(column) == len(log) for column in columns)
+    assert sum(column.itemsize * len(column) for column in columns) <= 20 * len(log)
+    assert len(log.shapes) < len(log) / 4
+
+
+def reference_csv(records: list[Record]) -> str:
+    """The event log formatted one Record at a time, as it was before the
+    columnar log."""
+    lines = [",".join(LOG_HEADER) + "\n"]
+    for sequence, record in enumerate(records):
+        time_s, kind, source, destination, session_id, phase, size, outcome = record
+        lines.append(f"{time_s:.9f},{sequence},{kind},{source},{destination},{session_id},"
+                     f"{'' if phase is None else phase},{'' if size is None else size},{outcome}\n")
+    return "".join(lines)
+
+
+_MODES = st.sampled_from([TimeoutMode.none(), TimeoutMode.per_phase(60),
+                          TimeoutMode.per_phase(8), TimeoutMode.localized_f(200),
+                          TimeoutMode.localized_f(40)])
+# phase -> extra delay of the response stall by the phase's responder
+_STALLS = st.dictionaries(st.integers(1, proto.PHASE_COUNT),
+                          st.one_of(st.floats(0.0, 300.0), st.just(math.inf)), max_size=3)
+_SIZES = st.none() | st.dictionaries(st.integers(1, proto.PHASE_COUNT),
+                                     st.integers(0, 10**6), max_size=3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(principals=st.integers(1, 4), mode=_MODES, stalls=_STALLS,
+       request_bytes=_SIZES, response_bytes=_SIZES, seed=st.integers(0, 2**32))
+@example(principals=2, mode=TimeoutMode.localized_f(200), stalls={10: math.inf},
+         request_bytes=None, response_bytes=None, seed=1)
+@example(principals=2, mode=TimeoutMode.per_phase(60), stalls={5: 90.0},
+         request_bytes={3: 0, 7: 5000}, response_bytes={5: 1}, seed=2)
+def test_columnar_csv_matches_per_record_format(principals, mode, stalls, request_bytes,
+                                                response_bytes, seed):
+    sc = replace(SMALL, principals=principals, session_spread_s=30.0, horizon_s=900.0,
+                 seed=seed, timeout_mode=mode, phase_request_bytes=request_bytes,
+                 phase_response_bytes=response_bytes,
+                 stalls=tuple(Stall(phase_spec(k).destination, k, delay)
+                              for k, delay in stalls.items()))
+    run = simnet.run(sc)
+    assert records_to_csv(run.records) == reference_csv(list(run.records))
