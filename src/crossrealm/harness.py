@@ -18,6 +18,7 @@ import json
 import math
 import operator
 import sys
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import accumulate
@@ -38,26 +39,30 @@ from .simnet import ConnectionModel, SimRun, Stall, Topology, csv_lines
 DEFAULT_SEED = 7
 # aggregate keeps horizon_s / sampling_interval_s traffic buckets per series
 MAX_BUCKETS = 10**6
-# the most sessions a scenario may draw; each costs about 6 KB of peak memory
+# the most sessions a scenario may draw; each costs about 4.3 KiB of peak memory
 MAX_SESSIONS = 10**5
 
 
 def _is_count(v) -> bool:
-    return type(v) is int and v >= 1  # a bool is not a count
+    # a bool is not a count, and a count fits a float as every number field does
+    return type(v) is int and 1 <= v <= sys.float_info.max
 
 
 # Scenario field -> (test of its value, the rule it states), in field order;
 # each test fails NaN, and fails or raises TypeError on a value of another type
 _FINITE_NON_NEGATIVE = (lambda v: is_number(v) and 0 <= v < math.inf,
                         "must be a finite, non-negative number")
-_PHASE_SIZES = (lambda sizes: sizes is None or all(
+_PHASE_SIZES = (lambda sizes: sizes is None or isinstance(sizes, Mapping) and all(
     type(k) is int and 1 <= k <= PHASE_COUNT and type(n) is int and 0 <= n <= sys.float_info.max
     for k, n in sizes.items()),
     f"must key phases 1..{PHASE_COUNT} to whole numbers from 0 to the largest float")
 _RANGES = {
-    "principals": (_is_count, "must be a whole number of at least 1"),
+    "principals": (_is_count, "must be a whole number from 1 to the largest float"),
     "sessions_per_principal": (lambda v: v == "mean2" or _is_count(v),
-                               'must be "mean2" or a whole number of at least 1'),
+                               'must be "mean2" or a whole number from 1 to the largest float'),
+    # a value of these types checked its own ranges when it was built
+    "timeout_mode": (lambda v: isinstance(v, TimeoutMode), "must be a TimeoutMode"),
+    "connection": (lambda v: isinstance(v, ConnectionModel), "must be a ConnectionModel"),
     "resources": (lambda v: len(v) == 2 and all(type(r) is str for r in v) and v[0] != v[1],
                   "must be two distinct strings"),
     "network_start_offset_s": _FINITE_NON_NEGATIVE,
@@ -69,6 +74,9 @@ _RANGES = {
     "sampling_interval_s": (lambda v: is_number(v) and 0 < v < math.inf,
                             "must be a positive, finite number"),
     "seed": (lambda v: type(v) is int, "must be a whole number"),
+    "stalls": (lambda v: type(v) is tuple and all(isinstance(s, Stall) for s in v),
+               "must be a tuple of Stalls"),
+    "topology": (lambda v: isinstance(v, Topology), "must be a Topology"),
     "phase_request_bytes": _PHASE_SIZES,
     "phase_response_bytes": _PHASE_SIZES,
 }
@@ -310,9 +318,13 @@ def aggregate(run: SimRun) -> MetricsReport:
 
     The fold is one pass over the log's columns that builds no container
     per record, so it sets off no garbage collection over the finished run's
-    objects: each record's facts are looked up by its shape code, a phase's
-    opening send is kept in that phase's dict under the record's session
-    index, and discards are counted under the record's outcome.
+    objects: each record's facts are looked up by its shape code, and
+    discards are counted under the record's outcome. It keeps only what is
+    in flight: a session's phases run one at a time (all sends of phase k
+    come before its phase-complete, and phase k + 1's first send after it),
+    so the open-phase table holds, under each session index, the time of
+    the first send of the session's open phase, and drops the entry at that
+    phase's phase-complete, which names the phase.
     """
     interval = run.scenario.sampling_interval_s
     buckets = int(math.floor(run.scenario.horizon_s / interval)) + 1
@@ -320,9 +332,8 @@ def aggregate(run: SimRun) -> MetricsReport:
     sent = [0.0] * buckets
     received = [0.0] * buckets
     started = 0
-    # phase index -> session index -> time of the phase's first send
-    opened: dict[int, dict[int, float]] = {k: {} for k in range(1, PHASE_COUNT + 1)}
-    phase_durations: dict[int, list[float]] = {k: [] for k in range(1, PHASE_COUNT + 1)}
+    open_since: dict[int, float] = {}  # session index -> its open phase's first send
+    phase_durations = {k: array("d") for k in range(1, PHASE_COUNT + 1)}
     discarded: dict[str, dict[str, int]] = {}  # receiving role -> outcome -> deliveries
 
     log = run.records
@@ -334,14 +345,13 @@ def aggregate(run: SimRun) -> MetricsReport:
             b = last
         if kind == "send":
             sent[b] += size * 8.0
-            # request legs open a phase; remember the earliest send
-            opened[phase].setdefault(session, time_s)
+            # a phase's request opens it; its response is sent while it is open
+            if session not in open_since:
+                open_since[session] = time_s
         elif kind == "deliver":
             received[b] += size * 8.0
             if outcome == "phase-complete":
-                t0 = opened[phase].get(session)
-                if t0 is not None:
-                    phase_durations[phase].append(time_s - t0)
+                phase_durations[phase].append(time_s - open_since.pop(session))
             elif outcome.startswith("discarded:"):
                 counts = discarded.get(destination)
                 if counts is None:

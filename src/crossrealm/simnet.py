@@ -252,11 +252,6 @@ class EventLog:
             self.shapes.append(row)
         return code
 
-    def append(self, time_s: float, session: int, code: int) -> None:
-        self.times.append(time_s)
-        self.sessions.append(session)
-        self.codes.append(code)
-
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -287,6 +282,20 @@ def csv_lines(log: EventLog) -> Iterator[str]:
 
 def records_to_csv(log: EventLog) -> str:
     return "".join(csv_lines(log))
+
+
+class _DeliverCodes(dict):
+    """One phase leg's deliver-record shape code for each outcome, each
+    made on the outcome's first delivery."""
+
+    def __init__(self, log: EventLog, source: str, destination: str, phase: int, size: int):
+        super().__init__()
+        self.log = log
+        self.facts = (source, destination, phase, size)
+
+    def __missing__(self, outcome: str) -> int:
+        code = self[outcome] = self.log.shape("deliver", *self.facts, outcome)
+        return code
 
 
 # -- default registry --------------------------------------------------------------
@@ -353,26 +362,32 @@ class _Engine:
         stalls = {(s.role, s.phase_index): s.extra_delay_s for s in scenario.stalls}
         request_bytes = scenario.phase_request_bytes or {}
         response_bytes = scenario.phase_response_bytes or {}
-        self.events = EventLog()
+        self.events = events = EventLog()
+        # each record appends one entry to each of the log's three columns
+        self._log_time = events.times.append
+        self._log_session = events.sessions.append
+        self._log_code = events.codes.append
         # Every message of one (phase, kind) takes the same path with the
         # same size, the scenario's or else the protocol table's, so its
         # timing is computed once, as (network, delivery offset, stall, send
-        # record's shape code, (source name, destination name, phase, size));
-        # a response stall of inf suppresses the response. The service time
-        # rides on the request leg; the response is network-only. The deliver
-        # records take their facts from here too.
-        self.legs: dict[tuple[int, MessageKind], tuple[float, float, float, int, tuple]] = {}
+        # record's shape code, deliver record's code by outcome); a response
+        # stall of inf suppresses the response. The service time rides on the
+        # request leg; the response is network-only.
+        self.legs: dict[tuple[int, MessageKind],
+                        tuple[float, float, float, int, _DeliverCodes]] = {}
         for spec in proto.protocol_table():
             src, dst, i = spec.source.value, spec.destination.value, spec.index
             size = request_bytes.get(i, spec.request_bytes)
             self.legs[i, MessageKind.REQUEST] = (*transmit_components(
                 size, src, dst, self.model, self.topology), 0.0,
-                self.events.shape("send", src, dst, i, size, "ok"), (src, dst, i, size))
+                events.shape("send", src, dst, i, size, "ok"),
+                _DeliverCodes(events, src, dst, i, size))
             size = response_bytes.get(i, spec.response_bytes)
             self.legs[i, MessageKind.RESPONSE] = (*transmit_components(
                 size, dst, src, self.model, self.topology, service_s=0.0),
                 stalls.get((spec.destination, i), 0.0),
-                self.events.shape("send", dst, src, i, size, "ok"), (dst, src, i, size))
+                events.shape("send", dst, src, i, size, "ok"),
+                _DeliverCodes(events, dst, src, i, size))
         self.sessions: dict[bytes, SessionState] = {}
         # each session id -> the index of its hex string in the log, which
         # is made once when the id is drawn
@@ -392,7 +407,9 @@ class _Engine:
 
     def log(self, code: int, session_id: bytes | None = None) -> None:
         """Log a record of the shape with this code, now."""
-        self.events.append(self.now, self.session_index[session_id] if session_id else 0, code)
+        self._log_time(self.now)
+        self._log_session(self.session_index[session_id] if session_id else 0)
+        self._log_code(code)
 
     def log_row(self, kind: str, source: str = "", destination: str = "",
                 session_id: bytes | None = None, phase_index: int | None = None,
@@ -440,17 +457,16 @@ class _Engine:
         self.log_row("session-start", source="A", session_id=session_id)
         self._begin_phase(1, session)
 
-    def _on_deliver(self, msg: ProtocolMessage, facts: tuple) -> None:
+    def _on_deliver(self, msg: ProtocolMessage, delivered: _DeliverCodes) -> None:
         session = self.sessions.get(msg.session_id)
         if session is not None and session.status is not SessionStatus.IN_PROGRESS:
             # Drop absorption: nothing may alter a finished session.
-            self.log(self.events.shape("deliver", *facts, "discarded:session-not-in-progress"),
-                     msg.session_id)
+            self.log(delivered["discarded:session-not-in-progress"], msg.session_id)
             return
         state = self.roles[msg.destination]
         result = proto.handle_message(state, msg, self.vault)
-        self.log(self.events.shape("deliver", *facts, result.outcome), msg.session_id)
-        if result.discarded:
+        self.log(delivered[result.outcome], msg.session_id)
+        if result.slot is None:  # discarded
             state.violations += 1
             return
         state.sessions[msg.session_id] = result.slot
@@ -501,13 +517,13 @@ class _Engine:
                               session.session_id, index)
 
     def _send(self, msg: ProtocolMessage) -> None:
-        network, offset, stall, send, facts = self.legs[msg.phase_index, msg.kind]
+        network, offset, stall, send, delivered = self.legs[msg.phase_index, msg.kind]
         if stall == math.inf:
             return  # response suppressed outright
         if network > self.max_network_delay:
             self.max_network_delay = network
         self.log(send, msg.session_id)
-        self.schedule(self.now + offset + stall, self._on_deliver, msg, facts)
+        self.schedule(self.now + offset + stall, self._on_deliver, msg, delivered)
 
     def _complete_phase(self, session: SessionState, final_response: ProtocolMessage) -> None:
         session = proto.advance_phase(session)

@@ -9,6 +9,7 @@ import hashlib
 import math
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -150,6 +151,19 @@ def test_default_run_percentiles_pinned(default_run):
     _, _, report, _ = default_run
     assert tuple(report[f"end_to_end_s.{q}"] for q in ("p50", "p90", "p99")) == (
         59.30908192000001, 59.30908192000061, 59.309081920000665)
+
+
+def test_default_run_aggregate_memory_per_session(default_run):
+    # aggregate keeps a session's first send only while its phase is open, so
+    # its peak grows with the durations it reports, not with every phase it saw
+    _, run, report, _ = default_run
+    tracemalloc.start()
+    try:
+        aggregate(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / report["sessions.started"] < 800
 
 
 def test_default_report_files_pinned(default_run, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for scenario files, metrics aggregation, reports, and checks."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -11,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossrealm import cli, simnet
@@ -37,7 +38,14 @@ from crossrealm.harness import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from crossrealm.protocol import PHASE_COUNT, MessageKind, Role, SessionStatus, TimeoutMode
+from crossrealm.protocol import (
+    PHASE_COUNT,
+    MessageKind,
+    Role,
+    SessionStatus,
+    TimeoutMode,
+    phase_spec,
+)
 from crossrealm.simnet import Stall, Topology, records_to_csv
 
 SMALL = Scenario(principals=2, sessions_per_principal=2, session_spread_s=5.0,
@@ -245,6 +253,28 @@ def test_python_built_scenario_checked(case):
     with pytest.raises(ScenarioValidationError) as err:
         build()
     assert err.value.field == field
+
+
+# values of the wrong type, size or range for most fields, by name
+ODD_VALUES = {
+    "none": None, "text": "x", "zero": 0, "one": 1, "fraction": 1.5, "bool": True,
+    "empty-list": [], "empty-dict": {}, "int-tuple": (1,), "text-tuple": ("a",),
+    "text-keyed-dict": {"a": 1}, "text-valued-dict": {1: "a"}, "object": object(),
+    "nan": math.nan, "huge-int": 10**400, "minus-one": -1,
+}
+
+
+@pytest.mark.parametrize("value", ODD_VALUES)
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Scenario)])
+def test_every_field_refuses_or_runs_an_odd_value(field, value):
+    # a field added with no type rule lets a raw error out of here
+    changes = {"principals": 1, "sessions_per_principal": 1, field: ODD_VALUES[value]}
+    try:
+        scenario = Scenario(**changes)
+    except ScenarioValidationError as err:
+        assert err.field == field
+        return
+    run_experiment(scenario)
 
 
 def test_discards_and_violations_reported(tmp_path):
@@ -561,6 +591,39 @@ def test_aggregate_matches_reference_fold(scenario):
     if scenario is CUT_OFF:
         assert report["horizon_exceeded"] and report["sessions.in_flight_at_horizon"] > 0
         assert report["sessions.dropped"] > 0
+
+
+_MODES = st.sampled_from([TimeoutMode.none(), TimeoutMode.per_phase(60),
+                          TimeoutMode.per_phase(8), TimeoutMode.localized_f(200),
+                          TimeoutMode.localized_f(40)])
+# phase -> extra delay of the response stall by the phase's responder; inf suppresses it
+_STALLS = st.dictionaries(st.integers(1, PHASE_COUNT),
+                          st.one_of(st.floats(0.0, 300.0), st.just(math.inf)), max_size=3)
+_SIZES = st.none() | st.dictionaries(st.integers(1, PHASE_COUNT), st.integers(0, 10**6),
+                                     max_size=3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(principals=st.integers(1, 4), mode=_MODES, stalls=_STALLS, request_bytes=_SIZES,
+       response_bytes=_SIZES, horizon=st.sampled_from([140.0, 200.0, 400.0, 900.0]),
+       seed=st.integers(0, 2**32))
+@example(principals=3, mode=TimeoutMode.per_phase(60), stalls={5: 90.0, 9: math.inf},
+         request_bytes={3: 0}, response_bytes={5: 1}, horizon=200.0, seed=2)
+def test_aggregate_matches_reference_fold_on_drawn_scenarios(principals, mode, stalls,
+                                                             request_bytes, response_bytes,
+                                                             horizon, seed):
+    # the open-phase table agrees with the reference, which keeps every
+    # phase's first send, also where stalls drop sessions or the horizon
+    # cuts phases off
+    scenario = replace(SMALL, principals=principals, session_spread_s=30.0, horizon_s=horizon,
+                       seed=seed, timeout_mode=mode, phase_request_bytes=request_bytes,
+                       phase_response_bytes=response_bytes,
+                       stalls=tuple(Stall(phase_spec(k).destination, k, delay)
+                                    for k, delay in stalls.items()))
+    run = simnet.run(scenario)
+    report = aggregate(run)
+    assert (report.traffic_sent_bps, report.traffic_received_bps, report.tree["per_phase_s"],
+            report.tree["discards"], report["sessions.started"]) == reference_fold(run)
 
 
 # what `crossrealm run` prints besides the paths it wrote
