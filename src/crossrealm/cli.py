@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness, simnet
-from .errors import CrossRealmError
+from .errors import CrossRealmError, ScenarioValidationError
 from .protocol import TimeoutMode
 
 
@@ -47,10 +47,14 @@ def _cmd_run(args) -> int:
         scenario = replace(scenario, seed=args.seed)
     if args.timeout_mode is not None:
         scenario = replace(scenario, timeout_mode=TimeoutMode.parse(args.timeout_mode))
-    result = simnet.run(scenario)
-    report = harness.aggregate(result)
-    paths = harness.emit_report(report, args.format, args.out)
-    paths.append(harness.emit_event_log(result, args.out))
+    try:  # the output directory is made first, so a bad --out fails before the run
+        args.out.mkdir(parents=True, exist_ok=True)
+        result = simnet.run(scenario)
+        report = harness.aggregate(result)
+        paths = harness.emit_report(report, args.format, args.out)
+        paths.append(harness.emit_event_log(result, args.out))
+    except OSError as exc:  # the directory or a report file cannot be written
+        raise ScenarioValidationError("out", f"{exc.filename or args.out}: {exc.strerror}") from exc
     print(f"sessions: started={report['sessions.started']} "
           f"completed={report['sessions.completed']} dropped={report['sessions.dropped']} "
           f"in-flight={report['sessions.in_flight_at_horizon']}")

@@ -19,7 +19,6 @@ import math
 import operator
 import sys
 from array import array
-from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -34,7 +33,7 @@ from .errors import (
     is_number,
 )
 from .protocol import PHASE_COUNT, Role, TimeoutMode, protocol_table
-from .simnet import ConnectionModel, SimRun, Stall, Topology, csv_lines
+from .simnet import ABSORBED, ConnectionModel, SimRun, Stall, Topology, csv_lines
 
 DEFAULT_SEED = 7
 # aggregate keeps horizon_s / sampling_interval_s traffic buckets per series
@@ -314,29 +313,38 @@ def percentile(ordered: list[float], q: float) -> float:
 
 
 def aggregate(run: SimRun) -> MetricsReport:
-    """Fold an event log and final session states into a MetricsReport.
+    """Fold a run's event log, its one account, into a MetricsReport. Beside
+    the log it reads only what no record holds: the scenario, the largest
+    network delay and whether the horizon cut the run off.
 
     The fold is one pass over the log's columns that builds no container
     per record, so it sets off no garbage collection over the finished run's
     objects: each record's facts are looked up by its shape code, and
-    discards are counted under the record's outcome. It keeps only what is
-    in flight: a session's phases run one at a time (all sends of phase k
-    come before its phase-complete, and phase k + 1's first send after it),
-    so the open-phase table holds, under each session index, the time of
-    the first send of the session's open phase, and drops the entry at that
-    phase's phase-complete, which names the phase.
+    discards and drops are counted under the record's outcome. It keeps
+    only what is in flight: a session's phases run one at a time (all sends
+    of phase k come before its phase-complete, and phase k + 1's first send
+    after it), so the open-phase table holds, under each session index, the
+    time of the first send of the session's open phase, and drops the entry
+    at that phase's phase-complete, which names the phase.
     """
     interval = run.scenario.sampling_interval_s
     buckets = int(math.floor(run.scenario.horizon_s / interval)) + 1
     last = buckets - 1
     sent = [0.0] * buckets
     received = [0.0] * buckets
+    # a session is active from its start bucket to its end bucket: it steps
+    # the count up at the first and down after the last (past the horizon if
+    # it is in flight then), and the running sum of the steps is the count
+    steps = [0] * (buckets + 1)
     started = 0
+    log = run.records
+    started_at = array("d", [0.0]) * len(log.session_ids)  # session index -> start time
+    durations = array("d")  # end-to-end time of each completed session
+    drops: dict[str, int] = {}  # drop outcome -> sessions
     open_since: dict[int, float] = {}  # session index -> its open phase's first send
     phase_durations = {k: array("d") for k in range(1, PHASE_COUNT + 1)}
     discarded: dict[str, dict[str, int]] = {}  # receiving role -> outcome -> deliveries
 
-    log = run.records
     shapes = log.shapes
     for time_s, session, code in zip(log.times, log.sessions, log.codes):
         kind, _, destination, phase, size, outcome = shapes[code]
@@ -359,36 +367,34 @@ def aggregate(run: SimRun) -> MetricsReport:
                 counts[outcome] = counts.get(outcome, 0) + 1
         elif kind == "session-start":
             started += 1
+            started_at[session] = time_s
+            steps[b] += 1
+        elif kind == "session-complete":
+            durations.append(time_s - started_at[session])
+            steps[b + 1] -= 1
+        elif kind == "session-drop":
+            drops[outcome] = drops.get(outcome, 0) + 1
+            steps[b + 1] -= 1
 
-    completed = run.completed()
-    dropped = run.dropped()
-    durations = sorted(s.ended_at - s.started_at for s in completed)
+    durations = sorted(durations)
+    completed, dropped = len(durations), sum(drops.values())
     mean = p50 = p90 = p99 = None
     if durations:
         mean, p50, p90, p99 = (_mean(durations), percentile(durations, 50),
                                percentile(durations, 90), percentile(durations, 99))
-
-    # a session is active from its start bucket to its end bucket: it steps
-    # the count up at the first and down after the last, and the running sum
-    # of the steps is the count (every session starts within the horizon)
-    steps = [0] * (buckets + 1)
-    for s in run.sessions.values():
-        end = s.ended_at if s.ended_at is not None else run.scenario.horizon_s
-        steps[int(s.started_at / interval)] += 1
-        steps[min(int(end / interval), last) + 1] -= 1
 
     sent_bps = [bits / interval for bits in sent]
     received_bps = [bits / interval for bits in received]
     tree = {
         "sessions": {
             "started": started,
-            "completed": len(completed),
-            "dropped": len(dropped),
-            "in_flight_at_horizon": started - len(completed) - len(dropped),
-            "dropped_by_reason": dict(Counter(s.drop_reason for s in dropped)),
+            "completed": completed,
+            "dropped": dropped,
+            "in_flight_at_horizon": started - completed - dropped,
+            "dropped_by_reason": {outcome[len("dropped:"):]: n for outcome, n in drops.items()},
         },
         "end_to_end_s": {"mean": mean, "p50": p50, "p90": p90, "p99": p99,
-                         "count": len(durations)},
+                         "count": completed},
         "per_phase_s": {str(k): {"mean": _mean(v) if v else None, "count": len(v)}
                         for k, v in phase_durations.items()},
         "traffic_bps": {"peak_sent": max(sent_bps), "peak_received": max(received_bps),
@@ -397,8 +403,9 @@ def aggregate(run: SimRun) -> MetricsReport:
         # receiving role -> discard reason -> deliveries
         "discards": {role: {outcome[len("discarded:"):]: n for outcome, n in counts.items()}
                      for role, counts in discarded.items()},
-        # role -> discards it counted itself
-        "violations": {role.value: state.violations for role, state in run.role_states.items()},
+        # role -> its own discards: those the engine absorbed no role saw
+        "violations": {role.value: sum(n for outcome, n in discarded.get(role.value, {}).items()
+                                       if outcome != ABSORBED) for role in Role},
         "horizon_exceeded": run.horizon_exceeded,
         "sampling_interval_s": interval,
         "seed": run.scenario.seed,

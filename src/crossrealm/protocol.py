@@ -20,9 +20,9 @@ event stream while distinct sessions can proceed concurrently against a
 shared read-only vault.
 
 Messages that do not fit the expected (phase, kind) for their session
-are discarded and counted, never buffered. The session authority
-additionally refuses to learn about any session whose approval request
-did not arrive through the front-end.
+are discarded, never buffered. The session authority additionally
+refuses to learn about any session whose approval request did not
+arrive through the front-end.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ class SessionState(NamedTuple):
     resources: tuple[str, str]
     current_phase: int = 0
     status: SessionStatus = SessionStatus.IN_PROGRESS
-    # "phase-timeout(<k>)", "localized-timeout" or "invalid-credentials"
+    # "phase-timeout(<k>)", "localized-timeout", "invalid-credentials" or "access-refused"
     drop_reason: str | None = None
     started_at: float | None = None
     ended_at: float | None = None
@@ -265,18 +265,17 @@ class SessionSlot(NamedTuple):
     grants: tuple[str, ...] = ()  # a cloud's own grant; the grants the handler collected
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoleState:
-    """One role's hosted resources, slot table and discard count.
+    """One role's hosted resources and slot table.
 
     The driving loop owns it: transitions only read it, and the caller
-    stores each returned slot in ``sessions`` and counts each discard.
+    stores each returned slot in ``sessions``; a discard changes nothing.
     """
 
     role: Role
     hosted_resources: frozenset[str] = frozenset()
     sessions: dict[bytes, SessionSlot] = field(default_factory=dict)
-    violations: int = 0
 
 
 def initial_role_states(resource_hosting: Mapping[str, Role] | None = None,
@@ -326,8 +325,8 @@ class HandleResult(NamedTuple):
 
 
 class BeginResult(NamedTuple):
-    slot: SessionSlot | None  # the initiator's new slot; None when nothing is sent
-    outgoing: ProtocolMessage | None  # the phase request; None when nothing is sent
+    slot: SessionSlot | None  # the initiator's new slot; None on a drop
+    outgoing: ProtocolMessage | None  # the phase request; None on a drop
     drop_reason: str | None = None
 
 
@@ -363,8 +362,7 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> Hand
     Requests are answered with the phase's final response; responses arm
     the role's expectation for its next appearance in the phase sequence.
     The result carries the session's new slot, which the caller stores in
-    the role's table. Anything out of order is discarded (no slot) and the
-    caller counts it.
+    the role's table. Anything out of order is discarded (no slot).
     """
     if msg.destination is not state.role:
         return _discard("misaddressed")
@@ -442,9 +440,10 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
     Called by the driving loop once the previous phase has ended (or at
     application start for phase 1). The request copies the slot fields
     the phase carries; the result's slot, which the caller stores, now
-    awaits the phase's response. The authority aborts here with an
-    invalid-credentials drop instead of invoking the session handler
-    when the verdict was negative.
+    awaits the phase's response. The result is that send, or a drop: the
+    authority drops the session as invalid-credentials instead of invoking
+    the session handler when the verdict was negative, and a cloud that
+    granted nothing drops it as access-refused.
     """
     sid = session.session_id
     slot = state.sessions.get(sid)
@@ -463,8 +462,8 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
     elif spec.index in (8, 10):  # the handler asks each cloud for the resource it hosts
         extra = {"resource": slot.resources[0 if spec.destination is Role.CLOUD_A else 1]}
     elif spec.index in (9, 11):  # a cloud reports the one resource it hosts
-        if not slot.grants:
-            return BeginResult(None, None)  # no grant to deliver; session stalls
+        if not slot.grants:  # no grant to deliver
+            return BeginResult(None, None, "access-refused")
         extra = {"resource": next(iter(state.hosted_resources))}
 
     slot = slot._replace(**changes)

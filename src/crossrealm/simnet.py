@@ -114,8 +114,8 @@ class Topology:
             if lower in named:
                 raise InvalidInput(f"the link between {a} and {b} is given twice")
             named.add(lower)
-            if type(count) is not int or count < 1:  # a bool is not a count
-                raise InvalidInput("link counts must be whole numbers of at least 1")
+            if type(count) is not int or not is_number(count) or count < 1:  # a bool is not a count
+                raise InvalidInput("link counts must be whole numbers from 1 to the largest float")
 
     def allowed(self, a: str, b: str) -> bool:
         return a == b or frozenset((a, b)) in _ALLOWED_PAIRS
@@ -207,6 +207,9 @@ def inject_stall(scenario: "Scenario", role: Role, phase_index: int,
 
 LOG_HEADER = ("time_s", "sequence", "kind", "source", "destination",
               "session_id", "phase_index", "payload_bytes", "outcome")
+
+# the outcome of a delivery to an ended session, absorbed before any role sees it
+ABSORBED = "discarded:session-not-in-progress"
 
 
 class Record(NamedTuple):
@@ -342,12 +345,6 @@ class SimRun:
     max_network_delay_s: float
     horizon_exceeded: bool
 
-    def completed(self) -> list[SessionState]:
-        return [s for s in self.sessions.values() if s.status is SessionStatus.COMPLETED]
-
-    def dropped(self) -> list[SessionState]:
-        return [s for s in self.sessions.values() if s.status is SessionStatus.DROPPED]
-
 
 class _Engine:
     def __init__(self, scenario: "Scenario"):
@@ -411,12 +408,10 @@ class _Engine:
         self._log_session(self.session_index[session_id] if session_id else 0)
         self._log_code(code)
 
-    def log_row(self, kind: str, source: str = "", destination: str = "",
-                session_id: bytes | None = None, phase_index: int | None = None,
-                payload_bytes: int | None = None, outcome: str = "ok") -> None:
-        """Log a record given by its facts, now."""
-        self.log(self.events.shape(kind, source, destination, phase_index, payload_bytes,
-                                   outcome), session_id)
+    def log_row(self, kind: str, source: str = "", session_id: bytes | None = None,
+                phase_index: int | None = None, outcome: str = "ok") -> None:
+        """Log a record of no message (no destination, no size) given by its facts, now."""
+        self.log(self.events.shape(kind, source, "", phase_index, None, outcome), session_id)
 
     def setup(self) -> None:
         sc = self.scenario
@@ -461,13 +456,12 @@ class _Engine:
         session = self.sessions.get(msg.session_id)
         if session is not None and session.status is not SessionStatus.IN_PROGRESS:
             # Drop absorption: nothing may alter a finished session.
-            self.log(delivered["discarded:session-not-in-progress"], msg.session_id)
+            self.log(delivered[ABSORBED], msg.session_id)
             return
         state = self.roles[msg.destination]
         result = proto.handle_message(state, msg, self.vault)
         self.log(delivered[result.outcome], msg.session_id)
         if result.slot is None:  # discarded
-            state.violations += 1
             return
         state.sessions[msg.session_id] = result.slot
         if result.outgoing is not None:
@@ -496,7 +490,7 @@ class _Engine:
         self.log_row("timer-fire", source=role.value, session_id=before.session_id,
                      phase_index=phase_index, outcome="expired" if expired else "ignored")
         if expired:
-            self._drop(after)
+            self._end(after)
 
     # -- helpers -----------------------------------------------------------
 
@@ -504,17 +498,15 @@ class _Engine:
         spec = proto.phase_spec(index)
         state = self.roles[spec.source]
         result = proto.begin_phase(state, spec, session, self.vault)
-        if result.slot is not None:
-            state.sessions[session.session_id] = result.slot
         if result.drop_reason is not None:
-            self._drop(session._replace(status=SessionStatus.DROPPED,
-                                        drop_reason=result.drop_reason))
+            self._end(session._replace(status=SessionStatus.DROPPED,
+                                       drop_reason=result.drop_reason))
             return
-        if result.outgoing is not None:
-            self._send(result.outgoing)
-            if self.mode.kind == "per-phase":
-                self.schedule(self.now + self.mode.seconds, self._on_phase_timer,
-                              session.session_id, index)
+        state.sessions[session.session_id] = result.slot
+        self._send(result.outgoing)
+        if self.mode.kind == "per-phase":
+            self.schedule(self.now + self.mode.seconds, self._on_phase_timer,
+                          session.session_id, index)
 
     def _send(self, msg: ProtocolMessage) -> None:
         network, offset, stall, send, delivered = self.legs[msg.phase_index, msg.kind]
@@ -527,26 +519,24 @@ class _Engine:
 
     def _complete_phase(self, session: SessionState, final_response: ProtocolMessage) -> None:
         session = proto.advance_phase(session)
-        self.sessions[session.session_id] = session
         if session.status is SessionStatus.COMPLETED:
-            session = session._replace(ended_at=self.now)
-            self.sessions[session.session_id] = session
-            self.log_row("session-complete", source=final_response.destination.value,
-                         session_id=session.session_id, phase_index=session.current_phase,
-                         outcome="completed")
+            self._end(session, final_response.destination.value)
             return
+        self.sessions[session.session_id] = session
         done = session.current_phase
         if done == 4 and self.mode.kind == "localized-f":
             self.schedule(self.now + self.mode.seconds, self._on_f_watchdog,
                           session.session_id)
         self._begin_phase(done + 1, session)
 
-    def _drop(self, session: SessionState) -> None:
+    def _end(self, session: SessionState, source: str = "") -> None:
+        """Stamp a finished session's end, store it and log its one end record."""
         session = session._replace(ended_at=self.now)
         self.sessions[session.session_id] = session
-        self.log_row("session-drop", session_id=session.session_id,
-                     phase_index=session.current_phase,
-                     outcome=f"dropped:{session.drop_reason}")
+        completed = session.status is SessionStatus.COMPLETED
+        self.log_row("session-complete" if completed else "session-drop", source,
+                     session_id=session.session_id, phase_index=session.current_phase,
+                     outcome="completed" if completed else f"dropped:{session.drop_reason}")
 
     def result(self) -> SimRun:
         return SimRun(

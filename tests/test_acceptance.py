@@ -122,7 +122,7 @@ def test_criterion_03_gatekeeping_across_seeds():
                 if r.source != "SAC-SH":
                     bad += 1
         # direct presentation by the principal is always refused
-        for session in run.completed():
+        for session in [s for s in run.sessions.values() if s.status is SessionStatus.COMPLETED]:
             held = run.role_states[Role.A].sessions[session.session_id].requester_key
             for cloud, resource in ((Role.CLOUD_A, "R1"), (Role.CLOUD_B, "R2")):
                 if grant_access(run.role_states[cloud], Role.A, held, resource):

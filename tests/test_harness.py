@@ -8,7 +8,9 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -136,6 +138,8 @@ MALFORMED = [
     pytest.param({"connection": {"rtt_base_s": 10**400}}, "connection", id="connection-huge"),
     pytest.param({"topology": {"propagation_delay_s": 10**400}}, "topology",
                  id="topology-huge-delay"),
+    pytest.param({"topology": {"link_counts": [["A", "SW1", 10**400]]}}, "topology",
+                 id="topology-huge-link-count"),
     pytest.param({"stalls": [{"role": "CloudB", "phase_index": 10, "extra_delay_s": 10**400}]},
                  "stalls", id="stalls-huge-delay"),
     # the Stall refuses it: only +Infinity suppresses a response
@@ -347,6 +351,27 @@ def test_cli_rejects_too_many_sessions(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: principals:")
 
 
+@pytest.mark.parametrize("under_a_file", [False, True], ids=["a-file", "under-a-file"])
+def test_cli_refuses_an_out_path_that_cannot_be_a_directory(tmp_path, capsys, monkeypatch,
+                                                           under_a_file):
+    # refused before the run, naming the path, as an error rather than a traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "report" if under_a_file else taken
+    monkeypatch.setattr(simnet, "run", lambda scenario: pytest.fail("the run started"))
+    assert cli.main(["run", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: out: {out}: ")
+
+
+def test_cli_names_a_report_file_it_cannot_write(tmp_path, capsys):
+    # a directory where the event log goes: the run's reports fail to write
+    (tmp_path / "events.csv").mkdir()
+    save_scenario(SMALL, tmp_path / "scenario.json")
+    assert cli.main(["run", "--scenario", str(tmp_path / "scenario.json"),
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: out: {tmp_path / 'events.csv'}: ")
+
+
 def test_cli_rejects_a_bad_timeout_override(tmp_path, capsys):
     # the --timeout-mode override is held to the rule a scenario's field is
     assert cli.main(["run", "--timeout-mode", "per-phase:-5", "--out", str(tmp_path)]) == 1
@@ -538,9 +563,10 @@ def test_percentile_of_ties_is_the_tied_value():
 
 
 def reference_fold(run):
-    """The per-record fold aggregate used before it was made allocation-free:
-    the two traffic series, the per-phase and discard entries of the metric
-    tree, and the count of sessions started."""
+    """The per-record fold aggregate used before it was made allocation-free,
+    and its reading of the final session states from before it folded the
+    log alone: the two traffic series, the active-session series, and the
+    sessions, end-to-end, per-phase and discard entries of the metric tree."""
     interval = run.scenario.sampling_interval_s
     buckets = int(math.floor(run.scenario.horizon_s / interval)) + 1
     sent = [0.0] * buckets
@@ -572,8 +598,39 @@ def reference_fold(run):
             started += 1
     per_phase = {str(k): {"mean": math.fsum(v) / len(v) if v else None, "count": len(v)}
                  for k, v in phase_durations.items()}
-    return ([x / interval for x in sent], [x / interval for x in received], per_phase,
-            discards, started)
+
+    completed = [s for s in run.sessions.values() if s.status is SessionStatus.COMPLETED]
+    dropped = [s for s in run.sessions.values() if s.status is SessionStatus.DROPPED]
+    durations = sorted(s.ended_at - s.started_at for s in completed)
+    mean = p50 = p90 = p99 = None
+    if durations:
+        mean, p50, p90, p99 = (math.fsum(durations) / len(durations), percentile(durations, 50),
+                               percentile(durations, 90), percentile(durations, 99))
+    # a session is active from its start bucket to its end bucket: it steps
+    # the count up at the first and down after the last, and the running sum
+    # of the steps is the count (every session starts within the horizon)
+    steps = [0] * (buckets + 1)
+    for s in run.sessions.values():
+        end = s.ended_at if s.ended_at is not None else run.scenario.horizon_s
+        steps[int(s.started_at / interval)] += 1
+        steps[min(int(end / interval), buckets - 1) + 1] -= 1
+    sessions = {
+        "started": started,
+        "completed": len(completed),
+        "dropped": len(dropped),
+        "in_flight_at_horizon": started - len(completed) - len(dropped),
+        "dropped_by_reason": dict(Counter(s.drop_reason for s in dropped)),
+    }
+    end_to_end = {"mean": mean, "p50": p50, "p90": p90, "p99": p99, "count": len(durations)}
+    return ([x / interval for x in sent], [x / interval for x in received],
+            list(accumulate(steps[:buckets])), sessions, end_to_end, per_phase, discards)
+
+
+def folded(report):
+    """What reference_fold computes, as the report holds it."""
+    return (report.traffic_sent_bps, report.traffic_received_bps, report.active_sessions,
+            report.tree["sessions"], report.tree["end_to_end_s"], report.tree["per_phase_s"],
+            report.tree["discards"])
 
 
 # a per-phase run whose horizon cuts it off with sessions still open
@@ -586,8 +643,7 @@ CUT_OFF = replace(SMALL, principals=6, session_spread_s=100.0, horizon_s=220.0,
 def test_aggregate_matches_reference_fold(scenario):
     run = simnet.run(scenario)
     report = aggregate(run)
-    assert (report.traffic_sent_bps, report.traffic_received_bps, report.tree["per_phase_s"],
-            report.tree["discards"], report["sessions.started"]) == reference_fold(run)
+    assert folded(report) == reference_fold(run)
     if scenario is CUT_OFF:
         assert report["horizon_exceeded"] and report["sessions.in_flight_at_horizon"] > 0
         assert report["sessions.dropped"] > 0
@@ -613,17 +669,15 @@ def test_aggregate_matches_reference_fold_on_drawn_scenarios(principals, mode, s
                                                              request_bytes, response_bytes,
                                                              horizon, seed):
     # the open-phase table agrees with the reference, which keeps every
-    # phase's first send, also where stalls drop sessions or the horizon
-    # cuts phases off
+    # phase's first send, and the session records with the final session
+    # states, also where stalls drop sessions or the horizon cuts phases off
     scenario = replace(SMALL, principals=principals, session_spread_s=30.0, horizon_s=horizon,
                        seed=seed, timeout_mode=mode, phase_request_bytes=request_bytes,
                        phase_response_bytes=response_bytes,
                        stalls=tuple(Stall(phase_spec(k).destination, k, delay)
                                     for k, delay in stalls.items()))
     run = simnet.run(scenario)
-    report = aggregate(run)
-    assert (report.traffic_sent_bps, report.traffic_received_bps, report.tree["per_phase_s"],
-            report.tree["discards"], report["sessions.started"]) == reference_fold(run)
+    assert folded(aggregate(run)) == reference_fold(run)
 
 
 # what `crossrealm run` prints besides the paths it wrote

@@ -1,6 +1,7 @@
 """Tests for the 13-phase approval protocol state machines."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from crossrealm.protocol import (
     ProtocolMessage,
     Requester,
     Role,
+    RoleState,
     SessionSlot,
     SessionState,
     SessionStatus,
@@ -60,6 +62,7 @@ class Driver:
         self.roles = initial_role_states()
         self.session = fresh_session(requester)
         self.trace = []  # (phase, kind, outcome)
+        self.discards = Counter()  # role -> messages it discarded
 
     def run_phase(self, index):
         spec = phase_spec(index)
@@ -86,7 +89,7 @@ class Driver:
         state = self.roles[role]
         res = handle_message(state, msg, self.vault)
         if res.discarded:
-            state.violations += 1
+            self.discards[role] += 1
         else:
             state.sessions[msg.session_id] = res.slot
         return res
@@ -244,7 +247,7 @@ def test_handle_message_discards(case):
     assert result.outcome == "discarded:" + case.removesuffix("-request").removesuffix("-response")
     assert result.outgoing is None
     assert result.slot is None
-    assert state.violations == 1
+    assert driver.discards == {role: 1}
     # a discarded message never records or changes a session
     assert state.sessions == before
 
@@ -381,17 +384,22 @@ def test_grant_access_unknown_session_refused():
     assert not grant_access(cloud, Role.SAC_SH, key, "R1")
 
 
-def test_refused_grant_stalls_the_session():
+def test_refused_grant_drops_the_session():
     # a cloud that refuses records no grant, so it has nothing to deliver
+    # and the session ends as refused
     vault, requester = registry()
     driver = Driver(vault, requester)
-    cloud = driver.roles[Role.CLOUD_A]
-    cloud.hosted_resources = frozenset()  # R1 is hosted nowhere
+    cloud = driver.roles[Role.CLOUD_A] = RoleState(Role.CLOUD_A)  # R1 is hosted nowhere
     for index in range(1, 9):
         driver.run_phase(index)
     assert (8, MessageKind.REQUEST, "refused") in driver.trace
     assert cloud.sessions[driver.session.session_id].grants == ()
-    assert begin_phase(cloud, phase_spec(9), driver.session, vault) == BeginResult(None, None)
+    assert begin_phase(cloud, phase_spec(9), driver.session, vault) == BeginResult(
+        None, None, "access-refused")
+    driver.run_phase(9)
+    assert driver.session.status is SessionStatus.DROPPED
+    assert driver.session.drop_reason == "access-refused"
+    assert driver.session.current_phase == 8
 
 
 # -- slot and session copies --------------------------------------------------------

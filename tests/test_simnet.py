@@ -14,14 +14,16 @@ from hypothesis import strategies as st
 from crossrealm import protocol as proto
 from crossrealm import simnet
 from crossrealm.errors import DisallowedPair, InvalidInput
-from crossrealm.harness import Scenario
+from crossrealm.harness import Scenario, aggregate
 from crossrealm.protocol import (
     Role,
+    RoleState,
     SessionStatus,
     TimeoutMode,
     phase_spec,
 )
 from crossrealm.simnet import (
+    ABSORBED,
     LOG_HEADER,
     ConnectionModel,
     Record,
@@ -70,8 +72,10 @@ def test_link_count_overrides():
     topo = Topology(link_counts={("A", "SW1"): 2})
     assert topo.path_bandwidth_bps("A", "F") == 2e9
     for link_counts in ({("A", "F"): 2}, {("A", "SW1"): 0}, {("A", "SW1"): 2, ("SW1", "A"): 3},
-                        {("A", "SW1"): "3"}, {("A", "SW1"): 2.5}, {("A", "SW1"): True}):
-        # no such link, too few, one link named twice, a count that is no whole number
+                        {("A", "SW1"): "3"}, {("A", "SW1"): 2.5}, {("A", "SW1"): True},
+                        {("A", "SW1"): 10**400}):
+        # no such link, too few, one link named twice, a count that is no whole
+        # number, or one too large for a float
         with pytest.raises(InvalidInput):
             Topology(link_counts=link_counts)
 
@@ -265,7 +269,7 @@ def test_deliveries_match_per_message_timing():
 
 def test_each_session_is_minted_for_its_requester():
     run = simnet.run(replace(SMALL, principals=5, sessions_per_principal=2, seed=12))
-    completed = run.completed()
+    completed = [s for s in run.sessions.values() if s.status is SessionStatus.COMPLETED]
     assert len(completed) == 10
     assert len({s.requester.tenant_id for s in completed}) == 5
     for session in completed:
@@ -411,7 +415,7 @@ def test_late_response_after_drop_is_absorbed():
             if r.kind == "deliver" and r.phase_index == 10 and r.source == "CloudB"]
     assert [r.outcome for r in late] == ["discarded:session-not-in-progress"]
     assert late[0].time_s > session.ended_at
-    assert all(state.violations == 0 for state in run.role_states.values())
+    assert aggregate(run).tree["violations"] == {role.value: 0 for role in Role}
 
 
 # -- garbage collection ---------------------------------------------------------------
@@ -515,3 +519,88 @@ def test_columnar_csv_matches_per_record_format(principals, mode, stalls, reques
                               for k, delay in stalls.items()))
     run = simnet.run(sc)
     assert records_to_csv(run.records) == reference_csv(list(run.records))
+
+
+# -- the log's account of each session -------------------------------------------------
+
+def assert_log_accounts_for_each_session(run):
+    """Each session in the log has one session-start, then at most one end
+    record, after which only absorbed deliveries and ignored timer fires
+    name it; each deliver answers an earlier send not yet delivered, of the
+    same session, phase, source and destination; a session's phases
+    complete in order, each once; the sessions the log ends are the ones
+    that ended."""
+    started, ended = set(), set()
+    undelivered = Counter()  # (session, phase, source, destination) -> sends in flight
+    phases_done = Counter()  # session -> phases completed
+    for record in run.records:
+        session = record.session_id
+        if record.kind == "session-start":
+            assert session not in started, record
+            started.add(session)
+        elif session:
+            assert session in started, record
+        if session in ended:
+            assert (record.kind, record.outcome) in {("deliver", ABSORBED),
+                                                     ("timer-fire", "ignored")}, record
+        if record.kind in ("session-complete", "session-drop"):
+            ended.add(session)
+        elif record.kind in ("send", "deliver"):
+            leg = (session, record.phase_index, record.source, record.destination)
+            if record.kind == "deliver":
+                assert undelivered[leg] > 0, record
+            undelivered[leg] += 1 if record.kind == "send" else -1
+            if record.outcome == "phase-complete":
+                phases_done[session] += 1
+                assert record.phase_index == phases_done[session], record
+    assert started == {sid.hex() for sid in run.sessions}
+    assert ended == {sid.hex() for sid, s in run.sessions.items()
+                     if s.status is not SessionStatus.IN_PROGRESS}
+
+
+# case -> a scenario whose log is audited
+AUDITED = {
+    "default": Scenario(),
+    # the benchmark's faults-1k workload: every session falls to the watchdog
+    "faults-1k": Scenario(timeout_mode=TimeoutMode.localized_f(200), horizon_s=1000.0,
+                          stalls=(Stall(Role.CLOUD_B, 10, 250.0),)),
+    "phase-timeout": inject_stall(replace(TIMED, timeout_mode=TimeoutMode.per_phase(60)),
+                                  Role.SAC_DB, 5, 90.0),
+}
+
+
+@pytest.mark.parametrize("case", AUDITED)
+def test_log_accounts_for_each_session(case):
+    assert_log_accounts_for_each_session(simnet.run(AUDITED[case]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(principals=st.integers(1, 4), mode=_MODES, stalls=_STALLS, request_bytes=_SIZES,
+       horizon=st.sampled_from([140.0, 200.0, 400.0, 900.0]), seed=st.integers(0, 2**32))
+def test_log_accounts_for_each_session_on_drawn_scenarios(principals, mode, stalls,
+                                                          request_bytes, horizon, seed):
+    sc = replace(SMALL, principals=principals, session_spread_s=30.0, horizon_s=horizon,
+                 seed=seed, timeout_mode=mode, phase_request_bytes=request_bytes,
+                 stalls=tuple(Stall(phase_spec(k).destination, k, delay)
+                              for k, delay in stalls.items()))
+    assert_log_accounts_for_each_session(simnet.run(sc))
+
+
+def test_a_refused_access_ends_the_session():
+    # a CloudA that hosts nothing grants nothing, so it has no grant to
+    # deliver at phase 9: each session drops there, and the timers of its
+    # phases 1 to 8 are ignored
+    engine = simnet._Engine(replace(SMALL, principals=3, sessions_per_principal=2,
+                                    timeout_mode=TimeoutMode.per_phase(60)))
+    engine.roles[Role.CLOUD_A] = RoleState(Role.CLOUD_A)
+    engine.setup()
+    engine.loop()
+    run = engine.result()
+    assert_log_accounts_for_each_session(run)
+    ends = Counter(r.outcome for r in run.records
+                   if r.kind in ("timer-fire", "session-drop", "session-complete"))
+    assert ends == {"dropped:access-refused": 6, "ignored": 6 * 8}
+    report = aggregate(run)
+    assert report.tree["sessions"] == {"started": 6, "completed": 0, "dropped": 6,
+                                       "in_flight_at_horizon": 0,
+                                       "dropped_by_reason": {"access-refused": 6}}
