@@ -29,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--timeout-mode", default=None,
                      help="none | per-phase:<seconds> | localized-f:<seconds>")
     run.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    run.add_argument("--format", choices=("csv", "json-like"), default="csv")
 
     val = sub.add_parser("validate", help="parse and validate a scenario file")
     val.add_argument("--scenario", type=Path, required=True)
@@ -51,7 +50,7 @@ def _cmd_run(args) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         result = simnet.run(scenario)
         report = harness.aggregate(result)
-        paths = harness.emit_report(report, args.format, args.out)
+        paths = harness.emit_report(report, args.out)
         paths.append(harness.emit_event_log(result, args.out))
     except OSError as exc:  # the directory or a report file cannot be written
         raise ScenarioValidationError("out", f"{exc.filename or args.out}: {exc.strerror}") from exc

@@ -6,8 +6,8 @@ every field can be overridden. The report covers session counts,
 end-to-end and per-phase response times, traffic timeseries, and the
 maximum network delay component.
 
-Reports are emitted as either CSV or JSON tables with a stable column
-order, so identical (scenario, seed) pairs produce byte-identical files.
+Reports are emitted as CSV tables with a stable column order, so
+identical (scenario, seed) pairs produce byte-identical files.
 An expectations file lists (metric, op, target) triples for pass/fail
 checking against an emitted report.
 """
@@ -439,8 +439,8 @@ def _fmt(value: object) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def emit_report(report: MetricsReport, format: str, out_dir: str | Path) -> list[Path]:
-    """Write summary, per_phase, and timeseries tables; returns the paths."""
+def emit_report(report: MetricsReport, out_dir: str | Path) -> list[Path]:
+    """Write summary, per_phase, and timeseries CSV tables; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {key: value for key, value in report.tree.items() if key != "per_phase_s"}
@@ -451,23 +451,6 @@ def emit_report(report: MetricsReport, format: str, out_dir: str | Path) -> list
     n = 0 if empty else len(report.active_sessions)
     phase_rows = () if empty else tuple(range(1, PHASE_COUNT + 1))
 
-    if format == "json-like":
-        paths = [out / "summary.json", out / "per_phase.json", out / "timeseries.json"]
-        paths[0].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        paths[1].write_text(json.dumps(
-            {str(k): per_phase[str(k)] for k in phase_rows},
-            indent=2, sort_keys=True) + "\n")
-        series = {
-            "t_s": [i * interval for i in range(n)],
-            "active_sessions": report.active_sessions[:n],
-            "traffic_sent_bps": report.traffic_sent_bps[:n],
-            "traffic_received_bps": report.traffic_received_bps[:n],
-        }
-        paths[2].write_text(json.dumps(series, indent=2, sort_keys=True) + "\n")
-        return paths
-
-    if format != "csv":
-        raise ScenarioValidationError("format", f"unknown report format {format!r}")
     paths = [out / "summary.csv", out / "per_phase.csv", out / "timeseries.csv"]
     lines = ["metric,value"]
     lines += [f"{k},{_fmt(v)}" for k, v in sorted(_flatten(summary))]
@@ -518,14 +501,10 @@ def _summary_value(raw: str) -> object:
 
 
 def load_report(report_dir: str | Path) -> dict:
-    """Reload an emitted report (either format) as a metric tree."""
+    """Reload an emitted report's CSV tables as a metric tree."""
     d = Path(report_dir)
-    if (d / "summary.json").exists():
-        tree = _read_json(d / "summary.json")
-        tree["per_phase_s"] = _read_json(d / "per_phase.json")
-        return tree
     if not (d / "summary.csv").exists():
-        raise ScenarioParseError(f"no summary.json or summary.csv under {d}")
+        raise ScenarioParseError(f"no summary.csv under {d}")
     tree: dict = {}
     summary = d / "summary.csv"
     for lineno, (name, value) in enumerate(_read_table(summary, str, _summary_value), start=2):
@@ -612,10 +591,12 @@ def check_acceptance(report: MetricsReport | dict, expectations: list[dict]) -> 
     tree = report.tree if isinstance(report, MetricsReport) else report
     verdicts = []
     for index, exp in enumerate(expectations):
+        metric = exp.get("metric", "?") if isinstance(exp, dict) else "?"
         try:
             verdicts.append(_verdict(tree, exp))
+        except UnknownMetric:
+            raise UnknownMetric(f"expectation {index} ({metric}): unknown metric") from None
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
-            metric = exp.get("metric", "?") if isinstance(exp, dict) else "?"
             detail = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
             raise ScenarioParseError(f"expectation {index} ({metric}): {detail}") from exc
     return verdicts

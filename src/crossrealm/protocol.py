@@ -104,7 +104,8 @@ class TimeoutMode:
     def encode(self) -> str:
         if self.kind == "none":
             return "none"
-        return f"{self.kind}:{self.seconds:g}"
+        text = f"{self.seconds:g}"  # six significant digits: kept only where exact
+        return f"{self.kind}:{text if float(text) == self.seconds else repr(self.seconds)}"
 
 
 @dataclass(frozen=True)

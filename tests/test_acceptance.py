@@ -38,14 +38,11 @@ SCENARIOS_DIR = Path(__file__).parent.parent / "scenarios"
 
 # sha256 of the default run's events.csv; a change to it must be explained
 DEFAULT_EVENTS_SHA256 = "de5ec44d4e69e2748e93dbe674261a5853d512ca4ce13561e50e71beb63dab06"
-# sha256 of each report file of the default run, in both formats
+# sha256 of each report file of the default run
 DEFAULT_REPORT_SHA256 = {
     "summary.csv": "2a47b0cd5233bfea5d20f5e31c62e6ce5cf6d747f7d44f2372190be3414e1c63",
     "per_phase.csv": "607fe283c19a9b6b5d61163629d36f66e0c3b565d996e8acdac1b234bd44fd67",
     "timeseries.csv": "08899bb700a44cccb6a5c55a4c2cb92d91b99fce1aeb7159af7c92d4a52a04f5",
-    "summary.json": "abe69db31789b8bb9297489fa3904d0784ecdecf7c07250afcd0c764951dde87",
-    "per_phase.json": "3e7e744ddb0cadb126a96ac4e586c439dc671090ecbd657e10155b685331ea16",
-    "timeseries.json": "56e96a339362ea0c162157fb026050148f4f79b3588a64109a2cc37cadf85245",
 }
 
 TINY = Scenario(principals=1, sessions_per_principal=1, session_spread_s=1.0,
@@ -168,7 +165,7 @@ def test_default_run_aggregate_memory_per_session(default_run):
 
 def test_default_report_files_pinned(default_run, tmp_path):
     _, _, report, _ = default_run
-    paths = [*emit_report(report, "csv", tmp_path), *emit_report(report, "json-like", tmp_path)]
+    paths = emit_report(report, tmp_path)
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in paths} == DEFAULT_REPORT_SHA256
 
@@ -290,8 +287,8 @@ def test_criterion_10_determinism(default_run, tmp_path):
     events = records_to_csv(first_run.records)
     logs_identical = events == records_to_csv(second_run.records)
     pinned = hashlib.sha256(events.encode()).hexdigest() == DEFAULT_EVENTS_SHA256
-    emit_report(first_report, "csv", tmp_path / "one")
-    emit_report(second_report, "csv", tmp_path / "two")
+    emit_report(first_report, tmp_path / "one")
+    emit_report(second_report, tmp_path / "two")
     files_identical = all(
         (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
         for name in ("summary.csv", "per_phase.csv", "timeseries.csv"))

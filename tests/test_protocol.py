@@ -5,6 +5,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crossrealm import keys as keylib
 from crossrealm import protocol as proto
@@ -156,6 +158,14 @@ def test_timeout_mode_parse_round_trip():
                   lambda: TimeoutMode("per-phase", "5")):
         with pytest.raises(InvalidInput):
             build()
+
+
+@given(kind=st.sampled_from(["per-phase", "localized-f"]),
+       seconds=st.floats(min_value=0, max_value=math.inf, exclude_min=True, exclude_max=True))
+def test_timeout_mode_encode_is_exact(kind, seconds):
+    # six significant digits would turn 60.1234567 into 60.1235
+    mode = TimeoutMode(kind, seconds)
+    assert TimeoutMode.parse(mode.encode()) == mode
 
 
 @pytest.mark.parametrize("build", [
