@@ -12,7 +12,9 @@ leaking activity into later phases.
 
 State machines are pure: handle_message and begin_phase read a role
 state and return the one new slot of the session they touched, together
-with the one message the role sends, if any. Each role's slot table
+with the one message the role sends, if any. Every per-message update of
+a slot or session is a new tuple built by position, through setters made
+once at import from the fields they set. Each role's slot table
 (RoleState.sessions) is owned by the driving loop, which stores the
 returned slot in place, so a transition costs the same however many
 sessions a role holds. A single session must be driven by one logical
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -177,6 +180,29 @@ class ProtocolMessage(NamedTuple):
 _NO_PAYLOAD: Mapping[str, object] = MappingProxyType({})
 
 
+# -- positional updates ----------------------------------------------------------
+
+def _positions(cls, names) -> tuple[int, ...]:
+    """Where each named field sits in a NamedTuple class's values, in order.
+    An unknown name raises ValueError, as ``_replace`` does."""
+    unknown = [name for name in names if name not in cls._fields]
+    if unknown:
+        raise ValueError(f"Got unexpected field names: {unknown!r}")
+    return tuple(map(cls._fields.index, names))
+
+
+def _setter(cls, *names):
+    """``set(value, new_values)``: a copy of a ``cls`` value whose named fields
+    hold ``new_values``, in order, built by position; it equals
+    ``value._replace(**dict(zip(names, new_values)))``. An unknown name
+    raises ValueError here, when the setter is made."""
+    at = _positions(cls, names)
+    # picks each field of the copy from the old values followed by the new ones
+    picks = itemgetter(*(len(cls._fields) + at.index(i) if i in at else i
+                         for i in range(len(cls._fields))))
+    return lambda value, new_values: tuple.__new__(cls, picks(value + new_values))
+
+
 # -- session bookkeeping ------------------------------------------------------
 
 class SessionStatus(Enum):
@@ -209,6 +235,10 @@ class SessionState(NamedTuple):
     ended_at: float | None = None
 
 
+_set_phase = _setter(SessionState, "current_phase")
+_set_phase_and_status = _setter(SessionState, "current_phase", "status")
+
+
 def advance_phase(session: SessionState) -> SessionState:
     """Complete phase current_phase + 1 on arrival of its final response.
 
@@ -220,8 +250,8 @@ def advance_phase(session: SessionState) -> SessionState:
         return session
     done = session.current_phase + 1
     if done == PHASE_COUNT:
-        return session._replace(current_phase=done, status=SessionStatus.COMPLETED)
-    return session._replace(current_phase=done)
+        return _set_phase_and_status(session, (done, SessionStatus.COMPLETED))
+    return _set_phase(session, (done,))
 
 
 def on_timeout(session: SessionState, phase_index: int) -> SessionState:
@@ -264,6 +294,28 @@ class SessionSlot(NamedTuple):
     keyset: SessionKeySet | None = None
     requester_key: HierarchicalKey | None = None
     grants: tuple[str, ...] = ()  # a cloud's own grant; the grants the handler collected
+
+
+# phase index - 1 -> (name, SessionSlot position) of each field its request
+# carries, in ``carries`` order; a misspelled name fails here, at import
+_CARRIED = tuple(tuple(zip(spec.carries, _positions(SessionSlot, spec.carries)))
+                 for spec in _PHASES)
+
+# phase -> the fields its responder sets from its own work on the request (a
+# verdict, a grant), after those the request carries
+_DECIDES = {5: ("verdict", "realm"), 8: ("grants",), 9: ("grants",), 10: ("grants",),
+            11: ("grants",)}
+
+# phase index - 1 -> the responder's update on the phase's request: it clears
+# its expectation, then stores what the request carries and what it decides
+_STORE = tuple(_setter(SessionSlot, "expect", *spec.carries, *_DECIDES.get(spec.index, ()))
+               for spec in _PHASES)
+
+# phase index - 1 -> what its initiator expects once the request is sent
+_RESPONSE_DUE = tuple((spec.index, MessageKind.RESPONSE) for spec in _PHASES)
+
+_set_expect = _setter(SessionSlot, "expect")
+_set_expect_and_keys = _setter(SessionSlot, "expect", "keyset", "requester_key")
 
 
 @dataclass(frozen=True)
@@ -377,10 +429,10 @@ def _handle_response(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage) ->
     slot = state.sessions.get(msg.session_id)
     if slot is None:
         return _discard("unknown-session")
-    if slot.expect != (spec.index, MessageKind.RESPONSE):
+    if slot.expect != _RESPONSE_DUE[spec.index - 1]:
         return _discard("out-of-order")
-    slot = slot._replace(expect=_NEXT_EXPECT[state.role, spec.index])
-    return HandleResult(slot, None, "phase-complete")
+    return HandleResult(_set_expect(slot, (_NEXT_EXPECT[state.role, spec.index],)), None,
+                        "phase-complete")
 
 
 def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
@@ -404,9 +456,9 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         return _discard("out-of-order")
 
     fields = msg.payload_fields
-    # store what the phase carries; the responder then waits for its next begin_phase
-    changes = {name: fields[name] for name in spec.carries}
-    changes["expect"] = None
+    # the responder then waits for its next begin_phase, so it expects nothing
+    carried = (None, *[fields[name] for name in spec.carries])
+    store = _STORE[spec.index - 1]
     outcome = "ok"
 
     if spec.index == 5:  # credential db verifies the pair and the requester's place in it
@@ -414,18 +466,19 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         valid = vault.verify_membership(idr, ids)
         member = vault.find_member(fields["requester"], idr, ids) if valid else None
         realm = (member.tenant_id, member.cloud_id, member.subdomain_id) if member else None
-        changes.update(verdict=member is not None, realm=realm)
+        slot = store(slot, (*carried, member is not None, realm))
     elif spec.index in (8, 10):  # a cloud decides on access
         # decided on a one-entry view holding the slot with what the request carries
         view = RoleState(state.role, state.hosted_resources,
-                         {msg.session_id: slot._replace(**changes)})
+                         {msg.session_id: store(slot, (*carried, slot.grants))})
         resource = fields["resource"]
         granted = grant_access(view, msg.source, fields["requester_key"], resource)
-        changes["grants"] = slot.grants + ((resource,) if granted else ())
+        slot = store(slot, (*carried, slot.grants + ((resource,) if granted else ())))
         outcome = "granted" if granted else "refused"
     elif spec.index in (9, 11):  # session handler collects a grant
-        changes["grants"] = slot.grants + (fields["resource"],)
-    slot = slot._replace(**changes)
+        slot = store(slot, (*carried, slot.grants + (fields["resource"],)))
+    else:
+        slot = store(slot, carried)
     if spec.index in (5, 6):  # both ends of the verification report its verdict
         outcome = "valid" if slot.verdict else "invalid"
 
@@ -448,27 +501,30 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
     """
     sid = session.session_id
     slot = state.sessions.get(sid)
-    extra = {}
-    changes = {"expect": (spec.index, MessageKind.RESPONSE)}  # the initiator awaits the response
+    due = _RESPONSE_DUE[spec.index - 1]  # the initiator awaits the response
+    resource = None
 
     if spec.index == 1:  # A opens the session for its requester
-        slot = SessionSlot(requester=session.requester.tenant_id, principal=session.principal,
-                           resources=session.resources,
+        slot = SessionSlot(expect=due, requester=session.requester.tenant_id,
+                           principal=session.principal, resources=session.resources,
                            idr=session.requester.idr, ids=session.requester.ids)
     elif spec.index == 7:  # the authority mints the key set, or drops the session
         if not slot.verdict:
             return BeginResult(None, None, "invalid-credentials")
         minted = keylib.mint_session_keys(sid, [slot.realm], vault)
-        changes.update(keyset=minted, requester_key=minted.keys[slot.realm[0]])
-    elif spec.index in (8, 10):  # the handler asks each cloud for the resource it hosts
-        extra = {"resource": slot.resources[0 if spec.destination is Role.CLOUD_A else 1]}
-    elif spec.index in (9, 11):  # a cloud reports the one resource it hosts
-        if not slot.grants:  # no grant to deliver
-            return BeginResult(None, None, "access-refused")
-        extra = {"resource": next(iter(state.hosted_resources))}
+        slot = _set_expect_and_keys(slot, (due, minted, minted.keys[slot.realm[0]]))
+    else:
+        if spec.index in (8, 10):  # the handler asks each cloud for the resource it hosts
+            resource = slot.resources[0 if spec.destination is Role.CLOUD_A else 1]
+        elif spec.index in (9, 11):  # a cloud reports the one resource it hosts
+            if not slot.grants:  # no grant to deliver
+                return BeginResult(None, None, "access-refused")
+            resource = next(iter(state.hosted_resources))
+        slot = _set_expect(slot, (due,))
 
-    slot = slot._replace(**changes)
-    request = ProtocolMessage(
-        sid, spec.index, MessageKind.REQUEST, spec.source, spec.destination,
-        {**{name: getattr(slot, name) for name in spec.carries}, **extra})
+    payload = {name: slot[at] for name, at in _CARRIED[spec.index - 1]}
+    if resource is not None:
+        payload["resource"] = resource
+    request = ProtocolMessage(sid, spec.index, MessageKind.REQUEST, spec.source,
+                              spec.destination, payload)
     return BeginResult(slot, request)

@@ -273,14 +273,18 @@ class EventLog:
 def csv_lines(log: EventLog) -> Iterator[str]:
     """The event log as CSV lines, header first, each ending in a newline; a
     record's sequence is its log index, and an absent phase or size is empty.
-    The fields around the session id are formatted once per shape."""
+    The fields around the session id are formatted once per shape, and a
+    time once per run of records that share it."""
     yield ",".join(LOG_HEADER) + "\n"
     heads = [f"{kind},{source},{destination}," for kind, source, destination, *_ in log.shapes]
     tails = [f",{'' if phase is None else phase},{'' if size is None else size},{outcome}\n"
              for *_, phase, size, outcome in log.shapes]
     ids = log.session_ids
+    last, stamp = None, ""
     for sequence, (time_s, session, code) in enumerate(zip(log.times, log.sessions, log.codes)):
-        yield f"{time_s:.9f},{sequence},{heads[code]}{ids[session]}{tails[code]}"
+        if time_s != last or not time_s:  # 0.0 == -0.0, but each prints its own sign
+            last, stamp = time_s, f"{time_s:.9f}"
+        yield f"{stamp},{sequence},{heads[code]}{ids[session]}{tails[code]}"
 
 
 def records_to_csv(log: EventLog) -> str:
@@ -391,6 +395,9 @@ class _Engine:
         self.session_index: dict[bytes, int] = {}
         self.heap: list = []
         self.now = 0.0
+        # the log index of the session that the running handler serves: each
+        # handler looks it up once, and every record it logs names it
+        self.at = 0
         self.event_seq = 0
         self.max_network_delay = 0.0
         self.horizon_exceeded = False
@@ -402,16 +409,13 @@ class _Engine:
         heapq.heappush(self.heap, (time, self.event_seq, handler, args))
         self.event_seq += 1
 
-    def log(self, code: int, session_id: bytes | None = None) -> None:
-        """Log a record of the shape with this code, now."""
-        self._log_time(self.now)
-        self._log_session(self.session_index[session_id] if session_id else 0)
-        self._log_code(code)
-
-    def log_row(self, kind: str, source: str = "", session_id: bytes | None = None,
+    def log_row(self, kind: str, source: str = "", at: int = 0,
                 phase_index: int | None = None, outcome: str = "ok") -> None:
-        """Log a record of no message (no destination, no size) given by its facts, now."""
-        self.log(self.events.shape(kind, source, "", phase_index, None, outcome), session_id)
+        """Log a record of no message (no destination, no size) given by its facts,
+        now; ``at`` is its session's log index, 0 for none."""
+        self._log_time(self.now)
+        self._log_session(at)
+        self._log_code(self.events.shape(kind, source, "", phase_index, None, outcome))
 
     def setup(self) -> None:
         sc = self.scenario
@@ -449,18 +453,24 @@ class _Engine:
             started_at=self.now,
         )
         self.sessions[session_id] = session
-        self.log_row("session-start", source="A", session_id=session_id)
+        self.at = self.session_index[session_id]
+        self.log_row("session-start", "A", self.at)
         self._begin_phase(1, session)
 
     def _on_deliver(self, msg: ProtocolMessage, delivered: _DeliverCodes) -> None:
+        self.at = at = self.session_index[msg.session_id]
         session = self.sessions.get(msg.session_id)
         if session is not None and session.status is not SessionStatus.IN_PROGRESS:
             # Drop absorption: nothing may alter a finished session.
-            self.log(delivered[ABSORBED], msg.session_id)
+            self._log_time(self.now)
+            self._log_session(at)
+            self._log_code(delivered[ABSORBED])
             return
         state = self.roles[msg.destination]
         result = proto.handle_message(state, msg, self.vault)
-        self.log(delivered[result.outcome], msg.session_id)
+        self._log_time(self.now)
+        self._log_session(at)
+        self._log_code(delivered[result.outcome])
         if result.slot is None:  # discarded
             return
         state.sessions[msg.session_id] = result.slot
@@ -471,12 +481,14 @@ class _Engine:
 
     def _on_phase_timer(self, session_id: bytes, phase_index: int) -> None:
         # armed at phase start + limit: a phase still open now has expired
+        self.at = self.session_index[session_id]
         session = self.sessions[session_id]
         still_open = session.current_phase < phase_index
         self._timer_fired(proto.phase_spec(phase_index).source, phase_index, session,
                           proto.on_timeout(session, phase_index) if still_open else session)
 
     def _on_f_watchdog(self, session_id: bytes) -> None:
+        self.at = self.session_index[session_id]
         session = self.sessions[session_id]
         # F's slot holds a key set only once phase 12 delivered the grant
         granted = self.roles[Role.F].sessions[session_id].keyset is not None
@@ -487,8 +499,8 @@ class _Engine:
                      before: SessionState, after: SessionState) -> None:
         """Log a timer; it expired if its transition returned a new session, else it is ignored."""
         expired = after is not before
-        self.log_row("timer-fire", source=role.value, session_id=before.session_id,
-                     phase_index=phase_index, outcome="expired" if expired else "ignored")
+        self.log_row("timer-fire", role.value, self.at, phase_index,
+                     "expired" if expired else "ignored")
         if expired:
             self._end(after)
 
@@ -514,7 +526,9 @@ class _Engine:
             return  # response suppressed outright
         if network > self.max_network_delay:
             self.max_network_delay = network
-        self.log(send, msg.session_id)
+        self._log_time(self.now)
+        self._log_session(self.at)
+        self._log_code(send)
         self.schedule(self.now + offset + stall, self._on_deliver, msg, delivered)
 
     def _complete_phase(self, session: SessionState, final_response: ProtocolMessage) -> None:
@@ -534,9 +548,9 @@ class _Engine:
         session = session._replace(ended_at=self.now)
         self.sessions[session.session_id] = session
         completed = session.status is SessionStatus.COMPLETED
-        self.log_row("session-complete" if completed else "session-drop", source,
-                     session_id=session.session_id, phase_index=session.current_phase,
-                     outcome="completed" if completed else f"dropped:{session.drop_reason}")
+        self.log_row("session-complete" if completed else "session-drop", source, self.at,
+                     session.current_phase,
+                     "completed" if completed else f"dropped:{session.drop_reason}")
 
     def result(self) -> SimRun:
         return SimRun(

@@ -429,6 +429,44 @@ def test_carried_names_are_slot_fields():
         assert set(carries) <= slot_fields
 
 
+def test_position_table_names_the_carried_fields():
+    for spec in protocol_table():
+        carried = proto._CARRIED[spec.index - 1]
+        assert tuple(name for name, _ in carried) == spec.carries
+        for name, at in carried:
+            assert SessionSlot._fields[at] == name
+
+
+_ANY = st.none() | st.integers() | st.text(max_size=3) | st.tuples(st.integers())
+
+
+@st.composite
+def _updates(draw, cls):
+    """(value, changed field names, new values) for a NamedTuple class."""
+    value = cls(*draw(st.lists(_ANY, min_size=len(cls._fields), max_size=len(cls._fields))))
+    names = draw(st.lists(st.sampled_from(cls._fields), unique=True))
+    return value, names, draw(st.lists(_ANY, min_size=len(names), max_size=len(names)))
+
+
+@given(st.sampled_from([SessionSlot, SessionState]).flatmap(_updates))
+def test_positional_setter_equals_replace(update):
+    value, names, new_values = update
+    updated = proto._setter(type(value), *names)(value, tuple(new_values))
+    expected = value._replace(**dict(zip(names, new_values)))
+    assert updated == expected and type(updated) is type(expected)
+
+
+@given(st.sampled_from([SessionSlot, SessionState]).flatmap(_updates))
+def test_positional_setter_rejects_an_unknown_field(update):
+    value, names, _ = update
+    before = repr(value)
+    with pytest.raises(ValueError, match="bogus"):
+        proto._setter(type(value), *names, "bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        proto._positions(type(value), ("bogus", *names))
+    assert repr(value) == before
+
+
 # -- value types ------------------------------------------------------------------
 
 def _values():

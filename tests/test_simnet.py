@@ -26,6 +26,7 @@ from crossrealm.simnet import (
     ABSORBED,
     LOG_HEADER,
     ConnectionModel,
+    EventLog,
     Record,
     Stall,
     Topology,
@@ -519,6 +520,27 @@ def test_columnar_csv_matches_per_record_format(principals, mode, stalls, reques
                               for k, delay in stalls.items()))
     run = simnet.run(sc)
     assert records_to_csv(run.records) == reference_csv(list(run.records))
+
+
+# times that repeat, differ in the last printed digit, or are equal but print differently
+_TIMES = st.sampled_from([0.0, -0.0, 1.5, 1.5 + 1e-9, 1.5 + 1e-10, 60.25, math.inf, math.nan])
+
+
+@settings(max_examples=50, deadline=None)
+@given(records=st.lists(st.tuples(_TIMES, st.integers(0, 2), st.integers(0, 2)), max_size=30))
+@example(records=[(0.0, 1, 0), (-0.0, 1, 0), (0.0, 2, 1)])
+def test_csv_lines_format_each_record_time(records):
+    # a log built by hand: each drawn record is (time, session, shape)
+    log = EventLog()
+    for session in ("aa", "bb"):
+        log.add_session(session)
+    codes = [log.shape("send", "A", "F", 1, 1024, "ok"), log.shape("deliver", "F", "A", 2, 0, "ok"),
+             log.shape("timer-fire", "F", "", None, None, "expired")]
+    for time_s, session, shape in records:
+        log.times.append(time_s)
+        log.sessions.append(session)
+        log.codes.append(codes[shape])
+    assert "".join(simnet.csv_lines(log)) == reference_csv(list(log))
 
 
 # -- the log's account of each session -------------------------------------------------
