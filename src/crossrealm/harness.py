@@ -519,8 +519,13 @@ def load_report(report_dir: str | Path) -> dict:
         if not isinstance(node, dict) or leaf in node:
             raise ScenarioParseError(f"{summary}: line {lineno}: {name} clashes with an earlier row")
         node[leaf] = value
-    phases = _read_table(d / "per_phase.csv", str, lambda v: float(v) if v else None, int)
-    tree["per_phase_s"] = {k: {"mean": mean, "count": count} for k, mean, count in phases}
+    per_phase = d / "per_phase.csv"
+    phases = tree["per_phase_s"] = {}
+    for lineno, (k, mean, count) in enumerate(
+            _read_table(per_phase, str, lambda v: float(v) if v else None, int), start=2):
+        if k in phases:  # else the last row would silently win
+            raise ScenarioParseError(f"{per_phase}: line {lineno}: phase {k} is given twice")
+        phases[k] = {"mean": mean, "count": count}
     return tree
 
 

@@ -247,6 +247,9 @@ def verify_session_key(key: HierarchicalKey, key_set: SessionKeySet) -> bool:
     """
     if key.leaf.role is not KeyRole.SESSION:
         return False
-    presented = b"".join(part.bytes for part in key.decompose())
-    return any(hmac.compare_digest(presented, b"".join(part.bytes for part in member.decompose()))
-               for member in key_set.keys.values())
+    presented = key.root.bytes + key.subdomain.bytes + key.leaf.bytes
+    for member in key_set.keys.values():
+        if hmac.compare_digest(presented,
+                               member.root.bytes + member.subdomain.bytes + member.leaf.bytes):
+            return True
+    return False

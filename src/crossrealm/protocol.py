@@ -14,7 +14,8 @@ State machines are pure: handle_message and begin_phase read a role
 state and return the one new slot of the session they touched, together
 with the one message the role sends, if any. Every per-message update of
 a slot or session is a new tuple built by position, through setters made
-once at import from the fields they set. Each role's slot table
+once at import from the fields they set, and so is every message and
+transition result, through ``tuple.__new__``. Each role's slot table
 (RoleState.sessions) is owned by the driving loop, which stores the
 returned slot in place, so a transition costs the same however many
 sessions a role holds. A single session must be driven by one logical
@@ -179,6 +180,12 @@ class ProtocolMessage(NamedTuple):
 # the payload of every response: a bare acknowledgment carries no fields
 _NO_PAYLOAD: Mapping[str, object] = MappingProxyType({})
 
+_REQUEST, _RESPONSE = MessageKind.REQUEST, MessageKind.RESPONSE
+
+# builds a NamedTuple from all its values, in field order, skipping the
+# Python-level ``__new__`` that checks and fills them: ``_new(cls, values)``
+_new = tuple.__new__
+
 
 # -- positional updates ----------------------------------------------------------
 
@@ -200,7 +207,15 @@ def _setter(cls, *names):
     # picks each field of the copy from the old values followed by the new ones
     picks = itemgetter(*(len(cls._fields) + at.index(i) if i in at else i
                          for i in range(len(cls._fields))))
-    return lambda value, new_values: tuple.__new__(cls, picks(value + new_values))
+    return lambda value, new_values: _new(cls, picks(value + new_values))
+
+
+def _getter(at: tuple[int, ...]):
+    """``get(value)``: the values at positions ``at``, as one tuple, also
+    for no position or one (where an ``itemgetter`` returns the bare value)."""
+    if len(at) > 1:
+        return itemgetter(*at)
+    return itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
 
 
 # -- session bookkeeping ------------------------------------------------------
@@ -301,6 +316,11 @@ class SessionSlot(NamedTuple):
 _CARRIED = tuple(tuple(zip(spec.carries, _positions(SessionSlot, spec.carries)))
                  for spec in _PHASES)
 
+# phase index - 1 -> (carried names, getter of their slot values): a request's
+# payload is ``dict(zip(names, pick(slot)))``
+_PAYLOAD = tuple((spec.carries, _getter(tuple(at for _, at in carried)))
+                 for spec, carried in zip(_PHASES, _CARRIED))
+
 # phase -> the fields its responder sets from its own work on the request (a
 # verdict, a grant), after those the request carries
 _DECIDES = {5: ("verdict", "realm"), 8: ("grants",), 9: ("grants",), 10: ("grants",),
@@ -312,7 +332,7 @@ _STORE = tuple(_setter(SessionSlot, "expect", *spec.carries, *_DECIDES.get(spec.
                for spec in _PHASES)
 
 # phase index - 1 -> what its initiator expects once the request is sent
-_RESPONSE_DUE = tuple((spec.index, MessageKind.RESPONSE) for spec in _PHASES)
+_RESPONSE_DUE = tuple((spec.index, _RESPONSE) for spec in _PHASES)
 
 _set_expect = _setter(SessionSlot, "expect")
 _set_expect_and_keys = _setter(SessionSlot, "expect", "keyset", "requester_key")
@@ -406,7 +426,7 @@ def grant_access(cloud_state: RoleState, presenter: Role, idsess_key: Hierarchic
 
 
 def _discard(why: str) -> HandleResult:
-    return HandleResult(None, None, f"discarded:{why}")
+    return _new(HandleResult, (None, None, f"discarded:{why}"))
 
 
 def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> HandleResult:
@@ -417,22 +437,19 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> Hand
     The result carries the session's new slot, which the caller stores in
     the role's table. Anything out of order is discarded (no slot).
     """
-    if msg.destination is not state.role:
+    role = state.role
+    if msg.destination is not role:
         return _discard("misaddressed")
-    spec = _PHASES[msg.phase_index - 1]
-    if msg.kind is MessageKind.REQUEST:
-        return _handle_request(state, spec, msg, vault)
-    return _handle_response(state, spec, msg)
-
-
-def _handle_response(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage) -> HandleResult:
+    index = msg.phase_index
+    if msg.kind is _REQUEST:
+        return _handle_request(state, _PHASES[index - 1], msg, vault)
     slot = state.sessions.get(msg.session_id)
     if slot is None:
         return _discard("unknown-session")
-    if slot.expect != _RESPONSE_DUE[spec.index - 1]:
+    if slot.expect != _RESPONSE_DUE[index - 1]:
         return _discard("out-of-order")
-    return HandleResult(_set_expect(slot, (_NEXT_EXPECT[state.role, spec.index],)), None,
-                        "phase-complete")
+    return _new(HandleResult, (_set_expect(slot, (_NEXT_EXPECT[role, index],)), None,
+                               "phase-complete"))
 
 
 def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
@@ -444,30 +461,31 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
             return _discard("not-via-front-end")
         return _discard("wrong-source")
 
+    index = spec.index
     slot = state.sessions.get(msg.session_id)
-    first_contact = _FIRST_CONTACT[state.role] == spec.index
+    first_contact = _FIRST_CONTACT[state.role] == index
     if slot is None:
         if not first_contact:
             return _discard("unknown-session")
         slot = SessionSlot()
     elif first_contact:
         return _discard("duplicate-session")
-    elif slot.expect != (spec.index, MessageKind.REQUEST):
+    elif slot.expect != (index, _REQUEST):
         return _discard("out-of-order")
 
     fields = msg.payload_fields
     # the responder then waits for its next begin_phase, so it expects nothing
-    carried = (None, *[fields[name] for name in spec.carries])
-    store = _STORE[spec.index - 1]
+    carried = (None, *map(fields.__getitem__, spec.carries))
+    store = _STORE[index - 1]
     outcome = "ok"
 
-    if spec.index == 5:  # credential db verifies the pair and the requester's place in it
+    if index == 5:  # credential db verifies the pair and the requester's place in it
         idr, ids = fields["idr"], fields["ids"]
         valid = vault.verify_membership(idr, ids)
         member = vault.find_member(fields["requester"], idr, ids) if valid else None
         realm = (member.tenant_id, member.cloud_id, member.subdomain_id) if member else None
         slot = store(slot, (*carried, member is not None, realm))
-    elif spec.index in (8, 10):  # a cloud decides on access
+    elif index in (8, 10):  # a cloud decides on access
         # decided on a one-entry view holding the slot with what the request carries
         view = RoleState(state.role, state.hosted_resources,
                          {msg.session_id: store(slot, (*carried, slot.grants))})
@@ -475,16 +493,16 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         granted = grant_access(view, msg.source, fields["requester_key"], resource)
         slot = store(slot, (*carried, slot.grants + ((resource,) if granted else ())))
         outcome = "granted" if granted else "refused"
-    elif spec.index in (9, 11):  # session handler collects a grant
+    elif index in (9, 11):  # session handler collects a grant
         slot = store(slot, (*carried, slot.grants + (fields["resource"],)))
     else:
         slot = store(slot, carried)
-    if spec.index in (5, 6):  # both ends of the verification report its verdict
+    if index in (5, 6):  # both ends of the verification report its verdict
         outcome = "valid" if slot.verdict else "invalid"
 
-    reply = ProtocolMessage(msg.session_id, spec.index, MessageKind.RESPONSE, spec.destination,
-                            spec.source, _NO_PAYLOAD)
-    return HandleResult(slot, reply, outcome)
+    reply = _new(ProtocolMessage, (msg.session_id, index, _RESPONSE, spec.destination,
+                                   spec.source, _NO_PAYLOAD))
+    return _new(HandleResult, (slot, reply, outcome))
 
 
 def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
@@ -499,32 +517,33 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
     the session handler when the verdict was negative, and a cloud that
     granted nothing drops it as access-refused.
     """
-    sid = session.session_id
+    sid, index = session.session_id, spec.index
     slot = state.sessions.get(sid)
-    due = _RESPONSE_DUE[spec.index - 1]  # the initiator awaits the response
+    due = _RESPONSE_DUE[index - 1]  # the initiator awaits the response
     resource = None
 
-    if spec.index == 1:  # A opens the session for its requester
+    if index == 1:  # A opens the session for its requester
         slot = SessionSlot(expect=due, requester=session.requester.tenant_id,
                            principal=session.principal, resources=session.resources,
                            idr=session.requester.idr, ids=session.requester.ids)
-    elif spec.index == 7:  # the authority mints the key set, or drops the session
+    elif index == 7:  # the authority mints the key set, or drops the session
         if not slot.verdict:
-            return BeginResult(None, None, "invalid-credentials")
+            return _new(BeginResult, (None, None, "invalid-credentials"))
         minted = keylib.mint_session_keys(sid, [slot.realm], vault)
         slot = _set_expect_and_keys(slot, (due, minted, minted.keys[slot.realm[0]]))
     else:
-        if spec.index in (8, 10):  # the handler asks each cloud for the resource it hosts
+        if index in (8, 10):  # the handler asks each cloud for the resource it hosts
             resource = slot.resources[0 if spec.destination is Role.CLOUD_A else 1]
-        elif spec.index in (9, 11):  # a cloud reports the one resource it hosts
+        elif index in (9, 11):  # a cloud reports the one resource it hosts
             if not slot.grants:  # no grant to deliver
-                return BeginResult(None, None, "access-refused")
+                return _new(BeginResult, (None, None, "access-refused"))
             resource = next(iter(state.hosted_resources))
         slot = _set_expect(slot, (due,))
 
-    payload = {name: slot[at] for name, at in _CARRIED[spec.index - 1]}
+    names, pick = _PAYLOAD[index - 1]
+    payload = dict(zip(names, pick(slot)))
     if resource is not None:
         payload["resource"] = resource
-    request = ProtocolMessage(sid, spec.index, MessageKind.REQUEST, spec.source,
-                              spec.destination, payload)
-    return BeginResult(slot, request)
+    request = _new(ProtocolMessage, (sid, index, _REQUEST, spec.source, spec.destination,
+                                     payload))
+    return _new(BeginResult, (slot, request, None))

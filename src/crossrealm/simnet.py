@@ -24,6 +24,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import heapq
+import itertools
 import math
 import random
 from array import array
@@ -354,7 +355,11 @@ class _Engine:
     def __init__(self, scenario: "Scenario"):
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
-        self.mode = scenario.timeout_mode
+        mode = scenario.timeout_mode
+        # the seconds of each timer the mode arms, None for one it does not
+        self.phase_limit = mode.seconds if mode.kind == "per-phase" else None
+        self.watchdog_limit = mode.seconds if mode.kind == "localized-f" else None
+        self.phases = proto.protocol_table()
         self.topology = scenario.topology
         self.model = scenario.connection
         self.vault, self.requesters = build_default_vault(scenario.principals)
@@ -376,7 +381,7 @@ class _Engine:
         # request leg; the response is network-only.
         self.legs: dict[tuple[int, MessageKind],
                         tuple[float, float, float, int, _DeliverCodes]] = {}
-        for spec in proto.protocol_table():
+        for spec in self.phases:
             src, dst, i = spec.source.value, spec.destination.value, spec.index
             size = request_bytes.get(i, spec.request_bytes)
             self.legs[i, MessageKind.REQUEST] = (*transmit_components(
@@ -395,10 +400,11 @@ class _Engine:
         self.session_index: dict[bytes, int] = {}
         self.heap: list = []
         self.now = 0.0
-        # the log index of the session that the running handler serves: each
-        # handler looks it up once, and every record it logs names it
+        # the log index of the session that the running handler serves: a
+        # delivery carries it, each other handler looks it up once, and every
+        # record the handler logs names it
         self.at = 0
-        self.event_seq = 0
+        self.event_seq = itertools.count()
         self.max_network_delay = 0.0
         self.horizon_exceeded = False
 
@@ -406,8 +412,7 @@ class _Engine:
 
     def schedule(self, time: float, handler, *args) -> None:
         """Call handler(*args) at time; ties run in scheduling order."""
-        heapq.heappush(self.heap, (time, self.event_seq, handler, args))
-        self.event_seq += 1
+        heapq.heappush(self.heap, (time, next(self.event_seq), handler, args))
 
     def log_row(self, kind: str, source: str = "", at: int = 0,
                 phase_index: int | None = None, outcome: str = "ok") -> None:
@@ -434,8 +439,9 @@ class _Engine:
 
     def loop(self) -> None:
         horizon = self.scenario.horizon_s
-        while self.heap:
-            time, _, handler, args = heapq.heappop(self.heap)
+        heap, heappop = self.heap, heapq.heappop
+        while heap:
+            time, _, handler, args = heappop(heap)
             if time > horizon:
                 self.horizon_exceeded = True
                 break
@@ -457,9 +463,12 @@ class _Engine:
         self.log_row("session-start", "A", self.at)
         self._begin_phase(1, session)
 
-    def _on_deliver(self, msg: ProtocolMessage, delivered: _DeliverCodes) -> None:
-        self.at = at = self.session_index[msg.session_id]
-        session = self.sessions.get(msg.session_id)
+    def _on_deliver(self, msg: ProtocolMessage, delivered: _DeliverCodes, at: int) -> None:
+        """Deliver a message of the session at log index ``at``; the arrival of a
+        phase's final response completes the phase and begins the next."""
+        self.at = at
+        sid = msg.session_id
+        session = self.sessions.get(sid)
         if session is not None and session.status is not SessionStatus.IN_PROGRESS:
             # Drop absorption: nothing may alter a finished session.
             self._log_time(self.now)
@@ -467,17 +476,26 @@ class _Engine:
             self._log_code(delivered[ABSORBED])
             return
         state = self.roles[msg.destination]
-        result = proto.handle_message(state, msg, self.vault)
+        slot, outgoing, outcome = proto.handle_message(state, msg, self.vault)
         self._log_time(self.now)
         self._log_session(at)
-        self._log_code(delivered[result.outcome])
-        if result.slot is None:  # discarded
+        self._log_code(delivered[outcome])
+        if slot is None:  # discarded
             return
-        state.sessions[msg.session_id] = result.slot
-        if result.outgoing is not None:
-            self._send(result.outgoing)
-        if result.outcome == "phase-complete":
-            self._complete_phase(session, msg)
+        state.sessions[sid] = slot
+        if outgoing is not None:
+            self._send(outgoing)
+        if outcome != "phase-complete":
+            return
+        session = proto.advance_phase(session)
+        if session.status is SessionStatus.COMPLETED:
+            self._end(session, msg.destination.value)
+            return
+        self.sessions[sid] = session
+        done = session.current_phase
+        if done == 4 and self.watchdog_limit is not None:
+            self.schedule(self.now + self.watchdog_limit, self._on_f_watchdog, sid)
+        self._begin_phase(done + 1, session)
 
     def _on_phase_timer(self, session_id: bytes, phase_index: int) -> None:
         # armed at phase start + limit: a phase still open now has expired
@@ -507,7 +525,7 @@ class _Engine:
     # -- helpers -----------------------------------------------------------
 
     def _begin_phase(self, index: int, session: SessionState) -> None:
-        spec = proto.phase_spec(index)
+        spec = self.phases[index - 1]
         state = self.roles[spec.source]
         result = proto.begin_phase(state, spec, session, self.vault)
         if result.drop_reason is not None:
@@ -516,8 +534,8 @@ class _Engine:
             return
         state.sessions[session.session_id] = result.slot
         self._send(result.outgoing)
-        if self.mode.kind == "per-phase":
-            self.schedule(self.now + self.mode.seconds, self._on_phase_timer,
+        if self.phase_limit is not None:
+            self.schedule(self.now + self.phase_limit, self._on_phase_timer,
                           session.session_id, index)
 
     def _send(self, msg: ProtocolMessage) -> None:
@@ -529,19 +547,7 @@ class _Engine:
         self._log_time(self.now)
         self._log_session(self.at)
         self._log_code(send)
-        self.schedule(self.now + offset + stall, self._on_deliver, msg, delivered)
-
-    def _complete_phase(self, session: SessionState, final_response: ProtocolMessage) -> None:
-        session = proto.advance_phase(session)
-        if session.status is SessionStatus.COMPLETED:
-            self._end(session, final_response.destination.value)
-            return
-        self.sessions[session.session_id] = session
-        done = session.current_phase
-        if done == 4 and self.mode.kind == "localized-f":
-            self.schedule(self.now + self.mode.seconds, self._on_f_watchdog,
-                          session.session_id)
-        self._begin_phase(done + 1, session)
+        self.schedule(self.now + offset + stall, self._on_deliver, msg, delivered, self.at)
 
     def _end(self, session: SessionState, source: str = "") -> None:
         """Stamp a finished session's end, store it and log its one end record."""

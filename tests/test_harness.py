@@ -916,6 +916,8 @@ def test_cli_check_reports_malformed_expectations(tmp_path, capsys, doc):
 MALFORMED_REPORTS = {
     "summary-csv-value": ("summary.csv", lambda text: text.replace("\nseed,5", "\nseed,x")),
     "per-phase-csv-short-row": ("per_phase.csv", lambda text: text + "14,1.0\n"),
+    "per-phase-csv-repeated-phase": ("per_phase.csv", lambda text: text + next(
+        line for line in text.splitlines() if line.startswith("1,")) + "\n"),
 }
 
 

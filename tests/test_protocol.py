@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossrealm import keys as keylib
@@ -506,3 +506,132 @@ def test_next_expectation_table_matches_the_walk():
             following = proto._next_request(role, phase)
             expect = None if following is None else (following, MessageKind.REQUEST)
             assert proto._NEXT_EXPECT[role, phase] == expect
+
+
+# -- positional messages, results and payloads ----------------------------------------
+
+_GRANT_PHASES = (8, 10)
+
+
+def _expected_begin(spec, prev, session, vault, hosted):
+    """The BeginResult a phase's start must equal, built by keyword from the
+    session and the initiator's previous slot."""
+    due = (spec.index, MessageKind.RESPONSE)
+    if spec.index == 1:
+        requester = session.requester
+        slot = SessionSlot(expect=due, requester=requester.tenant_id,
+                           principal=session.principal, resources=session.resources,
+                           idr=requester.idr, ids=requester.ids)
+    elif spec.index == 7:
+        if not prev.verdict:
+            return BeginResult(slot=None, outgoing=None, drop_reason="invalid-credentials")
+        keyset = keylib.mint_session_keys(session.session_id, [prev.realm], vault)
+        slot = prev._replace(expect=due, keyset=keyset,
+                             requester_key=keyset.keys[prev.realm[0]])
+    elif spec.index in (9, 11) and not prev.grants:
+        return BeginResult(slot=None, outgoing=None, drop_reason="access-refused")
+    else:
+        slot = prev._replace(expect=due)
+    payload = {name: getattr(slot, name) for name in spec.carries}
+    if spec.index in _GRANT_PHASES:
+        payload["resource"] = slot.resources[spec.index == 10]
+    elif spec.index in (9, 11):
+        payload["resource"] = next(iter(hosted))
+    message = ProtocolMessage(session_id=session.session_id, phase_index=spec.index,
+                              kind=MessageKind.REQUEST, source=spec.source,
+                              destination=spec.destination, payload_fields=payload)
+    return BeginResult(slot=slot, outgoing=message, drop_reason=None)
+
+
+def _expected_request(spec, msg, prev, vault, hosted):
+    """The HandleResult a phase request's delivery must equal, by keyword."""
+    fields = msg.payload_fields
+    slot = (prev or SessionSlot())._replace(
+        expect=None, **{name: fields[name] for name in spec.carries})
+    outcome = "ok"
+    if spec.index == 5:
+        member = vault.find_member(fields["requester"], fields["idr"], fields["ids"])
+        realm = member and (member.tenant_id, member.cloud_id, member.subdomain_id)
+        slot = slot._replace(verdict=member is not None, realm=realm)
+    if spec.index in (5, 6):
+        outcome = "valid" if slot.verdict else "invalid"
+    if spec.index in _GRANT_PHASES:
+        granted = fields["resource"] in hosted
+        slot = slot._replace(grants=slot.grants + ((fields["resource"],) if granted else ()))
+        outcome = "granted" if granted else "refused"
+    elif spec.index in (9, 11):
+        slot = slot._replace(grants=slot.grants + (fields["resource"],))
+    reply = ProtocolMessage(session_id=msg.session_id, phase_index=spec.index,
+                            kind=MessageKind.RESPONSE, source=spec.destination,
+                            destination=spec.source, payload_fields={})
+    return HandleResult(slot=slot, outgoing=reply, outcome=outcome)
+
+
+def _assert_built(result, expected):
+    # equal as tuples, so each value sits at its own field
+    assert type(result) is type(expected) and result == expected
+    if expected.outgoing is not None:
+        assert type(result.outgoing) is ProtocolMessage
+
+
+@settings(max_examples=40, deadline=None)
+@given(sid=st.binary(min_size=16, max_size=16), principal=st.text(max_size=4),
+       resources=st.sampled_from([("R1", "R2"), ("R2", "R1"), ("R1", "R3")]),
+       claim=st.sampled_from(["u1", "u2"]))
+def test_transitions_build_what_keywords_build(sid, principal, resources, claim):
+    # every message and result a transition builds by position equals the
+    # keyword-built one, through refusals, a bad claim and a discard per step
+    vault, requester = registry()
+    session = SessionState(session_id=sid, requester=replace(requester, tenant_id=claim),
+                           principal=principal, resources=resources, started_at=0.0)
+    roles = initial_role_states()
+    for spec in protocol_table():
+        source, destination = roles[spec.source], roles[spec.destination]
+        result = begin_phase(source, spec, session, vault)
+        _assert_built(result, _expected_begin(spec, source.sessions.get(sid), session, vault,
+                                              source.hosted_resources))
+        if result.drop_reason is not None:
+            return
+        source.sessions[sid] = result.slot
+        request = result.outgoing
+        handled = handle_message(destination, request, vault)
+        _assert_built(handled, _expected_request(spec, request, destination.sessions.get(sid),
+                                                 vault, destination.hosted_resources))
+        destination.sessions[sid] = handled.slot
+        again = handle_message(destination, request, vault)  # a duplicate is discarded
+        _assert_built(again, HandleResult(slot=None, outgoing=None, outcome=again.outcome))
+        assert again.discarded
+        done = handle_message(source, handled.outgoing, vault)
+        following = proto._next_request(spec.source, spec.index)
+        _assert_built(done, HandleResult(
+            slot=source.sessions[sid]._replace(
+                expect=None if following is None else (following, MessageKind.REQUEST)),
+            outgoing=None, outcome="phase-complete"))
+        source.sessions[sid] = done.slot
+        session = advance_phase(session)
+    assert session.status is SessionStatus.COMPLETED
+
+
+_SLOT_FIELDS = st.lists(st.sampled_from(SessionSlot._fields), unique=True)
+
+
+@given(names=_SLOT_FIELDS,
+       values=st.lists(_ANY, min_size=len(SessionSlot._fields),
+                       max_size=len(SessionSlot._fields)))
+def test_payload_getter_equals_the_comprehension(names, values):
+    # none, one or many fields: an itemgetter of one position returns the
+    # bare value, which the getter must still give as a one-value tuple
+    slot = SessionSlot(*values)
+    pick = proto._getter(proto._positions(SessionSlot, names))
+    assert dict(zip(names, pick(slot))) == {name: getattr(slot, name) for name in names}
+
+
+@given(values=st.lists(_ANY, min_size=len(SessionSlot._fields),
+                       max_size=len(SessionSlot._fields)))
+def test_each_phase_payload_carries_its_fields(values):
+    slot = SessionSlot(*values)
+    for spec in protocol_table():
+        names, pick = proto._PAYLOAD[spec.index - 1]
+        assert names == spec.carries
+        assert dict(zip(names, pick(slot))) == {name: getattr(slot, name)
+                                                for name in spec.carries}
