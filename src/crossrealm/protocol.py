@@ -435,7 +435,8 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> Hand
     Requests are answered with the phase's final response; responses arm
     the role's expectation for its next appearance in the phase sequence.
     The result carries the session's new slot, which the caller stores in
-    the role's table. Anything out of order is discarded (no slot).
+    the role's table. Anything out of order, misaddressed or from a role
+    other than the one that sends it in the phase is discarded (no slot).
     """
     role = state.role
     if msg.destination is not role:
@@ -443,6 +444,8 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> Hand
     index = msg.phase_index
     if msg.kind is _REQUEST:
         return _handle_request(state, _PHASES[index - 1], msg, vault)
+    if msg.source is not _PHASES[index - 1].destination:  # only the responder answers
+        return _discard("wrong-source")
     slot = state.sessions.get(msg.session_id)
     if slot is None:
         return _discard("unknown-session")

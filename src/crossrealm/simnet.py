@@ -16,7 +16,9 @@ request leg of each phase; the closing response is network-only.
 The event loop is a pure function of (scenario, seed): events are
 processed in (time, insertion sequence) order, every random draw comes
 from one seeded generator during setup, and repeated runs produce
-byte-identical event logs.
+byte-identical event logs. Pending events wait in an event calendar: one
+time-ordered queue per phase leg, per timer kind and for the app and
+session starts, merged by a heap that holds the head of each queue.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ import itertools
 import math
 import random
 from array import array
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping, NamedTuple, NoReturn
 
 from . import protocol as proto
 from .errors import DisallowedPair, InvalidInput, is_number
@@ -351,6 +354,11 @@ class SimRun:
     horizon_exceeded: bool
 
 
+def _out_of_order(event: tuple, queue: deque) -> NoReturn:
+    raise RuntimeError(f"event at {event[0]!r} s queued behind one at {queue[-1][0]!r} s: "
+                       "its queue would run out of time order")
+
+
 class _Engine:
     def __init__(self, scenario: "Scenario"):
         self.scenario = scenario
@@ -376,33 +384,37 @@ class _Engine:
         # Every message of one (phase, kind) takes the same path with the
         # same size, the scenario's or else the protocol table's, so its
         # timing is computed once, as (network, delivery offset, stall, send
-        # record's shape code, deliver record's code by outcome); a response
-        # stall of inf suppresses the response. The service time rides on the
-        # request leg; the response is network-only.
+        # record's shape code, deliver record's code by outcome, the leg's
+        # queue of deliveries); a response stall of inf suppresses the
+        # response. The service time rides on the request leg; the response
+        # is network-only.
         self.legs: dict[tuple[int, MessageKind],
-                        tuple[float, float, float, int, _DeliverCodes]] = {}
+                        tuple[float, float, float, int, _DeliverCodes, deque]] = {}
         for spec in self.phases:
             src, dst, i = spec.source.value, spec.destination.value, spec.index
             size = request_bytes.get(i, spec.request_bytes)
             self.legs[i, MessageKind.REQUEST] = (*transmit_components(
                 size, src, dst, self.model, self.topology), 0.0,
                 events.shape("send", src, dst, i, size, "ok"),
-                _DeliverCodes(events, src, dst, i, size))
+                _DeliverCodes(events, src, dst, i, size), deque())
             size = response_bytes.get(i, spec.response_bytes)
             self.legs[i, MessageKind.RESPONSE] = (*transmit_components(
                 size, dst, src, self.model, self.topology, service_s=0.0),
                 stalls.get((spec.destination, i), 0.0),
                 events.shape("send", dst, src, i, size, "ok"),
-                _DeliverCodes(events, dst, src, i, size))
+                _DeliverCodes(events, dst, src, i, size), deque())
         self.sessions: dict[bytes, SessionState] = {}
-        # each session id -> the index of its hex string in the log, which
-        # is made once when the id is drawn
-        self.session_index: dict[bytes, int] = {}
+        # The event calendar. An event is a tuple (time, seq, *facts), and
+        # each queue holds its events in (time, seq) order: a leg's messages
+        # share one delay and a timer kind's timers one limit, so each is
+        # queued behind the one before it. The heap holds (time, seq, queue,
+        # handler) for the head of each non-empty queue, and no more.
+        self.phase_timers: deque = deque()
+        self.watchdogs: deque = deque()
         self.heap: list = []
         self.now = 0.0
-        # the log index of the session that the running handler serves: a
-        # delivery carries it, each other handler looks it up once, and every
-        # record the handler logs names it
+        # the log index of the session that the running handler serves: its
+        # event carries it, and every record the handler logs names it
         self.at = 0
         self.event_seq = itertools.count()
         self.max_network_delay = 0.0
@@ -410,9 +422,15 @@ class _Engine:
 
     # -- scheduling ------------------------------------------------------
 
-    def schedule(self, time: float, handler, *args) -> None:
-        """Call handler(*args) at time; ties run in scheduling order."""
-        heapq.heappush(self.heap, (time, next(self.event_seq), handler, args))
+    def schedule(self, queue: deque, handler, event: tuple) -> None:
+        """Queue an event (time, seq, *facts) for handler(event) at its time;
+        ties run in scheduling order. An event earlier than the last in its
+        queue would run out of order, so it raises: the engine is at fault."""
+        if not queue:
+            heapq.heappush(self.heap, (event[0], event[1], queue, handler))
+        elif event[0] < queue[-1][0]:
+            _out_of_order(event, queue)
+        queue.append(event)
 
     def log_row(self, kind: str, source: str = "", at: int = 0,
                 phase_index: int | None = None, outcome: str = "ok") -> None:
@@ -424,33 +442,51 @@ class _Engine:
 
     def setup(self) -> None:
         sc = self.scenario
+        seq = self.event_seq
+        app_starts, session_starts = [], []
         lo, hi = sc.app_start_offset_s
         for p in range(sc.principals):
             profile_start = sc.network_start_offset_s + self.rng.uniform(lo, hi)
-            self.schedule(profile_start, self.log_row, "app-start", "A")
+            app_starts.append((profile_start, next(seq)))
             count = sc.sessions_per_principal
             if count == "mean2":
                 count = self.rng.choice((1, 2, 3))
             for _ in range(count):
                 start = profile_start + self.rng.uniform(0.0, sc.session_spread_s)
                 sid = self.rng.getrandbits(128).to_bytes(16, "big")
-                self.session_index[sid] = self.events.add_session(sid.hex())
-                self.schedule(start, self._on_session_start, sid, p)
+                at = self.events.add_session(sid.hex())
+                session_starts.append((start, next(seq), sid, p, at))
+        for drawn, handler in ((app_starts, self._on_app_start),
+                               (session_starts, self._on_session_start)):
+            drawn.sort()  # by (time, seq): each seq is unique
+            if drawn:
+                head = drawn[0]
+                heapq.heappush(self.heap, (head[0], head[1], deque(drawn), handler))
 
     def loop(self) -> None:
         horizon = self.scenario.horizon_s
-        heap, heappop = self.heap, heapq.heappop
+        heap, heappop, heapreplace = self.heap, heapq.heappop, heapq.heapreplace
         while heap:
-            time, _, handler, args = heappop(heap)
+            time, _, queue, handler = heap[0]
             if time > horizon:
                 self.horizon_exceeded = True
                 break
+            event = queue.popleft()
+            if queue:
+                head = queue[0]
+                heapreplace(heap, (head[0], head[1], queue, handler))
+            else:
+                heappop(heap)
             self.now = time
-            handler(*args)
+            handler(event)
 
     # -- event handlers -----------------------------------------------------
 
-    def _on_session_start(self, session_id: bytes, principal: int) -> None:
+    def _on_app_start(self, event: tuple) -> None:
+        self.log_row("app-start", "A")
+
+    def _on_session_start(self, event: tuple) -> None:
+        _, _, session_id, principal, self.at = event
         session = SessionState(
             session_id=session_id,
             requester=self.requesters[f"user-{principal:04d}"],
@@ -459,13 +495,14 @@ class _Engine:
             started_at=self.now,
         )
         self.sessions[session_id] = session
-        self.at = self.session_index[session_id]
         self.log_row("session-start", "A", self.at)
         self._begin_phase(1, session)
 
-    def _on_deliver(self, msg: ProtocolMessage, delivered: _DeliverCodes, at: int) -> None:
-        """Deliver a message of the session at log index ``at``; the arrival of a
-        phase's final response completes the phase and begins the next."""
+    def _on_deliver(self, event: tuple) -> None:
+        """Deliver a message (time, seq, msg, the leg's deliver codes, the
+        session's log index); the arrival of a phase's final response
+        completes the phase and begins the next."""
+        _, _, msg, delivered, at = event
         self.at = at
         sid = msg.session_id
         session = self.sessions.get(sid)
@@ -494,19 +531,20 @@ class _Engine:
         self.sessions[sid] = session
         done = session.current_phase
         if done == 4 and self.watchdog_limit is not None:
-            self.schedule(self.now + self.watchdog_limit, self._on_f_watchdog, sid)
+            self.schedule(self.watchdogs, self._on_f_watchdog,
+                          (self.now + self.watchdog_limit, next(self.event_seq), sid, at))
         self._begin_phase(done + 1, session)
 
-    def _on_phase_timer(self, session_id: bytes, phase_index: int) -> None:
+    def _on_phase_timer(self, event: tuple) -> None:
         # armed at phase start + limit: a phase still open now has expired
-        self.at = self.session_index[session_id]
+        _, _, session_id, phase_index, self.at = event
         session = self.sessions[session_id]
         still_open = session.current_phase < phase_index
         self._timer_fired(proto.phase_spec(phase_index).source, phase_index, session,
                           proto.on_timeout(session, phase_index) if still_open else session)
 
-    def _on_f_watchdog(self, session_id: bytes) -> None:
-        self.at = self.session_index[session_id]
+    def _on_f_watchdog(self, event: tuple) -> None:
+        _, _, session_id, self.at = event
         session = self.sessions[session_id]
         # F's slot holds a key set only once phase 12 delivered the grant
         granted = self.roles[Role.F].sessions[session_id].keyset is not None
@@ -535,19 +573,27 @@ class _Engine:
         state.sessions[session.session_id] = result.slot
         self._send(result.outgoing)
         if self.phase_limit is not None:
-            self.schedule(self.now + self.phase_limit, self._on_phase_timer,
-                          session.session_id, index)
+            self.schedule(self.phase_timers, self._on_phase_timer,
+                          (self.now + self.phase_limit, next(self.event_seq),
+                           session.session_id, index, self.at))
 
     def _send(self, msg: ProtocolMessage) -> None:
-        network, offset, stall, send, delivered = self.legs[msg.phase_index, msg.kind]
+        network, offset, stall, send, delivered, queue = self.legs[msg.phase_index, msg.kind]
         if stall == math.inf:
             return  # response suppressed outright
         if network > self.max_network_delay:
             self.max_network_delay = network
-        self._log_time(self.now)
-        self._log_session(self.at)
+        now, at = self.now, self.at
+        self._log_time(now)
+        self._log_session(at)
         self._log_code(send)
-        self.schedule(self.now + offset + stall, self._on_deliver, msg, delivered, self.at)
+        # schedule(), inlined on the per-message path
+        event = (now + offset + stall, next(self.event_seq), msg, delivered, at)
+        if not queue:
+            heapq.heappush(self.heap, (event[0], event[1], queue, self._on_deliver))
+        elif event[0] < queue[-1][0]:
+            _out_of_order(event, queue)
+        queue.append(event)
 
     def _end(self, session: SessionState, source: str = "") -> None:
         """Stamp a finished session's end, store it and log its one end record."""

@@ -233,13 +233,12 @@ class ProtocolMachine(RuleBasedStateMachine):
         if role is not msg.destination:
             self._deliver(msg._replace(destination=role) if readdress else msg, role)
 
-    @precondition(lambda self: any(m.kind is MessageKind.REQUEST
-                                   for m in self.flight + self.delivered))
+    @precondition(lambda self: self.flight or self.delivered)
     @rule(pick=st.integers(min_value=0), role=st.sampled_from(Role))
     def spoof_source(self, pick, role):
-        """A copy of a request claims to come from a role that did not send it."""
-        msg = self._pick([m for m in self.flight + self.delivered
-                          if m.kind is MessageKind.REQUEST], pick)
+        """A copy of a request or a response claims to come from a role that
+        did not send it; the model expects no message from that role."""
+        msg = self._pick(self.flight + self.delivered, pick)
         if role is not msg.source:
             self._deliver(msg._replace(source=role), msg.destination)
 

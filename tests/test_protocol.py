@@ -262,6 +262,22 @@ def test_handle_message_discards(case):
     assert state.sessions == before
 
 
+def test_a_response_from_another_role_is_discarded():
+    # A awaits phase 1's response from F: the same response claiming to come
+    # from SAC-SH leaves A's slot as it was, and F's own completes the phase
+    vault, requester = registry()
+    driver = Driver(vault, requester)
+    begun = begin_phase(driver.roles[Role.A], phase_spec(1), driver.session, vault)
+    driver.roles[Role.A].sessions[driver.session.session_id] = begun.slot
+    response = driver.deliver(Role.F, begun.outgoing).outgoing
+    awaiting = dict(driver.roles[Role.A].sessions)
+    spoofed = driver.deliver(Role.A, response._replace(source=Role.SAC_SH))
+    assert spoofed.outcome == "discarded:wrong-source"
+    assert spoofed.slot is None and spoofed.outgoing is None
+    assert driver.roles[Role.A].sessions == awaiting
+    assert driver.deliver(Role.A, response).outcome == "phase-complete"
+
+
 def test_handle_message_is_pure():
     vault, requester = registry()
     driver = Driver(vault, requester)

@@ -6,6 +6,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,8 +15,10 @@ from hypothesis import strategies as st
 from crossrealm import protocol as proto
 from crossrealm import simnet
 from crossrealm.errors import DisallowedPair, InvalidInput
-from crossrealm.harness import Scenario, aggregate
+from crossrealm.harness import Scenario, aggregate, load_scenario
 from crossrealm.protocol import (
+    MessageKind,
+    ProtocolMessage,
     Role,
     RoleState,
     SessionStatus,
@@ -404,6 +407,55 @@ def test_timer_path_logs_pinned(case):
     assert hashlib.sha256(records_to_csv(run.records).encode()).hexdigest() == digest
 
 
+# -- tie order ------------------------------------------------------------------------
+
+# Exact ties everywhere: every session starts at one instant, every message
+# takes 0 s of network and every request 5 s of service, so timers that
+# run out on a multiple of 5 s tie with deliveries, and the sessions tie
+# with each other. Ties run in scheduling order.
+_ZERO_BYTES = {i: 0 for i in range(1, proto.PHASE_COUNT + 1)}
+TIES = Scenario(principals=4, app_start_offset_s=(5.0, 5.0), session_spread_s=0.0,
+                connection=ConnectionModel(handshake_rtts=0.0, per_phase_service_s=5.0,
+                                           rtt_base_s=0.0),
+                topology=Topology(propagation_delay_s=0.0),
+                phase_request_bytes=_ZERO_BYTES, phase_response_bytes=_ZERO_BYTES, seed=7)
+_CLOUD_B_STALL = (Stall(Role.CLOUD_B, 10, 5.0),)
+
+# case -> (timeout mode, stalls, sha256 of the event log); the first is
+# scenarios/ties.json. A phase timer of 5 s runs out as the request
+# arrives, before the response that arrives at the same instant; one of
+# 10 s ties with the next phase's request, and with phase 10's stalled
+# response; the watchdog of 45 s ties with phase 12's grant when phase 10
+# is stalled.
+TIE_CASES = {
+    "per-phase:10 stalled": (TimeoutMode.per_phase(10), _CLOUD_B_STALL,
+                             "4f0ee0cfdfa59290baecff0e1286dbcde881b59f958954f7c3a4d2db68110ec0"),
+    "per-phase:10": (TimeoutMode.per_phase(10), (),
+                     "ef33f64e04040eaa306d654e5be0a015d363e70da99ec85c8956cd20799747e4"),
+    "per-phase:5": (TimeoutMode.per_phase(5), (),
+                    "ae9fe2bb6952159d8c342e0632d9c1019c9e8289e12370efeefdcd611bab957a"),
+    "per-phase:5 stalled": (TimeoutMode.per_phase(5), _CLOUD_B_STALL,
+                            "ae9fe2bb6952159d8c342e0632d9c1019c9e8289e12370efeefdcd611bab957a"),
+    "localized-f:45": (TimeoutMode.localized_f(45), (),
+                       "fdb9a896e1e6c10d6ea9a9e5459f924b12e20681ca8d2daa45312e3107920b2b"),
+    "localized-f:45 stalled": (TimeoutMode.localized_f(45), _CLOUD_B_STALL,
+                               "7429610dabf04f9a4ea40f55b42426a4074b355f93833a0fcb966b4609d36da4"),
+}
+
+
+@pytest.mark.parametrize("case", TIE_CASES)
+def test_tie_order_pinned(case):
+    mode, stalls, digest = TIE_CASES[case]
+    run = simnet.run(replace(TIES, timeout_mode=mode, stalls=stalls))
+    assert hashlib.sha256(records_to_csv(run.records).encode()).hexdigest() == digest
+
+
+def test_ties_scenario_file_is_the_first_tie_case():
+    mode, stalls, _ = next(iter(TIE_CASES.values()))
+    shipped = load_scenario(Path(__file__).parent.parent / "scenarios" / "ties.json")
+    assert shipped == replace(TIES, timeout_mode=mode, stalls=stalls)
+
+
 def test_late_response_after_drop_is_absorbed():
     # the watchdog drops the session 200 s after F forwards; CloudB's
     # phase-10 answer arrives 250 s late and must not reach any role
@@ -626,3 +678,107 @@ def test_a_refused_access_ends_the_session():
     assert report.tree["sessions"] == {"started": 6, "completed": 0, "dropped": 6,
                                        "in_flight_at_horizon": 0,
                                        "dropped_by_reason": {"access-refused": 6}}
+
+
+# -- the event calendar -----------------------------------------------------------------
+
+# one queue per phase leg, one per timer kind, one each for app and session starts
+QUEUES = 2 * proto.PHASE_COUNT + 4
+
+
+def assert_heap_holds_queue_heads(engine):
+    """The heap holds one entry for the head of each non-empty queue, and no more."""
+    queues = [queue for _, _, queue, _ in engine.heap]
+    assert len(queues) == len({id(queue) for queue in queues}) <= QUEUES
+    for time, seq, queue, _ in engine.heap:
+        assert queue and queue[0][:2] == (time, seq)
+    pending = [leg[-1] for leg in engine.legs.values()] + [engine.phase_timers, engine.watchdogs]
+    assert {id(queue) for queue in pending if queue} <= {id(queue) for queue in queues}
+
+
+def _checked(handler):
+    def run(self, event):
+        assert event[0] == self.now
+        self.handled.append(event[:2])
+        assert_heap_holds_queue_heads(self)
+        handler(self, event)
+    return run
+
+
+class CheckedEngine(simnet._Engine):
+    """The engine, which records each handled event's (time, seq) and checks
+    the heap before each handler runs."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.handled = []
+
+    _on_app_start = _checked(simnet._Engine._on_app_start)
+    _on_session_start = _checked(simnet._Engine._on_session_start)
+    _on_deliver = _checked(simnet._Engine._on_deliver)
+    _on_phase_timer = _checked(simnet._Engine._on_phase_timer)
+    _on_f_watchdog = _checked(simnet._Engine._on_f_watchdog)
+
+
+def run_checked(scenario):
+    engine = CheckedEngine(scenario)
+    engine.setup()
+    assert_heap_holds_queue_heads(engine)
+    engine.loop()
+    handled = engine.handled
+    assert all(a < b for a, b in zip(handled, handled[1:]))
+    # each handled event logs one record that is neither a send nor an end
+    assert len(handled) == sum(record.kind not in ("send", "session-complete", "session-drop")
+                               for record in engine.events)
+    return engine
+
+
+def test_heap_holds_one_entry_per_queue():
+    engine = run_checked(inject_stall(replace(TIMED, timeout_mode=TimeoutMode.per_phase(60)),
+                                      Role.SAC_DB, 5, 90.0))
+    assert hashlib.sha256(records_to_csv(engine.events).encode()).hexdigest() == (
+        TIMER_CASES["phase-timeout"][4])
+
+
+_TIE_MODES = _MODES | st.sampled_from([TimeoutMode.per_phase(5), TimeoutMode.per_phase(10),
+                                       TimeoutMode.localized_f(45)])
+# phase -> extra delay of the response stall, often a multiple of the 5 s
+# service time, so that it ties
+_TIE_STALLS = st.dictionaries(st.integers(1, proto.PHASE_COUNT),
+                              st.sampled_from([0.0, 5.0, 10.0, math.inf]) | st.floats(0.0, 300.0),
+                              max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(principals=st.integers(1, 4), ties=st.booleans(), mode=_TIE_MODES, stalls=_TIE_STALLS,
+       horizon=st.sampled_from([130.0, 160.0, 900.0]), seed=st.integers(0, 2**32))
+@example(principals=4, ties=True, mode=TimeoutMode.localized_f(45), stalls={10: 5.0},
+         horizon=900.0, seed=7)
+def test_handlers_run_in_time_and_sequence_order(principals, ties, mode, stalls, horizon, seed):
+    # exact ties across sessions and between timers and deliveries, or
+    # none; the shorter horizons cut the run
+    base = TIES if ties else replace(SMALL, session_spread_s=30.0)
+    run_checked(replace(base, principals=principals, horizon_s=horizon, seed=seed,
+                        timeout_mode=mode,
+                        stalls=tuple(Stall(phase_spec(k).destination, k, delay)
+                                     for k, delay in stalls.items())))
+
+
+def test_an_event_queued_out_of_time_order_raises():
+    # a leg's messages share one delay and a timer kind's timers one limit,
+    # so nothing is queued ahead of an earlier event; were something, the
+    # engine would be at fault
+    engine = simnet._Engine(SMALL)
+    engine.setup()
+    msg = ProtocolMessage(b"\x01" * 16, 1, MessageKind.REQUEST, Role.A, Role.F, {})
+    engine.now = 10.0
+    engine._send(msg)
+    engine._send(msg)  # a tie runs in scheduling order
+    engine.now = 9.0
+    with pytest.raises(RuntimeError, match="out of time order"):
+        engine._send(msg)
+    engine.schedule(engine.watchdogs, engine._on_f_watchdog,
+                    (20.0, next(engine.event_seq), msg.session_id, 1))
+    with pytest.raises(RuntimeError, match="out of time order"):
+        engine.schedule(engine.watchdogs, engine._on_f_watchdog,
+                        (19.0, next(engine.event_seq), msg.session_id, 1))
