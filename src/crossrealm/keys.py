@@ -55,6 +55,12 @@ class KeyRole(Enum):
     SESSION = "session"
 
 
+# the members, bound once: on Python 3.11 every read through the enum class
+# (``KeyRole.ROOT``) takes the slow path of its metaclass's ``__getattr__``
+_ROOT, _SUBDOMAIN, _PRIVATE, _SESSION = (KeyRole.ROOT, KeyRole.SUBDOMAIN, KeyRole.PRIVATE,
+                                         KeyRole.SESSION)
+
+
 def _prf(key: bytes, message: bytes) -> bytes:
     return hmac.new(key, message, hashlib.sha256).digest()
 
@@ -98,11 +104,11 @@ class HierarchicalKey:
     leaf: KeyPart
 
     def __post_init__(self):
-        if self.root.role is not KeyRole.ROOT:
+        if self.root.role is not _ROOT:
             raise RoleMismatch(f"root position holds a {self.root.role.value} part")
-        if self.subdomain.role is not KeyRole.SUBDOMAIN:
+        if self.subdomain.role is not _SUBDOMAIN:
             raise RoleMismatch(f"subdomain position holds a {self.subdomain.role.value} part")
-        if self.leaf.role not in (KeyRole.PRIVATE, KeyRole.SESSION):
+        if self.leaf.role not in (_PRIVATE, _SESSION):
             raise RoleMismatch(f"leaf position holds a {self.leaf.role.value} part")
 
     def decompose(self) -> tuple[KeyPart, KeyPart, KeyPart]:
@@ -110,13 +116,13 @@ class HierarchicalKey:
 
     def session_field(self) -> bytes:
         """The 16-byte session id encoded in a session leaf."""
-        if self.leaf.role is not KeyRole.SESSION:
+        if self.leaf.role is not _SESSION:
             raise RoleMismatch("key has no session field: leaf is a private part")
         return self.leaf.bytes[:SESSION_FIELD_LEN]
 
     def generation(self) -> int:
         """The refresh counter encoded in a session leaf."""
-        if self.leaf.role is not KeyRole.SESSION:
+        if self.leaf.role is not _SESSION:
             raise RoleMismatch("key has no generation: leaf is a private part")
         start = SESSION_FIELD_LEN
         return int.from_bytes(self.leaf.bytes[start:start + GENERATION_LEN], "big")
@@ -161,23 +167,23 @@ def derive_root_key(cloud_id: str, master_secret: bytes) -> KeyPart:
         raise InvalidInput("cloud_id must be non-empty")
     if not master_secret:
         raise InvalidInput("master_secret must be non-empty")
-    return KeyPart(_prf(master_secret, _LABEL_ROOT + cloud_id.encode()), KeyRole.ROOT)
+    return KeyPart(_prf(master_secret, _LABEL_ROOT + cloud_id.encode()), _ROOT)
 
 
 def derive_subdomain_key(root: KeyPart, subdomain_id: str) -> KeyPart:
     """Derive a sub-domain part bound to its parent cloud root."""
-    if root.role is not KeyRole.ROOT:
+    if root.role is not _ROOT:
         raise RoleMismatch(f"expected a root part, got {root.role.value}")
     if not subdomain_id:
         raise InvalidInput("subdomain_id must be non-empty")
-    return KeyPart(_prf(root.bytes, _LABEL_SUBDOMAIN + subdomain_id.encode()), KeyRole.SUBDOMAIN)
+    return KeyPart(_prf(root.bytes, _LABEL_SUBDOMAIN + subdomain_id.encode()), _SUBDOMAIN)
 
 
 def issue_private_key(signature: DigitalSignature, subdomain: KeyPart) -> KeyPart:
     """Issue a tenant's private part bound to (signature, sub-domain)."""
-    if subdomain.role is not KeyRole.SUBDOMAIN:
+    if subdomain.role is not _SUBDOMAIN:
         raise RoleMismatch(f"expected a subdomain part, got {subdomain.role.value}")
-    return KeyPart(_prf(subdomain.bytes, _LABEL_PRIVATE + signature.bytes), KeyRole.PRIVATE)
+    return KeyPart(_prf(subdomain.bytes, _LABEL_PRIVATE + signature.bytes), _PRIVATE)
 
 
 def derive_signature(tenant_id: str, extension_metadata: Mapping[str, str]) -> DigitalSignature:
@@ -200,7 +206,7 @@ def _session_leaf(subdomain: KeyPart, session_id: bytes, generation: int, identi
     gen = generation.to_bytes(GENERATION_LEN, "big")
     tag = _prf(subdomain.bytes, _LABEL_SESSION + session_id + gen + b"|" + identity.encode())
     tag_len = PART_LEN - SESSION_FIELD_LEN - GENERATION_LEN
-    return KeyPart(session_id + gen + tag[:tag_len], KeyRole.SESSION)
+    return KeyPart(session_id + gen + tag[:tag_len], _SESSION)
 
 
 def _mint(session_id: bytes, participants: Iterable[Participant],
@@ -245,7 +251,7 @@ def verify_session_key(key: HierarchicalKey, key_set: SessionKeySet) -> bool:
 
     Each member's key bytes are compared in constant time.
     """
-    if key.leaf.role is not KeyRole.SESSION:
+    if key.leaf.role is not _SESSION:
         return False
     presented = key.root.bytes + key.subdomain.bytes + key.leaf.bytes
     for member in key_set.keys.values():

@@ -15,12 +15,13 @@ state and return the one new slot of the session they touched, together
 with the one message the role sends, if any. Every per-message update of
 a slot or session is a new tuple built by position, through setters made
 once at import from the fields they set, and so is every message and
-transition result, through ``tuple.__new__``. Each role's slot table
-(RoleState.sessions) is owned by the driving loop, which stores the
-returned slot in place, so a transition costs the same however many
-sessions a role holds. A single session must be driven by one logical
-event stream while distinct sessions can proceed concurrently against a
-shared read-only vault.
+transition result, through ``tuple.__new__``; a request's payload is a
+record of its phase, a NamedTuple of the fields it carries. Each role's
+slot table (RoleState.sessions) is owned by the driving loop, which
+stores the returned slot in place, so a transition costs the same however
+many sessions a role holds. A single session must be driven by one
+logical event stream while distinct sessions can proceed concurrently
+against a shared read-only vault.
 
 Messages that do not fit the expected (phase, kind) for their session
 are discarded, never buffered. The session authority additionally
@@ -31,10 +32,10 @@ arrive through the front-end.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from . import keys as keylib
@@ -174,13 +175,17 @@ class ProtocolMessage(NamedTuple):
     kind: MessageKind
     source: Role
     destination: Role
-    payload_fields: Mapping[str, object]
+    payload_fields: tuple  # a request's record of its phase; empty for a response
 
 
 # the payload of every response: a bare acknowledgment carries no fields
-_NO_PAYLOAD: Mapping[str, object] = MappingProxyType({})
+_NO_PAYLOAD = ()
 
+# The enum members that per-message code tests, bound once. On Python 3.11
+# the enum metaclass defines ``__getattr__``, so every read through the
+# class (``Role.SAC``) takes the slow attribute path.
 _REQUEST, _RESPONSE = MessageKind.REQUEST, MessageKind.RESPONSE
+_SAC, _SAC_SH, _CLOUD_A = Role.SAC, Role.SAC_SH, Role.CLOUD_A
 
 # builds a NamedTuple from all its values, in field order, skipping the
 # Python-level ``__new__`` that checks and fills them: ``_new(cls, values)``
@@ -226,6 +231,10 @@ class SessionStatus(Enum):
     DROPPED = "dropped"
 
 
+_IN_PROGRESS, _COMPLETED, _DROPPED = (SessionStatus.IN_PROGRESS, SessionStatus.COMPLETED,
+                                      SessionStatus.DROPPED)
+
+
 @dataclass(frozen=True)
 class Requester:
     """The foreign-realm tenant a session is requested for."""
@@ -261,11 +270,11 @@ def advance_phase(session: SessionState) -> SessionState:
     phase k - 1 is complete, and a role accepts only the response to the
     phase it began, so every completion is for the next phase.
     """
-    if session.status is not SessionStatus.IN_PROGRESS:
+    if session.status is not _IN_PROGRESS:
         return session
     done = session.current_phase + 1
     if done == PHASE_COUNT:
-        return _set_phase_and_status(session, (done, SessionStatus.COMPLETED))
+        return _set_phase_and_status(session, (done, _COMPLETED))
     return _set_phase(session, (done,))
 
 
@@ -274,9 +283,9 @@ def on_timeout(session: SessionState, phase_index: int) -> SessionState:
 
     The timer is armed at phase start + limit, so its firing is the expiry.
     """
-    if session.status is not SessionStatus.IN_PROGRESS:
+    if session.status is not _IN_PROGRESS:
         return session
-    return session._replace(status=SessionStatus.DROPPED,
+    return session._replace(status=_DROPPED,
                             drop_reason=f"phase-timeout({phase_index})")
 
 
@@ -287,9 +296,9 @@ def localized_timeout_at_f(session: SessionState) -> SessionState:
     complete), to fire limit seconds later, and calls this if F still
     lacks the grant delivery of phase 12 then.
     """
-    if session.status is not SessionStatus.IN_PROGRESS:
+    if session.status is not _IN_PROGRESS:
         return session
-    return session._replace(status=SessionStatus.DROPPED,
+    return session._replace(status=_DROPPED,
                             drop_reason="localized-timeout")
 
 
@@ -316,20 +325,34 @@ class SessionSlot(NamedTuple):
 _CARRIED = tuple(tuple(zip(spec.carries, _positions(SessionSlot, spec.carries)))
                  for spec in _PHASES)
 
-# phase index - 1 -> (carried names, getter of their slot values): a request's
-# payload is ``dict(zip(names, pick(slot)))``
-_PAYLOAD = tuple((spec.carries, _getter(tuple(at for _, at in carried)))
-                 for spec, carried in zip(_PHASES, _CARRIED))
+# phase index - 1 -> the record its request's payload is: a NamedTuple of the
+# fields the phase carries, in ``carries`` order, then in phases 8-11, where
+# the session handler and the clouds trade access, the resource it names
+_RECORDS = tuple(
+    namedtuple(f"Phase{spec.index}Request",
+               spec.carries + (("resource",) if 8 <= spec.index <= 11 else ()))
+    for spec in _PHASES)
+
+# phase index - 1 -> (its record, getter of the carried slot values): a
+# request's payload is ``_new(record, pick(slot))``, with the resource after
+_PAYLOAD = tuple((record, _getter(tuple(at for _, at in carried)))
+                 for record, carried in zip(_RECORDS, _CARRIED))
 
 # phase -> the fields its responder sets from its own work on the request (a
 # verdict, a grant), after those the request carries
 _DECIDES = {5: ("verdict", "realm"), 8: ("grants",), 9: ("grants",), 10: ("grants",),
             11: ("grants",)}
 
-# phase index - 1 -> the responder's update on the phase's request: it clears
-# its expectation, then stores what the request carries and what it decides
-_STORE = tuple(_setter(SessionSlot, "expect", *spec.carries, *_DECIDES.get(spec.index, ()))
-               for spec in _PHASES)
+# phase index - 1 -> (its record, the record's width, how many of its fields
+# are carried, the responder's update on the request): the update clears its
+# expectation, then stores what the request carries and what it decides
+_RECEIVE = tuple(
+    (record, len(record._fields), len(spec.carries),
+     _setter(SessionSlot, "expect", *spec.carries, *_DECIDES.get(spec.index, ())))
+    for spec, record in zip(_PHASES, _RECORDS))
+
+# what a responder holds of a session before its first request: nothing
+_EMPTY_SLOT = SessionSlot()
 
 # phase index - 1 -> what its initiator expects once the request is sent
 _RESPONSE_DUE = tuple((spec.index, _RESPONSE) for spec in _PHASES)
@@ -411,7 +434,7 @@ def grant_access(cloud_state: RoleState, presenter: Role, idsess_key: Hierarchic
     hosted on this cloud, and only for a key belonging to the current
     generation of the session's approved key set.
     """
-    if presenter is not Role.SAC_SH:
+    if presenter is not _SAC_SH:
         return False
     if resource not in cloud_state.hosted_resources:
         return False
@@ -435,8 +458,9 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> Hand
     Requests are answered with the phase's final response; responses arm
     the role's expectation for its next appearance in the phase sequence.
     The result carries the session's new slot, which the caller stores in
-    the role's table. Anything out of order, misaddressed or from a role
-    other than the one that sends it in the phase is discarded (no slot).
+    the role's table. Anything out of order, misaddressed, from a role
+    other than the one that sends it in the phase, or a request whose
+    payload is not its phase's record, is discarded (no slot).
     """
     role = state.role
     if msg.destination is not role:
@@ -460,7 +484,7 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
     if msg.source is not spec.source:
         # The authority only entertains approval traffic forwarded by the
         # front-end; elsewhere a wrong source is a plain routing violation.
-        if state.role is Role.SAC:
+        if state.role is _SAC:
             return _discard("not-via-front-end")
         return _discard("wrong-source")
 
@@ -470,34 +494,36 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
     if slot is None:
         if not first_contact:
             return _discard("unknown-session")
-        slot = SessionSlot()
+        slot = _EMPTY_SLOT
     elif first_contact:
         return _discard("duplicate-session")
     elif slot.expect != (index, _REQUEST):
         return _discard("out-of-order")
 
-    fields = msg.payload_fields
+    record, width, n_carried, store = _RECEIVE[index - 1]
+    payload = msg.payload_fields
+    if type(payload) is not record or len(payload) != width:
+        return _discard("malformed-payload")
     # the responder then waits for its next begin_phase, so it expects nothing
-    carried = (None, *map(fields.__getitem__, spec.carries))
-    store = _STORE[index - 1]
+    carried = (None,) + payload[:n_carried]
     outcome = "ok"
 
     if index == 5:  # credential db verifies the pair and the requester's place in it
-        idr, ids = fields["idr"], fields["ids"]
+        idr, ids = payload.idr, payload.ids
         valid = vault.verify_membership(idr, ids)
-        member = vault.find_member(fields["requester"], idr, ids) if valid else None
+        member = vault.find_member(payload.requester, idr, ids) if valid else None
         realm = (member.tenant_id, member.cloud_id, member.subdomain_id) if member else None
         slot = store(slot, (*carried, member is not None, realm))
     elif index in (8, 10):  # a cloud decides on access
         # decided on a one-entry view holding the slot with what the request carries
         view = RoleState(state.role, state.hosted_resources,
                          {msg.session_id: store(slot, (*carried, slot.grants))})
-        resource = fields["resource"]
-        granted = grant_access(view, msg.source, fields["requester_key"], resource)
+        resource = payload.resource
+        granted = grant_access(view, msg.source, payload.requester_key, resource)
         slot = store(slot, (*carried, slot.grants + ((resource,) if granted else ())))
         outcome = "granted" if granted else "refused"
     elif index in (9, 11):  # session handler collects a grant
-        slot = store(slot, (*carried, slot.grants + (fields["resource"],)))
+        slot = store(slot, (*carried, slot.grants + (payload.resource,)))
     else:
         slot = store(slot, carried)
     if index in (5, 6):  # both ends of the verification report its verdict
@@ -536,17 +562,15 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
         slot = _set_expect_and_keys(slot, (due, minted, minted.keys[slot.realm[0]]))
     else:
         if index in (8, 10):  # the handler asks each cloud for the resource it hosts
-            resource = slot.resources[0 if spec.destination is Role.CLOUD_A else 1]
+            resource = slot.resources[0 if spec.destination is _CLOUD_A else 1]
         elif index in (9, 11):  # a cloud reports the one resource it hosts
             if not slot.grants:  # no grant to deliver
                 return _new(BeginResult, (None, None, "access-refused"))
             resource = next(iter(state.hosted_resources))
         slot = _set_expect(slot, (due,))
 
-    names, pick = _PAYLOAD[index - 1]
-    payload = dict(zip(names, pick(slot)))
-    if resource is not None:
-        payload["resource"] = resource
+    record, pick = _PAYLOAD[index - 1]
+    values = pick(slot) if resource is None else (*pick(slot), resource)
     request = _new(ProtocolMessage, (sid, index, _REQUEST, spec.source, spec.destination,
-                                     payload))
+                                     _new(record, values)))
     return _new(BeginResult, (slot, request, None))

@@ -49,6 +49,11 @@ from .vault import Vault
 if TYPE_CHECKING:  # the scenario type lives with the harness
     from .harness import Scenario
 
+# the enum members the event handlers test, bound once (see protocol._SAC)
+_F = Role.F
+_IN_PROGRESS, _COMPLETED, _DROPPED = (SessionStatus.IN_PROGRESS, SessionStatus.COMPLETED,
+                                      SessionStatus.DROPPED)
+
 
 # -- topology -----------------------------------------------------------------
 
@@ -506,7 +511,7 @@ class _Engine:
         self.at = at
         sid = msg.session_id
         session = self.sessions.get(sid)
-        if session is not None and session.status is not SessionStatus.IN_PROGRESS:
+        if session is not None and session.status is not _IN_PROGRESS:
             # Drop absorption: nothing may alter a finished session.
             self._log_time(self.now)
             self._log_session(at)
@@ -525,7 +530,7 @@ class _Engine:
         if outcome != "phase-complete":
             return
         session = proto.advance_phase(session)
-        if session.status is SessionStatus.COMPLETED:
+        if session.status is _COMPLETED:
             self._end(session, msg.destination.value)
             return
         self.sessions[sid] = session
@@ -547,8 +552,8 @@ class _Engine:
         _, _, session_id, self.at = event
         session = self.sessions[session_id]
         # F's slot holds a key set only once phase 12 delivered the grant
-        granted = self.roles[Role.F].sessions[session_id].keyset is not None
-        self._timer_fired(Role.F, None, session,
+        granted = self.roles[_F].sessions[session_id].keyset is not None
+        self._timer_fired(_F, None, session,
                           session if granted else proto.localized_timeout_at_f(session))
 
     def _timer_fired(self, role: Role, phase_index: int | None,
@@ -567,7 +572,7 @@ class _Engine:
         state = self.roles[spec.source]
         result = proto.begin_phase(state, spec, session, self.vault)
         if result.drop_reason is not None:
-            self._end(session._replace(status=SessionStatus.DROPPED,
+            self._end(session._replace(status=_DROPPED,
                                        drop_reason=result.drop_reason))
             return
         state.sessions[session.session_id] = result.slot
@@ -599,7 +604,7 @@ class _Engine:
         """Stamp a finished session's end, store it and log its one end record."""
         session = session._replace(ended_at=self.now)
         self.sessions[session.session_id] = session
-        completed = session.status is SessionStatus.COMPLETED
+        completed = session.status is _COMPLETED
         self.log_row("session-complete" if completed else "session-drop", source, self.at,
                      session.current_phase,
                      "completed" if completed else f"dropped:{session.drop_reason}")

@@ -4,7 +4,8 @@ A hypothesis state machine drives ``begin_phase`` and ``handle_message``
 directly for two or three sessions over one vault, the way the engine
 does, but lets the network misbehave: any in-flight message may be
 delivered next, a delivered one may come again, one may be lost, sent to
-a role it is not addressed to, or come from a role that did not send it.
+a role it is not addressed to, come from a role that did not send it, or,
+for a request, carry the record of another phase.
 A model of each session predicts every step: which message a role takes
 next, the outcome and reply of each one taken, the payload of each phase
 request, and whether a cloud opens a resource to a presented key. Any
@@ -84,6 +85,7 @@ class Track:
         }[name]
 
     def payload(self, index: int) -> dict:
+        """The fields of a phase request's record, by name."""
         payload = {name: self.truth(name) for name in phase_spec(index).carries}
         if 8 <= index <= 11:
             payload["resource"] = RESOURCES[index >= 10]
@@ -118,15 +120,19 @@ class ProtocolMachine(RuleBasedStateMachine):
     def _pick(self, messages, pick):
         return messages[pick % len(messages)]
 
-    def _deliver(self, msg: ProtocolMessage, role: Role):
+    def _deliver(self, msg: ProtocolMessage, role: Role, well_formed: bool = True):
         """handle_message at ``role``, checked against the model; the
-        accepted slot is stored, as the engine stores it."""
+        accepted slot is stored, as the engine stores it. A message that is
+        not ``well_formed`` is one the model expects no role to take."""
         track = self.tracks.get(msg.session_id, STRAY)
         state = self.roles[role]
         before = {r: dict(s.sessions) for r, s in self.roles.items()}
         result = handle_message(state, msg, VAULT)
-        took = (role is msg.destination
-                and track.expect == (msg.phase_index, msg.kind, msg.source, msg.destination))
+        due = (role is msg.destination
+               and track.expect == (msg.phase_index, msg.kind, msg.source, msg.destination))
+        took = due and well_formed
+        if due and not took:  # only its payload is wrong
+            assert result.outcome == "discarded:malformed-payload", (msg, result.outcome)
         if not took:
             assert result.discarded, (msg, role, result.outcome)
             assert result.slot is None and result.outgoing is None
@@ -143,7 +149,7 @@ class ProtocolMachine(RuleBasedStateMachine):
                 assert result.outcome == _DECIDED.get(spec.index, "ok")
             assert result.outgoing == ProtocolMessage(
                 session_id=msg.session_id, phase_index=spec.index, kind=MessageKind.RESPONSE,
-                source=spec.destination, destination=spec.source, payload_fields={})
+                source=spec.destination, destination=spec.source, payload_fields=())
             track.expect = (spec.index, MessageKind.RESPONSE, spec.destination, spec.source)
             self.flight.append(result.outgoing)
         else:
@@ -171,8 +177,9 @@ class ProtocolMachine(RuleBasedStateMachine):
         assert (msg.session_id, msg.phase_index, msg.kind, msg.source, msg.destination) == (
             track.session.session_id, spec.index, MessageKind.REQUEST, spec.source,
             spec.destination)
+        assert type(msg.payload_fields) is proto._RECORDS[spec.index - 1], spec.index
         if not track.tampered:
-            assert msg.payload_fields == track.payload(spec.index), spec.index
+            assert msg.payload_fields._asdict() == track.payload(spec.index), spec.index
         state.sessions[msg.session_id] = result.slot
         if spec.index == 7:
             self.minted.append(result.slot.requester_key)
@@ -242,6 +249,21 @@ class ProtocolMachine(RuleBasedStateMachine):
         if role is not msg.source:
             self._deliver(msg._replace(source=role), msg.destination)
 
+    @precondition(lambda self: any(m.kind is MessageKind.REQUEST
+                                   for m in self.flight + self.delivered))
+    @rule(pick=st.integers(min_value=0),
+          index=st.integers(min_value=1, max_value=proto.PHASE_COUNT))
+    def carry_another_phases_record(self, pick, index):
+        """A copy of a request carries the record of another phase, filled
+        with the session's own values for that phase."""
+        msg = self._pick([m for m in self.flight + self.delivered
+                          if m.kind is MessageKind.REQUEST], pick)
+        if index == msg.phase_index:
+            return
+        track = self.tracks[msg.session_id]
+        record = proto._RECORDS[index - 1](**track.payload(index))
+        self._deliver(msg._replace(payload_fields=record), msg.destination, well_formed=False)
+
     @rule(index=st.integers(min_value=1, max_value=proto.PHASE_COUNT))
     def deliver_stray_response(self, index):
         """A response arrives for a session no role has heard of."""
@@ -309,11 +331,11 @@ class PayloadSwapMachine(ProtocolMachine):
         msg = self._pick(requests, pick)
         track = self.tracks[msg.session_id]
         others = [t for t in self.tracks.values() if t is not track]
-        if name not in msg.payload_fields:
+        payload = msg.payload_fields
+        if name not in payload._fields:
             return
-        fields = dict(msg.payload_fields)
-        fields[name] = self._pick(others, other).truth(name)
-        self.flight[self.flight.index(msg)] = msg._replace(payload_fields=fields)
+        payload = payload._replace(**{name: self._pick(others, other).truth(name)})
+        self.flight[self.flight.index(msg)] = msg._replace(payload_fields=payload)
         track.tampered = True
 
 

@@ -1,6 +1,7 @@
 """Tests for the 13-phase approval protocol state machines."""
 
 import math
+import types
 from collections import Counter
 from dataclasses import replace
 
@@ -276,6 +277,38 @@ def test_a_response_from_another_role_is_discarded():
     assert spoofed.slot is None and spoofed.outgoing is None
     assert driver.roles[Role.A].sessions == awaiting
     assert driver.deliver(Role.A, response).outcome == "phase-complete"
+
+
+# phase -> another phase whose record is as wide; phase 8's has phase 10's names
+_ALIKE = {1: 5, 3: 6, 10: 8}
+# case -> the malformed payload made from a phase request's own record
+_MALFORMED = {
+    "dict": lambda payload, index: payload._asdict(),
+    "another-phase": lambda payload, index: proto._RECORDS[_ALIKE[index] - 1]._make(payload),
+    "field-missing": lambda payload, index: tuple.__new__(type(payload), payload[:-1]),
+}
+
+
+@pytest.mark.parametrize("index", _ALIKE)
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_a_request_with_a_malformed_payload_is_discarded(case, index):
+    # the request its responder expects, at first contact (phases 1 and 10)
+    # or mid-session (phase 3), but carrying a payload that is not its
+    # phase's record, is discarded and changes no slot; the real one is then taken
+    vault, requester = registry()
+    driver = Driver(vault, requester)
+    for done in range(1, index):
+        driver.run_phase(done)
+    spec = phase_spec(index)
+    request = begin_phase(driver.roles[spec.source], spec, driver.session, vault).outgoing
+    malformed = _MALFORMED[case](request.payload_fields, index)
+    state = driver.roles[spec.destination]
+    before = dict(state.sessions)
+    result = driver.deliver(spec.destination, request._replace(payload_fields=malformed))
+    assert result.outcome == "discarded:malformed-payload"
+    assert result.slot is None and result.outgoing is None
+    assert state.sessions == before
+    assert not driver.deliver(spec.destination, request).discarded
 
 
 def test_handle_message_is_pure():
@@ -555,13 +588,14 @@ def _expected_begin(spec, prev, session, vault, hosted):
         payload["resource"] = next(iter(hosted))
     message = ProtocolMessage(session_id=session.session_id, phase_index=spec.index,
                               kind=MessageKind.REQUEST, source=spec.source,
-                              destination=spec.destination, payload_fields=payload)
+                              destination=spec.destination,
+                              payload_fields=proto._RECORDS[spec.index - 1](**payload))
     return BeginResult(slot=slot, outgoing=message, drop_reason=None)
 
 
 def _expected_request(spec, msg, prev, vault, hosted):
     """The HandleResult a phase request's delivery must equal, by keyword."""
-    fields = msg.payload_fields
+    fields = msg.payload_fields._asdict()
     slot = (prev or SessionSlot())._replace(
         expect=None, **{name: fields[name] for name in spec.carries})
     outcome = "ok"
@@ -579,7 +613,7 @@ def _expected_request(spec, msg, prev, vault, hosted):
         slot = slot._replace(grants=slot.grants + (fields["resource"],))
     reply = ProtocolMessage(session_id=msg.session_id, phase_index=spec.index,
                             kind=MessageKind.RESPONSE, source=spec.destination,
-                            destination=spec.source, payload_fields={})
+                            destination=spec.source, payload_fields=())
     return HandleResult(slot=slot, outgoing=reply, outcome=outcome)
 
 
@@ -588,6 +622,8 @@ def _assert_built(result, expected):
     assert type(result) is type(expected) and result == expected
     if expected.outgoing is not None:
         assert type(result.outgoing) is ProtocolMessage
+        payload, due = result.outgoing.payload_fields, expected.outgoing.payload_fields
+        assert type(payload) is type(due)  # a request's record of its phase, or ()
 
 
 @settings(max_examples=40, deadline=None)
@@ -645,9 +681,49 @@ def test_payload_getter_equals_the_comprehension(names, values):
 @given(values=st.lists(_ANY, min_size=len(SessionSlot._fields),
                        max_size=len(SessionSlot._fields)))
 def test_each_phase_payload_carries_its_fields(values):
+    # each phase has a record of its own: its carried fields, then the
+    # resource in phases 8-11, filled from the slot by the phase's getter
     slot = SessionSlot(*values)
+    assert len(set(proto._RECORDS)) == proto.PHASE_COUNT
     for spec in protocol_table():
-        names, pick = proto._PAYLOAD[spec.index - 1]
-        assert names == spec.carries
-        assert dict(zip(names, pick(slot))) == {name: getattr(slot, name)
-                                                for name in spec.carries}
+        record, pick = proto._PAYLOAD[spec.index - 1]
+        assert record is proto._RECORDS[spec.index - 1]
+        expected = {name: getattr(slot, name) for name in spec.carries}
+        resource = ()
+        if 8 <= spec.index <= 11:
+            resource = ("R1",)
+            expected["resource"] = "R1"
+        assert record._fields == tuple(expected)
+        assert record._make(pick(slot) + resource)._asdict() == expected
+
+
+# -- the per-message path names no enum class ---------------------------------------
+
+_ENUM_CLASSES = {"Role", "MessageKind", "SessionStatus", "KeyRole"}
+
+# every event handler and helper the engine runs, and the transitions and key
+# checks they call, per message or per session
+_PER_MESSAGE = [
+    *(method for name, method in vars(simnet._Engine).items()
+      if isinstance(method, types.FunctionType) and name != "__init__"),
+    handle_message, proto._handle_request, proto._discard, begin_phase, advance_phase,
+    on_timeout, localized_timeout_at_f, grant_access,
+    keylib.HierarchicalKey.__post_init__, keylib.HierarchicalKey.session_field,
+    keylib._session_leaf, keylib._mint, keylib.mint_session_keys, keylib.verify_session_key,
+]
+
+
+def _names(code: types.CodeType):
+    """The global and attribute names a function's code reads, nested code too."""
+    yield from code.co_names
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _names(const)
+
+
+@pytest.mark.parametrize("function", _PER_MESSAGE, ids=lambda f: f.__qualname__)
+def test_per_message_code_reads_enum_members_from_constants(function):
+    # a member read through its class (Role.SAC) takes the slow path of the
+    # enum metaclass's __getattr__ on Python 3.11; each module binds the
+    # members it tests to constants at import
+    assert not _ENUM_CLASSES & set(_names(function.__code__))

@@ -450,6 +450,23 @@ def test_tie_order_pinned(case):
     assert hashlib.sha256(records_to_csv(run.records).encode()).hexdigest() == digest
 
 
+def test_a_response_due_as_its_phase_timer_runs_out_is_late():
+    # A per-phase timer is queued when its phase begins, before the delivery
+    # of the phase's response exists, so at an exact tie the timer runs first.
+    # In TIES a phase takes exactly 5 s: a 5 s limit drops every session in
+    # phase 1, and the response, due at that instant, arrives to an ended
+    # session; a 10 s limit lets every session complete.
+    five = simnet.run(replace(TIES, timeout_mode=TimeoutMode.per_phase(5)))
+    ended = {s.session_id.hex(): s.ended_at for s in five.sessions.values()}
+    assert {s.drop_reason for s in five.sessions.values()} == {"phase-timeout(1)"}
+    late = {r.session_id: (r.time_s, r.outcome) for r in five.records
+            if (r.kind, r.phase_index, r.source) == ("deliver", 1, "F")}
+    assert late == {sid: (at, ABSORBED) for sid, at in ended.items()}
+    ten = simnet.run(replace(TIES, timeout_mode=TimeoutMode.per_phase(10)))
+    assert {s.status for s in ten.sessions.values()} == {SessionStatus.COMPLETED}
+    assert len(ten.sessions) == len(five.sessions) > 1
+
+
 def test_ties_scenario_file_is_the_first_tie_case():
     mode, stalls, _ = next(iter(TIE_CASES.values()))
     shipped = load_scenario(Path(__file__).parent.parent / "scenarios" / "ties.json")
