@@ -320,11 +320,6 @@ class SessionSlot(NamedTuple):
     grants: tuple[str, ...] = ()  # a cloud's own grant; the grants the handler collected
 
 
-# phase index - 1 -> (name, SessionSlot position) of each field its request
-# carries, in ``carries`` order; a misspelled name fails here, at import
-_CARRIED = tuple(tuple(zip(spec.carries, _positions(SessionSlot, spec.carries)))
-                 for spec in _PHASES)
-
 # phase index - 1 -> the record its request's payload is: a NamedTuple of the
 # fields the phase carries, in ``carries`` order, then in phases 8-11, where
 # the session handler and the clouds trade access, the resource it names
@@ -333,29 +328,32 @@ _RECORDS = tuple(
                spec.carries + (("resource",) if 8 <= spec.index <= 11 else ()))
     for spec in _PHASES)
 
-# phase index - 1 -> (its record, getter of the carried slot values): a
-# request's payload is ``_new(record, pick(slot))``, with the resource after
-_PAYLOAD = tuple((record, _getter(tuple(at for _, at in carried)))
-                 for record, carried in zip(_RECORDS, _CARRIED))
-
 # phase -> the fields its responder sets from its own work on the request (a
 # verdict, a grant), after those the request carries
 _DECIDES = {5: ("verdict", "realm"), 8: ("grants",), 9: ("grants",), 10: ("grants",),
             11: ("grants",)}
 
-# phase index - 1 -> (its record, the record's width, how many of its fields
-# are carried, the responder's update on the request): the update clears its
-# expectation, then stores what the request carries and what it decides
-_RECEIVE = tuple(
-    (record, len(record._fields), len(spec.carries),
-     _setter(SessionSlot, "expect", *spec.carries, *_DECIDES.get(spec.index, ())))
+# phase index - 1 -> (its record, the getter of the slot values its request
+# carries, the record's width, how many of its fields are carried, the
+# responder's update on the request, what the initiator expects once the
+# request is sent). A request's payload is ``_new(record, pick(slot))``, with
+# the resource after; the update clears the responder's expectation, then
+# stores what the request carries and what it decides. A misspelled carried
+# name fails here, at import.
+_ROWS = tuple(
+    (record, _getter(_positions(SessionSlot, spec.carries)), len(record._fields),
+     len(spec.carries),
+     _setter(SessionSlot, "expect", *spec.carries, *_DECIDES.get(spec.index, ())),
+     (spec.index, _RESPONSE))
     for spec, record in zip(_PHASES, _RECORDS))
+
+# phase -> the type of each field of its record, in field order, where the
+# responder reads the values it is sent: a value of another type is malformed
+_READ_TYPES = {5: (str, KeyPart, KeyPart), 8: (SessionKeySet, HierarchicalKey, str),
+               10: (SessionKeySet, HierarchicalKey, str)}
 
 # what a responder holds of a session before its first request: nothing
 _EMPTY_SLOT = SessionSlot()
-
-# phase index - 1 -> what its initiator expects once the request is sent
-_RESPONSE_DUE = tuple((spec.index, _RESPONSE) for spec in _PHASES)
 
 _set_expect = _setter(SessionSlot, "expect")
 _set_expect_and_keys = _setter(SessionSlot, "expect", "keyset", "requester_key")
@@ -460,7 +458,8 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> Hand
     The result carries the session's new slot, which the caller stores in
     the role's table. Anything out of order, misaddressed, from a role
     other than the one that sends it in the phase, or a request whose
-    payload is not its phase's record, is discarded (no slot).
+    payload is not its phase's record or holds a value of the wrong type
+    where the responder reads it, is discarded (no slot).
     """
     role = state.role
     if msg.destination is not role:
@@ -473,7 +472,7 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> Hand
     slot = state.sessions.get(msg.session_id)
     if slot is None:
         return _discard("unknown-session")
-    if slot.expect != _RESPONSE_DUE[index - 1]:
+    if slot.expect != _ROWS[index - 1][-1]:  # the response to the phase it began
         return _discard("out-of-order")
     return _new(HandleResult, (_set_expect(slot, (_NEXT_EXPECT[role, index],)), None,
                                "phase-complete"))
@@ -500,9 +499,10 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
     elif slot.expect != (index, _REQUEST):
         return _discard("out-of-order")
 
-    record, width, n_carried, store = _RECEIVE[index - 1]
+    record, _, width, n_carried, store, _ = _ROWS[index - 1]
     payload = msg.payload_fields
-    if type(payload) is not record or len(payload) != width:
+    if (type(payload) is not record or len(payload) != width
+            or (index in _READ_TYPES and tuple(map(type, payload)) != _READ_TYPES[index])):
         return _discard("malformed-payload")
     # the responder then waits for its next begin_phase, so it expects nothing
     carried = (None,) + payload[:n_carried]
@@ -548,7 +548,7 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
     """
     sid, index = session.session_id, spec.index
     slot = state.sessions.get(sid)
-    due = _RESPONSE_DUE[index - 1]  # the initiator awaits the response
+    record, pick, _, _, _, due = _ROWS[index - 1]  # due: the response the initiator awaits
     resource = None
 
     if index == 1:  # A opens the session for its requester
@@ -569,7 +569,6 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
             resource = next(iter(state.hosted_resources))
         slot = _set_expect(slot, (due,))
 
-    record, pick = _PAYLOAD[index - 1]
     values = pick(slot) if resource is None else (*pick(slot), resource)
     request = _new(ProtocolMessage, (sid, index, _REQUEST, spec.source, spec.destination,
                                      _new(record, values)))

@@ -32,7 +32,7 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping, NamedTuple
 
 from . import protocol as proto
 from .errors import DisallowedPair, InvalidInput, is_number
@@ -272,12 +272,6 @@ class EventLog:
         return Record(self.times[index], kind, source, destination,
                       self.session_ids[self.sessions[index]], phase, size, outcome)
 
-    def __iter__(self) -> Iterator[Record]:
-        ids, shapes = self.session_ids, self.shapes
-        for time_s, session, code in zip(self.times, self.sessions, self.codes):
-            kind, source, destination, phase, size, outcome = shapes[code]
-            yield Record(time_s, kind, source, destination, ids[session], phase, size, outcome)
-
 
 def csv_lines(log: EventLog) -> Iterator[str]:
     """The event log as CSV lines, header first, each ending in a newline; a
@@ -359,11 +353,6 @@ class SimRun:
     horizon_exceeded: bool
 
 
-def _out_of_order(event: tuple, queue: deque) -> NoReturn:
-    raise RuntimeError(f"event at {event[0]!r} s queued behind one at {queue[-1][0]!r} s: "
-                       "its queue would run out of time order")
-
-
 class _Engine:
     def __init__(self, scenario: "Scenario"):
         self.scenario = scenario
@@ -413,7 +402,8 @@ class _Engine:
         # each queue holds its events in (time, seq) order: a leg's messages
         # share one delay and a timer kind's timers one limit, so each is
         # queued behind the one before it. The heap holds (time, seq, queue,
-        # handler) for the head of each non-empty queue, and no more.
+        # handler) for the head of each non-empty queue, and no more; every
+        # event enters through ``schedule`` and leaves through ``loop``.
         self.phase_timers: deque = deque()
         self.watchdogs: deque = deque()
         self.heap: list = []
@@ -434,7 +424,8 @@ class _Engine:
         if not queue:
             heapq.heappush(self.heap, (event[0], event[1], queue, handler))
         elif event[0] < queue[-1][0]:
-            _out_of_order(event, queue)
+            raise RuntimeError(f"event at {event[0]!r} s queued behind one at "
+                               f"{queue[-1][0]!r} s: its queue would run out of time order")
         queue.append(event)
 
     def log_row(self, kind: str, source: str = "", at: int = 0,
@@ -463,10 +454,9 @@ class _Engine:
                 session_starts.append((start, next(seq), sid, p, at))
         for drawn, handler in ((app_starts, self._on_app_start),
                                (session_starts, self._on_session_start)):
-            drawn.sort()  # by (time, seq): each seq is unique
-            if drawn:
-                head = drawn[0]
-                heapq.heappush(self.heap, (head[0], head[1], deque(drawn), handler))
+            queue = deque()
+            for event in sorted(drawn):  # by (time, seq): each seq is unique
+                self.schedule(queue, handler, event)
 
     def loop(self) -> None:
         horizon = self.scenario.horizon_s
@@ -512,13 +502,10 @@ class _Engine:
         sid = msg.session_id
         session = self.sessions.get(sid)
         if session is not None and session.status is not _IN_PROGRESS:
-            # Drop absorption: nothing may alter a finished session.
-            self._log_time(self.now)
-            self._log_session(at)
-            self._log_code(delivered[ABSORBED])
-            return
-        state = self.roles[msg.destination]
-        slot, outgoing, outcome = proto.handle_message(state, msg, self.vault)
+            slot, outcome = None, ABSORBED  # nothing may alter a finished session
+        else:
+            state = self.roles[msg.destination]
+            slot, outgoing, outcome = proto.handle_message(state, msg, self.vault)
         self._log_time(self.now)
         self._log_session(at)
         self._log_code(delivered[outcome])
@@ -592,13 +579,8 @@ class _Engine:
         self._log_time(now)
         self._log_session(at)
         self._log_code(send)
-        # schedule(), inlined on the per-message path
-        event = (now + offset + stall, next(self.event_seq), msg, delivered, at)
-        if not queue:
-            heapq.heappush(self.heap, (event[0], event[1], queue, self._on_deliver))
-        elif event[0] < queue[-1][0]:
-            _out_of_order(event, queue)
-        queue.append(event)
+        self.schedule(queue, self._on_deliver,
+                      (now + offset + stall, next(self.event_seq), msg, delivered, at))
 
     def _end(self, session: SessionState, source: str = "") -> None:
         """Stamp a finished session's end, store it and log its one end record."""

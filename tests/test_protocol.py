@@ -289,19 +289,24 @@ _MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("index", _ALIKE)
-@pytest.mark.parametrize("case", _MALFORMED)
-def test_a_request_with_a_malformed_payload_is_discarded(case, index):
-    # the request its responder expects, at first contact (phases 1 and 10)
-    # or mid-session (phase 3), but carrying a payload that is not its
-    # phase's record, is discarded and changes no slot; the real one is then taken
+# (phase, field) -> a value of the wrong type for a field its responder reads
+_WRONG_TYPE = {
+    (5, "requester"): ["u1"], (5, "idr"): "x", (5, "ids"): "x",
+    (8, "keyset"): "x", (8, "requester_key"): "not-a-key", (8, "resource"): ["R1"],
+    (10, "keyset"): "x", (10, "requester_key"): "not-a-key", (10, "resource"): ["R1"],
+}
+
+
+def _assert_discarded_as_malformed(index, make):
+    """Phase ``index``'s request, carrying ``make(payload, index)``, is
+    discarded as malformed and changes no slot; the real one is then taken."""
     vault, requester = registry()
     driver = Driver(vault, requester)
     for done in range(1, index):
         driver.run_phase(done)
     spec = phase_spec(index)
     request = begin_phase(driver.roles[spec.source], spec, driver.session, vault).outgoing
-    malformed = _MALFORMED[case](request.payload_fields, index)
+    malformed = make(request.payload_fields, index)
     state = driver.roles[spec.destination]
     before = dict(state.sessions)
     result = driver.deliver(spec.destination, request._replace(payload_fields=malformed))
@@ -309,6 +314,22 @@ def test_a_request_with_a_malformed_payload_is_discarded(case, index):
     assert result.slot is None and result.outgoing is None
     assert state.sessions == before
     assert not driver.deliver(spec.destination, request).discarded
+
+
+@pytest.mark.parametrize("index", _ALIKE)
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_a_request_with_a_malformed_payload_is_discarded(case, index):
+    # the request its responder expects, at first contact (phases 1 and 10)
+    # or mid-session (phase 3), but carrying a payload that is not its
+    # phase's record
+    _assert_discarded_as_malformed(index, _MALFORMED[case])
+
+
+@pytest.mark.parametrize("index, name", _WRONG_TYPE)
+def test_a_request_value_of_the_wrong_type_is_discarded(index, name):
+    # the phase's own record, but a value its responder reads is of another type
+    _assert_discarded_as_malformed(
+        index, lambda payload, index: payload._replace(**{name: _WRONG_TYPE[index, name]}))
 
 
 def test_handle_message_is_pure():
@@ -478,12 +499,20 @@ def test_carried_names_are_slot_fields():
         assert set(carries) <= slot_fields
 
 
-def test_position_table_names_the_carried_fields():
-    for spec in protocol_table():
-        carried = proto._CARRIED[spec.index - 1]
-        assert tuple(name for name, _ in carried) == spec.carries
-        for name, at in carried:
-            assert SessionSlot._fields[at] == name
+def test_each_phase_row_is_compiled_from_the_table():
+    # a slot whose every field holds its own name shows which fields a row's
+    # getter picks and which its receive setter sets
+    named = SessionSlot(*SessionSlot._fields)
+    assert len(proto._ROWS) == proto.PHASE_COUNT
+    for spec, row in zip(protocol_table(), proto._ROWS):
+        record, pick, width, n_carried, store, due = row
+        assert record is proto._RECORDS[spec.index - 1]
+        assert pick(named) == spec.carries
+        assert (width, n_carried) == (len(record._fields), len(spec.carries))
+        sets = ("expect", *spec.carries, *proto._DECIDES.get(spec.index, ()))
+        new = tuple(f"new {name}" for name in sets)
+        assert store(named, new) == named._replace(**dict(zip(sets, new)))
+        assert due == (spec.index, MessageKind.RESPONSE)
 
 
 _ANY = st.none() | st.integers() | st.text(max_size=3) | st.tuples(st.integers())
@@ -686,7 +715,7 @@ def test_each_phase_payload_carries_its_fields(values):
     slot = SessionSlot(*values)
     assert len(set(proto._RECORDS)) == proto.PHASE_COUNT
     for spec in protocol_table():
-        record, pick = proto._PAYLOAD[spec.index - 1]
+        record, pick, *_ = proto._ROWS[spec.index - 1]
         assert record is proto._RECORDS[spec.index - 1]
         expected = {name: getattr(slot, name) for name in spec.carries}
         resource = ()
@@ -727,3 +756,12 @@ def test_per_message_code_reads_enum_members_from_constants(function):
     # enum metaclass's __getattr__ on Python 3.11; each module binds the
     # members it tests to constants at import
     assert not _ENUM_CLASSES & set(_names(function.__code__))
+
+
+def test_the_event_calendar_has_one_way_in_and_one_way_out():
+    # every event enters through schedule, which keeps each queue in time
+    # order, and leaves through loop
+    names = {name: set(_names(method.__code__)) for name, method in vars(simnet._Engine).items()
+             if isinstance(method, types.FunctionType)}
+    assert {name for name in names if "heappush" in names[name]} == {"schedule"}
+    assert {name for name in names if names[name] & {"heappop", "heapreplace"}} == {"loop"}
