@@ -22,6 +22,12 @@ one session therefore share bytes 0..19 of their leaves (the common
 session field) while their root, sub-domain, and tag bytes vary with the
 participant's home realm.
 
+HMAC is computed as RFC 2104 describes it, from the key's inner and outer
+SHA-256 states: each key's two states are computed once, kept in a
+bounded cache, and copied for each message. The key values are validated
+NamedTuples: each class checks its values when built, also through
+``_make`` and ``_replace``, and holds no instance dictionary.
+
 All values here are immutable and all derivations are pure functions,
 so they are safe to share across threads without coordination.
 """
@@ -30,10 +36,10 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Protocol
+from typing import Iterable, Mapping, NamedTuple, Protocol
 
 from .errors import InvalidInput, RoleMismatch
 
@@ -60,91 +66,149 @@ class KeyRole(Enum):
 _ROOT, _SUBDOMAIN, _PRIVATE, _SESSION = (KeyRole.ROOT, KeyRole.SUBDOMAIN, KeyRole.PRIVATE,
                                          KeyRole.SESSION)
 
+# -- HMAC-SHA256 from precomputed states (RFC 2104) -------------------------------
+
+_BLOCK = 64  # SHA-256's block size in bytes
+_INNER_PAD = bytes(b ^ 0x36 for b in range(256))  # translation tables: byte -> byte ^ pad
+_OUTER_PAD = bytes(b ^ 0x5C for b in range(256))
+
+
+@lru_cache(maxsize=128)  # a run uses a handful of keys, each on every tenant or session
+def _hmac_states(key: bytes):
+    """SHA-256 states that have absorbed the key's inner and outer padded
+    blocks. Callers copy them: the cached objects are never updated."""
+    if len(key) > _BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    return hashlib.sha256(key.translate(_INNER_PAD)), hashlib.sha256(key.translate(_OUTER_PAD))
+
 
 def _prf(key: bytes, message: bytes) -> bytes:
-    return hmac.new(key, message, hashlib.sha256).digest()
+    """HMAC-SHA256 of ``message`` under ``key``; equals ``hmac.new(key,
+    message, hashlib.sha256).digest()`` without its per-call key setup."""
+    inner, outer = _hmac_states(key)
+    inner = inner.copy()
+    inner.update(message)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
-@dataclass(frozen=True)
-class KeyPart:
-    """One 32-byte component of a hierarchical key."""
+# -- key values ------------------------------------------------------------------------
 
+# builds a key value from all its values, in field order: each class's
+# ``__new__`` calls it once its checks pass
+_new = tuple.__new__
+
+
+@classmethod
+def _checked_make(cls, values):
+    # ``_make`` and ``_replace`` build through ``__new__``, so they check too
+    return cls(*values)
+
+
+class _KeyPartFields(NamedTuple):
     bytes: bytes
     role: KeyRole
 
-    def __post_init__(self):
-        if len(self.bytes) != PART_LEN:
-            raise InvalidInput(f"key part must be {PART_LEN} bytes, got {len(self.bytes)}")
+
+class KeyPart(_KeyPartFields):
+    """One 32-byte component of a hierarchical key."""
+
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, bytes: bytes, role: KeyRole):
+        if len(bytes) != PART_LEN:
+            raise InvalidInput(f"key part must be {PART_LEN} bytes, got {len(bytes)}")
+        return _new(cls, (bytes, role))
 
     def hex(self) -> str:
         return self.bytes.hex()
 
 
-@dataclass(frozen=True)
-class DigitalSignature:
-    """Deterministic 32-byte digest of a tenant's personal secrets."""
-
+class _SignatureFields(NamedTuple):
     bytes: bytes
 
-    def __post_init__(self):
-        if len(self.bytes) != PART_LEN:
-            raise InvalidInput(f"signature must be {PART_LEN} bytes, got {len(self.bytes)}")
+
+class DigitalSignature(_SignatureFields):
+    """Deterministic 32-byte digest of a tenant's personal secrets."""
+
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, bytes: bytes):
+        if len(bytes) != PART_LEN:
+            raise InvalidInput(f"signature must be {PART_LEN} bytes, got {len(bytes)}")
+        return _new(cls, (bytes,))
 
 
-@dataclass(frozen=True)
-class HierarchicalKey:
+class _HierarchicalKeyFields(NamedTuple):
+    root: KeyPart
+    subdomain: KeyPart
+    leaf: KeyPart
+
+
+class HierarchicalKey(_HierarchicalKeyFields):
     """A (root, sub-domain, leaf) credential triple.
 
     The leaf is a private part for tenant credentials or a session part
     for minted session keys.
     """
 
-    root: KeyPart
-    subdomain: KeyPart
-    leaf: KeyPart
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        if self.root.role is not _ROOT:
-            raise RoleMismatch(f"root position holds a {self.root.role.value} part")
-        if self.subdomain.role is not _SUBDOMAIN:
-            raise RoleMismatch(f"subdomain position holds a {self.subdomain.role.value} part")
-        if self.leaf.role not in (_PRIVATE, _SESSION):
-            raise RoleMismatch(f"leaf position holds a {self.leaf.role.value} part")
+    def __new__(cls, root: KeyPart, subdomain: KeyPart, leaf: KeyPart):
+        if root.role is not _ROOT:
+            raise RoleMismatch(f"root position holds a {root.role.value} part")
+        if subdomain.role is not _SUBDOMAIN:
+            raise RoleMismatch(f"subdomain position holds a {subdomain.role.value} part")
+        if leaf.role not in (_PRIVATE, _SESSION):
+            raise RoleMismatch(f"leaf position holds a {leaf.role.value} part")
+        return _new(cls, (root, subdomain, leaf))
 
     def decompose(self) -> tuple[KeyPart, KeyPart, KeyPart]:
-        return (self.root, self.subdomain, self.leaf)
+        return tuple(self)
 
     def session_field(self) -> bytes:
         """The 16-byte session id encoded in a session leaf."""
-        if self.leaf.role is not _SESSION:
+        data, role = self[2]
+        if role is not _SESSION:
             raise RoleMismatch("key has no session field: leaf is a private part")
-        return self.leaf.bytes[:SESSION_FIELD_LEN]
+        return data[:SESSION_FIELD_LEN]
 
     def generation(self) -> int:
         """The refresh counter encoded in a session leaf."""
-        if self.leaf.role is not _SESSION:
+        data, role = self[2]
+        if role is not _SESSION:
             raise RoleMismatch("key has no generation: leaf is a private part")
         start = SESSION_FIELD_LEN
-        return int.from_bytes(self.leaf.bytes[start:start + GENERATION_LEN], "big")
+        return int.from_bytes(data[start:start + GENERATION_LEN], "big")
 
 
-@dataclass(frozen=True)
-class SessionKeySet:
-    """All keys minted for one session at one generation.
-
-    ``keys`` maps participant identity to that participant's key. Every
-    leaf encodes the same ``session_id`` and ``generation``; root and
-    sub-domain parts vary with each participant's home realm.
-    """
-
+class _SessionKeySetFields(NamedTuple):
     session_id: bytes
     keys: Mapping[str, HierarchicalKey]
     generation: int
 
-    def __post_init__(self):
-        if len(self.session_id) != SESSION_FIELD_LEN:
+
+class SessionKeySet(_SessionKeySetFields):
+    """All keys minted for one session at one generation.
+
+    ``keys`` maps participant identity to that participant's key, read-only
+    over a copy of the mapping given. Every leaf encodes the same
+    ``session_id`` and ``generation``; root and sub-domain parts vary with
+    each participant's home realm.
+    """
+
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, session_id: bytes, keys: Mapping[str, HierarchicalKey], generation: int):
+        if len(session_id) != SESSION_FIELD_LEN:
             raise InvalidInput(f"session id must be {SESSION_FIELD_LEN} bytes")
-        object.__setattr__(self, "keys", MappingProxyType(dict(self.keys)))
+        return _new(cls, (session_id, MappingProxyType(dict(keys)), generation))
 
 
 class RealmDirectory(Protocol):
@@ -165,9 +229,12 @@ def derive_root_key(cloud_id: str, master_secret: bytes) -> KeyPart:
     """
     if not cloud_id:
         raise InvalidInput("cloud_id must be non-empty")
+    if not isinstance(master_secret, (bytes, bytearray)):
+        raise InvalidInput(f"master_secret must be bytes, not {type(master_secret).__name__}")
     if not master_secret:
         raise InvalidInput("master_secret must be non-empty")
-    return KeyPart(_prf(master_secret, _LABEL_ROOT + cloud_id.encode()), _ROOT)
+    # as bytes, which the cache of HMAC states can key on
+    return KeyPart(_prf(bytes(master_secret), _LABEL_ROOT + cloud_id.encode()), _ROOT)
 
 
 def derive_subdomain_key(root: KeyPart, subdomain_id: str) -> KeyPart:
@@ -181,9 +248,10 @@ def derive_subdomain_key(root: KeyPart, subdomain_id: str) -> KeyPart:
 
 def issue_private_key(signature: DigitalSignature, subdomain: KeyPart) -> KeyPart:
     """Issue a tenant's private part bound to (signature, sub-domain)."""
-    if subdomain.role is not _SUBDOMAIN:
-        raise RoleMismatch(f"expected a subdomain part, got {subdomain.role.value}")
-    return KeyPart(_prf(subdomain.bytes, _LABEL_PRIVATE + signature.bytes), _PRIVATE)
+    key, role = subdomain
+    if role is not _SUBDOMAIN:
+        raise RoleMismatch(f"expected a subdomain part, got {role.value}")
+    return KeyPart(_prf(key, _LABEL_PRIVATE + signature.bytes), _PRIVATE)
 
 
 def derive_signature(tenant_id: str, extension_metadata: Mapping[str, str]) -> DigitalSignature:
@@ -191,15 +259,29 @@ def derive_signature(tenant_id: str, extension_metadata: Mapping[str, str]) -> D
 
     The serialization is canonical (metadata classes sorted by name) and
     includes the tenant id, so two tenants with identical secrets still
-    sign differently.
+    sign differently. The tenant id, metadata classes and values must be
+    text; the canonical text is encoded as UTF-8 once, which gives the
+    bytes that encoding each part and joining them would.
     """
     if not extension_metadata:
         raise InvalidInput("extension_metadata must be non-empty")
-    canon = b"\x1f".join(
-        k.encode() + b"\x1e" + v.encode() for k, v in sorted(extension_metadata.items())
-    )
-    digest = hashlib.sha256(_LABEL_SIGNATURE + tenant_id.encode() + b"|" + canon).digest()
-    return DigitalSignature(digest)
+    try:
+        text = tenant_id + "|" + "\x1f".join(map("\x1e".join, sorted(extension_metadata.items())))
+    except TypeError:  # a part that is not text: adding, sorting or joining it
+        raise InvalidInput(_not_text(tenant_id, extension_metadata)) from None
+    return DigitalSignature(hashlib.sha256(_LABEL_SIGNATURE + text.encode()).digest())
+
+
+def _not_text(tenant_id, extension_metadata: Mapping) -> str:
+    """Names the first of a tenant id, its metadata classes and values that is not text."""
+    if not isinstance(tenant_id, str):
+        return f"tenant id {tenant_id!r} is not text"
+    for cls, value in extension_metadata.items():
+        if not isinstance(cls, str):
+            return f"metadata class {cls!r} is not text"
+        if not isinstance(value, str):
+            return f"metadata value {value!r} of class {cls!r} is not text"
+    return "tenant id and metadata must be text"
 
 
 def _session_leaf(subdomain: KeyPart, session_id: bytes, generation: int, identity: str) -> KeyPart:
@@ -216,7 +298,7 @@ def _mint(session_id: bytes, participants: Iterable[Participant],
         root, subdomain = vault.realm_keys(cloud_id, subdomain_id)
         leaf = _session_leaf(subdomain, session_id, generation, identity)
         keys[identity] = HierarchicalKey(root, subdomain, leaf)
-    return SessionKeySet(session_id=session_id, keys=keys, generation=generation)
+    return SessionKeySet(session_id, keys, generation)
 
 
 def mint_session_keys(session_id: bytes, participants: list[Participant],
@@ -251,11 +333,11 @@ def verify_session_key(key: HierarchicalKey, key_set: SessionKeySet) -> bool:
 
     Each member's key bytes are compared in constant time.
     """
-    if key.leaf.role is not _SESSION:
+    root, subdomain, leaf = key
+    if leaf.role is not _SESSION:
         return False
-    presented = key.root.bytes + key.subdomain.bytes + key.leaf.bytes
-    for member in key_set.keys.values():
-        if hmac.compare_digest(presented,
-                               member.root.bytes + member.subdomain.bytes + member.leaf.bytes):
+    presented = root.bytes + subdomain.bytes + leaf.bytes
+    for root, subdomain, leaf in key_set.keys.values():
+        if hmac.compare_digest(presented, root.bytes + subdomain.bytes + leaf.bytes):
             return True
     return False

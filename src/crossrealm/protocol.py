@@ -235,8 +235,7 @@ _IN_PROGRESS, _COMPLETED, _DROPPED = (SessionStatus.IN_PROGRESS, SessionStatus.C
                                       SessionStatus.DROPPED)
 
 
-@dataclass(frozen=True)
-class Requester:
+class Requester(NamedTuple):
     """The foreign-realm tenant a session is requested for."""
 
     tenant_id: str
@@ -456,8 +455,9 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> Hand
     Requests are answered with the phase's final response; responses arm
     the role's expectation for its next appearance in the phase sequence.
     The result carries the session's new slot, which the caller stores in
-    the role's table. Anything out of order, misaddressed, from a role
-    other than the one that sends it in the phase, or a request whose
+    the role's table. Anything out of order, misaddressed, of no phase
+    (an index that is not an ``int`` from 1 to 13), from a role other than
+    the one that sends it in the phase, or a request whose
     payload is not its phase's record or holds a value of the wrong type
     where the responder reads it, is discarded (no slot).
     """
@@ -465,6 +465,8 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> Hand
     if msg.destination is not role:
         return _discard("misaddressed")
     index = msg.phase_index
+    if type(index) is not int or not 0 < index <= PHASE_COUNT:  # a bool is not an int here
+        return _discard("unknown-phase")
     if msg.kind is _REQUEST:
         return _handle_request(state, _PHASES[index - 1], msg, vault)
     if msg.source is not _PHASES[index - 1].destination:  # only the responder answers

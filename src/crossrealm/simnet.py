@@ -334,7 +334,7 @@ def build_default_vault(principals: int) -> tuple[Vault, dict[str, Requester]]:
             primary_details={"plan": "standard"},
             extension_metadata={cls: f"{cls}-of-{tenant_id}" for cls in _METADATA_CLASSES},
         )
-        requesters[tenant_id] = Requester(tenant_id=tenant_id, idr=idr, ids=ids)
+        requesters[tenant_id] = Requester(tenant_id, idr, ids)
     return vault, requesters
 
 

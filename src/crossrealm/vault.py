@@ -10,7 +10,8 @@ stored tenant records and never mutates anything.
 Registrations are the only mutations and require exclusive access to the
 vault; reads may proceed concurrently. Snapshots serialize the whole
 structure to a single JSON document with byte strings hex-encoded
-lowercase.
+lowercase. A tenant record is a NamedTuple, built by position when a
+tenant registers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import hmac
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import keys as keylib
 from .errors import (
@@ -33,8 +34,7 @@ from .errors import (
 from .keys import DigitalSignature, KeyPart, KeyRole
 
 
-@dataclass(frozen=True)
-class TenantRecord:
+class TenantRecord(NamedTuple):
     """One registered tenant: provider details, personal secrets, credentials."""
 
     tenant_id: str
@@ -105,16 +105,9 @@ class Vault:
         private = keylib.issue_private_key(signature, folder.subdomain_key)
         idr = self.clouds[cloud_id].root_key
         ids = folder.subdomain_key
-        folder.tenants[tenant_id] = TenantRecord(
-            tenant_id=tenant_id,
-            cloud_id=cloud_id,
-            subdomain_id=subdomain_id,
-            primary_details=dict(primary_details),
-            extension_metadata=dict(extension_metadata),
-            signature=signature,
-            idr=idr,
-            ids=ids,
-        )
+        folder.tenants[tenant_id] = TenantRecord(tenant_id, cloud_id, subdomain_id,
+                                                 dict(primary_details), dict(extension_metadata),
+                                                 signature, idr, ids)
         return idr, ids, private
 
     # -- verification (read-only) ------------------------------------------
@@ -208,11 +201,12 @@ class Vault:
 
     def _realm(self, idr: KeyPart, ids: KeyPart) -> _SubdomainFolder | None:
         """The sub-domain folder whose (root, sub-domain) keys are the pair."""
+        root, subdomain = idr.bytes, ids.bytes
         for cloud in self.clouds.values():
-            if not hmac.compare_digest(cloud.root_key.bytes, idr.bytes):
+            if not hmac.compare_digest(cloud.root_key.bytes, root):
                 continue
             for folder in cloud.subdomains.values():
-                if hmac.compare_digest(folder.subdomain_key.bytes, ids.bytes):
+                if hmac.compare_digest(folder.subdomain_key.bytes, subdomain):
                     return folder
         return None
 

@@ -6,10 +6,13 @@ chains), independently of the implementation under test, and frozen
 here.
 """
 
+import hashlib
+import hmac
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossrealm import keys as keylib
@@ -19,6 +22,7 @@ from crossrealm.keys import (
     HierarchicalKey,
     KeyPart,
     KeyRole,
+    SessionKeySet,
     derive_root_key,
     derive_signature,
     derive_subdomain_key,
@@ -67,6 +71,13 @@ def test_root_key_rejects_empty_inputs():
         derive_root_key("", b"s")
     with pytest.raises(InvalidInput):
         derive_root_key("CloudA", b"")
+
+
+def test_root_key_takes_a_bytearray_secret_and_refuses_text():
+    # a bytearray secret derives what its bytes derive, as under hmac.new
+    assert derive_root_key("CloudA", bytearray(ZERO_SECRET)).bytes.hex() == ROOT_ORACLE
+    with pytest.raises(InvalidInput, match="str"):
+        derive_root_key("CloudA", "secret")
 
 
 def test_subdomain_key_matches_frozen_oracle():
@@ -122,6 +133,65 @@ def test_signature_identical_secrets_distinct_tenants():
     assert derive_signature("t1", meta) != derive_signature("t2", meta)
 
 
+def _per_field_signature(tenant_id, extension_metadata):
+    """The signature as each part was once encoded on its own, then joined."""
+    canon = b"\x1f".join(
+        k.encode() + b"\x1e" + v.encode() for k, v in sorted(extension_metadata.items()))
+    return hashlib.sha256(b"crossrealm.v1.signature|" + tenant_id.encode() + b"|"
+                          + canon).digest()
+
+
+@example("t\u00e9-\u4e2d", {"p\u00eat": "r\U0001f600x", "spouse": "\u00e5sa"})
+@given(st.text(min_size=1), st.dictionaries(st.text(), st.text(), min_size=1))
+def test_one_encode_signature_equals_the_per_field_encoding(tenant_id, metadata):
+    # text is drawn from all of Unicode, so most examples are not ASCII
+    assert derive_signature(tenant_id, metadata).bytes == _per_field_signature(tenant_id, metadata)
+
+
+# (tenant id, metadata) -> the part that is not text
+_NOT_TEXT = {
+    "tenant-id-int": (5, {"pet": "rex"}, 5),
+    "tenant-id-bytes": (b"t1", {"pet": "rex"}, b"t1"),
+    "class-int": ("t1", {"pet": "rex", 1: "x"}, 1),
+    "class-bytes": ("t1", {b"pet": "rex"}, b"pet"),
+    "value-int": ("t1", {"pet": 3}, 3),
+    "value-none": ("t1", {"pet": "rex", "spouse": None}, None),
+}
+
+
+@pytest.mark.parametrize("case", _NOT_TEXT)
+def test_metadata_that_is_not_text_is_invalid_input(case):
+    tenant_id, metadata, culprit = _NOT_TEXT[case]
+    with pytest.raises(InvalidInput, match=re.escape(repr(culprit))):
+        derive_signature(tenant_id, metadata)
+    vault = make_vault()
+    with pytest.raises(InvalidInput, match=re.escape(repr(culprit))):
+        vault.register_tenant("CloudA", "s1", tenant_id, {}, metadata)
+    assert vault.clouds["CloudA"].subdomains["s1"].tenants == {}
+
+
+# -- HMAC from precomputed states ------------------------------------------------
+
+@example(b"\x01" * 64, b"m")
+@example(b"\x01" * 65, b"m")
+@given(st.integers(0, 130).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+       st.binary(max_size=300))
+def test_prf_equals_the_stdlib_hmac(key, message):
+    # keys on both sides of SHA-256's 64-byte block: a longer one is hashed first
+    assert keylib._prf(key, message) == hmac.new(key, message, hashlib.sha256).digest()
+
+
+def test_prf_is_unchanged_for_a_key_whose_states_were_evicted():
+    key, message = b"\x42" * 32, b"crossrealm"
+    expected = hmac.new(key, message, hashlib.sha256).digest()
+    assert keylib._prf(key, message) == expected
+    for i in range(keylib._hmac_states.cache_info().maxsize + 1):
+        other = i.to_bytes(2, "big") * 40  # 80 bytes: hashed to its block key first
+        assert keylib._prf(other, message) == hmac.new(other, message, hashlib.sha256).digest()
+    assert keylib._prf(key, message) == expected
+    assert keylib._prf(key, message) == expected  # the states it cached again are not spent
+
+
 # -- composition ---------------------------------------------------------------
 
 def triple():
@@ -160,6 +230,40 @@ def test_round_trip_on_arbitrary_parts(rb, sb, lb):
 def test_key_part_length_enforced():
     with pytest.raises(InvalidInput):
         KeyPart(b"\x00" * 31, KeyRole.ROOT)
+
+
+def test_replace_and_make_refuse_what_construction_refuses():
+    root, sub, leaf = triple()
+    key = HierarchicalKey(root, sub, leaf)
+    ks = mint_session_keys(b"\x01" * 16, [("u1", "CloudA", "s1")], make_vault())
+    short = b"\x00" * 31
+    refused = [
+        (InvalidInput, lambda: root._replace(bytes=short)),
+        (InvalidInput, lambda: KeyPart._make((short, KeyRole.ROOT))),
+        (InvalidInput, lambda: DigitalSignature(b"\x07" * 32)._replace(bytes=short)),
+        (InvalidInput, lambda: DigitalSignature._make((short,))),
+        (RoleMismatch, lambda: key._replace(root=leaf)),
+        (RoleMismatch, lambda: HierarchicalKey._make((leaf, sub, leaf))),
+        (InvalidInput, lambda: ks._replace(session_id=b"\x01" * 15)),
+        (InvalidInput, lambda: SessionKeySet._make((b"\x01" * 15, dict(ks.keys), 0))),
+    ]
+    for error, build in refused:
+        with pytest.raises(error):
+            build()
+    # what construction accepts, they build alike
+    assert key._replace(leaf=leaf) == key == HierarchicalKey._make((root, sub, leaf))
+    assert type(KeyPart._make(root)) is KeyPart
+
+
+def test_a_key_sets_keys_are_read_only():
+    ks = mint_session_keys(b"\x01" * 16, [("u1", "CloudA", "s1")], make_vault())
+    mapping = dict(ks.keys)
+    for held in (ks, SessionKeySet(ks.session_id, mapping, 0), ks._replace(keys=mapping)):
+        with pytest.raises(TypeError):
+            held.keys["u2"] = held.keys["u1"]
+    built = SessionKeySet(ks.session_id, mapping, 0)
+    mapping["u3"] = ks.keys["u1"]  # it holds a copy of the mapping it was given
+    assert list(built.keys) == ["u1"]
 
 
 # -- minting -------------------------------------------------------------------

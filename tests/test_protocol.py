@@ -332,6 +332,30 @@ def test_a_request_value_of_the_wrong_type_is_discarded(index, name):
         index, lambda payload, index: payload._replace(**{name: _WRONG_TYPE[index, name]}))
 
 
+@pytest.mark.parametrize("kind", ["request", "response"])
+@pytest.mark.parametrize("bad", [0, 14, -1, "3", True, 2.0], ids=repr)
+def test_a_message_of_no_phase_is_discarded(bad, kind):
+    # phase 13's request at A, and A's response at F, each with its phase
+    # index replaced by one that is not an int from 1 to 13: discarded,
+    # changing no slot, and the real message is then taken
+    vault, requester = registry()
+    driver = Driver(vault, requester)
+    for done in range(1, 13):
+        driver.run_phase(done)
+    spec = phase_spec(13)
+    begun = begin_phase(driver.roles[spec.source], spec, driver.session, vault)
+    driver.roles[spec.source].sessions[driver.session.session_id] = begun.slot
+    msg, role = begun.outgoing, spec.destination
+    if kind == "response":
+        msg, role = driver.deliver(role, msg).outgoing, spec.source
+    state = driver.roles[role]
+    before = dict(state.sessions)
+    result = driver.deliver(role, msg._replace(phase_index=bad))
+    assert result == HandleResult(None, None, "discarded:unknown-phase")
+    assert state.sessions == before
+    assert driver.deliver(role, msg).outcome == ("ok" if kind == "request" else "phase-complete")
+
+
 def test_handle_message_is_pure():
     vault, requester = registry()
     driver = Driver(vault, requester)
@@ -549,15 +573,22 @@ def test_positional_setter_rejects_an_unknown_field(update):
 
 def _values():
     msg = ProtocolMessage(b"\x01" * 16, 3, MessageKind.REQUEST, Role.A, Role.F, {})
+    vault, requester = registry()
+    keyset = keylib.mint_session_keys(b"\x01" * 16, [("u1", "CloudC", "analysts")], vault)
+    key = keyset.keys["u1"]
     return [msg, HandleResult(None, msg, "ok"), BeginResult(None, msg),
-            SessionSlot(), fresh_session(registry()[1])]
+            SessionSlot(), fresh_session(requester), key.leaf,
+            keylib.derive_signature("u1", META), key, keyset,
+            vault.find_member("u1", requester.idr, requester.ids), requester]
 
 
 @pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
 def test_value_types_refuse_assignment(value):
-    for name in type(value).__annotations__:
+    for name in type(value)._fields:
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+    with pytest.raises(AttributeError):  # no instance dictionary either
+        value.extra = None
 
 
 def test_keyword_construction_equals_positional():
@@ -663,7 +694,7 @@ def test_transitions_build_what_keywords_build(sid, principal, resources, claim)
     # every message and result a transition builds by position equals the
     # keyword-built one, through refusals, a bad claim and a discard per step
     vault, requester = registry()
-    session = SessionState(session_id=sid, requester=replace(requester, tenant_id=claim),
+    session = SessionState(session_id=sid, requester=requester._replace(tenant_id=claim),
                            principal=principal, resources=resources, started_at=0.0)
     roles = initial_role_states()
     for spec in protocol_table():
@@ -737,8 +768,9 @@ _PER_MESSAGE = [
       if isinstance(method, types.FunctionType) and name != "__init__"),
     handle_message, proto._handle_request, proto._discard, begin_phase, advance_phase,
     on_timeout, localized_timeout_at_f, grant_access,
-    keylib.HierarchicalKey.__post_init__, keylib.HierarchicalKey.session_field,
-    keylib._session_leaf, keylib._mint, keylib.mint_session_keys, keylib.verify_session_key,
+    keylib.KeyPart.__new__, keylib.HierarchicalKey.__new__, keylib.SessionKeySet.__new__,
+    keylib.HierarchicalKey.session_field, keylib._prf, keylib._session_leaf, keylib._mint,
+    keylib.mint_session_keys, keylib.verify_session_key,
 ]
 
 
