@@ -19,8 +19,10 @@ import math
 import operator
 import sys
 from array import array
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import accumulate
+from itertools import accumulate, compress, islice
 from pathlib import Path
 from typing import Mapping
 
@@ -312,69 +314,126 @@ def percentile(ordered: list[float], q: float) -> float:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
+# phase -> the role that sends its request, whose send opens the phase
+_OPENER = {spec.index: spec.source.value for spec in protocol_table()}
+# what aggregate reads of a session start, a session completion and a
+# phase-opening send; a phase-complete delivery reads into its phase's durations
+_STARTS, _COMPLETES, _OPENS = object(), object(), object()
+
+
 def aggregate(run: SimRun) -> MetricsReport:
     """Fold a run's event log, its one account, into a MetricsReport. Beside
     the log it reads only what no record holds: the scenario, the largest
     network delay and whether the horizon cut the run off.
 
-    The fold is one pass over the log's columns that builds no container
-    per record, so it sets off no garbage collection over the finished run's
-    objects: each record's facts are looked up by its shape code, and
-    discards and drops are counted under the record's outcome. It keeps
-    only what is in flight: a session's phases run one at a time (all sends
-    of phase k come before its phase-complete, and phase k + 1's first send
-    after it), so the open-phase table holds, under each session index, the
-    time of the first send of the session's open phase, and drops the entry
-    at that phase's phase-complete, which names the phase.
+    The log must be in time order, as the engine's ``schedule`` keeps it, so
+    each traffic bucket is one slice of it, found by bisection. The bits
+    sent and received, the session starts and ends, drops and discards are
+    counted per bucket by shape code, in C, and each count is multiplied by
+    its code's value once; the sums are of whole numbers, so they are exact.
+    Python walks only the records whose times the durations need: the send
+    that opens a phase (by the phase's source), its phase-complete delivery,
+    and each session's start and completion. A session's phases run one at
+    a time, so the open-phase table holds, under each session index, the
+    time of its open phase's opening send until that phase completes. No
+    container is built per record, so the fold sets off no garbage
+    collection over the finished run's objects.
     """
     interval = run.scenario.sampling_interval_s
     buckets = int(math.floor(run.scenario.horizon_s / interval)) + 1
     last = buckets - 1
+    log = run.records
+    times, codes, shapes = log.times, log.codes, log.shapes
+    # what a record of each shape code adds to its bucket: bits sent and
+    # received, and its step of the active-session count, which a session
+    # takes up at its start bucket and down after its end bucket (past the
+    # horizon if it is in flight then); the running sum of the steps is the count
+    bits_sent = [0.0] * len(shapes)
+    bits_received = [0.0] * len(shapes)
+    step_up = [0] * len(shapes)
+    step_down = [0] * len(shapes)
+    # the durations' reading of a record of each code: None for none
+    phase_durations = {k: array("d") for k in range(1, PHASE_COUNT + 1)}
+    reads: list = [None] * len(shapes)
+    for code, (kind, source, _, phase, size, outcome) in enumerate(shapes):
+        if kind == "send":
+            bits_sent[code] = size * 8.0
+            if source == _OPENER.get(phase):
+                reads[code] = _OPENS
+        elif kind == "deliver":
+            bits_received[code] = size * 8.0
+            if outcome == "phase-complete":
+                reads[code] = phase_durations[phase]
+        elif kind == "session-start":
+            step_up[code] = 1
+            reads[code] = _STARTS
+        elif kind == "session-complete":
+            step_down[code] = 1
+            reads[code] = _COMPLETES
+        elif kind == "session-drop":
+            step_down[code] = 1
+
     sent = [0.0] * buckets
     received = [0.0] * buckets
-    # a session is active from its start bucket to its end bucket: it steps
-    # the count up at the first and down after the last (past the horizon if
-    # it is in flight then), and the running sum of the steps is the count
     steps = [0] * (buckets + 1)
-    started = 0
-    log = run.records
+    tally = [0] * len(shapes)  # code -> records
+
+    def bucket(time_s: float) -> int:
+        return int(time_s / interval)
+
+    lo, n = 0, len(codes)
+    while lo < n:
+        b = bucket(times[lo])
+        if b >= last:
+            b, hi = last, n
+        else:
+            hi = bisect_right(times, b, lo, n, key=bucket)
+        out = into = 0.0
+        up = down = 0
+        for code, count in Counter(codes[lo:hi]).items():
+            tally[code] += count
+            out += count * bits_sent[code]
+            into += count * bits_received[code]
+            up += count * step_up[code]
+            down += count * step_down[code]
+        sent[b], received[b] = out, into
+        steps[b] += up
+        steps[b + 1] -= down
+        lo = hi
+
     started_at = array("d", [0.0]) * len(log.session_ids)  # session index -> start time
     durations = array("d")  # end-to-end time of each completed session
-    drops: dict[str, int] = {}  # drop outcome -> sessions
-    open_since: dict[int, float] = {}  # session index -> its open phase's first send
-    phase_durations = {k: array("d") for k in range(1, PHASE_COUNT + 1)}
-    discarded: dict[str, dict[str, int]] = {}  # receiving role -> outcome -> deliveries
-
-    shapes = log.shapes
-    for time_s, session, code in zip(log.times, log.sessions, log.codes):
-        kind, _, destination, phase, size, outcome = shapes[code]
-        b = int(time_s / interval)
-        if b > last:
-            b = last
-        if kind == "send":
-            sent[b] += size * 8.0
-            # a phase's request opens it; its response is sent while it is open
+    open_since: dict[int, float] = {}  # session index -> its open phase's opening send
+    needed = [read is not None for read in reads]
+    for time_s, session, code in compress(zip(times, log.sessions, codes),
+                                          map(needed.__getitem__, codes)):
+        read = reads[code]
+        if read is _OPENS:
             if session not in open_since:
                 open_since[session] = time_s
-        elif kind == "deliver":
-            received[b] += size * 8.0
-            if outcome == "phase-complete":
-                phase_durations[phase].append(time_s - open_since.pop(session))
-            elif outcome.startswith("discarded:"):
-                counts = discarded.get(destination)
-                if counts is None:
-                    counts = discarded[destination] = {}
-                counts[outcome] = counts.get(outcome, 0) + 1
-        elif kind == "session-start":
-            started += 1
+        elif read is _STARTS:
             started_at[session] = time_s
-            steps[b] += 1
-        elif kind == "session-complete":
+        elif read is _COMPLETES:
             durations.append(time_s - started_at[session])
-            steps[b + 1] -= 1
+        else:
+            read.append(time_s - open_since.pop(session))
+
+    # the engine makes each deliver and end record's code when it first
+    # logs one, so in code order each outcome and role comes in the order
+    # of its first record
+    started = 0
+    drops: dict[str, int] = {}  # drop outcome -> sessions
+    discarded: dict[str, dict[str, int]] = {}  # receiving role -> outcome -> deliveries
+    for (kind, _, destination, _, _, outcome), count in zip(shapes, tally):
+        if not count:
+            continue
+        if kind == "session-start":
+            started += count
         elif kind == "session-drop":
-            drops[outcome] = drops.get(outcome, 0) + 1
-            steps[b + 1] -= 1
+            drops[outcome] = drops.get(outcome, 0) + count
+        elif kind == "deliver" and outcome.startswith("discarded:"):
+            counts = discarded.setdefault(destination, {})
+            counts[outcome] = counts.get(outcome, 0) + count
 
     durations = sorted(durations)
     completed, dropped = len(durations), sum(drops.values())
@@ -469,11 +528,19 @@ def emit_report(report: MetricsReport, out_dir: str | Path) -> list[Path]:
     return paths
 
 
+# lines of events.csv joined per write: few enough that a chunk adds
+# nothing to the run's peak memory, enough that writes cost little
+EVENT_LOG_CHUNK_LINES = 512
+
+
 def emit_event_log(run: SimRun, out_dir: str | Path) -> Path:
+    """Write the run's event log as events.csv, in chunks of joined lines."""
     path = Path(out_dir) / "events.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
+    lines = csv_lines(run.records)
     with path.open("w") as out:
-        out.writelines(csv_lines(run.records))
+        while chunk := "".join(islice(lines, EVENT_LOG_CHUNK_LINES)):
+            out.write(chunk)
     return path
 
 

@@ -377,26 +377,29 @@ class _Engine:
         self._log_code = events.codes.append
         # Every message of one (phase, kind) takes the same path with the
         # same size, the scenario's or else the protocol table's, so its
-        # timing is computed once, as (network, delivery offset, stall, send
-        # record's shape code, deliver record's code by outcome, the leg's
-        # queue of deliveries); a response stall of inf suppresses the
-        # response. The service time rides on the request leg; the response
-        # is network-only.
+        # timing is computed once, as its leg: (network, delivery offset,
+        # stall, send record's shape code, deliver record's code by outcome,
+        # the leg of the reply to it, the leg's queue of deliveries); a
+        # response stall of inf suppresses the response. The service time
+        # rides on the request leg; the response is network-only and has no
+        # reply. Each delivery carries its leg, and ``requests`` holds the
+        # request legs by phase, so no send looks its leg up by key.
         self.legs: dict[tuple[int, MessageKind],
-                        tuple[float, float, float, int, _DeliverCodes, deque]] = {}
+                        tuple[float, float, float, int, _DeliverCodes, tuple | None, deque]] = {}
         for spec in self.phases:
             src, dst, i = spec.source.value, spec.destination.value, spec.index
             size = request_bytes.get(i, spec.request_bytes)
-            self.legs[i, MessageKind.REQUEST] = (*transmit_components(
-                size, src, dst, self.model, self.topology), 0.0,
-                events.shape("send", src, dst, i, size, "ok"),
-                _DeliverCodes(events, src, dst, i, size), deque())
+            request = (*transmit_components(size, src, dst, self.model, self.topology), 0.0,
+                       events.shape("send", src, dst, i, size, "ok"),
+                       _DeliverCodes(events, src, dst, i, size))
             size = response_bytes.get(i, spec.response_bytes)
-            self.legs[i, MessageKind.RESPONSE] = (*transmit_components(
+            reply = self.legs[i, MessageKind.RESPONSE] = (*transmit_components(
                 size, dst, src, self.model, self.topology, service_s=0.0),
                 stalls.get((spec.destination, i), 0.0),
                 events.shape("send", dst, src, i, size, "ok"),
-                _DeliverCodes(events, dst, src, i, size), deque())
+                _DeliverCodes(events, dst, src, i, size), None, deque())
+            self.legs[i, MessageKind.REQUEST] = (*request, reply, deque())
+        self.requests = [self.legs[spec.index, MessageKind.REQUEST] for spec in self.phases]
         self.sessions: dict[bytes, SessionState] = {}
         # The event calendar. An event is a tuple (time, seq, *facts), and
         # each queue holds its events in (time, seq) order: a leg's messages
@@ -494,10 +497,10 @@ class _Engine:
         self._begin_phase(1, session)
 
     def _on_deliver(self, event: tuple) -> None:
-        """Deliver a message (time, seq, msg, the leg's deliver codes, the
-        session's log index); the arrival of a phase's final response
-        completes the phase and begins the next."""
-        _, _, msg, delivered, at = event
+        """Deliver a message (time, seq, msg, its leg, the session's log
+        index); the arrival of a phase's final response completes the phase
+        and begins the next."""
+        _, _, msg, leg, at = event
         self.at = at
         sid = msg.session_id
         session = self.sessions.get(sid)
@@ -508,12 +511,12 @@ class _Engine:
             slot, outgoing, outcome = proto.handle_message(state, msg, self.vault)
         self._log_time(self.now)
         self._log_session(at)
-        self._log_code(delivered[outcome])
+        self._log_code(leg[4][outcome])
         if slot is None:  # discarded
             return
         state.sessions[sid] = slot
-        if outgoing is not None:
-            self._send(outgoing)
+        if outgoing is not None:  # a request's reply, which rides the reply leg
+            self._send(outgoing, leg[5])
         if outcome != "phase-complete":
             return
         session = proto.advance_phase(session)
@@ -557,20 +560,20 @@ class _Engine:
     def _begin_phase(self, index: int, session: SessionState) -> None:
         spec = self.phases[index - 1]
         state = self.roles[spec.source]
-        result = proto.begin_phase(state, spec, session, self.vault)
-        if result.drop_reason is not None:
-            self._end(session._replace(status=_DROPPED,
-                                       drop_reason=result.drop_reason))
+        slot, request, drop_reason = proto.begin_phase(state, spec, session, self.vault)
+        if drop_reason is not None:
+            self._end(session._replace(status=_DROPPED, drop_reason=drop_reason))
             return
-        state.sessions[session.session_id] = result.slot
-        self._send(result.outgoing)
+        state.sessions[session.session_id] = slot
+        self._send(request, self.requests[index - 1])
         if self.phase_limit is not None:
             self.schedule(self.phase_timers, self._on_phase_timer,
                           (self.now + self.phase_limit, next(self.event_seq),
                            session.session_id, index, self.at))
 
-    def _send(self, msg: ProtocolMessage) -> None:
-        network, offset, stall, send, delivered, queue = self.legs[msg.phase_index, msg.kind]
+    def _send(self, msg: ProtocolMessage, leg: tuple) -> None:
+        """Log a message's send now and queue its delivery on its leg."""
+        network, offset, stall, send, _, _, queue = leg
         if stall == math.inf:
             return  # response suppressed outright
         if network > self.max_network_delay:
@@ -580,7 +583,7 @@ class _Engine:
         self._log_session(at)
         self._log_code(send)
         self.schedule(queue, self._on_deliver,
-                      (now + offset + stall, next(self.event_seq), msg, delivered, at))
+                      (now + offset + stall, next(self.event_seq), msg, leg, at))
 
     def _end(self, session: SessionState, source: str = "") -> None:
         """Stamp a finished session's end, store it and log its one end record."""
@@ -606,9 +609,18 @@ def run(scenario: "Scenario") -> SimRun:
     """Run one scenario to completion or horizon; pure in the scenario.
 
     Cyclic garbage collection is paused while the event loop runs: the
-    loop makes no reference cycles, and every full collection would walk
+    loop leaves no cyclic garbage (a queued delivery and its leg refer to
+    each other only while it waits), and every full collection would walk
     the whole event log for nothing. The caller's setting is restored on
     the way out, also when a handler raises.
+
+    The objects the loop made are still counted as young when it ends, so
+    the first allocation after the collector is enabled again would scan
+    them all, again for nothing. Before that, every tracked object is
+    moved to the oldest generation (``gc.freeze`` then ``gc.unfreeze``,
+    which costs no scan): the caller's young objects are promoted with the
+    run's. A caller that keeps objects frozen keeps them frozen: then the
+    handoff is skipped.
     """
     engine = _Engine(scenario)
     engine.setup()
@@ -617,6 +629,9 @@ def run(scenario: "Scenario") -> SimRun:
     try:
         engine.loop()
     finally:
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
         if collecting:
             gc.enable()
     return engine.result()

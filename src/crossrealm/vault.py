@@ -11,7 +11,7 @@ Registrations are the only mutations and require exclusive access to the
 vault; reads may proceed concurrently. Snapshots serialize the whole
 structure to a single JSON document with byte strings hex-encoded
 lowercase. A tenant record is a NamedTuple, built by position when a
-tenant registers.
+tenant registers, whose details and metadata are read-only views.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import hmac
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from . import keys as keylib
@@ -35,7 +36,9 @@ from .keys import DigitalSignature, KeyPart, KeyRole
 
 
 class TenantRecord(NamedTuple):
-    """One registered tenant: provider details, personal secrets, credentials."""
+    """One registered tenant: provider details, personal secrets, credentials.
+    The two mappings are read-only views over the vault's own copies, so a
+    record handed out by ``find_member`` cannot change what the vault holds."""
 
     tenant_id: str
     cloud_id: str
@@ -45,6 +48,11 @@ class TenantRecord(NamedTuple):
     signature: DigitalSignature
     idr: KeyPart
     ids: KeyPart
+
+
+def _frozen(mapping: Mapping[str, str]) -> Mapping[str, str]:
+    """A read-only view over a private copy of the mapping."""
+    return MappingProxyType(dict(mapping))
 
 
 @dataclass
@@ -106,7 +114,8 @@ class Vault:
         idr = self.clouds[cloud_id].root_key
         ids = folder.subdomain_key
         folder.tenants[tenant_id] = TenantRecord(tenant_id, cloud_id, subdomain_id,
-                                                 dict(primary_details), dict(extension_metadata),
+                                                 _frozen(primary_details),
+                                                 _frozen(extension_metadata),
                                                  signature, idr, ids)
         return idr, ids, private
 
@@ -183,8 +192,8 @@ class Vault:
                         tenant_id=tid,
                         cloud_id=cid,
                         subdomain_id=sid,
-                        primary_details=dict(tdoc["primary_details"]),
-                        extension_metadata=dict(tdoc["extension_metadata"]),
+                        primary_details=_frozen(tdoc["primary_details"]),
+                        extension_metadata=_frozen(tdoc["extension_metadata"]),
                         signature=DigitalSignature(bytes.fromhex(tdoc["signature"])),
                         idr=KeyPart(bytes.fromhex(tdoc["idr"]), KeyRole.ROOT),
                         ids=KeyPart(bytes.fromhex(tdoc["ids"]), KeyRole.SUBDOMAIN),

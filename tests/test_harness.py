@@ -24,6 +24,7 @@ from crossrealm.errors import (
     UnknownMetric,
 )
 from crossrealm.harness import (
+    EVENT_LOG_CHUNK_LINES,
     MAX_BUCKETS,
     MAX_SESSIONS,
     MetricsReport,
@@ -48,7 +49,7 @@ from crossrealm.protocol import (
     TimeoutMode,
     phase_spec,
 )
-from crossrealm.simnet import Stall, Topology, records_to_csv
+from crossrealm.simnet import LOG_HEADER, Stall, Topology, csv_lines, records_to_csv
 
 SMALL = Scenario(principals=2, sessions_per_principal=2, session_spread_s=5.0,
                  horizon_s=400.0, seed=5)
@@ -296,10 +297,10 @@ def test_engine_counts_a_role_discard():
     engine = simnet._Engine(SMALL)
     send = engine._send
 
-    def send_phase1_twice(msg):
-        send(msg)
+    def send_phase1_twice(msg, leg):
+        send(msg, leg)
         if msg.phase_index == 1 and msg.kind is MessageKind.REQUEST:
-            send(msg)
+            send(msg, leg)
 
     engine._send = send_phase1_twice
     engine.setup()
@@ -668,16 +669,23 @@ _SIZES = st.none() | st.dictionaries(st.integers(1, PHASE_COUNT), st.integers(0,
 @settings(max_examples=20, deadline=None)
 @given(principals=st.integers(1, 4), mode=_MODES, stalls=_STALLS, request_bytes=_SIZES,
        response_bytes=_SIZES, horizon=st.sampled_from([140.0, 200.0, 400.0, 900.0]),
-       seed=st.integers(0, 2**32))
+       interval=st.sampled_from([0.37, 1.0, 7.0, 250.0]), seed=st.integers(0, 2**32))
 @example(principals=3, mode=TimeoutMode.per_phase(60), stalls={5: 90.0, 9: math.inf},
-         request_bytes={3: 0}, response_bytes={5: 1}, horizon=200.0, seed=2)
+         request_bytes={3: 0}, response_bytes={5: 1}, horizon=200.0, interval=1.0, seed=2)
+@example(principals=4, mode=TimeoutMode.none(), stalls={}, request_bytes=None,
+         response_bytes=None, horizon=900.0, interval=0.37, seed=3)
+@example(principals=4, mode=TimeoutMode.localized_f(40), stalls={}, request_bytes=None,
+         response_bytes=None, horizon=140.0, interval=250.0, seed=4)
 def test_aggregate_matches_reference_fold_on_drawn_scenarios(principals, mode, stalls,
                                                              request_bytes, response_bytes,
-                                                             horizon, seed):
+                                                             horizon, interval, seed):
     # the open-phase table agrees with the reference, which keeps every
     # phase's first send, and the session records with the final session
-    # states, also where stalls drop sessions or the horizon cuts phases off
+    # states, also where stalls drop sessions or the horizon cuts phases
+    # off; the bisected buckets agree with the reference's per-record ones
+    # at fractional intervals and where the last bucket is cut by the horizon
     scenario = replace(SMALL, principals=principals, session_spread_s=30.0, horizon_s=horizon,
+                       sampling_interval_s=interval,
                        seed=seed, timeout_mode=mode, phase_request_bytes=request_bytes,
                        phase_response_bytes=response_bytes,
                        stalls=tuple(Stall(phase_spec(k).destination, k, delay)
@@ -804,6 +812,32 @@ def test_event_log_file_matches_records_to_csv(tmp_path):
     assert {"app-start", "timer-fire", "session-drop"} <= blank
     path = emit_event_log(run, tmp_path)
     assert path.read_bytes() == records_to_csv(run.records).encode()
+
+
+def test_event_log_of_a_run_with_no_records_is_its_header(tmp_path):
+    # the horizon ends before the first application start
+    run = simnet.run(Scenario(principals=1, sessions_per_principal=1, horizon_s=106.0))
+    assert len(run.records) == 0
+    path = emit_event_log(run, tmp_path)
+    assert path.read_text() == "".join(csv_lines(run.records)) == ",".join(LOG_HEADER) + "\n"
+
+
+@pytest.mark.parametrize("records", [EVENT_LOG_CHUNK_LINES - 1, EVENT_LOG_CHUNK_LINES,
+                                     EVENT_LOG_CHUNK_LINES + 1, 2 * EVENT_LOG_CHUNK_LINES])
+def test_event_log_written_in_chunks_is_the_whole_log(tmp_path, records):
+    # around a chunk's edge, with the header as the first chunk's first line
+    log = simnet.EventLog()
+    sessions = [log.add_session(f"{n:032x}") for n in range(3)]
+    shapes = [log.shape("send", "A", "F", 1, 500, "ok"),
+              log.shape("app-start", "A", "", None, None, "ok")]
+    for n in range(records):
+        log.times.append(105.0 + n // 3 * 0.25)
+        log.sessions.append(sessions[n % 3])
+        log.codes.append(shapes[n % 2])
+    run = simnet.SimRun(log, {}, {}, Scenario(), 0.0, False)
+    text = emit_event_log(run, tmp_path).read_text()
+    assert text == "".join(csv_lines(log))
+    assert len(text.splitlines()) == 1 + records
 
 
 def test_empty_run_emits_headers_only(tmp_path):

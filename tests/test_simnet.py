@@ -507,6 +507,28 @@ def test_run_restores_the_callers_gc_setting(enabled):
         (gc.enable if was else gc.disable)()
 
 
+def test_run_hands_its_objects_to_the_oldest_generation():
+    # the loop's objects would otherwise all be young when the collector is
+    # enabled again: the first allocation would start a collection that
+    # scans them all and leaves them in the middle generation
+    assert gc.isenabled()
+    run = simnet.run(replace(Scenario(), principals=500))
+    assert len(run.records) > 50_000
+    assert len(gc.get_objects(0)) + len(gc.get_objects(1)) < 700
+
+
+def test_run_keeps_the_callers_frozen_objects_frozen():
+    gc.collect()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        simnet.run(SMALL)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
 def test_gc_reenabled_when_a_handler_raises(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("handler failed")
@@ -788,12 +810,13 @@ def test_an_event_queued_out_of_time_order_raises():
     engine = simnet._Engine(SMALL)
     engine.setup()
     msg = ProtocolMessage(b"\x01" * 16, 1, MessageKind.REQUEST, Role.A, Role.F, {})
+    leg = engine.requests[0]
     engine.now = 10.0
-    engine._send(msg)
-    engine._send(msg)  # a tie runs in scheduling order
+    engine._send(msg, leg)
+    engine._send(msg, leg)  # a tie runs in scheduling order
     engine.now = 9.0
     with pytest.raises(RuntimeError, match="out of time order"):
-        engine._send(msg)
+        engine._send(msg, leg)
     engine.schedule(engine.watchdogs, engine._on_f_watchdog,
                     (20.0, next(engine.event_seq), msg.session_id, 1))
     with pytest.raises(RuntimeError, match="out of time order"):

@@ -215,6 +215,44 @@ def test_match_personal_secrets_subsets_rejected():
     assert vault.match_personal_secrets("CloudA-s1-user", extra)
 
 
+_MUTATIONS = (
+    lambda m: m.clear(),
+    lambda m: m.update(spouse="mallory"),
+    lambda m: m.pop("spouse"),
+    lambda m: m.__setitem__("pet", "cat"),
+    lambda m: m.__delitem__("pet"),
+)
+
+
+@pytest.mark.parametrize("reload", [False, True], ids=["registered", "from-snapshot"])
+def test_a_found_record_cannot_change_the_secrets(reload):
+    # find_member hands out the stored record; neither of its mappings can
+    # be changed through it, nor through the mapping the tenant registered
+    # with, so match_personal_secrets still asks for every stored answer
+    meta, details = dict(META), {"plan": "standard"}
+    vault = Vault()
+    vault.register_cloud("CloudA", ZERO_SECRET)
+    vault.register_subdomain("CloudA", "s1")
+    idr, ids, _ = vault.register_tenant("CloudA", "s1", "user-0001", details, meta)
+    meta.clear()
+    details.clear()
+    if reload:
+        vault = Vault.from_snapshot(vault.to_snapshot())
+    before = vault.to_snapshot()
+    record = vault.find_member("user-0001", idr, ids)
+    for mapping in (record.extension_metadata, record.primary_details):
+        for mutate in _MUTATIONS:
+            try:
+                mutate(mapping)
+            except (AttributeError, TypeError):
+                pass  # refused: the record's view is read-only
+    assert not vault.match_personal_secrets("user-0001", {})
+    assert not vault.match_personal_secrets("user-0001", dict(META, spouse="mallory"))
+    assert vault.match_personal_secrets("user-0001", dict(META))
+    assert vault.to_snapshot() == before
+    assert record.primary_details == {"plan": "standard"}
+
+
 def test_match_unknown_tenant():
     vault = small_registry()
     with pytest.raises(UnknownTenant):
