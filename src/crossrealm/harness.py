@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import sys
 from array import array
 from bisect import bisect_right
@@ -24,7 +25,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import accumulate, compress, islice
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from . import simnet
 from .errors import (
@@ -316,9 +317,10 @@ def percentile(ordered: list[float], q: float) -> float:
 
 # phase -> the role that sends its request, whose send opens the phase
 _OPENER = {spec.index: spec.source.value for spec in protocol_table()}
-# what aggregate reads of a session start, a session completion and a
-# phase-opening send; a phase-complete delivery reads into its phase's durations
-_STARTS, _COMPLETES, _OPENS = object(), object(), object()
+# what aggregate reads of a session start, a session completion, a session
+# drop and a phase-opening send; a phase-complete delivery reads into its
+# phase's durations
+_STARTS, _COMPLETES, _DROPS, _OPENS = object(), object(), object(), object()
 
 
 def aggregate(run: SimRun) -> MetricsReport:
@@ -333,9 +335,10 @@ def aggregate(run: SimRun) -> MetricsReport:
     its code's value once; the sums are of whole numbers, so they are exact.
     Python walks only the records whose times the durations need: the send
     that opens a phase (by the phase's source), its phase-complete delivery,
-    and each session's start and completion. A session's phases run one at
-    a time, so the open-phase table holds, under each session index, the
-    time of its open phase's opening send until that phase completes. No
+    and each session's start and end. A session's phases run one at a time,
+    so the open-phase table holds, under each session index, the time of its
+    open phase's opening send until that phase completes or the session
+    drops: it grows only with the sessions in flight. No
     container is built per record, so the fold sets off no garbage
     collection over the finished run's objects.
     """
@@ -372,6 +375,7 @@ def aggregate(run: SimRun) -> MetricsReport:
             reads[code] = _COMPLETES
         elif kind == "session-drop":
             step_down[code] = 1
+            reads[code] = _DROPS
 
     sent = [0.0] * buckets
     received = [0.0] * buckets
@@ -415,6 +419,8 @@ def aggregate(run: SimRun) -> MetricsReport:
             started_at[session] = time_s
         elif read is _COMPLETES:
             durations.append(time_s - started_at[session])
+        elif read is _DROPS:
+            open_since.pop(session, None)
         else:
             read.append(time_s - open_since.pop(session))
 
@@ -533,14 +539,84 @@ def emit_report(report: MetricsReport, out_dir: str | Path) -> list[Path]:
 EVENT_LOG_CHUNK_LINES = 512
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs no thread beside its own, so that a fork
+    can leave no lock held in the child (Python 3.12+ warns of that)."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no procfs: the threads that the threading module knows
+        threading = sys.modules.get("threading")
+        return threading is None or threading.active_count() == 1
+
+
+def _write_lines(out, lines: Iterator[str]) -> None:
+    while chunk := "".join(islice(lines, EVENT_LOG_CHUNK_LINES)):
+        out.write(chunk)
+
+
+def _append(out, part) -> None:
+    """Append the bytes of file ``part`` to file ``out``, 64 KiB at a time
+    (shutil's copy size), which the allocator reuses from chunk to chunk
+    where larger reads would each map new pages and raise the peak RSS."""
+    out.flush()
+    source, done = part.fileno(), 0
+    while chunk := os.pread(source, 1 << 16, done):
+        out.buffer.write(chunk)
+        done += len(chunk)
+
+
+def _write_halves(out, log: simnet.EventLog, half: int) -> None:
+    """Write the log to ``out`` from two processes: a forked child formats
+    records [half, end) into an unnamed temporary file while this process
+    writes the header and records [0, half), then waits for the child and
+    appends its bytes. Should the fork or the child fail, this process
+    formats the second half itself."""
+    import tempfile  # only here: the one-process write needs none of it
+
+    with tempfile.TemporaryFile("w+", dir=Path(out.name).parent) as part:
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            pid = None
+        if pid == 0:  # the child, which only formats and leaves
+            status = 1
+            try:
+                _write_lines(part, csv_lines(log, half))
+                part.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        try:
+            _write_lines(out, csv_lines(log, 0, half))
+        finally:
+            status = os.waitpid(pid, 0)[1] if pid else 1
+        if status:
+            _write_lines(out, csv_lines(log, half))
+        else:
+            _append(out, part)
+
+
 def emit_event_log(run: SimRun, out_dir: str | Path) -> Path:
-    """Write the run's event log as events.csv, in chunks of joined lines."""
+    """Write the run's event log as events.csv, in chunks of joined lines;
+    returns once the whole file is written. Where the process can fork, may
+    run on two CPUs or more and runs one thread, a forked child formats the
+    second half of the log (see ``_write_halves``)."""
     path = Path(out_dir) / "events.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = csv_lines(run.records)
+    log = run.records
+    half = len(log) // 2
     with path.open("w") as out:
-        while chunk := "".join(islice(lines, EVENT_LOG_CHUNK_LINES)):
-            out.write(chunk)
+        if half and hasattr(os, "fork") and _usable_cpus() > 1 and _single_threaded():
+            _write_halves(out, log, half)
+        else:
+            _write_lines(out, csv_lines(log))
     return path
 
 

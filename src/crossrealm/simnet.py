@@ -273,25 +273,26 @@ class EventLog:
                       self.session_ids[self.sessions[index]], phase, size, outcome)
 
 
-def csv_lines(log: EventLog) -> Iterator[str]:
-    """The event log as CSV lines, header first, each ending in a newline; a
-    record's sequence is its log index, and an absent phase or size is empty.
-    The fields around the session id are formatted once per shape, and a
-    time once per run of records that share it."""
-    yield ",".join(LOG_HEADER) + "\n"
+def csv_lines(log: EventLog, start: int = 0, stop: int | None = None) -> Iterator[str]:
+    """The log's records [start, stop), to its end by default, as CSV lines
+    each ending in a newline, after the header when the range starts at
+    record 0; a record's sequence is its log index, and an absent phase or
+    size is empty. The fields around the session id are formatted once per
+    shape, and a time once per run of records that share it."""
+    if start == 0:
+        yield ",".join(LOG_HEADER) + "\n"
     heads = [f"{kind},{source},{destination}," for kind, source, destination, *_ in log.shapes]
     tails = [f",{'' if phase is None else phase},{'' if size is None else size},{outcome}\n"
              for *_, phase, size, outcome in log.shapes]
     ids = log.session_ids
+    stop = len(log) if stop is None else stop
+    columns = (itertools.islice(column, start, stop)
+               for column in (log.times, log.sessions, log.codes))
     last, stamp = None, ""
-    for sequence, (time_s, session, code) in enumerate(zip(log.times, log.sessions, log.codes)):
+    for sequence, time_s, session, code in zip(range(start, stop), *columns):
         if time_s != last or not time_s:  # 0.0 == -0.0, but each prints its own sign
             last, stamp = time_s, f"{time_s:.9f}"
         yield f"{stamp},{sequence},{heads[code]}{ids[session]}{tails[code]}"
-
-
-def records_to_csv(log: EventLog) -> str:
-    return "".join(csv_lines(log))
 
 
 class _DeliverCodes(dict):
@@ -609,10 +610,12 @@ def run(scenario: "Scenario") -> SimRun:
     """Run one scenario to completion or horizon; pure in the scenario.
 
     Cyclic garbage collection is paused while the event loop runs: the
-    loop leaves no cyclic garbage (a queued delivery and its leg refer to
-    each other only while it waits), and every full collection would walk
-    the whole event log for nothing. The caller's setting is restored on
-    the way out, also when a handler raises.
+    loop leaves no cyclic garbage, and every full collection would walk
+    the whole event log for nothing. A queued delivery and its leg refer to
+    each other, and a heap entry to the engine's handler, only while the
+    event waits: when the loop stops, at the horizon too, the calendar is
+    emptied. The caller's setting is restored on the way out, also when a
+    handler raises.
 
     The objects the loop made are still counted as young when it ends, so
     the first allocation after the collector is enabled again would scan
@@ -629,6 +632,9 @@ def run(scenario: "Scenario") -> SimRun:
     try:
         engine.loop()
     finally:
+        for _, _, queue, _ in engine.heap:  # each non-empty queue has its head here
+            queue.clear()
+        engine.heap.clear()
         if gc.get_freeze_count() == 0:
             gc.freeze()
             gc.unfreeze()

@@ -31,7 +31,7 @@ from crossrealm.protocol import (
     grant_access,
     phase_spec,
 )
-from crossrealm.simnet import records_to_csv
+from crossrealm.simnet import csv_lines
 from crossrealm.vault import Vault
 
 SCENARIOS_DIR = Path(__file__).parent.parent / "scenarios"
@@ -284,8 +284,8 @@ def test_criterion_10_determinism(default_run, tmp_path):
     second_report = aggregate(second_run)
     wall = time.monotonic() - started
 
-    events = records_to_csv(first_run.records)
-    logs_identical = events == records_to_csv(second_run.records)
+    events = "".join(csv_lines(first_run.records))
+    logs_identical = events == "".join(csv_lines(second_run.records))
     pinned = hashlib.sha256(events.encode()).hexdigest() == DEFAULT_EVENTS_SHA256
     emit_report(first_report, tmp_path / "one")
     emit_report(second_report, tmp_path / "two")

@@ -1,23 +1,27 @@
 """Tests for scenario files, metrics aggregation, reports, and checks."""
 
 import dataclasses
+import errno
 import gc
 import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crossrealm import cli, simnet
+from crossrealm import cli, harness, simnet
 from crossrealm.errors import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -49,7 +53,7 @@ from crossrealm.protocol import (
     TimeoutMode,
     phase_spec,
 )
-from crossrealm.simnet import LOG_HEADER, Stall, Topology, csv_lines, records_to_csv
+from crossrealm.simnet import LOG_HEADER, Stall, Topology, csv_lines
 
 SMALL = Scenario(principals=2, sessions_per_principal=2, session_spread_s=5.0,
                  horizon_s=400.0, seed=5)
@@ -806,12 +810,12 @@ def test_stalled_report_files_pinned(tmp_path):
             for p in paths} == STALLED_REPORT_SHA256
 
 
-def test_event_log_file_matches_records_to_csv(tmp_path):
+def test_event_log_file_matches_csv_lines(tmp_path):
     run = simnet.run(STALLED_AT_F)
     blank = {r.kind for r in run.records if r.phase_index is None or r.payload_bytes is None}
     assert {"app-start", "timer-fire", "session-drop"} <= blank
     path = emit_event_log(run, tmp_path)
-    assert path.read_bytes() == records_to_csv(run.records).encode()
+    assert path.read_bytes() == "".join(csv_lines(run.records)).encode()
 
 
 def test_event_log_of_a_run_with_no_records_is_its_header(tmp_path):
@@ -822,10 +826,9 @@ def test_event_log_of_a_run_with_no_records_is_its_header(tmp_path):
     assert path.read_text() == "".join(csv_lines(run.records)) == ",".join(LOG_HEADER) + "\n"
 
 
-@pytest.mark.parametrize("records", [EVENT_LOG_CHUNK_LINES - 1, EVENT_LOG_CHUNK_LINES,
-                                     EVENT_LOG_CHUNK_LINES + 1, 2 * EVENT_LOG_CHUNK_LINES])
-def test_event_log_written_in_chunks_is_the_whole_log(tmp_path, records):
-    # around a chunk's edge, with the header as the first chunk's first line
+def _hand_built_run(records: int) -> simnet.SimRun:
+    """A run whose log holds this many records over three sessions and two
+    shapes, three records to each time."""
     log = simnet.EventLog()
     sessions = [log.add_session(f"{n:032x}") for n in range(3)]
     shapes = [log.shape("send", "A", "F", 1, 500, "ok"),
@@ -834,10 +837,131 @@ def test_event_log_written_in_chunks_is_the_whole_log(tmp_path, records):
         log.times.append(105.0 + n // 3 * 0.25)
         log.sessions.append(sessions[n % 3])
         log.codes.append(shapes[n % 2])
-    run = simnet.SimRun(log, {}, {}, Scenario(), 0.0, False)
+    return simnet.SimRun(log, {}, {}, Scenario(), 0.0, False)
+
+
+@pytest.mark.parametrize("records", [EVENT_LOG_CHUNK_LINES - 1, EVENT_LOG_CHUNK_LINES,
+                                     EVENT_LOG_CHUNK_LINES + 1, 2 * EVENT_LOG_CHUNK_LINES])
+def test_event_log_written_in_chunks_is_the_whole_log(tmp_path, records):
+    # around a chunk's edge, with the header as the first chunk's first line
+    run = _hand_built_run(records)
     text = emit_event_log(run, tmp_path).read_text()
-    assert text == "".join(csv_lines(log))
+    assert text == "".join(csv_lines(run.records))
     assert len(text.splitlines()) == 1 + records
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The children that os.fork makes during a test (``made``) and how many
+    times a child's half was appended to the log (``appended``), which only
+    a child that succeeded allows; after the test, no child may be left,
+    finished or running."""
+    seen = SimpleNamespace(made=[], appended=0)
+    fork, append = os.fork, harness._append
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            seen.made.append(pid)
+        return pid
+
+    def counted_append(out, part):
+        seen.appended += 1
+        append(out, part)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(harness, "_append", counted_append)
+    yield seen
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+
+
+def assert_whole_log(path: Path, run: simnet.SimRun) -> None:
+    """The file is the run's whole log, and the only file in its directory."""
+    assert path.read_bytes() == "".join(csv_lines(run.records)).encode()
+    assert os.listdir(path.parent) == ["events.csv"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "two-processes"])
+@pytest.mark.parametrize("records", [0, 1, 2, 7, EVENT_LOG_CHUNK_LINES - 1,
+                                     EVENT_LOG_CHUNK_LINES + 1])
+def test_event_log_is_whole_on_either_path(tmp_path, monkeypatch, forks, cpus, records):
+    # a child formats the second half of two records or more, given two CPUs
+    _cpus(monkeypatch, cpus)
+    run = _hand_built_run(records)
+    assert_whole_log(emit_event_log(run, tmp_path / "out"), run)
+    # the log holds the child's half, not one this process formatted again
+    assert len(forks.made) == forks.appended == (cpus > 1 and records >= 2)
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "two-processes"])
+def test_event_log_of_a_drawn_run_is_whole_on_either_path(tmp_path, monkeypatch, forks, cpus):
+    _cpus(monkeypatch, cpus)
+    run = simnet.run(replace(Scenario(), principals=40, seed=11))
+    assert len(run.records) > 4000
+    assert_whole_log(emit_event_log(run, tmp_path / "out"), run)
+    assert len(forks.made) == forks.appended == cpus - 1
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed"])
+def test_a_failed_child_leaves_the_whole_log(tmp_path, monkeypatch, forks, failure):
+    # the formatter fails in the child only: this process formats its half
+    parent = os.getpid()
+
+    def formatter(log, start=0, stop=None):
+        if os.getpid() != parent:
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("the child fails")
+        return csv_lines(log, start, stop)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "csv_lines", formatter)
+    run = simnet.run(STALLED_AT_F)
+    assert_whole_log(emit_event_log(run, tmp_path / "out"), run)
+    assert len(forks.made) == 1
+    assert forks.appended == 0
+
+
+def test_a_failed_fork_leaves_the_whole_log(tmp_path, monkeypatch):
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "no process to spare")
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork)
+    run = simnet.run(STALLED_AT_F)
+    assert_whole_log(emit_event_log(run, tmp_path / "out"), run)
+
+
+def test_a_process_with_threads_writes_the_log_itself(tmp_path, monkeypatch, forks):
+    # a fork would copy no thread but the caller's, and Python 3.12+ warns of it
+    _cpus(monkeypatch, 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        run = simnet.run(STALLED_AT_F)
+        path = emit_event_log(run, tmp_path / "out")
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert_whole_log(path, run)
+    assert forks.made == []
+
+
+def test_run_command_leaves_no_process_or_temporary_file(tmp_path, monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    scenario = tmp_path / "scenario.json"
+    save_scenario(STALLED_AT_F, scenario)
+    assert cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    assert len(forks.made) == forks.appended == 1
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        "events.csv", "per_phase.csv", "summary.csv", "timeseries.csv"]
 
 
 def test_empty_run_emits_headers_only(tmp_path):

@@ -33,8 +33,8 @@ from crossrealm.simnet import (
     Record,
     Stall,
     Topology,
+    csv_lines,
     inject_stall,
-    records_to_csv,
     transmit_components,
 )
 
@@ -187,14 +187,14 @@ def test_single_session_completes_thirteen_phases():
 
 
 def test_same_seed_byte_identical_logs():
-    csv1 = records_to_csv(simnet.run(SMALL).records)
-    csv2 = records_to_csv(simnet.run(SMALL).records)
+    csv1 = "".join(csv_lines(simnet.run(SMALL).records))
+    csv2 = "".join(csv_lines(simnet.run(SMALL).records))
     assert csv1 == csv2
 
 
 def test_different_seed_differs():
-    csv1 = records_to_csv(simnet.run(SMALL).records)
-    csv2 = records_to_csv(simnet.run(replace(SMALL, seed=4)).records)
+    csv1 = "".join(csv_lines(simnet.run(SMALL).records))
+    csv2 = "".join(csv_lines(simnet.run(replace(SMALL, seed=4)).records))
     assert csv1 != csv2
 
 
@@ -369,7 +369,7 @@ def test_horizon_exceeded_reports_partial():
 
 def test_csv_header_and_shape():
     run = simnet.run(SMALL)
-    lines = records_to_csv(run.records).splitlines()
+    lines = "".join(csv_lines(run.records)).splitlines()
     assert lines[0] == "time_s,sequence,kind,source,destination,session_id,phase_index,payload_bytes,outcome"
     assert len(lines) == len(run.records) + 1
     assert all(line.count(",") == 8 for line in lines)
@@ -404,7 +404,7 @@ def test_timer_path_logs_pinned(case):
     ends = Counter(r.outcome for r in run.records
                    if r.kind in ("timer-fire", "session-drop", "session-complete"))
     assert ends == outcomes
-    assert hashlib.sha256(records_to_csv(run.records).encode()).hexdigest() == digest
+    assert hashlib.sha256("".join(csv_lines(run.records)).encode()).hexdigest() == digest
 
 
 # -- tie order ------------------------------------------------------------------------
@@ -447,7 +447,7 @@ TIE_CASES = {
 def test_tie_order_pinned(case):
     mode, stalls, digest = TIE_CASES[case]
     run = simnet.run(replace(TIES, timeout_mode=mode, stalls=stalls))
-    assert hashlib.sha256(records_to_csv(run.records).encode()).hexdigest() == digest
+    assert hashlib.sha256("".join(csv_lines(run.records)).encode()).hexdigest() == digest
 
 
 def test_a_response_due_as_its_phase_timer_runs_out_is_late():
@@ -490,9 +490,16 @@ def test_late_response_after_drop_is_absorbed():
 
 # -- garbage collection ---------------------------------------------------------------
 
-def test_run_leaves_no_cyclic_garbage():
+@pytest.mark.parametrize("scenario", [
+    SMALL,
+    # the horizon stops the loop with deliveries and starts still queued
+    replace(Scenario(), principals=50, horizon_s=200.0),
+], ids=["completed", "horizon-cut"])
+def test_run_leaves_no_cyclic_garbage(scenario):
     gc.collect()
-    simnet.run(SMALL)
+    run = simnet.run(scenario)
+    assert run.horizon_exceeded is (scenario.horizon_s == 200.0)
+    del run
     assert gc.collect() == 0
 
 
@@ -610,7 +617,7 @@ def test_columnar_csv_matches_per_record_format(principals, mode, stalls, reques
                  stalls=tuple(Stall(phase_spec(k).destination, k, delay)
                               for k, delay in stalls.items()))
     run = simnet.run(sc)
-    assert records_to_csv(run.records) == reference_csv(list(run.records))
+    assert "".join(csv_lines(run.records)) == reference_csv(list(run.records))
 
 
 # times that repeat, differ in the last printed digit, or are equal but print differently
@@ -621,7 +628,12 @@ _TIMES = st.sampled_from([0.0, -0.0, 1.5, 1.5 + 1e-9, 1.5 + 1e-10, 60.25, math.i
 @given(records=st.lists(st.tuples(_TIMES, st.integers(0, 2), st.integers(0, 2)), max_size=30))
 @example(records=[(0.0, 1, 0), (-0.0, 1, 0), (0.0, 2, 1)])
 def test_csv_lines_format_each_record_time(records):
-    # a log built by hand: each drawn record is (time, session, shape)
+    log = _hand_built_log(records)
+    assert "".join(simnet.csv_lines(log)) == reference_csv(list(log))
+
+
+def _hand_built_log(records) -> EventLog:
+    """A log built by hand: each record is (time, session, shape)."""
     log = EventLog()
     for session in ("aa", "bb"):
         log.add_session(session)
@@ -631,7 +643,21 @@ def test_csv_lines_format_each_record_time(records):
         log.times.append(time_s)
         log.sessions.append(session)
         log.codes.append(codes[shape])
-    assert "".join(simnet.csv_lines(log)) == reference_csv(list(log))
+    return log
+
+
+@settings(max_examples=50, deadline=None)
+@given(records=st.lists(st.tuples(_TIMES, st.integers(0, 2), st.integers(0, 2)), min_size=1,
+                        max_size=30), split=st.integers(1, 30))
+@example(records=[(0.0, 1, 0), (-0.0, 1, 0), (-0.0, 2, 1)], split=1)
+def test_csv_lines_of_two_ranges_join_to_the_whole(records, split):
+    # only a range from record 0 has the header, and each range formats its
+    # own first time, also one it shares with the record before it
+    log = _hand_built_log(records)
+    split = min(split, len(records))
+    tail = "".join(csv_lines(log, split))
+    assert "".join(csv_lines(log, 0, split)) + tail == "".join(csv_lines(log))
+    assert tail == "".join(reference_csv(list(log)).splitlines(keepends=True)[1 + split:])
 
 
 # -- the log's account of each session -------------------------------------------------
@@ -775,7 +801,7 @@ def run_checked(scenario):
 def test_heap_holds_one_entry_per_queue():
     engine = run_checked(inject_stall(replace(TIMED, timeout_mode=TimeoutMode.per_phase(60)),
                                       Role.SAC_DB, 5, 90.0))
-    assert hashlib.sha256(records_to_csv(engine.events).encode()).hexdigest() == (
+    assert hashlib.sha256("".join(csv_lines(engine.events)).encode()).hexdigest() == (
         TIMER_CASES["phase-timeout"][4])
 
 
