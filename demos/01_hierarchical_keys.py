@@ -37,7 +37,7 @@ signature: DigitalSignature = derive_signature(
 private = issue_private_key(signature, hr_a)
 credential = HierarchicalKey(root_a, hr_a, private)
 print("tenant credential decomposes back to its parts:",
-      credential.decompose() == (root_a, hr_a, private))
+      tuple(credential) == (root_a, hr_a, private))
 
 # Session keys: one per participant, all sharing one 16-byte session field.
 vault = Vault()

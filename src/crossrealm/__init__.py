@@ -34,6 +34,7 @@ from .keys import (
     verify_session_key,
 )
 from .protocol import (
+    PHASES,
     MessageKind,
     PhaseSpec,
     ProtocolMessage,
@@ -46,7 +47,6 @@ from .protocol import (
     handle_message,
     localized_timeout_at_f,
     on_timeout,
-    protocol_table,
 )
 from .vault import TenantRecord, Vault
 from .simnet import (

@@ -32,11 +32,11 @@ class AlreadyRegistered(CrossRealmError):
     """The cloud, sub-domain, or tenant is already present in the vault."""
 
 
-class UnknownCloud(CrossRealmError):
+class UnknownCloud(UnregisteredRealm):
     """No cloud folder with that id exists."""
 
 
-class UnknownSubdomain(CrossRealmError):
+class UnknownSubdomain(UnregisteredRealm):
     """No sub-domain subfolder with that id exists under the cloud."""
 
 

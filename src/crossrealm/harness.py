@@ -35,7 +35,7 @@ from .errors import (
     UnknownMetric,
     is_number,
 )
-from .protocol import PHASE_COUNT, Role, TimeoutMode, protocol_table
+from .protocol import PHASE_COUNT, PHASES, Role, TimeoutMode
 from .simnet import ABSORBED, ConnectionModel, SimRun, Stall, Topology, csv_lines
 
 DEFAULT_SEED = 7
@@ -247,9 +247,9 @@ _FIELDS = {
     "stalls": (lambda v: tuple(_stall(s) for s in v),
                lambda stalls: [{**asdict(s), "role": s.role.value} for s in stalls]),
     "phase_request_bytes": (_phase_bytes, lambda sizes: {
-        str(s.index): (sizes or {}).get(s.index, s.request_bytes) for s in protocol_table()}),
+        str(s.index): (sizes or {}).get(s.index, s.request_bytes) for s in PHASES}),
     "phase_response_bytes": (_phase_bytes, lambda sizes: {
-        str(s.index): (sizes or {}).get(s.index, s.response_bytes) for s in protocol_table()}),
+        str(s.index): (sizes or {}).get(s.index, s.response_bytes) for s in PHASES}),
     "topology": (_topology, _encode_topology),
 }
 
@@ -316,7 +316,7 @@ def percentile(ordered: list[float], q: float) -> float:
 
 
 # phase -> the role that sends its request, whose send opens the phase
-_OPENER = {spec.index: spec.source.value for spec in protocol_table()}
+_OPENER = {spec.index: spec.source.value for spec in PHASES}
 # what aggregate reads of a session start, a session completion, a session
 # drop and a phase-opening send; a phase-complete delivery reads into its
 # phase's durations

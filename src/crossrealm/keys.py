@@ -168,9 +168,6 @@ class HierarchicalKey(_HierarchicalKeyFields):
             raise RoleMismatch(f"leaf position holds a {leaf.role.value} part")
         return _new(cls, (root, subdomain, leaf))
 
-    def decompose(self) -> tuple[KeyPart, KeyPart, KeyPart]:
-        return tuple(self)
-
     def session_field(self) -> bytes:
         """The 16-byte session id encoded in a session leaf."""
         data, role = self[2]

@@ -154,19 +154,11 @@ _TABLE = (
 PHASE_COUNT = len(_TABLE)
 ACK_BYTES = 1024
 
-_PHASES = tuple(
+# The ordered 13-phase table: phase k is PHASES[k - 1]. A run's byte-size
+# overrides are the network's business: the simulator applies them to its own legs.
+PHASES = tuple(
     PhaseSpec(index, name, source, destination, req_bytes, ACK_BYTES, carries)
     for index, name, source, destination, req_bytes, carries in _TABLE)
-
-
-def protocol_table() -> tuple[PhaseSpec, ...]:
-    """The ordered 13-phase table. A run's byte-size overrides are the
-    network's business: the simulator applies them to its own legs."""
-    return _PHASES
-
-
-def phase_spec(index: int) -> PhaseSpec:
-    return _PHASES[index - 1]
 
 
 class ProtocolMessage(NamedTuple):
@@ -325,7 +317,7 @@ class SessionSlot(NamedTuple):
 _RECORDS = tuple(
     namedtuple(f"Phase{spec.index}Request",
                spec.carries + (("resource",) if 8 <= spec.index <= 11 else ()))
-    for spec in _PHASES)
+    for spec in PHASES)
 
 # phase -> the fields its responder sets from its own work on the request (a
 # verdict, a grant), after those the request carries
@@ -344,7 +336,7 @@ _ROWS = tuple(
      len(spec.carries),
      _setter(SessionSlot, "expect", *spec.carries, *_DECIDES.get(spec.index, ())),
      (spec.index, _RESPONSE))
-    for spec, record in zip(_PHASES, _RECORDS))
+    for spec, record in zip(PHASES, _RECORDS))
 
 # phase -> the type of each field of its record, in field order, where the
 # responder reads the values it is sent: a value of another type is malformed
@@ -389,7 +381,7 @@ def _next_request(role: Role, after: int) -> int | None:
     role then. The table never gives one role two consecutive turns as
     source, so after such a turn the role next appears as a destination.
     """
-    for spec in _PHASES[after:]:
+    for spec in PHASES[after:]:
         if role in (spec.source, spec.destination):
             return spec.index if spec.destination is role else None
     return None
@@ -403,7 +395,7 @@ _FIRST_CONTACT = {role: _next_request(role, 0) for role in Role}
 # it: the request of its next turn as destination, or None (begin_phase arms it)
 _NEXT_EXPECT = {
     (role, spec.index): None if following is None else (following, MessageKind.REQUEST)
-    for role in Role for spec in _PHASES
+    for role in Role for spec in PHASES
     for following in (_next_request(role, spec.index),)}
 
 
@@ -468,8 +460,8 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> Hand
     if type(index) is not int or not 0 < index <= PHASE_COUNT:  # a bool is not an int here
         return _discard("unknown-phase")
     if msg.kind is _REQUEST:
-        return _handle_request(state, _PHASES[index - 1], msg, vault)
-    if msg.source is not _PHASES[index - 1].destination:  # only the responder answers
+        return _handle_request(state, PHASES[index - 1], msg, vault)
+    if msg.source is not PHASES[index - 1].destination:  # only the responder answers
         return _discard("wrong-source")
     slot = state.sessions.get(msg.session_id)
     if slot is None:

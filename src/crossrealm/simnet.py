@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping, NamedTuple
 from . import protocol as proto
 from .errors import DisallowedPair, InvalidInput, is_number
 from .protocol import (
-    MessageKind,
+    PHASES,
     ProtocolMessage,
     Requester,
     Role,
@@ -73,7 +73,7 @@ _UPLINKS = {
 # Destination preferences: who may exchange protocol traffic with whom,
 # which is exactly the two ends of each phase of the protocol.
 _ALLOWED_PAIRS = frozenset(
-    frozenset((spec.source.value, spec.destination.value)) for spec in proto.protocol_table())
+    frozenset((spec.source.value, spec.destination.value)) for spec in PHASES)
 
 GIGABIT = 1e9
 
@@ -198,7 +198,7 @@ class Stall:
             raise InvalidInput(f"role must be a Role, not {self.role!r}")
         if type(self.phase_index) is not int or not 1 <= self.phase_index <= proto.PHASE_COUNT:
             raise InvalidInput(f"phase_index must be a whole number 1..{proto.PHASE_COUNT}")
-        responder = proto.phase_spec(self.phase_index).destination
+        responder = PHASES[self.phase_index - 1].destination
         if self.role is not responder:
             raise InvalidInput(f"phase {self.phase_index} is answered by {responder.value}")
         if not (is_number(self.extra_delay_s) and self.extra_delay_s >= 0):  # NaN fails too
@@ -362,7 +362,6 @@ class _Engine:
         # the seconds of each timer the mode arms, None for one it does not
         self.phase_limit = mode.seconds if mode.kind == "per-phase" else None
         self.watchdog_limit = mode.seconds if mode.kind == "localized-f" else None
-        self.phases = proto.protocol_table()
         self.topology = scenario.topology
         self.model = scenario.connection
         self.vault, self.requesters = build_default_vault(scenario.principals)
@@ -380,27 +379,24 @@ class _Engine:
         # same size, the scenario's or else the protocol table's, so its
         # timing is computed once, as its leg: (network, delivery offset,
         # stall, send record's shape code, deliver record's code by outcome,
-        # the leg of the reply to it, the leg's queue of deliveries); a
-        # response stall of inf suppresses the response. The service time
-        # rides on the request leg; the response is network-only and has no
-        # reply. Each delivery carries its leg, and ``requests`` holds the
-        # request legs by phase, so no send looks its leg up by key.
-        self.legs: dict[tuple[int, MessageKind],
-                        tuple[float, float, float, int, _DeliverCodes, tuple | None, deque]] = {}
-        for spec in self.phases:
+        # its reply's leg, the leg's queue of deliveries). ``requests`` holds
+        # the request legs by phase. The service time rides on the request
+        # leg; a response is network-only, has no reply, and has no leg if
+        # a stall of inf suppresses it. Each delivery carries its leg.
+        self.requests: list[tuple] = []
+        for spec in PHASES:
             src, dst, i = spec.source.value, spec.destination.value, spec.index
-            size = request_bytes.get(i, spec.request_bytes)
-            request = (*transmit_components(size, src, dst, self.model, self.topology), 0.0,
-                       events.shape("send", src, dst, i, size, "ok"),
-                       _DeliverCodes(events, src, dst, i, size))
+            stall = stalls.get((spec.destination, i), 0.0)
             size = response_bytes.get(i, spec.response_bytes)
-            reply = self.legs[i, MessageKind.RESPONSE] = (*transmit_components(
-                size, dst, src, self.model, self.topology, service_s=0.0),
-                stalls.get((spec.destination, i), 0.0),
-                events.shape("send", dst, src, i, size, "ok"),
+            reply = None if stall == math.inf else (
+                *transmit_components(size, dst, src, self.model, self.topology, service_s=0.0),
+                stall, events.shape("send", dst, src, i, size, "ok"),
                 _DeliverCodes(events, dst, src, i, size), None, deque())
-            self.legs[i, MessageKind.REQUEST] = (*request, reply, deque())
-        self.requests = [self.legs[spec.index, MessageKind.REQUEST] for spec in self.phases]
+            size = request_bytes.get(i, spec.request_bytes)
+            self.requests.append((
+                *transmit_components(size, src, dst, self.model, self.topology), 0.0,
+                events.shape("send", src, dst, i, size, "ok"),
+                _DeliverCodes(events, src, dst, i, size), reply, deque()))
         self.sessions: dict[bytes, SessionState] = {}
         # The event calendar. An event is a tuple (time, seq, *facts), and
         # each queue holds its events in (time, seq) order: a leg's messages
@@ -416,7 +412,6 @@ class _Engine:
         # event carries it, and every record the handler logs names it
         self.at = 0
         self.event_seq = itertools.count()
-        self.max_network_delay = 0.0
         self.horizon_exceeded = False
 
     # -- scheduling ------------------------------------------------------
@@ -516,7 +511,7 @@ class _Engine:
         if slot is None:  # discarded
             return
         state.sessions[sid] = slot
-        if outgoing is not None:  # a request's reply, which rides the reply leg
+        if outgoing is not None and leg[5] is not None:  # a reply leg, unless suppressed
             self._send(outgoing, leg[5])
         if outcome != "phase-complete":
             return
@@ -536,7 +531,7 @@ class _Engine:
         _, _, session_id, phase_index, self.at = event
         session = self.sessions[session_id]
         still_open = session.current_phase < phase_index
-        self._timer_fired(proto.phase_spec(phase_index).source, phase_index, session,
+        self._timer_fired(PHASES[phase_index - 1].source, phase_index, session,
                           proto.on_timeout(session, phase_index) if still_open else session)
 
     def _on_f_watchdog(self, event: tuple) -> None:
@@ -559,7 +554,7 @@ class _Engine:
     # -- helpers -----------------------------------------------------------
 
     def _begin_phase(self, index: int, session: SessionState) -> None:
-        spec = self.phases[index - 1]
+        spec = PHASES[index - 1]
         state = self.roles[spec.source]
         slot, request, drop_reason = proto.begin_phase(state, spec, session, self.vault)
         if drop_reason is not None:
@@ -574,11 +569,7 @@ class _Engine:
 
     def _send(self, msg: ProtocolMessage, leg: tuple) -> None:
         """Log a message's send now and queue its delivery on its leg."""
-        network, offset, stall, send, _, _, queue = leg
-        if stall == math.inf:
-            return  # response suppressed outright
-        if network > self.max_network_delay:
-            self.max_network_delay = network
+        _, offset, stall, send, _, _, queue = leg
         now, at = self.now, self.at
         self._log_time(now)
         self._log_session(at)
@@ -596,12 +587,16 @@ class _Engine:
                      "completed" if completed else f"dropped:{session.drop_reason}")
 
     def result(self) -> SimRun:
+        """The run; its largest network delay is that of the slowest leg it sent on."""
+        sent = set(self.events.codes)
+        delays = [leg[0] for request in self.requests for leg in (request, request[5])
+                  if leg is not None and leg[3] in sent]
         return SimRun(
             records=self.events,
             sessions=self.sessions,
             role_states=self.roles,
             scenario=self.scenario,
-            max_network_delay_s=self.max_network_delay,
+            max_network_delay_s=max(delays, default=0.0),
             horizon_exceeded=self.horizon_exceeded,
         )
 

@@ -30,7 +30,6 @@ from .errors import (
     UnknownCloud,
     UnknownSubdomain,
     UnknownTenant,
-    UnregisteredRealm,
 )
 from .keys import DigitalSignature, KeyPart, KeyRole
 
@@ -105,8 +104,7 @@ class Vault:
         and deliberately not stored in the vault.
         """
         folder = self._subdomain(cloud_id, subdomain_id)
-        if tenant_id in folder.tenants:
-            raise AlreadyRegistered(f"tenant {tenant_id!r} already under {cloud_id}/{subdomain_id}")
+        self._refuse_held(tenant_id)
         if not extension_metadata:
             raise EmptyMetadata("extension metadata is required to generate a signature")
         signature = keylib.derive_signature(tenant_id, extension_metadata)
@@ -134,18 +132,17 @@ class Vault:
     def match_personal_secrets(self, tenant_id: str, answers: Mapping[str, str]) -> bool:
         """True iff every stored metadata class is answered with the stored value."""
         record = self._tenant(tenant_id)
+        if record is None:
+            raise UnknownTenant(f"tenant {tenant_id!r} not registered")
         return all(answers.get(cls) == value
                    for cls, value in record.extension_metadata.items())
 
     def realm_keys(self, cloud_id: str, subdomain_id: str) -> tuple[KeyPart, KeyPart]:
-        """(root, sub-domain) keys for a realm; the minting read handle."""
-        cloud = self.clouds.get(cloud_id)
-        if cloud is None:
-            raise UnregisteredRealm(f"cloud {cloud_id!r} not in vault")
-        folder = cloud.subdomains.get(subdomain_id)
-        if folder is None:
-            raise UnregisteredRealm(f"subdomain {subdomain_id!r} not under cloud {cloud_id!r}")
-        return cloud.root_key, folder.subdomain_key
+        """(root, sub-domain) keys for a realm; the minting read handle. An
+        unknown realm raises UnknownCloud or UnknownSubdomain, each an
+        UnregisteredRealm."""
+        folder = self._subdomain(cloud_id, subdomain_id)
+        return self.clouds[cloud_id].root_key, folder.subdomain_key
 
     # -- snapshots -----------------------------------------------------------
 
@@ -183,11 +180,13 @@ class Vault:
     def from_snapshot(cls, doc: dict) -> "Vault":
         vault = cls()
         for cid, cdoc in doc["clouds"].items():
-            cloud = _CloudFolder(root_key=KeyPart(bytes.fromhex(cdoc["root_key"]), KeyRole.ROOT))
+            cloud = vault.clouds[cid] = _CloudFolder(
+                root_key=KeyPart(bytes.fromhex(cdoc["root_key"]), KeyRole.ROOT))
             for sid, sdoc in cdoc["subdomains"].items():
-                folder = _SubdomainFolder(
+                folder = cloud.subdomains[sid] = _SubdomainFolder(
                     subdomain_key=KeyPart(bytes.fromhex(sdoc["subdomain_key"]), KeyRole.SUBDOMAIN))
                 for tid, tdoc in sdoc["tenants"].items():
+                    vault._refuse_held(tid)
                     folder.tenants[tid] = TenantRecord(
                         tenant_id=tid,
                         cloud_id=cid,
@@ -198,8 +197,6 @@ class Vault:
                         idr=KeyPart(bytes.fromhex(tdoc["idr"]), KeyRole.ROOT),
                         ids=KeyPart(bytes.fromhex(tdoc["ids"]), KeyRole.SUBDOMAIN),
                     )
-                cloud.subdomains[sid] = folder
-            vault.clouds[cid] = cloud
         return vault
 
     @classmethod
@@ -228,10 +225,19 @@ class Vault:
             raise UnknownSubdomain(f"subdomain {subdomain_id!r} not under cloud {cloud_id!r}")
         return folder
 
-    def _tenant(self, tenant_id: str) -> TenantRecord:
+    def _tenant(self, tenant_id: str) -> TenantRecord | None:
+        """The tenant's record under whichever sub-domain holds it; None if none does."""
         for cloud in self.clouds.values():
             for folder in cloud.subdomains.values():
                 record = folder.tenants.get(tenant_id)
                 if record is not None:
                     return record
-        raise UnknownTenant(f"tenant {tenant_id!r} not registered")
+        return None
+
+    def _refuse_held(self, tenant_id: str) -> None:
+        """A tenant record lives under exactly one sub-domain, so an id that
+        one already holds is refused."""
+        held = self._tenant(tenant_id)
+        if held is not None:
+            raise AlreadyRegistered(
+                f"tenant {tenant_id!r} already under {held.cloud_id}/{held.subdomain_id}")

@@ -25,11 +25,11 @@ from crossrealm.harness import (
     load_expectations,
 )
 from crossrealm.protocol import (
+    PHASES,
     Role,
     SessionStatus,
     TimeoutMode,
     grant_access,
-    phase_spec,
 )
 from crossrealm.simnet import csv_lines
 from crossrealm.vault import Vault
@@ -89,7 +89,7 @@ def test_criterion_02_phase_sequencing():
     failures = []
     for k in range(1, 13):
         started = time.monotonic()
-        scenario = simnet.inject_stall(TINY, phase_spec(k).destination, k, math.inf)
+        scenario = simnet.inject_stall(TINY, PHASES[k - 1].destination, k, math.inf)
         run = simnet.run(scenario)
         wall = time.monotonic() - started
         phases = [r.phase_index for r in run.records if r.phase_index is not None]
@@ -242,7 +242,7 @@ def test_criterion_09_key_scheme_properties():
         parts = (KeyPart(rng.randbytes(32), KeyRole.ROOT),
                  KeyPart(rng.randbytes(32), KeyRole.SUBDOMAIN),
                  KeyPart(rng.randbytes(32), rng.choice((KeyRole.PRIVATE, KeyRole.SESSION))))
-        if HierarchicalKey(*parts).decompose() != parts:
+        if tuple(HierarchicalKey(*parts)) != parts:
             ok = False
 
     # common session field across 100 random participant sets

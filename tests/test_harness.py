@@ -46,12 +46,12 @@ from crossrealm.harness import (
     scenario_to_dict,
 )
 from crossrealm.protocol import (
+    PHASES,
     PHASE_COUNT,
     MessageKind,
     Role,
     SessionStatus,
     TimeoutMode,
-    phase_spec,
 )
 from crossrealm.simnet import LOG_HEADER, Stall, Topology, csv_lines
 
@@ -97,6 +97,13 @@ def test_bad_json_reports_line(tmp_path):
     with pytest.raises(ScenarioParseError) as err:
         load_scenario(path)
     assert "line 2" in str(err.value)
+
+
+def test_cli_refuses_a_scenario_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text('[{"principals": 2}]')
+    assert cli.main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: expected a JSON object\n"
 
 
 # malformed document -> the field its error must name
@@ -503,10 +510,8 @@ def test_shipped_default_scenario_matches_defaults():
     base = Scenario()
     # the shipped file spells out the per-phase byte maps explicitly
     assert replace(loaded, phase_request_bytes=None, phase_response_bytes=None) == base
-    from crossrealm.protocol import protocol_table
-    table = protocol_table()
-    assert loaded.phase_request_bytes == {s.index: s.request_bytes for s in table}
-    assert loaded.phase_response_bytes == {s.index: s.response_bytes for s in table}
+    assert loaded.phase_request_bytes == {s.index: s.request_bytes for s in PHASES}
+    assert loaded.phase_response_bytes == {s.index: s.response_bytes for s in PHASES}
 
 
 # -- metrics ------------------------------------------------------------------------
@@ -692,10 +697,15 @@ def test_aggregate_matches_reference_fold_on_drawn_scenarios(principals, mode, s
                        sampling_interval_s=interval,
                        seed=seed, timeout_mode=mode, phase_request_bytes=request_bytes,
                        phase_response_bytes=response_bytes,
-                       stalls=tuple(Stall(phase_spec(k).destination, k, delay)
+                       stalls=tuple(Stall(PHASES[k - 1].destination, k, delay)
                                     for k, delay in stalls.items()))
     run = simnet.run(scenario)
     assert folded(aggregate(run)) == reference_fold(run)
+    # the largest network delay is that of the slowest send in the log
+    networks = [simnet.transmit_components(r.payload_bytes, r.source, r.destination,
+                                           scenario.connection, scenario.topology)[0]
+                for r in run.records if r.kind == "send"]
+    assert run.max_network_delay_s == max(networks, default=0.0)
 
 
 # what `crossrealm run` prints besides the paths it wrote
@@ -1022,6 +1032,20 @@ def test_check_unknown_metric():
             {"metric": "sessions.imagined", "op": "gte", "target": 1}])
 
 
+def test_cli_check_fails_a_metric_with_no_measurement(tmp_path, capsys):
+    # no session completes, so the end-to-end mean has no value to compare
+    report = aggregate(simnet.run(STALLED_AT_F))
+    emit_report(report, tmp_path)
+    expectation = {"metric": "end_to_end_s.mean", "op": "lt", "target": 100.0}
+    [verdict] = check_acceptance(report, [expectation])
+    assert (verdict.passed, verdict.measured, verdict.detail) == (False, None, "no measurement")
+    path = tmp_path / "expect.json"
+    path.write_text(json.dumps({"expectations": [expectation]}))
+    assert cli.main(["check", "--report", str(tmp_path), "--expect", str(path)]) == 2
+    assert capsys.readouterr().out == ("FAIL end_to_end_s.mean: no measurement\n"
+                                       "0/1 expectations met\n")
+
+
 def test_unknown_metric_names_its_expectation():
     good = {"metric": "max_network_delay_s", "op": "lt", "target": 0.06}
     with pytest.raises(UnknownMetric) as err:
@@ -1046,6 +1070,8 @@ MALFORMED_EXPECTATIONS = {
     "non-numeric-target": ({"metric": "sessions.started", "op": "gte", "target": "many"},
                            "expectation 1 (sessions.started): could not convert"),
     "entry-not-object": (["sessions.started", "gte", 1], "expectation 1 (?):"),
+    "unknown-op": ({"metric": "sessions.started", "op": "eq", "target": 1},
+                   "expectation 1 (sessions.started): unknown expectation op 'eq'"),
 }
 
 
@@ -1132,6 +1158,11 @@ def test_load_report_refuses_clashing_names(tmp_path, rows):
     with pytest.raises(ScenarioParseError) as err:
         load_report(tmp_path)
     assert str(err.value).startswith(f"{path}: line 3: {rows[1].split(',')[0]} clashes")
+
+
+def test_load_report_needs_a_summary(tmp_path):
+    with pytest.raises(ScenarioParseError, match="no summary.csv under"):
+        load_report(tmp_path)
 
 
 # refuses every import from outside the standard library but the package's own

@@ -73,6 +73,17 @@ def test_root_key_rejects_empty_inputs():
         derive_root_key("CloudA", b"")
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: derive_subdomain_key(derive_root_key("CloudA", b"s"), ""),
+                 id="subdomain-id"),
+    pytest.param(lambda: derive_signature("t1", {}), id="metadata"),
+    pytest.param(lambda: mint_session_keys(b"\x01" * 16, [], make_vault()), id="participants"),
+])
+def test_empty_inputs_are_invalid_input(build):
+    with pytest.raises(InvalidInput):
+        build()
+
+
 def test_root_key_takes_a_bytearray_secret_and_refuses_text():
     # a bytearray secret derives what its bytes derive, as under hmac.new
     assert derive_root_key("CloudA", bytearray(ZERO_SECRET)).bytes.hex() == ROOT_ORACLE
@@ -204,7 +215,7 @@ def triple():
 def test_compose_decompose_round_trip():
     root, sub, leaf = triple()
     key = HierarchicalKey(root, sub, leaf)
-    assert key.decompose() == (root, sub, leaf)
+    assert tuple(key) == (root, sub, leaf)
 
 
 def test_compose_rejects_misplaced_roles():
@@ -224,7 +235,7 @@ def test_round_trip_on_arbitrary_parts(rb, sb, lb):
     root = KeyPart(rb, KeyRole.ROOT)
     sub = KeyPart(sb, KeyRole.SUBDOMAIN)
     leaf = KeyPart(lb, KeyRole.SESSION)
-    assert HierarchicalKey(root, sub, leaf).decompose() == (root, sub, leaf)
+    assert tuple(HierarchicalKey(root, sub, leaf)) == (root, sub, leaf)
 
 
 def test_key_part_length_enforced():
@@ -352,6 +363,8 @@ def test_private_leaf_has_no_session_field():
     key = HierarchicalKey(root, sub, leaf)
     with pytest.raises(RoleMismatch):
         key.session_field()
+    with pytest.raises(RoleMismatch):
+        key.generation()
     assert not verify_session_key(
         key, mint_session_keys(b"\x08" * 16, [("u1", "CloudA", "s1")], make_vault()))
 

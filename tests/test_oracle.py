@@ -28,6 +28,7 @@ from crossrealm import keys as keylib
 from crossrealm import protocol as proto
 from crossrealm import simnet
 from crossrealm.protocol import (
+    PHASES,
     MessageKind,
     ProtocolMessage,
     Role,
@@ -38,7 +39,6 @@ from crossrealm.protocol import (
     grant_access,
     handle_message,
     initial_role_states,
-    phase_spec,
 )
 
 # one read-only vault for every run: three tenants of CloudC/analysts
@@ -86,7 +86,7 @@ class Track:
 
     def payload(self, index: int) -> dict:
         """The fields of a phase request's record, by name."""
-        payload = {name: self.truth(name) for name in phase_spec(index).carries}
+        payload = {name: self.truth(name) for name in PHASES[index - 1].carries}
         if 8 <= index <= 11:
             payload["resource"] = RESOURCES[index >= 10]
         return payload
@@ -141,7 +141,7 @@ class ProtocolMachine(RuleBasedStateMachine):
         assert not result.discarded, (msg, role, result.outcome)
         state.sessions[msg.session_id] = result.slot
         track.accepted.add((msg.phase_index, msg.kind))
-        spec = phase_spec(msg.phase_index)
+        spec = PHASES[msg.phase_index - 1]
         if msg.kind is MessageKind.REQUEST:
             if track.tampered:
                 assert result.outcome in ("ok", "valid", "invalid", "granted", "refused")
@@ -164,7 +164,7 @@ class ProtocolMachine(RuleBasedStateMachine):
 
     def _begin(self, track: Track):
         """begin_phase for the session's next phase, checked against the model."""
-        spec = phase_spec(track.session.current_phase + 1)
+        spec = PHASES[track.session.current_phase]
         state = self.roles[spec.source]
         result = begin_phase(state, spec, track.session, VAULT)
         if result.drop_reason is not None:
@@ -267,7 +267,7 @@ class ProtocolMachine(RuleBasedStateMachine):
     @rule(index=st.integers(min_value=1, max_value=proto.PHASE_COUNT))
     def deliver_stray_response(self, index):
         """A response arrives for a session no role has heard of."""
-        spec = phase_spec(index)
+        spec = PHASES[index - 1]
         self._deliver(ProtocolMessage(b"\xee" * 16, index, MessageKind.RESPONSE,
                                       spec.destination, spec.source, {}), spec.source)
 

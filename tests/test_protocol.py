@@ -15,6 +15,7 @@ from crossrealm import simnet
 from crossrealm.errors import InvalidInput
 from crossrealm.harness import Scenario
 from crossrealm.protocol import (
+    PHASES,
     BeginResult,
     HandleResult,
     MessageKind,
@@ -33,8 +34,6 @@ from crossrealm.protocol import (
     initial_role_states,
     localized_timeout_at_f,
     on_timeout,
-    phase_spec,
-    protocol_table,
 )
 from crossrealm.vault import Vault
 
@@ -68,7 +67,7 @@ class Driver:
         self.discards = Counter()  # role -> messages it discarded
 
     def run_phase(self, index):
-        spec = phase_spec(index)
+        spec = PHASES[index - 1]
         result = begin_phase(self.roles[spec.source], spec, self.session, self.vault)
         if result.slot is not None:
             self.roles[spec.source].sessions[self.session.session_id] = result.slot
@@ -107,20 +106,19 @@ class Driver:
 # -- the phase table ---------------------------------------------------------
 
 def test_table_has_thirteen_sequential_phases():
-    table = protocol_table()
-    assert len(table) == 13
-    assert [s.index for s in table] == list(range(1, 14))
+    assert len(PHASES) == 13
+    assert [s.index for s in PHASES] == list(range(1, 14))
 
 
 def test_table_first_row():
-    spec = protocol_table()[0]
+    spec = PHASES[0]
     assert (spec.source, spec.destination) == (Role.A, Role.F)
     assert spec.name == "Secure (Request, R1, R2)"
     assert spec.request_bytes == 1024
 
 
 def test_table_last_row():
-    spec = protocol_table()[12]
+    spec = PHASES[12]
     assert (spec.source, spec.destination) == (Role.F, Role.A)
     assert spec.name == "Secure (Access, R1, R2): Key (IDsess)"
 
@@ -141,9 +139,8 @@ def test_table_timeout_modes():
 
 
 def test_table_byte_assignment():
-    table = protocol_table()
     requesting = {1, 2, 4, 5, 8, 10}
-    for spec in table:
+    for spec in PHASES:
         assert spec.request_bytes == (1024 if spec.index in requesting else 4096)
         assert spec.response_bytes == 1024
 
@@ -176,6 +173,7 @@ def test_timeout_mode_encode_is_exact(kind, seconds):
     pytest.param(lambda: TimeoutMode.localized_f("200"), id="localized-f-text"),
     pytest.param(lambda: TimeoutMode.parse(5), id="parse-number"),
     pytest.param(lambda: TimeoutMode.parse(None), id="parse-none"),
+    pytest.param(lambda: TimeoutMode("none", 5.0), id="none-with-seconds"),
 ])
 def test_timeout_mode_constructors_raise_invalid_input(build):
     # never a raw OverflowError from float() or AttributeError from str methods
@@ -244,7 +242,7 @@ def test_handle_message_discards(case):
     vault, requester = registry()
     driver = Driver(vault, requester)
     driver.run_phase(1)
-    spec = phase_spec(index)
+    spec = PHASES[index - 1]
     request = kind is MessageKind.REQUEST
     msg = ProtocolMessage(
         session_id=driver.session.session_id if known else b"\x77" * 16,
@@ -268,7 +266,7 @@ def test_a_response_from_another_role_is_discarded():
     # from SAC-SH leaves A's slot as it was, and F's own completes the phase
     vault, requester = registry()
     driver = Driver(vault, requester)
-    begun = begin_phase(driver.roles[Role.A], phase_spec(1), driver.session, vault)
+    begun = begin_phase(driver.roles[Role.A], PHASES[0], driver.session, vault)
     driver.roles[Role.A].sessions[driver.session.session_id] = begun.slot
     response = driver.deliver(Role.F, begun.outgoing).outgoing
     awaiting = dict(driver.roles[Role.A].sessions)
@@ -304,7 +302,7 @@ def _assert_discarded_as_malformed(index, make):
     driver = Driver(vault, requester)
     for done in range(1, index):
         driver.run_phase(done)
-    spec = phase_spec(index)
+    spec = PHASES[index - 1]
     request = begin_phase(driver.roles[spec.source], spec, driver.session, vault).outgoing
     malformed = make(request.payload_fields, index)
     state = driver.roles[spec.destination]
@@ -342,7 +340,7 @@ def test_a_message_of_no_phase_is_discarded(bad, kind):
     driver = Driver(vault, requester)
     for done in range(1, 13):
         driver.run_phase(done)
-    spec = phase_spec(13)
+    spec = PHASES[12]
     begun = begin_phase(driver.roles[spec.source], spec, driver.session, vault)
     driver.roles[spec.source].sessions[driver.session.session_id] = begun.slot
     msg, role = begun.outgoing, spec.destination
@@ -364,7 +362,7 @@ def test_handle_message_is_pure():
     slot = state.sessions[driver.session.session_id]
     snapshot = (repr(state), repr(slot))
     # craft the phase-2 request F would send; feed it to A twice
-    result = begin_phase(state, phase_spec(2), driver.session, vault)
+    result = begin_phase(state, PHASES[1], driver.session, vault)
     req = result.outgoing
     receiver = driver.roles[Role.A]
     received = repr(receiver)
@@ -386,7 +384,7 @@ def test_transition_touches_only_its_own_slot():
     table.update(others)
     driver.run_phase(1)
     driver.run_phase(2)
-    request = begin_phase(driver.roles[Role.A], phase_spec(3), driver.session, vault)
+    request = begin_phase(driver.roles[Role.A], PHASES[2], driver.session, vault)
     with_other_slots = dict(table)
     result = handle_message(front, request.outgoing, vault)
     assert result.outcome == "ok"
@@ -468,6 +466,8 @@ def test_grant_access_only_for_session_handler():
     assert not grant_access(cloud, Role.A, key, "R1")  # direct presentation refused
     assert not grant_access(cloud, Role.F, key, "R1")
     assert not grant_access(cloud, Role.SAC_SH, key, "R2")  # not hosted here
+    private = key._replace(leaf=key.leaf._replace(role=keylib.KeyRole.PRIVATE))
+    assert not grant_access(cloud, Role.SAC_SH, private, "R1")  # its leaf names no session
 
 
 def test_grant_access_stale_generation_refused():
@@ -498,7 +498,7 @@ def test_refused_grant_drops_the_session():
         driver.run_phase(index)
     assert (8, MessageKind.REQUEST, "refused") in driver.trace
     assert cloud.sessions[driver.session.session_id].grants == ()
-    assert begin_phase(cloud, phase_spec(9), driver.session, vault) == BeginResult(
+    assert begin_phase(cloud, PHASES[8], driver.session, vault) == BeginResult(
         None, None, "access-refused")
     driver.run_phase(9)
     assert driver.session.status is SessionStatus.DROPPED
@@ -528,7 +528,7 @@ def test_each_phase_row_is_compiled_from_the_table():
     # getter picks and which its receive setter sets
     named = SessionSlot(*SessionSlot._fields)
     assert len(proto._ROWS) == proto.PHASE_COUNT
-    for spec, row in zip(protocol_table(), proto._ROWS):
+    for spec, row in zip(PHASES, proto._ROWS):
         record, pick, width, n_carried, store, due = row
         assert record is proto._RECORDS[spec.index - 1]
         assert pick(named) == spec.carries
@@ -697,7 +697,7 @@ def test_transitions_build_what_keywords_build(sid, principal, resources, claim)
     session = SessionState(session_id=sid, requester=requester._replace(tenant_id=claim),
                            principal=principal, resources=resources, started_at=0.0)
     roles = initial_role_states()
-    for spec in protocol_table():
+    for spec in PHASES:
         source, destination = roles[spec.source], roles[spec.destination]
         result = begin_phase(source, spec, session, vault)
         _assert_built(result, _expected_begin(spec, source.sessions.get(sid), session, vault,
@@ -745,7 +745,7 @@ def test_each_phase_payload_carries_its_fields(values):
     # resource in phases 8-11, filled from the slot by the phase's getter
     slot = SessionSlot(*values)
     assert len(set(proto._RECORDS)) == proto.PHASE_COUNT
-    for spec in protocol_table():
+    for spec in PHASES:
         record, pick, *_ = proto._ROWS[spec.index - 1]
         assert record is proto._RECORDS[spec.index - 1]
         expected = {name: getattr(slot, name) for name in spec.carries}

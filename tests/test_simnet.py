@@ -17,13 +17,13 @@ from crossrealm import simnet
 from crossrealm.errors import DisallowedPair, InvalidInput
 from crossrealm.harness import Scenario, aggregate, load_scenario
 from crossrealm.protocol import (
+    PHASES,
     MessageKind,
     ProtocolMessage,
     Role,
     RoleState,
     SessionStatus,
     TimeoutMode,
-    phase_spec,
 )
 from crossrealm.simnet import (
     ABSORBED,
@@ -229,6 +229,15 @@ def test_byte_conservation():
     assert session.status is SessionStatus.IN_PROGRESS  # waits indefinitely
 
 
+def test_a_suppressed_response_has_no_leg():
+    # a stall of inf leaves its phase's request leg with no reply leg to send
+    # on; every other phase keeps its reply leg
+    engine = simnet._Engine(inject_stall(SMALL, Role.SAC_DB, 5, math.inf))
+    replies = {k: request[5] for k, request in enumerate(engine.requests, 1)}
+    assert replies.pop(5) is None
+    assert None not in replies.values()
+
+
 def test_phase_byte_overrides_reach_the_wire():
     run = simnet.run(replace(SMALL, phase_request_bytes={2: 512},
                              phase_response_bytes={1: 2048}))
@@ -255,7 +264,7 @@ def test_deliveries_match_per_message_timing():
     for r in run.records:
         if r.kind not in ("send", "deliver"):
             continue
-        request = r.source == phase_spec(r.phase_index).source.value
+        request = r.source == PHASES[r.phase_index - 1].source.value
         network, offset = transmit_components(
             r.payload_bytes, r.source, r.destination,
             sc.connection, topo, service_s=None if request else 0.0)
@@ -348,7 +357,7 @@ def test_localized_mode_is_the_only_drop_rule():
     # phase timer
     base = replace(SMALL, timeout_mode=TimeoutMode.localized_f(200), horizon_s=900.0)
     for k in range(1, 14):
-        run = simnet.run(inject_stall(base, phase_spec(k).destination, k, 250.0))
+        run = simnet.run(inject_stall(base, PHASES[k - 1].destination, k, 250.0))
         session = next(iter(run.sessions.values()))
         if 5 <= k <= 11:
             # the cloud-side answer misses F's 200 s window
@@ -614,7 +623,7 @@ def test_columnar_csv_matches_per_record_format(principals, mode, stalls, reques
     sc = replace(SMALL, principals=principals, session_spread_s=30.0, horizon_s=900.0,
                  seed=seed, timeout_mode=mode, phase_request_bytes=request_bytes,
                  phase_response_bytes=response_bytes,
-                 stalls=tuple(Stall(phase_spec(k).destination, k, delay)
+                 stalls=tuple(Stall(PHASES[k - 1].destination, k, delay)
                               for k, delay in stalls.items()))
     run = simnet.run(sc)
     assert "".join(csv_lines(run.records)) == reference_csv(list(run.records))
@@ -720,7 +729,7 @@ def test_log_accounts_for_each_session_on_drawn_scenarios(principals, mode, stal
                                                           request_bytes, horizon, seed):
     sc = replace(SMALL, principals=principals, session_spread_s=30.0, horizon_s=horizon,
                  seed=seed, timeout_mode=mode, phase_request_bytes=request_bytes,
-                 stalls=tuple(Stall(phase_spec(k).destination, k, delay)
+                 stalls=tuple(Stall(PHASES[k - 1].destination, k, delay)
                               for k, delay in stalls.items()))
     assert_log_accounts_for_each_session(simnet.run(sc))
 
@@ -757,7 +766,9 @@ def assert_heap_holds_queue_heads(engine):
     assert len(queues) == len({id(queue) for queue in queues}) <= QUEUES
     for time, seq, queue, _ in engine.heap:
         assert queue and queue[0][:2] == (time, seq)
-    pending = [leg[-1] for leg in engine.legs.values()] + [engine.phase_timers, engine.watchdogs]
+    legs = [leg for request in engine.requests for leg in (request, request[5])
+            if leg is not None]
+    pending = [leg[-1] for leg in legs] + [engine.phase_timers, engine.watchdogs]
     assert {id(queue) for queue in pending if queue} <= {id(queue) for queue in queues}
 
 
@@ -825,7 +836,7 @@ def test_handlers_run_in_time_and_sequence_order(principals, ties, mode, stalls,
     base = TIES if ties else replace(SMALL, session_spread_s=30.0)
     run_checked(replace(base, principals=principals, horizon_s=horizon, seed=seed,
                         timeout_mode=mode,
-                        stalls=tuple(Stall(phase_spec(k).destination, k, delay)
+                        stalls=tuple(Stall(PHASES[k - 1].destination, k, delay)
                                      for k, delay in stalls.items())))
 
 

@@ -123,6 +123,28 @@ def test_duplicate_tenant_rejected():
         vault.register_tenant("CloudA", "hr", "t1", {}, META)
 
 
+def test_tenant_held_by_another_subdomain_rejected():
+    # a tenant record lives under exactly one sub-domain: a second record
+    # elsewhere would go unread, as match_personal_secrets reads the first
+    vault = Vault()
+    for cloud in ("CloudA", "CloudB"):
+        vault.register_cloud(cloud, b"secret-" + cloud.encode())
+        vault.register_subdomain(cloud, "bi")
+    vault.register_tenant("CloudA", "bi", "alice", {}, {"pet": "cat"})
+    with pytest.raises(AlreadyRegistered, match="CloudA/bi"):
+        vault.register_tenant("CloudB", "bi", "alice", {}, {"pet": "dog"})
+    assert vault.match_personal_secrets("alice", {"pet": "cat"})
+    assert not vault.clouds["CloudB"].subdomains["bi"].tenants
+
+
+def test_snapshot_naming_a_tenant_twice_rejected():
+    doc = small_registry().to_snapshot()
+    tenants = doc["clouds"]["CloudB"]["subdomains"]["s2"]["tenants"]
+    tenants["CloudA-s1-user"] = tenants["CloudB-s2-user"]
+    with pytest.raises(AlreadyRegistered, match="'CloudA-s1-user' already under CloudA/s1"):
+        Vault.from_snapshot(doc)
+
+
 def test_folder_counts_track_registrations():
     vault = small_registry()
     assert len(vault.clouds) == 2
