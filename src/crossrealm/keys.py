@@ -224,8 +224,7 @@ def derive_root_key(cloud_id: str, master_secret: bytes) -> KeyPart:
 
     Deterministic; distinct cloud ids give distinct parts.
     """
-    if not cloud_id:
-        raise InvalidInput("cloud_id must be non-empty")
+    _check_id("cloud", cloud_id)
     if not isinstance(master_secret, (bytes, bytearray)):
         raise InvalidInput(f"master_secret must be bytes, not {type(master_secret).__name__}")
     if not master_secret:
@@ -238,8 +237,7 @@ def derive_subdomain_key(root: KeyPart, subdomain_id: str) -> KeyPart:
     """Derive a sub-domain part bound to its parent cloud root."""
     if root.role is not _ROOT:
         raise RoleMismatch(f"expected a root part, got {root.role.value}")
-    if not subdomain_id:
-        raise InvalidInput("subdomain_id must be non-empty")
+    _check_id("sub-domain", subdomain_id)
     return KeyPart(_prf(root.bytes, _LABEL_SUBDOMAIN + subdomain_id.encode()), _SUBDOMAIN)
 
 
@@ -260,25 +258,32 @@ def derive_signature(tenant_id: str, extension_metadata: Mapping[str, str]) -> D
     text; the canonical text is encoded as UTF-8 once, which gives the
     bytes that encoding each part and joining them would.
     """
+    _check_id("tenant", tenant_id)
     if not extension_metadata:
         raise InvalidInput("extension_metadata must be non-empty")
     try:
         text = tenant_id + "|" + "\x1f".join(map("\x1e".join, sorted(extension_metadata.items())))
-    except TypeError:  # a part that is not text: adding, sorting or joining it
-        raise InvalidInput(_not_text(tenant_id, extension_metadata)) from None
+    except TypeError:  # a part that is not text: sorting or joining it
+        raise InvalidInput(_not_text(extension_metadata)) from None
     return DigitalSignature(hashlib.sha256(_LABEL_SIGNATURE + text.encode()).digest())
 
 
-def _not_text(tenant_id, extension_metadata: Mapping) -> str:
-    """Names the first of a tenant id, its metadata classes and values that is not text."""
-    if not isinstance(tenant_id, str):
-        return f"tenant id {tenant_id!r} is not text"
+def _check_id(kind: str, value) -> None:
+    """A cloud, sub-domain or tenant id is non-empty text; any other raises InvalidInput."""
+    if not isinstance(value, str):
+        raise InvalidInput(f"{kind} id {value!r} is not text")
+    if not value:
+        raise InvalidInput(f"{kind} id {value!r} is empty")
+
+
+def _not_text(extension_metadata: Mapping) -> str:
+    """Names the first of the metadata classes and values that is not text."""
     for cls, value in extension_metadata.items():
         if not isinstance(cls, str):
             return f"metadata class {cls!r} is not text"
         if not isinstance(value, str):
             return f"metadata value {value!r} of class {cls!r} is not text"
-    return "tenant id and metadata must be text"
+    return "metadata must be text"
 
 
 def _session_leaf(subdomain: KeyPart, session_id: bytes, generation: int, identity: str) -> KeyPart:

@@ -2,16 +2,16 @@
 
 The vault is a strictly hierarchical in-memory store: cloud folders hold
 the authoritative root keys, sub-domain subfolders hold the sub-domain
-keys, and tenant records live under exactly one sub-domain. A tenant's
-IDr is its reference to the cloud root key and its IDs the sub-domain
-key; membership verification matches a presented (IDr, IDs) pair against
-stored tenant records and never mutates anything.
+keys, and tenant records live under exactly one sub-domain, whose keys
+are its tenants' IDr and IDs. Membership verification matches a
+presented (IDr, IDs) pair against the folders and never mutates anything.
 
 Registrations are the only mutations and require exclusive access to the
-vault; reads may proceed concurrently. Snapshots serialize the whole
-structure to a single JSON document with byte strings hex-encoded
-lowercase. A tenant record is a NamedTuple, built by position when a
-tenant registers, whose details and metadata are read-only views.
+vault; reads may proceed concurrently. A snapshot, one JSON document,
+keeps only what registration cannot derive (each cloud's root key, in
+lowercase hex, and its sub-domains' and tenants' names, details and
+metadata), and loading one registers them again. A tenant record is a
+NamedTuple, built by position, whose details and metadata are read-only views.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from . import keys as keylib
 from .errors import (
     AlreadyRegistered,
     EmptyMetadata,
+    InvalidInput,
     UnknownCloud,
     UnknownSubdomain,
     UnknownTenant,
@@ -45,8 +46,6 @@ class TenantRecord(NamedTuple):
     primary_details: Mapping[str, str]
     extension_metadata: Mapping[str, str]
     signature: DigitalSignature
-    idr: KeyPart
-    ids: KeyPart
 
 
 def _frozen(mapping: Mapping[str, str]) -> Mapping[str, str]:
@@ -84,9 +83,7 @@ class Vault:
 
     def register_subdomain(self, cloud_id: str, subdomain_id: str) -> KeyPart:
         """Create a sub-domain subfolder and derive its key from the cloud root."""
-        cloud = self.clouds.get(cloud_id)
-        if cloud is None:
-            raise UnknownCloud(f"cloud {cloud_id!r} not registered")
+        cloud = self._cloud(cloud_id)
         if subdomain_id in cloud.subdomains:
             raise AlreadyRegistered(f"subdomain {subdomain_id!r} already under {cloud_id!r}")
         sub = keylib.derive_subdomain_key(cloud.root_key, subdomain_id)
@@ -103,24 +100,21 @@ class Vault:
         the personal secrets; the private part is issued to the caller
         and deliberately not stored in the vault.
         """
-        folder = self._subdomain(cloud_id, subdomain_id)
+        cloud, folder = self._subdomain(cloud_id, subdomain_id)
         self._refuse_held(tenant_id)
         if not extension_metadata:
             raise EmptyMetadata("extension metadata is required to generate a signature")
         signature = keylib.derive_signature(tenant_id, extension_metadata)
-        private = keylib.issue_private_key(signature, folder.subdomain_key)
-        idr = self.clouds[cloud_id].root_key
-        ids = folder.subdomain_key
         folder.tenants[tenant_id] = TenantRecord(tenant_id, cloud_id, subdomain_id,
                                                  _frozen(primary_details),
-                                                 _frozen(extension_metadata),
-                                                 signature, idr, ids)
-        return idr, ids, private
+                                                 _frozen(extension_metadata), signature)
+        ids = folder.subdomain_key
+        return cloud.root_key, ids, keylib.issue_private_key(signature, ids)
 
     # -- verification (read-only) ------------------------------------------
 
     def verify_membership(self, idr: KeyPart, ids: KeyPart) -> bool:
-        """True iff some tenant record holds exactly this (IDr, IDs) pair."""
+        """True iff the (IDr, IDs) pair names a sub-domain folder that holds a tenant."""
         folder = self._realm(idr, ids)
         return folder is not None and bool(folder.tenants)
 
@@ -141,27 +135,23 @@ class Vault:
         """(root, sub-domain) keys for a realm; the minting read handle. An
         unknown realm raises UnknownCloud or UnknownSubdomain, each an
         UnregisteredRealm."""
-        folder = self._subdomain(cloud_id, subdomain_id)
-        return self.clouds[cloud_id].root_key, folder.subdomain_key
+        cloud, folder = self._subdomain(cloud_id, subdomain_id)
+        return cloud.root_key, folder.subdomain_key
 
     # -- snapshots -----------------------------------------------------------
 
     def to_snapshot(self) -> dict:
-        """The whole vault as one JSON-serializable document."""
+        """The vault as one JSON document of what registration cannot derive."""
         return {
             "clouds": {
                 cid: {
                     "root_key": cloud.root_key.hex(),
                     "subdomains": {
                         sid: {
-                            "subdomain_key": folder.subdomain_key.hex(),
                             "tenants": {
                                 tid: {
                                     "primary_details": dict(rec.primary_details),
                                     "extension_metadata": dict(rec.extension_metadata),
-                                    "signature": rec.signature.bytes.hex(),
-                                    "idr": rec.idr.hex(),
-                                    "ids": rec.ids.hex(),
                                 }
                                 for tid, rec in folder.tenants.items()
                             },
@@ -178,30 +168,36 @@ class Vault:
 
     @classmethod
     def from_snapshot(cls, doc: dict) -> "Vault":
-        vault = cls()
-        for cid, cdoc in doc["clouds"].items():
-            cloud = vault.clouds[cid] = _CloudFolder(
-                root_key=KeyPart(bytes.fromhex(cdoc["root_key"]), KeyRole.ROOT))
-            for sid, sdoc in cdoc["subdomains"].items():
-                folder = cloud.subdomains[sid] = _SubdomainFolder(
-                    subdomain_key=KeyPart(bytes.fromhex(sdoc["subdomain_key"]), KeyRole.SUBDOMAIN))
-                for tid, tdoc in sdoc["tenants"].items():
-                    vault._refuse_held(tid)
-                    folder.tenants[tid] = TenantRecord(
-                        tenant_id=tid,
-                        cloud_id=cid,
-                        subdomain_id=sid,
-                        primary_details=_frozen(tdoc["primary_details"]),
-                        extension_metadata=_frozen(tdoc["extension_metadata"]),
-                        signature=DigitalSignature(bytes.fromhex(tdoc["signature"])),
-                        idr=KeyPart(bytes.fromhex(tdoc["idr"]), KeyRole.ROOT),
-                        ids=KeyPart(bytes.fromhex(tdoc["ids"]), KeyRole.SUBDOMAIN),
-                    )
+        """The vault that registration builds from a snapshot's root keys,
+        names, details and metadata; no other key of the document is read.
+        A document of the wrong shape raises InvalidInput naming its part."""
+        vault, part = cls(), "snapshot"
+        try:
+            for cid, cdoc in doc["clouds"].items():
+                part = f"snapshot cloud {cid!r}"
+                keylib._check_id("cloud", cid)  # as register_cloud checks it
+                vault.clouds[cid] = _CloudFolder(KeyPart(bytes.fromhex(cdoc["root_key"]), KeyRole.ROOT))
+                for sid, sdoc in cdoc["subdomains"].items():
+                    part = f"snapshot sub-domain {sid!r} of {cid}"
+                    vault.register_subdomain(cid, sid)
+                    for tid, tdoc in sdoc["tenants"].items():
+                        part = f"snapshot tenant {tid!r} of {cid}/{sid}"
+                        vault.register_tenant(cid, sid, tid, tdoc["primary_details"],
+                                              tdoc["extension_metadata"])
+        except (InvalidInput, KeyError, TypeError, AttributeError, ValueError) as exc:
+            detail = f"no {exc}" if isinstance(exc, KeyError) else exc
+            raise InvalidInput(f"{part}: {detail}") from exc
         return vault
 
     @classmethod
     def load_snapshot(cls, path: str | Path) -> "Vault":
-        return cls.from_snapshot(json.loads(Path(path).read_text()))
+        """The vault a snapshot file holds; a file that cannot be read, holds
+        no JSON text or is of the wrong shape raises InvalidInput naming it."""
+        try:
+            return cls.from_snapshot(json.loads(Path(path).read_text()))
+        except (InvalidInput, OSError, ValueError) as exc:
+            detail = exc.strerror if isinstance(exc, OSError) else exc
+            raise InvalidInput(f"{path}: {detail}") from exc
 
     # -- internals -------------------------------------------------------------
 
@@ -216,14 +212,19 @@ class Vault:
                     return folder
         return None
 
-    def _subdomain(self, cloud_id: str, subdomain_id: str) -> _SubdomainFolder:
+    def _cloud(self, cloud_id: str) -> _CloudFolder:
         cloud = self.clouds.get(cloud_id)
         if cloud is None:
             raise UnknownCloud(f"cloud {cloud_id!r} not registered")
+        return cloud
+
+    def _subdomain(self, cloud_id: str, subdomain_id: str) -> tuple[_CloudFolder, _SubdomainFolder]:
+        """The realm's cloud folder and its sub-domain subfolder."""
+        cloud = self._cloud(cloud_id)
         folder = cloud.subdomains.get(subdomain_id)
         if folder is None:
             raise UnknownSubdomain(f"subdomain {subdomain_id!r} not under cloud {cloud_id!r}")
-        return folder
+        return cloud, folder
 
     def _tenant(self, tenant_id: str) -> TenantRecord | None:
         """The tenant's record under whichever sub-domain holds it; None if none does."""

@@ -77,10 +77,29 @@ def test_root_key_rejects_empty_inputs():
     pytest.param(lambda: derive_subdomain_key(derive_root_key("CloudA", b"s"), ""),
                  id="subdomain-id"),
     pytest.param(lambda: derive_signature("t1", {}), id="metadata"),
+    pytest.param(lambda: derive_signature("", {"pet": "rex"}), id="tenant-id"),
+    pytest.param(lambda: make_vault().register_tenant("CloudA", "s1", "", {}, {"pet": "rex"}),
+                 id="registered-tenant-id"),
     pytest.param(lambda: mint_session_keys(b"\x01" * 16, [], make_vault()), id="participants"),
 ])
 def test_empty_inputs_are_invalid_input(build):
     with pytest.raises(InvalidInput):
+        build()
+
+
+# a call given a cloud or sub-domain id that is not text -> that id
+_NOT_TEXT_IDS = {
+    "root-key": (lambda: derive_root_key(5, b"s"), 5),
+    "subdomain-key": (lambda: derive_subdomain_key(derive_root_key("CloudA", b"s"), 7), 7),
+    "registered-cloud": (lambda: Vault().register_cloud(5, b"s"), 5),
+    "registered-subdomain": (lambda: make_vault().register_subdomain("CloudA", 7), 7),
+}
+
+
+@pytest.mark.parametrize("case", _NOT_TEXT_IDS)
+def test_a_realm_id_that_is_not_text_is_invalid_input(case):
+    build, culprit = _NOT_TEXT_IDS[case]
+    with pytest.raises(InvalidInput, match=f"id {culprit!r} is not text"):
         build()
 
 

@@ -2,17 +2,19 @@
 
 import itertools
 import json
+import re
 
 import pytest
 
 from crossrealm.errors import (
     AlreadyRegistered,
     EmptyMetadata,
+    InvalidInput,
     UnknownCloud,
     UnknownSubdomain,
     UnknownTenant,
 )
-from crossrealm.keys import derive_root_key
+from crossrealm.keys import derive_root_key, derive_signature, derive_subdomain_key
 from crossrealm.vault import Vault
 
 ZERO_SECRET = b"\x00" * 32
@@ -301,3 +303,134 @@ def test_snapshot_is_hex_encoded_structure():
     root_hex = doc["clouds"]["CloudA"]["root_key"]
     assert root_hex == root_hex.lower()
     bytes.fromhex(root_hex)
+
+
+def test_a_snapshot_keeps_only_what_registration_cannot_derive():
+    # each cloud's root key, and the names, details and metadata below it:
+    # no sub-domain key, signature, IDr or IDs
+    doc = small_registry().to_snapshot()
+    clouds = list(doc["clouds"].values())
+    subdomains = [sdoc for cdoc in clouds for sdoc in cdoc["subdomains"].values()]
+    tenants = [tdoc for sdoc in subdomains for tdoc in sdoc["tenants"].values()]
+    assert {key for cdoc in clouds for key in cdoc} == {"root_key", "subdomains"}
+    assert {key for sdoc in subdomains for key in sdoc} == {"tenants"}
+    assert {key for tdoc in tenants for key in tdoc} == {"primary_details", "extension_metadata"}
+
+
+# -- snapshots load through registration --------------------------------------------
+
+def bi_registry() -> Vault:
+    """alice under CloudA/bi and bob under CloudB/bi."""
+    vault = Vault()
+    for cloud, tenant in (("CloudA", "alice"), ("CloudB", "bob")):
+        vault.register_cloud(cloud, b"secret-" + cloud.encode())
+        vault.register_subdomain(cloud, "bi")
+        vault.register_tenant(cloud, "bi", tenant, {"plan": "x"}, {"pet": f"{tenant}-pet"})
+    return vault
+
+
+def earlier_format(vault: Vault) -> dict:
+    """The vault's snapshot in the earlier format, which also stored each
+    sub-domain's key and each tenant's signature, IDr and IDs."""
+    doc = vault.to_snapshot()
+    for cid, cdoc in doc["clouds"].items():
+        for sid, sdoc in cdoc["subdomains"].items():
+            root, sub = vault.realm_keys(cid, sid)
+            sdoc["subdomain_key"] = sub.hex()
+            for tid, tdoc in sdoc["tenants"].items():
+                signature = derive_signature(tid, tdoc["extension_metadata"])
+                tdoc.update(signature=signature.bytes.hex(), idr=root.hex(), ids=sub.hex())
+    return doc
+
+
+def alice(doc: dict) -> dict:
+    return doc["clouds"]["CloudA"]["subdomains"]["bi"]["tenants"]["alice"]
+
+
+def test_a_loaded_record_holds_the_keys_of_the_folder_it_is_filed_under():
+    # alice filed under CloudA/bi with CloudB/bi's IDr and IDs stored
+    vault = bi_registry()
+    doc = earlier_format(vault)
+    b_root, b_sub = vault.realm_keys("CloudB", "bi")
+    alice(doc).update(idr=b_root.hex(), ids=b_sub.hex())
+    loaded = Vault.from_snapshot(doc)
+    a_keys = vault.realm_keys("CloudA", "bi")
+    assert loaded.find_member("alice", *a_keys) == vault.find_member("alice", *a_keys)
+    assert loaded.find_member("alice", b_root, b_sub) is None
+
+
+def test_a_snapshot_tenant_without_metadata_is_refused():
+    # a record with no metadata class would match any answers at all
+    doc = bi_registry().to_snapshot()
+    alice(doc)["extension_metadata"] = {}
+    with pytest.raises(EmptyMetadata):
+        Vault.from_snapshot(doc)
+
+
+def test_a_snapshot_tenant_with_metadata_that_is_not_text_is_refused():
+    doc = bi_registry().to_snapshot()
+    alice(doc)["extension_metadata"] = {"pet": 7}
+    with pytest.raises(InvalidInput, match="tenant 'alice' of CloudA/bi: metadata value 7"):
+        Vault.from_snapshot(doc)
+
+
+def test_a_loaded_signature_is_derived_from_the_loaded_metadata():
+    doc = earlier_format(bi_registry())
+    alice(doc)["extension_metadata"] = {"pet": "cat"}
+    loaded = Vault.from_snapshot(doc)
+    record = loaded.find_member("alice", *loaded.realm_keys("CloudA", "bi"))
+    assert record.signature == derive_signature("alice", {"pet": "cat"})
+
+
+def test_a_loaded_subdomain_key_is_derived_from_its_clouds_root():
+    vault = bi_registry()
+    doc = earlier_format(vault)
+    doc["clouds"]["CloudA"]["subdomains"]["bi"]["subdomain_key"] = "42" * 32
+    root, sub = Vault.from_snapshot(doc).realm_keys("CloudA", "bi")
+    assert sub == derive_subdomain_key(root, "bi") == vault.realm_keys("CloudA", "bi")[1]
+
+
+def test_a_tampered_snapshot_in_the_earlier_format_loads_as_registration_builds_it():
+    vault = bi_registry()
+    doc = earlier_format(vault)
+    b_root, b_sub = vault.realm_keys("CloudB", "bi")
+    doc["clouds"]["CloudA"]["subdomains"]["bi"]["subdomain_key"] = b_sub.hex()
+    alice(doc).update(idr=b_root.hex(), signature="00" * 32)
+    loaded = Vault.from_snapshot(doc)
+    assert loaded.to_snapshot() == vault.to_snapshot()
+    for cid, tid in (("CloudA", "alice"), ("CloudB", "bob")):
+        assert loaded.realm_keys(cid, "bi") == vault.realm_keys(cid, "bi")
+        record = loaded.find_member(tid, *vault.realm_keys(cid, "bi"))
+        assert record.signature == derive_signature(tid, record.extension_metadata)
+
+
+def _load_file(data: bytes):
+    def load(tmp_path):
+        path = tmp_path / "vault.json"
+        path.write_bytes(data)
+        return Vault.load_snapshot(path)
+    return load
+
+
+# case -> (a load of it, the start of its message; {dir} is the test's directory)
+_MALFORMED = {
+    "document-a-list": (lambda tmp_path: Vault.from_snapshot([]), "snapshot: "),
+    "no-clouds": (lambda tmp_path: Vault.from_snapshot({}), "snapshot: no 'clouds'"),
+    "root-key-not-hex": (
+        lambda tmp_path: Vault.from_snapshot(
+            {"clouds": {"CloudA": {"root_key": "zz", "subdomains": {}}}}),
+        "snapshot cloud 'CloudA': "),
+    "file-not-json": (_load_file(b"{"), "{dir}/vault.json: "),
+    "file-not-text": (_load_file(b"\xff\xfe\x00"), "{dir}/vault.json: "),
+    "file-no-clouds": (_load_file(b"{}"), "{dir}/vault.json: snapshot: no 'clouds'"),
+    "file-a-directory": (lambda tmp_path: Vault.load_snapshot(tmp_path), "{dir}: "),
+    "file-missing": (lambda tmp_path: Vault.load_snapshot(tmp_path / "none.json"),
+                     "{dir}/none.json: "),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_a_malformed_snapshot_is_invalid_input_naming_its_part(case, tmp_path):
+    load, names = _MALFORMED[case]
+    with pytest.raises(InvalidInput, match="^" + re.escape(names.format(dir=tmp_path))):
+        load(tmp_path)
