@@ -46,14 +46,22 @@ def _cmd_run(args) -> int:
         scenario = replace(scenario, seed=args.seed)
     if args.timeout_mode is not None:
         scenario = replace(scenario, timeout_mode=TimeoutMode.parse(args.timeout_mode))
+    writer = None
     try:  # the output directory is made first, so a bad --out fails before the run
         args.out.mkdir(parents=True, exist_ok=True)
-        result = simnet.run(scenario)
+        # formats events.csv in a forked child while the run goes on, where it can
+        writer = harness.event_log_writer(args.out)
+        result = simnet.run(scenario, writer)
         report = harness.aggregate(result)
         paths = harness.emit_report(report, args.out)
-        paths.append(harness.emit_event_log(result, args.out))
+        paths.append(harness.emit_event_log(result, args.out, writer))
     except OSError as exc:  # the directory or a report file cannot be written
-        raise ScenarioValidationError("out", f"{exc.filename or args.out}: {exc.strerror}") from exc
+        # a file renamed into place is named by its destination, filename2
+        name = exc.filename2 or exc.filename or args.out
+        raise ScenarioValidationError("out", f"{name}: {exc.strerror}") from exc
+    finally:  # no child outlives the run, nor a partial event log
+        if writer is not None:
+            writer.close()
     print(f"sessions: started={report['sessions.started']} "
           f"completed={report['sessions.completed']} dropped={report['sessions.dropped']} "
           f"in-flight={report['sessions.in_flight_at_horizon']}")

@@ -561,62 +561,182 @@ def _write_lines(out, lines: Iterator[str]) -> None:
         out.write(chunk)
 
 
-def _append(out, part) -> None:
-    """Append the bytes of file ``part`` to file ``out``, 64 KiB at a time
-    (shutil's copy size), which the allocator reuses from chunk to chunk
-    where larger reads would each map new pages and raise the peak RSS."""
-    out.flush()
-    source, done = part.fileno(), 0
-    while chunk := os.pread(source, 1 << 16, done):
-        out.buffer.write(chunk)
-        done += len(chunk)
+def _event_log_paths(out_dir: str | Path) -> tuple[Path, Path]:
+    """events.csv under the directory, and the name it is written under
+    until it is whole."""
+    path = Path(out_dir) / "events.csv"
+    return path, path.with_name("events.csv.part")
 
 
-def _write_halves(out, log: simnet.EventLog, half: int) -> None:
-    """Write the log to ``out`` from two processes: a forked child formats
-    records [half, end) into an unnamed temporary file while this process
-    writes the header and records [0, half), then waits for the child and
-    appends its bytes. Should the fork or the child fail, this process
-    formats the second half itself."""
-    import tempfile  # only here: the one-process write needs none of it
+def _send(fd: int, data) -> None:
+    """Write all of ``data`` to ``fd``: a signal handler that runs during a
+    write to a pipe can cut it short."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
 
-    with tempfile.TemporaryFile("w+", dir=Path(out.name).parent) as part:
+
+# the writer's pipe, where its size can be set: 1 MiB, Linux's default
+# limit for an unprivileged process, holds the hand-off of one slice of a 3000-principal run (about 450
+# KB), so the run's process seldom waits for the child to read
+PIPE_BYTES = 1 << 20
+
+# what the run's process sends the writer child after the last hand-off
+_END = b"end\n"
+
+
+def _format_in_child(pipe: int, part: Path) -> None:
+    """The writer child's work: extend an empty log by each hand-off read
+    from ``pipe`` and format the new records into ``part``, until the end
+    mark. Should it fail, it removes the file and raises."""
+    try:
+        log = simnet.EventLog()
+        part.parent.mkdir(parents=True, exist_ok=True)
+        with open(pipe, "rb") as source, part.open("w") as out:
+            done = 0
+            while (header := source.readline()) != _END:
+                records, size = map(int, header.split())  # end of file: ValueError
+                if size:
+                    ids, shapes = json.loads(source.read(size))
+                    log.session_ids += ids
+                    log.shapes += map(tuple, shapes)
+                for column in (log.times, log.sessions, log.codes):
+                    column.frombytes(source.read(records * column.itemsize))
+                _write_lines(out, csv_lines(log, done))  # the header with record 0
+                done = len(log)
+            if not done:  # a run that logged nothing: the header alone
+                _write_lines(out, csv_lines(log))
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+class EventLogWriter:
+    """Writes a run's events.csv from one forked child while the run goes on.
+
+    The writer forks when it is made, before the run builds anything, so
+    the pages the run builds are never shared with the child nor copied
+    on write. ``simnet.run`` hands the log to the writer after each
+    slice of its horizon; each hand-off with new records sends the child,
+    over a pipe, a header line (the new records and the length of the text
+    after it), the new session ids and shapes as JSON text, and the new
+    entries of the log's three columns as raw bytes. The child extends its
+    own log by them and formats the new records into ``events.csv.part``;
+    ``emit_event_log`` waits for it and renames the file. Should the fork
+    fail or the child end early, nothing more is sent and ``emit_event_log``
+    formats the whole log itself. ``close`` ends a child that is still
+    running and removes the file.
+    """
+
+    def __init__(self, out_dir: str | Path):
+        self.part = _event_log_paths(out_dir)[1]
+        self.pid: int | None = None  # the child's, until it is waited for
+        self.pipe: int | None = None  # the pipe's write end, while the child is fed
+        # the records, session ids and shapes the child holds: a new log's
+        self.sent, self.ids, self.shapes = 0, len(simnet.EventLog().session_ids), 0
+        import fcntl  # only here: a POSIX module, as os.fork is
+
+        read, write = os.pipe()
+        if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux: one slice's hand-off fits
+            try:
+                fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+            except OSError:  # above the system's limit: the default size stays
+                pass
         try:
             pid = os.fork()
         except OSError:  # no process to spare
-            pid = None
-        if pid == 0:  # the child, which only formats and leaves
+            os.close(read)
+            os.close(write)
+            return
+        if pid == 0:  # the child: its exit status is 0 only if the file is whole
             status = 1
-            try:
-                _write_lines(part, csv_lines(log, half))
-                part.flush()
+            try:  # no exception or signal may unwind it into its parent's frames
+                os.close(write)
+                _format_in_child(read, self.part)
                 status = 0
             finally:
                 os._exit(status)
+        os.close(read)
+        self.pid, self.pipe = pid, write
+
+    def __call__(self, log: simnet.EventLog) -> None:
+        if self.pipe is None or len(log) == self.sent:
+            return
+        start, stop = self.sent, len(log)
+        new = (log.session_ids[self.ids:], log.shapes[self.shapes:])
+        text = json.dumps(new).encode() if any(new) else b""
         try:
-            _write_lines(out, csv_lines(log, 0, half))
-        finally:
-            status = os.waitpid(pid, 0)[1] if pid else 1
-        if status:
-            _write_lines(out, csv_lines(log, half))
-        else:
-            _append(out, part)
+            _send(self.pipe, b"%d %d\n%s" % (stop - start, len(text), text))
+            for column in (log.times, log.sessions, log.codes):
+                _send(self.pipe, memoryview(column)[start:stop])
+        except BrokenPipeError:  # the child has ended
+            os.close(self.pipe)
+            self.pipe = None
+            return
+        self.sent, self.ids, self.shapes = stop, len(log.session_ids), len(log.shapes)
+
+    def finish(self, log: simnet.EventLog) -> bool:
+        """Whether the child wrote this whole log to ``part``, once it has
+        ended: the end mark is sent if it was fed all of it, else it is ended."""
+        if self.pid is None:
+            return False
+        whole = self.pipe is not None and self.sent == len(log)
+        if whole:
+            try:
+                _send(self.pipe, _END)
+            except BrokenPipeError:
+                whole = False
+        return self._wait(kill=not whole) == 0 and whole
+
+    def close(self) -> None:
+        """End a child that is still running, wait for it and remove the
+        part file it left; after ``emit_event_log`` there is neither."""
+        if self.pid is not None:
+            self._wait(kill=True)
+        self.part.unlink(missing_ok=True)
+
+    def _wait(self, kill: bool) -> int:
+        """The child's exit status, once it has ended; ``kill`` ends it first."""
+        if self.pipe is not None:
+            os.close(self.pipe)
+            self.pipe = None
+        if kill:
+            import signal  # only here: a run that ends cleanly ends no child
+
+            os.kill(self.pid, signal.SIGKILL)
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = None
+        return status
 
 
-def emit_event_log(run: SimRun, out_dir: str | Path) -> Path:
+def event_log_writer(out_dir: str | Path) -> EventLogWriter | None:
+    """A writer for a run's events.csv under ``out_dir``, where this process
+    can fork, may run on two CPUs or more and runs one thread; else None,
+    and ``emit_event_log`` formats the log in this process."""
+    if hasattr(os, "fork") and _usable_cpus() > 1 and _single_threaded():
+        return EventLogWriter(out_dir)
+    return None
+
+
+def emit_event_log(run: SimRun, out_dir: str | Path,
+                   writer: EventLogWriter | None = None) -> Path:
     """Write the run's event log as events.csv, in chunks of joined lines;
-    returns once the whole file is written. Where the process can fork, may
-    run on two CPUs or more and runs one thread, a forked child formats the
-    second half of the log (see ``_write_halves``)."""
-    path = Path(out_dir) / "events.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    log = run.records
-    half = len(log) // 2
-    with path.open("w") as out:
-        if half and hasattr(os, "fork") and _usable_cpus() > 1 and _single_threaded():
-            _write_halves(out, log, half)
-        else:
-            _write_lines(out, csv_lines(log))
+    returns once the whole file is written. Given the writer, made for this
+    directory, that the run handed its log to, this waits for the writer's
+    child and keeps its file; without one, or if the child failed, this
+    process formats the whole log. The file is written under a temporary
+    name and renamed once whole, so a failure leaves neither a partial
+    events.csv nor the temporary file."""
+    path, part = _event_log_paths(out_dir)
+    try:
+        if writer is None or not writer.finish(run.records):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with part.open("w") as out:
+                _write_lines(out, csv_lines(run.records))
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -308,7 +308,8 @@ def mint_session_keys(session_id: bytes, participants: list[Participant],
     """Mint one key per participant, all sharing the session field.
 
     Every participant must be a tenant realm the vault knows; the vault
-    handle raises UnregisteredRealm otherwise.
+    handle raises UnregisteredRealm otherwise, and InvalidInput for a realm
+    id that is empty or not text.
     """
     if len(session_id) != SESSION_FIELD_LEN:
         raise InvalidInput(f"session id must be {SESSION_FIELD_LEN} bytes")

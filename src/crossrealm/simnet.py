@@ -32,7 +32,7 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterator, Mapping, NamedTuple
 
 from . import protocol as proto
 from .errors import DisallowedPair, InvalidInput, is_number
@@ -278,7 +278,9 @@ def csv_lines(log: EventLog, start: int = 0, stop: int | None = None) -> Iterato
     each ending in a newline, after the header when the range starts at
     record 0; a record's sequence is its log index, and an absent phase or
     size is empty. The fields around the session id are formatted once per
-    shape, and a time once per run of records that share it."""
+    shape, and a time once per run of records that share it. The columns are
+    read through views of the range, so no record before it is visited, and
+    the log may not grow until the lines have been read."""
     if start == 0:
         yield ",".join(LOG_HEADER) + "\n"
     heads = [f"{kind},{source},{destination}," for kind, source, destination, *_ in log.shapes]
@@ -286,8 +288,7 @@ def csv_lines(log: EventLog, start: int = 0, stop: int | None = None) -> Iterato
              for *_, phase, size, outcome in log.shapes]
     ids = log.session_ids
     stop = len(log) if stop is None else stop
-    columns = (itertools.islice(column, start, stop)
-               for column in (log.times, log.sessions, log.codes))
+    columns = (memoryview(column)[start:stop] for column in (log.times, log.sessions, log.codes))
     last, stamp = None, ""
     for sequence, time_s, session, code in zip(range(start, stop), *columns):
         if time_s != last or not time_s:  # 0.0 == -0.0, but each prints its own sign
@@ -457,13 +458,17 @@ class _Engine:
             for event in sorted(drawn):  # by (time, seq): each seq is unique
                 self.schedule(queue, handler, event)
 
-    def loop(self) -> None:
+    def loop(self, until: float = math.inf) -> None:
+        """Run the events due by ``until`` or the horizon, whichever is first;
+        an event due past the horizon sets ``horizon_exceeded``."""
         horizon = self.scenario.horizon_s
+        stop = min(until, horizon)
         heap, heappop, heapreplace = self.heap, heapq.heappop, heapq.heapreplace
         while heap:
             time, _, queue, handler = heap[0]
-            if time > horizon:
-                self.horizon_exceeded = True
+            if time > stop:
+                if time > horizon:
+                    self.horizon_exceeded = True
                 break
             event = queue.popleft()
             if queue:
@@ -601,8 +606,18 @@ class _Engine:
         )
 
 
-def run(scenario: "Scenario") -> SimRun:
+# the equal slices of its horizon that a run loops over, handing the log to
+# its writer, if it has one, after each
+WRITER_SLICES = 16
+
+
+def run(scenario: "Scenario", writer: Callable[[EventLog], None] | None = None) -> SimRun:
     """Run one scenario to completion or horizon; pure in the scenario.
+
+    The loop runs in ``WRITER_SLICES`` equal slices of the horizon. Given a
+    writer, the log is handed to ``writer(log)`` after each slice, so the
+    writer can format what is logged while the run goes on; the run is the
+    same with or without one.
 
     Cyclic garbage collection is paused while the event loop runs: the
     loop leaves no cyclic garbage, and every full collection would walk
@@ -625,7 +640,10 @@ def run(scenario: "Scenario") -> SimRun:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        engine.loop()
+        for k in range(1, WRITER_SLICES + 1):
+            engine.loop(scenario.horizon_s * k / WRITER_SLICES)
+            if writer is not None:
+                writer(engine.events)
     finally:
         for _, _, queue, _ in engine.heap:  # each non-empty queue has its head here
             queue.clear()

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import hmac
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from . import keys as keylib
 from .errors import (
@@ -53,6 +54,19 @@ def _frozen(mapping: Mapping[str, str]) -> Mapping[str, str]:
     return MappingProxyType(dict(mapping))
 
 
+def _check_details(details: Mapping[str, str]) -> None:
+    """Primary details map text names to text values, as metadata does;
+    anything else raises InvalidInput naming it."""
+    # a dict is tested first: isinstance of an ABC costs several times as much
+    if not (isinstance(details, dict) or isinstance(details, Mapping)):
+        raise InvalidInput(f"primary details {details!r} are not a mapping")
+    for name, value in details.items():
+        if not isinstance(name, str):
+            raise InvalidInput(f"primary detail name {name!r} is not text")
+        if not isinstance(value, str):
+            raise InvalidInput(f"primary detail value {value!r} of {name!r} is not text")
+
+
 @dataclass
 class _SubdomainFolder:
     subdomain_key: KeyPart
@@ -75,6 +89,7 @@ class Vault:
 
     def register_cloud(self, cloud_id: str, master_secret: bytes) -> KeyPart:
         """Create a cloud folder and derive its root key."""
+        keylib._check_id("cloud", cloud_id)  # before it is looked up
         if cloud_id in self.clouds:
             raise AlreadyRegistered(f"cloud {cloud_id!r} already registered")
         root = keylib.derive_root_key(cloud_id, master_secret)
@@ -84,6 +99,7 @@ class Vault:
     def register_subdomain(self, cloud_id: str, subdomain_id: str) -> KeyPart:
         """Create a sub-domain subfolder and derive its key from the cloud root."""
         cloud = self._cloud(cloud_id)
+        keylib._check_id("sub-domain", subdomain_id)  # before it is looked up
         if subdomain_id in cloud.subdomains:
             raise AlreadyRegistered(f"subdomain {subdomain_id!r} already under {cloud_id!r}")
         sub = keylib.derive_subdomain_key(cloud.root_key, subdomain_id)
@@ -102,6 +118,7 @@ class Vault:
         """
         cloud, folder = self._subdomain(cloud_id, subdomain_id)
         self._refuse_held(tenant_id)
+        _check_details(primary_details)
         if not extension_metadata:
             raise EmptyMetadata("extension metadata is required to generate a signature")
         signature = keylib.derive_signature(tenant_id, extension_metadata)
@@ -133,7 +150,8 @@ class Vault:
 
     def realm_keys(self, cloud_id: str, subdomain_id: str) -> tuple[KeyPart, KeyPart]:
         """(root, sub-domain) keys for a realm; the minting read handle. An
-        unknown realm raises UnknownCloud or UnknownSubdomain, each an
+        id that is empty or not text raises InvalidInput naming it, and an
+        unknown realm UnknownCloud or UnknownSubdomain, each an
         UnregisteredRealm."""
         cloud, folder = self._subdomain(cloud_id, subdomain_id)
         return cloud.root_key, folder.subdomain_key
@@ -184,6 +202,8 @@ class Vault:
                         part = f"snapshot tenant {tid!r} of {cid}/{sid}"
                         vault.register_tenant(cid, sid, tid, tdoc["primary_details"],
                                               tdoc["extension_metadata"])
+        except (EmptyMetadata, AlreadyRegistered) as exc:  # of the type registration raises
+            raise type(exc)(f"{part}: {exc}") from exc
         except (InvalidInput, KeyError, TypeError, AttributeError, ValueError) as exc:
             detail = f"no {exc}" if isinstance(exc, KeyError) else exc
             raise InvalidInput(f"{part}: {detail}") from exc
@@ -195,6 +215,8 @@ class Vault:
         no JSON text or is of the wrong shape raises InvalidInput naming it."""
         try:
             return cls.from_snapshot(json.loads(Path(path).read_text()))
+        except (EmptyMetadata, AlreadyRegistered) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         except (InvalidInput, OSError, ValueError) as exc:
             detail = exc.strerror if isinstance(exc, OSError) else exc
             raise InvalidInput(f"{path}: {detail}") from exc
@@ -213,6 +235,7 @@ class Vault:
         return None
 
     def _cloud(self, cloud_id: str) -> _CloudFolder:
+        keylib._check_id("cloud", cloud_id)  # an id that is not text may not hash
         cloud = self.clouds.get(cloud_id)
         if cloud is None:
             raise UnknownCloud(f"cloud {cloud_id!r} not registered")
@@ -221,6 +244,7 @@ class Vault:
     def _subdomain(self, cloud_id: str, subdomain_id: str) -> tuple[_CloudFolder, _SubdomainFolder]:
         """The realm's cloud folder and its sub-domain subfolder."""
         cloud = self._cloud(cloud_id)
+        keylib._check_id("sub-domain", subdomain_id)
         folder = cloud.subdomains.get(subdomain_id)
         if folder is None:
             raise UnknownSubdomain(f"subdomain {subdomain_id!r} not under cloud {cloud_id!r}")
@@ -238,6 +262,7 @@ class Vault:
     def _refuse_held(self, tenant_id: str) -> None:
         """A tenant record lives under exactly one sub-domain, so an id that
         one already holds is refused."""
+        keylib._check_id("tenant", tenant_id)
         held = self._tenant(tenant_id)
         if held is not None:
             raise AlreadyRegistered(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import fcntl
 import gc
 import hashlib
 import json
@@ -13,7 +14,7 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import replace
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crossrealm import cli, harness, simnet
+from crossrealm import cli, harness, protocol, simnet
 from crossrealm.errors import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -860,14 +861,46 @@ def test_event_log_written_in_chunks_is_the_whole_log(tmp_path, records):
     assert len(text.splitlines()) == 1 + records
 
 
+def _grown(run: simnet.SimRun, writer) -> simnet.SimRun:
+    """The run with its log built again record by record and handed to the
+    writer as a run hands it over while it grows: after each third of it,
+    and once more whole. Each session id and shape is added when a record
+    first names it, so later hand-offs carry new ones."""
+    log, index = simnet.EventLog(), {"": 0}
+    step = max(1, len(run.records) // 3)
+    for n, record in enumerate(run.records, start=1):
+        sid = record.session_id
+        if sid not in index:
+            index[sid] = log.add_session(sid)
+        log.times.append(record.time_s)
+        log.sessions.append(index[sid])
+        log.codes.append(log.shape(*record[1:4], *record[5:]))
+        if n % step == 0:
+            writer(log)
+    writer(log)
+    assert list(csv_lines(log)) == list(csv_lines(run.records))
+    return replace(run, records=log)
+
+
+def _run_and_write(scenario: Scenario, out: Path) -> tuple[simnet.SimRun, Path]:
+    """Run the scenario and write its events.csv as the run command does."""
+    writer = harness.event_log_writer(out)
+    try:
+        run = simnet.run(scenario, writer)
+        return run, emit_event_log(run, out, writer)
+    finally:
+        if writer is not None:
+            writer.close()
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The children that os.fork makes during a test (``made``) and how many
-    times a child's half was appended to the log (``appended``), which only
-    a child that succeeded allows; after the test, no child may be left,
-    finished or running."""
-    seen = SimpleNamespace(made=[], appended=0)
-    fork, append = os.fork, harness._append
+    times this process formatted a log (``formatted``), which it does only
+    where no writer child wrote the file; after the test, no child may be
+    left, finished or running."""
+    seen = SimpleNamespace(made=[], formatted=0)
+    fork, parent = os.fork, os.getpid()
 
     def counted_fork():
         pid = fork()
@@ -875,12 +908,13 @@ def forks(monkeypatch):
             seen.made.append(pid)
         return pid
 
-    def counted_append(out, part):
-        seen.appended += 1
-        append(out, part)
+    def counted_csv_lines(log, start=0, stop=None):
+        if os.getpid() == parent:
+            seen.formatted += 1
+        return csv_lines(log, start, stop)
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(harness, "_append", counted_append)
+    monkeypatch.setattr(harness, "csv_lines", counted_csv_lines)
     yield seen
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -900,51 +934,125 @@ def assert_whole_log(path: Path, run: simnet.SimRun) -> None:
 @pytest.mark.parametrize("records", [0, 1, 2, 7, EVENT_LOG_CHUNK_LINES - 1,
                                      EVENT_LOG_CHUNK_LINES + 1])
 def test_event_log_is_whole_on_either_path(tmp_path, monkeypatch, forks, cpus, records):
-    # a child formats the second half of two records or more, given two CPUs
+    # given two CPUs, the child forked when the writer is made formats the
+    # records of each hand-off, and the header alone of an empty log
     _cpus(monkeypatch, cpus)
-    run = _hand_built_run(records)
-    assert_whole_log(emit_event_log(run, tmp_path / "out"), run)
-    # the log holds the child's half, not one this process formatted again
-    assert len(forks.made) == forks.appended == (cpus > 1 and records >= 2)
+    out = tmp_path / "out"
+    writer = harness.event_log_writer(out)
+    assert (writer is not None) is (cpus > 1)
+    try:
+        run = _grown(_hand_built_run(records), writer or (lambda log: None))
+        assert_whole_log(emit_event_log(run, out, writer), run)
+    finally:
+        if writer is not None:
+            writer.close()
+    # the file is the child's, not one this process formatted again
+    assert len(forks.made) == (cpus > 1)
+    assert forks.formatted == (not forks.made)
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "two-processes"])
 def test_event_log_of_a_drawn_run_is_whole_on_either_path(tmp_path, monkeypatch, forks, cpus):
     _cpus(monkeypatch, cpus)
-    run = simnet.run(replace(Scenario(), principals=40, seed=11))
+    run, path = _run_and_write(replace(Scenario(), principals=40, seed=11), tmp_path / "out")
     assert len(run.records) > 4000
-    assert_whole_log(emit_event_log(run, tmp_path / "out"), run)
-    assert len(forks.made) == forks.appended == cpus - 1
+    assert_whole_log(path, run)
+    assert len(forks.made) == cpus - 1
+    assert forks.formatted == 2 - cpus
 
 
 @pytest.mark.parametrize("failure", ["raises", "killed"])
 def test_a_failed_child_leaves_the_whole_log(tmp_path, monkeypatch, forks, failure):
-    # the formatter fails in the child only: this process formats its half
-    parent = os.getpid()
+    # the child formats the first range handed to it, then fails on the
+    # second; this process then writes the whole log
+    parent, counted = os.getpid(), harness.csv_lines
 
     def formatter(log, start=0, stop=None):
-        if os.getpid() != parent:
+        if os.getpid() != parent and start > 0:
             if failure == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise RuntimeError("the child fails")
-        return csv_lines(log, start, stop)
+        return counted(log, start, stop)
 
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "csv_lines", formatter)
-    run = simnet.run(STALLED_AT_F)
-    assert_whole_log(emit_event_log(run, tmp_path / "out"), run)
+    out = tmp_path / "out"
+    writer = harness.event_log_writer(out)
+    handed = []
+
+    def hand_off(log):
+        writer(log)
+        handed.append(writer.pipe is not None)
+        if len(handed) == 2:  # the second range went out: let the child end
+            os.waitid(os.P_PID, forks.made[0], os.WEXITED | os.WNOWAIT)
+
+    try:
+        run = _grown(simnet.run(STALLED_AT_F), hand_off)
+        # the third hand-off met a broken pipe: nothing more was sent
+        assert handed[:3] == [True, True, False]
+        assert_whole_log(emit_event_log(run, out, writer), run)
+    finally:
+        writer.close()
     assert len(forks.made) == 1
-    assert forks.appended == 0
+    assert forks.formatted == 1
 
 
-def test_a_failed_fork_leaves_the_whole_log(tmp_path, monkeypatch):
+def test_a_child_failing_after_the_end_mark_leaves_the_whole_log(tmp_path, monkeypatch, forks):
+    # the child is fed the whole log and fails on its last range only once
+    # the end mark is sent, so that only its exit status tells of it
+    parent, counted, send = os.getpid(), harness.csv_lines, harness._send
+    run = simnet.run(STALLED_AT_F)
+    ended, end_sent = os.pipe()
+
+    def formatter(log, start=0, stop=None):
+        if os.getpid() != parent and len(log) == len(run.records):
+            os.read(ended, 1)
+            raise RuntimeError("the child fails")
+        return counted(log, start, stop)
+
+    def sending(fd, data):
+        send(fd, data)
+        if data == harness._END:
+            os.write(end_sent, b"!")
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "csv_lines", formatter)
+    monkeypatch.setattr(harness, "_send", sending)
+    out = tmp_path / "out"
+    writer = harness.event_log_writer(out)
+    try:
+        run = _grown(run, writer)
+        assert writer.pipe is not None and writer.sent == len(run.records)
+        assert_whole_log(emit_event_log(run, out, writer), run)
+    finally:
+        writer.close()
+        os.close(ended)
+        os.close(end_sent)
+    assert len(forks.made) == 1
+    assert forks.formatted == 1
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"), reason="pipe sizes are set on Linux")
+def test_the_writer_pipe_holds_a_large_hand_off(tmp_path, monkeypatch, forks):
+    # with the default 64 KiB the run's process waited for the child to read
+    _cpus(monkeypatch, 2)
+    writer = harness.event_log_writer(tmp_path)
+    try:
+        assert fcntl.fcntl(writer.pipe, fcntl.F_GETPIPE_SZ) == harness.PIPE_BYTES
+    finally:
+        writer.close()
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_failed_fork_leaves_the_whole_log(tmp_path, monkeypatch, forks):
     def fork():
         raise BlockingIOError(errno.EAGAIN, "no process to spare")
 
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", fork)
-    run = simnet.run(STALLED_AT_F)
-    assert_whole_log(emit_event_log(run, tmp_path / "out"), run)
+    run, path = _run_and_write(STALLED_AT_F, tmp_path / "out")
+    assert_whole_log(path, run)
+    assert forks.formatted == 1
 
 
 def test_a_process_with_threads_writes_the_log_itself(tmp_path, monkeypatch, forks):
@@ -954,14 +1062,14 @@ def test_a_process_with_threads_writes_the_log_itself(tmp_path, monkeypatch, for
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        run = simnet.run(STALLED_AT_F)
-        path = emit_event_log(run, tmp_path / "out")
+        run, path = _run_and_write(STALLED_AT_F, tmp_path / "out")
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert_whole_log(path, run)
     assert forks.made == []
+    assert forks.formatted == 1
 
 
 def test_run_command_leaves_no_process_or_temporary_file(tmp_path, monkeypatch, forks):
@@ -969,9 +1077,55 @@ def test_run_command_leaves_no_process_or_temporary_file(tmp_path, monkeypatch, 
     scenario = tmp_path / "scenario.json"
     save_scenario(STALLED_AT_F, scenario)
     assert cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
-    assert len(forks.made) == forks.appended == 1
+    assert len(forks.made) == 1
+    assert forks.formatted == 0
     assert sorted(os.listdir(tmp_path / "out")) == [
         "events.csv", "per_phase.csv", "summary.csv", "timeseries.csv"]
+    assert (tmp_path / "out" / "events.csv").read_bytes() == "".join(
+        csv_lines(simnet.run(STALLED_AT_F).records)).encode()
+
+
+@pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt],
+                         ids=["raises", "interrupted"])
+@pytest.mark.parametrize("where", ["loop", "aggregate"])
+def test_a_failed_run_leaves_no_process_or_event_log(tmp_path, monkeypatch, forks, failure,
+                                                     where):
+    # the run fails after the writer forked, before any report was written
+    advance = protocol.advance_phase
+
+    def failing_advance(session):
+        if session.current_phase == 8:  # phase 9 completes, about 25 s after the fork
+            raise failure("a handler fails")
+        return advance(session)
+
+    def failing_aggregate(run):
+        raise failure("aggregate fails")
+
+    _cpus(monkeypatch, 2)
+    if where == "loop":
+        monkeypatch.setattr(protocol, "advance_phase", failing_advance)
+    else:
+        monkeypatch.setattr(harness, "aggregate", failing_aggregate)
+    scenario = tmp_path / "scenario.json"
+    save_scenario(STALLED_AT_F, scenario)
+    with pytest.raises(failure):
+        cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert len(forks.made) == 1
+    assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt],
+                         ids=["raises", "interrupted"])
+def test_a_failed_write_leaves_no_event_log(tmp_path, monkeypatch, failure):
+    # one process: formatting fails once the first chunk of lines is written
+    def formatter(log, start=0, stop=None):
+        yield from islice(csv_lines(log, start, stop), EVENT_LOG_CHUNK_LINES + 1)
+        raise failure("formatting fails")
+
+    monkeypatch.setattr(harness, "csv_lines", formatter)
+    with pytest.raises(failure):
+        emit_event_log(_hand_built_run(2 * EVENT_LOG_CHUNK_LINES), tmp_path)
+    assert os.listdir(tmp_path) == []
 
 
 def test_empty_run_emits_headers_only(tmp_path):

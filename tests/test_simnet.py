@@ -376,6 +376,26 @@ def test_horizon_exceeded_reports_partial():
     assert session.status is SessionStatus.IN_PROGRESS
 
 
+@pytest.mark.parametrize("scenario", [
+    SMALL,
+    replace(SMALL, horizon_s=120.0),
+    replace(Scenario(), principals=20, timeout_mode=TimeoutMode.localized_f(200),
+            stalls=(Stall(Role.CLOUD_B, 10, 250.0),), horizon_s=1000.0, seed=4),
+], ids=["completed", "horizon-cut", "stalled-at-f"])
+def test_a_run_handing_its_log_to_a_writer_is_the_same_run(scenario):
+    handed = []  # the log's length at each hand-off
+    sliced = simnet.run(scenario, lambda log: handed.append(len(log)))
+    whole = simnet.run(scenario)
+    assert sliced.sessions == whole.sessions
+    assert sliced.horizon_exceeded is whole.horizon_exceeded is (scenario.horizon_s == 120.0)
+    assert sliced.max_network_delay_s == whole.max_network_delay_s
+    assert list(csv_lines(sliced.records)) == list(csv_lines(whole.records))
+    # one hand-off per slice of the horizon, the last of the whole log
+    assert len(handed) == simnet.WRITER_SLICES
+    assert handed == sorted(handed) and handed[-1] == len(whole.records)
+    assert len(set(handed)) > 2
+
+
 def test_csv_header_and_shape():
     run = simnet.run(SMALL)
     lines = "".join(csv_lines(run.records)).splitlines()

@@ -374,6 +374,74 @@ def test_a_snapshot_tenant_with_metadata_that_is_not_text_is_refused():
         Vault.from_snapshot(doc)
 
 
+def _no_metadata(doc: dict) -> str:
+    alice(doc)["extension_metadata"] = {}
+    return "snapshot tenant 'alice' of CloudA/bi: "
+
+
+def _held_twice(doc: dict) -> str:
+    doc["clouds"]["CloudB"]["subdomains"]["bi"]["tenants"]["alice"] = alice(doc)
+    return "snapshot tenant 'alice' of CloudB/bi: "
+
+
+@pytest.mark.parametrize("edit, error", [(_no_metadata, EmptyMetadata),
+                                         (_held_twice, AlreadyRegistered)],
+                         ids=["no-metadata", "held-twice"])
+def test_a_registration_error_from_a_snapshot_names_its_part_and_file(tmp_path, edit, error):
+    # of the type registration raises, with the prefixes of the loaders' own errors
+    doc = bi_registry().to_snapshot()
+    part = edit(doc)
+    with pytest.raises(error, match="^" + re.escape(part)):
+        Vault.from_snapshot(doc)
+    path = tmp_path / "vault.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error, match="^" + re.escape(f"{path}: {part}")):
+        Vault.load_snapshot(path)
+
+
+@pytest.mark.parametrize("call", [
+    lambda vault: vault.register_cloud(["CloudC"], b"secret"),
+    lambda vault: vault.register_subdomain(["CloudA"], "hr"),
+    lambda vault: vault.register_subdomain("CloudA", ["hr"]),
+    lambda vault: vault.register_tenant(["CloudA"], "bi", "carol", {}, META),
+    lambda vault: vault.register_tenant("CloudA", ["bi"], "carol", {}, META),
+    lambda vault: vault.register_tenant("CloudA", "bi", ["carol"], {}, META),
+    lambda vault: vault.realm_keys("CloudA", ["bi"]),
+], ids=["cloud", "subdomain-cloud", "subdomain", "tenant-cloud", "tenant-subdomain", "tenant",
+        "realm-keys"])
+def test_an_id_that_cannot_be_hashed_is_invalid_input_naming_it(call):
+    # it was looked up in a dict first, which raised a raw TypeError
+    vault = bi_registry()
+    with pytest.raises(InvalidInput, match=r" id \['\w+'\] is not text"):
+        call(vault)
+    assert vault.to_snapshot() == bi_registry().to_snapshot()
+
+
+@pytest.mark.parametrize("cloud_id, subdomain_id, named", [
+    ("", "bi", "cloud id '' is empty"),
+    ("CloudA", "", "sub-domain id '' is empty"),
+], ids=["cloud", "subdomain"])
+def test_an_empty_realm_id_is_invalid_input_not_an_unknown_realm(cloud_id, subdomain_id, named):
+    # no realm can be registered under an empty id, so looking one up is
+    # refused as registering one is
+    with pytest.raises(InvalidInput, match=re.escape(named)):
+        bi_registry().realm_keys(cloud_id, subdomain_id)
+
+
+@pytest.mark.parametrize("details, named", [
+    (5, "primary details 5 are not a mapping"),
+    ({"plan": 5}, "primary detail value 5 of 'plan' is not text"),
+    ({5: "x"}, "primary detail name 5 is not text"),
+], ids=["not-a-mapping", "value", "name"])
+def test_primary_details_that_are_not_text_are_invalid_input(details, named):
+    # as metadata that is not text is: dict(5) raised a raw TypeError, and
+    # {"plan": 5} was stored
+    vault = bi_registry()
+    with pytest.raises(InvalidInput, match=re.escape(named)):
+        vault.register_tenant("CloudA", "bi", "carol", details, META)
+    assert vault.to_snapshot() == bi_registry().to_snapshot()
+
+
 def test_a_loaded_signature_is_derived_from_the_loaded_metadata():
     doc = earlier_format(bi_registry())
     alice(doc)["extension_metadata"] = {"pet": "cat"}
