@@ -49,10 +49,11 @@ def _cmd_run(args) -> int:
     writer = None
     try:  # the output directory is made first, so a bad --out fails before the run
         args.out.mkdir(parents=True, exist_ok=True)
-        # formats events.csv in a forked child while the run goes on, where it can
-        writer = harness.event_log_writer(args.out)
+        # formats events.csv and folds the report in a forked child while
+        # the run goes on, where it can
+        writer = harness.event_log_writer(args.out, scenario)
         result = simnet.run(scenario, writer)
-        report = harness.aggregate(result)
+        report = harness.aggregate(result, writer)
         paths = harness.emit_report(report, args.out)
         paths.append(harness.emit_event_log(result, args.out, writer))
     except OSError as exc:  # the directory or a report file cannot be written

@@ -323,159 +323,206 @@ _OPENER = {spec.index: spec.source.value for spec in PHASES}
 _STARTS, _COMPLETES, _DROPS, _OPENS = object(), object(), object(), object()
 
 
-def aggregate(run: SimRun) -> MetricsReport:
+class _Fold:
+    """aggregate's fold of a run's event log, fed its records a range at a
+    time in log order, and the report it makes of them.
+
+    The log must be in time order, as the engine's ``schedule`` keeps it, so
+    each traffic bucket is one slice of a range, found by bisection. The
+    bits sent and received, the session starts and ends, drops and discards
+    are counted per bucket by shape code, in C, and each count is multiplied
+    by its code's value once. A bucket may be split across two ranges, so
+    each range adds to its sums; they are sums of whole numbers, so they
+    are exact in any grouping. Python walks only the records whose times the
+    durations need: the send that opens a phase (by the phase's source), its
+    phase-complete delivery, and each session's start and end. A session's
+    phases run one at a time, so the open-phase table holds, under each
+    session index, the time of its open phase's opening send until that
+    phase completes or the session drops: it grows only with the sessions in
+    flight. The per-code tables grow when a range brings new shapes, and the
+    start times when it brings new sessions. No container is built per
+    record, so the fold sets off no garbage collection over the run's objects.
+    """
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.buckets = int(math.floor(scenario.horizon_s / scenario.sampling_interval_s)) + 1
+        self.sent = [0.0] * self.buckets
+        self.received = [0.0] * self.buckets
+        # the active-session count's steps: a session takes it up at its
+        # start bucket and down after its end bucket (past the horizon if it
+        # is in flight then); their running sum is the count
+        self.steps = [0] * (self.buckets + 1)
+        # per shape code: the shape, its records, what a record of it adds
+        # to its bucket (bits sent and received, steps up and down) and the
+        # durations' reading of it (None for none)
+        self.shapes: list[tuple] = []
+        self.tally: list[int] = []
+        self.adds: list[tuple[float, float, int, int]] = []
+        self.reads: list = []
+        self.needed: list[bool] = []
+        self.phase_durations = {k: array("d") for k in range(1, PHASE_COUNT + 1)}
+        self.started_at = array("d")  # session index -> start time
+        self.durations = array("d")  # end-to-end time of each completed session
+        self.open_since: dict[int, float] = {}  # session index -> its open phase's opening send
+
+    def _learn(self, shapes: list[tuple]) -> None:
+        """Extend the per-code tables by the shapes not seen before."""
+        for shape in shapes[len(self.shapes):]:
+            kind, source, _, phase, size, outcome = shape
+            adds, read = (0.0, 0.0, 0, 0), None
+            if kind == "send":
+                adds = (size * 8.0, 0.0, 0, 0)
+                if source == _OPENER.get(phase):
+                    read = _OPENS
+            elif kind == "deliver":
+                adds = (0.0, size * 8.0, 0, 0)
+                if outcome == "phase-complete":
+                    read = self.phase_durations[phase]
+            elif kind == "session-start":
+                adds, read = (0.0, 0.0, 1, 0), _STARTS
+            elif kind == "session-complete":
+                adds, read = (0.0, 0.0, 0, 1), _COMPLETES
+            elif kind == "session-drop":
+                adds, read = (0.0, 0.0, 0, 1), _DROPS
+            self.shapes.append(shape)
+            self.tally.append(0)
+            self.adds.append(adds)
+            self.reads.append(read)
+            self.needed.append(read is not None)
+
+    def feed(self, log: simnet.EventLog, start: int, stop: int) -> None:
+        """Fold the log's records [start, stop), which follow those fed before."""
+        self._learn(log.shapes)
+        self.started_at += array("d", [0.0]) * (len(log.session_ids) - len(self.started_at))
+        interval, last = self.scenario.sampling_interval_s, self.buckets - 1
+        sent, received, steps, tally, adds = (self.sent, self.received, self.steps, self.tally,
+                                              self.adds)
+
+        def bucket(time_s: float) -> int:
+            return int(time_s / interval)
+
+        times, codes = log.times, log.codes
+        lo = start
+        while lo < stop:
+            b = bucket(times[lo])
+            if b >= last:
+                b, hi = last, stop
+            else:
+                hi = bisect_right(times, b, lo, stop, key=bucket)
+            out = into = 0.0
+            up = down = 0
+            for code, count in Counter(codes[lo:hi]).items():
+                tally[code] += count
+                bits_out, bits_in, starts, ends = adds[code]
+                out += count * bits_out
+                into += count * bits_in
+                up += count * starts
+                down += count * ends
+            sent[b] += out
+            received[b] += into
+            steps[b] += up
+            steps[b + 1] -= down
+            lo = hi
+
+        columns = (times, log.sessions, codes)
+        if start or stop < len(log):  # a range walks faster as a copy than as a view
+            columns = tuple(column[start:stop] for column in columns)
+        reads, started_at, durations = self.reads, self.started_at, self.durations
+        open_since = self.open_since
+        for time_s, session, code in compress(zip(*columns),
+                                              map(self.needed.__getitem__, columns[2])):
+            read = reads[code]
+            if read is _OPENS:
+                if session not in open_since:
+                    open_since[session] = time_s
+            elif read is _STARTS:
+                started_at[session] = time_s
+            elif read is _COMPLETES:
+                durations.append(time_s - started_at[session])
+            elif read is _DROPS:
+                open_since.pop(session, None)
+            else:
+                read.append(time_s - open_since.pop(session))
+
+    def report(self, max_network_delay_s: float, horizon_exceeded: bool) -> MetricsReport:
+        """The report of the records fed, given the two facts of the run
+        that no record holds."""
+        # the engine makes each deliver and end record's code when it first
+        # logs one, so in code order each outcome and role comes in the order
+        # of its first record
+        started = 0
+        drops: dict[str, int] = {}  # drop outcome -> sessions
+        discarded: dict[str, dict[str, int]] = {}  # receiving role -> outcome -> deliveries
+        for (kind, _, destination, _, _, outcome), count in zip(self.shapes, self.tally):
+            if not count:
+                continue
+            if kind == "session-start":
+                started += count
+            elif kind == "session-drop":
+                drops[outcome] = drops.get(outcome, 0) + count
+            elif kind == "deliver" and outcome.startswith("discarded:"):
+                counts = discarded.setdefault(destination, {})
+                counts[outcome] = counts.get(outcome, 0) + count
+
+        durations = sorted(self.durations)
+        completed, dropped = len(durations), sum(drops.values())
+        mean = p50 = p90 = p99 = None
+        if durations:
+            mean, p50, p90, p99 = (_mean(durations), percentile(durations, 50),
+                                   percentile(durations, 90), percentile(durations, 99))
+
+        # role -> its own discards: those the engine absorbed no role saw
+        violations = {role.value: sum(n for outcome, n in discarded.get(role.value, {}).items()
+                                      if outcome != ABSORBED) for role in Role}
+        interval = self.scenario.sampling_interval_s
+        sent_bps = [bits / interval for bits in self.sent]
+        received_bps = [bits / interval for bits in self.received]
+        tree = {
+            "sessions": {
+                "started": started,
+                "completed": completed,
+                "dropped": dropped,
+                "in_flight_at_horizon": started - completed - dropped,
+                "dropped_by_reason": {outcome[len("dropped:"):]: n
+                                      for outcome, n in drops.items()},
+            },
+            "end_to_end_s": {"mean": mean, "p50": p50, "p90": p90, "p99": p99,
+                             "count": completed},
+            "per_phase_s": {str(k): {"mean": _mean(v) if v else None, "count": len(v)}
+                            for k, v in self.phase_durations.items()},
+            "traffic_bps": {"peak_sent": max(sent_bps), "peak_received": max(received_bps),
+                            "mean_sent": _mean(sent_bps)},
+            "max_network_delay_s": max_network_delay_s,
+            # receiving role -> discard reason -> deliveries
+            "discards": {role: {outcome[len("discarded:"):]: n for outcome, n in counts.items()}
+                         for role, counts in discarded.items()},
+            "violations": violations,
+            "horizon_exceeded": horizon_exceeded,
+            "sampling_interval_s": interval,
+            "seed": self.scenario.seed,
+        }
+        active = list(accumulate(self.steps[:self.buckets]))
+        return MetricsReport(tree, active, sent_bps, received_bps)
+
+
+def aggregate(run: SimRun, writer: EventLogWriter | None = None) -> MetricsReport:
     """Fold a run's event log, its one account, into a MetricsReport. Beside
     the log it reads only what no record holds: the scenario, the largest
     network delay and whether the horizon cut the run off.
 
-    The log must be in time order, as the engine's ``schedule`` keeps it, so
-    each traffic bucket is one slice of it, found by bisection. The bits
-    sent and received, the session starts and ends, drops and discards are
-    counted per bucket by shape code, in C, and each count is multiplied by
-    its code's value once; the sums are of whole numbers, so they are exact.
-    Python walks only the records whose times the durations need: the send
-    that opens a phase (by the phase's source), its phase-complete delivery,
-    and each session's start and end. A session's phases run one at a time,
-    so the open-phase table holds, under each session index, the time of its
-    open phase's opening send until that phase completes or the session
-    drops: it grows only with the sessions in flight. No
-    container is built per record, so the fold sets off no garbage
-    collection over the finished run's objects.
+    Given the writer that the run handed its log to, the writer's child has
+    folded each hand-off as it formatted it (``_Fold.feed``), and this sends
+    it the two facts of the run and reads back its report. Without one, or
+    if the child was not fed the whole log or ends without answering, this
+    process folds the whole log itself.
     """
-    interval = run.scenario.sampling_interval_s
-    buckets = int(math.floor(run.scenario.horizon_s / interval)) + 1
-    last = buckets - 1
-    log = run.records
-    times, codes, shapes = log.times, log.codes, log.shapes
-    # what a record of each shape code adds to its bucket: bits sent and
-    # received, and its step of the active-session count, which a session
-    # takes up at its start bucket and down after its end bucket (past the
-    # horizon if it is in flight then); the running sum of the steps is the count
-    bits_sent = [0.0] * len(shapes)
-    bits_received = [0.0] * len(shapes)
-    step_up = [0] * len(shapes)
-    step_down = [0] * len(shapes)
-    # the durations' reading of a record of each code: None for none
-    phase_durations = {k: array("d") for k in range(1, PHASE_COUNT + 1)}
-    reads: list = [None] * len(shapes)
-    for code, (kind, source, _, phase, size, outcome) in enumerate(shapes):
-        if kind == "send":
-            bits_sent[code] = size * 8.0
-            if source == _OPENER.get(phase):
-                reads[code] = _OPENS
-        elif kind == "deliver":
-            bits_received[code] = size * 8.0
-            if outcome == "phase-complete":
-                reads[code] = phase_durations[phase]
-        elif kind == "session-start":
-            step_up[code] = 1
-            reads[code] = _STARTS
-        elif kind == "session-complete":
-            step_down[code] = 1
-            reads[code] = _COMPLETES
-        elif kind == "session-drop":
-            step_down[code] = 1
-            reads[code] = _DROPS
-
-    sent = [0.0] * buckets
-    received = [0.0] * buckets
-    steps = [0] * (buckets + 1)
-    tally = [0] * len(shapes)  # code -> records
-
-    def bucket(time_s: float) -> int:
-        return int(time_s / interval)
-
-    lo, n = 0, len(codes)
-    while lo < n:
-        b = bucket(times[lo])
-        if b >= last:
-            b, hi = last, n
-        else:
-            hi = bisect_right(times, b, lo, n, key=bucket)
-        out = into = 0.0
-        up = down = 0
-        for code, count in Counter(codes[lo:hi]).items():
-            tally[code] += count
-            out += count * bits_sent[code]
-            into += count * bits_received[code]
-            up += count * step_up[code]
-            down += count * step_down[code]
-        sent[b], received[b] = out, into
-        steps[b] += up
-        steps[b + 1] -= down
-        lo = hi
-
-    started_at = array("d", [0.0]) * len(log.session_ids)  # session index -> start time
-    durations = array("d")  # end-to-end time of each completed session
-    open_since: dict[int, float] = {}  # session index -> its open phase's opening send
-    needed = [read is not None for read in reads]
-    for time_s, session, code in compress(zip(times, log.sessions, codes),
-                                          map(needed.__getitem__, codes)):
-        read = reads[code]
-        if read is _OPENS:
-            if session not in open_since:
-                open_since[session] = time_s
-        elif read is _STARTS:
-            started_at[session] = time_s
-        elif read is _COMPLETES:
-            durations.append(time_s - started_at[session])
-        elif read is _DROPS:
-            open_since.pop(session, None)
-        else:
-            read.append(time_s - open_since.pop(session))
-
-    # the engine makes each deliver and end record's code when it first
-    # logs one, so in code order each outcome and role comes in the order
-    # of its first record
-    started = 0
-    drops: dict[str, int] = {}  # drop outcome -> sessions
-    discarded: dict[str, dict[str, int]] = {}  # receiving role -> outcome -> deliveries
-    for (kind, _, destination, _, _, outcome), count in zip(shapes, tally):
-        if not count:
-            continue
-        if kind == "session-start":
-            started += count
-        elif kind == "session-drop":
-            drops[outcome] = drops.get(outcome, 0) + count
-        elif kind == "deliver" and outcome.startswith("discarded:"):
-            counts = discarded.setdefault(destination, {})
-            counts[outcome] = counts.get(outcome, 0) + count
-
-    durations = sorted(durations)
-    completed, dropped = len(durations), sum(drops.values())
-    mean = p50 = p90 = p99 = None
-    if durations:
-        mean, p50, p90, p99 = (_mean(durations), percentile(durations, 50),
-                               percentile(durations, 90), percentile(durations, 99))
-
-    sent_bps = [bits / interval for bits in sent]
-    received_bps = [bits / interval for bits in received]
-    tree = {
-        "sessions": {
-            "started": started,
-            "completed": completed,
-            "dropped": dropped,
-            "in_flight_at_horizon": started - completed - dropped,
-            "dropped_by_reason": {outcome[len("dropped:"):]: n for outcome, n in drops.items()},
-        },
-        "end_to_end_s": {"mean": mean, "p50": p50, "p90": p90, "p99": p99,
-                         "count": completed},
-        "per_phase_s": {str(k): {"mean": _mean(v) if v else None, "count": len(v)}
-                        for k, v in phase_durations.items()},
-        "traffic_bps": {"peak_sent": max(sent_bps), "peak_received": max(received_bps),
-                        "mean_sent": _mean(sent_bps)},
-        "max_network_delay_s": run.max_network_delay_s,
-        # receiving role -> discard reason -> deliveries
-        "discards": {role: {outcome[len("discarded:"):]: n for outcome, n in counts.items()}
-                     for role, counts in discarded.items()},
-        # role -> its own discards: those the engine absorbed no role saw
-        "violations": {role.value: sum(n for outcome, n in discarded.get(role.value, {}).items()
-                                       if outcome != ABSORBED) for role in Role},
-        "horizon_exceeded": run.horizon_exceeded,
-        "sampling_interval_s": interval,
-        "seed": run.scenario.seed,
-    }
-    return MetricsReport(tree, list(accumulate(steps[:buckets])), sent_bps, received_bps)
+    report = None if writer is None else writer.report(run)
+    if report is None:
+        fold = _Fold(run.scenario)
+        fold.feed(run.records, 0, len(run.records))
+        report = fold.report(run.max_network_delay_s, run.horizon_exceeded)
+    return report
 
 
 def run_experiment(scenario: Scenario) -> MetricsReport:
@@ -581,20 +628,36 @@ def _send(fd: int, data) -> None:
 # KB), so the run's process seldom waits for the child to read
 PIPE_BYTES = 1 << 20
 
-# what the run's process sends the writer child after the last hand-off
-_END = b"end\n"
+# what the run's process sends the writer child after the last hand-off:
+# this, then the run's two facts as JSON if it asks for the report, then a newline
+_END = b"end"
 
 
-def _format_in_child(pipe: int, part: Path) -> None:
-    """The writer child's work: extend an empty log by each hand-off read
-    from ``pipe`` and format the new records into ``part``, until the end
-    mark. Should it fail, it removes the file and raises."""
+def _answer(report: MetricsReport) -> bytes:
+    """The writer child's report as one line of JSON (``_read_answer``)."""
+    return json.dumps([report.tree, report.active_sessions, report.traffic_sent_bps,
+                       report.traffic_received_bps]).encode() + b"\n"
+
+
+def _read_answer(source) -> MetricsReport | None:
+    """The report that ``_answer`` encoded; None if it is cut short."""
     try:
-        log = simnet.EventLog()
+        return MetricsReport(*json.loads(source.readline()))
+    except ValueError:  # the child ended without answering, or part way
+        return None
+
+
+def _serve_in_child(pipe: int, answers: int, part: Path, scenario: Scenario) -> None:
+    """The writer child's work: extend an empty log by each hand-off read
+    from ``pipe``, format the new records into ``part`` and fold them, until
+    the end mark; if the mark carries the run's two facts, write the report
+    to ``answers``. Should it fail, it removes the file and raises."""
+    try:
+        log, fold = simnet.EventLog(), _Fold(scenario)
         part.parent.mkdir(parents=True, exist_ok=True)
         with open(pipe, "rb") as source, part.open("w") as out:
             done = 0
-            while (header := source.readline()) != _END:
+            while not (header := source.readline()).startswith(_END):
                 records, size = map(int, header.split())  # end of file: ValueError
                 if size:
                     ids, shapes = json.loads(source.read(size))
@@ -603,40 +666,52 @@ def _format_in_child(pipe: int, part: Path) -> None:
                 for column in (log.times, log.sessions, log.codes):
                     column.frombytes(source.read(records * column.itemsize))
                 _write_lines(out, csv_lines(log, done))  # the header with record 0
+                fold.feed(log, done, len(log))
                 done = len(log)
             if not done:  # a run that logged nothing: the header alone
                 _write_lines(out, csv_lines(log))
+            facts = header[len(_END):]
+            if facts.strip():
+                _send(answers, _answer(fold.report(*json.loads(facts))))
     except BaseException:
         part.unlink(missing_ok=True)
         raise
 
 
 class EventLogWriter:
-    """Writes a run's events.csv from one forked child while the run goes on.
+    """Writes a run's events.csv, and folds its report, in one forked child
+    while the run goes on.
 
     The writer forks when it is made, before the run builds anything, so
     the pages the run builds are never shared with the child nor copied
-    on write. ``simnet.run`` hands the log to the writer after each
-    slice of its horizon; each hand-off with new records sends the child,
-    over a pipe, a header line (the new records and the length of the text
-    after it), the new session ids and shapes as JSON text, and the new
-    entries of the log's three columns as raw bytes. The child extends its
-    own log by them and formats the new records into ``events.csv.part``;
-    ``emit_event_log`` waits for it and renames the file. Should the fork
-    fail or the child end early, nothing more is sent and ``emit_event_log``
-    formats the whole log itself. ``close`` ends a child that is still
-    running and removes the file.
+    on write; the child has the writer's scenario from the fork. ``simnet.run``
+    hands the log to the writer after each slice of its horizon; each
+    hand-off with new records sends the child, over a pipe, a header line
+    (the new records and the length of the text after it), the new session
+    ids and shapes as JSON text, and the new entries of the log's three
+    columns as raw bytes. The child extends its own log by them, formats
+    the new records into ``events.csv.part`` and folds them as ``aggregate``
+    would. ``aggregate`` sends the end mark with the run's two facts and
+    reads the child's report from a second pipe (``report``), if the run is
+    of the writer's scenario; ``emit_event_log`` waits for the child and
+    renames the file. Should the fork fail or the child end early, nothing
+    more is sent, and this process folds and formats the whole log itself.
+    ``close`` ends a child that is still running and removes the file.
     """
 
-    def __init__(self, out_dir: str | Path):
+    def __init__(self, out_dir: str | Path, scenario: Scenario):
         self.part = _event_log_paths(out_dir)[1]
+        self.scenario = scenario  # the one the child folds with
         self.pid: int | None = None  # the child's, until it is waited for
         self.pipe: int | None = None  # the pipe's write end, while the child is fed
+        self.answers: int | None = None  # the answer pipe's read end, until it is read
+        self.ended = False  # whether the end mark went out after the whole log
         # the records, session ids and shapes the child holds: a new log's
         self.sent, self.ids, self.shapes = 0, len(simnet.EventLog().session_ids), 0
         import fcntl  # only here: a POSIX module, as os.fork is
 
         read, write = os.pipe()
+        answers, answer = os.pipe()
         if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux: one slice's hand-off fits
             try:
                 fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
@@ -645,19 +720,21 @@ class EventLogWriter:
         try:
             pid = os.fork()
         except OSError:  # no process to spare
-            os.close(read)
-            os.close(write)
+            for fd in (read, write, answers, answer):
+                os.close(fd)
             return
         if pid == 0:  # the child: its exit status is 0 only if the file is whole
             status = 1
             try:  # no exception or signal may unwind it into its parent's frames
                 os.close(write)
-                _format_in_child(read, self.part)
+                os.close(answers)
+                _serve_in_child(read, answer, self.part, scenario)
                 status = 0
             finally:
                 os._exit(status)
         os.close(read)
-        self.pid, self.pipe = pid, write
+        os.close(answer)
+        self.pid, self.pipe, self.answers = pid, write, answers
 
     def __call__(self, log: simnet.EventLog) -> None:
         if self.pipe is None or len(log) == self.sent:
@@ -675,17 +752,26 @@ class EventLogWriter:
             return
         self.sent, self.ids, self.shapes = stop, len(log.session_ids), len(log.shapes)
 
+    def report(self, run: SimRun) -> MetricsReport | None:
+        """The child's report of the run, if the run is of the writer's
+        scenario, the child was fed the whole log and it answers the end
+        mark that carries the run's two facts; else None."""
+        if run.scenario != self.scenario:  # the child's fold would be another run's
+            return None
+        facts = json.dumps([run.max_network_delay_s, run.horizon_exceeded]).encode()
+        if not self._end(run.records, b"%s %s\n" % (_END, facts)):
+            return None
+        with open(self.answers, "rb") as source:
+            self.answers = None
+            return _read_answer(source)
+
     def finish(self, log: simnet.EventLog) -> bool:
         """Whether the child wrote this whole log to ``part``, once it has
-        ended: the end mark is sent if it was fed all of it, else it is ended."""
+        ended: the end mark is sent if it was fed all of it and ``report``
+        did not send it, else the child is ended."""
         if self.pid is None:
             return False
-        whole = self.pipe is not None and self.sent == len(log)
-        if whole:
-            try:
-                _send(self.pipe, _END)
-            except BrokenPipeError:
-                whole = False
+        whole = self.ended or self._end(log, _END + b"\n")
         return self._wait(kill=not whole) == 0 and whole
 
     def close(self) -> None:
@@ -695,11 +781,28 @@ class EventLogWriter:
             self._wait(kill=True)
         self.part.unlink(missing_ok=True)
 
-    def _wait(self, kill: bool) -> int:
-        """The child's exit status, once it has ended; ``kill`` ends it first."""
-        if self.pipe is not None:
+    def _end(self, log: simnet.EventLog, mark: bytes) -> bool:
+        """Send the end mark if the child was fed all of the log; whether it went out."""
+        if self.pipe is None or self.sent != len(log):
+            return False
+        try:
+            _send(self.pipe, mark)
+        except BrokenPipeError:  # the child has ended
+            return False
+        finally:
             os.close(self.pipe)
             self.pipe = None
+        self.ended = True
+        return True
+
+    def _wait(self, kill: bool) -> int:
+        """The child's exit status, once it has ended; ``kill`` ends it
+        first. Both pipes are closed before, so a child still writing an
+        answer that is not read fails at once rather than block."""
+        for fd in (self.pipe, self.answers):
+            if fd is not None:
+                os.close(fd)
+        self.pipe = self.answers = None
         if kill:
             import signal  # only here: a run that ends cleanly ends no child
 
@@ -709,12 +812,13 @@ class EventLogWriter:
         return status
 
 
-def event_log_writer(out_dir: str | Path) -> EventLogWriter | None:
-    """A writer for a run's events.csv under ``out_dir``, where this process
-    can fork, may run on two CPUs or more and runs one thread; else None,
-    and ``emit_event_log`` formats the log in this process."""
+def event_log_writer(out_dir: str | Path, scenario: Scenario) -> EventLogWriter | None:
+    """A writer of events.csv under ``out_dir`` for a run of ``scenario``,
+    where this process can fork, may run on two CPUs or more and runs one
+    thread; else None, and ``aggregate`` and ``emit_event_log`` fold and
+    format the log in this process."""
     if hasattr(os, "fork") and _usable_cpus() > 1 and _single_threaded():
-        return EventLogWriter(out_dir)
+        return EventLogWriter(out_dir, scenario)
     return None
 
 
@@ -723,10 +827,10 @@ def emit_event_log(run: SimRun, out_dir: str | Path,
     """Write the run's event log as events.csv, in chunks of joined lines;
     returns once the whole file is written. Given the writer, made for this
     directory, that the run handed its log to, this waits for the writer's
-    child and keeps its file; without one, or if the child failed, this
-    process formats the whole log. The file is written under a temporary
-    name and renamed once whole, so a failure leaves neither a partial
-    events.csv nor the temporary file."""
+    child to end and keeps its file; without one, or if the child failed,
+    this process formats the whole log. The file is written under a
+    temporary name and renamed once whole, so a failure leaves neither a
+    partial events.csv nor the temporary file."""
     path, part = _event_log_paths(out_dir)
     try:
         if writer is None or not writer.finish(run.records):

@@ -263,7 +263,7 @@ def derive_signature(tenant_id: str, extension_metadata: Mapping[str, str]) -> D
         raise InvalidInput("extension_metadata must be non-empty")
     try:
         text = tenant_id + "|" + "\x1f".join(map("\x1e".join, sorted(extension_metadata.items())))
-    except TypeError:  # a part that is not text: sorting or joining it
+    except (TypeError, AttributeError):  # not a mapping, or a part that is not text
         raise InvalidInput(_not_text(extension_metadata)) from None
     return DigitalSignature(hashlib.sha256(_LABEL_SIGNATURE + text.encode()).digest())
 
@@ -277,7 +277,10 @@ def _check_id(kind: str, value) -> None:
 
 
 def _not_text(extension_metadata: Mapping) -> str:
-    """Names the first of the metadata classes and values that is not text."""
+    """Names metadata that is not a mapping, or the first of its classes and
+    values that is not text."""
+    if not isinstance(extension_metadata, Mapping):
+        return f"extension metadata {extension_metadata!r} is not a mapping"
     for cls, value in extension_metadata.items():
         if not isinstance(cls, str):
             return f"metadata class {cls!r} is not text"

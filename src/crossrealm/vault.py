@@ -67,6 +67,14 @@ def _check_details(details: Mapping[str, str]) -> None:
             raise InvalidInput(f"primary detail value {value!r} of {name!r} is not text")
 
 
+def _check_lookup(tenant_id: str) -> None:
+    """A tenant id looked up must be text, which hashes; an empty one is
+    looked up as any other, since phase 5 looks up whatever text a request
+    names, and finds nothing."""
+    if not isinstance(tenant_id, str):
+        raise InvalidInput(f"tenant id {tenant_id!r} is not text")
+
+
 @dataclass
 class _SubdomainFolder:
     subdomain_key: KeyPart
@@ -136,12 +144,16 @@ class Vault:
         return folder is not None and bool(folder.tenants)
 
     def find_member(self, tenant_id: str, idr: KeyPart, ids: KeyPart) -> TenantRecord | None:
-        """The tenant's record if it is registered in the realm the pair names, else None."""
+        """The tenant's record if it is registered in the realm the pair names,
+        else None; a tenant id that is not text raises InvalidInput."""
+        _check_lookup(tenant_id)
         folder = self._realm(idr, ids)
         return None if folder is None else folder.tenants.get(tenant_id)
 
     def match_personal_secrets(self, tenant_id: str, answers: Mapping[str, str]) -> bool:
-        """True iff every stored metadata class is answered with the stored value."""
+        """True iff every stored metadata class is answered with the stored
+        value; an unregistered tenant raises UnknownTenant, and a tenant id
+        that is not text InvalidInput."""
         record = self._tenant(tenant_id)
         if record is None:
             raise UnknownTenant(f"tenant {tenant_id!r} not registered")
@@ -252,6 +264,7 @@ class Vault:
 
     def _tenant(self, tenant_id: str) -> TenantRecord | None:
         """The tenant's record under whichever sub-domain holds it; None if none does."""
+        _check_lookup(tenant_id)
         for cloud in self.clouds.values():
             for folder in cloud.subdomains.values():
                 record = folder.tenants.get(tenant_id)

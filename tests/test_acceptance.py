@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from crossrealm import cli, harness, simnet
 from crossrealm import keys as keylib
-from crossrealm import simnet
 from crossrealm.harness import (
     Scenario,
     aggregate,
@@ -168,6 +168,20 @@ def test_default_report_files_pinned(default_run, tmp_path):
     paths = emit_report(report, tmp_path)
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in paths} == DEFAULT_REPORT_SHA256
+
+
+def test_the_run_command_on_two_cpus_writes_the_pinned_report(tmp_path, monkeypatch):
+    # the writer child folds the report there: this process makes no fold
+    folds, fold = [], harness._Fold
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_Fold",
+                        lambda scenario: folds.append(scenario) or fold(scenario))
+    assert cli.main(["run", "--out", str(tmp_path)]) == 0
+    assert folds == []
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in DEFAULT_REPORT_SHA256} == DEFAULT_REPORT_SHA256
+    events = (tmp_path / "events.csv").read_bytes()
+    assert hashlib.sha256(events).hexdigest() == DEFAULT_EVENTS_SHA256
 
 
 def test_criterion_05_response_times(default_run):

@@ -11,6 +11,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 from collections import Counter
 from dataclasses import replace
@@ -676,10 +677,24 @@ _SIZES = st.none() | st.dictionaries(st.integers(1, PHASE_COUNT), st.integers(0,
                                      max_size=3)
 
 
+# the draws of a small scenario with stalls, sizes, horizon and interval
+_DRAWN = dict(principals=st.integers(1, 4), mode=_MODES, stalls=_STALLS, request_bytes=_SIZES,
+              response_bytes=_SIZES, horizon=st.sampled_from([140.0, 200.0, 400.0, 900.0]),
+              interval=st.sampled_from([0.37, 1.0, 7.0, 250.0]), seed=st.integers(0, 2**32))
+
+
+def _drawn_scenario(principals, mode, stalls, request_bytes, response_bytes, horizon, interval,
+                    seed) -> Scenario:
+    return replace(SMALL, principals=principals, session_spread_s=30.0, horizon_s=horizon,
+                   sampling_interval_s=interval,
+                   seed=seed, timeout_mode=mode, phase_request_bytes=request_bytes,
+                   phase_response_bytes=response_bytes,
+                   stalls=tuple(Stall(PHASES[k - 1].destination, k, delay)
+                                for k, delay in stalls.items()))
+
+
 @settings(max_examples=20, deadline=None)
-@given(principals=st.integers(1, 4), mode=_MODES, stalls=_STALLS, request_bytes=_SIZES,
-       response_bytes=_SIZES, horizon=st.sampled_from([140.0, 200.0, 400.0, 900.0]),
-       interval=st.sampled_from([0.37, 1.0, 7.0, 250.0]), seed=st.integers(0, 2**32))
+@given(**_DRAWN)
 @example(principals=3, mode=TimeoutMode.per_phase(60), stalls={5: 90.0, 9: math.inf},
          request_bytes={3: 0}, response_bytes={5: 1}, horizon=200.0, interval=1.0, seed=2)
 @example(principals=4, mode=TimeoutMode.none(), stalls={}, request_bytes=None,
@@ -694,12 +709,8 @@ def test_aggregate_matches_reference_fold_on_drawn_scenarios(principals, mode, s
     # states, also where stalls drop sessions or the horizon cuts phases
     # off; the bisected buckets agree with the reference's per-record ones
     # at fractional intervals and where the last bucket is cut by the horizon
-    scenario = replace(SMALL, principals=principals, session_spread_s=30.0, horizon_s=horizon,
-                       sampling_interval_s=interval,
-                       seed=seed, timeout_mode=mode, phase_request_bytes=request_bytes,
-                       phase_response_bytes=response_bytes,
-                       stalls=tuple(Stall(PHASES[k - 1].destination, k, delay)
-                                    for k, delay in stalls.items()))
+    scenario = _drawn_scenario(principals, mode, stalls, request_bytes, response_bytes, horizon,
+                               interval, seed)
     run = simnet.run(scenario)
     assert folded(aggregate(run)) == reference_fold(run)
     # the largest network delay is that of the slowest send in the log
@@ -884,7 +895,7 @@ def _grown(run: simnet.SimRun, writer) -> simnet.SimRun:
 
 def _run_and_write(scenario: Scenario, out: Path) -> tuple[simnet.SimRun, Path]:
     """Run the scenario and write its events.csv as the run command does."""
-    writer = harness.event_log_writer(out)
+    writer = harness.event_log_writer(out, scenario)
     try:
         run = simnet.run(scenario, writer)
         return run, emit_event_log(run, out, writer)
@@ -938,10 +949,11 @@ def test_event_log_is_whole_on_either_path(tmp_path, monkeypatch, forks, cpus, r
     # records of each hand-off, and the header alone of an empty log
     _cpus(monkeypatch, cpus)
     out = tmp_path / "out"
-    writer = harness.event_log_writer(out)
+    built = _hand_built_run(records)
+    writer = harness.event_log_writer(out, built.scenario)
     assert (writer is not None) is (cpus > 1)
     try:
-        run = _grown(_hand_built_run(records), writer or (lambda log: None))
+        run = _grown(built, writer or (lambda log: None))
         assert_whole_log(emit_event_log(run, out, writer), run)
     finally:
         if writer is not None:
@@ -977,7 +989,7 @@ def test_a_failed_child_leaves_the_whole_log(tmp_path, monkeypatch, forks, failu
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "csv_lines", formatter)
     out = tmp_path / "out"
-    writer = harness.event_log_writer(out)
+    writer = harness.event_log_writer(out, STALLED_AT_F)
     handed = []
 
     def hand_off(log):
@@ -1012,14 +1024,14 @@ def test_a_child_failing_after_the_end_mark_leaves_the_whole_log(tmp_path, monke
 
     def sending(fd, data):
         send(fd, data)
-        if data == harness._END:
+        if isinstance(data, bytes) and data.startswith(harness._END):
             os.write(end_sent, b"!")
 
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "csv_lines", formatter)
     monkeypatch.setattr(harness, "_send", sending)
     out = tmp_path / "out"
-    writer = harness.event_log_writer(out)
+    writer = harness.event_log_writer(out, STALLED_AT_F)
     try:
         run = _grown(run, writer)
         assert writer.pipe is not None and writer.sent == len(run.records)
@@ -1036,7 +1048,7 @@ def test_a_child_failing_after_the_end_mark_leaves_the_whole_log(tmp_path, monke
 def test_the_writer_pipe_holds_a_large_hand_off(tmp_path, monkeypatch, forks):
     # with the default 64 KiB the run's process waited for the child to read
     _cpus(monkeypatch, 2)
-    writer = harness.event_log_writer(tmp_path)
+    writer = harness.event_log_writer(tmp_path, Scenario())
     try:
         assert fcntl.fcntl(writer.pipe, fcntl.F_GETPIPE_SZ) == harness.PIPE_BYTES
     finally:
@@ -1098,7 +1110,7 @@ def test_a_failed_run_leaves_no_process_or_event_log(tmp_path, monkeypatch, fork
             raise failure("a handler fails")
         return advance(session)
 
-    def failing_aggregate(run):
+    def failing_aggregate(run, writer=None):
         raise failure("aggregate fails")
 
     _cpus(monkeypatch, 2)
@@ -1112,6 +1124,170 @@ def test_a_failed_run_leaves_no_process_or_event_log(tmp_path, monkeypatch, fork
         cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
     assert len(forks.made) == 1
     assert os.listdir(tmp_path / "out") == []
+
+
+def _folds_made(monkeypatch) -> list:
+    """The scenarios of the folds that this process makes from now on; the
+    child's appends go to its own copy of the list."""
+    folds, fold = [], harness._Fold
+    monkeypatch.setattr(harness, "_Fold",
+                        lambda scenario: folds.append(scenario) or fold(scenario))
+    return folds
+
+
+def _aggregate_through_writer(monkeypatch, scenario: Scenario, out: Path):
+    """Run the scenario as the run command does on two CPUs: the run hands
+    its log to a writer, ``aggregate`` is given the writer, and events.csv is
+    written. Returns the run, its report, the folds this process made (none
+    where the writer's child answered) and the file."""
+    folds = _folds_made(monkeypatch)
+    _cpus(monkeypatch, 2)
+    writer = harness.event_log_writer(out, scenario)
+    try:
+        run = simnet.run(scenario, writer)
+        report = aggregate(run, writer)
+        path = emit_event_log(run, out, writer)
+    finally:
+        writer.close()
+    return run, report, len(folds), path
+
+
+@settings(max_examples=20, deadline=None)
+@given(**_DRAWN)
+def test_the_child_folds_the_report_aggregate_folds_on_drawn_scenarios(
+        principals, mode, stalls, request_bytes, response_bytes, horizon, interval, seed):
+    # fed a slice of the horizon at a time, the writer child's fold agrees
+    # with this process's fold of the whole log and with the reference
+    scenario = _drawn_scenario(principals, mode, stalls, request_bytes, response_bytes, horizon,
+                               interval, seed)
+    with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryDirectory() as out:
+        run, report, folds, path = _aggregate_through_writer(monkeypatch, scenario, Path(out))
+        assert folds == 0
+        assert_whole_log(path, run)
+    assert report == aggregate(run)
+    assert folded(report) == reference_fold(run)
+
+
+def _splits_a_bucket(run: simnet.SimRun) -> bool:
+    """Whether a traffic bucket holds records on both sides of a slice's end."""
+    scenario, times = run.scenario, run.records.times
+    for k in range(1, simnet.WRITER_SLICES):
+        end = scenario.horizon_s * k / simnet.WRITER_SLICES
+        before = [t for t in times if t <= end]
+        after = [t for t in times if t > end]
+        if before and after and (int(before[-1] / scenario.sampling_interval_s)
+                                 == int(after[0] / scenario.sampling_interval_s)):
+            return True
+    return False
+
+
+def _a_shape_first_logged_late(run: simnet.SimRun) -> bool:
+    """Whether a discard's shape is first logged a slice or more after the first record."""
+    discards = [r.time_s for r in run.records if r.outcome.startswith("discarded:")]
+    slice_s = run.scenario.horizon_s / simnet.WRITER_SLICES
+    return bool(discards) and discards[0] > run.records.times[0] + slice_s
+
+
+# named runs of the child's fold -> (scenario, what its run must show)
+CHILD_FOLDS = {
+    "split-bucket": (replace(Scenario(), principals=40, seed=11, sampling_interval_s=7.0),
+                     _splits_a_bucket),
+    "cut-off": (CUT_OFF, lambda run: run.horizon_exceeded),
+    "empty": (Scenario(principals=1, sessions_per_principal=1, horizon_s=106.0),
+              lambda run: len(run.records) == 0),
+    "late-shape": (STALLED_AT_F, _a_shape_first_logged_late),
+}
+
+
+@pytest.mark.parametrize("case", CHILD_FOLDS)
+def test_the_child_folds_the_report_aggregate_folds(tmp_path, monkeypatch, forks, case):
+    # a bucket split by two hand-offs sums both parts; a shape first seen in
+    # a late hand-off extends the child's per-code tables
+    scenario, shows = CHILD_FOLDS[case]
+    run, report, folds, path = _aggregate_through_writer(monkeypatch, scenario, tmp_path / "out")
+    assert shows(run)
+    assert folds == 0
+    assert report == aggregate(run)
+    assert folded(report) == reference_fold(run)
+    assert_whole_log(path, run)
+    assert len(forks.made) == 1
+    assert forks.formatted == 0
+
+
+def test_a_writer_made_for_another_scenario_gives_no_report(tmp_path, monkeypatch, forks):
+    # the child folds with the writer's sampling interval; a run of another
+    # scenario is folded here, with its own
+    folds = _folds_made(monkeypatch)
+    _cpus(monkeypatch, 2)
+    scenario = replace(Scenario(), principals=40, seed=11)
+    writer = harness.event_log_writer(tmp_path / "out",
+                                      replace(scenario, sampling_interval_s=7.0))
+    try:
+        run = simnet.run(scenario, writer)
+        report = aggregate(run, writer)
+        assert_whole_log(emit_event_log(run, tmp_path / "out", writer), run)
+    finally:
+        writer.close()
+    assert len(folds) == 1
+    assert report == aggregate(run)
+    assert folded(report) == reference_fold(run)
+    assert len(forks.made) == 1
+
+
+def test_the_run_command_on_two_cpus_writes_the_stalled_report(tmp_path, monkeypatch, forks):
+    folds = _folds_made(monkeypatch)
+    _cpus(monkeypatch, 2)
+    scenario = tmp_path / "scenario.json"
+    save_scenario(STALLED_AT_F, scenario)
+    assert cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    assert folds == []  # the writer child's report
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in STALLED_REPORT_SHA256} == STALLED_REPORT_SHA256
+    assert len(forks.made) == 1
+
+
+@pytest.mark.parametrize("failure", ["killed-before-answering", "raises-in-feed",
+                                     "answers-then-fails"])
+def test_a_failed_child_leaves_the_report_and_the_whole_log(tmp_path, monkeypatch, forks,
+                                                             failure):
+    # this process folds the log where the child gave no report, and formats
+    # it where the child left no whole file
+    parent = os.getpid()
+    if failure == "killed-before-answering":
+        answer = harness._answer
+
+        def failing(report):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return answer(report)
+
+        monkeypatch.setattr(harness, "_answer", failing)
+    elif failure == "raises-in-feed":
+        feed = harness._Fold.feed
+
+        def failing(self, log, start, stop):
+            if os.getpid() != parent and start > 0:
+                raise RuntimeError("the child fails")
+            feed(self, log, start, stop)
+
+        monkeypatch.setattr(harness._Fold, "feed", failing)
+    else:
+        send = harness._send
+
+        def failing(fd, data):
+            send(fd, data)
+            if os.getpid() != parent:  # the child sends only its answer
+                raise RuntimeError("the child fails")
+
+        monkeypatch.setattr(harness, "_send", failing)
+    run, report, folds, path = _aggregate_through_writer(monkeypatch, STALLED_AT_F,
+                                                         tmp_path / "out")
+    assert folds == (failure != "answers-then-fails")
+    assert report == aggregate(run)
+    assert folded(report) == reference_fold(run)
+    assert_whole_log(path, run)
+    assert len(forks.made) == 1
+    assert forks.formatted == 1
 
 
 @pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt],

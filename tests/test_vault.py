@@ -417,6 +417,33 @@ def test_an_id_that_cannot_be_hashed_is_invalid_input_naming_it(call):
     assert vault.to_snapshot() == bi_registry().to_snapshot()
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda vault: derive_signature("carol", 5), "extension metadata 5 is not a mapping"),
+    (lambda vault: vault.register_tenant("CloudA", "bi", "carol", {}, 5),
+     "extension metadata 5 is not a mapping"),
+    (lambda vault: vault.register_tenant("CloudA", "bi", "carol", {}, [("pet", "cat")]),
+     "extension metadata [('pet', 'cat')] is not a mapping"),
+    (lambda vault: vault.match_personal_secrets(["alice"], {}), "tenant id ['alice'] is not text"),
+    (lambda vault: vault.find_member(["alice"], *vault.realm_keys("CloudA", "bi")),
+     "tenant id ['alice'] is not text"),
+], ids=["signature", "tenant-metadata", "tenant-metadata-pairs", "match-secrets", "find-member"])
+def test_metadata_or_a_looked_up_id_of_the_wrong_type_is_invalid_input(call, named):
+    # a raw AttributeError (metadata.items()) or TypeError (an unhashable
+    # dict key) escaped before
+    vault = bi_registry()
+    with pytest.raises(InvalidInput, match=re.escape(named)):
+        call(vault)
+    assert vault.to_snapshot() == bi_registry().to_snapshot()
+
+
+def test_an_empty_tenant_id_is_looked_up_as_any_other():
+    # phase 5 looks up whatever text a request names: it finds no one
+    vault = bi_registry()
+    assert vault.find_member("", *vault.realm_keys("CloudA", "bi")) is None
+    with pytest.raises(UnknownTenant):
+        vault.match_personal_secrets("", {})
+
+
 @pytest.mark.parametrize("cloud_id, subdomain_id, named", [
     ("", "bi", "cloud id '' is empty"),
     ("CloudA", "", "sub-domain id '' is empty"),
