@@ -75,7 +75,8 @@ _RANGES = {
     "horizon_s": (lambda v: is_number(v) and -math.inf < v < math.inf, "must be a finite number"),
     "sampling_interval_s": (lambda v: is_number(v) and 0 < v < math.inf,
                             "must be a positive, finite number"),
-    "seed": (lambda v: type(v) is int, "must be a whole number"),
+    # random.Random seeds with abs(seed), so a negative seed would repeat its positive's run
+    "seed": (lambda v: type(v) is int and v >= 0, "must be a whole number from 0"),
     "stalls": (lambda v: type(v) is tuple and all(isinstance(s, Stall) for s in v),
                "must be a tuple of Stalls"),
     "topology": (lambda v: isinstance(v, Topology), "must be a Topology"),

@@ -18,7 +18,13 @@ processed in (time, insertion sequence) order, every random draw comes
 from one seeded generator during setup, and repeated runs produce
 byte-identical event logs. Pending events wait in an event calendar: one
 time-ordered queue per phase leg, per timer kind and for the app and
-session starts, merged by a heap that holds the head of each queue.
+session starts, merged by a heap that holds the head of each queue. Each
+phase is wired once a run, as three handlers that hold what they use (its
+role states, leg timings, record codes, queues and the next phase's
+begin), so a message looks nothing up on the engine.
+
+The event log is formatted as CSV by ``csv_lines`` and read back from a
+file by ``read_event_log``.
 """
 
 from __future__ import annotations
@@ -35,10 +41,9 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterator, Mapping, NamedTuple
 
 from . import protocol as proto
-from .errors import DisallowedPair, InvalidInput, is_number
+from .errors import DisallowedPair, InvalidInput, ScenarioParseError, is_number
 from .protocol import (
     PHASES,
-    ProtocolMessage,
     Requester,
     Role,
     SessionState,
@@ -296,6 +301,47 @@ def csv_lines(log: EventLog, start: int = 0, stop: int | None = None) -> Iterato
         yield f"{stamp},{sequence},{heads[code]}{ids[session]}{tails[code]}"
 
 
+def read_event_log(path) -> EventLog:
+    """The log that ``csv_lines`` wrote to a file, read back: ``csv_lines`` of
+    the result gives the file's text again, since each time is read as
+    printed, to 1 ns, and a printed time reads back as a float that prints
+    the same. A line that is not a record in log order (its sequence its
+    index, its time none before the last), or a file that cannot be read,
+    raises ScenarioParseError naming the file and the line."""
+    log = EventLog()
+    index_of = {"": 0}  # session id -> its index in the log read so far
+    header = ",".join(LOG_HEADER) + "\n"
+    lineno, last = 1, -math.inf
+    try:
+        with open(path, newline="") as lines:
+            if next(lines, "") != header:
+                raise ValueError(f"expected the header {header.strip()}")
+            for lineno, line in enumerate(lines, start=2):
+                fields = line.split(",")
+                if len(fields) != len(LOG_HEADER) or not line.endswith("\n"):
+                    raise ValueError(f"expected {len(LOG_HEADER)} fields ending the line")
+                (stamp, sequence, kind, source, destination, session_id, phase, size,
+                 outcome) = fields
+                time_s = float(stamp)
+                if int(sequence) != len(log) or not (math.isfinite(time_s) and time_s >= last):
+                    raise ValueError("not the next record in time order")
+                last = time_s
+                at = index_of.get(session_id)
+                if at is None:
+                    at = index_of[session_id] = log.add_session(session_id)
+                code = log.shape(kind, source, destination, int(phase) if phase else None,
+                                 int(size) if size else None, outcome[:-1])
+                log.times.append(time_s)
+                log.sessions.append(at)
+                log.codes.append(code)
+    except (OSError, UnicodeDecodeError) as exc:
+        detail = exc.strerror if isinstance(exc, OSError) else exc
+        raise ScenarioParseError(f"{path}: cannot read: {detail}") from exc
+    except ValueError as exc:
+        raise ScenarioParseError(f"{path}: line {lineno}: {exc}") from exc
+    return log
+
+
 class _DeliverCodes(dict):
     """One phase leg's deliver-record shape code for each outcome, each
     made on the outcome's first delivery."""
@@ -383,7 +429,8 @@ class _Engine:
         # its reply's leg, the leg's queue of deliveries). ``requests`` holds
         # the request legs by phase. The service time rides on the request
         # leg; a response is network-only, has no reply, and has no leg if
-        # a stall of inf suppresses it. Each delivery carries its leg.
+        # a stall of inf suppresses it. ``setup`` wires each phase's handlers
+        # to its legs.
         self.requests: list[tuple] = []
         for spec in PHASES:
             src, dst, i = spec.source.value, spec.destination.value, spec.index
@@ -408,12 +455,11 @@ class _Engine:
         self.phase_timers: deque = deque()
         self.watchdogs: deque = deque()
         self.heap: list = []
-        self.now = 0.0
-        # the log index of the session that the running handler serves: its
-        # event carries it, and every record the handler logs names it
-        self.at = 0
         self.event_seq = itertools.count()
         self.horizon_exceeded = False
+        # phase 1's begin, which each session start calls: made by ``setup``
+        # and let go when the run ends
+        self.begin: Callable[[SessionState, float, int], None] | None = None
 
     # -- scheduling ------------------------------------------------------
 
@@ -428,17 +474,21 @@ class _Engine:
                                f"{queue[-1][0]!r} s: its queue would run out of time order")
         queue.append(event)
 
-    def log_row(self, kind: str, source: str = "", at: int = 0,
+    def log_row(self, kind: str, now: float, source: str = "", at: int = 0,
                 phase_index: int | None = None, outcome: str = "ok") -> None:
         """Log a record of no message (no destination, no size) given by its facts,
-        now; ``at`` is its session's log index, 0 for none."""
-        self._log_time(self.now)
+        at ``now``; ``at`` is its session's log index, 0 for none."""
+        self._log_time(now)
         self._log_session(at)
         self._log_code(self.events.shape(kind, source, "", phase_index, None, outcome))
 
     def setup(self) -> None:
         sc = self.scenario
         seq = self.event_seq
+        begin = None
+        for spec, leg in zip(reversed(PHASES), reversed(self.requests)):
+            begin = self._wire_phase(spec, leg, begin)
+        self.begin = begin
         app_starts, session_starts = [], []
         lo, hi = sc.app_start_offset_s
         for p in range(sc.principals):
@@ -458,6 +508,101 @@ class _Engine:
             for event in sorted(drawn):  # by (time, seq): each seq is unique
                 self.schedule(queue, handler, event)
 
+    def _wire_phase(self, spec, leg: tuple, begin_next) -> Callable:
+        """Make one phase's three handlers and return its ``begin``; given the
+        next phase's ``begin``, so the phases are wired from the last back.
+
+        - ``begin(session, now, at)`` starts the phase at its initiator: it
+          logs the request's send and queues its delivery and the phase timer.
+        - ``on_request(event)`` delivers the request at the responder, which
+          answers on the reply leg unless a stall of inf suppresses it.
+        - ``on_response(event)`` delivers the reply; its arrival completes the
+          phase, arms F's watchdog after phase 4 and begins the next phase.
+
+        A delivery event is (time, seq, msg, the session's log index). Each
+        handler holds the role states, shape codes, queues and delays it uses,
+        so a message looks nothing up on the engine. A message on a phase's
+        leg is always that phase's, so its role is the leg's end. The
+        transitions are called through the protocol module, where a profiler
+        may wrap them.
+        """
+        sessions, vault, schedule, seq = self.sessions, self.vault, self.schedule, self.event_seq
+        log_time, log_session, log_code = self._log_time, self._log_session, self._log_code
+        end = self._end
+        initiator, responder = self.roles[spec.source], self.roles[spec.destination]
+        initiator_slots, responder_slots = initiator.sessions, responder.sessions
+        index, source = spec.index, spec.source.value
+        phase_limit, phase_timers, on_phase_timer = (
+            self.phase_limit, self.phase_timers, self._on_phase_timer)
+        watchdog_limit = self.watchdog_limit if index == 4 else None
+        watchdogs, on_f_watchdog = self.watchdogs, self._on_f_watchdog
+        # a request leg's stall is 0.0, and its delivery offset is never -0.0,
+        # so ``now + offset`` is the time ``now + offset + 0.0`` bit for bit
+        _, offset, _, send, delivered, reply, queue = leg
+        if reply is not None:
+            _, reply_offset, stall, reply_send, replied, _, reply_queue = reply
+
+        def begin(session: SessionState, now: float, at: int) -> None:
+            slot, request, drop_reason = proto.begin_phase(initiator, spec, session, vault)
+            if drop_reason is not None:
+                end(session._replace(status=_DROPPED, drop_reason=drop_reason), now, at)
+                return
+            sid = session.session_id
+            initiator_slots[sid] = slot
+            log_time(now)
+            log_session(at)
+            log_code(send)
+            schedule(queue, on_request, (now + offset, next(seq), request, at))
+            if phase_limit is not None:
+                schedule(phase_timers, on_phase_timer,
+                         (now + phase_limit, next(seq), sid, index, at))
+
+        def on_request(event: tuple) -> None:
+            now, _, msg, at = event
+            sid = msg.session_id
+            session = sessions.get(sid)
+            if session is not None and session.status is not _IN_PROGRESS:
+                slot, outcome = None, ABSORBED  # nothing may alter a finished session
+            else:
+                slot, answer, outcome = proto.handle_message(responder, msg, vault)
+            log_time(now)
+            log_session(at)
+            log_code(delivered[outcome])
+            if slot is None:  # discarded
+                return
+            responder_slots[sid] = slot
+            if reply is not None:  # a request that is not discarded is answered
+                log_time(now)
+                log_session(at)
+                log_code(reply_send)
+                schedule(reply_queue, on_response,
+                         (now + reply_offset + stall, next(seq), answer, at))
+
+        def on_response(event: tuple) -> None:
+            now, _, msg, at = event
+            sid = msg.session_id
+            session = sessions.get(sid)
+            if session is not None and session.status is not _IN_PROGRESS:
+                slot, outcome = None, ABSORBED
+            else:
+                slot, _, outcome = proto.handle_message(initiator, msg, vault)
+            log_time(now)
+            log_session(at)
+            log_code(replied[outcome])
+            if slot is None:
+                return
+            initiator_slots[sid] = slot  # a response that is not discarded completes its phase
+            session = proto.advance_phase(session)
+            if session.status is _COMPLETED:
+                end(session, now, at, source)
+                return
+            sessions[sid] = session
+            if watchdog_limit is not None:
+                schedule(watchdogs, on_f_watchdog, (now + watchdog_limit, next(seq), sid, at))
+            begin_next(session, now, at)
+
+        return begin
+
     def loop(self, until: float = math.inf) -> None:
         """Run the events due by ``until`` or the horizon, whichever is first;
         an event due past the horizon sets ``horizon_exceeded``."""
@@ -476,118 +621,60 @@ class _Engine:
                 heapreplace(heap, (head[0], head[1], queue, handler))
             else:
                 heappop(heap)
-            self.now = time
             handler(event)
 
     # -- event handlers -----------------------------------------------------
+    # each takes its time, and its session's log index, from its event
 
     def _on_app_start(self, event: tuple) -> None:
-        self.log_row("app-start", "A")
+        self.log_row("app-start", event[0], "A")
 
     def _on_session_start(self, event: tuple) -> None:
-        _, _, session_id, principal, self.at = event
+        now, _, session_id, principal, at = event
         session = SessionState(
             session_id=session_id,
             requester=self.requesters[f"user-{principal:04d}"],
             principal=f"principal-{principal:04d}",
             resources=self.scenario.resources,
-            started_at=self.now,
+            started_at=now,
         )
         self.sessions[session_id] = session
-        self.log_row("session-start", "A", self.at)
-        self._begin_phase(1, session)
-
-    def _on_deliver(self, event: tuple) -> None:
-        """Deliver a message (time, seq, msg, its leg, the session's log
-        index); the arrival of a phase's final response completes the phase
-        and begins the next."""
-        _, _, msg, leg, at = event
-        self.at = at
-        sid = msg.session_id
-        session = self.sessions.get(sid)
-        if session is not None and session.status is not _IN_PROGRESS:
-            slot, outcome = None, ABSORBED  # nothing may alter a finished session
-        else:
-            state = self.roles[msg.destination]
-            slot, outgoing, outcome = proto.handle_message(state, msg, self.vault)
-        self._log_time(self.now)
-        self._log_session(at)
-        self._log_code(leg[4][outcome])
-        if slot is None:  # discarded
-            return
-        state.sessions[sid] = slot
-        if outgoing is not None and leg[5] is not None:  # a reply leg, unless suppressed
-            self._send(outgoing, leg[5])
-        if outcome != "phase-complete":
-            return
-        session = proto.advance_phase(session)
-        if session.status is _COMPLETED:
-            self._end(session, msg.destination.value)
-            return
-        self.sessions[sid] = session
-        done = session.current_phase
-        if done == 4 and self.watchdog_limit is not None:
-            self.schedule(self.watchdogs, self._on_f_watchdog,
-                          (self.now + self.watchdog_limit, next(self.event_seq), sid, at))
-        self._begin_phase(done + 1, session)
+        self.log_row("session-start", now, "A", at)
+        self.begin(session, now, at)
 
     def _on_phase_timer(self, event: tuple) -> None:
         # armed at phase start + limit: a phase still open now has expired
-        _, _, session_id, phase_index, self.at = event
+        now, _, session_id, phase_index, at = event
         session = self.sessions[session_id]
         still_open = session.current_phase < phase_index
-        self._timer_fired(PHASES[phase_index - 1].source, phase_index, session,
+        self._timer_fired(now, at, PHASES[phase_index - 1].source, phase_index, session,
                           proto.on_timeout(session, phase_index) if still_open else session)
 
     def _on_f_watchdog(self, event: tuple) -> None:
-        _, _, session_id, self.at = event
+        now, _, session_id, at = event
         session = self.sessions[session_id]
         # F's slot holds a key set only once phase 12 delivered the grant
         granted = self.roles[_F].sessions[session_id].keyset is not None
-        self._timer_fired(_F, None, session,
+        self._timer_fired(now, at, _F, None, session,
                           session if granted else proto.localized_timeout_at_f(session))
 
-    def _timer_fired(self, role: Role, phase_index: int | None,
+    def _timer_fired(self, now: float, at: int, role: Role, phase_index: int | None,
                      before: SessionState, after: SessionState) -> None:
         """Log a timer; it expired if its transition returned a new session, else it is ignored."""
         expired = after is not before
-        self.log_row("timer-fire", role.value, self.at, phase_index,
+        self.log_row("timer-fire", now, role.value, at, phase_index,
                      "expired" if expired else "ignored")
         if expired:
-            self._end(after)
+            self._end(after, now, at)
 
     # -- helpers -----------------------------------------------------------
 
-    def _begin_phase(self, index: int, session: SessionState) -> None:
-        spec = PHASES[index - 1]
-        state = self.roles[spec.source]
-        slot, request, drop_reason = proto.begin_phase(state, spec, session, self.vault)
-        if drop_reason is not None:
-            self._end(session._replace(status=_DROPPED, drop_reason=drop_reason))
-            return
-        state.sessions[session.session_id] = slot
-        self._send(request, self.requests[index - 1])
-        if self.phase_limit is not None:
-            self.schedule(self.phase_timers, self._on_phase_timer,
-                          (self.now + self.phase_limit, next(self.event_seq),
-                           session.session_id, index, self.at))
-
-    def _send(self, msg: ProtocolMessage, leg: tuple) -> None:
-        """Log a message's send now and queue its delivery on its leg."""
-        _, offset, stall, send, _, _, queue = leg
-        now, at = self.now, self.at
-        self._log_time(now)
-        self._log_session(at)
-        self._log_code(send)
-        self.schedule(queue, self._on_deliver,
-                      (now + offset + stall, next(self.event_seq), msg, leg, at))
-
-    def _end(self, session: SessionState, source: str = "") -> None:
+    def _end(self, session: SessionState, now: float, at: int, source: str = "") -> None:
         """Stamp a finished session's end, store it and log its one end record."""
-        session = session._replace(ended_at=self.now)
+        session = session._replace(ended_at=now)
         self.sessions[session.session_id] = session
         completed = session.status is _COMPLETED
-        self.log_row("session-complete" if completed else "session-drop", source, self.at,
+        self.log_row("session-complete" if completed else "session-drop", now, source, at,
                      session.current_phase,
                      "completed" if completed else f"dropped:{session.drop_reason}")
 
@@ -621,11 +708,11 @@ def run(scenario: "Scenario", writer: Callable[[EventLog], None] | None = None) 
 
     Cyclic garbage collection is paused while the event loop runs: the
     loop leaves no cyclic garbage, and every full collection would walk
-    the whole event log for nothing. A queued delivery and its leg refer to
-    each other, and a heap entry to the engine's handler, only while the
-    event waits: when the loop stops, at the horizon too, the calendar is
-    emptied. The caller's setting is restored on the way out, also when a
-    handler raises.
+    the whole event log for nothing. The engine and its phase handlers
+    refer to each other, and a heap entry to a handler, only while the run
+    goes on: when the loop stops, at the horizon too, the calendar is
+    emptied and the handlers are let go. The caller's setting is restored
+    on the way out, also when a handler raises.
 
     The objects the loop made are still counted as young when it ends, so
     the first allocation after the collector is enabled again would scan
@@ -648,6 +735,7 @@ def run(scenario: "Scenario", writer: Callable[[EventLog], None] | None = None) 
         for _, _, queue, _ in engine.heap:  # each non-empty queue has its head here
             queue.clear()
         engine.heap.clear()
+        engine.begin = None
         if gc.get_freeze_count() == 0:
             gc.freeze()
             gc.unfreeze()

@@ -51,6 +51,7 @@ from crossrealm.protocol import (
     PHASES,
     PHASE_COUNT,
     MessageKind,
+    ProtocolMessage,
     Role,
     SessionStatus,
     TimeoutMode,
@@ -308,14 +309,16 @@ def test_engine_counts_a_role_discard():
     # the network delivers each phase-1 request twice; F discards the copy
     # and counts it, and the session goes on
     engine = simnet._Engine(SMALL)
-    send = engine._send
+    schedule = engine.schedule
 
-    def send_phase1_twice(msg, leg):
-        send(msg, leg)
-        if msg.phase_index == 1 and msg.kind is MessageKind.REQUEST:
-            send(msg, leg)
+    def schedule_phase1_twice(queue, handler, event):
+        schedule(queue, handler, event)
+        msg = event[2] if len(event) > 2 else None
+        if (isinstance(msg, ProtocolMessage) and msg.phase_index == 1
+                and msg.kind is MessageKind.REQUEST):
+            schedule(queue, handler, (event[0], next(engine.event_seq), *event[2:]))
 
-    engine._send = send_phase1_twice
+    engine.schedule = schedule_phase1_twice  # the phases are wired to it by setup
     engine.setup()
     engine.loop()
     run = engine.result()
@@ -325,6 +328,23 @@ def test_engine_counts_a_role_discard():
     assert report.tree["discards"] == {"F": {"duplicate-session": started}}
     assert report.tree["violations"] == {role.value: started if role is Role.F else 0
                                          for role in Role}
+
+
+def test_a_negative_seed_is_refused(tmp_path, capsys):
+    # random.Random seeds with abs(seed): -7 would give seed 7's run byte for
+    # byte, under a report that says seed -7
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"principals": 1, "seed": -7}))
+    out = str(tmp_path / "out")
+    for argv in (["validate", "--scenario", str(path)],
+                 ["run", "--scenario", str(path), "--out", out],
+                 ["run", "--seed", "-7", "--out", out]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: seed:")
+    with pytest.raises(ScenarioValidationError) as err:
+        replace(SMALL, seed=-7)
+    assert err.value.field == "seed"
+    assert replace(SMALL, seed=0).seed == 0
 
 
 def test_cli_names_malformed_field(tmp_path, capsys):
@@ -830,6 +850,29 @@ def test_stalled_report_files_pinned(tmp_path):
     paths = emit_report(report, tmp_path)
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in paths} == STALLED_REPORT_SHA256
+
+
+@pytest.mark.parametrize("scenario", [Scenario(), STALLED_AT_F], ids=["default", "stalled"])
+def test_the_report_folds_again_from_events_csv(scenario, tmp_path):
+    # events.csv prints each time to 1 ns, so the durations folded from the
+    # file are within 2 ns of the run's; every count, traffic figure and
+    # series is the same
+    run = simnet.run(scenario)
+    report = aggregate(run)
+    again = aggregate(replace(run, records=simnet.read_event_log(emit_event_log(run, tmp_path))))
+    assert again.active_sessions == report.active_sessions
+    assert again.traffic_sent_bps == report.traffic_sent_bps
+    assert again.traffic_received_bps == report.traffic_received_bps
+    rows, rows_again = dict(harness._flatten(report.tree)), dict(harness._flatten(again.tree))
+    assert rows.keys() == rows_again.keys()
+    durations = [name for name, value in rows.items()
+                 if name.startswith(("end_to_end_s.", "per_phase_s.")) and type(value) is float]
+    assert durations
+    for name, value in rows.items():
+        if name in durations:
+            assert abs(rows_again[name] - value) <= 2e-9, name
+        else:
+            assert rows_again[name] == value, name
 
 
 def test_event_log_file_matches_csv_lines(tmp_path):

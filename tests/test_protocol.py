@@ -782,12 +782,31 @@ def _names(code: types.CodeType):
             yield from _names(const)
 
 
-@pytest.mark.parametrize("function", _PER_MESSAGE, ids=lambda f: f.__qualname__)
-def test_per_message_code_reads_enum_members_from_constants(function):
+def _handler(name: str) -> types.CodeType:
+    """The code of one of the per-phase handlers that ``_Engine._wire_phase`` makes."""
+    return next(const for const in simnet._Engine._wire_phase.__code__.co_consts
+                if isinstance(const, types.CodeType) and const.co_name == name)
+
+
+# each per-phase handler by itself as well, under the name of the engine
+# method whose work it does: begin starts a phase, on_request and on_response
+# deliver, and begin and on_request send
+_HANDLERS = [
+    pytest.param((_handler("begin"),), id="_Engine._begin_phase"),
+    pytest.param((_handler("on_request"), _handler("on_response")), id="_Engine._on_deliver"),
+    pytest.param((_handler("begin"), _handler("on_request")), id="_Engine._send"),
+]
+
+
+@pytest.mark.parametrize("codes", [
+    *(pytest.param((function.__code__,), id=function.__qualname__) for function in _PER_MESSAGE),
+    *_HANDLERS,
+])
+def test_per_message_code_reads_enum_members_from_constants(codes):
     # a member read through its class (Role.SAC) takes the slow path of the
     # enum metaclass's __getattr__ on Python 3.11; each module binds the
     # members it tests to constants at import
-    assert not _ENUM_CLASSES & set(_names(function.__code__))
+    assert not _ENUM_CLASSES & {name for code in codes for name in _names(code)}
 
 
 def test_the_event_calendar_has_one_way_in_and_one_way_out():

@@ -3,6 +3,8 @@
 import gc
 import hashlib
 import math
+import re
+import tempfile
 from array import array
 from collections import Counter
 from dataclasses import replace
@@ -14,14 +16,13 @@ from hypothesis import strategies as st
 
 from crossrealm import protocol as proto
 from crossrealm import simnet
-from crossrealm.errors import DisallowedPair, InvalidInput
+from crossrealm.errors import DisallowedPair, InvalidInput, ScenarioParseError
 from crossrealm.harness import Scenario, aggregate, load_scenario
 from crossrealm.protocol import (
     PHASES,
-    MessageKind,
-    ProtocolMessage,
     Role,
     RoleState,
+    SessionState,
     SessionStatus,
     TimeoutMode,
 )
@@ -792,28 +793,26 @@ def assert_heap_holds_queue_heads(engine):
     assert {id(queue) for queue in pending if queue} <= {id(queue) for queue in queues}
 
 
-def _checked(handler):
-    def run(self, event):
-        assert event[0] == self.now
-        self.handled.append(event[:2])
-        assert_heap_holds_queue_heads(self)
-        handler(self, event)
-    return run
-
-
 class CheckedEngine(simnet._Engine):
     """The engine, which records each handled event's (time, seq) and checks
-    the heap before each handler runs."""
+    the calendar before each handler runs: every handler it queues, the
+    phases' wired ones too, is wrapped as it enters through ``schedule``."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.handled = []
+        self.checked = {}
 
-    _on_app_start = _checked(simnet._Engine._on_app_start)
-    _on_session_start = _checked(simnet._Engine._on_session_start)
-    _on_deliver = _checked(simnet._Engine._on_deliver)
-    _on_phase_timer = _checked(simnet._Engine._on_phase_timer)
-    _on_f_watchdog = _checked(simnet._Engine._on_f_watchdog)
+    def schedule(self, queue, handler, event):
+        if handler not in self.checked:
+            def checked(event):
+                # the event runs before every event still pending
+                assert all(event[:2] < (time, seq) for time, seq, _, _ in self.heap)
+                self.handled.append(event[:2])
+                assert_heap_holds_queue_heads(self)
+                handler(event)
+            self.checked[handler] = checked
+        super().schedule(queue, self.checked[handler], event)
 
 
 def run_checked(scenario):
@@ -866,16 +865,92 @@ def test_an_event_queued_out_of_time_order_raises():
     # engine would be at fault
     engine = simnet._Engine(SMALL)
     engine.setup()
-    msg = ProtocolMessage(b"\x01" * 16, 1, MessageKind.REQUEST, Role.A, Role.F, {})
-    leg = engine.requests[0]
-    engine.now = 10.0
-    engine._send(msg, leg)
-    engine._send(msg, leg)  # a tie runs in scheduling order
-    engine.now = 9.0
+    sid = b"\x01" * 16
+    session = SessionState(session_id=sid, requester=engine.requesters["user-0000"],
+                           principal="principal-0000", resources=SMALL.resources)
+    # phase 1's begin sends a request on phase 1's request leg
+    queue = engine.requests[0][-1]
+    engine.begin(session, 10.0, 1)
+    engine.begin(session, 10.0, 1)  # a tie runs in scheduling order
+    assert [event[2].phase_index for event in queue] == [1, 1]
     with pytest.raises(RuntimeError, match="out of time order"):
-        engine._send(msg, leg)
+        engine.begin(session, 9.0, 1)
     engine.schedule(engine.watchdogs, engine._on_f_watchdog,
-                    (20.0, next(engine.event_seq), msg.session_id, 1))
+                    (20.0, next(engine.event_seq), sid, 1))
     with pytest.raises(RuntimeError, match="out of time order"):
         engine.schedule(engine.watchdogs, engine._on_f_watchdog,
-                        (19.0, next(engine.event_seq), msg.session_id, 1))
+                        (19.0, next(engine.event_seq), sid, 1))
+
+
+# -- reading the log back -----------------------------------------------------------------
+
+def _read_back(log: EventLog) -> tuple[str, EventLog]:
+    """The log's CSV text, and the log read back from a file that holds it."""
+    text = "".join(csv_lines(log))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.csv"
+        path.write_text(text)
+        return text, simnet.read_event_log(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(principals=st.integers(1, 4), ties=st.booleans(), mode=_TIE_MODES, stalls=_TIE_STALLS,
+       horizon=st.sampled_from([130.0, 160.0, 900.0]), seed=st.integers(0, 2**32),
+       signs=st.lists(st.booleans(), max_size=4))
+@example(principals=3, ties=True, mode=TimeoutMode.localized_f(45), stalls={10: 5.0},
+         horizon=900.0, seed=7, signs=[True, False, True])
+def test_read_event_log_inverts_csv_lines(principals, ties, mode, stalls, horizon, seed, signs):
+    # exact ties, or none; with the network up at 0 s each app start logs at
+    # 0.0, and those that ``signs`` picks are given the sign of -0.0, which
+    # prints apart
+    base = (replace(TIES, network_start_offset_s=0.0, app_start_offset_s=(0.0, 0.0)) if ties
+            else replace(SMALL, session_spread_s=30.0))
+    log = simnet.run(replace(base, principals=principals, horizon_s=horizon, seed=seed,
+                             timeout_mode=mode,
+                             stalls=tuple(Stall(PHASES[k - 1].destination, k, delay)
+                                          for k, delay in stalls.items()))).records
+    zeros = [i for i, time_s in enumerate(log.times) if time_s == 0.0]
+    for i, negative in zip(zeros, signs):
+        log.times[i] = -0.0 if negative else 0.0
+    text, read = _read_back(log)
+    assert "".join(csv_lines(read)) == text
+    assert [record[1:] for record in read] == [record[1:] for record in log]
+    assert all(abs(a - b) <= 5e-10 for a, b in zip(read.times, log.times))
+    assert _read_back(read)[1].times == read.times  # read as printed, so it stays put
+
+
+# line (0: the last) -> what replaces it in a valid log's text (None: cut its newline off)
+_MALFORMED = {
+    "header": (1, "time_s,sequence\n"),
+    "fields": (3, "0.000000000,1,app-start,A,,,,ok\n"),
+    "time": (3, "1.5x,1,app-start,A,,,,,ok\n"),
+    "nan-time": (3, "nan,1,app-start,A,,,,,ok\n"),
+    "sequence": (3, "200.000000000,7,app-start,A,,,,,ok\n"),
+    "time-order": (3, "-1.000000000,1,app-start,A,,,,,ok\n"),
+    "phase": (3, "200.000000000,1,send,A,F,aa,one,1024,ok\n"),
+    "cut-short": (0, None),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_read_event_log_names_a_malformed_line(case, tmp_path):
+    lines = "".join(csv_lines(simnet.run(SMALL).records)).splitlines(keepends=True)
+    line, replacement = _MALFORMED[case]
+    line = line or len(lines)
+    lines[line - 1] = lines[line - 1][:-1] if replacement is None else replacement
+    path = tmp_path / "events.csv"
+    path.write_text("".join(lines))
+    with pytest.raises(ScenarioParseError, match=f"^{re.escape(str(path))}: line {line}: "):
+        simnet.read_event_log(path)
+
+
+@pytest.mark.parametrize("content", [None, b"", b"\xff\xfe\x00"],
+                         ids=["missing", "empty", "binary"])
+def test_read_event_log_names_a_file_it_cannot_read(content, tmp_path):
+    path = tmp_path / "events.csv"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ScenarioParseError, match=f"^{re.escape(str(path))}: "):
+        simnet.read_event_log(path)
+    with pytest.raises(ScenarioParseError, match="cannot read"):
+        simnet.read_event_log(tmp_path)  # a directory
