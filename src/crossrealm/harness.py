@@ -65,12 +65,12 @@ _RANGES = {
     # a value of these types checked its own ranges when it was built
     "timeout_mode": (lambda v: isinstance(v, TimeoutMode), "must be a TimeoutMode"),
     "connection": (lambda v: isinstance(v, ConnectionModel), "must be a ConnectionModel"),
-    "resources": (lambda v: len(v) == 2 and all(type(r) is str for r in v) and v[0] != v[1],
-                  "must be two distinct strings"),
+    "resources": (lambda v: type(v) is tuple and len(v) == 2 and all(type(r) is str for r in v)
+                  and v[0] != v[1], "must be a tuple of two distinct strings"),
     "network_start_offset_s": _FINITE_NON_NEGATIVE,
-    "app_start_offset_s": (lambda v: len(v) == 2 and all(map(is_number, v))
+    "app_start_offset_s": (lambda v: type(v) is tuple and len(v) == 2 and all(map(is_number, v))
                            and 0 <= v[0] <= v[1] < math.inf,
-                           "must be two finite numbers, with 0 <= low <= high"),
+                           "must be a tuple of two finite numbers, with 0 <= low <= high"),
     "session_spread_s": _FINITE_NON_NEGATIVE,
     "horizon_s": (lambda v: is_number(v) and -math.inf < v < math.inf, "must be a finite number"),
     "sampling_interval_s": (lambda v: is_number(v) and 0 < v < math.inf,
@@ -343,6 +343,10 @@ class _Fold:
     flight. The per-code tables grow when a range brings new shapes, and the
     start times when it brings new sessions. No container is built per
     record, so the fold sets off no garbage collection over the run's objects.
+    The largest network delay is found from the scenario and the send
+    shapes whose tally is above 0 (the engine makes one for every leg
+    before the run, sent on or not), so the log, the scenario and the
+    horizon flag are all the report reads.
     """
 
     def __init__(self, scenario: Scenario):
@@ -446,19 +450,24 @@ class _Fold:
             else:
                 read.append(time_s - open_since.pop(session))
 
-    def report(self, max_network_delay_s: float, horizon_exceeded: bool) -> MetricsReport:
-        """The report of the records fed, given the two facts of the run
-        that no record holds."""
+    def report(self, horizon_exceeded: bool) -> MetricsReport:
+        """The report of the records fed, given the one fact of the run that
+        no record holds: whether the horizon cut it off."""
         # the engine makes each deliver and end record's code when it first
         # logs one, so in code order each outcome and role comes in the order
         # of its first record
         started = 0
+        delay = 0.0  # the largest network time of a send
         drops: dict[str, int] = {}  # drop outcome -> sessions
         discarded: dict[str, dict[str, int]] = {}  # receiving role -> outcome -> deliveries
-        for (kind, _, destination, _, _, outcome), count in zip(self.shapes, self.tally):
+        scenario = self.scenario
+        for (kind, source, destination, _, size, outcome), count in zip(self.shapes, self.tally):
             if not count:
                 continue
-            if kind == "session-start":
+            if kind == "send":
+                delay = max(delay, simnet.transmit_components(
+                    size, source, destination, scenario.connection, scenario.topology)[0])
+            elif kind == "session-start":
                 started += count
             elif kind == "session-drop":
                 drops[outcome] = drops.get(outcome, 0) + count
@@ -476,7 +485,7 @@ class _Fold:
         # role -> its own discards: those the engine absorbed no role saw
         violations = {role.value: sum(n for outcome, n in discarded.get(role.value, {}).items()
                                       if outcome != ABSORBED) for role in Role}
-        interval = self.scenario.sampling_interval_s
+        interval = scenario.sampling_interval_s
         sent_bps = [bits / interval for bits in self.sent]
         received_bps = [bits / interval for bits in self.received]
         tree = {
@@ -494,14 +503,14 @@ class _Fold:
                             for k, v in self.phase_durations.items()},
             "traffic_bps": {"peak_sent": max(sent_bps), "peak_received": max(received_bps),
                             "mean_sent": _mean(sent_bps)},
-            "max_network_delay_s": max_network_delay_s,
+            "max_network_delay_s": delay,
             # receiving role -> discard reason -> deliveries
             "discards": {role: {outcome[len("discarded:"):]: n for outcome, n in counts.items()}
                          for role, counts in discarded.items()},
             "violations": violations,
             "horizon_exceeded": horizon_exceeded,
             "sampling_interval_s": interval,
-            "seed": self.scenario.seed,
+            "seed": scenario.seed,
         }
         active = list(accumulate(self.steps[:self.buckets]))
         return MetricsReport(tree, active, sent_bps, received_bps)
@@ -509,20 +518,23 @@ class _Fold:
 
 def aggregate(run: SimRun, writer: EventLogWriter | None = None) -> MetricsReport:
     """Fold a run's event log, its one account, into a MetricsReport. Beside
-    the log it reads only what no record holds: the scenario, the largest
-    network delay and whether the horizon cut the run off.
+    the log it reads only the scenario and whether the horizon cut the run
+    off, which no record holds.
 
-    Given the writer that the run handed its log to, the writer's child has
-    folded each hand-off as it formatted it (``_Fold.feed``), and this sends
-    it the two facts of the run and reads back its report. Without one, or
-    if the child was not fed the whole log or ends without answering, this
-    process folds the whole log itself.
+    Given the writer that the run handed its log to, made for the run's
+    scenario, the writer's child has folded each hand-off as it formatted it
+    (``_Fold.feed``), and this ends the child (``EventLogWriter.finish``)
+    and takes its report. Without one, or if the child was not fed the
+    whole log or ends without answering, this process folds the whole log
+    itself.
     """
-    report = None if writer is None else writer.report(run)
+    report = None
+    if writer is not None and run.scenario == writer.scenario:
+        report = writer.finish(run)[0]  # else the child's fold would be another run's
     if report is None:
         fold = _Fold(run.scenario)
         fold.feed(run.records, 0, len(run.records))
-        report = fold.report(run.max_network_delay_s, run.horizon_exceeded)
+        report = fold.report(run.horizon_exceeded)
     return report
 
 
@@ -630,7 +642,7 @@ def _send(fd: int, data) -> None:
 PIPE_BYTES = 1 << 20
 
 # what the run's process sends the writer child after the last hand-off:
-# this, then the run's two facts as JSON if it asks for the report, then a newline
+# this, then the run's horizon flag as JSON, then a newline
 _END = b"end"
 
 
@@ -651,8 +663,8 @@ def _read_answer(source) -> MetricsReport | None:
 def _serve_in_child(pipe: int, answers: int, part: Path, scenario: Scenario) -> None:
     """The writer child's work: extend an empty log by each hand-off read
     from ``pipe``, format the new records into ``part`` and fold them, until
-    the end mark; if the mark carries the run's two facts, write the report
-    to ``answers``. Should it fail, it removes the file and raises."""
+    the end mark; then write the report, given the mark's horizon flag, to
+    ``answers``. Should it fail, it removes the file and raises."""
     try:
         log, fold = simnet.EventLog(), _Fold(scenario)
         part.parent.mkdir(parents=True, exist_ok=True)
@@ -671,9 +683,7 @@ def _serve_in_child(pipe: int, answers: int, part: Path, scenario: Scenario) -> 
                 done = len(log)
             if not done:  # a run that logged nothing: the header alone
                 _write_lines(out, csv_lines(log))
-            facts = header[len(_END):]
-            if facts.strip():
-                _send(answers, _answer(fold.report(*json.loads(facts))))
+        _send(answers, _answer(fold.report(json.loads(header[len(_END):]))))
     except BaseException:
         part.unlink(missing_ok=True)
         raise
@@ -692,12 +702,13 @@ class EventLogWriter:
     ids and shapes as JSON text, and the new entries of the log's three
     columns as raw bytes. The child extends its own log by them, formats
     the new records into ``events.csv.part`` and folds them as ``aggregate``
-    would. ``aggregate`` sends the end mark with the run's two facts and
-    reads the child's report from a second pipe (``report``), if the run is
-    of the writer's scenario; ``emit_event_log`` waits for the child and
-    renames the file. Should the fork fail or the child end early, nothing
-    more is sent, and this process folds and formats the whole log itself.
-    ``close`` ends a child that is still running and removes the file.
+    would. ``finish`` ends the child, once: it sends the end mark with the
+    run's horizon flag, reads the child's report from a second pipe and
+    waits for the child; ``aggregate`` takes the report, if the run is of
+    the writer's scenario, and ``emit_event_log`` renames the file. Should
+    the fork fail or the child end early, nothing more is sent, and this
+    process folds and formats the whole log itself. ``close`` ends a child
+    that is still running and removes the file.
     """
 
     def __init__(self, out_dir: str | Path, scenario: Scenario):
@@ -706,7 +717,7 @@ class EventLogWriter:
         self.pid: int | None = None  # the child's, until it is waited for
         self.pipe: int | None = None  # the pipe's write end, while the child is fed
         self.answers: int | None = None  # the answer pipe's read end, until it is read
-        self.ended = False  # whether the end mark went out after the whole log
+        self.finished: tuple[MetricsReport | None, bool] = (None, False)  # ``finish``'s answer
         # the records, session ids and shapes the child holds: a new log's
         self.sent, self.ids, self.shapes = 0, len(simnet.EventLog().session_ids), 0
         import fcntl  # only here: a POSIX module, as os.fork is
@@ -753,27 +764,25 @@ class EventLogWriter:
             return
         self.sent, self.ids, self.shapes = stop, len(log.session_ids), len(log.shapes)
 
-    def report(self, run: SimRun) -> MetricsReport | None:
-        """The child's report of the run, if the run is of the writer's
-        scenario, the child was fed the whole log and it answers the end
-        mark that carries the run's two facts; else None."""
-        if run.scenario != self.scenario:  # the child's fold would be another run's
-            return None
-        facts = json.dumps([run.max_network_delay_s, run.horizon_exceeded]).encode()
-        if not self._end(run.records, b"%s %s\n" % (_END, facts)):
-            return None
-        with open(self.answers, "rb") as source:
-            self.answers = None
-            return _read_answer(source)
-
-    def finish(self, log: simnet.EventLog) -> bool:
-        """Whether the child wrote this whole log to ``part``, once it has
-        ended: the end mark is sent if it was fed all of it and ``report``
-        did not send it, else the child is ended."""
+    def finish(self, run: SimRun) -> tuple[MetricsReport | None, bool]:
+        """End the child and return its report of the run (None if it gave
+        none) and whether it wrote the run's whole log to ``part``. The
+        first call sends the end mark if the child was fed the whole log,
+        reads its answer and waits for it; a child not fed it all is killed.
+        Later calls return the first call's answer."""
         if self.pid is None:
-            return False
-        whole = self.ended or self._end(log, _END + b"\n")
-        return self._wait(kill=not whole) == 0 and whole
+            return self.finished
+        fed, report = self.pipe is not None and self.sent == len(run.records), None
+        try:
+            if fed:
+                _send(self.pipe, b"%s %s\n" % (_END, json.dumps(run.horizon_exceeded).encode()))
+                with open(self.answers, "rb") as source:
+                    self.answers = None
+                    report = _read_answer(source)
+        except BrokenPipeError:  # the child has ended
+            fed = False
+        self.finished = (report, self._wait(kill=not fed) == 0 and fed)
+        return self.finished
 
     def close(self) -> None:
         """End a child that is still running, wait for it and remove the
@@ -781,20 +790,6 @@ class EventLogWriter:
         if self.pid is not None:
             self._wait(kill=True)
         self.part.unlink(missing_ok=True)
-
-    def _end(self, log: simnet.EventLog, mark: bytes) -> bool:
-        """Send the end mark if the child was fed all of the log; whether it went out."""
-        if self.pipe is None or self.sent != len(log):
-            return False
-        try:
-            _send(self.pipe, mark)
-        except BrokenPipeError:  # the child has ended
-            return False
-        finally:
-            os.close(self.pipe)
-            self.pipe = None
-        self.ended = True
-        return True
 
     def _wait(self, kill: bool) -> int:
         """The child's exit status, once it has ended; ``kill`` ends it
@@ -827,14 +822,14 @@ def emit_event_log(run: SimRun, out_dir: str | Path,
                    writer: EventLogWriter | None = None) -> Path:
     """Write the run's event log as events.csv, in chunks of joined lines;
     returns once the whole file is written. Given the writer, made for this
-    directory, that the run handed its log to, this waits for the writer's
-    child to end and keeps its file; without one, or if the child failed,
-    this process formats the whole log. The file is written under a
-    temporary name and renamed once whole, so a failure leaves neither a
-    partial events.csv nor the temporary file."""
+    directory, that the run handed its log to, this ends the writer's child
+    if ``aggregate`` did not and keeps its file; without one, or if the
+    child failed, this process formats the whole log. The file is written
+    under a temporary name and renamed once whole, so a failure leaves
+    neither a partial events.csv nor the temporary file."""
     path, part = _event_log_paths(out_dir)
     try:
-        if writer is None or not writer.finish(run.records):
+        if writer is None or not writer.finish(run)[1]:
             path.parent.mkdir(parents=True, exist_ok=True)
             with part.open("w") as out:
                 _write_lines(out, csv_lines(run.records))

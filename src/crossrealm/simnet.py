@@ -391,13 +391,14 @@ def build_default_vault(principals: int) -> tuple[Vault, dict[str, Requester]]:
 @dataclass
 class SimRun:
     """The scenario a run was made from and everything it produced: the log,
-    final states, and flags."""
+    the final states, and whether the horizon cut the run off, the one fact
+    of the run that no record holds. Every other figure of the report, the
+    largest network delay too, is folded from the log and the scenario."""
 
     records: EventLog
     sessions: dict[bytes, SessionState]
     role_states: dict[Role, proto.RoleState]
     scenario: "Scenario"
-    max_network_delay_s: float
     horizon_exceeded: bool
 
 
@@ -424,25 +425,25 @@ class _Engine:
         self._log_code = events.codes.append
         # Every message of one (phase, kind) takes the same path with the
         # same size, the scenario's or else the protocol table's, so its
-        # timing is computed once, as its leg: (network, delivery offset,
-        # stall, send record's shape code, deliver record's code by outcome,
-        # its reply's leg, the leg's queue of deliveries). ``requests`` holds
-        # the request legs by phase. The service time rides on the request
-        # leg; a response is network-only, has no reply, and has no leg if
-        # a stall of inf suppresses it. ``setup`` wires each phase's handlers
-        # to its legs.
+        # timing is computed once, as its leg: (delivery offset, stall, send
+        # record's shape code, deliver record's code by outcome, its reply's
+        # leg, the leg's queue of deliveries). ``requests`` holds the request
+        # legs by phase. The service time rides on the request leg; a
+        # response is network-only, has no reply, and has no leg if a stall
+        # of inf suppresses it. ``setup`` wires each phase's handlers to its
+        # legs.
         self.requests: list[tuple] = []
         for spec in PHASES:
             src, dst, i = spec.source.value, spec.destination.value, spec.index
             stall = stalls.get((spec.destination, i), 0.0)
             size = response_bytes.get(i, spec.response_bytes)
             reply = None if stall == math.inf else (
-                *transmit_components(size, dst, src, self.model, self.topology, service_s=0.0),
+                transmit_components(size, dst, src, self.model, self.topology, service_s=0.0)[1],
                 stall, events.shape("send", dst, src, i, size, "ok"),
                 _DeliverCodes(events, dst, src, i, size), None, deque())
             size = request_bytes.get(i, spec.request_bytes)
             self.requests.append((
-                *transmit_components(size, src, dst, self.model, self.topology), 0.0,
+                transmit_components(size, src, dst, self.model, self.topology)[1], 0.0,
                 events.shape("send", src, dst, i, size, "ok"),
                 _DeliverCodes(events, src, dst, i, size), reply, deque()))
         self.sessions: dict[bytes, SessionState] = {}
@@ -538,9 +539,9 @@ class _Engine:
         watchdogs, on_f_watchdog = self.watchdogs, self._on_f_watchdog
         # a request leg's stall is 0.0, and its delivery offset is never -0.0,
         # so ``now + offset`` is the time ``now + offset + 0.0`` bit for bit
-        _, offset, _, send, delivered, reply, queue = leg
+        offset, _, send, delivered, reply, queue = leg
         if reply is not None:
-            _, reply_offset, stall, reply_send, replied, _, reply_queue = reply
+            reply_offset, stall, reply_send, replied, _, reply_queue = reply
 
         def begin(session: SessionState, now: float, at: int) -> None:
             slot, request, drop_reason = proto.begin_phase(initiator, spec, session, vault)
@@ -679,16 +680,11 @@ class _Engine:
                      "completed" if completed else f"dropped:{session.drop_reason}")
 
     def result(self) -> SimRun:
-        """The run; its largest network delay is that of the slowest leg it sent on."""
-        sent = set(self.events.codes)
-        delays = [leg[0] for request in self.requests for leg in (request, request[5])
-                  if leg is not None and leg[3] in sent]
         return SimRun(
             records=self.events,
             sessions=self.sessions,
             role_states=self.roles,
             scenario=self.scenario,
-            max_network_delay_s=max(delays, default=0.0),
             horizon_exceeded=self.horizon_exceeded,
         )
 

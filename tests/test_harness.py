@@ -261,6 +261,12 @@ PYTHON_BUILT = {
     "fractional-seed": (lambda: Scenario(principals=1, seed=2.5), "seed"),
     "number-resources": (lambda: Scenario(principals=1, sessions_per_principal=1,
                                           resources=(1, 2)), "resources"),
+    # a pair is a tuple: a string of two letters would name two resources and
+    # save as a list, and a list would leave the frozen scenario unhashable
+    "text-resources": (lambda: Scenario(resources="ab"), "resources"),
+    "list-resources": (lambda: Scenario(resources=["R1", "R2"]), "resources"),
+    "range-app-window": (lambda: Scenario(app_start_offset_s=range(5, 7)), "app_start_offset_s"),
+    "list-app-window": (lambda: Scenario(app_start_offset_s=[5.0, 10.0]), "app_start_offset_s"),
     "bool-spread": (lambda: Scenario(session_spread_s=True), "session_spread_s"),
     "huge-int-spread": (lambda: Scenario(session_spread_s=10**400), "session_spread_s"),
 }
@@ -664,6 +670,14 @@ def reference_fold(run):
             list(accumulate(steps[:buckets])), sessions, end_to_end, per_phase, discards)
 
 
+def _slowest_send(run) -> float:
+    """The largest network time of a send in the run's log."""
+    sc = run.scenario
+    return max((simnet.transmit_components(r.payload_bytes, r.source, r.destination,
+                                           sc.connection, sc.topology)[0]
+                for r in run.records if r.kind == "send"), default=0.0)
+
+
 def folded(report):
     """What reference_fold computes, as the report holds it."""
     return (report.traffic_sent_bps, report.traffic_received_bps, report.active_sessions,
@@ -732,12 +746,9 @@ def test_aggregate_matches_reference_fold_on_drawn_scenarios(principals, mode, s
     scenario = _drawn_scenario(principals, mode, stalls, request_bytes, response_bytes, horizon,
                                interval, seed)
     run = simnet.run(scenario)
-    assert folded(aggregate(run)) == reference_fold(run)
-    # the largest network delay is that of the slowest send in the log
-    networks = [simnet.transmit_components(r.payload_bytes, r.source, r.destination,
-                                           scenario.connection, scenario.topology)[0]
-                for r in run.records if r.kind == "send"]
-    assert run.max_network_delay_s == max(networks, default=0.0)
+    report = aggregate(run)
+    assert folded(report) == reference_fold(run)
+    assert report["max_network_delay_s"] == _slowest_send(run)
 
 
 # what `crossrealm run` prints besides the paths it wrote
@@ -902,7 +913,7 @@ def _hand_built_run(records: int) -> simnet.SimRun:
         log.times.append(105.0 + n // 3 * 0.25)
         log.sessions.append(sessions[n % 3])
         log.codes.append(shapes[n % 2])
-    return simnet.SimRun(log, {}, {}, Scenario(), 0.0, False)
+    return simnet.SimRun(log, {}, {}, Scenario(), False)
 
 
 @pytest.mark.parametrize("records", [EVENT_LOG_CHUNK_LINES - 1, EVENT_LOG_CHUNK_LINES,
@@ -947,12 +958,21 @@ def _run_and_write(scenario: Scenario, out: Path) -> tuple[simnet.SimRun, Path]:
             writer.close()
 
 
+def _open_fds() -> list[str] | None:
+    """This process's open file descriptors; None where there is no procfs."""
+    try:
+        return sorted(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The children that os.fork makes during a test (``made``) and how many
     times this process formatted a log (``formatted``), which it does only
     where no writer child wrote the file; after the test, no child may be
-    left, finished or running."""
+    left, finished or running, nor a pipe to one left open."""
+    fds = _open_fds()
     seen = SimpleNamespace(made=[], formatted=0)
     fork, parent = os.fork, os.getpid()
 
@@ -972,6 +992,7 @@ def forks(monkeypatch):
     yield seen
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
 
 
 def _cpus(monkeypatch, cpus: int) -> None:
@@ -1275,6 +1296,69 @@ def test_a_writer_made_for_another_scenario_gives_no_report(tmp_path, monkeypatc
     assert report == aggregate(run)
     assert folded(report) == reference_fold(run)
     assert len(forks.made) == 1
+
+
+# the slowest leg is phase 13's request, which the horizon cuts off before
+# any session reaches phase 13
+UNSENT_SLOWEST = replace(SMALL, horizon_s=165.0, phase_request_bytes={13: 10**6})
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "writer-child"])
+def test_an_unsent_leg_does_not_count_toward_the_delay(tmp_path, monkeypatch, forks, cpus):
+    # the engine makes a send shape for every leg before the run: only the
+    # shapes of the log's records count, in either process's fold
+    folds = _folds_made(monkeypatch)
+    _cpus(monkeypatch, cpus)
+    writer = harness.event_log_writer(tmp_path / "out", UNSENT_SLOWEST)
+    try:
+        run = simnet.run(UNSENT_SLOWEST, writer)
+        report = aggregate(run, writer)
+    finally:
+        if writer is not None:
+            writer.close()
+    assert len(folds) == 2 - cpus  # on two CPUs, the child's report
+    spec = PHASES[12]
+    phases = {r.phase_index for r in run.records if r.kind == "send"}
+    assert 12 in phases and 13 not in phases
+    unsent = simnet.transmit_components(10**6, spec.source.value, spec.destination.value,
+                                        UNSENT_SLOWEST.connection, UNSENT_SLOWEST.topology)[0]
+    assert report["max_network_delay_s"] == _slowest_send(run) < unsent
+
+
+@pytest.mark.parametrize("calls", ["aggregate-then-emit", "emit-only"])
+def test_the_child_is_ended_once(tmp_path, monkeypatch, forks, calls):
+    # the end mark goes out, and the child is waited for, once however many
+    # calls are given the writer; emit_event_log keeps the child's file
+    send, waitpid = harness._send, os.waitpid
+    marks, waits = [], []
+
+    def counted_send(fd, data):
+        if isinstance(data, bytes) and data.startswith(harness._END):
+            marks.append(data)
+        send(fd, data)
+
+    def counted_waitpid(pid, options):
+        waits.append(pid)
+        return waitpid(pid, options)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "_send", counted_send)
+    monkeypatch.setattr(os, "waitpid", counted_waitpid)
+    out = tmp_path / "out"
+    writer = harness.event_log_writer(out, STALLED_AT_F)
+    try:
+        run = simnet.run(STALLED_AT_F, writer)
+        if calls == "aggregate-then-emit":
+            assert aggregate(run, writer) == aggregate(run)
+        assert_whole_log(emit_event_log(run, out, writer), run)
+        # a later call gives the first call's answer
+        report, whole = writer.finish(run)
+        assert whole and report == aggregate(run)
+    finally:
+        writer.close()
+    assert marks == [b"end false\n"]
+    assert waits == forks.made and len(waits) == 1
+    assert forks.formatted == 0
 
 
 def test_the_run_command_on_two_cpus_writes_the_stalled_report(tmp_path, monkeypatch, forks):

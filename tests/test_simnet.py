@@ -234,7 +234,7 @@ def test_a_suppressed_response_has_no_leg():
     # a stall of inf leaves its phase's request leg with no reply leg to send
     # on; every other phase keeps its reply leg
     engine = simnet._Engine(inject_stall(SMALL, Role.SAC_DB, 5, math.inf))
-    replies = {k: request[5] for k, request in enumerate(engine.requests, 1)}
+    replies = {k: request[4] for k, request in enumerate(engine.requests, 1)}
     assert replies.pop(5) is None
     assert None not in replies.values()
 
@@ -278,7 +278,7 @@ def test_deliveries_match_per_message_timing():
             assert r.time_s - sends.pop(key) == pytest.approx(offset + stall, abs=1e-9), key
             checked += 1
     assert checked == len(networks) == 6 * 26 and not sends
-    assert run.max_network_delay_s == max(networks)
+    assert aggregate(run)["max_network_delay_s"] == max(networks)
 
 
 def test_each_session_is_minted_for_its_requester():
@@ -303,8 +303,7 @@ def test_pair_enforcement_in_log():
 
 
 def test_network_delay_component_bound():
-    run = simnet.run(SMALL)
-    assert 0.0 < run.max_network_delay_s < 0.06
+    assert 0.0 < aggregate(simnet.run(SMALL))["max_network_delay_s"] < 0.06
 
 
 def test_app_start_draw_window():
@@ -389,7 +388,7 @@ def test_a_run_handing_its_log_to_a_writer_is_the_same_run(scenario):
     whole = simnet.run(scenario)
     assert sliced.sessions == whole.sessions
     assert sliced.horizon_exceeded is whole.horizon_exceeded is (scenario.horizon_s == 120.0)
-    assert sliced.max_network_delay_s == whole.max_network_delay_s
+    assert aggregate(sliced) == aggregate(whole)
     assert list(csv_lines(sliced.records)) == list(csv_lines(whole.records))
     # one hand-off per slice of the horizon, the last of the whole log
     assert len(handed) == simnet.WRITER_SLICES
@@ -787,7 +786,7 @@ def assert_heap_holds_queue_heads(engine):
     assert len(queues) == len({id(queue) for queue in queues}) <= QUEUES
     for time, seq, queue, _ in engine.heap:
         assert queue and queue[0][:2] == (time, seq)
-    legs = [leg for request in engine.requests for leg in (request, request[5])
+    legs = [leg for request in engine.requests for leg in (request, request[4])
             if leg is not None]
     pending = [leg[-1] for leg in legs] + [engine.phase_timers, engine.watchdogs]
     assert {id(queue) for queue in pending if queue} <= {id(queue) for queue in queues}
