@@ -51,7 +51,7 @@ def _cmd_run(args) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         # formats events.csv and folds the report in a forked child while
         # the run goes on, where it can
-        writer = harness.event_log_writer(args.out, scenario)
+        writer = harness.EventLogWriter(args.out, scenario)
         result = simnet.run(scenario, writer)
         report = harness.aggregate(result, writer)
         paths = harness.emit_report(report, args.out)

@@ -18,10 +18,12 @@ import json
 import math
 import operator
 import os
+import signal
 import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from itertools import accumulate, compress, islice
 from pathlib import Path
@@ -523,14 +525,13 @@ def aggregate(run: SimRun, writer: EventLogWriter | None = None) -> MetricsRepor
 
     Given the writer that the run handed its log to, made for the run's
     scenario, the writer's child has folded each hand-off as it formatted it
-    (``_Fold.feed``), and this ends the child (``EventLogWriter.finish``)
-    and takes its report. Without one, or if the child was not fed the
-    whole log or ends without answering, this process folds the whole log
-    itself.
+    (``_Fold.feed``), and this takes its report (``EventLogWriter.finish``,
+    which ends the child). Without one, or if no report came, this process
+    folds the whole log itself.
     """
     report = None
     if writer is not None and run.scenario == writer.scenario:
-        report = writer.finish(run)[0]  # else the child's fold would be another run's
+        report = writer.finish(run)  # else the child's fold would be another run's
     if report is None:
         fold = _Fold(run.scenario)
         fold.feed(run.records, 0, len(run.records))
@@ -663,63 +664,72 @@ def _read_answer(source) -> MetricsReport | None:
 def _serve_in_child(pipe: int, answers: int, part: Path, scenario: Scenario) -> None:
     """The writer child's work: extend an empty log by each hand-off read
     from ``pipe``, format the new records into ``part`` and fold them, until
-    the end mark; then write the report, given the mark's horizon flag, to
-    ``answers``. Should it fail, it removes the file and raises."""
-    try:
-        log, fold = simnet.EventLog(), _Fold(scenario)
-        part.parent.mkdir(parents=True, exist_ok=True)
-        with open(pipe, "rb") as source, part.open("w") as out:
-            done = 0
-            while not (header := source.readline()).startswith(_END):
-                records, size = map(int, header.split())  # end of file: ValueError
-                if size:
-                    ids, shapes = json.loads(source.read(size))
-                    log.session_ids += ids
-                    log.shapes += map(tuple, shapes)
-                for column in (log.times, log.sessions, log.codes):
-                    column.frombytes(source.read(records * column.itemsize))
-                _write_lines(out, csv_lines(log, done))  # the header with record 0
-                fold.feed(log, done, len(log))
-                done = len(log)
-            if not done:  # a run that logged nothing: the header alone
-                _write_lines(out, csv_lines(log))
-        _send(answers, _answer(fold.report(json.loads(header[len(_END):]))))
-    except BaseException:
+    the end mark; then, once the file is closed whole, write the report,
+    given the mark's horizon flag, to ``answers``. The report is the receipt
+    for the file: should anything fail, none is written, and the file is
+    not touched after it."""
+    log, fold = simnet.EventLog(), _Fold(scenario)
+    part.parent.mkdir(parents=True, exist_ok=True)
+    with open(pipe, "rb") as source, part.open("w") as out:
+        done = 0
+        while not (header := source.readline()).startswith(_END):
+            records, size = map(int, header.split())  # end of file: ValueError
+            if size:
+                ids, shapes = json.loads(source.read(size))
+                log.session_ids += ids
+                log.shapes += map(tuple, shapes)
+            for column in (log.times, log.sessions, log.codes):
+                column.frombytes(source.read(records * column.itemsize))
+            _write_lines(out, csv_lines(log, done))  # the header with record 0
+            fold.feed(log, done, len(log))
+            done = len(log)
+        if not done:  # a run that logged nothing: the header alone
+            _write_lines(out, csv_lines(log))
+    _send(answers, _answer(fold.report(json.loads(header[len(_END):]))))
+
+
+def _remove(part: Path) -> None:
+    """Remove the temporary event log, if there is one; a directory of its
+    name, or one that cannot be reached, is left as it is, so that the
+    error of the run that met it is the one raised."""
+    with suppress(OSError):
         part.unlink(missing_ok=True)
-        raise
 
 
 class EventLogWriter:
     """Writes a run's events.csv, and folds its report, in one forked child
-    while the run goes on.
+    while the run goes on; without a child, ``aggregate`` and
+    ``emit_event_log`` fold and format the log in this process.
 
     The writer forks when it is made, before the run builds anything, so
     the pages the run builds are never shared with the child nor copied
-    on write; the child has the writer's scenario from the fork. ``simnet.run``
-    hands the log to the writer after each slice of its horizon; each
-    hand-off with new records sends the child, over a pipe, a header line
-    (the new records and the length of the text after it), the new session
-    ids and shapes as JSON text, and the new entries of the log's three
-    columns as raw bytes. The child extends its own log by them, formats
-    the new records into ``events.csv.part`` and folds them as ``aggregate``
-    would. ``finish`` ends the child, once: it sends the end mark with the
-    run's horizon flag, reads the child's report from a second pipe and
-    waits for the child; ``aggregate`` takes the report, if the run is of
-    the writer's scenario, and ``emit_event_log`` renames the file. Should
-    the fork fail or the child end early, nothing more is sent, and this
-    process folds and formats the whole log itself. ``close`` ends a child
-    that is still running and removes the file.
+    on write; the child has the writer's scenario from the fork. It forks
+    only where this process can fork, may run on two CPUs or more and runs
+    one thread. ``simnet.run`` hands the log to the writer after each slice
+    of its horizon; each hand-off with new records sends the child, over a
+    pipe, a header line (the new records and the length of the text after
+    it), the new session ids and shapes as JSON text, and the new entries of
+    the log's three columns as raw bytes. The child extends its own log by
+    them, formats the new records into ``events.csv.part`` and folds them as
+    ``aggregate`` would. ``finish`` sends the end mark with the run's
+    horizon flag, reads the child's report from a second pipe and ends the
+    child. The child sends its report only once the file is closed whole,
+    so the report is the receipt for the file, and this process owns the
+    file from then on: ``emit_event_log`` renames it where a report came
+    and writes over it where none did, and ``close`` removes it.
     """
 
     def __init__(self, out_dir: str | Path, scenario: Scenario):
         self.part = _event_log_paths(out_dir)[1]
         self.scenario = scenario  # the one the child folds with
-        self.pid: int | None = None  # the child's, until it is waited for
+        self.pid: int | None = None  # the child's, until it is ended
         self.pipe: int | None = None  # the pipe's write end, while the child is fed
         self.answers: int | None = None  # the answer pipe's read end, until it is read
-        self.finished: tuple[MetricsReport | None, bool] = (None, False)  # ``finish``'s answer
+        self.report: MetricsReport | None = None  # the child's, once ``finish`` read it
         # the records, session ids and shapes the child holds: a new log's
         self.sent, self.ids, self.shapes = 0, len(simnet.EventLog().session_ids), 0
+        if not (hasattr(os, "fork") and _usable_cpus() > 1 and _single_threaded()):
+            return
         import fcntl  # only here: a POSIX module, as os.fork is
 
         read, write = os.pipe()
@@ -735,15 +745,13 @@ class EventLogWriter:
             for fd in (read, write, answers, answer):
                 os.close(fd)
             return
-        if pid == 0:  # the child: its exit status is 0 only if the file is whole
-            status = 1
+        if pid == 0:  # the child: its report, not its exit status, tells how it ended
             try:  # no exception or signal may unwind it into its parent's frames
                 os.close(write)
                 os.close(answers)
                 _serve_in_child(read, answer, self.part, scenario)
-                status = 0
             finally:
-                os._exit(status)
+                os._exit(0)
         os.close(read)
         os.close(answer)
         self.pid, self.pipe, self.answers = pid, write, answers
@@ -764,78 +772,61 @@ class EventLogWriter:
             return
         self.sent, self.ids, self.shapes = stop, len(log.session_ids), len(log.shapes)
 
-    def finish(self, run: SimRun) -> tuple[MetricsReport | None, bool]:
-        """End the child and return its report of the run (None if it gave
-        none) and whether it wrote the run's whole log to ``part``. The
-        first call sends the end mark if the child was fed the whole log,
-        reads its answer and waits for it; a child not fed it all is killed.
-        Later calls return the first call's answer."""
-        if self.pid is None:
-            return self.finished
-        fed, report = self.pipe is not None and self.sent == len(run.records), None
-        try:
-            if fed:
+    def finish(self, run: SimRun) -> MetricsReport | None:
+        """The child's report of the run, and so the receipt for ``part``
+        holding its whole log; None where there is no child, it was not fed
+        the whole log or it ended without answering. The first call sends
+        the end mark if the child was fed the whole log, reads the answer
+        and ends the child; later calls return the first call's answer."""
+        if self.pipe is not None and self.sent == len(run.records):
+            with suppress(BrokenPipeError):  # the child has ended
                 _send(self.pipe, b"%s %s\n" % (_END, json.dumps(run.horizon_exceeded).encode()))
                 with open(self.answers, "rb") as source:
                     self.answers = None
-                    report = _read_answer(source)
-        except BrokenPipeError:  # the child has ended
-            fed = False
-        self.finished = (report, self._wait(kill=not fed) == 0 and fed)
-        return self.finished
+                    self.report = _read_answer(source)
+        if self.pid is not None:
+            self._end()
+        return self.report
 
     def close(self) -> None:
-        """End a child that is still running, wait for it and remove the
-        part file it left; after ``emit_event_log`` there is neither."""
+        """End a child that is still running and remove the part file; after
+        ``emit_event_log`` there is neither."""
         if self.pid is not None:
-            self._wait(kill=True)
-        self.part.unlink(missing_ok=True)
+            self._end()
+        _remove(self.part)
 
-    def _wait(self, kill: bool) -> int:
-        """The child's exit status, once it has ended; ``kill`` ends it
-        first. Both pipes are closed before, so a child still writing an
-        answer that is not read fails at once rather than block."""
+    def _end(self) -> None:
+        """Close both pipes, so a child still writing an answer that is not
+        read fails at once rather than block, then end the child and wait
+        for it. A child that answered has nothing left to do."""
         for fd in (self.pipe, self.answers):
             if fd is not None:
                 os.close(fd)
         self.pipe = self.answers = None
-        if kill:
-            import signal  # only here: a run that ends cleanly ends no child
-
-            os.kill(self.pid, signal.SIGKILL)
-        status = os.waitpid(self.pid, 0)[1]
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
         self.pid = None
-        return status
-
-
-def event_log_writer(out_dir: str | Path, scenario: Scenario) -> EventLogWriter | None:
-    """A writer of events.csv under ``out_dir`` for a run of ``scenario``,
-    where this process can fork, may run on two CPUs or more and runs one
-    thread; else None, and ``aggregate`` and ``emit_event_log`` fold and
-    format the log in this process."""
-    if hasattr(os, "fork") and _usable_cpus() > 1 and _single_threaded():
-        return EventLogWriter(out_dir, scenario)
-    return None
 
 
 def emit_event_log(run: SimRun, out_dir: str | Path,
                    writer: EventLogWriter | None = None) -> Path:
     """Write the run's event log as events.csv, in chunks of joined lines;
-    returns once the whole file is written. Given the writer, made for this
-    directory, that the run handed its log to, this ends the writer's child
-    if ``aggregate`` did not and keeps its file; without one, or if the
-    child failed, this process formats the whole log. The file is written
-    under a temporary name and renamed once whole, so a failure leaves
-    neither a partial events.csv nor the temporary file."""
+    returns once the whole file is written. Given the writer that the run
+    handed its log to, made for this directory, this keeps the child's file
+    if and only if the child's report came (``EventLogWriter.finish``, which
+    ends the child if ``aggregate`` did not); otherwise this process formats
+    the whole log. The file is written under a temporary name and renamed
+    once whole, so a failure leaves neither a partial events.csv nor the
+    temporary file."""
     path, part = _event_log_paths(out_dir)
     try:
-        if writer is None or not writer.finish(run)[1]:
+        if writer is None or writer.part != part or writer.finish(run) is None:
             path.parent.mkdir(parents=True, exist_ok=True)
             with part.open("w") as out:
                 _write_lines(out, csv_lines(run.records))
         os.replace(part, path)
     except BaseException:
-        part.unlink(missing_ok=True)
+        _remove(part)
         raise
     return path
 

@@ -262,9 +262,16 @@ class EventLog:
         return len(self.session_ids) - 1
 
     def shape(self, *row) -> int:
-        """The code of a (kind, source, destination, phase, size, outcome) row."""
+        """The code of a (kind, source, destination, phase, size, outcome) row.
+        A send or deliver row whose phase is not 1..13 or whose size is not a
+        whole number is none a run logs: it raises ValueError when first met."""
         code = self._code_of.get(row)
         if code is None:
+            kind, _, _, phase, size, _ = row
+            if kind in ("send", "deliver") and not (phase in range(1, len(PHASES) + 1)
+                                                    and type(size) is int and size >= 0):
+                raise ValueError(f"a {kind} needs a phase from 1 to {len(PHASES)} "
+                                 f"and a whole number of bytes")
             code = self._code_of[row] = len(self.shapes)
             self.shapes.append(row)
         return code
@@ -306,8 +313,9 @@ def read_event_log(path) -> EventLog:
     the result gives the file's text again, since each time is read as
     printed, to 1 ns, and a printed time reads back as a float that prints
     the same. A line that is not a record in log order (its sequence its
-    index, its time none before the last), or a file that cannot be read,
-    raises ScenarioParseError naming the file and the line."""
+    index, its time none before the last) or of a shape no run logs
+    (``EventLog.shape``), or a file that cannot be read, raises
+    ScenarioParseError naming the file and the line."""
     log = EventLog()
     index_of = {"": 0}  # session id -> its index in the log read so far
     header = ",".join(LOG_HEADER) + "\n"

@@ -949,13 +949,12 @@ def _grown(run: simnet.SimRun, writer) -> simnet.SimRun:
 
 def _run_and_write(scenario: Scenario, out: Path) -> tuple[simnet.SimRun, Path]:
     """Run the scenario and write its events.csv as the run command does."""
-    writer = harness.event_log_writer(out, scenario)
+    writer = harness.EventLogWriter(out, scenario)
     try:
         run = simnet.run(scenario, writer)
         return run, emit_event_log(run, out, writer)
     finally:
-        if writer is not None:
-            writer.close()
+        writer.close()
 
 
 def _open_fds() -> list[str] | None:
@@ -1014,14 +1013,13 @@ def test_event_log_is_whole_on_either_path(tmp_path, monkeypatch, forks, cpus, r
     _cpus(monkeypatch, cpus)
     out = tmp_path / "out"
     built = _hand_built_run(records)
-    writer = harness.event_log_writer(out, built.scenario)
-    assert (writer is not None) is (cpus > 1)
+    writer = harness.EventLogWriter(out, built.scenario)
+    assert (writer.pid is None) is (cpus == 1)
     try:
-        run = _grown(built, writer or (lambda log: None))
+        run = _grown(built, writer)
         assert_whole_log(emit_event_log(run, out, writer), run)
     finally:
-        if writer is not None:
-            writer.close()
+        writer.close()
     # the file is the child's, not one this process formatted again
     assert len(forks.made) == (cpus > 1)
     assert forks.formatted == (not forks.made)
@@ -1053,7 +1051,7 @@ def test_a_failed_child_leaves_the_whole_log(tmp_path, monkeypatch, forks, failu
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "csv_lines", formatter)
     out = tmp_path / "out"
-    writer = harness.event_log_writer(out, STALLED_AT_F)
+    writer = harness.EventLogWriter(out, STALLED_AT_F)
     handed = []
 
     def hand_off(log):
@@ -1074,45 +1072,36 @@ def test_a_failed_child_leaves_the_whole_log(tmp_path, monkeypatch, forks, failu
 
 
 def test_a_child_failing_after_the_end_mark_leaves_the_whole_log(tmp_path, monkeypatch, forks):
-    # the child is fed the whole log and fails on its last range only once
-    # the end mark is sent, so that only its exit status tells of it
-    parent, counted, send = os.getpid(), harness.csv_lines, harness._send
-    run = simnet.run(STALLED_AT_F)
-    ended, end_sent = os.pipe()
-
-    def formatter(log, start=0, stop=None):
-        if os.getpid() != parent and len(log) == len(run.records):
-            os.read(ended, 1)
-            raise RuntimeError("the child fails")
-        return counted(log, start, stop)
+    # the child is fed the whole log and is killed once it has answered the
+    # end mark: its report is the receipt for the file it closed before, so
+    # the file is kept however the child ended
+    parent, send = os.getpid(), harness._send
 
     def sending(fd, data):
         send(fd, data)
-        if isinstance(data, bytes) and data.startswith(harness._END):
-            os.write(end_sent, b"!")
+        if os.getpid() != parent:  # the child sends only its answer
+            os.kill(os.getpid(), signal.SIGKILL)
 
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(harness, "csv_lines", formatter)
     monkeypatch.setattr(harness, "_send", sending)
     out = tmp_path / "out"
-    writer = harness.event_log_writer(out, STALLED_AT_F)
+    writer = harness.EventLogWriter(out, STALLED_AT_F)
     try:
-        run = _grown(run, writer)
+        run = _grown(simnet.run(STALLED_AT_F), writer)
         assert writer.pipe is not None and writer.sent == len(run.records)
+        assert writer.finish(run) == aggregate(run)
         assert_whole_log(emit_event_log(run, out, writer), run)
     finally:
         writer.close()
-        os.close(ended)
-        os.close(end_sent)
     assert len(forks.made) == 1
-    assert forks.formatted == 1
+    assert forks.formatted == 0
 
 
 @pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"), reason="pipe sizes are set on Linux")
 def test_the_writer_pipe_holds_a_large_hand_off(tmp_path, monkeypatch, forks):
     # with the default 64 KiB the run's process waited for the child to read
     _cpus(monkeypatch, 2)
-    writer = harness.event_log_writer(tmp_path, Scenario())
+    writer = harness.EventLogWriter(tmp_path, Scenario())
     try:
         assert fcntl.fcntl(writer.pipe, fcntl.F_GETPIPE_SZ) == harness.PIPE_BYTES
     finally:
@@ -1190,6 +1179,37 @@ def test_a_failed_run_leaves_no_process_or_event_log(tmp_path, monkeypatch, fork
     assert os.listdir(tmp_path / "out") == []
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "two-processes"])
+def test_a_directory_where_the_part_file_goes_fails_the_run_by_name(tmp_path, monkeypatch, forks,
+                                                                     capsys, cpus):
+    # the event log cannot be written: the run's own error is the one told,
+    # and removing the part file at the end does not replace it
+    _cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    (out / "events.csv.part").mkdir(parents=True)
+    save_scenario(SMALL, tmp_path / "scenario.json")
+    assert cli.main(["run", "--scenario", str(tmp_path / "scenario.json"),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: out: {out / 'events.csv.part'}: Is a directory\n"
+    assert len(forks.made) == cpus - 1
+    assert (out / "events.csv.part").is_dir() and not (out / "events.csv").exists()
+
+
+def test_a_writer_made_for_another_directory_leaves_the_log_to_this_process(tmp_path,
+                                                                            monkeypatch, forks):
+    # the child's file is under the writer's directory, not the one asked for
+    _cpus(monkeypatch, 2)
+    writer = harness.EventLogWriter(tmp_path / "out", STALLED_AT_F)
+    try:
+        run = simnet.run(STALLED_AT_F, writer)
+        assert_whole_log(emit_event_log(run, tmp_path / "other", writer), run)
+    finally:
+        writer.close()
+    assert os.listdir(tmp_path / "out") == []
+    assert len(forks.made) == 1
+    assert forks.formatted == 1
+
+
 def _folds_made(monkeypatch) -> list:
     """The scenarios of the folds that this process makes from now on; the
     child's appends go to its own copy of the list."""
@@ -1206,7 +1226,7 @@ def _aggregate_through_writer(monkeypatch, scenario: Scenario, out: Path):
     where the writer's child answered) and the file."""
     folds = _folds_made(monkeypatch)
     _cpus(monkeypatch, 2)
-    writer = harness.event_log_writer(out, scenario)
+    writer = harness.EventLogWriter(out, scenario)
     try:
         run = simnet.run(scenario, writer)
         report = aggregate(run, writer)
@@ -1284,8 +1304,7 @@ def test_a_writer_made_for_another_scenario_gives_no_report(tmp_path, monkeypatc
     folds = _folds_made(monkeypatch)
     _cpus(monkeypatch, 2)
     scenario = replace(Scenario(), principals=40, seed=11)
-    writer = harness.event_log_writer(tmp_path / "out",
-                                      replace(scenario, sampling_interval_s=7.0))
+    writer = harness.EventLogWriter(tmp_path / "out", replace(scenario, sampling_interval_s=7.0))
     try:
         run = simnet.run(scenario, writer)
         report = aggregate(run, writer)
@@ -1309,13 +1328,13 @@ def test_an_unsent_leg_does_not_count_toward_the_delay(tmp_path, monkeypatch, fo
     # shapes of the log's records count, in either process's fold
     folds = _folds_made(monkeypatch)
     _cpus(monkeypatch, cpus)
-    writer = harness.event_log_writer(tmp_path / "out", UNSENT_SLOWEST)
+    writer = harness.EventLogWriter(tmp_path / "out", UNSENT_SLOWEST)
+    assert (writer.pid is None) is (cpus == 1)
     try:
         run = simnet.run(UNSENT_SLOWEST, writer)
         report = aggregate(run, writer)
     finally:
-        if writer is not None:
-            writer.close()
+        writer.close()
     assert len(folds) == 2 - cpus  # on two CPUs, the child's report
     spec = PHASES[12]
     phases = {r.phase_index for r in run.records if r.kind == "send"}
@@ -1345,15 +1364,15 @@ def test_the_child_is_ended_once(tmp_path, monkeypatch, forks, calls):
     monkeypatch.setattr(harness, "_send", counted_send)
     monkeypatch.setattr(os, "waitpid", counted_waitpid)
     out = tmp_path / "out"
-    writer = harness.event_log_writer(out, STALLED_AT_F)
+    writer = harness.EventLogWriter(out, STALLED_AT_F)
     try:
         run = simnet.run(STALLED_AT_F, writer)
         if calls == "aggregate-then-emit":
             assert aggregate(run, writer) == aggregate(run)
         assert_whole_log(emit_event_log(run, out, writer), run)
-        # a later call gives the first call's answer
-        report, whole = writer.finish(run)
-        assert whole and report == aggregate(run)
+        # a later call gives the first call's answer: the report, the
+        # receipt for the file that emit_event_log kept
+        assert writer.finish(run) == aggregate(run)
     finally:
         writer.close()
     assert marks == [b"end false\n"]
@@ -1374,11 +1393,10 @@ def test_the_run_command_on_two_cpus_writes_the_stalled_report(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("failure", ["killed-before-answering", "raises-in-feed",
-                                     "answers-then-fails"])
+                                     "close-fails", "answers-then-fails"])
 def test_a_failed_child_leaves_the_report_and_the_whole_log(tmp_path, monkeypatch, forks,
                                                              failure):
-    # this process folds the log where the child gave no report, and formats
-    # it where the child left no whole file
+    # where the child gave no report, this process folds the log and formats it
     parent = os.getpid()
     if failure == "killed-before-answering":
         answer = harness._answer
@@ -1398,6 +1416,23 @@ def test_a_failed_child_leaves_the_report_and_the_whole_log(tmp_path, monkeypatc
             feed(self, log, start, stop)
 
         monkeypatch.setattr(harness._Fold, "feed", failing)
+    elif failure == "close-fails":
+        opener = Path.open
+
+        def failing(path, *args, **kwargs):
+            out = opener(path, *args, **kwargs)
+            if os.getpid() != parent:  # the child opens only its part file
+                close = out.close
+
+                def failing_close():
+                    if not out.closed:
+                        close()
+                        raise OSError(errno.ENOSPC, "the last write fails")
+
+                out.close = failing_close
+            return out
+
+        monkeypatch.setattr(Path, "open", failing)
     else:
         send = harness._send
 
@@ -1409,12 +1444,13 @@ def test_a_failed_child_leaves_the_report_and_the_whole_log(tmp_path, monkeypatc
         monkeypatch.setattr(harness, "_send", failing)
     run, report, folds, path = _aggregate_through_writer(monkeypatch, STALLED_AT_F,
                                                          tmp_path / "out")
-    assert folds == (failure != "answers-then-fails")
+    # a report is the receipt for the child's file: it is kept where one came
+    answered = failure == "answers-then-fails"
+    assert folds == forks.formatted == (not answered)
     assert report == aggregate(run)
     assert folded(report) == reference_fold(run)
     assert_whole_log(path, run)
     assert len(forks.made) == 1
-    assert forks.formatted == 1
 
 
 @pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt],

@@ -927,6 +927,12 @@ _MALFORMED = {
     "sequence": (3, "200.000000000,7,app-start,A,,,,,ok\n"),
     "time-order": (3, "-1.000000000,1,app-start,A,,,,,ok\n"),
     "phase": (3, "200.000000000,1,send,A,F,aa,one,1024,ok\n"),
+    # record shapes that no run logs, which the fold cannot read
+    "phase-14": (3, "200.000000000,1,deliver,F,A,aa,14,1024,phase-complete\n"),
+    "phase-0": (3, "200.000000000,1,send,A,F,aa,0,1024,ok\n"),
+    "no-phase": (3, "200.000000000,1,deliver,F,A,aa,,1024,ok\n"),
+    "no-size": (3, "200.000000000,1,send,A,F,aa,1,,ok\n"),
+    "negative-size": (3, "200.000000000,1,send,A,F,aa,1,-8,ok\n"),
     "cut-short": (0, None),
 }
 
@@ -941,6 +947,16 @@ def test_read_event_log_names_a_malformed_line(case, tmp_path):
     path.write_text("".join(lines))
     with pytest.raises(ScenarioParseError, match=f"^{re.escape(str(path))}: line {line}: "):
         simnet.read_event_log(path)
+
+
+def test_read_event_log_reads_a_drop_during_phase_one(tmp_path):
+    # a session dropped while phase 1 is open logs phase 0, the phases done
+    stalled = replace(SMALL, timeout_mode=TimeoutMode.per_phase(10),
+                      stalls=(Stall(Role.F, 1, 50.0),))
+    log = simnet.run(stalled).records
+    assert ("session-drop", "", "", 0, None, "dropped:phase-timeout(1)") in log.shapes
+    text, read = _read_back(log)
+    assert "".join(csv_lines(read)) == text
 
 
 @pytest.mark.parametrize("content", [None, b"", b"\xff\xfe\x00"],
