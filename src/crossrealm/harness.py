@@ -15,6 +15,7 @@ checking against an emitted report.
 from __future__ import annotations
 
 import json
+import marshal
 import math
 import operator
 import os
@@ -398,8 +399,8 @@ class _Fold:
             self.reads.append(read)
             self.needed.append(read is not None)
 
-    def feed(self, log: simnet.EventLog, start: int, stop: int) -> None:
-        """Fold the log's records [start, stop), which follow those fed before."""
+    def feed(self, log: simnet.EventLog, start: int = 0) -> None:
+        """Fold the log's records from ``start`` on, which follow those fed before."""
         self._learn(log.shapes)
         self.started_at += array("d", [0.0]) * (len(log.session_ids) - len(self.started_at))
         interval, last = self.scenario.sampling_interval_s, self.buckets - 1
@@ -410,7 +411,7 @@ class _Fold:
             return int(time_s / interval)
 
         times, codes = log.times, log.codes
-        lo = start
+        lo, stop = start, len(log)
         while lo < stop:
             b = bucket(times[lo])
             if b >= last:
@@ -433,8 +434,8 @@ class _Fold:
             lo = hi
 
         columns = (times, log.sessions, codes)
-        if start or stop < len(log):  # a range walks faster as a copy than as a view
-            columns = tuple(column[start:stop] for column in columns)
+        if start:  # a range walks faster as a copy than as a view
+            columns = tuple(column[start:] for column in columns)
         reads, started_at, durations = self.reads, self.started_at, self.durations
         open_since = self.open_since
         for time_s, session, code in compress(zip(*columns),
@@ -534,7 +535,7 @@ def aggregate(run: SimRun, writer: EventLogWriter | None = None) -> MetricsRepor
         report = writer.finish(run)  # else the child's fold would be another run's
     if report is None:
         fold = _Fold(run.scenario)
-        fold.feed(run.records, 0, len(run.records))
+        fold.feed(run.records)
         report = fold.report(run.horizon_exceeded)
     return report
 
@@ -642,50 +643,32 @@ def _send(fd: int, data) -> None:
 # KB), so the run's process seldom waits for the child to read
 PIPE_BYTES = 1 << 20
 
-# what the run's process sends the writer child after the last hand-off:
-# this, then the run's horizon flag as JSON, then a newline
-_END = b"end"
-
-
-def _answer(report: MetricsReport) -> bytes:
-    """The writer child's report as one line of JSON (``_read_answer``)."""
-    return json.dumps([report.tree, report.active_sessions, report.traffic_sent_bps,
-                       report.traffic_received_bps]).encode() + b"\n"
-
-
-def _read_answer(source) -> MetricsReport | None:
-    """The report that ``_answer`` encoded; None if it is cut short."""
-    try:
-        return MetricsReport(*json.loads(source.readline()))
-    except ValueError:  # the child ended without answering, or part way
-        return None
-
 
 def _serve_in_child(pipe: int, answers: int, part: Path, scenario: Scenario) -> None:
     """The writer child's work: extend an empty log by each hand-off read
-    from ``pipe``, format the new records into ``part`` and fold them, until
-    the end mark; then, once the file is closed whole, write the report,
-    given the mark's horizon flag, to ``answers``. The report is the receipt
-    for the file: should anything fail, none is written, and the file is
-    not touched after it."""
+    from ``pipe`` (a tuple), format the new records into ``part`` and fold
+    them, until the end mark (the run's horizon flag); then, once the file is
+    closed whole, write the report, given that flag, to ``answers``. Each is
+    one ``marshal`` value, and a pipe closed before one is whole raises
+    EOFError. The report is the receipt for the file: should anything fail,
+    none is written, and the file is not touched after it."""
     log, fold = simnet.EventLog(), _Fold(scenario)
     part.parent.mkdir(parents=True, exist_ok=True)
     with open(pipe, "rb") as source, part.open("w") as out:
-        done = 0
-        while not (header := source.readline()).startswith(_END):
-            records, size = map(int, header.split())  # end of file: ValueError
-            if size:
-                ids, shapes = json.loads(source.read(size))
-                log.session_ids += ids
-                log.shapes += map(tuple, shapes)
-            for column in (log.times, log.sessions, log.codes):
-                column.frombytes(source.read(records * column.itemsize))
-            _write_lines(out, csv_lines(log, done))  # the header with record 0
-            fold.feed(log, done, len(log))
+        while type(piece := marshal.load(source)) is tuple:
             done = len(log)
-        if not done:  # a run that logged nothing: the header alone
+            ids, shapes, *columns = piece
+            log.session_ids += ids
+            log.shapes += shapes
+            for column, entries in zip((log.times, log.sessions, log.codes), columns):
+                column.frombytes(entries)
+            _write_lines(out, csv_lines(log, done))  # the header with record 0
+            fold.feed(log, done)
+        if not log:  # a run that logged nothing: the header alone
             _write_lines(out, csv_lines(log))
-    _send(answers, _answer(fold.report(json.loads(header[len(_END):]))))
+    report = fold.report(piece)
+    _send(answers, marshal.dumps((report.tree, report.active_sessions, report.traffic_sent_bps,
+                                  report.traffic_received_bps)))
 
 
 def _remove(part: Path) -> None:
@@ -707,16 +690,16 @@ class EventLogWriter:
     only where this process can fork, may run on two CPUs or more and runs
     one thread. ``simnet.run`` hands the log to the writer after each slice
     of its horizon; each hand-off with new records sends the child, over a
-    pipe, a header line (the new records and the length of the text after
-    it), the new session ids and shapes as JSON text, and the new entries of
-    the log's three columns as raw bytes. The child extends its own log by
-    them, formats the new records into ``events.csv.part`` and folds them as
-    ``aggregate`` would. ``finish`` sends the end mark with the run's
-    horizon flag, reads the child's report from a second pipe and ends the
-    child. The child sends its report only once the file is closed whole,
-    so the report is the receipt for the file, and this process owns the
-    file from then on: ``emit_event_log`` renames it where a report came
-    and writes over it where none did, and ``close`` removes it.
+    pipe, one ``marshal`` tuple: the new session ids, the new shapes and
+    the new entries of the log's three columns as bytes. The child extends
+    its own log by them, formats the new records into ``events.csv.part``
+    and folds them as ``aggregate`` would. ``finish`` sends the end mark,
+    the run's horizon flag, reads the child's report from a second pipe as
+    one ``marshal`` tuple of its four fields and ends the child. The child
+    sends its report only once the file is closed whole, so the report is
+    the receipt for the file, and this process owns the file from then on:
+    ``emit_event_log`` renames it where a report came and writes over it
+    where none did, and ``close`` removes it.
     """
 
     def __init__(self, out_dir: str | Path, scenario: Scenario):
@@ -759,31 +742,30 @@ class EventLogWriter:
     def __call__(self, log: simnet.EventLog) -> None:
         if self.pipe is None or len(log) == self.sent:
             return
-        start, stop = self.sent, len(log)
-        new = (log.session_ids[self.ids:], log.shapes[self.shapes:])
-        text = json.dumps(new).encode() if any(new) else b""
+        columns = (memoryview(c)[self.sent:] for c in (log.times, log.sessions, log.codes))
         try:
-            _send(self.pipe, b"%d %d\n%s" % (stop - start, len(text), text))
-            for column in (log.times, log.sessions, log.codes):
-                _send(self.pipe, memoryview(column)[start:stop])
+            _send(self.pipe, marshal.dumps((log.session_ids[self.ids:], log.shapes[self.shapes:],
+                                            *columns)))
         except BrokenPipeError:  # the child has ended
             os.close(self.pipe)
             self.pipe = None
             return
-        self.sent, self.ids, self.shapes = stop, len(log.session_ids), len(log.shapes)
+        self.sent, self.ids, self.shapes = len(log), len(log.session_ids), len(log.shapes)
 
     def finish(self, run: SimRun) -> MetricsReport | None:
         """The child's report of the run, and so the receipt for ``part``
         holding its whole log; None where there is no child, it was not fed
-        the whole log or it ended without answering. The first call sends
+        the whole log or it ended before its answer was whole (EOFError,
+        as ``marshal`` reads a cut-short value). The first call sends
         the end mark if the child was fed the whole log, reads the answer
         and ends the child; later calls return the first call's answer."""
         if self.pipe is not None and self.sent == len(run.records):
-            with suppress(BrokenPipeError):  # the child has ended
-                _send(self.pipe, b"%s %s\n" % (_END, json.dumps(run.horizon_exceeded).encode()))
+            # the child has ended, before its answer or part way through it
+            with suppress(BrokenPipeError, EOFError):
+                _send(self.pipe, marshal.dumps(run.horizon_exceeded))
                 with open(self.answers, "rb") as source:
                     self.answers = None
-                    self.report = _read_answer(source)
+                    self.report = MetricsReport(*marshal.load(source))
         if self.pid is not None:
             self._end()
         return self.report

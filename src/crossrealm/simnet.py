@@ -225,6 +225,13 @@ LOG_HEADER = ("time_s", "sequence", "kind", "source", "destination",
 # the outcome of a delivery to an ended session, absorbed before any role sees it
 ABSORBED = "discarded:session-not-in-progress"
 
+# the kinds of record a run logs
+KINDS = frozenset(("app-start", "session-start", "send", "deliver", "timer-fire",
+                   "session-complete", "session-drop"))
+# phase -> the (source, destination) pairs of its messages: its request's and its response's
+_ENDS = {spec.index: {(spec.source.value, spec.destination.value),
+                      (spec.destination.value, spec.source.value)} for spec in PHASES}
+
 
 class Record(NamedTuple):
     """One event-log line."""
@@ -263,15 +270,19 @@ class EventLog:
 
     def shape(self, *row) -> int:
         """The code of a (kind, source, destination, phase, size, outcome) row.
-        A send or deliver row whose phase is not 1..13 or whose size is not a
-        whole number is none a run logs: it raises ValueError when first met."""
+        A row of a kind not in ``KINDS``, or a send or deliver row whose phase
+        is not 1..13, whose two ends are not its phase's two ends (either way)
+        or whose size is not a whole number, is none a run logs: it raises
+        ValueError when first met."""
         code = self._code_of.get(row)
         if code is None:
-            kind, _, _, phase, size, _ = row
-            if kind in ("send", "deliver") and not (phase in range(1, len(PHASES) + 1)
+            kind, source, destination, phase, size, _ = row
+            if kind not in KINDS:
+                raise ValueError(f"{kind!r} is not a kind of record a run logs")
+            if kind in ("send", "deliver") and not ((source, destination) in _ENDS.get(phase, ())
                                                     and type(size) is int and size >= 0):
-                raise ValueError(f"a {kind} needs a phase from 1 to {len(PHASES)} "
-                                 f"and a whole number of bytes")
+                raise ValueError(f"a {kind} needs a phase from 1 to {len(PHASES)}, that "
+                                 f"phase's two ends and a whole number of bytes")
             code = self._code_of[row] = len(self.shapes)
             self.shapes.append(row)
         return code
@@ -285,24 +296,23 @@ class EventLog:
                       self.session_ids[self.sessions[index]], phase, size, outcome)
 
 
-def csv_lines(log: EventLog, start: int = 0, stop: int | None = None) -> Iterator[str]:
-    """The log's records [start, stop), to its end by default, as CSV lines
-    each ending in a newline, after the header when the range starts at
-    record 0; a record's sequence is its log index, and an absent phase or
-    size is empty. The fields around the session id are formatted once per
-    shape, and a time once per run of records that share it. The columns are
-    read through views of the range, so no record before it is visited, and
-    the log may not grow until the lines have been read."""
+def csv_lines(log: EventLog, start: int = 0) -> Iterator[str]:
+    """The log's records from ``start`` on, all by default, as CSV lines
+    each ending in a newline, after the header when they start at record 0;
+    a record's sequence is its log index, and an absent phase or size is
+    empty. The fields around the session id are formatted once per shape,
+    and a time once per run of records that share it. The columns are read
+    through views from ``start``, so no record before it is visited, and the
+    log may not grow until the lines have been read."""
     if start == 0:
         yield ",".join(LOG_HEADER) + "\n"
     heads = [f"{kind},{source},{destination}," for kind, source, destination, *_ in log.shapes]
     tails = [f",{'' if phase is None else phase},{'' if size is None else size},{outcome}\n"
              for *_, phase, size, outcome in log.shapes]
     ids = log.session_ids
-    stop = len(log) if stop is None else stop
-    columns = (memoryview(column)[start:stop] for column in (log.times, log.sessions, log.codes))
+    columns = (memoryview(column)[start:] for column in (log.times, log.sessions, log.codes))
     last, stamp = None, ""
-    for sequence, time_s, session, code in zip(range(start, stop), *columns):
+    for sequence, time_s, session, code in zip(range(start, len(log)), *columns):
         if time_s != last or not time_s:  # 0.0 == -0.0, but each prints its own sign
             last, stamp = time_s, f"{time_s:.9f}"
         yield f"{stamp},{sequence},{heads[code]}{ids[session]}{tails[code]}"
@@ -314,8 +324,9 @@ def read_event_log(path) -> EventLog:
     printed, to 1 ns, and a printed time reads back as a float that prints
     the same. A line that is not a record in log order (its sequence its
     index, its time none before the last) or of a shape no run logs
-    (``EventLog.shape``), or a file that cannot be read, raises
-    ScenarioParseError naming the file and the line."""
+    (``EventLog.shape``: a kind not in ``KINDS``, or a send or deliver that
+    is not between its phase's two ends), or a file that cannot be read,
+    raises ScenarioParseError naming the file and the line."""
     log = EventLog()
     index_of = {"": 0}  # session id -> its index in the log read so far
     header = ",".join(LOG_HEADER) + "\n"

@@ -6,6 +6,7 @@ import fcntl
 import gc
 import hashlib
 import json
+import marshal
 import math
 import os
 import signal
@@ -981,10 +982,10 @@ def forks(monkeypatch):
             seen.made.append(pid)
         return pid
 
-    def counted_csv_lines(log, start=0, stop=None):
+    def counted_csv_lines(log, start=0):
         if os.getpid() == parent:
             seen.formatted += 1
-        return csv_lines(log, start, stop)
+        return csv_lines(log, start)
 
     monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(harness, "csv_lines", counted_csv_lines)
@@ -1041,12 +1042,12 @@ def test_a_failed_child_leaves_the_whole_log(tmp_path, monkeypatch, forks, failu
     # second; this process then writes the whole log
     parent, counted = os.getpid(), harness.csv_lines
 
-    def formatter(log, start=0, stop=None):
+    def formatter(log, start=0):
         if os.getpid() != parent and start > 0:
             if failure == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise RuntimeError("the child fails")
-        return counted(log, start, stop)
+        return counted(log, start)
 
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "csv_lines", formatter)
@@ -1107,6 +1108,42 @@ def test_the_writer_pipe_holds_a_large_hand_off(tmp_path, monkeypatch, forks):
     finally:
         writer.close()
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipe sizes are set on Linux")
+def test_a_hand_off_cut_short_by_a_signal_is_still_sent_whole(tmp_path, monkeypatch, forks):
+    # a one-page pipe makes each hand-off's write wait for the child to read,
+    # and a timer's signal cuts the waiting write short; _send writes the
+    # rest, so the child's report comes and its file is kept
+    write, short = os.write, []
+
+    def counted_write(fd, data):
+        written = write(fd, data)
+        if fd == writer.pipe and written < len(data):
+            short.append(written)
+        return written
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "PIPE_BYTES", 4096)
+    scenario = replace(Scenario(), principals=300)
+    writer = harness.EventLogWriter(tmp_path / "out", scenario)
+    monkeypatch.setattr(os, "write", counted_write)
+    handler = signal.signal(signal.SIGALRM, lambda signum, frame: None)
+    signal.setitimer(signal.ITIMER_REAL, 0.0005, 0.0005)
+    try:
+        run = simnet.run(scenario, writer)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    try:
+        report = aggregate(run, writer)
+        assert_whole_log(emit_event_log(run, tmp_path / "out", writer), run)
+    finally:
+        writer.close()
+    assert short  # the signal did cut a hand-off short
+    assert len(forks.made) == 1
+    assert forks.formatted == 0  # the child's report came
+    assert report == aggregate(run)
 
 
 def test_a_failed_fork_leaves_the_whole_log(tmp_path, monkeypatch, forks):
@@ -1346,13 +1383,14 @@ def test_an_unsent_leg_does_not_count_toward_the_delay(tmp_path, monkeypatch, fo
 
 @pytest.mark.parametrize("calls", ["aggregate-then-emit", "emit-only"])
 def test_the_child_is_ended_once(tmp_path, monkeypatch, forks, calls):
-    # the end mark goes out, and the child is waited for, once however many
-    # calls are given the writer; emit_event_log keeps the child's file
+    # the end mark, the marshalled horizon flag, goes out, and the child is
+    # waited for, once however many calls are given the writer;
+    # emit_event_log keeps the child's file
     send, waitpid = harness._send, os.waitpid
     marks, waits = [], []
 
     def counted_send(fd, data):
-        if isinstance(data, bytes) and data.startswith(harness._END):
+        if type(marshal.loads(data)) is bool:  # not a hand-off, which is a tuple
             marks.append(data)
         send(fd, data)
 
@@ -1375,7 +1413,7 @@ def test_the_child_is_ended_once(tmp_path, monkeypatch, forks, calls):
         assert writer.finish(run) == aggregate(run)
     finally:
         writer.close()
-    assert marks == [b"end false\n"]
+    assert marks == [marshal.dumps(False)]
     assert waits == forks.made and len(waits) == 1
     assert forks.formatted == 0
 
@@ -1393,27 +1431,27 @@ def test_the_run_command_on_two_cpus_writes_the_stalled_report(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("failure", ["killed-before-answering", "raises-in-feed",
-                                     "close-fails", "answers-then-fails"])
+                                     "close-fails", "answers-part-way", "answers-then-fails"])
 def test_a_failed_child_leaves_the_report_and_the_whole_log(tmp_path, monkeypatch, forks,
                                                              failure):
     # where the child gave no report, this process folds the log and formats it
     parent = os.getpid()
     if failure == "killed-before-answering":
-        answer = harness._answer
+        fold_report = harness._Fold.report
 
-        def failing(report):
+        def failing(self, horizon_exceeded):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return answer(report)
+            return fold_report(self, horizon_exceeded)
 
-        monkeypatch.setattr(harness, "_answer", failing)
+        monkeypatch.setattr(harness._Fold, "report", failing)
     elif failure == "raises-in-feed":
         feed = harness._Fold.feed
 
-        def failing(self, log, start, stop):
+        def failing(self, log, start=0):
             if os.getpid() != parent and start > 0:
                 raise RuntimeError("the child fails")
-            feed(self, log, start, stop)
+            feed(self, log, start)
 
         monkeypatch.setattr(harness._Fold, "feed", failing)
     elif failure == "close-fails":
@@ -1433,6 +1471,16 @@ def test_a_failed_child_leaves_the_report_and_the_whole_log(tmp_path, monkeypatc
             return out
 
         monkeypatch.setattr(Path, "open", failing)
+    elif failure == "answers-part-way":  # finish reads a cut-short value: EOFError
+        send = harness._send
+
+        def failing(fd, data):
+            if os.getpid() != parent:  # the child sends only its answer
+                send(fd, data[:len(data) // 2])
+                os.kill(os.getpid(), signal.SIGKILL)
+            send(fd, data)
+
+        monkeypatch.setattr(harness, "_send", failing)
     else:
         send = harness._send
 
@@ -1457,8 +1505,8 @@ def test_a_failed_child_leaves_the_report_and_the_whole_log(tmp_path, monkeypatc
                          ids=["raises", "interrupted"])
 def test_a_failed_write_leaves_no_event_log(tmp_path, monkeypatch, failure):
     # one process: formatting fails once the first chunk of lines is written
-    def formatter(log, start=0, stop=None):
-        yield from islice(csv_lines(log, start, stop), EVENT_LOG_CHUNK_LINES + 1)
+    def formatter(log, start=0):
+        yield from islice(csv_lines(log, start), EVENT_LOG_CHUNK_LINES + 1)
         raise failure("formatting fails")
 
     monkeypatch.setattr(harness, "csv_lines", formatter)

@@ -680,12 +680,13 @@ def _hand_built_log(records) -> EventLog:
                         max_size=30), split=st.integers(1, 30))
 @example(records=[(0.0, 1, 0), (-0.0, 1, 0), (-0.0, 2, 1)], split=1)
 def test_csv_lines_of_two_ranges_join_to_the_whole(records, split):
-    # only a range from record 0 has the header, and each range formats its
-    # own first time, also one it shares with the record before it
+    # a log's lines, then those it logs next: only the first range has the
+    # header, and each range formats its own first time, also one it shares
+    # with the record before it
     log = _hand_built_log(records)
     split = min(split, len(records))
     tail = "".join(csv_lines(log, split))
-    assert "".join(csv_lines(log, 0, split)) + tail == "".join(csv_lines(log))
+    assert "".join(csv_lines(_hand_built_log(records[:split]))) + tail == "".join(csv_lines(log))
     assert tail == "".join(reference_csv(list(log)).splitlines(keepends=True)[1 + split:])
 
 
@@ -933,6 +934,10 @@ _MALFORMED = {
     "no-phase": (3, "200.000000000,1,deliver,F,A,aa,,1024,ok\n"),
     "no-size": (3, "200.000000000,1,send,A,F,aa,1,,ok\n"),
     "negative-size": (3, "200.000000000,1,send,A,F,aa,1,-8,ok\n"),
+    "no-role": (3, "200.000000000,1,send,Q,F,aa,1,1024,ok\n"),
+    "one-end-twice": (3, "200.000000000,1,send,F,F,aa,1,1024,ok\n"),
+    "ends-of-another-phase": (3, "200.000000000,1,deliver,F,SAC,aa,2,1024,ok\n"),
+    "no-kind": (3, "200.000000000,1,sned,A,F,aa,1,1024,ok\n"),
     "cut-short": (0, None),
 }
 
