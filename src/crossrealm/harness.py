@@ -38,7 +38,7 @@ from .errors import (
     UnknownMetric,
     is_number,
 )
-from .protocol import PHASE_COUNT, PHASES, Role, TimeoutMode
+from .protocol import PHASE_COUNT, PHASES, RESOURCE_CLOUDS, Role, TimeoutMode
 from .simnet import ABSORBED, ConnectionModel, SimRun, Stall, Topology, csv_lines
 
 DEFAULT_SEED = 7
@@ -61,6 +61,7 @@ _PHASE_SIZES = (lambda sizes: sizes is None or isinstance(sizes, Mapping) and al
     type(k) is int and 1 <= k <= PHASE_COUNT and type(n) is int and 0 <= n <= sys.float_info.max
     for k, n in sizes.items()),
     f"must key phases 1..{PHASE_COUNT} to whole numbers from 0 to the largest float")
+_CLOUDS = len(RESOURCE_CLOUDS)  # a scenario names one resource for each resource cloud
 _RANGES = {
     "principals": (_is_count, "must be a whole number from 1 to the largest float"),
     "sessions_per_principal": (lambda v: v == "mean2" or _is_count(v),
@@ -68,8 +69,9 @@ _RANGES = {
     # a value of these types checked its own ranges when it was built
     "timeout_mode": (lambda v: isinstance(v, TimeoutMode), "must be a TimeoutMode"),
     "connection": (lambda v: isinstance(v, ConnectionModel), "must be a ConnectionModel"),
-    "resources": (lambda v: type(v) is tuple and len(v) == 2 and all(type(r) is str for r in v)
-                  and v[0] != v[1], "must be a tuple of two distinct strings"),
+    "resources": (lambda v: type(v) is tuple and all(type(r) is str for r in v)
+                  and len(v) == len(set(v)) == _CLOUDS,
+                  f"must be a tuple of {'two' if _CLOUDS == 2 else _CLOUDS} distinct strings"),
     "network_start_offset_s": _FINITE_NON_NEGATIVE,
     "app_start_offset_s": (lambda v: type(v) is tuple and len(v) == 2 and all(map(is_number, v))
                            and 0 <= v[0] <= v[1] < math.inf,
@@ -400,7 +402,8 @@ class _Fold:
             self.needed.append(read is not None)
 
     def feed(self, log: simnet.EventLog, start: int = 0) -> None:
-        """Fold the log's records from ``start`` on, which follow those fed before."""
+        """Fold the log's records from ``start`` on, which follow those fed before.
+        A phase completed in a session that did not open it raises ValueError."""
         self._learn(log.shapes)
         self.started_at += array("d", [0.0]) * (len(log.session_ids) - len(self.started_at))
         interval, last = self.scenario.sampling_interval_s, self.buckets - 1
@@ -451,7 +454,11 @@ class _Fold:
             elif read is _DROPS:
                 open_since.pop(session, None)
             else:
-                read.append(time_s - open_since.pop(session))
+                try:
+                    read.append(time_s - open_since.pop(session))
+                except KeyError:  # a log read back may complete a phase it never opened
+                    raise ValueError(f"session {log.session_ids[session]} completes phase "
+                                     f"{self.shapes[code][3]}, which it never opened") from None
 
     def report(self, horizon_exceeded: bool) -> MetricsReport:
         """The report of the records fed, given the one fact of the run that

@@ -36,7 +36,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Mapping, NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import keys as keylib
 from .errors import InvalidInput, RoleMismatch, is_number
@@ -126,29 +126,38 @@ class PhaseSpec:
     carries: tuple[str, ...]  # SessionSlot fields the request copies to the responder
 
 
-# Phase table: (index, name, source, destination, request bytes, carried
-# slot fields). A requesting exchange carries 1024 bytes; an exchange that
-# delivers credentials, a session key, or an access grant carries 4096.
+# The resource clouds, in the order the session handler asks them for access:
+# (the cloud, the names of the handler's ask and of the cloud's report). The
+# k-th cloud hosts a session's k-th resource, and the k-th pair of grant
+# phases, from phase 8 on, is its ask and its report.
+RESOURCE_CLOUDS = (
+    (Role.CLOUD_A, "Secure (Access, R1)", "Secure (Access, R1)"),
+    (Role.CLOUD_B, "Secure (Request, R2): IF Key (IDsess)", "Secure (Access, R2)"),
+)
+# resource cloud -> where the resource it hosts sits in a session's resources
+_CLOUD_AT = {cloud: at for at, (cloud, _, _) in enumerate(RESOURCE_CLOUDS)}
+
+# Phase table, phase k in row k: (name, source, destination, request bytes,
+# carried slot fields). A requesting exchange carries 1024 bytes; an exchange
+# that delivers credentials, a session key, or an access grant carries 4096.
 # Every phase-closing final response is a bare 1024-byte acknowledgment.
 _R = Role
 _TABLE = (
-    (1, "Secure (Request, R1, R2)", _R.A, _R.F, 1024, ("requester", "principal", "resources")),
-    (2, "Secure (Request, IDr, IDs)", _R.F, _R.A, 1024, ()),
-    (3, "Secure (Response, IDr, IDs)", _R.A, _R.F, 4096, ("idr", "ids")),
-    (4, "Fetch (R1, R2): IF Valid (IDr, IDs)", _R.F, _R.SAC, 1024,
+    ("Secure (Request, R1, R2)", _R.A, _R.F, 1024, ("requester", "principal", "resources")),
+    ("Secure (Request, IDr, IDs)", _R.F, _R.A, 1024, ()),
+    ("Secure (Response, IDr, IDs)", _R.A, _R.F, 4096, ("idr", "ids")),
+    ("Fetch (R1, R2): IF Valid (IDr, IDs)", _R.F, _R.SAC, 1024,
      ("requester", "resources", "idr", "ids")),
-    (5, "Verify (IDr, IDs)", _R.SAC, _R.SAC_DB, 1024, ("requester", "idr", "ids")),
-    (6, "Valid (IDr, IDs)", _R.SAC_DB, _R.SAC, 4096, ("verdict", "realm")),
-    (7, "Invoke (Key, IDsess): Fetch (R1, R2)", _R.SAC, _R.SAC_SH, 4096,
+    ("Verify (IDr, IDs)", _R.SAC, _R.SAC_DB, 1024, ("requester", "idr", "ids")),
+    ("Valid (IDr, IDs)", _R.SAC_DB, _R.SAC, 4096, ("verdict", "realm")),
+    ("Invoke (Key, IDsess): Fetch (R1, R2)", _R.SAC, _R.SAC_SH, 4096,
      ("keyset", "requester_key", "resources")),
-    (8, "Secure (Access, R1)", _R.SAC_SH, _R.CLOUD_A, 1024, ("keyset", "requester_key")),
-    (9, "Secure (Access, R1)", _R.CLOUD_A, _R.SAC_SH, 4096, ()),
-    (10, "Secure (Request, R2): IF Key (IDsess)", _R.SAC_SH, _R.CLOUD_B, 1024,
-     ("keyset", "requester_key")),
-    (11, "Secure (Access, R2)", _R.CLOUD_B, _R.SAC_SH, 4096, ()),
-    (12, "Secure (Access, R1, R2): Key (IDsess)", _R.SAC_SH, _R.F, 4096,
+    *(row for cloud, ask, report in RESOURCE_CLOUDS
+      for row in ((ask, _R.SAC_SH, cloud, 1024, ("keyset", "requester_key")),
+                  (report, cloud, _R.SAC_SH, 4096, ()))),
+    ("Secure (Access, R1, R2): Key (IDsess)", _R.SAC_SH, _R.F, 4096,
      ("grants", "requester_key", "keyset")),
-    (13, "Secure (Access, R1, R2): Key (IDsess)", _R.F, _R.A, 4096, ("grants", "requester_key")),
+    ("Secure (Access, R1, R2): Key (IDsess)", _R.F, _R.A, 4096, ("grants", "requester_key")),
 )
 
 PHASE_COUNT = len(_TABLE)
@@ -158,7 +167,7 @@ ACK_BYTES = 1024
 # overrides are the network's business: the simulator applies them to its own legs.
 PHASES = tuple(
     PhaseSpec(index, name, source, destination, req_bytes, ACK_BYTES, carries)
-    for index, name, source, destination, req_bytes, carries in _TABLE)
+    for index, (name, source, destination, req_bytes, carries) in enumerate(_TABLE, start=1))
 
 
 class ProtocolMessage(NamedTuple):
@@ -177,7 +186,7 @@ _NO_PAYLOAD = ()
 # the enum metaclass defines ``__getattr__``, so every read through the
 # class (``Role.SAC``) takes the slow attribute path.
 _REQUEST, _RESPONSE = MessageKind.REQUEST, MessageKind.RESPONSE
-_SAC, _SAC_SH, _CLOUD_A = Role.SAC, Role.SAC_SH, Role.CLOUD_A
+_SAC, _SAC_SH = Role.SAC, Role.SAC_SH
 
 # builds a NamedTuple from all its values, in field order, skipping the
 # Python-level ``__new__`` that checks and fills them: ``_new(cls, values)``
@@ -311,18 +320,20 @@ class SessionSlot(NamedTuple):
     grants: tuple[str, ...] = ()  # a cloud's own grant; the grants the handler collected
 
 
+# the phases in which the session handler and a cloud trade access
+_GRANT_PHASES = {s.index for s in PHASES if s.source in _CLOUD_AT or s.destination in _CLOUD_AT}
+
 # phase index - 1 -> the record its request's payload is: a NamedTuple of the
-# fields the phase carries, in ``carries`` order, then in phases 8-11, where
-# the session handler and the clouds trade access, the resource it names
+# fields the phase carries, in ``carries`` order, then in the grant phases the
+# resource it names
 _RECORDS = tuple(
     namedtuple(f"Phase{spec.index}Request",
-               spec.carries + (("resource",) if 8 <= spec.index <= 11 else ()))
+               spec.carries + (("resource",) if spec.index in _GRANT_PHASES else ()))
     for spec in PHASES)
 
 # phase -> the fields its responder sets from its own work on the request (a
 # verdict, a grant), after those the request carries
-_DECIDES = {5: ("verdict", "realm"), 8: ("grants",), 9: ("grants",), 10: ("grants",),
-            11: ("grants",)}
+_DECIDES = {5: ("verdict", "realm"), **dict.fromkeys(_GRANT_PHASES, ("grants",))}
 
 # phase index - 1 -> (its record, the getter of the slot values its request
 # carries, the record's width, how many of its fields are carried, the
@@ -340,8 +351,8 @@ _ROWS = tuple(
 
 # phase -> the type of each field of its record, in field order, where the
 # responder reads the values it is sent: a value of another type is malformed
-_READ_TYPES = {5: (str, KeyPart, KeyPart), 8: (SessionKeySet, HierarchicalKey, str),
-               10: (SessionKeySet, HierarchicalKey, str)}
+_READ_TYPES = {5: (str, KeyPart, KeyPart), **{spec.index: (SessionKeySet, HierarchicalKey, str)
+                                             for spec in PHASES if spec.destination in _CLOUD_AT}}
 
 # what a responder holds of a session before its first request: nothing
 _EMPTY_SLOT = SessionSlot()
@@ -363,15 +374,12 @@ class RoleState:
     sessions: dict[bytes, SessionSlot] = field(default_factory=dict)
 
 
-def initial_role_states(resource_hosting: Mapping[str, Role] | None = None,
-                        ) -> dict[Role, RoleState]:
-    """Fresh state for all seven roles; R1 on CloudA, R2 on CloudB by default."""
-    hosting = resource_hosting or {"R1": Role.CLOUD_A, "R2": Role.CLOUD_B}
-    states = {}
-    for role in Role:
-        hosted = frozenset(r for r, owner in hosting.items() if owner is role)
-        states[role] = RoleState(role=role, hosted_resources=hosted)
-    return states
+def initial_role_states(resources: Sequence[str] | None = None) -> dict[Role, RoleState]:
+    """Fresh state for all seven roles; the k-th of RESOURCE_CLOUDS hosts the
+    k-th resource, by default R1 on CloudA and R2 on CloudB."""
+    names = [f"R{at + 1}" for at in _CLOUD_AT.values()] if resources is None else resources
+    hosting = {cloud: frozenset({name}) for cloud, name in zip(_CLOUD_AT, names, strict=True)}
+    return {role: RoleState(role, hosting.get(role, frozenset())) for role in Role}
 
 
 def _next_request(role: Role, after: int) -> int | None:
@@ -508,7 +516,7 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         member = vault.find_member(payload.requester, idr, ids) if valid else None
         realm = (member.tenant_id, member.cloud_id, member.subdomain_id) if member else None
         slot = store(slot, (*carried, member is not None, realm))
-    elif index in (8, 10):  # a cloud decides on access
+    elif spec.destination in _CLOUD_AT:  # a cloud decides on access
         # decided on a one-entry view holding the slot with what the request carries
         view = RoleState(state.role, state.hosted_resources,
                          {msg.session_id: store(slot, (*carried, slot.grants))})
@@ -516,7 +524,7 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         granted = grant_access(view, msg.source, payload.requester_key, resource)
         slot = store(slot, (*carried, slot.grants + ((resource,) if granted else ())))
         outcome = "granted" if granted else "refused"
-    elif index in (9, 11):  # session handler collects a grant
+    elif spec.source in _CLOUD_AT:  # session handler collects a grant
         slot = store(slot, (*carried, slot.grants + (payload.resource,)))
     else:
         slot = store(slot, carried)
@@ -555,9 +563,9 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
         minted = keylib.mint_session_keys(sid, [slot.realm], vault)
         slot = _set_expect_and_keys(slot, (due, minted, minted.keys[slot.realm[0]]))
     else:
-        if index in (8, 10):  # the handler asks each cloud for the resource it hosts
-            resource = slot.resources[0 if spec.destination is _CLOUD_A else 1]
-        elif index in (9, 11):  # a cloud reports the one resource it hosts
+        if spec.destination in _CLOUD_AT:  # the handler asks each cloud for the resource it hosts
+            resource = slot.resources[_CLOUD_AT[spec.destination]]
+        elif spec.source in _CLOUD_AT:  # a cloud reports the one resource it hosts
             if not slot.grants:  # no grant to deliver
                 return _new(BeginResult, (None, None, "access-refused"))
             resource = next(iter(state.hosted_resources))

@@ -323,14 +323,14 @@ def read_event_log(path) -> EventLog:
     the result gives the file's text again, since each time is read as
     printed, to 1 ns, and a printed time reads back as a float that prints
     the same. A line that is not a record in log order (its sequence its
-    index, its time none before the last) or of a shape no run logs
+    index, its time none before 0 or the last) or of a shape no run logs
     (``EventLog.shape``: a kind not in ``KINDS``, or a send or deliver that
     is not between its phase's two ends), or a file that cannot be read,
     raises ScenarioParseError naming the file and the line."""
     log = EventLog()
     index_of = {"": 0}  # session id -> its index in the log read so far
     header = ",".join(LOG_HEADER) + "\n"
-    lineno, last = 1, -math.inf
+    lineno, last = 1, 0.0  # a run logs no time before 0
     try:
         with open(path, newline="") as lines:
             if next(lines, "") != header:
@@ -432,8 +432,7 @@ class _Engine:
         self.topology = scenario.topology
         self.model = scenario.connection
         self.vault, self.requesters = build_default_vault(scenario.principals)
-        self.roles = proto.initial_role_states(
-            {scenario.resources[0]: Role.CLOUD_A, scenario.resources[1]: Role.CLOUD_B})
+        self.roles = proto.initial_role_states(scenario.resources)
         stalls = {(s.role, s.phase_index): s.extra_delay_s for s in scenario.stalls}
         request_bytes = scenario.phase_request_bytes or {}
         response_bytes = scenario.phase_response_bytes or {}

@@ -887,6 +887,21 @@ def test_the_report_folds_again_from_events_csv(scenario, tmp_path):
             assert rows_again[name] == value, name
 
 
+def test_a_phase_completed_but_never_opened_is_named(tmp_path):
+    # every record reads back as a shape a run logs, but the session's first
+    # record completes phase 2, which it never opened
+    run = simnet.run(Scenario(principals=3))
+    header, *lines = emit_event_log(run, tmp_path).read_text().splitlines(keepends=True)
+    sid = next(line.split(",")[5] for line in lines if line.split(",")[5])
+    lines.insert(1, f"{lines[0].split(',')[0]},1,deliver,F,A,{sid},2,100,phase-complete\n")
+    path = tmp_path / "tampered.csv"
+    path.write_text(header + "".join(f"{time_s},{i},{rest}" for i, (time_s, _, rest) in
+                                     enumerate(line.split(",", 2) for line in lines)))
+    log = simnet.read_event_log(path)
+    with pytest.raises(ValueError, match=f"^session {sid} completes phase 2, which it never"):
+        aggregate(replace(run, records=log))
+
+
 def test_event_log_file_matches_csv_lines(tmp_path):
     run = simnet.run(STALLED_AT_F)
     blank = {r.kind for r in run.records if r.phase_index is None or r.payload_bytes is None}

@@ -145,6 +145,47 @@ def test_table_byte_assignment():
         assert spec.response_bytes == 1024
 
 
+def test_the_table_built_from_the_resource_clouds_is_written_out():
+    # the grant phases and every table read from RESOURCE_CLOUDS, as literals
+    r, ask, keys = Role, ("keyset", "requester_key"), (keylib.SessionKeySet,
+                                                       keylib.HierarchicalKey, str)
+    assert PHASES == tuple(proto.PhaseSpec(*row[:5], 1024, row[5]) for row in (
+        (1, "Secure (Request, R1, R2)", r.A, r.F, 1024, ("requester", "principal", "resources")),
+        (2, "Secure (Request, IDr, IDs)", r.F, r.A, 1024, ()),
+        (3, "Secure (Response, IDr, IDs)", r.A, r.F, 4096, ("idr", "ids")),
+        (4, "Fetch (R1, R2): IF Valid (IDr, IDs)", r.F, r.SAC, 1024,
+         ("requester", "resources", "idr", "ids")),
+        (5, "Verify (IDr, IDs)", r.SAC, r.SAC_DB, 1024, ("requester", "idr", "ids")),
+        (6, "Valid (IDr, IDs)", r.SAC_DB, r.SAC, 4096, ("verdict", "realm")),
+        (7, "Invoke (Key, IDsess): Fetch (R1, R2)", r.SAC, r.SAC_SH, 4096,
+         ("keyset", "requester_key", "resources")),
+        (8, "Secure (Access, R1)", r.SAC_SH, r.CLOUD_A, 1024, ask),
+        (9, "Secure (Access, R1)", r.CLOUD_A, r.SAC_SH, 4096, ()),
+        (10, "Secure (Request, R2): IF Key (IDsess)", r.SAC_SH, r.CLOUD_B, 1024, ask),
+        (11, "Secure (Access, R2)", r.CLOUD_B, r.SAC_SH, 4096, ()),
+        (12, "Secure (Access, R1, R2): Key (IDsess)", r.SAC_SH, r.F, 4096,
+         ("grants", "requester_key", "keyset")),
+        (13, "Secure (Access, R1, R2): Key (IDsess)", r.F, r.A, 4096,
+         ("grants", "requester_key"))))
+    assert [record._fields for record in proto._RECORDS] == [
+        ("requester", "principal", "resources"), (), ("idr", "ids"),
+        ("requester", "resources", "idr", "ids"), ("requester", "idr", "ids"),
+        ("verdict", "realm"), ("keyset", "requester_key", "resources"),
+        (*ask, "resource"), ("resource",), (*ask, "resource"), ("resource",),
+        ("grants", "requester_key", "keyset"), ("grants", "requester_key")]
+    assert proto._READ_TYPES == {5: (str, keylib.KeyPart, keylib.KeyPart), 8: keys, 10: keys}
+    assert proto._DECIDES == {5: ("verdict", "realm"), 8: ("grants",), 9: ("grants",),
+                              10: ("grants",), 11: ("grants",)}
+    hosting = {role: frozenset() for role in Role}
+    assert {role: state.hosted_resources for role, state in initial_role_states().items()} == {
+        **hosting, r.CLOUD_A: {"R1"}, r.CLOUD_B: {"R2"}}
+    assert {role: state.hosted_resources
+            for role, state in initial_role_states(("X", "Y")).items()} == {
+        **hosting, r.CLOUD_A: {"X"}, r.CLOUD_B: {"Y"}}
+    with pytest.raises(ValueError):  # one resource for each cloud
+        initial_role_states(("X",))
+
+
 def test_timeout_mode_parse_round_trip():
     for text in ("none", "per-phase:60", "localized-f:200"):
         assert TimeoutMode.parse(text).encode() == text

@@ -927,6 +927,7 @@ _MALFORMED = {
     "nan-time": (3, "nan,1,app-start,A,,,,,ok\n"),
     "sequence": (3, "200.000000000,7,app-start,A,,,,,ok\n"),
     "time-order": (3, "-1.000000000,1,app-start,A,,,,,ok\n"),
+    "negative-time": (2, "-1.000000000,0,app-start,A,,,,,ok\n"),
     "phase": (3, "200.000000000,1,send,A,F,aa,one,1024,ok\n"),
     # record shapes that no run logs, which the fold cannot read
     "phase-14": (3, "200.000000000,1,deliver,F,A,aa,14,1024,phase-complete\n"),
