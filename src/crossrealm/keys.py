@@ -39,7 +39,7 @@ import hmac
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Protocol
+from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import InvalidInput, RoleMismatch
 
@@ -306,7 +306,7 @@ def _mint(session_id: bytes, participants: Iterable[Participant],
     return SessionKeySet(session_id, keys, generation)
 
 
-def mint_session_keys(session_id: bytes, participants: list[Participant],
+def mint_session_keys(session_id: bytes, participants: Sequence[Participant],
                       vault: RealmDirectory) -> SessionKeySet:
     """Mint one key per participant, all sharing the session field.
 
@@ -321,7 +321,7 @@ def mint_session_keys(session_id: bytes, participants: list[Participant],
     return _mint(session_id, participants, vault, generation=0)
 
 
-def refresh_session(key_set: SessionKeySet, new_participants: list[Participant],
+def refresh_session(key_set: SessionKeySet, new_participants: Sequence[Participant],
                     vault: RealmDirectory) -> SessionKeySet:
     """Re-mint the set for a new participant list, bumping the generation.
 

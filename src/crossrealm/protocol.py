@@ -143,13 +143,13 @@ _CLOUD_AT = {cloud: at for at, (cloud, _, _) in enumerate(RESOURCE_CLOUDS)}
 # Every phase-closing final response is a bare 1024-byte acknowledgment.
 _R = Role
 _TABLE = (
-    ("Secure (Request, R1, R2)", _R.A, _R.F, 1024, ("requester", "principal", "resources")),
+    ("Secure (Request, R1, R2)", _R.A, _R.F, 1024, ("requester", "resources")),
     ("Secure (Request, IDr, IDs)", _R.F, _R.A, 1024, ()),
     ("Secure (Response, IDr, IDs)", _R.A, _R.F, 4096, ("idr", "ids")),
     ("Fetch (R1, R2): IF Valid (IDr, IDs)", _R.F, _R.SAC, 1024,
      ("requester", "resources", "idr", "ids")),
     ("Verify (IDr, IDs)", _R.SAC, _R.SAC_DB, 1024, ("requester", "idr", "ids")),
-    ("Valid (IDr, IDs)", _R.SAC_DB, _R.SAC, 4096, ("verdict", "realm")),
+    ("Valid (IDr, IDs)", _R.SAC_DB, _R.SAC, 4096, ("participants",)),
     ("Invoke (Key, IDsess): Fetch (R1, R2)", _R.SAC, _R.SAC_SH, 4096,
      ("keyset", "requester_key", "resources")),
     *(row for cloud, ask, report in RESOURCE_CLOUDS
@@ -249,7 +249,6 @@ class SessionState(NamedTuple):
 
     session_id: bytes
     requester: Requester
-    principal: str
     resources: tuple[str, str]
     current_phase: int = 0
     status: SessionStatus = SessionStatus.IN_PROGRESS
@@ -309,12 +308,11 @@ class SessionSlot(NamedTuple):
 
     expect: tuple[int, MessageKind] | None = None
     requester: str | None = None
-    principal: str | None = None
     resources: tuple[str, str] | None = None
     idr: KeyPart | None = None
     ids: KeyPart | None = None
-    verdict: bool | None = None
-    realm: tuple[str, str, str] | None = None  # (tenant, cloud, subdomain)
+    # the realms the session's keys are minted for: the verified requester's, or none
+    participants: tuple[keylib.Participant, ...] = ()
     keyset: SessionKeySet | None = None
     requester_key: HierarchicalKey | None = None
     grants: tuple[str, ...] = ()  # a cloud's own grant; the grants the handler collected
@@ -331,9 +329,9 @@ _RECORDS = tuple(
                spec.carries + (("resource",) if spec.index in _GRANT_PHASES else ()))
     for spec in PHASES)
 
-# phase -> the fields its responder sets from its own work on the request (a
-# verdict, a grant), after those the request carries
-_DECIDES = {5: ("verdict", "realm"), **dict.fromkeys(_GRANT_PHASES, ("grants",))}
+# phase -> the fields its responder sets from its own work on the request (the
+# participants, a grant), after those the request carries
+_DECIDES = {5: ("participants",), **dict.fromkeys(_GRANT_PHASES, ("grants",))}
 
 # phase index - 1 -> (its record, the getter of the slot values its request
 # carries, the record's width, how many of its fields are carried, the
@@ -407,10 +405,16 @@ _NEXT_EXPECT = {
     for following in (_next_request(role, spec.index),)}
 
 
+# the outcomes of a message a role takes: a request's responder answers "ok"
+# or what it decided, and a response completes its phase; every other
+# outcome is "discarded:<why>"
+OUTCOMES = frozenset(("ok", "phase-complete", "valid", "invalid", "granted", "refused"))
+
+
 class HandleResult(NamedTuple):
     slot: SessionSlot | None  # the session's new slot at the role; None on a discard
     outgoing: ProtocolMessage | None  # the phase's final response to a request
-    outcome: str  # "ok", "phase-complete", "granted", ... or "discarded:<why>"
+    outcome: str  # one of OUTCOMES, or "discarded:<why>"
 
     @property
     def discarded(self) -> bool:
@@ -514,8 +518,8 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         idr, ids = payload.idr, payload.ids
         valid = vault.verify_membership(idr, ids)
         member = vault.find_member(payload.requester, idr, ids) if valid else None
-        realm = (member.tenant_id, member.cloud_id, member.subdomain_id) if member else None
-        slot = store(slot, (*carried, member is not None, realm))
+        participants = ((member.tenant_id, member.cloud_id, member.subdomain_id),) if member else ()
+        slot = store(slot, (*carried, participants))
     elif spec.destination in _CLOUD_AT:  # a cloud decides on access
         # decided on a one-entry view holding the slot with what the request carries
         view = RoleState(state.role, state.hosted_resources,
@@ -528,8 +532,8 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         slot = store(slot, (*carried, slot.grants + (payload.resource,)))
     else:
         slot = store(slot, carried)
-    if index in (5, 6):  # both ends of the verification report its verdict
-        outcome = "valid" if slot.verdict else "invalid"
+    if index in (5, 6):  # both ends of the verification report whether it found anyone
+        outcome = "valid" if slot.participants else "invalid"
 
     reply = _new(ProtocolMessage, (msg.session_id, index, _RESPONSE, spec.destination,
                                    spec.source, _NO_PAYLOAD))
@@ -545,8 +549,8 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
     the phase carries; the result's slot, which the caller stores, now
     awaits the phase's response. The result is that send, or a drop: the
     authority drops the session as invalid-credentials instead of invoking
-    the session handler when the verdict was negative, and a cloud that
-    granted nothing drops it as access-refused.
+    the session handler when the verification found no participants, and a
+    cloud that granted nothing drops it as access-refused.
     """
     sid, index = session.session_id, spec.index
     slot = state.sessions.get(sid)
@@ -555,13 +559,13 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
 
     if index == 1:  # A opens the session for its requester
         slot = SessionSlot(expect=due, requester=session.requester.tenant_id,
-                           principal=session.principal, resources=session.resources,
+                           resources=session.resources,
                            idr=session.requester.idr, ids=session.requester.ids)
-    elif index == 7:  # the authority mints the key set, or drops the session
-        if not slot.verdict:
+    elif index == 7:  # the authority mints for the participants, or drops the session
+        if not slot.participants:
             return _new(BeginResult, (None, None, "invalid-credentials"))
-        minted = keylib.mint_session_keys(sid, [slot.realm], vault)
-        slot = _set_expect_and_keys(slot, (due, minted, minted.keys[slot.realm[0]]))
+        minted = keylib.mint_session_keys(sid, slot.participants, vault)
+        slot = _set_expect_and_keys(slot, (due, minted, minted.keys[slot.requester]))
     else:
         if spec.destination in _CLOUD_AT:  # the handler asks each cloud for the resource it hosts
             resource = slot.resources[_CLOUD_AT[spec.destination]]

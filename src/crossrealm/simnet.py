@@ -270,19 +270,25 @@ class EventLog:
 
     def shape(self, *row) -> int:
         """The code of a (kind, source, destination, phase, size, outcome) row.
-        A row of a kind not in ``KINDS``, or a send or deliver row whose phase
-        is not 1..13, whose two ends are not its phase's two ends (either way)
-        or whose size is not a whole number, is none a run logs: it raises
-        ValueError when first met."""
+        A row of a kind not in ``KINDS``, a send or deliver row whose phase is
+        not 1..13, whose two ends are not its phase's two ends (either way) or
+        whose size is not a whole number, a send whose outcome is not "ok", or
+        a deliver whose outcome is neither in ``protocol.OUTCOMES`` nor
+        "discarded:<why>", is none a run logs: it raises ValueError when first
+        met."""
         code = self._code_of.get(row)
         if code is None:
-            kind, source, destination, phase, size, _ = row
+            kind, source, destination, phase, size, outcome = row
             if kind not in KINDS:
                 raise ValueError(f"{kind!r} is not a kind of record a run logs")
             if kind in ("send", "deliver") and not ((source, destination) in _ENDS.get(phase, ())
                                                     and type(size) is int and size >= 0):
                 raise ValueError(f"a {kind} needs a phase from 1 to {len(PHASES)}, that "
                                  f"phase's two ends and a whole number of bytes")
+            if kind == "send" and outcome != "ok" or kind == "deliver" and not (
+                    outcome in proto.OUTCOMES
+                    or outcome.startswith("discarded:") and outcome != "discarded:"):
+                raise ValueError(f"{outcome!r} is not an outcome of a {kind}")
             code = self._code_of[row] = len(self.shapes)
             self.shapes.append(row)
         return code
@@ -324,8 +330,9 @@ def read_event_log(path) -> EventLog:
     printed, to 1 ns, and a printed time reads back as a float that prints
     the same. A line that is not a record in log order (its sequence its
     index, its time none before 0 or the last) or of a shape no run logs
-    (``EventLog.shape``: a kind not in ``KINDS``, or a send or deliver that
-    is not between its phase's two ends), or a file that cannot be read,
+    (``EventLog.shape``: a kind not in ``KINDS``, a send or deliver that is
+    not between its phase's two ends, or one whose outcome no transition
+    gives), or a file that cannot be read,
     raises ScenarioParseError naming the file and the line."""
     log = EventLog()
     index_of = {"": 0}  # session id -> its index in the log read so far
@@ -653,7 +660,6 @@ class _Engine:
         session = SessionState(
             session_id=session_id,
             requester=self.requesters[f"user-{principal:04d}"],
-            principal=f"principal-{principal:04d}",
             resources=self.scenario.resources,
             started_at=now,
         )

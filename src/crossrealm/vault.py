@@ -139,13 +139,15 @@ class Vault:
     # -- verification (read-only) ------------------------------------------
 
     def verify_membership(self, idr: KeyPart, ids: KeyPart) -> bool:
-        """True iff the (IDr, IDs) pair names a sub-domain folder that holds a tenant."""
+        """True iff the (IDr, IDs) pair names a sub-domain folder that holds a
+        tenant; an IDr or IDs that is not a KeyPart raises InvalidInput."""
         folder = self._realm(idr, ids)
         return folder is not None and bool(folder.tenants)
 
     def find_member(self, tenant_id: str, idr: KeyPart, ids: KeyPart) -> TenantRecord | None:
         """The tenant's record if it is registered in the realm the pair names,
-        else None; a tenant id that is not text raises InvalidInput."""
+        else None; a tenant id that is not text, or an IDr or IDs that is not
+        a KeyPart, raises InvalidInput."""
         _check_lookup(tenant_id)
         folder = self._realm(idr, ids)
         return None if folder is None else folder.tenants.get(tenant_id)
@@ -237,6 +239,9 @@ class Vault:
 
     def _realm(self, idr: KeyPart, ids: KeyPart) -> _SubdomainFolder | None:
         """The sub-domain folder whose (root, sub-domain) keys are the pair."""
+        for name, part in (("IDr", idr), ("IDs", ids)):
+            if not isinstance(part, KeyPart):
+                raise InvalidInput(f"{name} {part!r} is not a key part")
         root, subdomain = idr.bytes, ids.bytes
         for cloud in self.clouds.values():
             if not hmac.compare_digest(cloud.root_key.bytes, root):

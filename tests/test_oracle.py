@@ -78,9 +78,9 @@ class Track:
         requester = self.session.requester
         keyset = self.keyset()
         return {
-            "requester": requester.tenant_id, "principal": self.session.principal,
-            "resources": self.session.resources, "idr": requester.idr, "ids": requester.ids,
-            "verdict": True, "realm": (requester.tenant_id, *REALM), "keyset": keyset,
+            "requester": requester.tenant_id, "resources": self.session.resources,
+            "idr": requester.idr, "ids": requester.ids,
+            "participants": ((requester.tenant_id, *REALM),), "keyset": keyset,
             "requester_key": keyset.keys[requester.tenant_id], "grants": RESOURCES,
         }[name]
 
@@ -93,7 +93,7 @@ class Track:
 
 
 # the model of a session no role has heard of: it expects no message
-STRAY = Track(SessionState(b"\xee" * 16, REQUESTERS[TENANTS[0]], "nobody", RESOURCES))
+STRAY = Track(SessionState(b"\xee" * 16, REQUESTERS[TENANTS[0]], RESOURCES))
 
 
 class ProtocolMachine(RuleBasedStateMachine):
@@ -112,8 +112,7 @@ class ProtocolMachine(RuleBasedStateMachine):
         for n in range(count):
             sid = bytes([n + 1]) * 16
             requester = REQUESTERS[TENANTS[n]]
-            self.tracks[sid] = Track(SessionState(sid, requester, f"principal-{n}",
-                                                  RESOURCES, started_at=0.0))
+            self.tracks[sid] = Track(SessionState(sid, requester, RESOURCES, started_at=0.0))
 
     # -- helpers -----------------------------------------------------------
 

@@ -52,8 +52,8 @@ def registry():
 
 
 def fresh_session(requester, sid=b"\x10" * 16):
-    return SessionState(session_id=sid, requester=requester, principal="p1",
-                        resources=("R1", "R2"), started_at=0.0)
+    return SessionState(session_id=sid, requester=requester, resources=("R1", "R2"),
+                        started_at=0.0)
 
 
 class Driver:
@@ -150,13 +150,13 @@ def test_the_table_built_from_the_resource_clouds_is_written_out():
     r, ask, keys = Role, ("keyset", "requester_key"), (keylib.SessionKeySet,
                                                        keylib.HierarchicalKey, str)
     assert PHASES == tuple(proto.PhaseSpec(*row[:5], 1024, row[5]) for row in (
-        (1, "Secure (Request, R1, R2)", r.A, r.F, 1024, ("requester", "principal", "resources")),
+        (1, "Secure (Request, R1, R2)", r.A, r.F, 1024, ("requester", "resources")),
         (2, "Secure (Request, IDr, IDs)", r.F, r.A, 1024, ()),
         (3, "Secure (Response, IDr, IDs)", r.A, r.F, 4096, ("idr", "ids")),
         (4, "Fetch (R1, R2): IF Valid (IDr, IDs)", r.F, r.SAC, 1024,
          ("requester", "resources", "idr", "ids")),
         (5, "Verify (IDr, IDs)", r.SAC, r.SAC_DB, 1024, ("requester", "idr", "ids")),
-        (6, "Valid (IDr, IDs)", r.SAC_DB, r.SAC, 4096, ("verdict", "realm")),
+        (6, "Valid (IDr, IDs)", r.SAC_DB, r.SAC, 4096, ("participants",)),
         (7, "Invoke (Key, IDsess): Fetch (R1, R2)", r.SAC, r.SAC_SH, 4096,
          ("keyset", "requester_key", "resources")),
         (8, "Secure (Access, R1)", r.SAC_SH, r.CLOUD_A, 1024, ask),
@@ -168,13 +168,13 @@ def test_the_table_built_from_the_resource_clouds_is_written_out():
         (13, "Secure (Access, R1, R2): Key (IDsess)", r.F, r.A, 4096,
          ("grants", "requester_key"))))
     assert [record._fields for record in proto._RECORDS] == [
-        ("requester", "principal", "resources"), (), ("idr", "ids"),
+        ("requester", "resources"), (), ("idr", "ids"),
         ("requester", "resources", "idr", "ids"), ("requester", "idr", "ids"),
-        ("verdict", "realm"), ("keyset", "requester_key", "resources"),
+        ("participants",), ("keyset", "requester_key", "resources"),
         (*ask, "resource"), ("resource",), (*ask, "resource"), ("resource",),
         ("grants", "requester_key", "keyset"), ("grants", "requester_key")]
     assert proto._READ_TYPES == {5: (str, keylib.KeyPart, keylib.KeyPart), 8: keys, 10: keys}
-    assert proto._DECIDES == {5: ("verdict", "realm"), 8: ("grants",), 9: ("grants",),
+    assert proto._DECIDES == {5: ("participants",), 8: ("grants",), 9: ("grants",),
                               10: ("grants",), 11: ("grants",)}
     hosting = {role: frozenset() for role in Role}
     assert {role: state.hosted_resources for role, state in initial_role_states().items()} == {
@@ -261,6 +261,10 @@ def test_invalid_credentials_drop_session():
     assert driver.session.drop_reason == "invalid-credentials"
     assert driver.session.current_phase == 6  # verdict reported, then dropped
     assert ("invalid" in [o for _, _, o in driver.trace])
+    # neither end of the verification holds a participant to mint for
+    sid = driver.session.session_id
+    assert driver.roles[Role.SAC_DB].sessions[sid].participants == ()
+    assert driver.roles[Role.SAC].sessions[sid].participants == ()
 
 
 # case -> (receiving role, phase, kind, source if not the phase's own,
@@ -319,7 +323,7 @@ def test_a_response_from_another_role_is_discarded():
 
 
 # phase -> another phase whose record is as wide; phase 8's has phase 10's names
-_ALIKE = {1: 5, 3: 6, 10: 8}
+_ALIKE = {1: 3, 3: 13, 10: 8}
 # case -> the malformed payload made from a phase request's own record
 _MALFORMED = {
     "dict": lambda payload, index: payload._asdict(),
@@ -670,14 +674,13 @@ def _expected_begin(spec, prev, session, vault, hosted):
     if spec.index == 1:
         requester = session.requester
         slot = SessionSlot(expect=due, requester=requester.tenant_id,
-                           principal=session.principal, resources=session.resources,
-                           idr=requester.idr, ids=requester.ids)
+                           resources=session.resources, idr=requester.idr, ids=requester.ids)
     elif spec.index == 7:
-        if not prev.verdict:
+        if not prev.participants:
             return BeginResult(slot=None, outgoing=None, drop_reason="invalid-credentials")
-        keyset = keylib.mint_session_keys(session.session_id, [prev.realm], vault)
+        keyset = keylib.mint_session_keys(session.session_id, prev.participants, vault)
         slot = prev._replace(expect=due, keyset=keyset,
-                             requester_key=keyset.keys[prev.realm[0]])
+                             requester_key=keyset.keys[prev.requester])
     elif spec.index in (9, 11) and not prev.grants:
         return BeginResult(slot=None, outgoing=None, drop_reason="access-refused")
     else:
@@ -703,9 +706,9 @@ def _expected_request(spec, msg, prev, vault, hosted):
     if spec.index == 5:
         member = vault.find_member(fields["requester"], fields["idr"], fields["ids"])
         realm = member and (member.tenant_id, member.cloud_id, member.subdomain_id)
-        slot = slot._replace(verdict=member is not None, realm=realm)
+        slot = slot._replace(participants=(realm,) if member else ())
     if spec.index in (5, 6):
-        outcome = "valid" if slot.verdict else "invalid"
+        outcome = "valid" if slot.participants else "invalid"
     if spec.index in _GRANT_PHASES:
         granted = fields["resource"] in hosted
         slot = slot._replace(grants=slot.grants + ((fields["resource"],) if granted else ()))
@@ -728,15 +731,15 @@ def _assert_built(result, expected):
 
 
 @settings(max_examples=40, deadline=None)
-@given(sid=st.binary(min_size=16, max_size=16), principal=st.text(max_size=4),
+@given(sid=st.binary(min_size=16, max_size=16),
        resources=st.sampled_from([("R1", "R2"), ("R2", "R1"), ("R1", "R3")]),
        claim=st.sampled_from(["u1", "u2"]))
-def test_transitions_build_what_keywords_build(sid, principal, resources, claim):
+def test_transitions_build_what_keywords_build(sid, resources, claim):
     # every message and result a transition builds by position equals the
     # keyword-built one, through refusals, a bad claim and a discard per step
     vault, requester = registry()
     session = SessionState(session_id=sid, requester=requester._replace(tenant_id=claim),
-                           principal=principal, resources=resources, started_at=0.0)
+                           resources=resources, started_at=0.0)
     roles = initial_role_states()
     for spec in PHASES:
         source, destination = roles[spec.source], roles[spec.destination]

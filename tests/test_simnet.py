@@ -290,6 +290,9 @@ def test_each_session_is_minted_for_its_requester():
         tenant = session.requester.tenant_id
         keyset = run.role_states[Role.SAC].sessions[session.session_id].keyset
         assert set(keyset.keys) == {tenant}
+        for role in (Role.SAC_DB, Role.SAC):
+            participants = run.role_states[role].sessions[session.session_id].participants
+            assert participants == ((tenant, "CloudC", "analysts"),)
         held = run.role_states[Role.A].sessions[session.session_id].requester_key
         assert held == keyset.keys[tenant]
 
@@ -867,7 +870,7 @@ def test_an_event_queued_out_of_time_order_raises():
     engine.setup()
     sid = b"\x01" * 16
     session = SessionState(session_id=sid, requester=engine.requesters["user-0000"],
-                           principal="principal-0000", resources=SMALL.resources)
+                           resources=SMALL.resources)
     # phase 1's begin sends a request on phase 1's request leg
     queue = engine.requests[0][-1]
     engine.begin(session, 10.0, 1)
@@ -939,6 +942,10 @@ _MALFORMED = {
     "one-end-twice": (3, "200.000000000,1,send,F,F,aa,1,1024,ok\n"),
     "ends-of-another-phase": (3, "200.000000000,1,deliver,F,SAC,aa,2,1024,ok\n"),
     "no-kind": (3, "200.000000000,1,sned,A,F,aa,1,1024,ok\n"),
+    # outcomes that no transition gives, which the fold would miscount
+    "deliver-outcome": (3, "200.000000000,1,deliver,F,A,aa,1,1024,phase-completed\n"),
+    "send-outcome": (3, "200.000000000,1,send,A,F,aa,1,1024,granted\n"),
+    "discard-without-reason": (3, "200.000000000,1,deliver,A,F,aa,1,1024,discarded:\n"),
     "cut-short": (0, None),
 }
 

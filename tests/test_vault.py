@@ -426,10 +426,17 @@ def test_an_id_that_cannot_be_hashed_is_invalid_input_naming_it(call):
     (lambda vault: vault.match_personal_secrets(["alice"], {}), "tenant id ['alice'] is not text"),
     (lambda vault: vault.find_member(["alice"], *vault.realm_keys("CloudA", "bi")),
      "tenant id ['alice'] is not text"),
-], ids=["signature", "tenant-metadata", "tenant-metadata-pairs", "match-secrets", "find-member"])
+    (lambda vault: vault.verify_membership("x", "y"), "IDr 'x' is not a key part"),
+    (lambda vault: vault.verify_membership(vault.realm_keys("CloudA", "bi")[0], None),
+     "IDs None is not a key part"),
+    (lambda vault: vault.find_member("alice", b"\x01" * 32, vault.realm_keys("CloudA", "bi")[1]),
+     "IDr b'\\x01\\x01"),
+    (lambda vault: vault.find_member("alice", None, None), "IDr None is not a key part"),
+], ids=["signature", "tenant-metadata", "tenant-metadata-pairs", "match-secrets", "find-member",
+        "membership-text", "membership-none", "find-member-bytes", "find-member-none"])
 def test_metadata_or_a_looked_up_id_of_the_wrong_type_is_invalid_input(call, named):
-    # a raw AttributeError (metadata.items()) or TypeError (an unhashable
-    # dict key) escaped before
+    # a raw AttributeError (metadata.items(), a key part's .bytes) or
+    # TypeError (an unhashable dict key) escaped before
     vault = bi_registry()
     with pytest.raises(InvalidInput, match=re.escape(named)):
         call(vault)
