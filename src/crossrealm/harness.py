@@ -38,7 +38,7 @@ from .errors import (
     UnknownMetric,
     is_number,
 )
-from .protocol import PHASE_COUNT, PHASES, RESOURCE_CLOUDS, Role, TimeoutMode
+from .protocol import DEFAULT_RESOURCES, PHASE_COUNT, PHASES, RESOURCE_CLOUDS, Role, TimeoutMode
 from .simnet import ABSORBED, ConnectionModel, SimRun, Stall, Topology, csv_lines
 
 DEFAULT_SEED = 7
@@ -71,7 +71,7 @@ _RANGES = {
     "connection": (lambda v: isinstance(v, ConnectionModel), "must be a ConnectionModel"),
     "resources": (lambda v: type(v) is tuple and all(type(r) is str for r in v)
                   and len(v) == len(set(v)) == _CLOUDS,
-                  f"must be a tuple of {'two' if _CLOUDS == 2 else _CLOUDS} distinct strings"),
+                  f"must be a tuple of {_CLOUDS} distinct strings, one per resource cloud"),
     "network_start_offset_s": _FINITE_NON_NEGATIVE,
     "app_start_offset_s": (lambda v: type(v) is tuple and len(v) == 2 and all(map(is_number, v))
                            and 0 <= v[0] <= v[1] < math.inf,
@@ -100,7 +100,7 @@ class Scenario:
     sessions_per_principal: int | str = "mean2"  # "mean2" = seeded draw from {1,2,3}
     timeout_mode: TimeoutMode = TimeoutMode.none()
     connection: ConnectionModel = ConnectionModel()
-    resources: tuple[str, str] = ("R1", "R2")
+    resources: tuple[str, ...] = DEFAULT_RESOURCES
     network_start_offset_s: float = 105.0
     app_start_offset_s: tuple[float, float] = (5.0, 10.0)
     session_spread_s: float = 540.0
@@ -188,10 +188,11 @@ def _object(value: object) -> dict:
     return value
 
 
-def _pair(value: object, decode) -> tuple:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"{value!r} is not a list of two")
-    return (decode(value[0]), decode(value[1]))
+def _tuple(value: object, decode) -> tuple:
+    """A JSON list as the tuple of its items, each decoded."""
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not a list")
+    return tuple(map(decode, value))
 
 
 def _stall(doc: dict) -> Stall:
@@ -228,7 +229,14 @@ def _encode_topology(topology: Topology) -> dict:
 
 def _phase_bytes(value: object) -> dict[int, int]:
     """Byte sizes keyed by phase index."""
-    return _unique((int(k), _whole(v)) for k, v in _object(value).items())
+    return {_phase_key(k): _whole(v) for k, v in _object(value).items()}
+
+
+def _phase_key(key: str) -> int:
+    """A phase index in the decimal text scenario_to_dict writes: not "07", " 3" or "1_0"."""
+    if str(int(key)) != key:
+        raise ValueError(f"phase key {key!r} must be written {str(int(key))!r}")
+    return int(key)
 
 
 def _same(value):
@@ -243,9 +251,9 @@ _FIELDS = {
     "timeout_mode": (TimeoutMode.parse, TimeoutMode.encode),
     "connection": (lambda v: ConnectionModel(**{k: _number(x) for k, x in _object(v).items()}),
                    asdict),
-    "resources": (lambda v: _pair(v, _same), list),
+    "resources": (lambda v: _tuple(v, _same), list),
     "network_start_offset_s": (_number, _same),
-    "app_start_offset_s": (lambda v: _pair(v, _number), list),
+    "app_start_offset_s": (lambda v: _tuple(v, _number), list),
     "session_spread_s": (_number, _same),
     "horizon_s": (_number, _same),
     "sampling_interval_s": (_number, _same),

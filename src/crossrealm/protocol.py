@@ -136,6 +136,7 @@ RESOURCE_CLOUDS = (
 )
 # resource cloud -> where the resource it hosts sits in a session's resources
 _CLOUD_AT = {cloud: at for at, (cloud, _, _) in enumerate(RESOURCE_CLOUDS)}
+DEFAULT_RESOURCES = tuple(f"R{at + 1}" for at in _CLOUD_AT.values())  # R<k> on the k-th cloud
 
 # Phase table, phase k in row k: (name, source, destination, request bytes,
 # carried slot fields). A requesting exchange carries 1024 bytes; an exchange
@@ -249,7 +250,7 @@ class SessionState(NamedTuple):
 
     session_id: bytes
     requester: Requester
-    resources: tuple[str, str]
+    resources: tuple[str, ...]
     current_phase: int = 0
     status: SessionStatus = SessionStatus.IN_PROGRESS
     # "phase-timeout(<k>)", "localized-timeout", "invalid-credentials" or "access-refused"
@@ -308,7 +309,7 @@ class SessionSlot(NamedTuple):
 
     expect: tuple[int, MessageKind] | None = None
     requester: str | None = None
-    resources: tuple[str, str] | None = None
+    resources: tuple[str, ...] | None = None
     idr: KeyPart | None = None
     ids: KeyPart | None = None
     # the realms the session's keys are minted for: the verified requester's, or none
@@ -372,11 +373,10 @@ class RoleState:
     sessions: dict[bytes, SessionSlot] = field(default_factory=dict)
 
 
-def initial_role_states(resources: Sequence[str] | None = None) -> dict[Role, RoleState]:
+def initial_role_states(resources: Sequence[str] = DEFAULT_RESOURCES) -> dict[Role, RoleState]:
     """Fresh state for all seven roles; the k-th of RESOURCE_CLOUDS hosts the
-    k-th resource, by default R1 on CloudA and R2 on CloudB."""
-    names = [f"R{at + 1}" for at in _CLOUD_AT.values()] if resources is None else resources
-    hosting = {cloud: frozenset({name}) for cloud, name in zip(_CLOUD_AT, names, strict=True)}
+    k-th resource."""
+    hosting = {cloud: frozenset({name}) for cloud, name in zip(_CLOUD_AT, resources, strict=True)}
     return {role: RoleState(role, hosting.get(role, frozenset())) for role in Role}
 
 
@@ -405,16 +405,18 @@ _NEXT_EXPECT = {
     for following in (_next_request(role, spec.index),)}
 
 
-# the outcomes of a message a role takes: a request's responder answers "ok"
-# or what it decided, and a response completes its phase; every other
-# outcome is "discarded:<why>"
-OUTCOMES = frozenset(("ok", "phase-complete", "valid", "invalid", "granted", "refused"))
+# phase -> the outcomes its request's responder reports on taking it: what the
+# responder decided, or "ok". A role that takes a response reports
+# "phase-complete", and every other outcome is "discarded:<why>".
+REQUEST_OUTCOMES = {spec.index: ("valid", "invalid") if spec.index in (5, 6)
+                    else ("granted", "refused") if spec.destination in _CLOUD_AT else ("ok",)
+                    for spec in PHASES}
 
 
 class HandleResult(NamedTuple):
     slot: SessionSlot | None  # the session's new slot at the role; None on a discard
     outgoing: ProtocolMessage | None  # the phase's final response to a request
-    outcome: str  # one of OUTCOMES, or "discarded:<why>"
+    outcome: str  # one of REQUEST_OUTCOMES[phase], "phase-complete" or "discarded:<why>"
 
     @property
     def discarded(self) -> bool:

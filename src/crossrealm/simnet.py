@@ -3,7 +3,7 @@
 The topology is the two-switch star of the modelling environment: the
 principal population A reaches the inter-cloud core through SW1, and SW2
 fans out to the front-end, the session authority with its credential
-database and session handler, and the two resource clouds. Links are
+database and session handler, and the resource clouds. Links are
 aggregated (n parallel gigabit links become one link of n-fold
 bandwidth) and routing follows the tree's uplinks; nodes may only
 exchange traffic along the allowed destination-preference pairs.
@@ -71,8 +71,7 @@ _UPLINKS = {
     "SAC": ("SW2", 4),
     "SAC-DB": ("SW2", 4),
     "SAC-SH": ("SW2", 4),
-    "CloudA": ("SW2", 4),
-    "CloudB": ("SW2", 4),
+    **{cloud.value: ("SW2", 4) for cloud, _, _ in proto.RESOURCE_CLOUDS},
 }
 
 # Destination preferences: who may exchange protocol traffic with whom,
@@ -228,9 +227,12 @@ ABSORBED = "discarded:session-not-in-progress"
 # the kinds of record a run logs
 KINDS = frozenset(("app-start", "session-start", "send", "deliver", "timer-fire",
                    "session-complete", "session-drop"))
-# phase -> the (source, destination) pairs of its messages: its request's and its response's
-_ENDS = {spec.index: {(spec.source.value, spec.destination.value),
-                      (spec.destination.value, spec.source.value)} for spec in PHASES}
+# (phase, source, destination) of each message a run sends -> the outcomes
+# its delivery may report besides "discarded:<why>": a request's are its
+# phase's, and a response completes its phase
+_ENDS = {leg: outcomes for spec in PHASES for leg, outcomes in (
+    ((spec.index, spec.source.value, spec.destination.value), proto.REQUEST_OUTCOMES[spec.index]),
+    ((spec.index, spec.destination.value, spec.source.value), ("phase-complete",)))}
 
 
 class Record(NamedTuple):
@@ -273,20 +275,21 @@ class EventLog:
         A row of a kind not in ``KINDS``, a send or deliver row whose phase is
         not 1..13, whose two ends are not its phase's two ends (either way) or
         whose size is not a whole number, a send whose outcome is not "ok", or
-        a deliver whose outcome is neither in ``protocol.OUTCOMES`` nor
-        "discarded:<why>", is none a run logs: it raises ValueError when first
+        a deliver whose outcome is neither "discarded:<why>" nor one its leg
+        gives (a request's ``protocol.REQUEST_OUTCOMES``, a response's
+        "phase-complete"), is none a run logs: it raises ValueError when first
         met."""
         code = self._code_of.get(row)
         if code is None:
             kind, source, destination, phase, size, outcome = row
             if kind not in KINDS:
                 raise ValueError(f"{kind!r} is not a kind of record a run logs")
-            if kind in ("send", "deliver") and not ((source, destination) in _ENDS.get(phase, ())
+            if kind in ("send", "deliver") and not ((phase, source, destination) in _ENDS
                                                     and type(size) is int and size >= 0):
                 raise ValueError(f"a {kind} needs a phase from 1 to {len(PHASES)}, that "
                                  f"phase's two ends and a whole number of bytes")
             if kind == "send" and outcome != "ok" or kind == "deliver" and not (
-                    outcome in proto.OUTCOMES
+                    outcome in _ENDS[phase, source, destination]
                     or outcome.startswith("discarded:") and outcome != "discarded:"):
                 raise ValueError(f"{outcome!r} is not an outcome of a {kind}")
             code = self._code_of[row] = len(self.shapes)
@@ -388,18 +391,17 @@ _METADATA_CLASSES = ("spouse", "pet", "first_school")
 
 
 def build_default_vault(principals: int) -> tuple[Vault, dict[str, Requester]]:
-    """Vault with the two resource clouds plus the requesters' home realm.
+    """Vault with the resource clouds' bi realms plus the requesters' home realm.
 
     Each principal fronts for one tenant of CloudC; the tenants'
     credentials are returned for handing to role A at session start.
     """
     vault = Vault()
-    for cloud in ("CloudA", "CloudB", "CloudC"):
+    for cloud, subdomain in (*((cloud.value, "bi") for cloud, _, _ in proto.RESOURCE_CLOUDS),
+                             ("CloudC", "analysts")):
         secret = hashlib.sha256(b"crossrealm-master|" + cloud.encode()).digest()
         vault.register_cloud(cloud, secret)
-    vault.register_subdomain("CloudA", "bi")
-    vault.register_subdomain("CloudB", "bi")
-    vault.register_subdomain("CloudC", "analysts")
+        vault.register_subdomain(cloud, subdomain)
     requesters = {}
     for p in range(principals):
         tenant_id = f"user-{p:04d}"

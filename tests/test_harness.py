@@ -178,6 +178,16 @@ MALFORMED = [
                  id="phase_request_bytes-twice"),
     pytest.param({"phase_request_bytes": {"1": 10**400}}, "phase_request_bytes",
                  id="phase_request_bytes-huge"),
+    # a phase key is the decimal text scenario_to_dict writes: int() reads these too
+    pytest.param({"phase_request_bytes": {"1_0": 2048}}, "phase_request_bytes",
+                 id="phase_request_bytes-underscored-key"),
+    pytest.param({"phase_request_bytes": {" 3": 2048}}, "phase_request_bytes",
+                 id="phase_request_bytes-spaced-key"),
+    # one item per resource cloud, and a window of two ends: the lengths are
+    # the Scenario's rules, which the decoders leave to it
+    pytest.param({"resources": ["R1", "R2", "R3"]}, "resources", id="resources-three"),
+    pytest.param({"app_start_offset_s": [5, 6, 7]}, "app_start_offset_s",
+                 id="app_start_offset_s-three"),
     # aggregate would allocate horizon_s / sampling_interval_s buckets per series
     pytest.param({"principals": 1, "sampling_interval_s": 1e-300}, "sampling_interval_s",
                  id="sampling_interval_s-tiny"),
@@ -893,7 +903,7 @@ def test_a_phase_completed_but_never_opened_is_named(tmp_path):
     run = simnet.run(Scenario(principals=3))
     header, *lines = emit_event_log(run, tmp_path).read_text().splitlines(keepends=True)
     sid = next(line.split(",")[5] for line in lines if line.split(",")[5])
-    lines.insert(1, f"{lines[0].split(',')[0]},1,deliver,F,A,{sid},2,100,phase-complete\n")
+    lines.insert(1, f"{lines[0].split(',')[0]},1,deliver,A,F,{sid},2,100,phase-complete\n")
     path = tmp_path / "tampered.csv"
     path.write_text(header + "".join(f"{time_s},{i},{rest}" for i, (time_s, _, rest) in
                                      enumerate(line.split(",", 2) for line in lines)))

@@ -45,11 +45,20 @@ from crossrealm.protocol import (
 VAULT, REQUESTERS = simnet.build_default_vault(3)
 TENANTS = sorted(REQUESTERS)
 REALM = ("CloudC", "analysts")
-RESOURCES = ("R1", "R2")  # R1 on CloudA, R2 on CloudB
-CLOUDS = (Role.CLOUD_A, Role.CLOUD_B)
+# the grant phases, read from the table's rows with a resource cloud at one
+# end: SAC-SH asks each cloud in turn (phase -> the cloud asked), and the
+# cloud reports back (phase -> the cloud reporting). The k-th cloud asked
+# hosts the k-th resource, R<k>.
+_RESOURCE_CLOUDS = {cloud for cloud, _, _ in proto.RESOURCE_CLOUDS}
+ASKS = {spec.index: spec.destination for spec in PHASES if spec.destination in _RESOURCE_CLOUDS}
+REPORTS = {spec.index: spec.source for spec in PHASES if spec.source in _RESOURCE_CLOUDS}
+CLOUDS = tuple(ASKS.values())
+RESOURCES = tuple(f"R{k}" for k in range(1, len(CLOUDS) + 1))
+HOSTED = dict(zip(CLOUDS, RESOURCES))  # cloud -> the resource it hosts
+FOREIGN = "R-elsewhere"  # a resource no cloud hosts
 
 # what a request's responder decides on an expected request, by phase
-_DECIDED = {5: "valid", 6: "valid", 8: "granted", 10: "granted"}
+_DECIDED = {5: "valid", 6: "valid", **dict.fromkeys(ASKS, "granted")}
 
 
 class Track:
@@ -87,8 +96,9 @@ class Track:
     def payload(self, index: int) -> dict:
         """The fields of a phase request's record, by name."""
         payload = {name: self.truth(name) for name in PHASES[index - 1].carries}
-        if 8 <= index <= 11:
-            payload["resource"] = RESOURCES[index >= 10]
+        cloud = ASKS.get(index) or REPORTS.get(index)
+        if cloud is not None:  # a grant phase names the resource its cloud hosts
+            payload["resource"] = HOSTED[cloud]
         return payload
 
 
@@ -277,12 +287,12 @@ class ProtocolMachine(RuleBasedStateMachine):
         each resource."""
         key = self._pick(self.minted, pick)
         track = self.tracks[key.session_field()]
-        for cloud, hosted, access in ((Role.CLOUD_A, "R1", 8), (Role.CLOUD_B, "R2", 10)):
+        for access, cloud in ASKS.items():
             # the cloud holds the key set once it took its access request
             holds = (access, MessageKind.REQUEST) in track.accepted
             for presenter in Role:
-                for resource in (*RESOURCES, "R3"):
-                    expected = presenter is Role.SAC_SH and resource == hosted and holds
+                for resource in (*RESOURCES, FOREIGN):
+                    expected = presenter is Role.SAC_SH and resource == HOSTED[cloud] and holds
                     assert grant_access(self.roles[cloud], presenter, key, resource) is expected
 
     # -- invariants ------------------------------------------------------------

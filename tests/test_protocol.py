@@ -184,6 +184,14 @@ def test_the_table_built_from_the_resource_clouds_is_written_out():
         **hosting, r.CLOUD_A: {"X"}, r.CLOUD_B: {"Y"}}
     with pytest.raises(ValueError):  # one resource for each cloud
         initial_role_states(("X",))
+    # the defaults and the default network and vault read the list too
+    assert proto.DEFAULT_RESOURCES == ("R1", "R2")
+    assert Scenario().resources == proto.DEFAULT_RESOURCES
+    realms = simnet.build_default_vault(0)[0].to_snapshot()["clouds"]
+    assert [(cloud, list(doc["subdomains"])) for cloud, doc in realms.items()] == [
+        ("CloudA", ["bi"]), ("CloudB", ["bi"]), ("CloudC", ["analysts"])]
+    assert {node: uplink for node, uplink in simnet._UPLINKS.items()
+            if node.startswith("Cloud")} == {"CloudA": ("SW2", 4), "CloudB": ("SW2", 4)}
 
 
 def test_timeout_mode_parse_round_trip():

@@ -946,6 +946,10 @@ _MALFORMED = {
     "deliver-outcome": (3, "200.000000000,1,deliver,F,A,aa,1,1024,phase-completed\n"),
     "send-outcome": (3, "200.000000000,1,send,A,F,aa,1,1024,granted\n"),
     "discard-without-reason": (3, "200.000000000,1,deliver,A,F,aa,1,1024,discarded:\n"),
+    # an outcome of another leg: a response only completes its phase, and
+    # phase 8's cloud grants or refuses
+    "response-granted": (3, "200.000000000,1,deliver,F,A,aa,1,1024,granted\n"),
+    "phase-8-request-valid": (3, "200.000000000,1,deliver,SAC-SH,CloudA,aa,8,1024,valid\n"),
     "cut-short": (0, None),
 }
 
