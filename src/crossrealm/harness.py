@@ -25,9 +25,10 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from contextlib import suppress
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import accumulate, compress, islice
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from . import simnet
@@ -94,7 +95,9 @@ _RANGES = {
 class Scenario:
     """One experiment configuration; defaults are the full-scale setup. Each
     field's type and range and the rules that span fields are checked on
-    construction, however a scenario is built."""
+    construction, however a scenario is built. The phase sizes may be given
+    in part or not at all: the scenario holds them as whole read-only maps,
+    each phase not given at its ``protocol.PHASES`` size."""
 
     principals: int = 1000
     sessions_per_principal: int | str = "mean2"  # "mean2" = seeded draw from {1,2,3}
@@ -131,6 +134,10 @@ class Scenario:
         stalled = [(s.role, s.phase_index) for s in self.stalls]
         if len(set(stalled)) < len(stalled):
             raise ScenarioValidationError("stalls", "a role's response to one phase is stalled twice")
+        for kind in ("request_bytes", "response_bytes"):
+            given = getattr(self, f"phase_{kind}") or {}
+            object.__setattr__(self, f"phase_{kind}", MappingProxyType(
+                {spec.index: given.get(spec.index, getattr(spec, kind)) for spec in PHASES}))
 
 
 def _read_text(path: str | Path) -> str:
@@ -199,32 +206,15 @@ def _stall(doc: dict) -> Stall:
     return Stall(Role(doc["role"]), _whole(doc["phase_index"]), _number(doc["extra_delay_s"]))
 
 
-def _unique(items) -> dict:
-    """A dict of (key, value) pairs in which no key is given twice."""
-    decoded = {}
-    for key, value in items:
-        if key in decoded:
-            raise ValueError(f"{key!r} is given twice")
-        decoded[key] = value
-    return decoded
-
-
-def _topology(value: object) -> Topology:
-    """The topology checks its own ranges and links."""
-    decoders = {"propagation_delay_s": _number,
-                "link_counts": lambda v: _unique(((a, b), _whole(n)) for a, b, n in v)}
-    topo = _object(value)
-    unknown = set(topo) - set(decoders)
-    if unknown:
-        raise ValueError(f"unknown key {sorted(unknown)[0]!r}")
-    return Topology(**{key: decoders[key](v) for key, v in topo.items()})
-
-
-def _encode_topology(topology: Topology) -> dict:
-    doc = {"propagation_delay_s": topology.propagation_delay_s}
-    if topology.link_counts:
-        doc["link_counts"] = [[a, b, n] for (a, b), n in topology.link_counts.items()]
-    return doc
+def _numbers(cls):
+    """The decoder of a JSON object of numbers, keyed by cls's fields, into a cls."""
+    def decode(value: object):
+        doc = _object(value)
+        unknown = set(doc) - {field.name for field in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown key {sorted(unknown)[0]!r}")
+        return cls(**{key: _number(v) for key, v in doc.items()})
+    return decode
 
 
 def _phase_bytes(value: object) -> dict[int, int]:
@@ -239,6 +229,10 @@ def _phase_key(key: str) -> int:
     return int(key)
 
 
+def _encode_phase_bytes(sizes: Mapping[int, int]) -> dict[str, int]:
+    return {str(index): n for index, n in sizes.items()}
+
+
 def _same(value):
     return value
 
@@ -249,8 +243,7 @@ _FIELDS = {
     "principals": (_whole, _same),
     "sessions_per_principal": (lambda v: v if v == "mean2" else _whole(v), _same),
     "timeout_mode": (TimeoutMode.parse, TimeoutMode.encode),
-    "connection": (lambda v: ConnectionModel(**{k: _number(x) for k, x in _object(v).items()}),
-                   asdict),
+    "connection": (_numbers(ConnectionModel), asdict),
     "resources": (lambda v: _tuple(v, _same), list),
     "network_start_offset_s": (_number, _same),
     "app_start_offset_s": (lambda v: _tuple(v, _number), list),
@@ -258,13 +251,11 @@ _FIELDS = {
     "horizon_s": (_number, _same),
     "sampling_interval_s": (_number, _same),
     "seed": (_whole, _same),
-    "stalls": (lambda v: tuple(_stall(s) for s in v),
+    "stalls": (lambda v: _tuple(v, _stall),
                lambda stalls: [{**asdict(s), "role": s.role.value} for s in stalls]),
-    "phase_request_bytes": (_phase_bytes, lambda sizes: {
-        str(s.index): (sizes or {}).get(s.index, s.request_bytes) for s in PHASES}),
-    "phase_response_bytes": (_phase_bytes, lambda sizes: {
-        str(s.index): (sizes or {}).get(s.index, s.response_bytes) for s in PHASES}),
-    "topology": (_topology, _encode_topology),
+    "phase_request_bytes": (_phase_bytes, _encode_phase_bytes),
+    "phase_response_bytes": (_phase_bytes, _encode_phase_bytes),
+    "topology": (_numbers(Topology), asdict),
 }
 
 

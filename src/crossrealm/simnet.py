@@ -38,7 +38,7 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterator, NamedTuple
 
 from . import protocol as proto
 from .errors import DisallowedPair, InvalidInput, ScenarioParseError, is_number
@@ -90,45 +90,19 @@ def _toward_core(node: str) -> list[str]:
     return hops
 
 
-def _lower_end(a: str, b: str) -> str | None:
-    """The end of the link between a and b that is further from SW2; None if
-    a and b share no link."""
-    for lower, upper in ((a, b), (b, a)):
-        if _UPLINKS.get(lower, ("",))[0] == upper:
-            return lower
-    return None
-
-
 @dataclass(frozen=True)
 class Topology:
-    """The two-switch tree with one propagation delay on every link and the
-    gigabit link count of any link that differs from the default wiring.
-    Routes are static: a path is the uplinks from both of its ends up to
-    where they meet, and each link is named by its end further from SW2."""
+    """The two-switch tree with one propagation delay on every link. Routes
+    are static: a path is the uplinks from both of its ends up to where they
+    meet, and each link is named by its end further from SW2."""
 
     propagation_delay_s: float = 0.0005
-    link_counts: Mapping[tuple[str, str], int] | None = None
 
     nodes: ClassVar[frozenset[str]] = frozenset(_UPLINKS) | {"SW2"}
 
     def __post_init__(self):
         if not (is_number(self.propagation_delay_s) and 0 <= self.propagation_delay_s < math.inf):
             raise InvalidInput("propagation_delay_s must be a finite, non-negative number")
-        if self.link_counts is not None and not isinstance(self.link_counts, Mapping):
-            raise InvalidInput("link_counts must map node pairs to link counts")
-        named = set()
-        for pair, count in (self.link_counts or {}).items():
-            if type(pair) is not tuple or len(pair) != 2:
-                raise InvalidInput(f"a link is named by a pair of nodes, not {pair!r}")
-            a, b = pair
-            lower = _lower_end(a, b)
-            if lower is None:
-                raise InvalidInput(f"no link between {a} and {b}")
-            if lower in named:
-                raise InvalidInput(f"the link between {a} and {b} is given twice")
-            named.add(lower)
-            if type(count) is not int or not is_number(count) or count < 1:  # a bool is not a count
-                raise InvalidInput("link counts must be whole numbers from 1 to the largest float")
 
     def allowed(self, a: str, b: str) -> bool:
         return a == b or frozenset((a, b)) in _ALLOWED_PAIRS
@@ -146,9 +120,8 @@ class Topology:
     def path_bandwidth_bps(self, a: str, b: str) -> float:
         """Bottleneck bandwidth: aggregated links count as one fat link. A path
         from a node to itself crosses no link, so nothing narrows it."""
-        overrides = {_lower_end(*pair): n for pair, n in (self.link_counts or {}).items()}
-        return min((GIGABIT * overrides.get(lower, _UPLINKS[lower][1])
-                    for lower in self.path(a, b)), default=math.inf)
+        return min((GIGABIT * _UPLINKS[lower][1] for lower in self.path(a, b)),
+                   default=math.inf)
 
 
 # -- connection model ----------------------------------------------------------
@@ -443,32 +416,29 @@ class _Engine:
         self.vault, self.requesters = build_default_vault(scenario.principals)
         self.roles = proto.initial_role_states(scenario.resources)
         stalls = {(s.role, s.phase_index): s.extra_delay_s for s in scenario.stalls}
-        request_bytes = scenario.phase_request_bytes or {}
-        response_bytes = scenario.phase_response_bytes or {}
         self.events = events = EventLog()
         # each record appends one entry to each of the log's three columns
         self._log_time = events.times.append
         self._log_session = events.sessions.append
         self._log_code = events.codes.append
         # Every message of one (phase, kind) takes the same path with the
-        # same size, the scenario's or else the protocol table's, so its
-        # timing is computed once, as its leg: (delivery offset, stall, send
-        # record's shape code, deliver record's code by outcome, its reply's
-        # leg, the leg's queue of deliveries). ``requests`` holds the request
-        # legs by phase. The service time rides on the request leg; a
-        # response is network-only, has no reply, and has no leg if a stall
-        # of inf suppresses it. ``setup`` wires each phase's handlers to its
-        # legs.
+        # same size, the scenario's, so its timing is computed once, as its
+        # leg: (delivery offset, stall, send record's shape code, deliver
+        # record's code by outcome, its reply's leg, the leg's queue of
+        # deliveries). ``requests`` holds the request legs by phase. The
+        # service time rides on the request leg; a response is network-only,
+        # has no reply, and has no leg if a stall of inf suppresses it.
+        # ``setup`` wires each phase's handlers to its legs.
         self.requests: list[tuple] = []
         for spec in PHASES:
             src, dst, i = spec.source.value, spec.destination.value, spec.index
             stall = stalls.get((spec.destination, i), 0.0)
-            size = response_bytes.get(i, spec.response_bytes)
+            size = scenario.phase_response_bytes[i]
             reply = None if stall == math.inf else (
                 transmit_components(size, dst, src, self.model, self.topology, service_s=0.0)[1],
                 stall, events.shape("send", dst, src, i, size, "ok"),
                 _DeliverCodes(events, dst, src, i, size), None, deque())
-            size = request_bytes.get(i, spec.request_bytes)
+            size = scenario.phase_request_bytes[i]
             self.requests.append((
                 transmit_components(size, src, dst, self.model, self.topology)[1], 0.0,
                 events.shape("send", src, dst, i, size, "ok"),
