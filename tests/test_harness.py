@@ -131,6 +131,16 @@ MALFORMED = [
      "network_start_offset_s"),
     # a field that repeats carries its own test id (the last item of a param)
     pytest.param({"topology": {"bogus": 1}}, "topology", id="topology-unknown-key"),
+    # a document written with per-link counts is refused naming topology,
+    # whatever counts it gives, not read as the fixed wiring
+    pytest.param({"topology": {"link_counts": [["A", "F", 2]]}}, "topology",
+                 id="topology-unlinked-pair"),
+    pytest.param({"topology": {"link_counts": [["A", "SW1", 10**400]]}}, "topology",
+                 id="topology-huge-link-count"),
+    pytest.param({"topology": {"link_counts": [["A", "SW1", 2], ["A", "SW1", 3]]}}, "topology",
+                 id="topology-link-twice"),
+    pytest.param({"topology": {"link_counts": [["A", "SW1", 2], ["SW1", "A", 3]]}}, "topology",
+                 id="topology-link-twice-reversed"),
     pytest.param({"topology": {"propagation_delay_s": -1.0}}, "topology",
                  id="topology-negative-delay"),
     ({"principals": 2, "horizon_s": math.inf}, "horizon_s"),  # json reads Infinity
