@@ -320,8 +320,6 @@ def percentile(ordered: list[float], q: float) -> float:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-# phase -> the role that sends its request, whose send opens the phase
-_OPENER = {spec.index: spec.source.value for spec in PHASES}
 # what aggregate reads of a session start, a session completion, a session
 # drop and a phase-opening send; a phase-complete delivery reads into its
 # phase's durations
@@ -382,7 +380,7 @@ class _Fold:
             adds, read = (0.0, 0.0, 0, 0), None
             if kind == "send":
                 adds = (size * 8.0, 0.0, 0, 0)
-                if source == _OPENER.get(phase):
+                if source == PHASES[phase - 1].source.value:  # the send opens its phase
                     read = _OPENS
             elif kind == "deliver":
                 adds = (0.0, size * 8.0, 0, 0)

@@ -36,7 +36,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import keys as keylib
 from .errors import InvalidInput, RoleMismatch, is_number
@@ -113,9 +113,11 @@ class TimeoutMode:
         return f"{self.kind}:{text if float(text) == self.seconds else repr(self.seconds)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseSpec:
-    """One row of the protocol task table, sized by the paper's defaults."""
+    """One row of the protocol task table, sized by the paper's defaults,
+    with everything the transitions, the event log's shape check and the
+    fold read of its phase, made once at import from the table."""
 
     index: int
     name: str
@@ -124,6 +126,18 @@ class PhaseSpec:
     request_bytes: int
     response_bytes: int
     carries: tuple[str, ...]  # SessionSlot fields the request copies to the responder
+    # the request's payload: a NamedTuple of the carried fields, then in the
+    # grant phases the resource it names
+    record: type
+    pick: Callable  # slot -> the values the request carries, as one tuple
+    # (slot, values) -> the responder's slot: its expectation cleared, then
+    # what the request carries and what the responder decides, in that order
+    store: Callable
+    read_types: tuple[type, ...] | None  # each record field's type, where the responder reads it
+    outcomes: tuple[str, ...]  # what the responder reports on taking the request
+    first_contact: bool  # whether the request is the first its destination hears of a session
+    due: tuple[int, MessageKind]  # what the source expects once the request is sent
+    then: tuple[int, MessageKind] | None  # what the source expects once the response arrives
 
 
 # The resource clouds, in the order the session handler asks them for access:
@@ -163,12 +177,6 @@ _TABLE = (
 
 PHASE_COUNT = len(_TABLE)
 ACK_BYTES = 1024
-
-# The ordered 13-phase table: phase k is PHASES[k - 1]. A run's byte-size
-# overrides are the network's business: the simulator applies them to its own legs.
-PHASES = tuple(
-    PhaseSpec(index, name, source, destination, req_bytes, ACK_BYTES, carries)
-    for index, (name, source, destination, req_bytes, carries) in enumerate(_TABLE, start=1))
 
 
 class ProtocolMessage(NamedTuple):
@@ -319,39 +327,47 @@ class SessionSlot(NamedTuple):
     grants: tuple[str, ...] = ()  # a cloud's own grant; the grants the handler collected
 
 
-# the phases in which the session handler and a cloud trade access
-_GRANT_PHASES = {s.index for s in PHASES if s.source in _CLOUD_AT or s.destination in _CLOUD_AT}
+def _next_request(role: Role, after: int) -> int | None:
+    """The phase whose request this role receives next, after phase ``after``.
 
-# phase index - 1 -> the record its request's payload is: a NamedTuple of the
-# fields the phase carries, in ``carries`` order, then in the grant phases the
-# resource it names
-_RECORDS = tuple(
-    namedtuple(f"Phase{spec.index}Request",
-               spec.carries + (("resource",) if spec.index in _GRANT_PHASES else ()))
-    for spec in PHASES)
+    None when the role's next row names it as source: begin_phase arms the
+    role then. The table never gives one role two consecutive turns as
+    source, so after such a turn the role next appears as a destination.
+    """
+    for index, (_, source, destination, _, _) in enumerate(_TABLE[after:], start=after + 1):
+        if role in (source, destination):
+            return index if destination is role else None
+    return None
 
-# phase -> the fields its responder sets from its own work on the request (the
-# participants, a grant), after those the request carries
-_DECIDES = {5: ("participants",), **dict.fromkeys(_GRANT_PHASES, ("grants",))}
 
-# phase index - 1 -> (its record, the getter of the slot values its request
-# carries, the record's width, how many of its fields are carried, the
-# responder's update on the request, what the initiator expects once the
-# request is sent). A request's payload is ``_new(record, pick(slot))``, with
-# the resource after; the update clears the responder's expectation, then
-# stores what the request carries and what it decides. A misspelled carried
-# name fails here, at import.
-_ROWS = tuple(
-    (record, _getter(_positions(SessionSlot, spec.carries)), len(record._fields),
-     len(spec.carries),
-     _setter(SessionSlot, "expect", *spec.carries, *_DECIDES.get(spec.index, ())),
-     (spec.index, _RESPONSE))
-    for spec, record in zip(PHASES, _RECORDS))
+def _phase(index: int, name: str, source: Role, destination: Role, request_bytes: int,
+           carries: tuple[str, ...]) -> PhaseSpec:
+    """Phase ``index``'s row of the table, compiled; a misspelled carried
+    name fails here, at import. In the grant phases the session handler and
+    a cloud trade access: the cloud asked decides its grant, and the
+    handler collects it. SAC-DB decides the participants at phase 5, and
+    both ends of the verification report whether it found anyone."""
+    asked = destination in _CLOUD_AT
+    grant = asked or source in _CLOUD_AT
+    decides = ("participants",) if index == 5 else ("grants",) if grant else ()
+    following = _next_request(source, index)
+    return PhaseSpec(
+        index, name, source, destination, request_bytes, ACK_BYTES, carries,
+        record=namedtuple(f"Phase{index}Request", carries + (("resource",) if grant else ())),
+        pick=_getter(_positions(SessionSlot, carries)),
+        store=_setter(SessionSlot, "expect", *carries, *decides),
+        read_types=((str, KeyPart, KeyPart) if index == 5
+                    else (SessionKeySet, HierarchicalKey, str) if asked else None),
+        outcomes=(("valid", "invalid") if index in (5, 6)
+                  else ("granted", "refused") if asked else ("ok",)),
+        first_contact=_next_request(destination, 0) == index,
+        due=(index, _RESPONSE),
+        then=None if following is None else (following, _REQUEST))
 
-# phase -> the type of each field of its record, in field order, where the
-# responder reads the values it is sent: a value of another type is malformed
-_READ_TYPES = {5: (str, KeyPart, KeyPart), **{spec.index: (SessionKeySet, HierarchicalKey, str)
-                                             for spec in PHASES if spec.destination in _CLOUD_AT}}
+
+# The ordered 13-phase table: phase k is PHASES[k - 1]. A run's byte-size
+# overrides are the network's business: the simulator applies them to its own legs.
+PHASES = tuple(_phase(index, *row) for index, row in enumerate(_TABLE, start=1))
 
 # what a responder holds of a session before its first request: nothing
 _EMPTY_SLOT = SessionSlot()
@@ -380,43 +396,12 @@ def initial_role_states(resources: Sequence[str] = DEFAULT_RESOURCES) -> dict[Ro
     return {role: RoleState(role, hosting.get(role, frozenset())) for role in Role}
 
 
-def _next_request(role: Role, after: int) -> int | None:
-    """The phase whose request this role receives next, after phase ``after``.
-
-    None when the role's next row names it as source: begin_phase arms the
-    role then. The table never gives one role two consecutive turns as
-    source, so after such a turn the role next appears as a destination.
-    """
-    for spec in PHASES[after:]:
-        if role in (spec.source, spec.destination):
-            return spec.index if spec.destination is role else None
-    return None
-
-
-# Phase at which each role first hears of a session (as a destination); A,
-# the source of phase 1, opens the session itself.
-_FIRST_CONTACT = {role: _next_request(role, 0) for role in Role}
-
-# (role, phase) -> what the role expects once that phase's response reached
-# it: the request of its next turn as destination, or None (begin_phase arms it)
-_NEXT_EXPECT = {
-    (role, spec.index): None if following is None else (following, MessageKind.REQUEST)
-    for role in Role for spec in PHASES
-    for following in (_next_request(role, spec.index),)}
-
-
-# phase -> the outcomes its request's responder reports on taking it: what the
-# responder decided, or "ok". A role that takes a response reports
-# "phase-complete", and every other outcome is "discarded:<why>".
-REQUEST_OUTCOMES = {spec.index: ("valid", "invalid") if spec.index in (5, 6)
-                    else ("granted", "refused") if spec.destination in _CLOUD_AT else ("ok",)
-                    for spec in PHASES}
-
-
 class HandleResult(NamedTuple):
     slot: SessionSlot | None  # the session's new slot at the role; None on a discard
     outgoing: ProtocolMessage | None  # the phase's final response to a request
-    outcome: str  # one of REQUEST_OUTCOMES[phase], "phase-complete" or "discarded:<why>"
+    # a request's responder reports one of its phase's ``outcomes``; a role
+    # that takes a response, "phase-complete"; anything else is "discarded:<why>"
+    outcome: str
 
     @property
     def discarded(self) -> bool:
@@ -467,23 +452,22 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> Hand
     payload is not its phase's record or holds a value of the wrong type
     where the responder reads it, is discarded (no slot).
     """
-    role = state.role
-    if msg.destination is not role:
+    if msg.destination is not state.role:
         return _discard("misaddressed")
     index = msg.phase_index
     if type(index) is not int or not 0 < index <= PHASE_COUNT:  # a bool is not an int here
         return _discard("unknown-phase")
+    spec = PHASES[index - 1]
     if msg.kind is _REQUEST:
-        return _handle_request(state, PHASES[index - 1], msg, vault)
-    if msg.source is not PHASES[index - 1].destination:  # only the responder answers
+        return _handle_request(state, spec, msg, vault)
+    if msg.source is not spec.destination:  # only the responder answers
         return _discard("wrong-source")
     slot = state.sessions.get(msg.session_id)
     if slot is None:
         return _discard("unknown-session")
-    if slot.expect != _ROWS[index - 1][-1]:  # the response to the phase it began
+    if slot.expect != spec.due:  # the response to the phase it began
         return _discard("out-of-order")
-    return _new(HandleResult, (_set_expect(slot, (_NEXT_EXPECT[role, index],)), None,
-                               "phase-complete"))
+    return _new(HandleResult, (_set_expect(slot, (spec.then,)), None, "phase-complete"))
 
 
 def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
@@ -497,7 +481,8 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
 
     index = spec.index
     slot = state.sessions.get(msg.session_id)
-    first_contact = _FIRST_CONTACT[state.role] == index
+    # a request readdressed to another role is no first contact there
+    first_contact = spec.first_contact and state.role is spec.destination
     if slot is None:
         if not first_contact:
             return _discard("unknown-session")
@@ -507,13 +492,13 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
     elif slot.expect != (index, _REQUEST):
         return _discard("out-of-order")
 
-    record, _, width, n_carried, store, _ = _ROWS[index - 1]
+    record, read_types, store = spec.record, spec.read_types, spec.store
     payload = msg.payload_fields
-    if (type(payload) is not record or len(payload) != width
-            or (index in _READ_TYPES and tuple(map(type, payload)) != _READ_TYPES[index])):
+    if (type(payload) is not record or len(payload) != len(record._fields)
+            or (read_types is not None and tuple(map(type, payload)) != read_types)):
         return _discard("malformed-payload")
     # the responder then waits for its next begin_phase, so it expects nothing
-    carried = (None,) + payload[:n_carried]
+    carried = (None,) + payload[:len(spec.carries)]
     outcome = "ok"
 
     if index == 5:  # credential db verifies the pair and the requester's place in it
@@ -551,23 +536,23 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
     the phase carries; the result's slot, which the caller stores, now
     awaits the phase's response. The result is that send, or a drop: the
     authority drops the session as invalid-credentials instead of invoking
-    the session handler when the verification found no participants, and a
+    the session handler when no participant the verification found is the
+    tenant the session was requested for (none found, or another), and a
     cloud that granted nothing drops it as access-refused.
     """
     sid, index = session.session_id, spec.index
     slot = state.sessions.get(sid)
-    record, pick, _, _, _, due = _ROWS[index - 1]  # due: the response the initiator awaits
     resource = None
 
     if index == 1:  # A opens the session for its requester
-        slot = SessionSlot(expect=due, requester=session.requester.tenant_id,
+        slot = SessionSlot(expect=spec.due, requester=session.requester.tenant_id,
                            resources=session.resources,
                            idr=session.requester.idr, ids=session.requester.ids)
-    elif index == 7:  # the authority mints for the participants, or drops the session
-        if not slot.participants:
+    elif index == 7:  # the authority mints for the participants, if its requester is one
+        if not any(tenant == slot.requester for tenant, _, _ in slot.participants):
             return _new(BeginResult, (None, None, "invalid-credentials"))
         minted = keylib.mint_session_keys(sid, slot.participants, vault)
-        slot = _set_expect_and_keys(slot, (due, minted, minted.keys[slot.requester]))
+        slot = _set_expect_and_keys(slot, (spec.due, minted, minted.keys[slot.requester]))
     else:
         if spec.destination in _CLOUD_AT:  # the handler asks each cloud for the resource it hosts
             resource = slot.resources[_CLOUD_AT[spec.destination]]
@@ -575,9 +560,9 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
             if not slot.grants:  # no grant to deliver
                 return _new(BeginResult, (None, None, "access-refused"))
             resource = next(iter(state.hosted_resources))
-        slot = _set_expect(slot, (due,))
+        slot = _set_expect(slot, (spec.due,))
 
-    values = pick(slot) if resource is None else (*pick(slot), resource)
+    values = spec.pick(slot) if resource is None else (*spec.pick(slot), resource)
     request = _new(ProtocolMessage, (sid, index, _REQUEST, spec.source, spec.destination,
-                                     _new(record, values)))
+                                     _new(spec.record, values)))
     return _new(BeginResult, (slot, request, None))

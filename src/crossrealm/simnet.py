@@ -204,7 +204,7 @@ KINDS = frozenset(("app-start", "session-start", "send", "deliver", "timer-fire"
 # its delivery may report besides "discarded:<why>": a request's are its
 # phase's, and a response completes its phase
 _ENDS = {leg: outcomes for spec in PHASES for leg, outcomes in (
-    ((spec.index, spec.source.value, spec.destination.value), proto.REQUEST_OUTCOMES[spec.index]),
+    ((spec.index, spec.source.value, spec.destination.value), spec.outcomes),
     ((spec.index, spec.destination.value, spec.source.value), ("phase-complete",)))}
 
 
@@ -249,7 +249,7 @@ class EventLog:
         not 1..13, whose two ends are not its phase's two ends (either way) or
         whose size is not a whole number, a send whose outcome is not "ok", or
         a deliver whose outcome is neither "discarded:<why>" nor one its leg
-        gives (a request's ``protocol.REQUEST_OUTCOMES``, a response's
+        gives (a request's phase's ``outcomes``, a response's
         "phase-complete"), is none a run logs: it raises ValueError when first
         met."""
         code = self._code_of.get(row)

@@ -186,7 +186,7 @@ class ProtocolMachine(RuleBasedStateMachine):
         assert (msg.session_id, msg.phase_index, msg.kind, msg.source, msg.destination) == (
             track.session.session_id, spec.index, MessageKind.REQUEST, spec.source,
             spec.destination)
-        assert type(msg.payload_fields) is proto._RECORDS[spec.index - 1], spec.index
+        assert type(msg.payload_fields) is spec.record, spec.index
         if not track.tampered:
             assert msg.payload_fields._asdict() == track.payload(spec.index), spec.index
         state.sessions[msg.session_id] = result.slot
@@ -270,7 +270,7 @@ class ProtocolMachine(RuleBasedStateMachine):
         if index == msg.phase_index:
             return
         track = self.tracks[msg.session_id]
-        record = proto._RECORDS[index - 1](**track.payload(index))
+        record = PHASES[index - 1].record(**track.payload(index))
         self._deliver(msg._replace(payload_fields=record), msg.destination, well_formed=False)
 
     @rule(index=st.integers(min_value=1, max_value=proto.PHASE_COUNT))
@@ -322,8 +322,12 @@ class ProtocolMachine(RuleBasedStateMachine):
 
 
 TestProtocolMachine = ProtocolMachine.TestCase
-TestProtocolMachine.settings = settings(max_examples=60, stateful_step_count=80,
-                                        deadline=None)
+# 60 examples in the suite, and the profile's 600 under ``--hypothesis-profile
+# oracle-x10`` (see conftest.py)
+TestProtocolMachine.settings = settings(
+    max_examples=(settings.default.max_examples
+                  if settings.get_current_profile_name() == "oracle-x10" else 60),
+    stateful_step_count=80, deadline=None)
 
 
 class PayloadSwapMachine(ProtocolMachine):
@@ -358,6 +362,28 @@ def test_payload_swap_keeps_each_sessions_keys():
     machine.run_in_order(pick=0, steps=10)  # phases 1-3 done, phase 4's request in flight
     machine.swap_payload_field(pick=0, other=0, name="requester")
     machine.run_in_order(pick=0, steps=3 * proto.PHASE_COUNT)
+    machine.phases_complete_in_order_once()
+    machine.clouds_grant_only_what_they_host()
+    machine.minted_keys_name_the_requester()
+
+
+@pytest.mark.parametrize("name, steps", [
+    pytest.param("requester", 13, id="requester-at-phase-5"),
+    pytest.param("participants", 16, id="participants-at-phase-6"),
+])
+def test_a_swapped_claim_is_dropped_as_invalid_credentials(name, steps):
+    # phase 5's request naming the other session's tenant, or phase 6's
+    # carrying the other session's participants, leaves the authority with a
+    # requester that is no participant's tenant: phase 7 drops the session
+    # and mints no key set
+    machine = PayloadSwapMachine()
+    machine.open_sessions(count=2)
+    machine.run_in_order(pick=0, steps=steps)  # the phase's request in flight
+    machine.swap_payload_field(pick=0, other=0, name=name)
+    machine.run_in_order(pick=0, steps=3 * proto.PHASE_COUNT)
+    session = list(machine.tracks.values())[0].session  # the one run_in_order drove
+    assert (session.status, session.drop_reason) == (SessionStatus.DROPPED,
+                                                     "invalid-credentials")
     machine.phases_complete_in_order_once()
     machine.clouds_grant_only_what_they_host()
     machine.minted_keys_name_the_requester()

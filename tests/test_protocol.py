@@ -149,7 +149,10 @@ def test_the_table_built_from_the_resource_clouds_is_written_out():
     # the grant phases and every table read from RESOURCE_CLOUDS, as literals
     r, ask, keys = Role, ("keyset", "requester_key"), (keylib.SessionKeySet,
                                                        keylib.HierarchicalKey, str)
-    assert PHASES == tuple(proto.PhaseSpec(*row[:5], 1024, row[5]) for row in (
+    paper = ("index", "name", "source", "destination", "request_bytes", "response_bytes",
+             "carries")
+    assert [tuple(getattr(spec, name) for name in paper) for spec in PHASES] == [
+        (*row[:5], 1024, row[5]) for row in (
         (1, "Secure (Request, R1, R2)", r.A, r.F, 1024, ("requester", "resources")),
         (2, "Secure (Request, IDr, IDs)", r.F, r.A, 1024, ()),
         (3, "Secure (Response, IDr, IDs)", r.A, r.F, 4096, ("idr", "ids")),
@@ -166,16 +169,18 @@ def test_the_table_built_from_the_resource_clouds_is_written_out():
         (12, "Secure (Access, R1, R2): Key (IDsess)", r.SAC_SH, r.F, 4096,
          ("grants", "requester_key", "keyset")),
         (13, "Secure (Access, R1, R2): Key (IDsess)", r.F, r.A, 4096,
-         ("grants", "requester_key"))))
-    assert [record._fields for record in proto._RECORDS] == [
+         ("grants", "requester_key")))]
+    assert [spec.record._fields for spec in PHASES] == [
         ("requester", "resources"), (), ("idr", "ids"),
         ("requester", "resources", "idr", "ids"), ("requester", "idr", "ids"),
         ("participants",), ("keyset", "requester_key", "resources"),
         (*ask, "resource"), ("resource",), (*ask, "resource"), ("resource",),
         ("grants", "requester_key", "keyset"), ("grants", "requester_key")]
-    assert proto._READ_TYPES == {5: (str, keylib.KeyPart, keylib.KeyPart), 8: keys, 10: keys}
-    assert proto._DECIDES == {5: ("participants",), 8: ("grants",), 9: ("grants",),
-                              10: ("grants",), 11: ("grants",)}
+    assert {spec.index: spec.read_types for spec in PHASES if spec.read_types is not None} == {
+        5: (str, keylib.KeyPart, keylib.KeyPart), 8: keys, 10: keys}
+    assert {spec.index: spec.outcomes for spec in PHASES if spec.outcomes != ("ok",)} == {
+        5: ("valid", "invalid"), 6: ("valid", "invalid"), 8: ("granted", "refused"),
+        10: ("granted", "refused")}
     hosting = {role: frozenset() for role in Role}
     assert {role: state.hosted_resources for role, state in initial_role_states().items()} == {
         **hosting, r.CLOUD_A: {"R1"}, r.CLOUD_B: {"R2"}}
@@ -330,12 +335,35 @@ def test_a_response_from_another_role_is_discarded():
     assert driver.deliver(Role.A, response).outcome == "phase-complete"
 
 
+@pytest.mark.parametrize("index, role", [(spec.index, role) for spec in PHASES for role in Role
+                                          if role is not spec.destination],
+                         ids=lambda value: value.value if isinstance(value, Role) else str(value))
+def test_a_request_readdressed_to_another_role_is_discarded(index, role):
+    # phase k's request, readdressed to a role other than its destination, is
+    # no first contact there, even where phase k is its destination's first: a
+    # role that never heard of the session does not know it, and one that did
+    # expects no such request
+    vault, requester = registry()
+    driver = Driver(vault, requester)
+    for done in range(1, index):
+        driver.run_phase(done)
+    spec = PHASES[index - 1]
+    begun = begin_phase(driver.roles[spec.source], spec, driver.session, vault)
+    driver.roles[spec.source].sessions[driver.session.session_id] = begun.slot
+    state = driver.roles[role]
+    before = dict(state.sessions)
+    why = "out-of-order" if driver.session.session_id in before else "unknown-session"
+    result = driver.deliver(role, begun.outgoing._replace(destination=role))
+    assert result == HandleResult(None, None, f"discarded:{why}")
+    assert state.sessions == before
+
+
 # phase -> another phase whose record is as wide; phase 8's has phase 10's names
 _ALIKE = {1: 3, 3: 13, 10: 8}
 # case -> the malformed payload made from a phase request's own record
 _MALFORMED = {
     "dict": lambda payload, index: payload._asdict(),
-    "another-phase": lambda payload, index: proto._RECORDS[_ALIKE[index] - 1]._make(payload),
+    "another-phase": lambda payload, index: PHASES[_ALIKE[index] - 1].record._make(payload),
     "field-missing": lambda payload, index: tuple.__new__(type(payload), payload[:-1]),
 }
 
@@ -576,20 +604,24 @@ def test_carried_names_are_slot_fields():
         assert set(carries) <= slot_fields
 
 
+# phase -> the fields its responder sets from its own work on the request, after
+# those the request carries: SAC-DB the participants, each end of a grant phase
+# the grants
+_DECIDES = {5: ("participants",), 8: ("grants",), 9: ("grants",), 10: ("grants",),
+            11: ("grants",)}
+
+
 def test_each_phase_row_is_compiled_from_the_table():
     # a slot whose every field holds its own name shows which fields a row's
     # getter picks and which its receive setter sets
     named = SessionSlot(*SessionSlot._fields)
-    assert len(proto._ROWS) == proto.PHASE_COUNT
-    for spec, row in zip(PHASES, proto._ROWS):
-        record, pick, width, n_carried, store, due = row
-        assert record is proto._RECORDS[spec.index - 1]
-        assert pick(named) == spec.carries
-        assert (width, n_carried) == (len(record._fields), len(spec.carries))
-        sets = ("expect", *spec.carries, *proto._DECIDES.get(spec.index, ()))
+    for spec in PHASES:
+        assert spec.pick(named) == spec.carries
+        assert spec.record._fields[:len(spec.carries)] == spec.carries
+        sets = ("expect", *spec.carries, *_DECIDES.get(spec.index, ()))
         new = tuple(f"new {name}" for name in sets)
-        assert store(named, new) == named._replace(**dict(zip(sets, new)))
-        assert due == (spec.index, MessageKind.RESPONSE)
+        assert spec.store(named, new) == named._replace(**dict(zip(sets, new)))
+        assert spec.due == (spec.index, MessageKind.RESPONSE)
 
 
 _ANY = st.none() | st.integers() | st.text(max_size=3) | st.tuples(st.integers())
@@ -663,11 +695,16 @@ def test_discarded_property():
 
 
 def test_next_expectation_table_matches_the_walk():
-    for role in Role:
-        for phase in range(1, proto.PHASE_COUNT + 1):
-            following = proto._next_request(role, phase)
-            expect = None if following is None else (following, MessageKind.REQUEST)
-            assert proto._NEXT_EXPECT[role, phase] == expect
+    # what a phase's source expects once the response arrives, and whether
+    # the request is its destination's first, are the walk's answers
+    for spec in PHASES:
+        following = proto._next_request(spec.source, spec.index)
+        assert spec.then == (None if following is None else (following, MessageKind.REQUEST))
+        assert spec.first_contact is (proto._next_request(spec.destination, 0) == spec.index)
+    # every role but A, which opens a session itself, first hears of it once
+    assert [(spec.index, spec.destination) for spec in PHASES if spec.first_contact] == [
+        (1, Role.F), (4, Role.SAC), (5, Role.SAC_DB), (7, Role.SAC_SH), (8, Role.CLOUD_A),
+        (10, Role.CLOUD_B)]
 
 
 # -- positional messages, results and payloads ----------------------------------------
@@ -701,7 +738,7 @@ def _expected_begin(spec, prev, session, vault, hosted):
     message = ProtocolMessage(session_id=session.session_id, phase_index=spec.index,
                               kind=MessageKind.REQUEST, source=spec.source,
                               destination=spec.destination,
-                              payload_fields=proto._RECORDS[spec.index - 1](**payload))
+                              payload_fields=spec.record(**payload))
     return BeginResult(slot=slot, outgoing=message, drop_reason=None)
 
 
@@ -796,17 +833,15 @@ def test_each_phase_payload_carries_its_fields(values):
     # each phase has a record of its own: its carried fields, then the
     # resource in phases 8-11, filled from the slot by the phase's getter
     slot = SessionSlot(*values)
-    assert len(set(proto._RECORDS)) == proto.PHASE_COUNT
+    assert len({spec.record for spec in PHASES}) == proto.PHASE_COUNT
     for spec in PHASES:
-        record, pick, *_ = proto._ROWS[spec.index - 1]
-        assert record is proto._RECORDS[spec.index - 1]
         expected = {name: getattr(slot, name) for name in spec.carries}
         resource = ()
         if 8 <= spec.index <= 11:
             resource = ("R1",)
             expected["resource"] = "R1"
-        assert record._fields == tuple(expected)
-        assert record._make(pick(slot) + resource)._asdict() == expected
+        assert spec.record._fields == tuple(expected)
+        assert spec.record._make(spec.pick(slot) + resource)._asdict() == expected
 
 
 # -- the per-message path names no enum class ---------------------------------------
