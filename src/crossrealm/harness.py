@@ -45,7 +45,7 @@ from .simnet import ABSORBED, ConnectionModel, SimRun, Stall, Topology, csv_line
 DEFAULT_SEED = 7
 # aggregate keeps horizon_s / sampling_interval_s traffic buckets per series
 MAX_BUCKETS = 10**6
-# the most sessions a scenario may draw; each costs about 4.3 KiB of peak memory
+# the most sessions a scenario may draw; each costs about 2.3 KiB of peak memory
 MAX_SESSIONS = 10**5
 
 

@@ -19,7 +19,8 @@ transition result, through ``tuple.__new__``; a request's payload is a
 record of its phase, a NamedTuple of the fields it carries. Each role's
 slot table (RoleState.sessions) is owned by the driving loop, which
 stores the returned slot in place, so a transition costs the same however
-many sessions a role holds. A single session must be driven by one
+many sessions a role holds, and removes a session's slots from every
+table when the session ends. A single session must be driven by one
 logical event stream while distinct sessions can proceed concurrently
 against a shared read-only vault.
 
@@ -382,6 +383,8 @@ class RoleState:
 
     The driving loop owns it: transitions only read it, and the caller
     stores each returned slot in ``sessions``; a discard changes nothing.
+    The loop also removes a session's slot when the session ends, so
+    ``sessions`` holds the sessions in flight.
     """
 
     role: Role

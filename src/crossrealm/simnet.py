@@ -394,7 +394,11 @@ class SimRun:
     """The scenario a run was made from and everything it produced: the log,
     the final states, and whether the horizon cut the run off, the one fact
     of the run that no record holds. Every other figure of the report, the
-    largest network delay too, is folded from the log and the scenario."""
+    largest network delay too, is folded from the log and the scenario.
+
+    ``sessions`` holds every session's final state. ``role_states`` holds
+    only the slots of the sessions still in flight when the run stopped: a
+    session's slots are let go at every role when it ends."""
 
     records: EventLog
     sessions: dict[bytes, SessionState]
@@ -483,6 +487,8 @@ class _Engine:
     def setup(self) -> None:
         sc = self.scenario
         seq = self.event_seq
+        # every role's slot table, which a session's end empties of it
+        self.slot_tables = tuple(state.sessions for state in self.roles.values())
         begin = None
         for spec, leg in zip(reversed(PHASES), reversed(self.requests)):
             begin = self._wire_phase(spec, leg, begin)
@@ -650,10 +656,12 @@ class _Engine:
     def _on_f_watchdog(self, event: tuple) -> None:
         now, _, session_id, at = event
         session = self.sessions[session_id]
+        # an ended session has no slot left to read, and the timer is ignored;
         # F's slot holds a key set only once phase 12 delivered the grant
-        granted = self.roles[_F].sessions[session_id].keyset is not None
+        spent = (session.status is not _IN_PROGRESS
+                 or self.roles[_F].sessions[session_id].keyset is not None)
         self._timer_fired(now, at, _F, None, session,
-                          session if granted else proto.localized_timeout_at_f(session))
+                          session if spent else proto.localized_timeout_at_f(session))
 
     def _timer_fired(self, now: float, at: int, role: Role, phase_index: int | None,
                      before: SessionState, after: SessionState) -> None:
@@ -667,9 +675,13 @@ class _Engine:
     # -- helpers -----------------------------------------------------------
 
     def _end(self, session: SessionState, now: float, at: int, source: str = "") -> None:
-        """Stamp a finished session's end, store it and log its one end record."""
+        """Stamp a finished session's end, store it, let go of its slot at
+        every role and log its one end record."""
         session = session._replace(ended_at=now)
-        self.sessions[session.session_id] = session
+        sid = session.session_id
+        self.sessions[sid] = session
+        for table in self.slot_tables:
+            table.pop(sid, None)
         completed = session.status is _COMPLETED
         self.log_row("session-complete" if completed else "session-drop", now, source, at,
                      session.current_phase,

@@ -67,19 +67,19 @@ def default_run():
     return scenario, run, report, wall
 
 
-def test_criterion_01_end_to_end_correctness():
+def test_criterion_01_end_to_end_correctness(run_keeping_slots):
     started = time.monotonic()
-    run = simnet.run(TINY)
+    run, roles = run_keeping_slots(TINY)
     wall = time.monotonic() - started
     session = next(iter(run.sessions.values()))
     completions = [r.phase_index for r in run.records
                    if r.kind == "deliver" and r.outcome == "phase-complete"]
-    held = run.role_states[Role.A].sessions[session.session_id].requester_key
+    held = roles[Role.A].sessions[session.session_id].requester_key
     ok = (session.status is SessionStatus.COMPLETED
           and completions == list(range(1, 14))
           and held is not None
-          and grant_access(run.role_states[Role.CLOUD_A], Role.SAC_SH, held, "R1")
-          and grant_access(run.role_states[Role.CLOUD_B], Role.SAC_SH, held, "R2")
+          and grant_access(roles[Role.CLOUD_A], Role.SAC_SH, held, "R1")
+          and grant_access(roles[Role.CLOUD_B], Role.SAC_SH, held, "R2")
           and wall < 1.0)
     verdict(1, "end-to-end protocol correctness", ok,
             f"phases {completions[0]}..{completions[-1]}, wall {wall:.3f}s")
@@ -102,12 +102,12 @@ def test_criterion_02_phase_sequencing():
             f"12 sub-cases, failures: {failures or 'none'}")
 
 
-def test_criterion_03_gatekeeping_across_seeds():
+def test_criterion_03_gatekeeping_across_seeds(run_keeping_slots):
     started = time.monotonic()
     base = Scenario(principals=3, session_spread_s=30.0, horizon_s=300.0)
     bad = 0
     for seed in range(100):
-        run = simnet.run(replace(base, seed=seed))
+        run, roles = run_keeping_slots(replace(base, seed=seed))
         sh_forwards = set()
         for r in run.records:
             if (r.kind == "send" and r.source == "SAC-SH"
@@ -120,9 +120,9 @@ def test_criterion_03_gatekeeping_across_seeds():
                     bad += 1
         # direct presentation by the principal is always refused
         for session in [s for s in run.sessions.values() if s.status is SessionStatus.COMPLETED]:
-            held = run.role_states[Role.A].sessions[session.session_id].requester_key
+            held = roles[Role.A].sessions[session.session_id].requester_key
             for cloud, resource in ((Role.CLOUD_A, "R1"), (Role.CLOUD_B, "R2")):
-                if grant_access(run.role_states[cloud], Role.A, held, resource):
+                if grant_access(roles[cloud], Role.A, held, resource):
                     bad += 1
     wall = time.monotonic() - started
     verdict(3, "gatekeeping", bad == 0 and wall < 60.0,

@@ -255,19 +255,20 @@ def test_deliveries_match_per_message_timing():
     assert aggregate(run)["max_network_delay_s"] == max(networks)
 
 
-def test_each_session_is_minted_for_its_requester():
-    run = simnet.run(replace(SMALL, principals=5, sessions_per_principal=2, seed=12))
+def test_each_session_is_minted_for_its_requester(run_keeping_slots):
+    run, roles = run_keeping_slots(replace(SMALL, principals=5, sessions_per_principal=2,
+                                           seed=12))
     completed = [s for s in run.sessions.values() if s.status is SessionStatus.COMPLETED]
     assert len(completed) == 10
     assert len({s.requester.tenant_id for s in completed}) == 5
     for session in completed:
         tenant = session.requester.tenant_id
-        keyset = run.role_states[Role.SAC].sessions[session.session_id].keyset
+        keyset = roles[Role.SAC].sessions[session.session_id].keyset
         assert set(keyset.keys) == {tenant}
         for role in (Role.SAC_DB, Role.SAC):
-            participants = run.role_states[role].sessions[session.session_id].participants
+            participants = roles[role].sessions[session.session_id].participants
             assert participants == ((tenant, "CloudC", "analysts"),)
-        held = run.role_states[Role.A].sessions[session.session_id].requester_key
+        held = roles[Role.A].sessions[session.session_id].requester_key
         assert held == keyset.keys[tenant]
 
 
@@ -551,6 +552,42 @@ def test_gc_reenabled_when_a_handler_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="handler failed"):
         simnet.run(SMALL)
     assert gc.isenabled()
+
+
+# -- role slot memory ----------------------------------------------------------------
+
+SUPPRESSED = load_scenario(Path(__file__).parent.parent / "scenarios" / "suppressed.json")
+
+# each case -> whether sessions are still in flight when the run stops
+KEPT_SLOT_CASES = {
+    "completed": (replace(SMALL, principals=5, sessions_per_principal=2, seed=12), False),
+    # the phase-10 response is never sent, and F's watchdog drops each session
+    "suppressed": (SUPPRESSED, False),
+    # cut off at 500 s, when the watchdog has dropped some of them
+    "suppressed-cut": (replace(SUPPRESSED, horizon_s=500.0), True),
+    # F's watchdog drops each session before its late phase-10 response arrives
+    "late-response": (replace(SMALL, principals=4, timeout_mode=TimeoutMode.localized_f(200),
+                              stalls=(Stall(Role.CLOUD_B, 10, 250.0),), horizon_s=1000.0),
+                      False),
+}
+
+
+@pytest.mark.parametrize("case", KEPT_SLOT_CASES)
+def test_a_run_keeps_the_slots_of_sessions_in_flight_only(case):
+    scenario, cut = KEPT_SLOT_CASES[case]
+    run = simnet.run(scenario)
+    in_flight = {sid for sid, s in run.sessions.items() if s.status is SessionStatus.IN_PROGRESS}
+    ended = len(run.sessions) - len(in_flight)
+    tables = [set(state.sessions) for state in run.role_states.values()]
+    assert len(tables) == len(Role) and ended > 0
+    assert all(table <= in_flight for table in tables)
+    # the cut run has sessions stalled at phase 10, each with a slot at every role
+    assert all(tables) if cut else not in_flight
+    if case == "late-response":
+        assert {s.status for s in run.sessions.values()} == {SessionStatus.DROPPED}
+        absorbed = Counter(r.session_id for r in run.records
+                           if r.kind == "deliver" and r.outcome == ABSORBED)
+        assert absorbed == {sid.hex(): 1 for sid in run.sessions}
 
 
 # -- event log memory ----------------------------------------------------------------
