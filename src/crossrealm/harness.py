@@ -25,7 +25,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from contextlib import suppress
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from itertools import accumulate, compress, islice
 from pathlib import Path
 from types import MappingProxyType
@@ -54,40 +54,105 @@ def _is_count(v) -> bool:
     return type(v) is int and 1 <= v <= sys.float_info.max
 
 
-# Scenario field -> (test of its value, the rule it states), in field order;
+# -- JSON value decoders: each turns a JSON form into the value its field
+# holds where JSON cannot write that value, and passes any other value on as
+# it is, for the field's test or the value class built to refuse. Only JSON
+# forms, which no value can check, are checked here: an object where one is
+# due, a phase key's text and (in TimeoutMode.parse) a timeout mode's. A bad
+# value raises ValueError, TypeError, OverflowError or InvalidInput, which
+# scenario_from_dict reports under the field.
+
+def _whole(value):
+    """A count: an integral float (3.0) as its int."""
+    return int(value) if type(value) is float and value.is_integer() else value
+
+
+def _number(value):
+    """An int as a float; an int too large for one raises OverflowError."""
+    return float(value) if type(value) is int else value
+
+
+def _object(value: object) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{value!r} is not an object")
+    return value
+
+
+def _tuple(decode):
+    """The decoder of a JSON list into the tuple of its items, each decoded."""
+    return lambda value: tuple(map(decode, value)) if isinstance(value, list) else value
+
+
+def _value(cls, **decoders):
+    """The decoder of a JSON object into a cls, each key's value decoded by
+    its decoder, as a number by default; cls refuses an unknown or missing key."""
+    return lambda value: cls(**{key: decoders.get(key, _number)(v)
+                                for key, v in _object(value).items()})
+
+
+def _phase_bytes(value: object) -> dict[int, int]:
+    """Byte sizes keyed by phase index."""
+    return {_phase_key(k): _whole(v) for k, v in _object(value).items()}
+
+
+def _phase_key(key: str) -> int:
+    """A phase index in the decimal text scenario_to_dict writes: not "07", " 3" or "1_0"."""
+    if str(int(key)) != key:
+        raise ValueError(f"phase key {key!r} must be written {str(int(key))!r}")
+    return int(key)
+
+
+def _encode_phase_bytes(sizes: Mapping[int, int]) -> dict[str, int]:
+    return {str(index): n for index, n in sizes.items()}
+
+
+def _same(value):
+    return value
+
+
+# Scenario field -> (test of its value, the rule it states, decoder of its
+# JSON value, encoder of its value), in field order, which is the document's;
 # each test fails NaN, and fails or raises TypeError on a value of another type
 _FINITE_NON_NEGATIVE = (lambda v: is_number(v) and 0 <= v < math.inf,
-                        "must be a finite, non-negative number")
+                        "must be a finite, non-negative number", _number, _same)
 _PHASE_SIZES = (lambda sizes: sizes is None or isinstance(sizes, Mapping) and all(
     type(k) is int and 1 <= k <= PHASE_COUNT and type(n) is int and 0 <= n <= sys.float_info.max
     for k, n in sizes.items()),
-    f"must key phases 1..{PHASE_COUNT} to whole numbers from 0 to the largest float")
+    f"must key phases 1..{PHASE_COUNT} to whole numbers from 0 to the largest float",
+    _phase_bytes, _encode_phase_bytes)
 _CLOUDS = len(RESOURCE_CLOUDS)  # a scenario names one resource for each resource cloud
-_RANGES = {
-    "principals": (_is_count, "must be a whole number from 1 to the largest float"),
+_FIELDS = {
+    "principals": (_is_count, "must be a whole number from 1 to the largest float", _whole, _same),
     "sessions_per_principal": (lambda v: v == "mean2" or _is_count(v),
-                               'must be "mean2" or a whole number from 1 to the largest float'),
+                               'must be "mean2" or a whole number from 1 to the largest float',
+                               _whole, _same),
     # a value of these types checked its own ranges when it was built
-    "timeout_mode": (lambda v: isinstance(v, TimeoutMode), "must be a TimeoutMode"),
-    "connection": (lambda v: isinstance(v, ConnectionModel), "must be a ConnectionModel"),
+    "timeout_mode": (lambda v: isinstance(v, TimeoutMode), "must be a TimeoutMode",
+                     TimeoutMode.parse, TimeoutMode.encode),
+    "connection": (lambda v: isinstance(v, ConnectionModel), "must be a ConnectionModel",
+                   _value(ConnectionModel), asdict),
     "resources": (lambda v: type(v) is tuple and all(type(r) is str for r in v)
                   and len(v) == len(set(v)) == _CLOUDS,
-                  f"must be a tuple of {_CLOUDS} distinct strings, one per resource cloud"),
+                  f"must be a tuple of {_CLOUDS} distinct strings, one per resource cloud",
+                  _tuple(_same), list),
     "network_start_offset_s": _FINITE_NON_NEGATIVE,
     "app_start_offset_s": (lambda v: type(v) is tuple and len(v) == 2 and all(map(is_number, v))
                            and 0 <= v[0] <= v[1] < math.inf,
-                           "must be a tuple of two finite numbers, with 0 <= low <= high"),
+                           "must be a tuple of two finite numbers, with 0 <= low <= high",
+                           _tuple(_number), list),
     "session_spread_s": _FINITE_NON_NEGATIVE,
-    "horizon_s": (lambda v: is_number(v) and -math.inf < v < math.inf, "must be a finite number"),
+    "horizon_s": (lambda v: is_number(v) and -math.inf < v < math.inf, "must be a finite number",
+                  _number, _same),
     "sampling_interval_s": (lambda v: is_number(v) and 0 < v < math.inf,
-                            "must be a positive, finite number"),
+                            "must be a positive, finite number", _number, _same),
     # random.Random seeds with abs(seed), so a negative seed would repeat its positive's run
-    "seed": (lambda v: type(v) is int and v >= 0, "must be a whole number from 0"),
+    "seed": (lambda v: type(v) is int and v >= 0, "must be a whole number from 0", _whole, _same),
     "stalls": (lambda v: type(v) is tuple and all(isinstance(s, Stall) for s in v),
-               "must be a tuple of Stalls"),
-    "topology": (lambda v: isinstance(v, Topology), "must be a Topology"),
+               "must be a tuple of Stalls", _tuple(_value(Stall, role=Role, phase_index=_whole)),
+               lambda stalls: [{**asdict(s), "role": s.role.value} for s in stalls]),
     "phase_request_bytes": _PHASE_SIZES,
     "phase_response_bytes": _PHASE_SIZES,
+    "topology": (lambda v: isinstance(v, Topology), "must be a Topology", _value(Topology), asdict),
 }
 
 
@@ -111,12 +176,12 @@ class Scenario:
     sampling_interval_s: float = 1.0
     seed: int = DEFAULT_SEED
     stalls: tuple[Stall, ...] = ()
-    topology: Topology = Topology()
     phase_request_bytes: Mapping[int, int] | None = None
     phase_response_bytes: Mapping[int, int] | None = None
+    topology: Topology = Topology()
 
     def __post_init__(self):
-        for name, (test, rule) in _RANGES.items():
+        for name, (test, rule, *_) in _FIELDS.items():
             try:
                 valid = test(getattr(self, name))
             except TypeError:  # compared with a value of another type
@@ -167,98 +232,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(_read_json(path))
 
 
-# -- JSON value decoders: each checks its value's JSON type and shape and
-# raises ValueError, TypeError, KeyError, OverflowError or InvalidInput on a
-# bad one, which scenario_from_dict reports under the field. Ranges, and the
-# types a decoder need not convert, are checked by the values built: the
-# Scenario, TimeoutMode, Stall, ConnectionModel, Topology.
-
-def _whole(value: object) -> int:
-    """A count: a JSON number with no fractional part (3 or 3.0)."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{value!r} is not a whole number")
-    return value
-
-
-def _number(value: object) -> float:
-    """A JSON number as a float; an integer too large for one raises OverflowError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _object(value: object) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{value!r} is not an object")
-    return value
-
-
-def _tuple(value: object, decode) -> tuple:
-    """A JSON list as the tuple of its items, each decoded."""
-    if not isinstance(value, list):
-        raise ValueError(f"{value!r} is not a list")
-    return tuple(map(decode, value))
-
-
-def _stall(doc: dict) -> Stall:
-    return Stall(Role(doc["role"]), _whole(doc["phase_index"]), _number(doc["extra_delay_s"]))
-
-
-def _numbers(cls):
-    """The decoder of a JSON object of numbers, keyed by cls's fields, into a cls."""
-    def decode(value: object):
-        doc = _object(value)
-        unknown = set(doc) - {field.name for field in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown key {sorted(unknown)[0]!r}")
-        return cls(**{key: _number(v) for key, v in doc.items()})
-    return decode
-
-
-def _phase_bytes(value: object) -> dict[int, int]:
-    """Byte sizes keyed by phase index."""
-    return {_phase_key(k): _whole(v) for k, v in _object(value).items()}
-
-
-def _phase_key(key: str) -> int:
-    """A phase index in the decimal text scenario_to_dict writes: not "07", " 3" or "1_0"."""
-    if str(int(key)) != key:
-        raise ValueError(f"phase key {key!r} must be written {str(int(key))!r}")
-    return int(key)
-
-
-def _encode_phase_bytes(sizes: Mapping[int, int]) -> dict[str, int]:
-    return {str(index): n for index, n in sizes.items()}
-
-
-def _same(value):
-    return value
-
-
-# scenario document field -> (decoder of its JSON value, encoder of the
-# Scenario field), in the order scenario_to_dict writes them
-_FIELDS = {
-    "principals": (_whole, _same),
-    "sessions_per_principal": (lambda v: v if v == "mean2" else _whole(v), _same),
-    "timeout_mode": (TimeoutMode.parse, TimeoutMode.encode),
-    "connection": (_numbers(ConnectionModel), asdict),
-    "resources": (lambda v: _tuple(v, _same), list),
-    "network_start_offset_s": (_number, _same),
-    "app_start_offset_s": (lambda v: _tuple(v, _number), list),
-    "session_spread_s": (_number, _same),
-    "horizon_s": (_number, _same),
-    "sampling_interval_s": (_number, _same),
-    "seed": (_whole, _same),
-    "stalls": (lambda v: _tuple(v, _stall),
-               lambda stalls: [{**asdict(s), "role": s.role.value} for s in stalls]),
-    "phase_request_bytes": (_phase_bytes, _encode_phase_bytes),
-    "phase_response_bytes": (_phase_bytes, _encode_phase_bytes),
-    "topology": (_numbers(Topology), asdict),
-}
-
-
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
@@ -268,16 +241,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
     kwargs: dict = {}
     for name, value in doc.items():
         try:
-            kwargs[name] = _FIELDS[name][0](value)
-        except (ValueError, TypeError, KeyError, OverflowError, InvalidInput) as exc:
-            detail = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise ScenarioValidationError(name, detail) from exc
+            kwargs[name] = _FIELDS[name][2](value)
+        except (ValueError, TypeError, OverflowError, InvalidInput) as exc:
+            raise ScenarioValidationError(name, str(exc)) from exc
     return Scenario(**kwargs)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Full explicit form, including the per-phase byte assignment."""
-    return {name: encode(getattr(scenario, name)) for name, (_, encode) in _FIELDS.items()}
+    return {name: encode(getattr(scenario, name)) for name, (*_, encode) in _FIELDS.items()}
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

@@ -177,6 +177,9 @@ MALFORMED = [
     pytest.param({"stalls": [{"role": "SAC-DB", "phase_index": 5, "extra_delay_s": 100.0},
                              {"role": "SAC-DB", "phase_index": 5, "extra_delay_s": 0.0}]},
                  "stalls", id="stalls-twice"),
+    # a stall object's keys are the Stall's fields: a misspelled one is not dropped
+    pytest.param({"stalls": [{"role": "SAC-DB", "phase_index": 5, "extra_delay_s": 1.0,
+                              "extra_delay": 99}]}, "stalls", id="stalls-unknown-key"),
     # stalls are a JSON list: an object or a text is not read as no stalls
     pytest.param({"stalls": {}}, "stalls", id="stalls-object"),
     pytest.param({"stalls": ""}, "stalls", id="stalls-text"),
@@ -213,6 +216,32 @@ def test_malformed_field_named(doc, field):
     with pytest.raises(ScenarioValidationError) as err:
         scenario_from_dict(doc)
     assert err.value.field == field
+
+
+# an object field's document with a key its class does not take, or without
+# one it needs -> the field, and the key its error must name
+OBJECT_KEYS = {
+    "stall-unknown-key": ("stalls", [{"role": "SAC-DB", "phase_index": 5, "extra_delay_s": 1.0,
+                                      "extra_delay": 99}], "extra_delay"),
+    "stall-missing-key": ("stalls", [{"role": "SAC-DB", "extra_delay_s": 1.0}], "phase_index"),
+    "connection-unknown-key": ("connection", {"bogus": 1}, "bogus"),
+    "topology-unknown-key": ("topology", {"link_counts": []}, "link_counts"),
+}
+
+
+@pytest.mark.parametrize("case", OBJECT_KEYS)
+def test_object_key_refused_by_name(case):
+    field, value, key = OBJECT_KEYS[case]
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_from_dict({field: value})
+    assert err.value.field == field
+    assert repr(key) in str(err.value)
+
+
+def test_one_row_per_field_in_field_order():
+    # each Scenario field's test, rule, decoder and encoder are one row, and
+    # the rows' order, which is the document's, is the fields'
+    assert list(harness._FIELDS) == [f.name for f in dataclasses.fields(Scenario)]
 
 
 def test_bucket_limit_admits_its_own_count():
@@ -306,17 +335,26 @@ ODD_VALUES = {
 }
 
 
+# the odd values no JSON document holds
+NOT_JSON = {"int-tuple", "text-tuple", "text-valued-dict", "object"}
+
+
 @pytest.mark.parametrize("value", ODD_VALUES)
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Scenario)])
 def test_every_field_refuses_or_runs_an_odd_value(field, value):
-    # a field added with no type rule lets a raw error out of here
+    # a field added with no type rule lets a raw error out of here; a
+    # document's value passes its field's decoder to the same end
     changes = {"principals": 1, "sessions_per_principal": 1, field: ODD_VALUES[value]}
-    try:
-        scenario = Scenario(**changes)
-    except ScenarioValidationError as err:
-        assert err.field == field
-        return
-    run_experiment(scenario)
+    builds = [lambda: Scenario(**changes)]
+    if value not in NOT_JSON:
+        builds.append(lambda: scenario_from_dict(changes))
+    for build in builds:
+        try:
+            scenario = build()
+        except ScenarioValidationError as err:
+            assert err.field == field
+            continue
+        run_experiment(scenario)
 
 
 def test_discards_and_violations_reported(tmp_path):
