@@ -44,8 +44,8 @@ class UnknownTenant(CrossRealmError):
     """No tenant record with that id exists anywhere in the vault."""
 
 
-class EmptyMetadata(CrossRealmError):
-    """Tenant registration requires at least one metadata class."""
+class EmptyMetadata(InvalidInput):
+    """A signature, and so a tenant's registration, needs at least one metadata class."""
 
 
 # -- simulator --------------------------------------------------------------

@@ -39,9 +39,9 @@ import hmac
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
+from typing import Mapping, NamedTuple, Protocol, Sequence
 
-from .errors import InvalidInput, RoleMismatch
+from .errors import EmptyMetadata, InvalidInput, RoleMismatch
 
 PART_LEN = 32
 SESSION_FIELD_LEN = 16
@@ -255,12 +255,12 @@ def derive_signature(tenant_id: str, extension_metadata: Mapping[str, str]) -> D
     The serialization is canonical (metadata classes sorted by name) and
     includes the tenant id, so two tenants with identical secrets still
     sign differently. The tenant id, metadata classes and values must be
-    text; the canonical text is encoded as UTF-8 once, which gives the
-    bytes that encoding each part and joining them would.
+    text, and the metadata non-empty (else EmptyMetadata); the canonical
+    text is encoded as UTF-8 once, as each part's encoding joined would be.
     """
     _check_id("tenant", tenant_id)
     if not extension_metadata:
-        raise InvalidInput("extension_metadata must be non-empty")
+        raise EmptyMetadata("extension metadata is required to generate a signature")
     try:
         text = tenant_id + "|" + "\x1f".join(map("\x1e".join, sorted(extension_metadata.items())))
     except (TypeError, AttributeError):  # not a mapping, or a part that is not text
@@ -296,8 +296,10 @@ def _session_leaf(subdomain: KeyPart, session_id: bytes, generation: int, identi
     return KeyPart(session_id + gen + tag[:tag_len], _SESSION)
 
 
-def _mint(session_id: bytes, participants: Iterable[Participant],
+def _mint(session_id: bytes, participants: Sequence[Participant],
           vault: RealmDirectory, generation: int) -> SessionKeySet:
+    if not participants:
+        raise InvalidInput("participants must be non-empty")
     keys = {}
     for identity, cloud_id, subdomain_id in participants:
         root, subdomain = vault.realm_keys(cloud_id, subdomain_id)
@@ -316,8 +318,6 @@ def mint_session_keys(session_id: bytes, participants: Sequence[Participant],
     """
     if len(session_id) != SESSION_FIELD_LEN:
         raise InvalidInput(f"session id must be {SESSION_FIELD_LEN} bytes")
-    if not participants:
-        raise InvalidInput("participants must be non-empty")
     return _mint(session_id, participants, vault, generation=0)
 
 
@@ -328,8 +328,6 @@ def refresh_session(key_set: SessionKeySet, new_participants: Sequence[Participa
     The bump happens even when the membership is unchanged; keys of any
     earlier generation stop verifying against the returned set.
     """
-    if not new_participants:
-        raise InvalidInput("refresh requires at least one participant")
     return _mint(key_set.session_id, new_participants, vault,
                  generation=key_set.generation + 1)
 

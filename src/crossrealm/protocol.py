@@ -290,22 +290,25 @@ def advance_phase(session: SessionState) -> SessionState:
 def on_timeout(session: SessionState, phase_index: int) -> SessionState:
     """Drop a session whose per-phase timer fired with its phase still open.
 
-    The timer is armed at phase start + limit, so its firing is the expiry.
+    The timer is armed at phase start + limit, so its firing is the expiry;
+    a session past the phase, or ended, is returned itself.
     """
-    if session.status is not _IN_PROGRESS:
+    if session.status is not _IN_PROGRESS or session.current_phase >= phase_index:
         return session
     return session._replace(status=_DROPPED,
                             drop_reason=f"phase-timeout({phase_index})")
 
 
-def localized_timeout_at_f(session: SessionState) -> SessionState:
+def localized_timeout_at_f(state: RoleState, session: SessionState) -> SessionState:
     """The front-end watchdog: drop a session whose cloud-side answer is overdue.
 
     The engine arms it when F forwards the approval request (phase 4
-    complete), to fire limit seconds later, and calls this if F still
-    lacks the grant delivery of phase 12 then.
+    complete), to fire limit seconds later. It expires unless F's slot in
+    ``state`` holds the key set that phase 12's grant delivery brings (a
+    missing slot holds none); an ended session is returned itself.
     """
-    if session.status is not _IN_PROGRESS:
+    slot = state.sessions.get(session.session_id)
+    if session.status is not _IN_PROGRESS or slot is not None and slot.keyset is not None:
         return session
     return session._replace(status=_DROPPED,
                             drop_reason="localized-timeout")

@@ -564,8 +564,7 @@ class _Engine:
         def on_request(event: tuple) -> None:
             now, _, msg, at = event
             sid = msg.session_id
-            session = sessions.get(sid)
-            if session is not None and session.status is not _IN_PROGRESS:
+            if sessions[sid].status is not _IN_PROGRESS:
                 slot, outcome = None, ABSORBED  # nothing may alter a finished session
             else:
                 slot, answer, outcome = proto.handle_message(responder, msg, vault)
@@ -585,8 +584,8 @@ class _Engine:
         def on_response(event: tuple) -> None:
             now, _, msg, at = event
             sid = msg.session_id
-            session = sessions.get(sid)
-            if session is not None and session.status is not _IN_PROGRESS:
+            session = sessions[sid]
+            if session.status is not _IN_PROGRESS:
                 slot, outcome = None, ABSORBED
             else:
                 slot, _, outcome = proto.handle_message(initiator, msg, vault)
@@ -646,22 +645,16 @@ class _Engine:
         self.begin(session, now, at)
 
     def _on_phase_timer(self, event: tuple) -> None:
-        # armed at phase start + limit: a phase still open now has expired
         now, _, session_id, phase_index, at = event
         session = self.sessions[session_id]
-        still_open = session.current_phase < phase_index
         self._timer_fired(now, at, PHASES[phase_index - 1].source, phase_index, session,
-                          proto.on_timeout(session, phase_index) if still_open else session)
+                          proto.on_timeout(session, phase_index))
 
     def _on_f_watchdog(self, event: tuple) -> None:
         now, _, session_id, at = event
         session = self.sessions[session_id]
-        # an ended session has no slot left to read, and the timer is ignored;
-        # F's slot holds a key set only once phase 12 delivered the grant
-        spent = (session.status is not _IN_PROGRESS
-                 or self.roles[_F].sessions[session_id].keyset is not None)
         self._timer_fired(now, at, _F, None, session,
-                          session if spent else proto.localized_timeout_at_f(session))
+                          proto.localized_timeout_at_f(self.roles[_F], session))
 
     def _timer_fired(self, now: float, at: int, role: Role, phase_index: int | None,
                      before: SessionState, after: SessionState) -> None:

@@ -97,20 +97,18 @@ class Vault:
 
     def register_cloud(self, cloud_id: str, master_secret: bytes) -> KeyPart:
         """Create a cloud folder and derive its root key."""
-        keylib._check_id("cloud", cloud_id)  # before it is looked up
+        root = keylib.derive_root_key(cloud_id, master_secret)  # checks the id before its lookup
         if cloud_id in self.clouds:
             raise AlreadyRegistered(f"cloud {cloud_id!r} already registered")
-        root = keylib.derive_root_key(cloud_id, master_secret)
         self.clouds[cloud_id] = _CloudFolder(root_key=root)
         return root
 
     def register_subdomain(self, cloud_id: str, subdomain_id: str) -> KeyPart:
         """Create a sub-domain subfolder and derive its key from the cloud root."""
         cloud = self._cloud(cloud_id)
-        keylib._check_id("sub-domain", subdomain_id)  # before it is looked up
+        sub = keylib.derive_subdomain_key(cloud.root_key, subdomain_id)  # checks the id first
         if subdomain_id in cloud.subdomains:
             raise AlreadyRegistered(f"subdomain {subdomain_id!r} already under {cloud_id!r}")
-        sub = keylib.derive_subdomain_key(cloud.root_key, subdomain_id)
         cloud.subdomains[subdomain_id] = _SubdomainFolder(subdomain_key=sub)
         return sub
 
@@ -125,11 +123,9 @@ class Vault:
         and deliberately not stored in the vault.
         """
         cloud, folder = self._subdomain(cloud_id, subdomain_id)
+        signature = keylib.derive_signature(tenant_id, extension_metadata)  # checks both first
         self._refuse_held(tenant_id)
         _check_details(primary_details)
-        if not extension_metadata:
-            raise EmptyMetadata("extension metadata is required to generate a signature")
-        signature = keylib.derive_signature(tenant_id, extension_metadata)
         folder.tenants[tenant_id] = TenantRecord(tenant_id, cloud_id, subdomain_id,
                                                  _frozen(primary_details),
                                                  _frozen(extension_metadata), signature)
@@ -280,7 +276,6 @@ class Vault:
     def _refuse_held(self, tenant_id: str) -> None:
         """A tenant record lives under exactly one sub-domain, so an id that
         one already holds is refused."""
-        keylib._check_id("tenant", tenant_id)
         held = self._tenant(tenant_id)
         if held is not None:
             raise AlreadyRegistered(

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossrealm import keys as keylib
-from crossrealm.errors import InvalidInput, RoleMismatch, UnregisteredRealm
+from crossrealm.errors import EmptyMetadata, InvalidInput, RoleMismatch, UnregisteredRealm
 from crossrealm.keys import (
     DigitalSignature,
     HierarchicalKey,
@@ -85,6 +85,14 @@ def test_root_key_rejects_empty_inputs():
 def test_empty_inputs_are_invalid_input(build):
     with pytest.raises(InvalidInput):
         build()
+
+
+def test_the_signature_refuses_empty_metadata_as_empty_metadata():
+    # the one check of the rule, which the vault's registration reaches
+    # through it; an EmptyMetadata is still an InvalidInput
+    assert issubclass(EmptyMetadata, InvalidInput)
+    with pytest.raises(EmptyMetadata, match="extension metadata is required"):
+        derive_signature("t1", {})
 
 
 # a call given a cloud or sub-domain id that is not text -> that id

@@ -8,9 +8,10 @@ a role it is not addressed to, come from a role that did not send it, or,
 for a request, carry the record of another phase.
 A model of each session predicts every step: which message a role takes
 next, the outcome and reply of each one taken, the payload of each phase
-request, and whether a cloud opens a resource to a presented key. Any
-message the model does not expect must be discarded and leave every slot
-as it was.
+request, whether a cloud opens a resource to a presented key, and whether
+a per-phase timer or F's watchdog, fired at any step, expires a session.
+Any message the model does not expect must be discarded and leave every
+slot as it was.
 """
 
 import pytest
@@ -39,6 +40,8 @@ from crossrealm.protocol import (
     grant_access,
     handle_message,
     initial_role_states,
+    localized_timeout_at_f,
+    on_timeout,
 )
 
 # one read-only vault for every run: three tenants of CloudC/analysts
@@ -56,6 +59,9 @@ CLOUDS = tuple(ASKS.values())
 RESOURCES = tuple(f"R{k}" for k in range(1, len(CLOUDS) + 1))
 HOSTED = dict(zip(CLOUDS, RESOURCES))  # cloud -> the resource it hosts
 FOREIGN = "R-elsewhere"  # a resource no cloud hosts
+# the phase whose request brings F the session's key set, which ends F's watchdog
+KEYSET_TO_F = next(spec.index for spec in PHASES
+                   if spec.destination is Role.F and "keyset" in spec.carries)
 
 # what a request's responder decides on an expected request, by phase
 _DECIDED = {5: "valid", 6: "valid", **dict.fromkeys(ASKS, "granted")}
@@ -294,6 +300,27 @@ class ProtocolMachine(RuleBasedStateMachine):
                 for resource in (*RESOURCES, FOREIGN):
                     expected = presenter is Role.SAC_SH and resource == HOSTED[cloud] and holds
                     assert grant_access(self.roles[cloud], presenter, key, resource) is expected
+
+    @rule(pick=st.integers(min_value=0),
+          index=st.integers(min_value=1, max_value=proto.PHASE_COUNT))
+    def fire_timers(self, pick, index):
+        """Phase ``index``'s timer and F's watchdog fire for a session now, as
+        probes: each transition decides expiry itself, and is pure, so the
+        model is left as it is. A session in progress expires unless it
+        completed the phase, or F took the request that brings the key set."""
+        track = self._pick(list(self.tracks.values()), pick)
+        session = track.session
+        in_progress = session.status is SessionStatus.IN_PROGRESS
+        for after, expires, reason in (
+                (on_timeout(session, index), index not in track.completed,
+                 f"phase-timeout({index})"),
+                (localized_timeout_at_f(self.roles[Role.F], session),
+                 (KEYSET_TO_F, MessageKind.REQUEST) not in track.accepted, "localized-timeout")):
+            if in_progress and expires:
+                assert after == session._replace(status=SessionStatus.DROPPED,
+                                                 drop_reason=reason), (after, reason)
+            else:
+                assert after is session, (after, reason)
 
     # -- invariants ------------------------------------------------------------
 

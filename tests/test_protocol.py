@@ -507,7 +507,7 @@ def test_no_transition_after_drop():
     # every transition leaves a finished session as it is
     assert advance_phase(dropped) is dropped
     assert on_timeout(dropped, 2) is dropped
-    assert localized_timeout_at_f(dropped) is dropped
+    assert localized_timeout_at_f(initial_role_states()[Role.F], dropped) is dropped
 
 
 # -- timeouts ----------------------------------------------------------------------
@@ -525,9 +525,39 @@ def test_localized_timeout_boundaries():
     # the drop lands on that boundary
     _, requester = registry()
     session = fresh_session(requester)
-    dropped = localized_timeout_at_f(session)
+    dropped = localized_timeout_at_f(initial_role_states()[Role.F], session)
     assert dropped.status is SessionStatus.DROPPED
     assert str(dropped.drop_reason) == "localized-timeout"
+
+
+@pytest.mark.parametrize("k", [1, 5, 12])
+def test_on_timeout_leaves_a_session_past_the_phase(k):
+    # the transition decides expiry itself, whoever fires it: a timer of a
+    # phase the session has completed is ignored
+    _, requester = registry()
+    session = fresh_session(requester)
+    for _ in range(k):
+        session = advance_phase(session)
+    assert on_timeout(session, k) is session
+    assert on_timeout(session, k + 1).drop_reason == f"phase-timeout({k + 1})"
+
+
+def test_the_watchdog_reads_fs_slot_for_the_key_set():
+    # F holds the key set once phase 12's grant delivery arrived: the
+    # watchdog is then ignored; a slot without one, or no slot, expires it
+    vault, requester = registry()
+    driver = Driver(vault, requester)
+    for k in range(1, 13):
+        driver.run_phase(k)
+    f_state, session = driver.roles[Role.F], driver.session
+    assert f_state.sessions[session.session_id].keyset is not None
+    assert localized_timeout_at_f(f_state, session) is session
+    keyless = RoleState(Role.F, sessions={
+        session.session_id: f_state.sessions[session.session_id]._replace(keyset=None)})
+    for state in (keyless, RoleState(Role.F)):
+        dropped = localized_timeout_at_f(state, session)
+        assert (dropped.status, dropped.drop_reason) == (SessionStatus.DROPPED,
+                                                         "localized-timeout")
 
 
 # -- gatekeeping at the clouds ------------------------------------------------------
