@@ -25,7 +25,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from contextlib import suppress
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import accumulate, compress, islice
 from pathlib import Path
 from types import MappingProxyType
@@ -85,9 +85,18 @@ def _tuple(decode):
 
 def _value(cls, **decoders):
     """The decoder of a JSON object into a cls, each key's value decoded by
-    its decoder, as a number by default; cls refuses an unknown or missing key."""
-    return lambda value: cls(**{key: decoders.get(key, _number)(v)
-                                for key, v in _object(value).items()})
+    its decoder, as a number by default; a key that is no field of cls, or
+    one left out that has no default, is refused by name."""
+    # each field -> whether a document must give it: it has no default
+    needed = {f.name: f.default is f.default_factory is MISSING for f in fields(cls)}
+
+    def decode(value):
+        refused = [f"unknown key {key!r}" for key in _object(value) if key not in needed] + [
+            f"missing key {key!r}" for key, need in needed.items() if need and key not in value]
+        if refused:
+            raise ValueError(refused[0])
+        return cls(**{key: decoders.get(key, _number)(v) for key, v in value.items()})
+    return decode
 
 
 def _phase_bytes(value: object) -> dict[int, int]:
@@ -127,18 +136,19 @@ _FIELDS = {
                                'must be "mean2" or a whole number from 1 to the largest float',
                                _whole, _same),
     # a value of these types checked its own ranges when it was built
-    "timeout_mode": (lambda v: isinstance(v, TimeoutMode), "must be a TimeoutMode",
+    "timeout_mode": (lambda v: isinstance(v, TimeoutMode),
+                     'must be "none", "per-phase:<seconds>" or "localized-f:<seconds>"',
                      TimeoutMode.parse, TimeoutMode.encode),
-    "connection": (lambda v: isinstance(v, ConnectionModel), "must be a ConnectionModel",
+    "connection": (lambda v: isinstance(v, ConnectionModel), "must be a connection object",
                    _value(ConnectionModel), asdict),
     "resources": (lambda v: type(v) is tuple and all(type(r) is str for r in v)
                   and len(v) == len(set(v)) == _CLOUDS,
-                  f"must be a tuple of {_CLOUDS} distinct strings, one per resource cloud",
+                  f"must be a list of {_CLOUDS} distinct strings, one per resource cloud",
                   _tuple(_same), list),
     "network_start_offset_s": _FINITE_NON_NEGATIVE,
     "app_start_offset_s": (lambda v: type(v) is tuple and len(v) == 2 and all(map(is_number, v))
                            and 0 <= v[0] <= v[1] < math.inf,
-                           "must be a tuple of two finite numbers, with 0 <= low <= high",
+                           "must be a list of two finite numbers, with 0 <= low <= high",
                            _tuple(_number), list),
     "session_spread_s": _FINITE_NON_NEGATIVE,
     "horizon_s": (lambda v: is_number(v) and -math.inf < v < math.inf, "must be a finite number",
@@ -148,11 +158,13 @@ _FIELDS = {
     # random.Random seeds with abs(seed), so a negative seed would repeat its positive's run
     "seed": (lambda v: type(v) is int and v >= 0, "must be a whole number from 0", _whole, _same),
     "stalls": (lambda v: type(v) is tuple and all(isinstance(s, Stall) for s in v),
-               "must be a tuple of Stalls", _tuple(_value(Stall, role=Role, phase_index=_whole)),
+               "must be a list of stall objects",
+               _tuple(_value(Stall, role=Role, phase_index=_whole)),
                lambda stalls: [{**asdict(s), "role": s.role.value} for s in stalls]),
     "phase_request_bytes": _PHASE_SIZES,
     "phase_response_bytes": _PHASE_SIZES,
-    "topology": (lambda v: isinstance(v, Topology), "must be a Topology", _value(Topology), asdict),
+    "topology": (lambda v: isinstance(v, Topology), "must be a topology object", _value(Topology),
+                 asdict),
 }
 
 

@@ -139,6 +139,14 @@ class PhaseSpec:
     first_contact: bool  # whether the request is the first its destination hears of a session
     due: tuple[int, MessageKind]  # what the source expects once the request is sent
     then: tuple[int, MessageKind] | None  # what the source expects once the response arrives
+    due_values: tuple  # (due,), the new values of the expectation setter
+    then_values: tuple  # (then,)
+    awaited: tuple[int, MessageKind]  # what the destination expects of the request
+    width: int  # the record's count of fields, of which the first ``carry_count`` are carried
+    carry_count: int
+    asks_cloud: bool  # whether the destination is a resource cloud
+    cloud_reports: bool  # whether the source is one
+    verifies: bool  # whether both ends report whether the verification found anyone
 
 
 # The resource clouds, in the order the session handler asks them for access:
@@ -217,9 +225,17 @@ def _positions(cls, names) -> tuple[int, ...]:
 def _setter(cls, *names):
     """``set(value, new_values)``: a copy of a ``cls`` value whose named fields
     hold ``new_values``, in order, built by position; it equals
-    ``value._replace(**dict(zip(names, new_values)))``. An unknown name
+    ``value._replace(**dict(zip(names, new_values)))``. Fields that are a
+    run at the start or the end, in order, are spliced to one slice of the
+    old values; others are picked from the old values and the new (a slice
+    on each side of a run in the middle costs as much). An unknown name
     raises ValueError here, when the setter is made."""
-    at = _positions(cls, names)
+    at, run = _positions(cls, names), len(names)
+    if at == tuple(range(run)):  # a run at the start: the other fields follow it
+        return lambda value, new_values: _new(cls, new_values + value[run:])
+    start = len(cls._fields) - run
+    if at == tuple(range(start, start + run)):  # a run at the end: the others lead it
+        return lambda value, new_values: _new(cls, value[:start] + new_values)
     # picks each field of the copy from the old values followed by the new ones
     picks = itemgetter(*(len(cls._fields) + at.index(i) if i in at else i
                          for i in range(len(cls._fields))))
@@ -270,6 +286,9 @@ class SessionState(NamedTuple):
 
 _set_phase = _setter(SessionState, "current_phase")
 _set_phase_and_status = _setter(SessionState, "current_phase", "status")
+# the engine's copies of a session: (session, (status, why)), (session, (end time,))
+set_dropped = _setter(SessionState, "status", "drop_reason")
+set_ended = _setter(SessionState, "ended_at")
 
 
 def advance_phase(session: SessionState) -> SessionState:
@@ -295,8 +314,7 @@ def on_timeout(session: SessionState, phase_index: int) -> SessionState:
     """
     if session.status is not _IN_PROGRESS or session.current_phase >= phase_index:
         return session
-    return session._replace(status=_DROPPED,
-                            drop_reason=f"phase-timeout({phase_index})")
+    return set_dropped(session, (_DROPPED, f"phase-timeout({phase_index})"))
 
 
 def localized_timeout_at_f(state: RoleState, session: SessionState) -> SessionState:
@@ -310,8 +328,7 @@ def localized_timeout_at_f(state: RoleState, session: SessionState) -> SessionSt
     slot = state.sessions.get(session.session_id)
     if session.status is not _IN_PROGRESS or slot is not None and slot.keyset is not None:
         return session
-    return session._replace(status=_DROPPED,
-                            drop_reason="localized-timeout")
+    return set_dropped(session, (_DROPPED, "localized-timeout"))
 
 
 # -- role state ---------------------------------------------------------------
@@ -351,22 +368,24 @@ def _phase(index: int, name: str, source: Role, destination: Role, request_bytes
     a cloud trade access: the cloud asked decides its grant, and the
     handler collects it. SAC-DB decides the participants at phase 5, and
     both ends of the verification report whether it found anyone."""
-    asked = destination in _CLOUD_AT
-    grant = asked or source in _CLOUD_AT
-    decides = ("participants",) if index == 5 else ("grants",) if grant else ()
+    asked, reports, verifies = destination in _CLOUD_AT, source in _CLOUD_AT, index in (5, 6)
+    decides = ("participants",) if index == 5 else ("grants",) if asked or reports else ()
+    fields = carries + (("resource",) if asked or reports else ())
     following = _next_request(source, index)
+    due, then = (index, _RESPONSE), None if following is None else (following, _REQUEST)
     return PhaseSpec(
         index, name, source, destination, request_bytes, ACK_BYTES, carries,
-        record=namedtuple(f"Phase{index}Request", carries + (("resource",) if grant else ())),
+        record=namedtuple(f"Phase{index}Request", fields),
         pick=_getter(_positions(SessionSlot, carries)),
         store=_setter(SessionSlot, "expect", *carries, *decides),
         read_types=((str, KeyPart, KeyPart) if index == 5
                     else (SessionKeySet, HierarchicalKey, str) if asked else None),
-        outcomes=(("valid", "invalid") if index in (5, 6)
+        outcomes=(("valid", "invalid") if verifies
                   else ("granted", "refused") if asked else ("ok",)),
         first_contact=_next_request(destination, 0) == index,
-        due=(index, _RESPONSE),
-        then=None if following is None else (following, _REQUEST))
+        due=due, then=then, due_values=(due,), then_values=(then,), awaited=(index, _REQUEST),
+        width=len(fields), carry_count=len(carries), asks_cloud=asked, cloud_reports=reports,
+        verifies=verifies)
 
 
 # The ordered 13-phase table: phase k is PHASES[k - 1]. A run's byte-size
@@ -378,6 +397,8 @@ _EMPTY_SLOT = SessionSlot()
 
 _set_expect = _setter(SessionSlot, "expect")
 _set_expect_and_keys = _setter(SessionSlot, "expect", "keyset", "requester_key")
+_set_opened = _setter(SessionSlot, "expect", "requester", "resources", "idr", "ids")
+_TENANT = itemgetter(0)  # a participant's tenant
 
 
 @dataclass(frozen=True)
@@ -421,12 +442,14 @@ class BeginResult(NamedTuple):
 
 
 def grant_access(cloud_state: RoleState, presenter: Role, idsess_key: HierarchicalKey,
-                 resource: str) -> bool:
+                 resource: str, sessions: dict[bytes, SessionSlot] | None = None) -> bool:
     """Whether a cloud opens a resource to a presented session key.
 
     Access is granted only to the session handler, only for a resource
     hosted on this cloud, and only for a key belonging to the current
-    generation of the session's approved key set.
+    generation of the session's approved key set, as the cloud's slot
+    table holds it, or ``sessions`` in its place: a cloud deciding on a
+    request passes the slot the request would store, keyed by its session.
     """
     if presenter is not _SAC_SH:
         return False
@@ -436,7 +459,7 @@ def grant_access(cloud_state: RoleState, presenter: Role, idsess_key: Hierarchic
         session_id = idsess_key.session_field()
     except RoleMismatch:
         return False
-    slot = cloud_state.sessions.get(session_id)
+    slot = (cloud_state.sessions if sessions is None else sessions).get(session_id)
     if slot is None or slot.keyset is None:
         return False
     return keylib.verify_session_key(idsess_key, slot.keyset)
@@ -464,29 +487,21 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> Hand
     if type(index) is not int or not 0 < index <= PHASE_COUNT:  # a bool is not an int here
         return _discard("unknown-phase")
     spec = PHASES[index - 1]
-    if msg.kind is _REQUEST:
-        return _handle_request(state, spec, msg, vault)
-    if msg.source is not spec.destination:  # only the responder answers
-        return _discard("wrong-source")
-    slot = state.sessions.get(msg.session_id)
-    if slot is None:
-        return _discard("unknown-session")
-    if slot.expect != spec.due:  # the response to the phase it began
-        return _discard("out-of-order")
-    return _new(HandleResult, (_set_expect(slot, (spec.then,)), None, "phase-complete"))
+    sid = msg.session_id
+    slot = state.sessions.get(sid)
+    if msg.kind is not _REQUEST:
+        if msg.source is not spec.destination:  # only the responder answers
+            return _discard("wrong-source")
+        if slot is None:
+            return _discard("unknown-session")
+        if slot.expect != spec.due:  # the response to the phase it began
+            return _discard("out-of-order")
+        return _new(HandleResult, (_set_expect(slot, spec.then_values), None, "phase-complete"))
 
-
-def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
-                    vault: Vault) -> HandleResult:
     if msg.source is not spec.source:
         # The authority only entertains approval traffic forwarded by the
         # front-end; elsewhere a wrong source is a plain routing violation.
-        if state.role is _SAC:
-            return _discard("not-via-front-end")
-        return _discard("wrong-source")
-
-    index = spec.index
-    slot = state.sessions.get(msg.session_id)
+        return _discard("not-via-front-end" if state.role is _SAC else "wrong-source")
     # a request readdressed to another role is no first contact there
     first_contact = spec.first_contact and state.role is spec.destination
     if slot is None:
@@ -495,16 +510,16 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         slot = _EMPTY_SLOT
     elif first_contact:
         return _discard("duplicate-session")
-    elif slot.expect != (index, _REQUEST):
+    elif slot.expect != spec.awaited:
         return _discard("out-of-order")
 
-    record, read_types, store = spec.record, spec.read_types, spec.store
+    read_types, store = spec.read_types, spec.store
     payload = msg.payload_fields
-    if (type(payload) is not record or len(payload) != len(record._fields)
+    if (type(payload) is not spec.record or len(payload) != spec.width
             or (read_types is not None and tuple(map(type, payload)) != read_types)):
         return _discard("malformed-payload")
     # the responder then waits for its next begin_phase, so it expects nothing
-    carried = (None,) + payload[:len(spec.carries)]
+    carried = (None,) + payload[:spec.carry_count]
     outcome = "ok"
 
     if index == 5:  # credential db verifies the pair and the requester's place in it
@@ -512,24 +527,23 @@ def _handle_request(state: RoleState, spec: PhaseSpec, msg: ProtocolMessage,
         valid = vault.verify_membership(idr, ids)
         member = vault.find_member(payload.requester, idr, ids) if valid else None
         participants = ((member.tenant_id, member.cloud_id, member.subdomain_id),) if member else ()
-        slot = store(slot, (*carried, participants))
-    elif spec.destination in _CLOUD_AT:  # a cloud decides on access
-        # decided on a one-entry view holding the slot with what the request carries
-        view = RoleState(state.role, state.hosted_resources,
-                         {msg.session_id: store(slot, (*carried, slot.grants))})
+        slot = store(slot, carried + (participants,))
+    elif spec.asks_cloud:  # a cloud decides on access, on the slot it stores if it grants
         resource = payload.resource
-        granted = grant_access(view, msg.source, payload.requester_key, resource)
-        slot = store(slot, (*carried, slot.grants + ((resource,) if granted else ())))
-        outcome = "granted" if granted else "refused"
-    elif spec.source in _CLOUD_AT:  # session handler collects a grant
-        slot = store(slot, (*carried, slot.grants + (payload.resource,)))
+        granting = store(slot, carried + (slot.grants + (resource,),))
+        if grant_access(state, msg.source, payload.requester_key, resource, {sid: granting}):
+            slot, outcome = granting, "granted"
+        else:
+            slot, outcome = store(slot, carried + (slot.grants,)), "refused"
+    elif spec.cloud_reports:  # session handler collects a grant
+        slot = store(slot, carried + (slot.grants + (payload.resource,),))
     else:
         slot = store(slot, carried)
-    if index in (5, 6):  # both ends of the verification report whether it found anyone
+    if spec.verifies:  # both ends of the verification report whether it found anyone
         outcome = "valid" if slot.participants else "invalid"
 
-    reply = _new(ProtocolMessage, (msg.session_id, index, _RESPONSE, spec.destination,
-                                   spec.source, _NO_PAYLOAD))
+    reply = _new(ProtocolMessage, (sid, index, _RESPONSE, spec.destination, spec.source,
+                                   _NO_PAYLOAD))
     return _new(HandleResult, (slot, reply, outcome))
 
 
@@ -551,22 +565,22 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
     resource = None
 
     if index == 1:  # A opens the session for its requester
-        slot = SessionSlot(expect=spec.due, requester=session.requester.tenant_id,
-                           resources=session.resources,
-                           idr=session.requester.idr, ids=session.requester.ids)
+        requester = session.requester
+        slot = _set_opened(_EMPTY_SLOT, (spec.due, requester.tenant_id, session.resources,
+                                         requester.idr, requester.ids))
     elif index == 7:  # the authority mints for the participants, if its requester is one
-        if not any(tenant == slot.requester for tenant, _, _ in slot.participants):
+        if slot.requester not in map(_TENANT, slot.participants):
             return _new(BeginResult, (None, None, "invalid-credentials"))
         minted = keylib.mint_session_keys(sid, slot.participants, vault)
         slot = _set_expect_and_keys(slot, (spec.due, minted, minted.keys[slot.requester]))
     else:
-        if spec.destination in _CLOUD_AT:  # the handler asks each cloud for the resource it hosts
+        if spec.asks_cloud:  # the handler asks each cloud for the resource it hosts
             resource = slot.resources[_CLOUD_AT[spec.destination]]
-        elif spec.source in _CLOUD_AT:  # a cloud reports the one resource it hosts
+        elif spec.cloud_reports:  # a cloud reports the one resource it hosts
             if not slot.grants:  # no grant to deliver
                 return _new(BeginResult, (None, None, "access-refused"))
             resource = next(iter(state.hosted_resources))
-        slot = _set_expect(slot, (spec.due,))
+        slot = _set_expect(slot, spec.due_values)
 
     values = spec.pick(slot) if resource is None else (*spec.pick(slot), resource)
     request = _new(ProtocolMessage, (sid, index, _REQUEST, spec.source, spec.destination,

@@ -48,6 +48,8 @@ from .protocol import (
     Role,
     SessionState,
     SessionStatus,
+    set_dropped,
+    set_ended,
 )
 from .vault import Vault
 
@@ -58,6 +60,7 @@ if TYPE_CHECKING:  # the scenario type lives with the harness
 _F = Role.F
 _IN_PROGRESS, _COMPLETED, _DROPPED = (SessionStatus.IN_PROGRESS, SessionStatus.COMPLETED,
                                       SessionStatus.DROPPED)
+_new = tuple.__new__  # builds a NamedTuple from all its values (see protocol._new)
 
 
 # -- topology -----------------------------------------------------------------
@@ -495,7 +498,7 @@ class _Engine:
         self.begin = begin
         app_starts, session_starts = [], []
         lo, hi = sc.app_start_offset_s
-        for p in range(sc.principals):
+        for requester in self.requesters.values():  # one per principal, in order
             profile_start = sc.network_start_offset_s + self.rng.uniform(lo, hi)
             app_starts.append((profile_start, next(seq)))
             count = sc.sessions_per_principal
@@ -505,7 +508,7 @@ class _Engine:
                 start = profile_start + self.rng.uniform(0.0, sc.session_spread_s)
                 sid = self.rng.getrandbits(128).to_bytes(16, "big")
                 at = self.events.add_session(sid.hex())
-                session_starts.append((start, next(seq), sid, p, at))
+                session_starts.append((start, next(seq), sid, requester, at))
         for drawn, handler in ((app_starts, self._on_app_start),
                                (session_starts, self._on_session_start)):
             queue = deque()
@@ -549,7 +552,7 @@ class _Engine:
         def begin(session: SessionState, now: float, at: int) -> None:
             slot, request, drop_reason = proto.begin_phase(initiator, spec, session, vault)
             if drop_reason is not None:
-                end(session._replace(status=_DROPPED, drop_reason=drop_reason), now, at)
+                end(set_dropped(session, (_DROPPED, drop_reason)), now, at)
                 return
             sid = session.session_id
             initiator_slots[sid] = slot
@@ -633,13 +636,10 @@ class _Engine:
         self.log_row("app-start", event[0], "A")
 
     def _on_session_start(self, event: tuple) -> None:
-        now, _, session_id, principal, at = event
-        session = SessionState(
-            session_id=session_id,
-            requester=self.requesters[f"user-{principal:04d}"],
-            resources=self.scenario.resources,
-            started_at=now,
-        )
+        now, _, session_id, requester, at = event
+        # built by position: the fields in order, each default spelled out
+        session = _new(SessionState, (session_id, requester, self.scenario.resources, 0,
+                                      _IN_PROGRESS, None, now, None))
         self.sessions[session_id] = session
         self.log_row("session-start", now, "A", at)
         self.begin(session, now, at)
@@ -670,7 +670,7 @@ class _Engine:
     def _end(self, session: SessionState, now: float, at: int, source: str = "") -> None:
         """Stamp a finished session's end, store it, let go of its slot at
         every role and log its one end record."""
-        session = session._replace(ended_at=now)
+        session = set_ended(session, (now,))
         sid = session.session_id
         self.sessions[sid] = session
         for table in self.slot_tables:

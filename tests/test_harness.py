@@ -9,6 +9,7 @@ import json
 import marshal
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -235,7 +236,8 @@ def test_object_key_refused_by_name(case):
     with pytest.raises(ScenarioValidationError) as err:
         scenario_from_dict({field: value})
     assert err.value.field == field
-    assert repr(key) in str(err.value)
+    refused = "missing" if case.endswith("missing-key") else "unknown"
+    assert str(err.value) == f"{field}: {refused} key {key!r}"
 
 
 def test_one_row_per_field_in_field_order():
@@ -406,6 +408,35 @@ def test_a_negative_seed_is_refused(tmp_path, capsys):
         replace(SMALL, seed=-7)
     assert err.value.field == "seed"
     assert replace(SMALL, seed=0).seed == 0
+
+
+# a document whose field is wrong -> the error validate prints, in the
+# document's terms: a list, an object, a key
+DOCUMENT_ERRORS = {
+    "stall-unknown-key": ({"stalls": [{"role": "SAC-DB", "phase_index": 5, "extra_delay_s": 1.0,
+                                       "extra_delay": 99}]},
+                          "stalls: unknown key 'extra_delay'"),
+    "resources-text": ({"resources": "ab"},
+                       "resources: must be a list of 2 distinct strings, one per resource cloud"),
+    "stalls-object": ({"stalls": {}}, "stalls: must be a list of stall objects"),
+    "app_start_offset_s-one": ({"app_start_offset_s": [5]}, "app_start_offset_s: must be a list "
+                               "of two finite numbers, with 0 <= low <= high"),
+}
+
+
+@pytest.mark.parametrize("case", DOCUMENT_ERRORS)
+def test_cli_speaks_a_documents_terms(tmp_path, capsys, case):
+    doc, message = DOCUMENT_ERRORS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_no_field_rule_names_a_python_type():
+    for name, (_, rule, *_) in harness._FIELDS.items():
+        assert not re.search(r"\b(tuple|dict|Stall|TimeoutMode|ConnectionModel|Topology)", rule), (
+            name, rule)
 
 
 def test_cli_names_malformed_field(tmp_path, capsys):

@@ -599,6 +599,50 @@ def test_grant_access_unknown_session_refused():
     assert not grant_access(cloud, Role.SAC_SH, key, "R1")
 
 
+def _grant_request(index):
+    """A session run up to grant phase ``index``'s begin: its vault, the
+    cloud's state and the honest request SAC-SH sends."""
+    vault, requester = registry()
+    driver = Driver(vault, requester)
+    for k in range(1, index):
+        driver.run_phase(k)
+    spec = PHASES[index - 1]
+    begun = begin_phase(driver.roles[Role.SAC_SH], spec, driver.session, vault)
+    return vault, driver.roles[spec.destination], begun.outgoing
+
+
+def _presented(case, request, vault):
+    """The request of a grant phase with the key set and key of one case."""
+    keyset, key, resource = request.payload_fields
+    if case == "stale-generation":  # the request carries the refreshed set, the key is older
+        keyset = keylib.refresh_session(keyset, [("u1", "CloudC", "analysts")], vault)
+    elif case == "another-session":
+        key = keylib.mint_session_keys(b"\x20" * 16, [("u1", "CloudC", "analysts")],
+                                       vault).keys["u1"]
+    elif case == "private-leaf":  # its leaf names no session
+        key = key._replace(leaf=key.leaf._replace(role=keylib.KeyRole.PRIVATE))
+    return request._replace(payload_fields=type(request.payload_fields)(keyset, key, resource))
+
+
+@pytest.mark.parametrize("index", [8, 10])
+@pytest.mark.parametrize("case", ["granted", "stale-generation", "another-session",
+                                  "private-leaf"])
+def test_a_clouds_grant_is_grant_access_on_the_slot_it_stores(index, case):
+    # the cloud's outcome is grant_access's answer for a state that holds the
+    # slot the request stores, so the access rule has one home
+    vault, cloud, request = _grant_request(index)
+    msg = _presented(case, request, vault)
+    result = handle_message(cloud, msg, vault)
+    _, key, resource = msg.payload_fields
+    holding = replace(cloud, sessions={msg.session_id: result.slot})
+    granted = grant_access(holding, Role.SAC_SH, key, resource)
+    assert granted is (case == "granted")
+    assert result.outcome == ("granted" if granted else "refused")
+    assert result.slot.grants == ((resource,) if granted else ())
+    assert result.slot.keyset is msg.payload_fields.keyset
+    assert cloud.sessions.get(msg.session_id) is None  # the transition stored nothing
+
+
 def test_refused_grant_drops_the_session():
     # a cloud that refuses records no grant, so it has nothing to deliver
     # and the session ends as refused
@@ -654,6 +698,21 @@ def test_each_phase_row_is_compiled_from_the_table():
         assert spec.due == (spec.index, MessageKind.RESPONSE)
 
 
+def test_each_phase_fact_is_what_its_row_implies():
+    clouds = {cloud for cloud, _, _ in proto.RESOURCE_CLOUDS}
+    for spec in PHASES:
+        assert spec.awaited == (spec.index, MessageKind.REQUEST)
+        assert (spec.due_values, spec.then_values) == ((spec.due,), (spec.then,))
+        assert spec.width == len(spec.record._fields)
+        assert spec.carry_count == len(spec.carries)
+        assert spec.asks_cloud is (spec.destination in clouds)
+        assert spec.cloud_reports is (spec.source in clouds)
+        assert spec.verifies is (spec.outcomes == ("valid", "invalid"))
+    assert [spec.index for spec in PHASES if spec.asks_cloud] == [8, 10]
+    assert [spec.index for spec in PHASES if spec.cloud_reports] == [9, 11]
+    assert [spec.index for spec in PHASES if spec.verifies] == [5, 6]
+
+
 _ANY = st.none() | st.integers() | st.text(max_size=3) | st.tuples(st.integers())
 
 
@@ -665,12 +724,76 @@ def _updates(draw, cls):
     return value, names, draw(st.lists(_ANY, min_size=len(names), max_size=len(names)))
 
 
-@given(st.sampled_from([SessionSlot, SessionState]).flatmap(_updates))
+# every setter protocol makes -> (its class, the fields it sets): the module's
+# own, then each phase's store
+_MADE = {
+    proto._set_phase: (SessionState, ("current_phase",)),
+    proto._set_phase_and_status: (SessionState, ("current_phase", "status")),
+    proto.set_dropped: (SessionState, ("status", "drop_reason")),
+    proto.set_ended: (SessionState, ("ended_at",)),
+    proto._set_expect: (SessionSlot, ("expect",)),
+    proto._set_expect_and_keys: (SessionSlot, ("expect", "keyset", "requester_key")),
+    proto._set_opened: (SessionSlot, ("expect", "requester", "resources", "idr", "ids")),
+    **{spec.store: (SessionSlot, ("expect", *spec.carries, *_DECIDES.get(spec.index, ())))
+       for spec in PHASES},
+}
+
+
+def test_every_setter_protocol_makes_is_listed():
+    made = {value for value in vars(proto).values()
+            if isinstance(value, types.FunctionType) and value.__name__ == "<lambda>"}
+    assert made | {spec.store for spec in PHASES} == set(_MADE)
+
+
+@st.composite
+def _made_updates(draw):
+    """(setter, value, changed field names, new values) for a setter protocol made."""
+    setter = draw(st.sampled_from(list(_MADE)))
+    cls, names = _MADE[setter]
+    value = cls(*draw(st.lists(_ANY, min_size=len(cls._fields), max_size=len(cls._fields))))
+    return setter, value, names, draw(st.lists(_ANY, min_size=len(names), max_size=len(names)))
+
+
+@given(st.sampled_from([SessionSlot, SessionState]).flatmap(_updates)
+       .map(lambda update: (proto._setter(type(update[0]), *update[1]), *update))
+       | _made_updates())
 def test_positional_setter_equals_replace(update):
-    value, names, new_values = update
-    updated = proto._setter(type(value), *names)(value, tuple(new_values))
+    # a setter made for any fields, in any order, and every setter protocol
+    # itself makes, each phase's store too
+    setter, value, names, new_values = update
+    updated = setter(value, tuple(new_values))
     expected = value._replace(**dict(zip(names, new_values)))
     assert updated == expected and type(updated) is type(expected)
+
+
+# fields -> whether the setter splices them to a slice of the old values (a
+# run at the start or the end, in order) or picks the copy's values from the
+# old and the new
+_FORMS = {
+    ("expect",): "splice",
+    ("expect", "requester", "resources"): "splice",  # a run at the start
+    ("keyset", "requester_key", "grants"): "splice",  # at the end
+    ("grants",): "splice",
+    SessionSlot._fields: "splice",
+    (): "splice",
+    ("idr", "ids", "participants"): "pick",  # a run in the middle
+    ("requester",): "pick",
+    ("requester", "expect"): "pick",  # at the start, but out of order
+    ("grants", "requester_key"): "pick",  # at the end, but out of order
+    ("expect", "grants"): "pick",  # both ends
+    ("requester", "idr", "keyset"): "pick",
+}
+
+
+@pytest.mark.parametrize("names", _FORMS, ids=lambda names: "-".join(names) or "none")
+def test_each_setter_form_equals_replace(names):
+    slot = SessionSlot(*(f"old {name}" for name in SessionSlot._fields))
+    new_values = tuple(f"new {name}" for name in names)
+    setter = proto._setter(SessionSlot, *names)
+    assert ("picks" in setter.__code__.co_freevars) is (_FORMS[names] == "pick")
+    updated = setter(slot, new_values)
+    assert updated == slot._replace(**dict(zip(names, new_values)))
+    assert type(updated) is SessionSlot
 
 
 @given(st.sampled_from([SessionSlot, SessionState]).flatmap(_updates))
@@ -883,7 +1006,7 @@ _ENUM_CLASSES = {"Role", "MessageKind", "SessionStatus", "KeyRole"}
 _PER_MESSAGE = [
     *(method for name, method in vars(simnet._Engine).items()
       if isinstance(method, types.FunctionType) and name != "__init__"),
-    handle_message, proto._handle_request, proto._discard, begin_phase, advance_phase,
+    handle_message, proto._discard, begin_phase, advance_phase,
     on_timeout, localized_timeout_at_f, grant_access,
     keylib.KeyPart.__new__, keylib.HierarchicalKey.__new__, keylib.SessionKeySet.__new__,
     keylib.HierarchicalKey.session_field, keylib._prf, keylib._session_leaf, keylib._mint,

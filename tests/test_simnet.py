@@ -873,6 +873,26 @@ def test_handlers_run_in_time_and_sequence_order(principals, ties, mode, stalls,
                                      for k, delay in stalls.items())))
 
 
+def test_each_session_starts_as_its_keyword_form_and_carries_its_requester():
+    # a session start carries its principal's Requester, and the session it
+    # makes, built by position, equals the keyword form with the defaults
+    scenario = replace(SMALL, principals=3, sessions_per_principal=2)
+    engine = simnet._Engine(scenario)
+    engine.setup()
+    started = []
+    engine.begin = lambda session, now, at: started.append((session, now))
+    engine.loop()  # app and session starts only: no phase begins
+    assert len(started) == 6 and list(engine.sessions.values()) == [s for s, _ in started]
+    for session, now in started:
+        assert type(session) is SessionState
+        assert session == SessionState(session_id=session.session_id, requester=session.requester,
+                                       resources=scenario.resources, started_at=now)
+    assert Counter(session.requester.tenant_id for session, _ in started) == {
+        tenant: 2 for tenant in engine.requesters}
+    assert all(session.requester is engine.requesters[session.requester.tenant_id]
+               for session, _ in started)
+
+
 def test_an_event_queued_out_of_time_order_raises():
     # a leg's messages share one delay and a timer kind's timers one limit,
     # so nothing is queued ahead of an earlier event; were something, the
