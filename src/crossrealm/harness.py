@@ -105,10 +105,23 @@ def _phase_bytes(value: object) -> dict[int, int]:
 
 
 def _phase_key(key: str) -> int:
-    """A phase index in the decimal text scenario_to_dict writes: not "07", " 3" or "1_0"."""
-    if str(int(key)) != key:
-        raise ValueError(f"phase key {key!r} must be written {str(int(key))!r}")
-    return int(key)
+    """A phase index in the decimal text scenario_to_dict writes: not "x", "07", " 3" or "1_0"."""
+    try:
+        index = int(key)
+    except ValueError:  # no whole number, or one of more digits than int() reads
+        raise ValueError(f"phase key {key!r} is not a phase number") from None
+    if str(index) != key:
+        raise ValueError(f"phase key {key!r} must be written {str(index)!r}")
+    return index
+
+
+def _role(name: str) -> Role:
+    """A role by the name the phase table and the event log give it: "SAC-DB"."""
+    try:
+        return Role(name)
+    except ValueError:
+        names = ", ".join(role.value for role in Role)
+        raise ValueError(f"role {name!r} must be one of {names}") from None
 
 
 def _encode_phase_bytes(sizes: Mapping[int, int]) -> dict[str, int]:
@@ -159,7 +172,7 @@ _FIELDS = {
     "seed": (lambda v: type(v) is int and v >= 0, "must be a whole number from 0", _whole, _same),
     "stalls": (lambda v: type(v) is tuple and all(isinstance(s, Stall) for s in v),
                "must be a list of stall objects",
-               _tuple(_value(Stall, role=Role, phase_index=_whole)),
+               _tuple(_value(Stall, role=_role, phase_index=_whole)),
                lambda stalls: [{**asdict(s), "role": s.role.value} for s in stalls]),
     "phase_request_bytes": _PHASE_SIZES,
     "phase_response_bytes": _PHASE_SIZES,

@@ -298,11 +298,15 @@ def _session_leaf(subdomain: KeyPart, session_id: bytes, generation: int, identi
 
 def _mint(session_id: bytes, participants: Sequence[Participant],
           vault: RealmDirectory, generation: int) -> SessionKeySet:
-    if not participants:
-        raise InvalidInput("participants must be non-empty")
+    if not isinstance(participants, (list, tuple)) or not participants:
+        raise InvalidInput(f"participants {participants!r} are not a non-empty sequence")
     keys = {}
-    for identity, cloud_id, subdomain_id in participants:
-        root, subdomain = vault.realm_keys(cloud_id, subdomain_id)
+    for participant in participants:
+        if type(participant) is not tuple or len(participant) != 3:
+            raise InvalidInput(f"participant {participant!r} is no (tenant, cloud, sub-domain)")
+        identity, cloud_id, subdomain_id = participant
+        _check_id("tenant", identity)
+        root, subdomain = vault.realm_keys(cloud_id, subdomain_id)  # checks the realm's ids
         leaf = _session_leaf(subdomain, session_id, generation, identity)
         keys[identity] = HierarchicalKey(root, subdomain, leaf)
     return SessionKeySet(session_id, keys, generation)
@@ -312,9 +316,10 @@ def mint_session_keys(session_id: bytes, participants: Sequence[Participant],
                       vault: RealmDirectory) -> SessionKeySet:
     """Mint one key per participant, all sharing the session field.
 
-    Every participant must be a tenant realm the vault knows; the vault
-    handle raises UnregisteredRealm otherwise, and InvalidInput for a realm
-    id that is empty or not text.
+    Participants are a non-empty list or tuple of (tenant, cloud, sub-domain)
+    tuples of text, each a tenant of a realm the vault knows: anything else
+    raises InvalidInput, and an unknown realm UnregisteredRealm (from the
+    vault handle, which checks the realm's ids).
     """
     if len(session_id) != SESSION_FIELD_LEN:
         raise InvalidInput(f"session id must be {SESSION_FIELD_LEN} bytes")

@@ -40,9 +40,9 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from . import keys as keylib
-from .errors import InvalidInput, RoleMismatch, is_number
+from .errors import InvalidInput, RoleMismatch, UnregisteredRealm, is_number
 from .keys import HierarchicalKey, KeyPart, SessionKeySet
-from .vault import Vault
+from .vault import Vault, _check_lookup
 
 
 class Role(Enum):
@@ -134,7 +134,6 @@ class PhaseSpec:
     # (slot, values) -> the responder's slot: its expectation cleared, then
     # what the request carries and what the responder decides, in that order
     store: Callable
-    read_types: tuple[type, ...] | None  # each record field's type, where the responder reads it
     outcomes: tuple[str, ...]  # what the responder reports on taking the request
     first_contact: bool  # whether the request is the first its destination hears of a session
     due: tuple[int, MessageKind]  # what the source expects once the request is sent
@@ -378,8 +377,6 @@ def _phase(index: int, name: str, source: Role, destination: Role, request_bytes
         record=namedtuple(f"Phase{index}Request", fields),
         pick=_getter(_positions(SessionSlot, carries)),
         store=_setter(SessionSlot, "expect", *carries, *decides),
-        read_types=((str, KeyPart, KeyPart) if index == 5
-                    else (SessionKeySet, HierarchicalKey, str) if asked else None),
         outcomes=(("valid", "invalid") if verifies
                   else ("granted", "refused") if asked else ("ok",)),
         first_contact=_next_request(destination, 0) == index,
@@ -398,7 +395,11 @@ _EMPTY_SLOT = SessionSlot()
 _set_expect = _setter(SessionSlot, "expect")
 _set_expect_and_keys = _setter(SessionSlot, "expect", "keyset", "requester_key")
 _set_opened = _setter(SessionSlot, "expect", "requester", "resources", "idr", "ids")
-_TENANT = itemgetter(0)  # a participant's tenant
+
+
+def _tenant(participant: object) -> object:
+    """A participant's tenant, the head of its tuple; None for any other value."""
+    return participant[0] if type(participant) is tuple and participant else None
 
 
 @dataclass(frozen=True)
@@ -450,10 +451,18 @@ def grant_access(cloud_state: RoleState, presenter: Role, idsess_key: Hierarchic
     generation of the session's approved key set, as the cloud's slot
     table holds it, or ``sessions`` in its place: a cloud deciding on a
     request passes the slot the request would store, keyed by its session.
+    A resource that is not text, a key that is no HierarchicalKey or a key
+    set in ``sessions`` that is no SessionKeySet raises InvalidInput first.
     """
-    if presenter is not _SAC_SH:
-        return False
-    if resource not in cloud_state.hosted_resources:
+    if type(resource) is not str:
+        raise InvalidInput(f"resource {resource!r} is not text")
+    if type(idsess_key) is not HierarchicalKey:
+        raise InvalidInput(f"session key {idsess_key!r} is not a hierarchical key")
+    if sessions is not None:  # the cloud's own table holds only key sets checked here
+        for slot in sessions.values():
+            if type(slot.keyset) is not SessionKeySet:
+                raise InvalidInput(f"key set {slot.keyset!r} is not a session key set")
+    if presenter is not _SAC_SH or resource not in cloud_state.hosted_resources:
         return False
     try:
         session_id = idsess_key.session_field()
@@ -478,8 +487,8 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> Hand
     the role's table. Anything out of order, misaddressed, of no phase
     (an index that is not an ``int`` from 1 to 13), from a role other than
     the one that sends it in the phase, or a request whose
-    payload is not its phase's record or holds a value of the wrong type
-    where the responder reads it, is discarded (no slot).
+    payload is not its phase's record or holds a value that its reader
+    refuses (``InvalidInput``), is discarded (no slot).
     """
     if msg.destination is not state.role:
         return _discard("misaddressed")
@@ -513,32 +522,36 @@ def handle_message(state: RoleState, msg: ProtocolMessage, vault: Vault) -> Hand
     elif slot.expect != spec.awaited:
         return _discard("out-of-order")
 
-    read_types, store = spec.read_types, spec.store
-    payload = msg.payload_fields
-    if (type(payload) is not spec.record or len(payload) != spec.width
-            or (read_types is not None and tuple(map(type, payload)) != read_types)):
+    store, payload = spec.store, msg.payload_fields
+    if type(payload) is not spec.record or len(payload) != spec.width:
         return _discard("malformed-payload")
     # the responder then waits for its next begin_phase, so it expects nothing
     carried = (None,) + payload[:spec.carry_count]
     outcome = "ok"
 
-    if index == 5:  # credential db verifies the pair and the requester's place in it
-        idr, ids = payload.idr, payload.ids
-        valid = vault.verify_membership(idr, ids)
-        member = vault.find_member(payload.requester, idr, ids) if valid else None
-        participants = ((member.tenant_id, member.cloud_id, member.subdomain_id),) if member else ()
-        slot = store(slot, carried + (participants,))
-    elif spec.asks_cloud:  # a cloud decides on access, on the slot it stores if it grants
-        resource = payload.resource
-        granting = store(slot, carried + (slot.grants + (resource,),))
-        if grant_access(state, msg.source, payload.requester_key, resource, {sid: granting}):
-            slot, outcome = granting, "granted"
+    try:  # the vault and grant_access check each value they read
+        if index == 5:  # credential db verifies the pair and the requester's place in it
+            requester, idr, ids = payload  # the slot keeps a requester only if it is text
+            member = (vault.find_member(requester, idr, ids) if vault.verify_membership(idr, ids)
+                      else _check_lookup(requester))  # no one to find: None
+            participants = (member[:3],) if member else ()  # (tenant, cloud, sub-domain)
+            slot = store(slot, carried + (participants,))
+        elif spec.asks_cloud:  # a cloud decides on access, on the slot it stores if it grants
+            resource = payload.resource
+            granting = store(slot, carried + (slot.grants + (resource,),))
+            if grant_access(state, msg.source, payload.requester_key, resource, {sid: granting}):
+                slot, outcome = granting, "granted"
+            else:
+                slot, outcome = store(slot, carried + (slot.grants,)), "refused"
+        elif spec.cloud_reports:  # session handler collects a grant
+            slot = store(slot, carried + (slot.grants + (payload.resource,),))
+        elif index == 7 and (type(payload.resources) is not tuple
+                             or len(payload.resources) != len(_CLOUD_AT)):
+            return _discard("malformed-payload")  # the handler asks each cloud for one resource
         else:
-            slot, outcome = store(slot, carried + (slot.grants,)), "refused"
-    elif spec.cloud_reports:  # session handler collects a grant
-        slot = store(slot, carried + (slot.grants + (payload.resource,),))
-    else:
-        slot = store(slot, carried)
+            slot = store(slot, carried)
+    except InvalidInput:
+        return _discard("malformed-payload")
     if spec.verifies:  # both ends of the verification report whether it found anyone
         outcome = "valid" if slot.participants else "invalid"
 
@@ -557,8 +570,8 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
     awaits the phase's response. The result is that send, or a drop: the
     authority drops the session as invalid-credentials instead of invoking
     the session handler when no participant the verification found is the
-    tenant the session was requested for (none found, or another), and a
-    cloud that granted nothing drops it as access-refused.
+    session's tenant, or it cannot mint for them, and a cloud that granted
+    nothing drops it as access-refused.
     """
     sid, index = session.session_id, spec.index
     slot = state.sessions.get(sid)
@@ -569,9 +582,13 @@ def begin_phase(state: RoleState, spec: PhaseSpec, session: SessionState,
         slot = _set_opened(_EMPTY_SLOT, (spec.due, requester.tenant_id, session.resources,
                                          requester.idr, requester.ids))
     elif index == 7:  # the authority mints for the participants, if its requester is one
-        if slot.requester not in map(_TENANT, slot.participants):
+        participants = slot.participants
+        if type(participants) is not tuple or slot.requester not in map(_tenant, participants):
             return _new(BeginResult, (None, None, "invalid-credentials"))
-        minted = keylib.mint_session_keys(sid, slot.participants, vault)
+        try:
+            minted = keylib.mint_session_keys(sid, participants, vault)
+        except (InvalidInput, UnregisteredRealm):  # no tenants of realms the vault knows
+            return _new(BeginResult, (None, None, "invalid-credentials"))
         slot = _set_expect_and_keys(slot, (spec.due, minted, minted.keys[slot.requester]))
     else:
         if spec.asks_cloud:  # the handler asks each cloud for the resource it hosts

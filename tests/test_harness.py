@@ -421,6 +421,13 @@ DOCUMENT_ERRORS = {
     "stalls-object": ({"stalls": {}}, "stalls: must be a list of stall objects"),
     "app_start_offset_s-one": ({"app_start_offset_s": [5]}, "app_start_offset_s: must be a list "
                                "of two finite numbers, with 0 <= low <= high"),
+    # a role by its name in the phase table, a phase by its number
+    "stall-unknown-role": ({"stalls": [{"role": "Nobody", "phase_index": 5,
+                                        "extra_delay_s": 1.0}]},
+                           "stalls: role 'Nobody' must be one of A, F, SAC, SAC-DB, SAC-SH, "
+                           "CloudA, CloudB"),
+    "phase-key-text": ({"phase_request_bytes": {"x": 5}},
+                       "phase_request_bytes: phase key 'x' is not a phase number"),
 }
 
 

@@ -329,6 +329,22 @@ def test_mint_unregistered_realm():
         mint_session_keys(b"\x01" * 16, [("u1", "CloudA", "nope")], make_vault())
 
 
+@pytest.mark.parametrize("participants", [
+    5, None, "u1", ("u1", "CloudA", "s1"), [("u1", "CloudA")], [["u1", "CloudA", "s1"]],
+    [(5, "CloudA", "s1")], [("", "CloudA", "s1")], [("u1", 5, "s1")], [("u1", "CloudA", "")],
+], ids=repr)
+def test_mint_refuses_participants_that_are_not_text_triples(participants):
+    # the minting reads each participant as (tenant, cloud, sub-domain), so it
+    # refuses any other form as InvalidInput, never a raw TypeError or ValueError;
+    # and so does refresh_session, which mints the same way
+    vault = make_vault()
+    with pytest.raises(InvalidInput):
+        mint_session_keys(b"\x01" * 16, participants, vault)
+    keyset = mint_session_keys(b"\x01" * 16, [("u1", "CloudA", "s1")], vault)
+    with pytest.raises(InvalidInput):
+        refresh_session(keyset, participants, vault)
+
+
 def test_mint_rejects_bad_session_id():
     with pytest.raises(InvalidInput):
         mint_session_keys(b"\x01" * 8, [("u1", "CloudA", "s1")], make_vault())

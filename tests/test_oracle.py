@@ -5,13 +5,14 @@ directly for two or three sessions over one vault, the way the engine
 does, but lets the network misbehave: any in-flight message may be
 delivered next, a delivered one may come again, one may be lost, sent to
 a role it is not addressed to, come from a role that did not send it, or,
-for a request, carry the record of another phase.
+for a request, carry the record of another phase or, in one of its fields,
+a value of no field's type.
 A model of each session predicts every step: which message a role takes
 next, the outcome and reply of each one taken, the payload of each phase
 request, whether a cloud opens a resource to a presented key, and whether
 a per-phase timer or F's watchdog, fired at any step, expires a session.
 Any message the model does not expect must be discarded and leave every
-slot as it was.
+slot as it was, and no transition may raise, whatever a payload holds.
 """
 
 import pytest
@@ -67,17 +68,39 @@ KEYSET_TO_F = next(spec.index for spec in PHASES
 _DECIDED = {5: "valid", 6: "valid", **dict.fromkeys(ASKS, "granted")}
 
 
+def ill_typed(tenant: str) -> tuple:
+    """Values of no carried field's type: a number, nothing, an empty tuple,
+    a pair, text, and a (tenant, cloud, sub-domain) triple of a realm no
+    vault holds; the pair and the triple name the session's own tenant."""
+    return 5, None, (), (tenant, "CloudC"), "text", (tenant, "CloudZ", "nowhere")
+
+
 class Track:
     """The model of one session: the one message its roles take next, as
     (phase, kind, source, destination), or None when a phase is due to
-    begin; the phases it completed; whether a payload was tampered with."""
+    begin; the phases it completed; the payload of each phase request its
+    responder took, by phase; whether a payload was tampered with, and the
+    values of no field's type put in its requests."""
 
     def __init__(self, session: SessionState):
         self.session = session
         self.expect = None
         self.completed: list[int] = []
-        self.accepted: set[tuple[int, MessageKind]] = set()
+        self.taken: dict[int, tuple] = {}
         self.tampered = False
+        self.ill_typed: list = []
+
+    def carries_ill_typed(self, msg: ProtocolMessage) -> bool:
+        """Whether a request holds a value put in one of the session's
+        requests, there or in a request before it whose responder kept it."""
+        return any(value in self.ill_typed for value in msg.payload_fields)
+
+    def holds_keyset(self, index: int) -> bool:
+        """Whether phase ``index``'s responder took its request with a key
+        set: any value but None, since F takes whatever phase 12 carries (a
+        cloud discards all but a SessionKeySet)."""
+        taken = self.taken.get(index)
+        return taken is not None and taken.keyset is not None
 
     @property
     def tenant(self) -> str:
@@ -146,8 +169,11 @@ class ProtocolMachine(RuleBasedStateMachine):
         due = (role is msg.destination
                and track.expect == (msg.phase_index, msg.kind, msg.source, msg.destination))
         took = due and well_formed
-        if due and not took:  # only its payload is wrong
+        # only its payload is wrong: another phase's record, or a value of no
+        # field's type that the code reading it refuses; any other due request is taken
+        if due and (not took or track.carries_ill_typed(msg) and result.discarded):
             assert result.outcome == "discarded:malformed-payload", (msg, result.outcome)
+            took = False
         if not took:
             assert result.discarded, (msg, role, result.outcome)
             assert result.slot is None and result.outgoing is None
@@ -155,9 +181,9 @@ class ProtocolMachine(RuleBasedStateMachine):
             return
         assert not result.discarded, (msg, role, result.outcome)
         state.sessions[msg.session_id] = result.slot
-        track.accepted.add((msg.phase_index, msg.kind))
         spec = PHASES[msg.phase_index - 1]
         if msg.kind is MessageKind.REQUEST:
+            track.taken[spec.index] = msg.payload_fields
             if track.tampered:
                 assert result.outcome in ("ok", "valid", "invalid", "granted", "refused")
             else:
@@ -279,6 +305,26 @@ class ProtocolMachine(RuleBasedStateMachine):
         record = PHASES[index - 1].record(**track.payload(index))
         self._deliver(msg._replace(payload_fields=record), msg.destination, well_formed=False)
 
+    @precondition(lambda self: any(m.payload_fields for m in self.flight))
+    @rule(pick=st.integers(min_value=0), at=st.integers(min_value=0),
+          kind=st.integers(min_value=0, max_value=len(ill_typed("")) - 1), wrap=st.booleans())
+    def inject_ill_typed(self, pick, at, kind, wrap):
+        """A request in flight carries, in one of its fields, a value of no
+        field's type, or a 1-tuple of one where a tuple is due. Its
+        responder takes it, or discards it as malformed if the code reading
+        the value refuses it; a later phase may then drop the session. No
+        transition raises."""
+        requests = [i for i, m in enumerate(self.flight) if m.payload_fields]  # phase 2's is empty
+        i = self._pick(requests, pick)
+        msg, payload = self.flight[i], self.flight[i].payload_fields
+        track = self.tracks[msg.session_id]
+        value = ill_typed(track.tenant)[kind]
+        name = payload._fields[at % len(payload)]
+        value = (value,) if wrap else value
+        self.flight[i] = msg._replace(payload_fields=payload._replace(**{name: value}))
+        track.tampered = True
+        track.ill_typed.append(value)
+
     @rule(index=st.integers(min_value=1, max_value=proto.PHASE_COUNT))
     def deliver_stray_response(self, index):
         """A response arrives for a session no role has heard of."""
@@ -294,8 +340,8 @@ class ProtocolMachine(RuleBasedStateMachine):
         key = self._pick(self.minted, pick)
         track = self.tracks[key.session_field()]
         for access, cloud in ASKS.items():
-            # the cloud holds the key set once it took its access request
-            holds = (access, MessageKind.REQUEST) in track.accepted
+            # the cloud holds the key set once it took its access request with one
+            holds = track.holds_keyset(access)
             for presenter in Role:
                 for resource in (*RESOURCES, FOREIGN):
                     expected = presenter is Role.SAC_SH and resource == HOSTED[cloud] and holds
@@ -307,7 +353,8 @@ class ProtocolMachine(RuleBasedStateMachine):
         """Phase ``index``'s timer and F's watchdog fire for a session now, as
         probes: each transition decides expiry itself, and is pure, so the
         model is left as it is. A session in progress expires unless it
-        completed the phase, or F took the request that brings the key set."""
+        completed the phase, or F took the request that brings the key set
+        with one."""
         track = self._pick(list(self.tracks.values()), pick)
         session = track.session
         in_progress = session.status is SessionStatus.IN_PROGRESS
@@ -315,7 +362,7 @@ class ProtocolMachine(RuleBasedStateMachine):
                 (on_timeout(session, index), index not in track.completed,
                  f"phase-timeout({index})"),
                 (localized_timeout_at_f(self.roles[Role.F], session),
-                 (KEYSET_TO_F, MessageKind.REQUEST) not in track.accepted, "localized-timeout")):
+                 not track.holds_keyset(KEYSET_TO_F), "localized-timeout")):
             if in_progress and expires:
                 assert after == session._replace(status=SessionStatus.DROPPED,
                                                  drop_reason=reason), (after, reason)
@@ -336,7 +383,7 @@ class ProtocolMachine(RuleBasedStateMachine):
     def minted_keys_name_the_requester(self):
         for state in self.roles.values():
             for sid, slot in state.sessions.items():
-                if slot.keyset is not None:
+                if type(slot.keyset) is keylib.SessionKeySet:  # not an ill-typed value carried
                     assert slot.keyset.session_id == sid
                     assert set(slot.keyset.keys) == {self.tracks[sid].tenant}
 
@@ -411,6 +458,41 @@ def test_a_swapped_claim_is_dropped_as_invalid_credentials(name, steps):
     session = list(machine.tracks.values())[0].session  # the one run_in_order drove
     assert (session.status, session.drop_reason) == (SessionStatus.DROPPED,
                                                      "invalid-credentials")
+    machine.phases_complete_in_order_once()
+    machine.clouds_grant_only_what_they_host()
+    machine.minted_keys_name_the_requester()
+
+
+# (steps to the phase's request in flight, field, ill_typed's value, wrapped)
+_INJECTED = {
+    "participants-pair-at-phase-6": (16, "participants", 3, True),
+    "participants-number-at-phase-6": (16, "participants", 0, True),
+    "participants-unknown-realm-at-phase-6": (16, "participants", 5, True),
+    "resources-number-at-phase-1": (1, "resources", 0, False),
+}
+
+
+@pytest.mark.parametrize("case", _INJECTED)
+def test_an_injected_ill_typed_value_makes_no_transition_raise(case):
+    # inject_ill_typed in an explicit rule order: the phase's request in
+    # flight carries the value, and the session then runs on in order. The
+    # authority cannot mint for such participants, and the session handler
+    # refuses resources that are not one per resource cloud, so the session
+    # ends as invalid-credentials or stops at phase 7's discarded request
+    steps, name, kind, wrap = _INJECTED[case]
+    machine = ProtocolMachine()
+    machine.open_sessions(count=2)
+    machine.run_in_order(pick=0, steps=steps)
+    (msg,) = machine.flight
+    machine.inject_ill_typed(pick=0, at=msg.payload_fields._fields.index(name), kind=kind,
+                             wrap=wrap)
+    machine.run_in_order(pick=0, steps=3 * proto.PHASE_COUNT)
+    track = list(machine.tracks.values())[0]  # the one run_in_order drove
+    if name == "participants":
+        assert (track.session.status, track.session.drop_reason) == (SessionStatus.DROPPED,
+                                                                     "invalid-credentials")
+    else:
+        assert track.session.current_phase == 6 and 7 not in track.taken
     machine.phases_complete_in_order_once()
     machine.clouds_grant_only_what_they_host()
     machine.minted_keys_name_the_requester()

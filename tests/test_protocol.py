@@ -66,7 +66,9 @@ class Driver:
         self.trace = []  # (phase, kind, outcome)
         self.discards = Counter()  # role -> messages it discarded
 
-    def run_phase(self, index):
+    def run_phase(self, index, tamper=None):
+        """Run one phase; its request carries the values of ``tamper``, a
+        dict of record fields, in place of its own where one is given."""
         spec = PHASES[index - 1]
         result = begin_phase(self.roles[spec.source], spec, self.session, self.vault)
         if result.slot is not None:
@@ -77,6 +79,8 @@ class Driver:
             return
         msg = result.outgoing
         assert msg is not None, f"phase {index} produced no request"
+        if tamper:
+            msg = msg._replace(payload_fields=msg.payload_fields._replace(**tamper))
         while msg is not None:
             res = self.deliver(msg.destination, msg)
             self.trace.append((msg.phase_index, msg.kind, res.outcome))
@@ -147,8 +151,7 @@ def test_table_byte_assignment():
 
 def test_the_table_built_from_the_resource_clouds_is_written_out():
     # the grant phases and every table read from RESOURCE_CLOUDS, as literals
-    r, ask, keys = Role, ("keyset", "requester_key"), (keylib.SessionKeySet,
-                                                       keylib.HierarchicalKey, str)
+    r, ask = Role, ("keyset", "requester_key")
     paper = ("index", "name", "source", "destination", "request_bytes", "response_bytes",
              "carries")
     assert [tuple(getattr(spec, name) for name in paper) for spec in PHASES] == [
@@ -176,8 +179,6 @@ def test_the_table_built_from_the_resource_clouds_is_written_out():
         ("participants",), ("keyset", "requester_key", "resources"),
         (*ask, "resource"), ("resource",), (*ask, "resource"), ("resource",),
         ("grants", "requester_key", "keyset"), ("grants", "requester_key")]
-    assert {spec.index: spec.read_types for spec in PHASES if spec.read_types is not None} == {
-        5: (str, keylib.KeyPart, keylib.KeyPart), 8: keys, 10: keys}
     assert {spec.index: spec.outcomes for spec in PHASES if spec.outcomes != ("ok",)} == {
         5: ("valid", "invalid"), 6: ("valid", "invalid"), 8: ("granted", "refused"),
         10: ("granted", "refused")}
@@ -411,6 +412,73 @@ def test_a_request_value_of_the_wrong_type_is_discarded(index, name):
         index, lambda payload, index: payload._replace(**{name: _WRONG_TYPE[index, name]}))
 
 
+_UNKNOWN_PART = keylib.KeyPart(b"\x5a" * 32, keylib.KeyRole.SUBDOMAIN)
+_ANOTHER_SESSIONS_KEY = keylib.mint_session_keys(
+    b"\x09" * 16, [("u1", "CloudC", "analysts")], registry()[0]).keys["u1"]
+# case -> (phase, the request's values): a value its reader refuses, alone or
+# beside one that decides the request unread (an unknown pair, a resource
+# the cloud does not host, another session's key): no outcome is reached
+_REFUSED_UNDECIDED = {
+    "keyset-none-at-8": (8, {"keyset": None}),
+    "keyset-none-at-10": (10, {"keyset": None}),
+    "keyset-beside-an-unhosted-resource": (8, {"keyset": "x", "resource": "R2"}),
+    "keyset-beside-another-sessions-key": (8, {"keyset": "x",
+                                               "requester_key": _ANOTHER_SESSIONS_KEY}),
+    "requester-beside-an-unknown-pair": (5, {"requester": ["u1"], "ids": _UNKNOWN_PART}),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSED_UNDECIDED)
+def test_a_refused_value_is_discarded_whatever_else_the_request_holds(case):
+    index, values = _REFUSED_UNDECIDED[case]
+    _assert_discarded_as_malformed(index, lambda payload, index: payload._replace(**values))
+
+
+# case -> (the phase whose request carries it, the field, a value its reader
+# refuses): phase 6's participants are read when phase 7 mints for them,
+# phase 1's resources when phases 8 and 10 ask a cloud for one each
+_ILL_TYPED = {
+    "participants-pair": (6, "participants", (("u1", "CloudC"),)),
+    "participants-number": (6, "participants", 5),
+    "participant-number": (6, "participants", (5,)),
+    "participant-empty": (6, "participants", ((),)),
+    "participants-unknown-cloud": (6, "participants", (("u1", "CloudZ", "analysts"),)),
+    "participants-unknown-subdomain": (6, "participants", (("u1", "CloudC", "nowhere"),)),
+    "participants-empty-cloud": (6, "participants", (("u1", "", "analysts"),)),
+    "resources-number": (1, "resources", 5),
+    "resources-one": (1, "resources", ("R1",)),
+}
+
+
+@pytest.mark.parametrize("case", _ILL_TYPED)
+def test_a_carried_value_its_reader_refuses_ends_the_session_without_a_raise(case):
+    # participants the authority cannot mint for drop the session at phase 7
+    # as invalid-credentials; resources that are not one per resource cloud
+    # make the session handler discard phase 7's request, changing no slot
+    index, name, value = _ILL_TYPED[case]
+    vault, requester = registry()
+    driver = Driver(vault, requester)
+    for done in range(1, 7):
+        driver.run_phase(done, {name: value} if done == index else None)
+    sid = driver.session.session_id
+    if name == "participants":
+        driver.run_phase(7)
+        session = driver.session
+        assert (session.status, session.drop_reason, session.current_phase) == (
+            SessionStatus.DROPPED, "invalid-credentials", 6)
+        assert driver.roles[Role.SAC].sessions[sid].keyset is None
+        return
+    spec = PHASES[6]
+    begun = begin_phase(driver.roles[spec.source], spec, driver.session, vault)
+    assert begun.outgoing.payload_fields.resources == value  # carried from phase 1 unread
+    driver.roles[spec.source].sessions[sid] = begun.slot
+    state = driver.roles[spec.destination]
+    before = dict(state.sessions)
+    result = driver.deliver(spec.destination, begun.outgoing)
+    assert result == HandleResult(None, None, "discarded:malformed-payload")
+    assert state.sessions == before
+
+
 @pytest.mark.parametrize("kind", ["request", "response"])
 @pytest.mark.parametrize("bad", [0, 14, -1, "3", True, 2.0], ids=repr)
 def test_a_message_of_no_phase_is_discarded(bad, kind):
@@ -591,6 +659,19 @@ def test_grant_access_stale_generation_refused():
     assert not grant_access(cloud, Role.SAC_SH, key, "R1")  # generation 0 vs 1
     fresh = refreshed.keys["u1"]
     assert grant_access(cloud, Role.SAC_SH, fresh, "R1")
+
+
+@pytest.mark.parametrize("name, bad", [("key", "not-a-key"), ("key", None), ("resource", ["R1"]),
+                                       ("resource", 5), ("keyset", "x"), ("keyset", ())], ids=repr)
+def test_grant_access_refuses_a_value_of_the_wrong_type(name, bad):
+    # each value grant_access reads is checked where it is read: InvalidInput,
+    # never a raw TypeError or AttributeError
+    _, driver, key = granted_setup()
+    cloud, sid = driver.roles[Role.CLOUD_A], driver.session.session_id
+    args = {"key": key, "resource": "R1", "keyset": cloud.sessions[sid].keyset, name: bad}
+    sessions = {sid: cloud.sessions[sid]._replace(keyset=args["keyset"])}
+    with pytest.raises(InvalidInput):
+        grant_access(cloud, Role.SAC_SH, args["key"], args["resource"], sessions)
 
 
 def test_grant_access_unknown_session_refused():
