@@ -48,12 +48,6 @@ class EmptyMetadata(InvalidInput):
     """A signature, and so a tenant's registration, needs at least one metadata class."""
 
 
-# -- simulator --------------------------------------------------------------
-
-class DisallowedPair(CrossRealmError):
-    """Transmission attempted between nodes outside the allowed pair list."""
-
-
 # -- harness ----------------------------------------------------------------
 
 class ScenarioParseError(CrossRealmError):

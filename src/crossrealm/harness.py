@@ -190,7 +190,7 @@ class Scenario:
     each phase not given at its ``protocol.PHASES`` size."""
 
     principals: int = 1000
-    sessions_per_principal: int | str = "mean2"  # "mean2" = seeded draw from {1,2,3}
+    sessions_per_principal: int | str = "mean2"  # a seeded draw from simnet.MEAN2_SESSIONS
     timeout_mode: TimeoutMode = TimeoutMode.none()
     connection: ConnectionModel = ConnectionModel()
     resources: tuple[str, ...] = DEFAULT_RESOURCES
@@ -218,7 +218,8 @@ class Scenario:
         if self.horizon_s / self.sampling_interval_s > MAX_BUCKETS:
             raise ScenarioValidationError(
                 "sampling_interval_s", f"must split the horizon into at most {MAX_BUCKETS} buckets")
-        most = 3 if self.sessions_per_principal == "mean2" else self.sessions_per_principal
+        most = (max(simnet.MEAN2_SESSIONS) if self.sessions_per_principal == "mean2"
+                else self.sessions_per_principal)
         if self.principals * most > MAX_SESSIONS:
             raise ScenarioValidationError("principals", f"may draw {MAX_SESSIONS} sessions at most")
         stalled = [(s.role, s.phase_index) for s in self.stalls]
@@ -470,7 +471,7 @@ class _Fold:
                 continue
             if kind == "send":
                 delay = max(delay, simnet.transmit_components(
-                    size, source, destination, scenario.connection, scenario.topology)[0])
+                    size, source, destination, scenario.connection, scenario.topology))
             elif kind == "session-start":
                 started += count
             elif kind == "session-drop":

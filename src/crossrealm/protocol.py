@@ -321,11 +321,13 @@ def localized_timeout_at_f(state: RoleState, session: SessionState) -> SessionSt
 
     The engine arms it when F forwards the approval request (phase 4
     complete), to fire limit seconds later. It expires unless F's slot in
-    ``state`` holds the key set that phase 12's grant delivery brings (a
-    missing slot holds none); an ended session is returned itself.
+    ``state`` holds the key set that phase 12's grant delivery brings, a
+    SessionKeySet (a missing slot holds none, and whatever else a tampered
+    phase 12 carried is none); an ended session is returned itself.
     """
     slot = state.sessions.get(session.session_id)
-    if session.status is not _IN_PROGRESS or slot is not None and slot.keyset is not None:
+    if session.status is not _IN_PROGRESS or (
+            slot is not None and type(slot.keyset) is SessionKeySet):
         return session
     return set_dropped(session, (_DROPPED, "localized-timeout"))
 

@@ -5,13 +5,14 @@ principal population A reaches the inter-cloud core through SW1, and SW2
 fans out to the front-end, the session authority with its credential
 database and session handler, and the resource clouds. Links are
 aggregated (n parallel gigabit links become one link of n-fold
-bandwidth) and routing follows the tree's uplinks; nodes may only
-exchange traffic along the allowed destination-preference pairs.
+bandwidth) and routing follows the tree's uplinks. Only a phase's two
+ends exchange traffic: the engine sends on its phases' legs alone, and
+``EventLog.shape`` refuses a send or deliver between any other ends.
 
-Message timing decomposes into a TCP-like handshake (1.5 round trips by
-default), serialization at the bottleneck bandwidth, path propagation,
-and a per-phase server-side service time. The service time rides on the
-request leg of each phase; the closing response is network-only.
+A message's network time decomposes into a TCP-like handshake (1.5 round
+trips by default), serialization at the bottleneck bandwidth and path
+propagation. A request's delivery adds the per-phase server-side service
+time; the closing response is network-only.
 
 The event loop is a pure function of (scenario, seed): events are
 processed in (time, insertion sequence) order, every random draw comes
@@ -41,7 +42,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterator, NamedTuple
 
 from . import protocol as proto
-from .errors import DisallowedPair, InvalidInput, ScenarioParseError, is_number
+from .errors import InvalidInput, ScenarioParseError, is_number
 from .protocol import (
     PHASES,
     Requester,
@@ -77,11 +78,6 @@ _UPLINKS = {
     **{cloud.value: ("SW2", 4) for cloud, _, _ in proto.RESOURCE_CLOUDS},
 }
 
-# Destination preferences: who may exchange protocol traffic with whom,
-# which is exactly the two ends of each phase of the protocol.
-_ALLOWED_PAIRS = frozenset(
-    frozenset((spec.source.value, spec.destination.value)) for spec in PHASES)
-
 GIGABIT = 1e9
 
 
@@ -107,24 +103,12 @@ class Topology:
         if not (is_number(self.propagation_delay_s) and 0 <= self.propagation_delay_s < math.inf):
             raise InvalidInput("propagation_delay_s must be a finite, non-negative number")
 
-    def allowed(self, a: str, b: str) -> bool:
-        return a == b or frozenset((a, b)) in _ALLOWED_PAIRS
-
     def path(self, a: str, b: str) -> tuple[str, ...]:
         up_a, up_b = _toward_core(a), _toward_core(b)
         while up_a and up_b and up_a[-1] == up_b[-1]:
             up_a.pop()
             up_b.pop()
         return tuple(up_a + up_b[::-1])
-
-    def path_propagation_s(self, a: str, b: str) -> float:
-        return sum(self.propagation_delay_s for _ in self.path(a, b))
-
-    def path_bandwidth_bps(self, a: str, b: str) -> float:
-        """Bottleneck bandwidth: aggregated links count as one fat link. A path
-        from a node to itself crosses no link, so nothing narrows it."""
-        return min((GIGABIT * _UPLINKS[lower][1] for lower in self.path(a, b)),
-                   default=math.inf)
 
 
 # -- connection model ----------------------------------------------------------
@@ -145,22 +129,17 @@ class ConnectionModel:
 
 
 def transmit_components(payload_bytes: int, source: str, destination: str,
-                        model: ConnectionModel, topo: Topology,
-                        service_s: float | None = None) -> tuple[float, float]:
-    """(network seconds, total delivery offset seconds) for one message.
-
-    network = handshake + serialization at the bottleneck + propagation;
-    the total adds the server-side service time (defaults to the model's
-    per-phase service time; pass 0.0 for a bare acknowledgment).
-    """
-    if not topo.allowed(source, destination):
-        raise DisallowedPair(f"{source} may not talk to {destination}")
-    propagation = topo.path_propagation_s(source, destination)
+                        model: ConnectionModel, topo: Topology) -> float:
+    """The network seconds of one message: the handshake's round trips,
+    serialization at the path's bottleneck (aggregated links count as one
+    fat link) and propagation over each of its links. A path from a node to
+    itself crosses no link, so it costs the handshake alone."""
+    propagation, bandwidth = 0.0, math.inf
+    for lower in topo.path(source, destination):
+        propagation += topo.propagation_delay_s
+        bandwidth = min(bandwidth, GIGABIT * _UPLINKS[lower][1])
     rtt = model.rtt_base_s + 2.0 * propagation
-    serialization = payload_bytes * 8.0 / topo.path_bandwidth_bps(source, destination)
-    network = model.handshake_rtts * rtt + serialization + propagation
-    service = model.per_phase_service_s if service_s is None else service_s
-    return network, network + service
+    return model.handshake_rtts * rtt + payload_bytes * 8.0 / bandwidth + propagation
 
 
 # -- stalls ---------------------------------------------------------------------
@@ -200,9 +179,13 @@ LOG_HEADER = ("time_s", "sequence", "kind", "source", "destination",
 # the outcome of a delivery to an ended session, absorbed before any role sees it
 ABSORBED = "discarded:session-not-in-progress"
 
-# the kinds of record a run logs
-KINDS = frozenset(("app-start", "session-start", "send", "deliver", "timer-fire",
-                   "session-complete", "session-drop"))
+# the kinds of record a run logs -> (the outcomes a record of the kind
+# gives, and the prefix of the "<prefix><why>" outcomes it gives too, or
+# None); a deliver's outcomes are its leg's, in ``_ENDS``
+KINDS = {"app-start": (("ok",), None), "session-start": (("ok",), None),
+         "send": (("ok",), None), "deliver": ((), "discarded:"),
+         "timer-fire": (("expired", "ignored"), None),
+         "session-complete": (("completed",), None), "session-drop": ((), "dropped:")}
 # (phase, source, destination) of each message a run sends -> the outcomes
 # its delivery may report besides "discarded:<why>": a request's are its
 # phase's, and a response completes its phase
@@ -250,11 +233,12 @@ class EventLog:
         """The code of a (kind, source, destination, phase, size, outcome) row.
         A row of a kind not in ``KINDS``, a send or deliver row whose phase is
         not 1..13, whose two ends are not its phase's two ends (either way) or
-        whose size is not a whole number, a send whose outcome is not "ok", or
-        a deliver whose outcome is neither "discarded:<why>" nor one its leg
-        gives (a request's phase's ``outcomes``, a response's
-        "phase-complete"), is none a run logs: it raises ValueError when first
-        met."""
+        whose size is not a whole number, or a row whose outcome its kind
+        does not give, is none a run logs: it raises ValueError when first
+        met. A deliver gives "discarded:<why>" or an outcome of its leg (a
+        request's phase's ``outcomes``, a response's "phase-complete"), a
+        timer "expired" or "ignored", a drop "dropped:<why>", a completion
+        "completed" and any other record "ok"."""
         code = self._code_of.get(row)
         if code is None:
             kind, source, destination, phase, size, outcome = row
@@ -264,9 +248,11 @@ class EventLog:
                                                     and type(size) is int and size >= 0):
                 raise ValueError(f"a {kind} needs a phase from 1 to {len(PHASES)}, that "
                                  f"phase's two ends and a whole number of bytes")
-            if kind == "send" and outcome != "ok" or kind == "deliver" and not (
-                    outcome in _ENDS[phase, source, destination]
-                    or outcome.startswith("discarded:") and outcome != "discarded:"):
+            outcomes, prefix = KINDS[kind]
+            if kind == "deliver":
+                outcomes = _ENDS[phase, source, destination]
+            if not (outcome in outcomes or prefix is not None and outcome.startswith(prefix)
+                    and outcome != prefix):
                 raise ValueError(f"{outcome!r} is not an outcome of a {kind}")
             code = self._code_of[row] = len(self.shapes)
             self.shapes.append(row)
@@ -310,8 +296,8 @@ def read_event_log(path) -> EventLog:
     the same. A line that is not a record in log order (its sequence its
     index, its time none before 0 or the last) or of a shape no run logs
     (``EventLog.shape``: a kind not in ``KINDS``, a send or deliver that is
-    not between its phase's two ends, or one whose outcome no transition
-    gives), or a file that cannot be read,
+    not between its phase's two ends, or a record whose outcome its kind or
+    its leg does not give), or a file that cannot be read,
     raises ScenarioParseError naming the file and the line."""
     log = EventLog()
     index_of = {"": 0}  # session id -> its index in the log read so far
@@ -410,6 +396,11 @@ class SimRun:
     horizon_exceeded: bool
 
 
+# the session counts a principal draws one of, each as likely, when its
+# scenario's ``sessions_per_principal`` is "mean2"
+MEAN2_SESSIONS = (1, 2, 3)
+
+
 class _Engine:
     def __init__(self, scenario: "Scenario"):
         self.scenario = scenario
@@ -418,38 +409,15 @@ class _Engine:
         # the seconds of each timer the mode arms, None for one it does not
         self.phase_limit = mode.seconds if mode.kind == "per-phase" else None
         self.watchdog_limit = mode.seconds if mode.kind == "localized-f" else None
-        self.topology = scenario.topology
-        self.model = scenario.connection
         self.vault, self.requesters = build_default_vault(scenario.principals)
         self.roles = proto.initial_role_states(scenario.resources)
-        stalls = {(s.role, s.phase_index): s.extra_delay_s for s in scenario.stalls}
+        # (responder, phase) -> the extra seconds it sits on its response
+        self.stalls = {(s.role, s.phase_index): s.extra_delay_s for s in scenario.stalls}
         self.events = events = EventLog()
         # each record appends one entry to each of the log's three columns
         self._log_time = events.times.append
         self._log_session = events.sessions.append
         self._log_code = events.codes.append
-        # Every message of one (phase, kind) takes the same path with the
-        # same size, the scenario's, so its timing is computed once, as its
-        # leg: (delivery offset, stall, send record's shape code, deliver
-        # record's code by outcome, its reply's leg, the leg's queue of
-        # deliveries). ``requests`` holds the request legs by phase. The
-        # service time rides on the request leg; a response is network-only,
-        # has no reply, and has no leg if a stall of inf suppresses it.
-        # ``setup`` wires each phase's handlers to its legs.
-        self.requests: list[tuple] = []
-        for spec in PHASES:
-            src, dst, i = spec.source.value, spec.destination.value, spec.index
-            stall = stalls.get((spec.destination, i), 0.0)
-            size = scenario.phase_response_bytes[i]
-            reply = None if stall == math.inf else (
-                transmit_components(size, dst, src, self.model, self.topology, service_s=0.0)[1],
-                stall, events.shape("send", dst, src, i, size, "ok"),
-                _DeliverCodes(events, dst, src, i, size), None, deque())
-            size = scenario.phase_request_bytes[i]
-            self.requests.append((
-                transmit_components(size, src, dst, self.model, self.topology)[1], 0.0,
-                events.shape("send", src, dst, i, size, "ok"),
-                _DeliverCodes(events, src, dst, i, size), reply, deque()))
         self.sessions: dict[bytes, SessionState] = {}
         # The event calendar. An event is a tuple (time, seq, *facts), and
         # each queue holds its events in (time, seq) order: a leg's messages
@@ -493,8 +461,8 @@ class _Engine:
         # every role's slot table, which a session's end empties of it
         self.slot_tables = tuple(state.sessions for state in self.roles.values())
         begin = None
-        for spec, leg in zip(reversed(PHASES), reversed(self.requests)):
-            begin = self._wire_phase(spec, leg, begin)
+        for spec in reversed(PHASES):
+            begin = self._wire_phase(spec, begin)
         self.begin = begin
         app_starts, session_starts = [], []
         lo, hi = sc.app_start_offset_s
@@ -503,7 +471,7 @@ class _Engine:
             app_starts.append((profile_start, next(seq)))
             count = sc.sessions_per_principal
             if count == "mean2":
-                count = self.rng.choice((1, 2, 3))
+                count = self.rng.choice(MEAN2_SESSIONS)
             for _ in range(count):
                 start = profile_start + self.rng.uniform(0.0, sc.session_spread_s)
                 sid = self.rng.getrandbits(128).to_bytes(16, "big")
@@ -515,9 +483,16 @@ class _Engine:
             for event in sorted(drawn):  # by (time, seq): each seq is unique
                 self.schedule(queue, handler, event)
 
-    def _wire_phase(self, spec, leg: tuple, begin_next) -> Callable:
-        """Make one phase's three handlers and return its ``begin``; given the
-        next phase's ``begin``, so the phases are wired from the last back.
+    def _wire_phase(self, spec, begin_next) -> Callable:
+        """Make one phase's two legs and three handlers and return its
+        ``begin``; given the next phase's ``begin``, so the phases are wired
+        from the last back.
+
+        Every message on one leg takes the same path with the same size, the
+        scenario's, so each leg is timed once, here: a request is delivered
+        its network time plus the service time after its send, a response
+        its network time plus the responder's stall. A stall of inf
+        suppresses the response, and the phase has no reply leg.
 
         - ``begin(session, now, at)`` starts the phase at its initiator: it
           logs the request's send and queues its delivery and the phase timer.
@@ -535,19 +510,28 @@ class _Engine:
         """
         sessions, vault, schedule, seq = self.sessions, self.vault, self.schedule, self.event_seq
         log_time, log_session, log_code = self._log_time, self._log_session, self._log_code
-        end = self._end
+        end, events, sc = self._end, self.events, self.scenario
+        model, topo = sc.connection, sc.topology
         initiator, responder = self.roles[spec.source], self.roles[spec.destination]
         initiator_slots, responder_slots = initiator.sessions, responder.sessions
-        index, source = spec.index, spec.source.value
+        index, source, destination = spec.index, spec.source.value, spec.destination.value
         phase_limit, phase_timers, on_phase_timer = (
             self.phase_limit, self.phase_timers, self._on_phase_timer)
         watchdog_limit = self.watchdog_limit if index == 4 else None
         watchdogs, on_f_watchdog = self.watchdogs, self._on_f_watchdog
-        # a request leg's stall is 0.0, and its delivery offset is never -0.0,
-        # so ``now + offset`` is the time ``now + offset + 0.0`` bit for bit
-        offset, _, send, delivered, reply, queue = leg
-        if reply is not None:
-            reply_offset, stall, reply_send, replied, _, reply_queue = reply
+        # each leg: its delivery offset, its send record's shape code, its
+        # deliver record's code by outcome and its queue of deliveries
+        size = sc.phase_request_bytes[index]
+        offset = transmit_components(size, source, destination, model, topo) + model.per_phase_service_s
+        send = events.shape("send", source, destination, index, size, "ok")
+        delivered, queue = _DeliverCodes(events, source, destination, index, size), deque()
+        stall = self.stalls.get((spec.destination, index), 0.0)
+        answered = stall != math.inf
+        if answered:
+            size = sc.phase_response_bytes[index]
+            reply_offset = transmit_components(size, destination, source, model, topo)
+            reply_send = events.shape("send", destination, source, index, size, "ok")
+            replied, reply_queue = _DeliverCodes(events, destination, source, index, size), deque()
 
         def begin(session: SessionState, now: float, at: int) -> None:
             slot, request, drop_reason = proto.begin_phase(initiator, spec, session, vault)
@@ -577,7 +561,7 @@ class _Engine:
             if slot is None:  # discarded
                 return
             responder_slots[sid] = slot
-            if reply is not None:  # a request that is not discarded is answered
+            if answered:  # a request that is not discarded is answered
                 log_time(now)
                 log_session(at)
                 log_code(reply_send)

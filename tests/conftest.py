@@ -3,8 +3,10 @@
 The default profile is hypothesis's own. ``pytest
 --hypothesis-profile=fail-fast`` reports the first failing example it
 finds without shrinking it, where shrinking a stateful failure can take
-minutes. ``pytest --hypothesis-profile=oracle-x10 tests/test_oracle.py``
-runs the role-machine oracle at ten times the suite's 60 examples.
+minutes. ``pytest --hypothesis-profile=oracle-x10 tests/test_oracle.py
+tests/test_reference_engine.py`` runs the role-machine oracle at ten times
+the suite's 60 examples, and the engine against the reference engine at
+ten times its 300.
 """
 
 import pytest

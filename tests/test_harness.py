@@ -769,7 +769,7 @@ def _slowest_send(run) -> float:
     """The largest network time of a send in the run's log."""
     sc = run.scenario
     return max((simnet.transmit_components(r.payload_bytes, r.source, r.destination,
-                                           sc.connection, sc.topology)[0]
+                                           sc.connection, sc.topology)
                 for r in run.records if r.kind == "send"), default=0.0)
 
 
@@ -1504,7 +1504,7 @@ def test_an_unsent_leg_does_not_count_toward_the_delay(tmp_path, monkeypatch, fo
     phases = {r.phase_index for r in run.records if r.kind == "send"}
     assert 12 in phases and 13 not in phases
     unsent = simnet.transmit_components(10**6, spec.source.value, spec.destination.value,
-                                        UNSENT_SLOWEST.connection, UNSENT_SLOWEST.topology)[0]
+                                        UNSENT_SLOWEST.connection, UNSENT_SLOWEST.topology)
     assert report["max_network_delay_s"] == _slowest_send(run) < unsent
 
 

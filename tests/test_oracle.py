@@ -97,10 +97,10 @@ class Track:
 
     def holds_keyset(self, index: int) -> bool:
         """Whether phase ``index``'s responder took its request with a key
-        set: any value but None, since F takes whatever phase 12 carries (a
-        cloud discards all but a SessionKeySet)."""
+        set: a SessionKeySet, at F as at a cloud, whatever else F may take
+        from phase 12 (a cloud discards all but a SessionKeySet)."""
         taken = self.taken.get(index)
-        return taken is not None and taken.keyset is not None
+        return taken is not None and type(taken.keyset) is keylib.SessionKeySet
 
     @property
     def tenant(self) -> str:

@@ -612,17 +612,20 @@ def test_on_timeout_leaves_a_session_past_the_phase(k):
 
 def test_the_watchdog_reads_fs_slot_for_the_key_set():
     # F holds the key set once phase 12's grant delivery arrived: the
-    # watchdog is then ignored; a slot without one, or no slot, expires it
+    # watchdog is then ignored; a slot without one, a slot that holds what a
+    # tampered phase 12 carried in its place, or no slot, expires it
     vault, requester = registry()
-    driver = Driver(vault, requester)
+    driver, tampered = Driver(vault, requester), Driver(vault, requester)
     for k in range(1, 13):
         driver.run_phase(k)
+        tampered.run_phase(k, {"keyset": 5} if k == 12 else None)
     f_state, session = driver.roles[Role.F], driver.session
     assert f_state.sessions[session.session_id].keyset is not None
     assert localized_timeout_at_f(f_state, session) is session
-    keyless = RoleState(Role.F, sessions={
-        session.session_id: f_state.sessions[session.session_id]._replace(keyset=None)})
-    for state in (keyless, RoleState(Role.F)):
+    slot = f_state.sessions[session.session_id]
+    assert tampered.roles[Role.F].sessions[session.session_id] == slot._replace(keyset=5)
+    keyless = RoleState(Role.F, sessions={session.session_id: slot._replace(keyset=None)})
+    for state in (keyless, tampered.roles[Role.F], RoleState(Role.F)):
         dropped = localized_timeout_at_f(state, session)
         assert (dropped.status, dropped.drop_reason) == (SessionStatus.DROPPED,
                                                          "localized-timeout")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from crossrealm import protocol as proto
 from crossrealm import simnet
-from crossrealm.errors import DisallowedPair, InvalidInput, ScenarioParseError
+from crossrealm.errors import InvalidInput, ScenarioParseError
 from crossrealm.harness import Scenario, aggregate, load_scenario
 from crossrealm.protocol import (
     PHASES,
@@ -28,7 +28,6 @@ from crossrealm.protocol import (
 )
 from crossrealm.simnet import (
     ABSORBED,
-    LOG_HEADER,
     ConnectionModel,
     EventLog,
     Record,
@@ -38,6 +37,7 @@ from crossrealm.simnet import (
     inject_stall,
     transmit_components,
 )
+from reference_engine import reference_csv
 
 SMALL = Scenario(principals=1, sessions_per_principal=1, session_spread_s=1.0,
                  horizon_s=400.0, seed=3)
@@ -49,19 +49,11 @@ def test_default_topology_nodes_and_af_aggregate():
     topo = Topology()
     assert topo.nodes == {"A", "SW1", "SW2", "F", "SAC", "SAC-DB", "SAC-SH",
                           "CloudA", "CloudB"}
-    # the principal-to-front-end connection aggregates eight gigabit links
-    assert topo.path_bandwidth_bps("A", "F") == 8e9
     assert len(topo.path("A", "F")) == 3  # A-SW1, SW1-SW2, SW2-F
-
-
-def test_destination_preferences():
-    topo = Topology()
-    assert topo.allowed("A", "F")
-    assert not topo.allowed("A", "SAC")
-    assert not topo.allowed("A", "CloudA")
-    assert topo.allowed("F", "SAC")
-    assert topo.allowed("SAC-SH", "F")
-    assert topo.allowed("A", "A")  # recursive self-preference
+    # the principal-to-front-end connection aggregates eight gigabit links:
+    # a gigabyte crosses it in one second
+    wire, model = bare_wire()
+    assert transmit_components(10**9, "A", "F", model, wire) == 1.0
 
 
 def test_every_node_reachable():
@@ -81,18 +73,18 @@ ROUTES = [("A", "F", 3, 8e9), ("F", "SAC", 2, 4e9), ("SAC", "SAC-DB", 2, 4e9),
 
 @pytest.mark.parametrize("source, destination, hops, default_bps", ROUTES)
 def test_each_pair_routes_over_both_uplinks(source, destination, hops, default_bps):
+    topo, model = bare_wire()
     for a, b in ((source, destination), (destination, source)):
         assert len(Topology().path(a, b)) == hops
-        assert Topology().path_bandwidth_bps(a, b) == default_bps
+        # a gigabyte is serialized at the bottleneck bandwidth
+        assert transmit_components(10**9, a, b, model, topo) == 8e9 / default_bps
 
 
 def test_a_path_to_itself_costs_only_the_handshake():
-    # the pair is allowed (self-preference) and crosses no link: no
-    # serialization, no propagation, only the handshake's round trips
+    # the path crosses no link: no serialization, no propagation, only the
+    # handshake's round trips
     model = ConnectionModel()
-    assert Topology().path_bandwidth_bps("A", "A") == math.inf
-    assert transmit_components(1024, "A", "A", model, Topology()) == (
-        1.5 * model.rtt_base_s, 1.5 * model.rtt_base_s + model.per_phase_service_s)
+    assert transmit_components(1024, "A", "A", model, Topology()) == 1.5 * model.rtt_base_s
 
 
 def test_negative_propagation_delay_rejected():
@@ -115,28 +107,22 @@ def test_transmit_serialization_oracle():
     # A to F crosses three uplinks of eight gigabit links each: 4096 bytes
     # over 8 Gbps = 4.096 microseconds (arithmetic oracle)
     topo, model = bare_wire()
-    offset = transmit_components(4096, "A", "F", model, topo)[1]
-    assert offset == pytest.approx(4.096e-06, rel=1e-12)
+    network = transmit_components(4096, "A", "F", model, topo)
+    assert network == pytest.approx(4.096e-06, rel=1e-12)
 
 
 def test_transmit_zero_payload_pure_propagation():
     topo = Topology(propagation_delay_s=1e-5)
     model = ConnectionModel(handshake_rtts=0.0, per_phase_service_s=0.0, rtt_base_s=0.0)
-    offset = transmit_components(0, "A", "F", model, topo)[1]
-    assert offset == pytest.approx(3e-05, rel=1e-12)  # three hops of propagation
+    network = transmit_components(0, "A", "F", model, topo)
+    assert network == pytest.approx(3e-05, rel=1e-12)  # three hops of propagation
 
 
 def test_transmit_default_calibration_near_five_seconds():
     topo = Topology()
     model = ConnectionModel()
-    offset = transmit_components(1024, "A", "F", model, topo)[1]
+    offset = transmit_components(1024, "A", "F", model, topo) + model.per_phase_service_s
     assert 4.25 <= offset <= 5.75  # per-phase delivery consistent with ~5 s per phase
-
-
-def test_transmit_disallowed_pair():
-    topo = Topology()
-    with pytest.raises(DisallowedPair):
-        transmit_components(1024, "A", "SAC", ConnectionModel(), topo)
 
 
 def test_connection_model_rejects_negative():
@@ -205,12 +191,15 @@ def test_byte_conservation():
 
 
 def test_a_suppressed_response_has_no_leg():
-    # a stall of inf leaves its phase's request leg with no reply leg to send
-    # on; every other phase keeps its reply leg
+    # a stall of inf leaves its phase with no reply leg to send on; every
+    # other phase keeps its reply leg. Wiring a leg makes its send shape
     engine = simnet._Engine(inject_stall(SMALL, Role.SAC_DB, 5, math.inf))
-    replies = {k: request[4] for k, request in enumerate(engine.requests, 1)}
-    assert replies.pop(5) is None
-    assert None not in replies.values()
+    engine.setup()
+    sends = {(phase, source) for kind, source, _, phase, _, _ in engine.events.shapes
+             if kind == "send"}
+    legs = {(spec.index, role.value) for spec in PHASES
+            for role in (spec.source, spec.destination)}
+    assert sends == legs - {(5, "SAC-DB")}
 
 
 def test_phase_byte_overrides_reach_the_wire():
@@ -240,9 +229,9 @@ def test_deliveries_match_per_message_timing():
         if r.kind not in ("send", "deliver"):
             continue
         request = r.source == PHASES[r.phase_index - 1].source.value
-        network, offset = transmit_components(
-            r.payload_bytes, r.source, r.destination,
-            sc.connection, topo, service_s=None if request else 0.0)
+        network = transmit_components(r.payload_bytes, r.source, r.destination,
+                                      sc.connection, topo)
+        offset = network + sc.connection.per_phase_service_s if request else network
         key = (r.session_id, r.phase_index, r.source, r.destination)
         if r.kind == "send":
             sends[key] = r.time_s
@@ -273,11 +262,12 @@ def test_each_session_is_minted_for_its_requester(run_keeping_slots):
 
 
 def test_pair_enforcement_in_log():
-    topo = Topology()
+    # each message goes between its own phase's two ends, either way
     run = simnet.run(replace(SMALL, principals=2, sessions_per_principal=1, seed=6))
     for r in run.records:
         if r.kind in ("send", "deliver"):
-            assert topo.allowed(r.source, r.destination), (r.source, r.destination)
+            spec = PHASES[r.phase_index - 1]
+            assert {r.source, r.destination} == {spec.source.value, spec.destination.value}, r
 
 
 def test_network_delay_component_bound():
@@ -624,17 +614,6 @@ def test_event_log_reads_as_records():
     assert len(log.shapes) < len(log) / 4
 
 
-def reference_csv(records: list[Record]) -> str:
-    """The event log formatted one Record at a time, as it was before the
-    columnar log."""
-    lines = [",".join(LOG_HEADER) + "\n"]
-    for sequence, record in enumerate(records):
-        time_s, kind, source, destination, session_id, phase, size, outcome = record
-        lines.append(f"{time_s:.9f},{sequence},{kind},{source},{destination},{session_id},"
-                     f"{'' if phase is None else phase},{'' if size is None else size},{outcome}\n")
-    return "".join(lines)
-
-
 _MODES = st.sampled_from([TimeoutMode.none(), TimeoutMode.per_phase(60),
                           TimeoutMode.per_phase(8), TimeoutMode.localized_f(200),
                           TimeoutMode.localized_f(40)])
@@ -796,28 +775,30 @@ QUEUES = 2 * proto.PHASE_COUNT + 4
 
 
 def assert_heap_holds_queue_heads(engine):
-    """The heap holds one entry for the head of each non-empty queue, and no more."""
+    """The heap holds one entry for the head of each non-empty queue, and no
+    more; the queues are those ``CheckedEngine`` saw enter the calendar."""
     queues = [queue for _, _, queue, _ in engine.heap]
     assert len(queues) == len({id(queue) for queue in queues}) <= QUEUES
     for time, seq, queue, _ in engine.heap:
         assert queue and queue[0][:2] == (time, seq)
-    legs = [leg for request in engine.requests for leg in (request, request[4])
-            if leg is not None]
-    pending = [leg[-1] for leg in legs] + [engine.phase_timers, engine.watchdogs]
-    assert {id(queue) for queue in pending if queue} <= {id(queue) for queue in queues}
+    pending = {id(queue) for queue in engine.queues.values() if queue}
+    assert pending <= {id(queue) for queue in queues}
 
 
 class CheckedEngine(simnet._Engine):
     """The engine, which records each handled event's (time, seq) and checks
     the calendar before each handler runs: every handler it queues, the
-    phases' wired ones too, is wrapped as it enters through ``schedule``."""
+    phases' wired ones too, is wrapped as it enters through ``schedule``,
+    and every queue is kept, by id, as it does."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.handled = []
         self.checked = {}
+        self.queues = {}
 
     def schedule(self, queue, handler, event):
+        self.queues[id(queue)] = queue
         if handler not in self.checked:
             def checked(event):
                 # the event runs before every event still pending
@@ -902,10 +883,11 @@ def test_an_event_queued_out_of_time_order_raises():
     sid = b"\x01" * 16
     session = SessionState(session_id=sid, requester=engine.requesters["user-0000"],
                            resources=SMALL.resources)
-    # phase 1's begin sends a request on phase 1's request leg
-    queue = engine.requests[0][-1]
     engine.begin(session, 10.0, 1)
     engine.begin(session, 10.0, 1)  # a tie runs in scheduling order
+    # phase 1's begin sent both requests on phase 1's request leg, whose
+    # queue is due before the app and session starts
+    queue = engine.heap[0][2]
     assert [event[2].phase_index for event in queue] == [1, 1]
     with pytest.raises(RuntimeError, match="out of time order"):
         engine.begin(session, 9.0, 1)
@@ -981,6 +963,12 @@ _MALFORMED = {
     # phase 8's cloud grants or refuses
     "response-granted": (3, "200.000000000,1,deliver,F,A,aa,1,1024,granted\n"),
     "phase-8-request-valid": (3, "200.000000000,1,deliver,SAC-SH,CloudA,aa,8,1024,valid\n"),
+    # an end or a timer whose outcome its kind does not give: a drop read
+    # as completed would fold to a drop reason sliced from "completed"
+    "drop-completed": (3, "200.000000000,1,session-drop,F,,aa,13,,completed\n"),
+    "drop-without-reason": (3, "200.000000000,1,session-drop,F,,aa,13,,dropped:\n"),
+    "complete-banana": (3, "200.000000000,1,session-complete,F,,aa,13,,banana\n"),
+    "timer-completed": (3, "200.000000000,1,timer-fire,F,,aa,13,,completed\n"),
     "cut-short": (0, None),
 }
 
