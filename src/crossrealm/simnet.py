@@ -6,8 +6,7 @@ fans out to the front-end, the session authority with its credential
 database and session handler, and the resource clouds. Links are
 aggregated (n parallel gigabit links become one link of n-fold
 bandwidth) and routing follows the tree's uplinks. Only a phase's two
-ends exchange traffic: the engine sends on its phases' legs alone, and
-``EventLog.shape`` refuses a send or deliver between any other ends.
+ends exchange traffic: the engine sends on its phases' legs alone.
 
 A message's network time decomposes into a TCP-like handshake (1.5 round
 trips by default), serialization at the bottleneck bandwidth and path
@@ -18,14 +17,17 @@ The event loop is a pure function of (scenario, seed): events are
 processed in (time, insertion sequence) order, every random draw comes
 from one seeded generator during setup, and repeated runs produce
 byte-identical event logs. Pending events wait in an event calendar: one
-time-ordered queue per phase leg, per timer kind and for the app and
-session starts, merged by a heap that holds the head of each queue. Each
-phase is wired once a run, as three handlers that hold what they use (its
-role states, leg timings, record codes, queues and the next phase's
-begin), so a message looks nothing up on the engine.
+time-ordered queue per phase leg, one for the run's timers (per-phase or
+F's watchdog, never both) and one each for the app and session starts,
+merged by a heap that holds the head of each queue. Each phase is wired
+once a run, as three handlers that hold what they use (its role states,
+leg timings, record codes, queues and the next phase's begin), so a
+message looks nothing up on the engine.
 
 The event log is formatted as CSV by ``csv_lines`` and read back from a
-file by ``read_event_log``.
+file by ``read_event_log``. Every record a run may log, by its kind, ends
+and phase, is one entry of ``_RULES``, with the outcomes it may give, so
+``EventLog.shape`` refuses any other, in a run and in a log read back.
 """
 
 from __future__ import annotations
@@ -173,25 +175,8 @@ def inject_stall(scenario: "Scenario", role: Role, phase_index: int,
 
 # -- event log -------------------------------------------------------------------
 
-LOG_HEADER = ("time_s", "sequence", "kind", "source", "destination",
-              "session_id", "phase_index", "payload_bytes", "outcome")
-
 # the outcome of a delivery to an ended session, absorbed before any role sees it
 ABSORBED = "discarded:session-not-in-progress"
-
-# the kinds of record a run logs -> (the outcomes a record of the kind
-# gives, and the prefix of the "<prefix><why>" outcomes it gives too, or
-# None); a deliver's outcomes are its leg's, in ``_ENDS``
-KINDS = {"app-start": (("ok",), None), "session-start": (("ok",), None),
-         "send": (("ok",), None), "deliver": ((), "discarded:"),
-         "timer-fire": (("expired", "ignored"), None),
-         "session-complete": (("completed",), None), "session-drop": ((), "dropped:")}
-# (phase, source, destination) of each message a run sends -> the outcomes
-# its delivery may report besides "discarded:<why>": a request's are its
-# phase's, and a response completes its phase
-_ENDS = {leg: outcomes for spec in PHASES for leg, outcomes in (
-    ((spec.index, spec.source.value, spec.destination.value), spec.outcomes),
-    ((spec.index, spec.destination.value, spec.source.value), ("phase-complete",)))}
 
 
 class Record(NamedTuple):
@@ -205,6 +190,27 @@ class Record(NamedTuple):
     phase_index: int | None
     payload_bytes: int | None
     outcome: str
+
+
+# an event-log line's fields: a record's, its sequence after its time
+LOG_HEADER = ("time_s", "sequence", *Record._fields[1:])
+
+# (kind, source, destination, phase) of each record a run logs -> (the
+# outcomes it gives, and the prefix of the "<prefix><why>" outcomes it
+# gives too, or None)
+_OK, _FIRED = (("ok",), None), (("expired", "ignored"), None)
+_RULES = {
+    ("app-start", "A", "", None): _OK, ("session-start", "A", "", None): _OK,
+    **{("session-drop", "", "", done): ((), "dropped:") for done in range(len(PHASES))},
+    ("session-complete", PHASES[-1].source.value, "", len(PHASES)): (("completed",), None),
+    ("timer-fire", _F.value, "", None): _FIRED,
+    **{("timer-fire", spec.source.value, "", spec.index): _FIRED for spec in PHASES},
+    **{(kind, source, destination, spec.index): rule for spec in PHASES
+       for source, destination, outcomes in (
+           (spec.source.value, spec.destination.value, spec.outcomes),
+           (spec.destination.value, spec.source.value, ("phase-complete",)))
+       for kind, rule in (("send", _OK), ("deliver", (outcomes, "discarded:")))},
+}
 
 
 class EventLog:
@@ -231,26 +237,21 @@ class EventLog:
 
     def shape(self, *row) -> int:
         """The code of a (kind, source, destination, phase, size, outcome) row.
-        A row of a kind not in ``KINDS``, a send or deliver row whose phase is
-        not 1..13, whose two ends are not its phase's two ends (either way) or
-        whose size is not a whole number, or a row whose outcome its kind
-        does not give, is none a run logs: it raises ValueError when first
-        met. A deliver gives "discarded:<why>" or an outcome of its leg (a
-        request's phase's ``outcomes``, a response's "phase-complete"), a
-        timer "expired" or "ignored", a drop "dropped:<why>", a completion
-        "completed" and any other record "ok"."""
+        A row is one a run logs if its (kind, source, destination, phase) is
+        in ``_RULES``, its size is a whole number on a message (a send or
+        deliver, the records with a destination) and None on any other, and
+        its outcome is one its rule gives, or its rule's prefix and a reason;
+        any other raises ValueError when first met."""
         code = self._code_of.get(row)
         if code is None:
             kind, source, destination, phase, size, outcome = row
-            if kind not in KINDS:
-                raise ValueError(f"{kind!r} is not a kind of record a run logs")
-            if kind in ("send", "deliver") and not ((phase, source, destination) in _ENDS
-                                                    and type(size) is int and size >= 0):
-                raise ValueError(f"a {kind} needs a phase from 1 to {len(PHASES)}, that "
-                                 f"phase's two ends and a whole number of bytes")
-            outcomes, prefix = KINDS[kind]
-            if kind == "deliver":
-                outcomes = _ENDS[phase, source, destination]
+            rule = _RULES.get(row[:4])
+            if rule is None:
+                raise ValueError(f"no run logs a {kind!r} from {source!r} to "
+                                 f"{destination!r} at phase {phase!r}")
+            if not (type(size) is int and size >= 0 if destination else size is None):
+                raise ValueError(f"a {kind} has a size of {size!r}")
+            outcomes, prefix = rule
             if not (outcome in outcomes or prefix is not None and outcome.startswith(prefix)
                     and outcome != prefix):
                 raise ValueError(f"{outcome!r} is not an outcome of a {kind}")
@@ -295,9 +296,8 @@ def read_event_log(path) -> EventLog:
     printed, to 1 ns, and a printed time reads back as a float that prints
     the same. A line that is not a record in log order (its sequence its
     index, its time none before 0 or the last) or of a shape no run logs
-    (``EventLog.shape``: a kind not in ``KINDS``, a send or deliver that is
-    not between its phase's two ends, or a record whose outcome its kind or
-    its leg does not give), or a file that cannot be read,
+    (``EventLog.shape``: a kind, ends and phase not in ``_RULES``, or a size
+    or an outcome its rule does not give), or a file that cannot be read,
     raises ScenarioParseError naming the file and the line."""
     log = EventLog()
     index_of = {"": 0}  # session id -> its index in the log read so far
@@ -420,13 +420,12 @@ class _Engine:
         self._log_code = events.codes.append
         self.sessions: dict[bytes, SessionState] = {}
         # The event calendar. An event is a tuple (time, seq, *facts), and
-        # each queue holds its events in (time, seq) order: a leg's messages
-        # share one delay and a timer kind's timers one limit, so each is
-        # queued behind the one before it. The heap holds (time, seq, queue,
+        # each queue holds its events in (time, seq) order, since a leg's
+        # messages share one delay and a run's timers (per-phase, or F's
+        # watchdog, never both) one limit. The heap holds (time, seq, queue,
         # handler) for the head of each non-empty queue, and no more; every
         # event enters through ``schedule`` and leaves through ``loop``.
-        self.phase_timers: deque = deque()
-        self.watchdogs: deque = deque()
+        self.timers: deque = deque()
         self.heap: list = []
         self.event_seq = itertools.count()
         self.horizon_exceeded = False
@@ -515,10 +514,8 @@ class _Engine:
         initiator, responder = self.roles[spec.source], self.roles[spec.destination]
         initiator_slots, responder_slots = initiator.sessions, responder.sessions
         index, source, destination = spec.index, spec.source.value, spec.destination.value
-        phase_limit, phase_timers, on_phase_timer = (
-            self.phase_limit, self.phase_timers, self._on_phase_timer)
+        phase_limit, timers, on_timer = self.phase_limit, self.timers, self._on_timer
         watchdog_limit = self.watchdog_limit if index == 4 else None
-        watchdogs, on_f_watchdog = self.watchdogs, self._on_f_watchdog
         # each leg: its delivery offset, its send record's shape code, its
         # deliver record's code by outcome and its queue of deliveries
         size = sc.phase_request_bytes[index]
@@ -545,8 +542,7 @@ class _Engine:
             log_code(send)
             schedule(queue, on_request, (now + offset, next(seq), request, at))
             if phase_limit is not None:
-                schedule(phase_timers, on_phase_timer,
-                         (now + phase_limit, next(seq), sid, index, at))
+                schedule(timers, on_timer, (now + phase_limit, next(seq), sid, index, at))
 
         def on_request(event: tuple) -> None:
             now, _, msg, at = event
@@ -588,7 +584,7 @@ class _Engine:
                 return
             sessions[sid] = session
             if watchdog_limit is not None:
-                schedule(watchdogs, on_f_watchdog, (now + watchdog_limit, next(seq), sid, at))
+                schedule(timers, on_timer, (now + watchdog_limit, next(seq), sid, None, at))
             begin_next(session, now, at)
 
         return begin
@@ -628,22 +624,15 @@ class _Engine:
         self.log_row("session-start", now, "A", at)
         self.begin(session, now, at)
 
-    def _on_phase_timer(self, event: tuple) -> None:
+    def _on_timer(self, event: tuple) -> None:
+        """A phase's timer, or F's watchdog at phase None: expired if it drops the session."""
         now, _, session_id, phase_index, at = event
         session = self.sessions[session_id]
-        self._timer_fired(now, at, PHASES[phase_index - 1].source, phase_index, session,
-                          proto.on_timeout(session, phase_index))
-
-    def _on_f_watchdog(self, event: tuple) -> None:
-        now, _, session_id, at = event
-        session = self.sessions[session_id]
-        self._timer_fired(now, at, _F, None, session,
-                          proto.localized_timeout_at_f(self.roles[_F], session))
-
-    def _timer_fired(self, now: float, at: int, role: Role, phase_index: int | None,
-                     before: SessionState, after: SessionState) -> None:
-        """Log a timer; it expired if its transition returned a new session, else it is ignored."""
-        expired = after is not before
+        if phase_index is None:
+            role, after = _F, proto.localized_timeout_at_f(self.roles[_F], session)
+        else:
+            role, after = PHASES[phase_index - 1].source, proto.on_timeout(session, phase_index)
+        expired = after is not session
         self.log_row("timer-fire", now, role.value, at, phase_index,
                      "expired" if expired else "ignored")
         if expired:

@@ -770,8 +770,8 @@ def test_a_refused_access_ends_the_session():
 
 # -- the event calendar -----------------------------------------------------------------
 
-# one queue per phase leg, one per timer kind, one each for app and session starts
-QUEUES = 2 * proto.PHASE_COUNT + 4
+# one queue per phase leg, one for the run's timers, one each for app and session starts
+QUEUES = 2 * proto.PHASE_COUNT + 3
 
 
 def assert_heap_holds_queue_heads(engine):
@@ -875,8 +875,8 @@ def test_each_session_starts_as_its_keyword_form_and_carries_its_requester():
 
 
 def test_an_event_queued_out_of_time_order_raises():
-    # a leg's messages share one delay and a timer kind's timers one limit,
-    # so nothing is queued ahead of an earlier event; were something, the
+    # a leg's messages share one delay and a run's timers one limit, so
+    # nothing is queued ahead of an earlier event; were something, the
     # engine would be at fault
     engine = simnet._Engine(SMALL)
     engine.setup()
@@ -891,11 +891,11 @@ def test_an_event_queued_out_of_time_order_raises():
     assert [event[2].phase_index for event in queue] == [1, 1]
     with pytest.raises(RuntimeError, match="out of time order"):
         engine.begin(session, 9.0, 1)
-    engine.schedule(engine.watchdogs, engine._on_f_watchdog,
-                    (20.0, next(engine.event_seq), sid, 1))
+    engine.schedule(engine.timers, engine._on_timer,
+                    (20.0, next(engine.event_seq), sid, None, 1))
     with pytest.raises(RuntimeError, match="out of time order"):
-        engine.schedule(engine.watchdogs, engine._on_f_watchdog,
-                        (19.0, next(engine.event_seq), sid, 1))
+        engine.schedule(engine.timers, engine._on_timer,
+                        (19.0, next(engine.event_seq), sid, None, 1))
 
 
 # -- reading the log back -----------------------------------------------------------------
@@ -969,6 +969,18 @@ _MALFORMED = {
     "drop-without-reason": (3, "200.000000000,1,session-drop,F,,aa,13,,dropped:\n"),
     "complete-banana": (3, "200.000000000,1,session-complete,F,,aa,13,,banana\n"),
     "timer-completed": (3, "200.000000000,1,timer-fire,F,,aa,13,,completed\n"),
+    # a record of no message whose ends, phase or size no run logs, in place
+    # of the session start (line 3) or of the session's completion, sequence
+    # 54, the last line
+    "timer-of-no-role": (0, "200.000000000,54,timer-fire,Q,X,aa,99,7,expired\n"),
+    "complete-with-a-destination": (0, "200.000000000,54,session-complete,SAC,F,aa,3,9,"
+                                       "completed\n"),
+    "drop-at-phase-13": (0, "200.000000000,54,session-drop,,,aa,13,,dropped:x\n"),
+    "complete-at-phase-12": (0, "200.000000000,54,session-complete,F,,aa,12,,completed\n"),
+    "app-start-with-a-phase": (3, "200.000000000,1,app-start,A,,,4,,ok\n"),
+    "session-start-from-F": (3, "200.000000000,1,session-start,F,,aa,,,ok\n"),
+    "timer-with-a-size": (0, "200.000000000,54,timer-fire,A,,aa,1,8,ignored\n"),
+    "phase-1-timer-at-F": (0, "200.000000000,54,timer-fire,F,,aa,1,,ignored\n"),
     "cut-short": (0, None),
 }
 
