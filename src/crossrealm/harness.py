@@ -610,6 +610,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _other_cpus() -> set[int]:
+    """This process's CPUs but the one it is on (field 39 of /proc/self/stat); none without it."""
+    with suppress(OSError, ValueError, IndexError), open("/proc/self/stat", "rb") as stat:
+        return os.sched_getaffinity(0) - {int(stat.read().rpartition(b")")[2].split()[36])}
+    return set()
+
+
 def _single_threaded() -> bool:
     """Whether this process runs no thread beside its own, so that a fork
     can leave no lock held in the child (Python 3.12+ warns of that)."""
@@ -724,6 +731,7 @@ class EventLogWriter:
                 fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
             except OSError:  # above the system's limit: the default size stays
                 pass
+        away = _other_cpus()  # the child's CPUs: all but the one the run is on now
         try:
             pid = os.fork()
         except OSError:  # no process to spare
@@ -732,6 +740,8 @@ class EventLogWriter:
             return
         if pid == 0:  # the child: its report, not its exit status, tells how it ended
             try:  # no exception or signal may unwind it into its parent's frames
+                if away:  # so that it never takes turns with the run on one CPU
+                    os.sched_setaffinity(0, away)
                 os.close(write)
                 os.close(answers)
                 _serve_in_child(read, answer, self.part, scenario)

@@ -38,6 +38,7 @@ import heapq
 import itertools
 import math
 import random
+import re
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
@@ -295,10 +296,12 @@ def read_event_log(path) -> EventLog:
     the result gives the file's text again, since each time is read as
     printed, to 1 ns, and a printed time reads back as a float that prints
     the same. A line that is not a record in log order (its sequence its
-    index, its time none before 0 or the last) or of a shape no run logs
+    index, its time none before 0 or the last), of a shape no run logs
     (``EventLog.shape``: a kind, ends and phase not in ``_RULES``, or a size
-    or an outcome its rule does not give), or a file that cannot be read,
-    raises ScenarioParseError naming the file and the line."""
+    or an outcome its rule does not give) or of an id no run gives it (an
+    app start names no session, any other record 32 lowercase hex digits),
+    or a file that cannot be read, raises ScenarioParseError naming the
+    file and the line."""
     log = EventLog()
     index_of = {"": 0}  # session id -> its index in the log read so far
     header = ",".join(LOG_HEADER) + "\n"
@@ -319,7 +322,11 @@ def read_event_log(path) -> EventLog:
                 last = time_s
                 at = index_of.get(session_id)
                 if at is None:
+                    if not re.fullmatch("[0-9a-f]{32}", session_id):  # 16 drawn bytes
+                        raise ValueError(f"{session_id!r} is not a session id")
                     at = index_of[session_id] = log.add_session(session_id)
+                if (at == 0) is not (kind == "app-start"):  # only an app start has no session
+                    raise ValueError(f"the {kind} names {'no' if at == 0 else 'a'} session")
                 code = log.shape(kind, source, destination, int(phase) if phase else None,
                                  int(size) if size else None, outcome[:-1])
                 log.times.append(time_s)

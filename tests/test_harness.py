@@ -5,6 +5,7 @@ import errno
 import fcntl
 import gc
 import hashlib
+import io
 import json
 import marshal
 import math
@@ -1217,6 +1218,123 @@ def test_the_writer_pipe_holds_a_large_hand_off(tmp_path, monkeypatch, forks):
     finally:
         writer.close()
     assert os.listdir(tmp_path) == []
+
+
+def _read_stat(monkeypatch, read) -> None:
+    """Give harness, for /proc/self/stat, what ``read`` makes of the file's
+    bytes; every other file opens as it would."""
+    real_open = open
+
+    def routed_open(file, *args, **kwargs):
+        if file != "/proc/self/stat":
+            return real_open(file, *args, **kwargs)
+        with real_open(file, "rb") as stat:
+            return io.BytesIO(read(stat.read()))
+
+    monkeypatch.setattr(harness, "open", routed_open, raising=False)
+
+
+def _cpu_of(stat: bytes) -> int:
+    """The CPU in a /proc/<pid>/stat line: field 39, the 37th after the
+    command name's closing parenthesis."""
+    return int(stat.rpartition(b")")[2].split()[36])
+
+
+def _child_cpus(monkeypatch) -> list[set[int]]:
+    """The CPUs each writer child may run on, read as its writer ends it:
+    once its report came, the child has long passed its first act."""
+    seen, end = [], harness.EventLogWriter._end
+
+    def read_then_end(writer):
+        seen.append(os.sched_getaffinity(writer.pid))
+        end(writer)
+
+    monkeypatch.setattr(harness.EventLogWriter, "_end", read_then_end)
+    return seen
+
+
+AFFINITY = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                              reason="CPU affinity is set on Linux")
+# procfs names the CPU this process is on, and the OS the ones it may use
+NAMED_CPU = hasattr(os, "sched_setaffinity") and os.path.exists("/proc/self/stat")
+SMALL_RUN = replace(Scenario(), principals=40, seed=11)
+
+
+def _no_procfs(stat: bytes) -> bytes:
+    raise FileNotFoundError(errno.ENOENT, "no procfs")
+
+
+def _cpu_field_cut_off(stat: bytes) -> bytes:
+    return stat.rpartition(b")")[0] + b") R 1"
+
+
+def _cpu_field_garbled(stat: bytes) -> bytes:
+    command, _, fields = stat.rpartition(b")")
+    fields = fields.split()
+    fields[36] = b"x"
+    return command + b") " + b" ".join(fields)
+
+
+@pytest.mark.skipif(not (NAMED_CPU and len(os.sched_getaffinity(0)) > 1),
+                    reason="a CPU to keep off and another to run on, named by procfs")
+def test_the_writer_child_keeps_off_the_cpu_the_run_was_on(tmp_path, monkeypatch, forks):
+    # the child runs beside the loop rather than take turns with it on one CPU
+    stats = []
+    _read_stat(monkeypatch, lambda stat: stats.append(stat) or stat)
+    child_cpus = _child_cpus(monkeypatch)
+    run, report, folds, _ = _aggregate_through_writer(monkeypatch, SMALL_RUN, tmp_path / "out")
+    assert folds == 0 and report == aggregate(run)
+    (stat,) = stats  # read once, as the writer forked
+    ours = os.sched_getaffinity(0)
+    assert _cpu_of(stat) in ours
+    assert child_cpus == [ours - {_cpu_of(stat)}]
+    assert child_cpus[0] and child_cpus[0] < ours
+
+
+@AFFINITY
+def test_a_writer_child_on_the_runs_one_cpu_is_not_pinned(tmp_path, monkeypatch, forks):
+    # two CPUs claimed under a one-CPU affinity leave the child no other CPU:
+    # it is forked as it was before the pin, never given an empty set
+    ours = os.sched_getaffinity(0)
+    cpu = min(ours)
+    child_cpus = _child_cpus(monkeypatch)
+    os.sched_setaffinity(0, {cpu})
+    try:
+        run, report, folds, _ = _aggregate_through_writer(monkeypatch, SMALL_RUN,
+                                                          tmp_path / "out")
+    finally:
+        os.sched_setaffinity(0, ours)
+    assert folds == 0 and report == aggregate(run)
+    assert child_cpus == [{cpu}]
+    assert len(forks.made) == 1
+
+
+@AFFINITY
+@pytest.mark.parametrize("read", [_no_procfs, _cpu_field_cut_off, _cpu_field_garbled],
+                         ids=["no-procfs", "cut-off", "garbled"])
+def test_a_writer_child_whose_run_cpu_is_unknown_is_not_pinned(tmp_path, monkeypatch, forks,
+                                                               read):
+    # the CPU cannot be read, or its field is missing or not a number: the
+    # child runs wherever the run's process may
+    _read_stat(monkeypatch, read)
+    child_cpus = _child_cpus(monkeypatch)
+    run, report, folds, _ = _aggregate_through_writer(monkeypatch, SMALL_RUN, tmp_path / "out")
+    assert folds == 0 and report == aggregate(run)
+    assert child_cpus == [os.sched_getaffinity(0)]
+
+
+@pytest.mark.skipif(not NAMED_CPU, reason="the CPU is named by procfs")
+def test_the_run_cpu_is_read_after_the_command_names_last_parenthesis(monkeypatch):
+    # a command name may hold spaces and parentheses: the fields are counted
+    # from after its last ")"
+    stats = []
+
+    def renamed(stat):
+        stats.append(stat)
+        return stat.partition(b" (")[0] + b" (a) b)" + stat.rpartition(b")")[2]
+
+    _read_stat(monkeypatch, renamed)
+    assert harness._other_cpus() == os.sched_getaffinity(0) - {_cpu_of(stats[0])}
 
 
 @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipe sizes are set on Linux")

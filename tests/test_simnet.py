@@ -935,6 +935,7 @@ def test_read_event_log_inverts_csv_lines(principals, ties, mode, stalls, horizo
     assert _read_back(read)[1].times == read.times  # read as printed, so it stays put
 
 
+_SID = "5e" * 16  # a session id as a run writes one
 # line (0: the last) -> what replaces it in a valid log's text (None: cut its newline off)
 _MALFORMED = {
     "header": (1, "time_s,sequence\n"),
@@ -944,43 +945,50 @@ _MALFORMED = {
     "sequence": (3, "200.000000000,7,app-start,A,,,,,ok\n"),
     "time-order": (3, "-1.000000000,1,app-start,A,,,,,ok\n"),
     "negative-time": (2, "-1.000000000,0,app-start,A,,,,,ok\n"),
-    "phase": (3, "200.000000000,1,send,A,F,aa,one,1024,ok\n"),
+    "phase": (3, f"200.000000000,1,send,A,F,{_SID},one,1024,ok\n"),
     # record shapes that no run logs, which the fold cannot read
-    "phase-14": (3, "200.000000000,1,deliver,F,A,aa,14,1024,phase-complete\n"),
-    "phase-0": (3, "200.000000000,1,send,A,F,aa,0,1024,ok\n"),
-    "no-phase": (3, "200.000000000,1,deliver,F,A,aa,,1024,ok\n"),
-    "no-size": (3, "200.000000000,1,send,A,F,aa,1,,ok\n"),
-    "negative-size": (3, "200.000000000,1,send,A,F,aa,1,-8,ok\n"),
-    "no-role": (3, "200.000000000,1,send,Q,F,aa,1,1024,ok\n"),
-    "one-end-twice": (3, "200.000000000,1,send,F,F,aa,1,1024,ok\n"),
-    "ends-of-another-phase": (3, "200.000000000,1,deliver,F,SAC,aa,2,1024,ok\n"),
-    "no-kind": (3, "200.000000000,1,sned,A,F,aa,1,1024,ok\n"),
+    "phase-14": (3, f"200.000000000,1,deliver,F,A,{_SID},14,1024,phase-complete\n"),
+    "phase-0": (3, f"200.000000000,1,send,A,F,{_SID},0,1024,ok\n"),
+    "no-phase": (3, f"200.000000000,1,deliver,F,A,{_SID},,1024,ok\n"),
+    "no-size": (3, f"200.000000000,1,send,A,F,{_SID},1,,ok\n"),
+    "negative-size": (3, f"200.000000000,1,send,A,F,{_SID},1,-8,ok\n"),
+    "no-role": (3, f"200.000000000,1,send,Q,F,{_SID},1,1024,ok\n"),
+    "one-end-twice": (3, f"200.000000000,1,send,F,F,{_SID},1,1024,ok\n"),
+    "ends-of-another-phase": (3, f"200.000000000,1,deliver,F,SAC,{_SID},2,1024,ok\n"),
+    "no-kind": (3, f"200.000000000,1,sned,A,F,{_SID},1,1024,ok\n"),
     # outcomes that no transition gives, which the fold would miscount
-    "deliver-outcome": (3, "200.000000000,1,deliver,F,A,aa,1,1024,phase-completed\n"),
-    "send-outcome": (3, "200.000000000,1,send,A,F,aa,1,1024,granted\n"),
-    "discard-without-reason": (3, "200.000000000,1,deliver,A,F,aa,1,1024,discarded:\n"),
+    "deliver-outcome": (3, f"200.000000000,1,deliver,F,A,{_SID},1,1024,phase-completed\n"),
+    "send-outcome": (3, f"200.000000000,1,send,A,F,{_SID},1,1024,granted\n"),
+    "discard-without-reason": (3, f"200.000000000,1,deliver,A,F,{_SID},1,1024,discarded:\n"),
     # an outcome of another leg: a response only completes its phase, and
     # phase 8's cloud grants or refuses
-    "response-granted": (3, "200.000000000,1,deliver,F,A,aa,1,1024,granted\n"),
-    "phase-8-request-valid": (3, "200.000000000,1,deliver,SAC-SH,CloudA,aa,8,1024,valid\n"),
+    "response-granted": (3, f"200.000000000,1,deliver,F,A,{_SID},1,1024,granted\n"),
+    "phase-8-request-valid": (3, f"200.000000000,1,deliver,SAC-SH,CloudA,{_SID},8,1024,valid\n"),
     # an end or a timer whose outcome its kind does not give: a drop read
     # as completed would fold to a drop reason sliced from "completed"
-    "drop-completed": (3, "200.000000000,1,session-drop,F,,aa,13,,completed\n"),
-    "drop-without-reason": (3, "200.000000000,1,session-drop,F,,aa,13,,dropped:\n"),
-    "complete-banana": (3, "200.000000000,1,session-complete,F,,aa,13,,banana\n"),
-    "timer-completed": (3, "200.000000000,1,timer-fire,F,,aa,13,,completed\n"),
+    "drop-completed": (3, f"200.000000000,1,session-drop,F,,{_SID},13,,completed\n"),
+    "drop-without-reason": (3, f"200.000000000,1,session-drop,F,,{_SID},13,,dropped:\n"),
+    "complete-banana": (3, f"200.000000000,1,session-complete,F,,{_SID},13,,banana\n"),
+    "timer-completed": (3, f"200.000000000,1,timer-fire,F,,{_SID},13,,completed\n"),
     # a record of no message whose ends, phase or size no run logs, in place
     # of the session start (line 3) or of the session's completion, sequence
     # 54, the last line
-    "timer-of-no-role": (0, "200.000000000,54,timer-fire,Q,X,aa,99,7,expired\n"),
-    "complete-with-a-destination": (0, "200.000000000,54,session-complete,SAC,F,aa,3,9,"
+    "timer-of-no-role": (0, f"200.000000000,54,timer-fire,Q,X,{_SID},99,7,expired\n"),
+    "complete-with-a-destination": (0, f"200.000000000,54,session-complete,SAC,F,{_SID},3,9,"
                                        "completed\n"),
-    "drop-at-phase-13": (0, "200.000000000,54,session-drop,,,aa,13,,dropped:x\n"),
-    "complete-at-phase-12": (0, "200.000000000,54,session-complete,F,,aa,12,,completed\n"),
+    "drop-at-phase-13": (0, f"200.000000000,54,session-drop,,,{_SID},13,,dropped:x\n"),
+    "complete-at-phase-12": (0, f"200.000000000,54,session-complete,F,,{_SID},12,,completed\n"),
     "app-start-with-a-phase": (3, "200.000000000,1,app-start,A,,,4,,ok\n"),
-    "session-start-from-F": (3, "200.000000000,1,session-start,F,,aa,,,ok\n"),
-    "timer-with-a-size": (0, "200.000000000,54,timer-fire,A,,aa,1,8,ignored\n"),
-    "phase-1-timer-at-F": (0, "200.000000000,54,timer-fire,F,,aa,1,,ignored\n"),
+    "session-start-from-F": (3, f"200.000000000,1,session-start,F,,{_SID},,,ok\n"),
+    "timer-with-a-size": (0, f"200.000000000,54,timer-fire,A,,{_SID},1,8,ignored\n"),
+    "phase-1-timer-at-F": (0, f"200.000000000,54,timer-fire,F,,{_SID},1,,ignored\n"),
+    # a session id that no run gives: an app start names none, any other
+    # record 32 lowercase hex digits
+    "app-start-naming-a-session": (2, f"100.000000000,0,app-start,A,,{_SID},,,ok\n"),
+    "send-with-no-id": (4, "111.734052361,2,send,A,F,,1,1024,ok\n"),
+    "id-not-hex": (4, "111.734052361,2,send,A,F,zz,1,1024,ok\n"),
+    "id-of-31-digits": (4, f"111.734052361,2,send,A,F,{_SID[:31]},1,1024,ok\n"),
+    "id-in-upper-case": (4, f"111.734052361,2,send,A,F,{_SID.upper()},1,1024,ok\n"),
     "cut-short": (0, None),
 }
 
